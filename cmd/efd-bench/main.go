@@ -27,8 +27,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"time"
@@ -117,23 +115,18 @@ func main() {
 	// will generate under these options, counted up front.
 	planned := exp.PlanCells(experiments, eng.Options())
 	benchStart := time.Now()
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "efd-bench: -http: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "efd-bench: debug endpoint on http://%s/ (metrics, progress, debug/pprof)\n", ln.Addr())
-		srv := &http.Server{Handler: obs.DebugHandler(obs.DebugOptions{
-			Counters:     exp.Metrics(),
-			MoreCounters: []*obs.Counters{sim.Metrics()},
-			Histograms:   map[string]*obs.Histogram{"exp_cell_latency_ns": exp.CellLatency()},
-			Gauges:       exp.ProgressGauges,
-			Progress:     func() any { return progressDoc(benchStart, planned) },
-		})}
-		go func() { _ = srv.Serve(ln) }()
-		defer srv.Close()
+	stopHTTP, err := obs.ServeDebug("efd-bench", *httpAddr, obs.DebugOptions{
+		Counters:     exp.Metrics(),
+		MoreCounters: []*obs.Counters{sim.Metrics()},
+		Histograms:   map[string]*obs.Histogram{"exp_cell_latency_ns": exp.CellLatency()},
+		Gauges:       exp.ProgressGauges,
+		Progress:     func() any { return progressDoc(benchStart, planned) },
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "efd-bench: -http: %v\n", err)
+		os.Exit(2)
 	}
+	defer stopHTTP()
 	if *progress > 0 {
 		stop := make(chan struct{})
 		defer close(stop)

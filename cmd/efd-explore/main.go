@@ -30,8 +30,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -157,23 +155,18 @@ func main() {
 	}
 
 	start := time.Now()
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "efd-explore: -http: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "efd-explore: debug endpoint on http://%s/ (metrics, progress, debug/pprof)\n", ln.Addr())
-		srv := &http.Server{Handler: obs.DebugHandler(obs.DebugOptions{
-			Counters:     explore.Metrics(),
-			MoreCounters: []*obs.Counters{sim.Metrics()},
-			Histograms:   map[string]*obs.Histogram{"explore_node_depth": explore.NodeDepths()},
-			Gauges:       explore.ProgressGauges,
-			Progress:     func() any { return progressDoc(start) },
-		})}
-		go func() { _ = srv.Serve(ln) }()
-		defer srv.Close()
+	stopHTTP, err := obs.ServeDebug("efd-explore", *httpAddr, obs.DebugOptions{
+		Counters:     explore.Metrics(),
+		MoreCounters: []*obs.Counters{sim.Metrics()},
+		Histograms:   map[string]*obs.Histogram{"explore_node_depth": explore.NodeDepths()},
+		Gauges:       explore.ProgressGauges,
+		Progress:     func() any { return progressDoc(start) },
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "efd-explore: -http: %v\n", err)
+		os.Exit(2)
 	}
+	defer stopHTTP()
 	if *progress > 0 {
 		stop := make(chan struct{})
 		defer close(stop)

@@ -4,6 +4,9 @@
 // issues an open-loop Get/Put workload — operation k is due at k·interval
 // on a global schedule regardless of completions, so queueing delay counts
 // against the service instead of silently throttling the offered load.
+// -rate 0 runs closed loop instead (every clerk issues its next operation
+// when the previous one completes; the report's scenario key then ends in
+// /closed-loop, so the two kinds of latency never share a trend history).
 // After the run every decided clerk session is checked for linearizability
 // (version replay plus real-time order) by the kv task's ∆.
 //
@@ -11,6 +14,7 @@
 //
 //	efd-kv -n 3 -duration 2s
 //	efd-kv -n 3 -clients 8 -rate 20000 -duration 5s -json
+//	efd-kv -n 3 -clients 4 -rate 0 -put-frac 1 -duration 2s
 //	efd-kv -n 3 -crash-leader 1 -duration 2s
 //	efd-kv -n 3 -advice event -duration 2s
 //	efd-kv -n 3 -duration 30s -http 127.0.0.1:9191
@@ -36,8 +40,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
@@ -55,7 +57,7 @@ func main() {
 		n           = flag.Int("n", 3, "number of replicas (S-processes)")
 		clients     = flag.Int("clients", 0, "number of clerk sessions (0 = n)")
 		shards      = flag.Int("shards", 0, "state-machine shards (0 = default 4)")
-		rate        = flag.Float64("rate", 10000, "total offered load in client ops/sec across all clerks (must be positive)")
+		rate        = flag.Float64("rate", 10000, "total offered load in client ops/sec across all clerks (0 = closed loop: every clerk issues on completion)")
 		duration    = flag.Duration("duration", 2*time.Second, "issue window; the run drains in-flight ops afterwards")
 		runBudget   = flag.Duration("run-budget", 0, "whole-run wall-clock cap including drain (0 = duration + 10s)")
 		crashLeader = flag.Int("crash-leader", 0, "crash that many acting leaders mid-workload (whoever the advice names at each crash time)")
@@ -100,8 +102,8 @@ func main() {
 	if *duration <= 0 {
 		badFlag("-duration must be positive, got %v", *duration)
 	}
-	if *rate <= 0 {
-		badFlag("-rate must be positive, got %v", *rate)
+	if *rate < 0 {
+		badFlag("-rate must be non-negative, got %v (0 = closed loop)", *rate)
 	}
 	if *putFrac < 0 || *putFrac > 1 {
 		badFlag("-put-frac must be in [0,1], got %v", *putFrac)
@@ -134,26 +136,21 @@ func main() {
 		tracer = native.NewTracer(*traceCap)
 	}
 	latency := obs.NewHistogram()
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fail("-http: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "efd-kv: debug endpoint on http://%s/ (metrics, trace, debug/pprof)\n", ln.Addr())
-		hists := map[string]*obs.Histogram{"kv_open_loop_latency_ns": latency}
-		for name, h := range kv.Latencies() {
-			hists[name] = h
-		}
-		srv := &http.Server{Handler: obs.DebugHandler(obs.DebugOptions{
-			Counters:     native.Metrics(),
-			MoreCounters: []*obs.Counters{kv.Metrics()},
-			Histograms:   hists,
-			Tracer:       tracer,
-		})}
-		go func() { _ = srv.Serve(ln) }()
-		defer srv.Close()
+	hists := map[string]*obs.Histogram{"kv_open_loop_latency_ns": latency}
+	for name, h := range kv.Latencies() {
+		hists[name] = h
 	}
-	rep, err := native.KVStress(native.KVStressOptions{
+	stopHTTP, err := obs.ServeDebug("efd-kv", *httpAddr, obs.DebugOptions{
+		Counters:     native.Metrics(),
+		MoreCounters: []*obs.Counters{kv.Metrics()},
+		Histograms:   hists,
+		Tracer:       tracer,
+	})
+	if err != nil {
+		fail("-http: %v", err)
+	}
+	defer stopHTTP()
+	rep, err := core.KVStress(core.KVStressOptions{
 		N: *n, Clients: *clients, Shards: *shards,
 		Rate: *rate, Duration: *duration, RunBudget: *runBudget,
 		CrashLeader: *crashLeader, CrashAt: fdet.Time(*crashAt), CrashStorm: *crashStorm,
@@ -175,14 +172,7 @@ func main() {
 		fmt.Print(rep.Render())
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = tracer.Dump().WriteChrome(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := tracer.WriteChromeFile(*traceOut); err != nil {
 			fail("-trace-out: %v", err)
 		}
 	}

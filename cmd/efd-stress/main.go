@@ -12,7 +12,6 @@
 //	efd-stress -task consensus -n 4 -chaos flap:8 -duration 2s
 //	efd-stress -task consensus -n 4 -crash 2 -crash-storm -chaos flap:8 -duration 2s
 //	efd-stress -task renaming -n 5 -j 4 -k 2 -procs 8 -rate 100
-//	efd-stress -task consensus -n 16 -park spin -duration 2s
 //	efd-stress -task consensus -n 4 -advice event -duration 2s
 //	efd-stress -task consensus -n 4 -pin -duration 2s
 //	efd-stress -task consensus -n 4 -duration 10m -snapshot 30s
@@ -43,8 +42,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
@@ -68,7 +65,6 @@ func main() {
 		crashStorm = flag.Bool("crash-storm", false, "compress the crashes back to back instead of spacing them (needs -crash > 0)")
 		chaos      = flag.String("chaos", "", "hostile pre-stabilization advice: "+strings.Join(fdet.ChaosModes(), " | ")+"[:window] (default none)")
 		stabilize  = flag.Int("stabilize", 0, "advice stabilization time in ticks (0 = default 100)")
-		park       = flag.String("park", "", "C-process poll-loop policy: yield (default) | spin | sleep duration (e.g. 50µs)")
 		advice     = flag.String("advice", "", "advice publication mode: "+strings.Join(core.ScenarioAdviceModes(), " | ")+" (default tick)")
 		procs      = flag.Int("procs", 0, "GOMAXPROCS for the whole process (0 = leave as is)")
 		workers    = flag.Int("workers", 0, "concurrent instances (0 = GOMAXPROCS / instance goroutines)")
@@ -92,7 +88,7 @@ func main() {
 		Task: *taskName, N: *n, K: *k, J: *j,
 		Crash: *crash, CrashAt: fdet.Time(*crashAt), Storm: *crashStorm,
 		Detector: *detector, Stabilize: fdet.Time(*stabilize),
-		Park: *park, Advice: *advice, Chaos: *chaos,
+		Advice: *advice, Chaos: *chaos,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "efd-stress: %v\n", err)
@@ -106,21 +102,16 @@ func main() {
 		tracer = native.NewTracer(*traceCap)
 	}
 	latency := obs.NewHistogram()
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "efd-stress: -http: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "efd-stress: debug endpoint on http://%s/ (metrics, trace, debug/pprof)\n", ln.Addr())
-		srv := &http.Server{Handler: obs.DebugHandler(obs.DebugOptions{
-			Counters:   native.Metrics(),
-			Histograms: map[string]*obs.Histogram{"decision_latency_ns": latency},
-			Tracer:     tracer,
-		})}
-		go func() { _ = srv.Serve(ln) }()
-		defer srv.Close()
+	stopHTTP, err := obs.ServeDebug("efd-stress", *httpAddr, obs.DebugOptions{
+		Counters:   native.Metrics(),
+		Histograms: map[string]*obs.Histogram{"decision_latency_ns": latency},
+		Tracer:     tracer,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "efd-stress: -http: %v\n", err)
+		os.Exit(2)
 	}
+	defer stopHTTP()
 	rep, err := native.Stress(sc.Name, sc.Task, func(s int64) (native.Config, error) {
 		return sc.NativeConfig(s, *tick), nil
 	}, native.StressOptions{
@@ -157,14 +148,7 @@ func main() {
 		fmt.Print(rep.Render())
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = tracer.Dump().WriteChrome(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := tracer.WriteChromeFile(*traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "efd-stress: -trace-out: %v\n", err)
 			os.Exit(2)
 		}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"wfadvice/internal/paxos"
 	"wfadvice/internal/sim"
@@ -19,80 +17,6 @@ import (
 // values are decided; the one stabilized vector position guarantees at least
 // one instance decides in every fair run.
 
-// PollPark is the C-process poll-loop policy between unsuccessful sweeps of
-// the decision registers. On the lockstep sim backend it is semantically
-// inert — the scheduler paces every step, so schedules, traces and results
-// are identical under any policy — though a Sleep park still costs real
-// wall-clock there (the runtime waits for the sleeping process to re-park),
-// so sim-heavy loops like the explorer should stay on yield or spin. On the
-// native backend the policy separates algorithm latency from
-// spin-starvation latency: a spinning poller burns scheduler quanta that
-// the deciding S-processes need, which on small machines dominates the
-// measured decision latency.
-type PollPark struct {
-	// Notify parks the poller on the backend's change epoch: Pause returns
-	// when the epoch has advanced past seen — an advice publication, a
-	// register write, teardown — instead of after a blind yield or sleep.
-	// Scenarios enable it with event-driven advice (advice=event), where the
-	// native runtime bumps the epoch on exactly those events; it takes
-	// precedence over Sleep and Yield. Like them it is semantically inert on
-	// the sim backend (AwaitEpoch is a no-op there).
-	Notify bool
-	// Yield cedes the processor (runtime.Gosched) after an unsuccessful
-	// sweep. This is the default scenario policy.
-	Yield bool
-	// Sleep parks the goroutine for this duration after an unsuccessful
-	// sweep; a non-zero Sleep takes precedence over Yield.
-	Sleep time.Duration
-}
-
-// Pause applies the policy once, between poll sweeps. seen is the change
-// epoch the caller sampled (e.Epoch()) before the sweep that found no
-// progress; sampling before the sweep is what makes a Notify park immune to
-// lost wakeups — any change that landed during the sweep already advanced
-// the epoch, so the park returns immediately.
-func (p PollPark) Pause(e sim.Ops, seen uint64) {
-	switch {
-	case p.Notify:
-		e.AwaitEpoch(seen)
-	case p.Sleep > 0:
-		time.Sleep(p.Sleep)
-	case p.Yield:
-		runtime.Gosched()
-	}
-}
-
-// String renders the policy as a -park flag value.
-func (p PollPark) String() string {
-	switch {
-	case p.Notify:
-		return "notify"
-	case p.Sleep > 0:
-		return p.Sleep.String()
-	case p.Yield:
-		return "yield"
-	default:
-		return "spin"
-	}
-}
-
-// ParsePark parses a -park flag value: "" or "yield" (the default policy),
-// "spin" (busy-wait, the pre-knob behavior), or a positive Go duration to
-// sleep between sweeps ("50µs", "1ms").
-func ParsePark(s string) (PollPark, error) {
-	switch s {
-	case "", "yield":
-		return PollPark{Yield: true}, nil
-	case "spin":
-		return PollPark{}, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d <= 0 {
-		return PollPark{}, fmt.Errorf("park: want spin, yield or a positive duration, got %q", s)
-	}
-	return PollPark{Sleep: d}, nil
-}
-
 // DirectConfig configures the solver.
 type DirectConfig struct {
 	NC, NS int
@@ -101,8 +25,6 @@ type DirectConfig struct {
 	// failure-detector value. VectorLeader handles vector-Ωk; OmegaLeader
 	// adapts Ω for K = 1.
 	LeaderVec func(v sim.Value) []int
-	// Park is the C-process poll-loop policy (zero value = busy-spin).
-	Park PollPark
 	// InKeys and DecKeys are precomputed key tables — the NC input registers
 	// and the K decision registers — that the bodies bind their poll loops
 	// to. core.Scenario emits them once per scenario so every instance and
@@ -168,7 +90,7 @@ func consKey(j int) string { return fmt.Sprintf("cons/%d", j) }
 // once, with a reused collect buffer, so a sweep performs no allocation and
 // no key resolution at all on the native backend. The body takes no
 // synchronization steps — wait-freedom is structural. Between unsuccessful
-// sweeps the Park policy applies (inert on sim; see PollPark).
+// sweeps it waits the backend's way (sim.Ops.AwaitEpoch; inert on sim).
 func (c DirectConfig) DirectCBody(i int) sim.Body {
 	return func(e sim.Ops) {
 		e.Write(InKey(i), e.Input())
@@ -182,7 +104,7 @@ func (c DirectConfig) DirectCBody(i int) sim.Body {
 					return
 				}
 			}
-			c.Park.Pause(e, seen)
+			e.AwaitEpoch(seen)
 		}
 	}
 }
@@ -194,12 +116,11 @@ func (c DirectConfig) DirectCBody(i int) sim.Body {
 // NC input registers per detector query.
 //
 // A sweep in which this process leads no undecided instance performs only
-// decision polls; the Park policy applies after such sweeps, exactly as in
-// the C-process poll loop. This is where the knob matters most on small
-// machines: a run keeps every S-process alive forever, and without the
-// pause the non-leaders spin through whole scheduler quanta while the
-// processes that still have work to do — the driving leader and the
-// undecided C-pollers — wait their turn.
+// decision polls and is followed by the same wait as the C-process poll
+// loop. This is where waiting matters most on small machines: a run keeps
+// every S-process alive forever, and without it the non-leaders spin through
+// whole scheduler quanta while the processes that still have work to do —
+// the driving leader and the undecided C-pollers — wait their turn.
 func (c DirectConfig) DirectSBody(me int) sim.Body {
 	return func(e sim.Ops) {
 		props := make([]*paxos.Proposer, c.K)
@@ -225,12 +146,10 @@ func (c DirectConfig) DirectSBody(me int) sim.Body {
 					}
 					continue
 				}
-				// No C-process has published an input yet: park exactly like
+				// No C-process has published an input yet: wait exactly like
 				// an unsuccessful decision sweep. Spinning here starved the
-				// rest of the system for whole preemption quanta (an input
-				// write wakes a Notify park; the other policies retry on
-				// their own cadence).
-				c.Park.Pause(e, seen)
+				// rest of the system for whole preemption quanta.
+				e.AwaitEpoch(seen)
 				continue
 			}
 			drove := false
@@ -245,7 +164,7 @@ func (c DirectConfig) DirectSBody(me int) sim.Body {
 				}
 			}
 			if !drove {
-				c.Park.Pause(e, seen)
+				e.AwaitEpoch(seen)
 			}
 		}
 	}

@@ -1,20 +1,18 @@
-package native
+package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"wfadvice/internal/fdet"
 	"wfadvice/internal/kv"
+	"wfadvice/internal/native"
 	"wfadvice/internal/obs"
-	"wfadvice/internal/sim"
-	"wfadvice/internal/vec"
 )
 
-// This file is the stress harness behind cmd/efd-kv. Unlike Stress — which
-// runs back-to-back short instances of a one-shot decision task — a KV run
-// is ONE long-lived replicated system: NS replicas chain multi-Paxos slots
+// This file is the stress harness behind cmd/efd-kv. Unlike native.Stress —
+// which runs back-to-back short instances of a one-shot decision task — a KV
+// run is ONE long-lived replicated system: NS replicas chain multi-Paxos slots
 // under live Ω advice while NC clerks issue an open-loop Get/Put workload
 // against it. Throughput is client operations per second, latency is
 // completion minus the operation's due time on the global open-loop
@@ -61,10 +59,10 @@ type KVStressOptions struct {
 	ClerkTimeout time.Duration
 	// Stabilize is the advice stabilization time in ticks (0 = 100).
 	Stabilize fdet.Time
-	// Tick is the wall-clock length of one advice tick (0 = DefaultTick).
+	// Tick is the wall-clock length of one advice tick (0 = native.DefaultTick).
 	Tick time.Duration
 	// Advice is the native advice publication mode (tick or event).
-	Advice AdviceMode
+	Advice native.AdviceMode
 	// Seed seeds the advice history noise and the clerk scripts.
 	Seed int64
 	// Keys is the clerk keyspace size (0 = kv default).
@@ -111,7 +109,9 @@ func (o KVStressOptions) runBudget() time.Duration {
 
 // KVScenarioName renders the stable scenario key the run reports under —
 // the efd-trend history is keyed by it, so the shape (and nothing
-// machine-specific) goes in.
+// machine-specific) goes in. Closed-loop runs (Rate 0) carry their own
+// suffix: issue-on-completion latency is a different quantity from
+// open-loop latency and the two must never share a history key.
 func (o KVStressOptions) KVScenarioName() string {
 	name := fmt.Sprintf("kv/n=%d/clients=%d", o.N, o.clients())
 	if o.CrashLeader > 0 {
@@ -120,11 +120,14 @@ func (o KVStressOptions) KVScenarioName() string {
 			name += "/storm"
 		}
 	}
-	if o.Advice == AdviceEvent {
+	if o.Advice == native.AdviceEvent {
 		name += "/advice=event"
 	}
 	if o.Chaos.Enabled() {
 		name += "/chaos=" + o.Chaos.Suffix()
+	}
+	if o.Rate == 0 {
+		name += "/closed-loop"
 	}
 	return name
 }
@@ -154,135 +157,89 @@ func kvCrashSchedule(det fdet.Detector, ns, crashes int, first fdet.Time, storm 
 	return crashAt
 }
 
-// kvPause is the clerk/replica poll-park policy: epoch parks under
-// event-driven advice (the runtime wakes parked pollers on publications and
-// register writes in that mode), a scheduler yield otherwise — the same
-// pairing core.Scenario uses.
-func kvPause(advice AdviceMode) kv.Pause {
-	if advice == AdviceEvent {
-		return func(e sim.Ops, seen uint64) { e.AwaitEpoch(seen) }
-	}
-	return func(e sim.Ops, seen uint64) { runtime.Gosched() }
+// scenario assembles the system one run executes: the shared kv scenario
+// sized for the offered load, under the (possibly chaos-wrapped) advice and
+// the crash pattern that chases it. cc carries the clerk fields that are the
+// harness's own — workload shape, open-loop clock, op observer.
+func (o KVStressOptions) scenario(cc kv.ClerkConfig) *Scenario {
+	nc, ns := o.clients(), o.N
+	// Register pre-sizing: the log grows one slot per committed batch, so
+	// the offered load bounds it; cap the estimate — overflow only costs map
+	// growth.
+	slots := min(max(1024, int(o.Rate*o.Duration.Seconds())+64), 1<<16)
+	s := kvScenario(nc, ns, slots, kv.ReplicaConfig{Shards: o.Shards}, cc)
+	s.Name = o.KVScenarioName()
+	s.Detector = fdet.WithChaos(s.Detector, o.Chaos)
+	// The crash schedule chases whatever the detector advises, so every
+	// kill hits the acting leader.
+	s.Pattern = fdet.NewPattern(ns, kvCrashSchedule(s.Detector, ns, o.CrashLeader, o.crashAt(), o.CrashStorm, o.stabilize(), o.Seed))
+	s.Stabilize, s.Advice = o.stabilize(), o.Advice
+	return s
 }
 
 // KVStress runs one open-loop replicated-KV system and reports it in the
-// same shape as Stress so efd-trend and the BENCH tooling consume either.
-// Runs is 1 (one long-lived system), Ops counts completed client
+// same shape as native.Stress so efd-trend and the BENCH tooling consume
+// either. Runs is 1 (one long-lived system), Ops counts completed client
 // operations, and a checker failure is a linearizability violation across
 // the decided clerk sessions.
-func KVStress(opt KVStressOptions) (*StressReport, error) {
+func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 	if opt.N < 1 {
-		return nil, fmt.Errorf("native: kv stress needs at least one replica, got %d", opt.N)
+		return nil, fmt.Errorf("kv stress: need at least one replica, got %d", opt.N)
 	}
 	if opt.Duration <= 0 {
-		return nil, fmt.Errorf("native: kv stress needs a positive duration, got %v", opt.Duration)
+		return nil, fmt.Errorf("kv stress: need a positive duration, got %v", opt.Duration)
 	}
 	if opt.CrashStorm && opt.CrashLeader < 1 {
-		return nil, fmt.Errorf("native: kv crash-storm needs crash-leader > 0")
+		return nil, fmt.Errorf("kv stress: crash-storm needs crash-leader > 0")
 	}
-	nc, ns := opt.clients(), opt.N
 	hist := opt.Latency
 	if hist == nil {
 		hist = obs.NewHistogram()
 	}
-	startCounters := MetricsSnapshot()
+	startCounters := native.MetricsSnapshot()
 	startKV := kv.MetricsSnapshot()
-
-	// The advice detector, optionally wrapped hostile; the crash schedule
-	// chases whatever it advises so every kill hits the acting leader.
-	det := fdet.WithChaos(fdet.LiveOmega{}, opt.Chaos)
-	crashAt := kvCrashSchedule(det, ns, opt.CrashLeader, opt.crashAt(), opt.CrashStorm, opt.stabilize(), opt.Seed)
-	pat := fdet.NewPattern(ns, crashAt)
 
 	// The open-loop schedule: clerk op k is due at k·interval from the run
 	// base, regardless of completions. base is captured by the Clock closure
 	// and re-anchored just before Run so config construction time does not
 	// count against the first op's latency.
 	var base time.Time
-	clock := func() int64 { return time.Since(base).Nanoseconds() }
-	sleep := func(ns int64) { time.Sleep(time.Duration(ns)) }
 	var interval int64
 	if opt.Rate > 0 {
-		interval = int64(float64(nc) * float64(time.Second) / opt.Rate)
+		interval = int64(float64(opt.clients()) * float64(time.Second) / opt.Rate)
 	}
-
-	pause := kvPause(opt.Advice)
-	rc := kv.ReplicaConfig{NC: nc, NS: ns, Shards: opt.Shards, LeaseReads: true, Pause: pause}
-	cc := kv.ClerkConfig{
-		NC: nc, NS: ns,
-		Keys: opt.Keys, PutFrac: opt.PutFrac,
-		Seed: opt.Seed, Pause: pause,
-		Clock: clock, Sleep: sleep,
+	s := opt.scenario(kv.ClerkConfig{
+		Keys: opt.Keys, PutFrac: opt.PutFrac, Seed: opt.Seed,
+		Clock:    func() int64 { return time.Since(base).Nanoseconds() },
+		Sleep:    func(ns int64) { time.Sleep(time.Duration(ns)) },
 		Deadline: opt.Duration.Nanoseconds(), Interval: interval,
 		OpTimeout: opt.ClerkTimeout.Nanoseconds(),
 		OnOp:      func(rec kv.OpRecord, due int64) { hist.Observe(rec.End - due) },
-	}
-	inputs := vec.New(nc)
-	for i := range inputs {
-		inputs[i] = 100 + i
-	}
-	// Register pre-sizing: the log grows one slot per committed batch, so
-	// the offered load bounds it; cap the estimate — overflow only costs map
-	// growth.
-	slots := 1024
-	if opt.Rate > 0 {
-		if est := int(opt.Rate*opt.Duration.Seconds()) + 64; est > slots {
-			slots = est
-		}
-	}
-	if slots > 1<<16 {
-		slots = 1 << 16
-	}
-	cfg := Config{
-		NC: nc, NS: ns, Inputs: inputs,
-		CBody:     cc.Body,
-		SBody:     rc.Body,
-		Pattern:   pat,
-		History:   det.History(pat, opt.stabilize(), opt.Seed),
-		Tick:      opt.Tick,
-		Advice:    opt.Advice,
-		Registers: kv.Registers(nc, ns, slots),
-		Tracer:    opt.Tracer,
-		Pin:       opt.Pin,
-	}
-	rt, err := New(cfg)
+	})
+	cfg := s.NativeConfig(opt.Seed, opt.Tick)
+	cfg.Tracer, cfg.Pin = opt.Tracer, opt.Pin
+	rt, err := native.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	base = time.Now()
 	res := rt.Run(opt.runBudget())
 
-	rep := &StressReport{
-		Scenario:  opt.KVScenarioName(),
+	rep := &native.StressReport{
+		Scenario:  s.Name,
 		Workers:   1,
 		Runs:      1,
 		Decisions: len(res.Decisions),
 		Elapsed:   res.Elapsed,
 		Crashes:   len(res.Crashed),
 	}
+	rep.Judge(native.CheckDelta(s.Task, res), native.CheckDecided(res))
 	// Ops counts completed client operations (the decided sessions plus
 	// whatever an undecided run still recorded); res.Ops would count raw
 	// register operations, which is the wrong currency for a KV benchmark.
 	hs := hist.Snapshot()
 	rep.Ops = hs.Count
-	if s := rep.Elapsed.Seconds(); s > 0 {
-		rep.OpsPerSec = float64(rep.Ops) / s
-	}
-	rep.Latency = summarize(hs)
-	if hs.Count > 0 {
-		rep.Histogram = hs
-	}
-	// ∆ first, wait-freedom second, mirroring Stress: the kv task validates
-	// whatever sessions did decide even when some clerk was cut off, so a
-	// safety violation is never masked by a liveness miss.
-	if verr := CheckDelta(kv.NewTask(nc), res); verr != nil {
-		rep.Violations++
-		rep.Errors = append(rep.Errors, verr.Error())
-	} else if derr := CheckDecided(res); derr != nil {
-		rep.Undecided++
-		rep.Errors = append(rep.Errors, derr.Error())
-	}
-	rep.Counters = MetricsSnapshot().Delta(startCounters).Map()
+	rep.Summarize(hs, startCounters)
 	for name, v := range kv.MetricsSnapshot().Delta(startKV).Map() {
 		rep.Counters[name] = v
 	}

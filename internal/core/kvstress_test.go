@@ -1,13 +1,16 @@
-package native
+package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"wfadvice/internal/fdet"
+	"wfadvice/internal/kv"
+	"wfadvice/internal/native"
 )
 
-func runKVStress(t *testing.T, opt KVStressOptions) *StressReport {
+func runKVStress(t *testing.T, opt KVStressOptions) *native.StressReport {
 	t.Helper()
 	rep, err := KVStress(opt)
 	if err != nil {
@@ -95,9 +98,53 @@ func TestKVCrashScheduleChasesAdvice(t *testing.T) {
 func TestKVStressClosedLoopEventAdvice(t *testing.T) {
 	rep := runKVStress(t, KVStressOptions{
 		N: 3, Clients: 2, Duration: 200 * time.Millisecond, Seed: 3,
-		Advice: AdviceEvent,
+		Advice: native.AdviceEvent,
 	})
-	if rep.Scenario != "kv/n=3/clients=2/advice=event" {
+	if rep.Scenario != "kv/n=3/clients=2/advice=event/closed-loop" {
 		t.Fatalf("scenario key = %q", rep.Scenario)
+	}
+}
+
+// TestKVStressSharesScenarioAssembly is the drift guard: the system KVStress
+// runs and the conformance grid's NewScenario kv row come out of the same
+// constructor, so for equal (nc, ns) they agree on task, inputs, detector and
+// the register-estimate formula, and differ only in what each caller owns.
+func TestKVStressSharesScenarioAssembly(t *testing.T) {
+	const n = 3
+	grid, err := NewScenario(ScenarioParams{Task: "kv", N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := KVStressOptions{N: n, Rate: 100, Duration: time.Second}
+	stress := opt.scenario(kv.ClerkConfig{})
+	if got, want := stress.Task.Name(), grid.Task.Name(); got != want {
+		t.Errorf("task: stress %q, grid %q", got, want)
+	}
+	if !reflect.DeepEqual(stress.Inputs, grid.Inputs) {
+		t.Errorf("inputs: stress %v, grid %v", stress.Inputs, grid.Inputs)
+	}
+	if stress.Detector != grid.Detector {
+		t.Errorf("detector: stress %#v, grid %#v", stress.Detector, grid.Detector)
+	}
+	if stress.NC != grid.NC || stress.NS != grid.NS {
+		t.Errorf("dimensions: stress %d×%d, grid %d×%d", stress.NC, stress.NS, grid.NC, grid.NS)
+	}
+	// Same formula, each caller's own slot count: 1024 is the harness floor
+	// for a 100-op run, n·kvScriptOps the grid's script length.
+	if got, want := stress.Registers, kv.Registers(n, n, 1024); got != want {
+		t.Errorf("stress registers = %d, want kv.Registers(%d, %d, 1024) = %d", got, n, n, want)
+	}
+	if got, want := grid.Registers, kv.Registers(n, n, n*kvScriptOps); got != want {
+		t.Errorf("grid registers = %d, want kv.Registers(%d, %d, %d) = %d", got, n, n, n*kvScriptOps, want)
+	}
+	// Chaos composes over the shared detector the same way on both paths.
+	chaos := fdet.AdviceChaos{Mode: fdet.ChaosFlap, Window: 4}
+	grid, err = NewScenario(ScenarioParams{Task: "kv", N: n, Chaos: "flap:4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Chaos = chaos
+	if got, want := opt.scenario(kv.ClerkConfig{}).Detector.Name(), grid.Detector.Name(); got != want {
+		t.Errorf("chaos detector: stress %q, grid %q", got, want)
 	}
 }

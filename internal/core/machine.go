@@ -52,15 +52,6 @@ type MachineConfig struct {
 	// Lanes selects Figure 2 / Theorem 14 mode: exactly K pre-admitted codes
 	// with static positions and no admission gate.
 	Lanes bool
-	// Park is the replica poll-loop policy, applied after an iteration that
-	// neither learned anything (pollOnce) nor advanced any instance
-	// (driveAll): the replica led no open instance, had no phase in flight
-	// and applied no decision, so the whole iteration was pure polling.
-	// Without a park such replicas spin through entire scheduler quanta
-	// while the one replica that is leader waits to be scheduled — on small
-	// machines that starvation, not the algorithm, dominated decision
-	// latency (p50 ~161ms for renaming at n=4 on one core).
-	Park PollPark
 	// PollKeys is the precomputed bookkeeping key table — the NC input
 	// registers followed by the ovec register — that every replica binds its
 	// pollOnce reads (and the S-process ovec writes) to. core.Scenario emits
@@ -427,7 +418,12 @@ func (r *replica) driveCells(codes []int) bool {
 
 // SolverCBody returns the Theorem 9 C-process body: publish the input, then
 // help drive the machine until the replica shows this process's own code
-// decided.
+// decided. An iteration that neither learned anything (pollOnce) nor
+// advanced any instance (driveAll) was pure polling, so the replica waits
+// before the next one; without the wait such replicas spin through entire
+// scheduler quanta while the one replica that is leader waits to be
+// scheduled — on small machines that starvation, not the algorithm,
+// dominated decision latency.
 func (c MachineConfig) SolverCBody(i int) sim.Body {
 	return func(e sim.Ops) {
 		e.Write(InKey(i), e.Input())
@@ -441,7 +437,7 @@ func (c MachineConfig) SolverCBody(i int) sim.Body {
 			seen := e.Epoch()
 			polled := r.pollOnce()
 			if !r.driveAll() && !polled {
-				c.Park.Pause(e, seen)
+				e.AwaitEpoch(seen)
 			}
 		}
 	}
@@ -467,7 +463,7 @@ func (c MachineConfig) SolverSBody(q int) sim.Body {
 			}
 			polled := r.pollOnce()
 			if !r.driveAll() && !polled && !learned {
-				c.Park.Pause(e, seen)
+				e.AwaitEpoch(seen)
 			}
 		}
 	}
@@ -485,7 +481,7 @@ func (c MachineConfig) LanesCBody(i int) sim.Body {
 			seen := e.Epoch()
 			polled := r.pollOnce()
 			if !r.driveAll() && !polled {
-				c.Park.Pause(e, seen)
+				e.AwaitEpoch(seen)
 			}
 		}
 	}

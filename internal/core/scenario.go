@@ -98,20 +98,16 @@ type ScenarioParams struct {
 	// Detector overrides the task's default advice detector; one of
 	// ScenarioDetectors compatible with the task.
 	Detector string
-	// Park is the direct solver's C-process poll-loop policy: "" or "yield"
-	// (default), "spin" (busy-wait), or a positive duration to sleep
-	// between sweeps. Tasks without a poll loop ignore it.
-	Park string
 	// Stabilize is the advice stabilization time in model ticks
 	// (default 100). Before it, detector output is seeded noise — dueling
 	// leaders, flapping vectors — which is exactly the regime stress runs
 	// want to spend time in.
 	Stabilize fdet.Time
 	// Advice selects the native advice-publication mode: "" or "tick"
-	// (default, fixed-ticker re-sampling) or "event" (publish enumerated
-	// history transitions as their deadlines pass and wake epoch-parked
-	// pollers; the direct solver's default yield park upgrades to the
-	// epoch notify). The sim backend is unaffected either way.
+	// (default, fixed-ticker re-sampling; waiting pollers yield) or "event"
+	// (publish enumerated history transitions as their deadlines pass;
+	// waiting pollers park on the change epoch and wake on publications
+	// and register writes). The sim backend is unaffected either way.
 	Advice string
 	// Chaos replaces the detector's pre-stabilization output with a hostile
 	// schedule: "flap[:W]" (coherent rotation every W ticks), "lie[:W]"
@@ -181,43 +177,12 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		}
 	}
 	pat := fdet.NewPattern(p.N, crashAt)
-	park, err := ParsePark(p.Park)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %v", err)
-	}
 	advice, err := native.ParseAdviceMode(p.Advice)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %v", err)
 	}
-	// The direct solver's poll loops and the Theorem 9 machine's replica
-	// loops both honor the park policy; nset's helpers decide in a handful
-	// of operations and have no idle loop, so accepting -park there would
-	// mislabel its reports (the scenario name keys trend baselines) while
-	// changing nothing.
-	parkUsed := p.Task != "nset"
-	if p.Park != "" && !parkUsed {
-		return nil, fmt.Errorf("scenario: task %q has no poll loop, park=%q does not apply", p.Task, p.Park)
-	}
-	// With event-driven advice the default yield park upgrades to the epoch
-	// notify: the native runtime bumps its epoch on exactly the events a
-	// sweep could newly observe, so parked pollers wake when something
-	// changed instead of rescheduling blindly. An explicit spin or sleep
-	// park is honored as given — those are reference policies the stress
-	// matrix measures against. parkLabel keeps the name suffix tied to what
-	// the user asked for (the advice suffix below covers the upgrade).
-	parkLabel := park.String()
-	if advice == native.AdviceEvent && parkUsed && parkLabel == "yield" {
-		park.Notify = true
-	}
 
-	s := &Scenario{NC: p.N, NS: p.N, Pattern: pat, Stabilize: p.Stabilize}
-	intIn := func() vec.Vector {
-		v := vec.New(p.N)
-		for i := range v {
-			v[i] = 100 + i
-		}
-		return v
-	}
+	s := &Scenario{NC: p.N, NS: p.N}
 	det := p.Detector
 	pick := func(def string, allowed ...string) (string, error) {
 		if det == "" {
@@ -238,9 +203,9 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 			return nil, err
 		}
 		s.Task = task.NewConsensus(p.N)
-		s.Inputs = intIn()
+		s.Inputs = intInputs(p.N)
 		s.Registers = directRegisters(p.N, p.N, 1)
-		dc := DirectConfig{NC: p.N, NS: p.N, K: 1, LeaderVec: OmegaLeader, Park: park,
+		dc := DirectConfig{NC: p.N, NS: p.N, K: 1, LeaderVec: OmegaLeader,
 			InKeys: directInKeys(p.N), DecKeys: directDecKeys(1)}
 		if d == "vector" {
 			s.Detector = fdet.VectorOmegaK{K: 1, GoodPos: 0}
@@ -258,10 +223,10 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 			return nil, fmt.Errorf("scenario: kset needs k < n, got k=%d n=%d", p.K, p.N)
 		}
 		s.Task = task.NewSetAgreement(p.N, p.K)
-		s.Inputs = intIn()
+		s.Inputs = intInputs(p.N)
 		s.Registers = directRegisters(p.N, p.N, p.K)
 		s.Detector = fdet.VectorOmegaK{K: p.K, GoodPos: 0}
-		dc := DirectConfig{NC: p.N, NS: p.N, K: p.K, LeaderVec: VectorLeader, Park: park,
+		dc := DirectConfig{NC: p.N, NS: p.N, K: p.K, LeaderVec: VectorLeader,
 			InKeys: directInKeys(p.N), DecKeys: directDecKeys(p.K)}
 		s.CBody, s.SBody = dc.DirectCBody, dc.DirectSBody
 		s.Name = fmt.Sprintf("kset/n=%d/k=%d/vector", p.N, p.K)
@@ -286,7 +251,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		}
 		s.Detector = fdet.VectorOmegaK{K: p.K, GoodPos: 0}
 		s.Registers = machineRegisters(p.N, p.N)
-		mc := MachineConfig{NC: p.N, NS: p.N, K: p.K, Park: park, PollKeys: machinePollKeys(p.N),
+		mc := MachineConfig{NC: p.N, NS: p.N, K: p.K, PollKeys: machinePollKeys(p.N),
 			Factory: func(i int, _ sim.Value) auto.Automaton { return wfree.NewRenaming(i) }}
 		s.CBody, s.SBody = mc.SolverCBody, mc.SolverSBody
 		s.Name = fmt.Sprintf("renaming/n=%d/j=%d/k=%d/vector", p.N, p.J, p.K)
@@ -299,10 +264,10 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		// automaton value on both backends, zero changes.
 		tk := task.NewConsensus(p.N)
 		s.Task = tk
-		s.Inputs = intIn()
+		s.Inputs = intInputs(p.N)
 		s.Detector = fdet.VectorOmegaK{K: 1, GoodPos: 0}
 		s.Registers = machineRegisters(p.N, p.N)
-		mc := MachineConfig{NC: p.N, NS: p.N, K: 1, Park: park, PollKeys: machinePollKeys(p.N),
+		mc := MachineConfig{NC: p.N, NS: p.N, K: 1, PollKeys: machinePollKeys(p.N),
 			Factory: func(i int, input sim.Value) auto.Automaton { return wfree.NewProp1(tk, i, input) }}
 		s.CBody, s.SBody = mc.SolverCBody, mc.SolverSBody
 		s.Name = fmt.Sprintf("prop1/n=%d/vector", p.N)
@@ -310,26 +275,17 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		if _, err := pick("omega", "omega"); err != nil {
 			return nil, err
 		}
-		// The replicated KV service: clerks run a fixed deterministic script
-		// (seeded from their input), replicas chain paxos instances into a
-		// log under LiveOmega advice — an Ω history that tracks the lowest
-		// LIVE replica, so with Crash > 0 the advised leader actually dies
-		// and leadership migrates. The task's ∆ is linearizability of the
-		// decided sessions.
-		s.Task = kv.NewTask(p.N)
-		s.Inputs = intIn()
-		s.Registers = kvRegisters(p.N, p.N, kvScriptOps)
-		s.Detector = fdet.LiveOmega{}
-		rc := kv.ReplicaConfig{NC: p.N, NS: p.N, LeaseReads: true, Pause: park.Pause}
-		cc := kv.ClerkConfig{NC: p.N, NS: p.N, Ops: kvScriptOps, Pause: park.Pause}
-		s.CBody, s.SBody = cc.Body, rc.Body
+		// Clerks run a fixed deterministic script (seeded from their input);
+		// with Crash > 0 the advised leader actually dies and leadership
+		// migrates.
+		s = kvScenario(p.N, p.N, p.N*kvScriptOps, kv.ReplicaConfig{}, kv.ClerkConfig{Ops: kvScriptOps})
 		s.Name = fmt.Sprintf("kv/n=%d/omega", p.N)
 	case "nset":
 		if _, err := pick("trivial", "trivial"); err != nil {
 			return nil, err
 		}
 		s.Task = task.NewSetAgreement(p.N, p.N)
-		s.Inputs = intIn()
+		s.Inputs = intInputs(p.N)
 		s.Registers = 2 * p.N // in/i plus the V/q helper slots
 		s.Detector = fdet.Trivial{}
 		sh := SHelperConfig{NC: p.N, NS: p.N,
@@ -339,7 +295,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 	default:
 		return nil, fmt.Errorf("scenario: unknown task %q (valid: %v)", p.Task, ScenarioTasks())
 	}
-	s.Advice = advice
+	s.Pattern, s.Stabilize, s.Advice = pat, p.Stabilize, advice
 	if chaos.Enabled() {
 		// The wrapper composes over whatever detector the task picked: the
 		// same scenario machinery serves both backends a hostile history.
@@ -351,11 +307,8 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 			s.Name += "/storm"
 		}
 	}
-	if parkUsed && parkLabel != "yield" {
-		s.Name += "/park=" + parkLabel
-	}
-	// The advice mode keys trend baselines like crash and park do: the two
-	// modes have very different latency profiles. Chaos keys them too — a
+	// The advice mode keys trend baselines like crash does: the two modes
+	// have very different latency profiles. Chaos keys them too — a
 	// flapping prefix is a different latency world.
 	if advice != native.AdviceTick {
 		s.Name += "/advice=" + advice.String()
@@ -372,15 +325,33 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 // reads.
 const kvScriptOps = 4
 
-// kvRegisters estimates the key population of a kv run: request/reply
-// pairs plus the log instances (at worst one slot per client op, each ns
-// blocks + a decision register).
-func kvRegisters(nc, ns, opsPerClerk int) int {
-	est := kv.Registers(nc, ns, nc*opsPerClerk)
-	if est > 1<<15 {
-		est = 1 << 15
+// kvScenario is the one place the replicated-KV system is assembled: nc
+// clerks (cc) over ns replicas (rc, lease reads on) chaining paxos instances
+// into a log under LiveOmega advice — an Ω history that tracks the lowest
+// LIVE replica — with the register table pre-sized for slots log slots (each
+// ns proposer blocks plus a decision register, beside the request/reply
+// pairs). The task's ∆ is linearizability of the decided sessions. Name,
+// failure pattern, stabilization, advice mode and chaos are the caller's.
+func kvScenario(nc, ns, slots int, rc kv.ReplicaConfig, cc kv.ClerkConfig) *Scenario {
+	rc.NC, rc.NS, rc.LeaseReads = nc, ns, true
+	cc.NC, cc.NS = nc, ns
+	return &Scenario{
+		NC: nc, NS: ns,
+		Task:      kv.NewTask(nc),
+		Inputs:    intInputs(nc),
+		Detector:  fdet.LiveOmega{},
+		Registers: kv.Registers(nc, ns, slots),
+		CBody:     cc.Body, SBody: rc.Body,
 	}
-	return est
+}
+
+// intInputs is the default input vector: process i proposes 100+i.
+func intInputs(n int) vec.Vector {
+	v := vec.New(n)
+	for i := range v {
+		v[i] = 100 + i
+	}
+	return v
 }
 
 // directRegisters estimates the key population of a direct-solver run from

@@ -70,26 +70,6 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Runner produces one experiment table. It is the sequential-era facade,
-// kept for callers that just want a table: each Run executes on a default
-// Engine (GOMAXPROCS workers, seed DefaultSeed, full grids).
-type Runner struct {
-	ID   string
-	Name string
-	Run  func() *Table
-}
-
 // DefaultSeed is the root seed used when no explicit seed is given; it is
 // the seed CI regenerates tables with.
 const DefaultSeed = 1
-
-// All returns every experiment runner in order.
-func All() []Runner {
-	eng := NewEngine(Options{Seed: DefaultSeed})
-	runners := make([]Runner, 0, 12)
-	for _, x := range Experiments() {
-		x := x
-		runners = append(runners, Runner{ID: x.ID, Name: x.Name, Run: func() *Table { return eng.Run(x) }})
-	}
-	return runners
-}

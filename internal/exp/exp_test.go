@@ -26,24 +26,6 @@ func TestAllExperimentsReproduce(t *testing.T) {
 	}
 }
 
-// TestRunnersFacade keeps the sequential-era Runner facade working: the
-// runners wrap the engine and produce non-empty tables.
-func TestRunnersFacade(t *testing.T) {
-	runners := All()
-	if len(runners) != 17 {
-		t.Fatalf("got %d runners, want 17", len(runners))
-	}
-	for i, x := range Experiments() {
-		if runners[i].ID != x.ID || runners[i].Name != x.Name {
-			t.Fatalf("runner %d is %s/%s, want %s/%s", i, runners[i].ID, runners[i].Name, x.ID, x.Name)
-		}
-	}
-	tbl := runners[0].Run() // E1 is fast
-	if tbl.ID != "E1" || len(tbl.Rows) == 0 {
-		t.Fatalf("E1 runner produced %q with %d rows", tbl.ID, len(tbl.Rows))
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tbl := &Table{
 		ID:     "EX",

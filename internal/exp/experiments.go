@@ -1098,10 +1098,6 @@ func expE16() Experiment {
 	grid := []point{
 		{p: core.ScenarioParams{Task: "consensus", N: 4}},
 		{p: core.ScenarioParams{Task: "consensus", N: 4, Crash: 2, CrashAt: 40}},
-		// Spin-starvation reference: the same system with busy-wait poll
-		// loops, so the table separates algorithm latency (park=yield rows)
-		// from spin-starvation latency (this row) on oversubscribed boxes.
-		{p: core.ScenarioParams{Task: "consensus", N: 4, Park: "spin"}},
 		// Kernel-scheduling reference: same system, every process goroutine
 		// pinned to its own OS thread.
 		{p: core.ScenarioParams{Task: "consensus", N: 4}, pin: true},
@@ -1132,7 +1128,7 @@ func expE16() Experiment {
 			g := grid
 			dur := 250 * time.Millisecond
 			if opt.Short {
-				g = []point{grid[0], grid[1], grid[4]}
+				g = []point{grid[0], grid[1], grid[3]}
 				dur = 100 * time.Millisecond
 			}
 			var cells []Cell
@@ -1197,7 +1193,7 @@ func expE17() Experiment {
 		{Task: "consensus", N: 4, Chaos: "lie:8"},
 		{Task: "consensus", N: 4, Chaos: "diverge:8"},
 	}
-	kvRows := []native.KVStressOptions{
+	kvRows := []core.KVStressOptions{
 		{N: 4, Rate: 4000},
 		{N: 4, Rate: 4000, Chaos: fdet.AdviceChaos{Mode: fdet.ChaosFlap, Window: 8},
 			CrashLeader: 2, CrashStorm: true, ClerkTimeout: time.Second},
@@ -1253,7 +1249,7 @@ func expE17() Experiment {
 					Name: "kv/" + o.Chaos.Suffix(),
 					Run: func(t *Trial) Outcome {
 						o.Seed = t.Seed
-						rep, err := native.KVStress(o)
+						rep, err := core.KVStress(o)
 						if err != nil {
 							return Row(true, o.KVScenarioName(), "-", "-", "-", "-", "-", "FAIL: "+err.Error())
 						}

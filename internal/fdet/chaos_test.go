@@ -191,3 +191,34 @@ func TestChaosNaming(t *testing.T) {
 		t.Fatal("disabled chaos did not return the inner detector unchanged")
 	}
 }
+
+// FuzzParseChaos holds the -chaos flag parser to two properties on arbitrary
+// input: it never panics, and whatever it accepts survives the trip through
+// the scenario-name suffix — ParseChaos(c.Suffix()) is accepted, names the
+// same mode and effective window, and renders the same suffix, so a trend
+// key always parses back to the configuration that produced it.
+func FuzzParseChaos(f *testing.F) {
+	for _, s := range []string{
+		"", "none", "flap", "flap:8", "lie:4", "diverge:16",
+		"flip", "flap:0", "flap:-2", "flap:x", "lie:", "flap:8:9", ":4",
+		"flap:99999999999999999999", "flap:+3", "FLAP:8", " flap:8", "none:2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseChaos(s)
+		if err != nil {
+			if c != (AdviceChaos{}) {
+				t.Fatalf("ParseChaos(%q) failed but returned %+v", s, c)
+			}
+			return
+		}
+		back, err := ParseChaos(c.Suffix())
+		if err != nil {
+			t.Fatalf("ParseChaos(%q) = %+v, but its suffix %q does not parse: %v", s, c, c.Suffix(), err)
+		}
+		if back.Mode != c.Mode || back.window() != c.window() || back.Suffix() != c.Suffix() {
+			t.Fatalf("ParseChaos(%q) = %+v round-trips through %q to %+v", s, c, c.Suffix(), back)
+		}
+	})
+}

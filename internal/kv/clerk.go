@@ -69,6 +69,9 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 	if cfg.PutFrac == 0 {
 		cfg.PutFrac = 0.5
 	}
+	if cfg.Pause == nil {
+		cfg.Pause = awaitEpoch
+	}
 	return func(e sim.Ops) {
 		h := newMetricsHandle()
 		req := e.Bind([]string{ReqKey(i)})
@@ -137,9 +140,7 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 					break
 				}
 				if polls++; polls < clerkFreePolls {
-					if cfg.Pause != nil {
-						cfg.Pause(e, seen)
-					}
+					cfg.Pause(e, seen)
 					continue
 				}
 				polls = 0
@@ -157,7 +158,7 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 					if backoff < clerkBackoffMax {
 						backoff *= 2
 					}
-				} else if cfg.Pause != nil {
+				} else {
 					cfg.Pause(e, seen)
 				}
 			}

@@ -16,7 +16,8 @@ type ReplicaConfig struct {
 	LeaseReads bool
 	// MaxBatch caps requests per proposed batch (default NC).
 	MaxBatch int
-	// Pause parks the loop when an iteration makes no progress.
+	// Pause is called when an iteration makes no progress (nil = the
+	// backend's own wait).
 	Pause Pause
 }
 
@@ -57,6 +58,9 @@ func (cfg ReplicaConfig) Body(me int) sim.Body {
 	}
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = cfg.NC
+	}
+	if cfg.Pause == nil {
+		cfg.Pause = awaitEpoch
 	}
 	return func(e sim.Ops) {
 		r := &replica{
@@ -106,7 +110,7 @@ func (r *replica) run() {
 				break
 			}
 		}
-		if !progress && !(lead && r.inflight) && r.cfg.Pause != nil {
+		if !progress && !(lead && r.inflight) {
 			r.cfg.Pause(r.e, seen)
 		}
 	}

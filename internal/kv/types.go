@@ -129,8 +129,10 @@ func Registers(nc, ns, slots int) int {
 	return 2*nc + slots*(ns+1)
 }
 
-// Pause is a backend-neutral park hook (see core.PollPark): called by poll
-// loops that made no progress, with the change epoch sampled before the
-// sweep. A nil Pause busy-polls (correct on both backends; wasteful on
-// native).
+// Pause is the hook poll loops call after a sweep that made no progress,
+// with the change epoch sampled before the sweep. Nil means the backend's
+// own wait, sim.Ops.AwaitEpoch; a caller sets one only to observe or time
+// the waits.
 type Pause func(e sim.Ops, seen uint64)
+
+func awaitEpoch(e sim.Ops, seen uint64) { e.AwaitEpoch(seen) }

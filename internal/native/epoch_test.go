@@ -1,12 +1,15 @@
 package native
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"wfadvice/internal/fdet"
+	"wfadvice/internal/sim"
+	"wfadvice/internal/vec"
 )
 
 // pastClock returns a clock whose model time already reads now and will not
@@ -205,4 +208,94 @@ func TestEventNilHistory(t *testing.T) {
 	if got := s.advice(0); got != nil {
 		t.Fatalf("trivial advice = %v, want nil", got)
 	}
+}
+
+// awaitDeltas runs cfg to completion and returns how far the notifier's
+// park/wake/timeout counters moved during the run.
+func awaitDeltas(t *testing.T, cfg Config) (park, wake, timeout int64) {
+	t.Helper()
+	before := MetricsSnapshot()
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := rt.Run(10 * time.Second); res.Reason != ReasonAllDecided {
+		t.Fatalf("run ended %v, want all-decided", res.Reason)
+	}
+	d := MetricsSnapshot().Delta(before)
+	return d.Get(cNotifyPark), d.Get(cNotifyWake), d.Get(cNotifyTimeout)
+}
+
+// TestAwaitEpochTickAdviceYields: under tick advice the epoch carries no
+// register writes, so the wait must not park on it. With the tick stretched
+// to an hour nothing bumps the epoch after start-up, and AwaitEpoch on the
+// current epoch still returns every time — without ever entering the
+// notifier.
+func TestAwaitEpochTickAdviceYields(t *testing.T) {
+	const waits = 1000
+	moved := false
+	park, _, timeout := awaitDeltas(t, Config{
+		NC: 1, Inputs: vec.Of(1), Pattern: fdet.FailureFree(0), Tick: time.Hour,
+		CBody: func(int) sim.Body {
+			return func(e sim.Ops) {
+				seen := e.Epoch()
+				for i := 0; i < waits; i++ {
+					e.AwaitEpoch(seen)
+				}
+				moved = e.Epoch() != seen
+				e.Decide(1)
+			}
+		},
+	})
+	if moved {
+		t.Error("the epoch moved during the waits: the test no longer shows a return without a bump")
+	}
+	if park != 0 || timeout != 0 {
+		t.Errorf("tick-advice waits entered the notifier: notify_park=%d notify_timeout=%d, want 0 and 0", park, timeout)
+	}
+}
+
+// TestAwaitEpochEventAdviceParksUntilWrite: under event advice the wait is
+// the notifier park, and another process's register write is what ends it.
+// The writer holds its write until the poller is observably parked; a lost
+// wakeup would leave the backstop timeout as the only way out, so an attempt
+// passes only with a wake and no timeout. The backstop is a millisecond, so
+// a descheduled writer can lose an attempt to it on a loaded box — hence a
+// few attempts, of which one clean one suffices.
+func TestAwaitEpochEventAdviceParksUntilWrite(t *testing.T) {
+	var park, wake, timeout int64
+	for attempt := 0; attempt < 20; attempt++ {
+		before := MetricsSnapshot().Get(cNotifyPark)
+		park, wake, timeout = awaitDeltas(t, Config{
+			NC: 2, Inputs: vec.Of(1, 2), Pattern: fdet.FailureFree(0), Advice: AdviceEvent,
+			CBody: func(i int) sim.Body {
+				if i == 1 {
+					return func(e sim.Ops) {
+						for MetricsSnapshot().Get(cNotifyPark) == before {
+							runtime.Gosched()
+						}
+						e.Write("flag", 1)
+						e.Decide(2)
+					}
+				}
+				return func(e sim.Ops) {
+					for {
+						seen := e.Epoch()
+						if e.Read("flag") != nil {
+							e.Decide(1)
+							return
+						}
+						e.AwaitEpoch(seen)
+					}
+				}
+			},
+		})
+		if park < 1 {
+			t.Fatalf("event-advice wait never parked: notify_park=%d", park)
+		}
+		if wake >= 1 && timeout == 0 {
+			return
+		}
+	}
+	t.Fatalf("no clean attempt in 20: last had notify_park=%d notify_wake=%d notify_timeout=%d, want a wake and no timeout", park, wake, timeout)
 }

@@ -484,20 +484,28 @@ const awaitBackstop = time.Millisecond
 // operation: no step is consumed and no crash can strike on it.
 func (e *Env) Epoch() uint64 { return e.r.notify.current() }
 
-// AwaitEpoch parks the caller until the change epoch differs from seen — an
-// advice publication, any register write (event mode), or runtime teardown.
-// Sampling seen before the sweep makes the park race-free: a change landing
-// between sweep and park has already advanced the epoch, so the park
-// returns immediately. Like Epoch it consumes no step, but stop and crash
-// deadlines are honored on entry (a parked process is "between operations",
-// where the model says crashes strike). On the sim backend this is a no-op:
-// the lockstep scheduler paces every step, so there is nothing to wait for.
+// AwaitEpoch is the wait between two unsuccessful sweeps; how to wait is this
+// backend's decision, taken from what the epoch carries. Under event advice
+// every register write and advice publication bumps it, so the caller parks
+// until it differs from seen (or teardown). Sampling seen before the sweep
+// makes the park race-free: a change landing between sweep and park has
+// already advanced the epoch, so the park returns immediately. Under tick
+// advice the epoch carries no register writes — a park could sleep through
+// the write the caller is polling for — so the wait is one scheduler yield.
+// Like Epoch it consumes no step, but stop and crash deadlines are honored
+// on entry (a waiting process is "between operations", where the model says
+// crashes strike). On the sim backend this is a no-op: the lockstep
+// scheduler paces every step, so there is nothing to wait for.
 func (e *Env) AwaitEpoch(seen uint64) {
 	if e.r.stopped.Load() {
 		panic(errStopped)
 	}
 	if e.crashable && e.r.cfg.Pattern.Crashed(e.id.Index, e.r.clock.now()) {
 		panic(errCrashed)
+	}
+	if !e.r.wake {
+		runtime.Gosched()
+		return
 	}
 	if t := e.r.cfg.Tracer; t != nil {
 		p := procCode(e.id.IsS(), e.id.Index)

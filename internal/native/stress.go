@@ -336,17 +336,7 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 				rep.Ops += res.Ops
 				rep.Decisions += len(res.Decisions)
 				rep.Crashes += len(res.Crashed)
-				if verr != nil {
-					rep.Violations++
-					if len(rep.Errors) < 5 {
-						rep.Errors = append(rep.Errors, verr.Error())
-					}
-				} else if derr != nil {
-					rep.Undecided++
-					if len(rep.Errors) < 5 {
-						rep.Errors = append(rep.Errors, derr.Error())
-					}
-				}
+				rep.Judge(verr, derr)
 				mu.Unlock()
 			}
 		}()
@@ -358,16 +348,43 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 		return nil, firstErr
 	}
 	rep.Elapsed = time.Since(start)
-	if s := rep.Elapsed.Seconds(); s > 0 {
-		rep.OpsPerSec = float64(rep.Ops) / s
-	}
-	hs := hist.Snapshot()
-	rep.Latency = summarize(hs)
-	if hs.Count > 0 {
-		rep.Histogram = hs
-	}
-	rep.Counters = MetricsSnapshot().Delta(startCounters).Map()
+	rep.Summarize(hist.Snapshot(), startCounters)
 	return rep, nil
+}
+
+// Judge accounts one checked run: delta is its CheckDelta verdict, decided
+// its CheckDecided verdict. ∆ comes first and wait-freedom second — the task
+// validates whatever did decide even when some process was cut off — so a
+// safety violation is never masked by a liveness miss. Only the first few
+// messages are kept.
+func (r *StressReport) Judge(delta, decided error) {
+	err := delta
+	switch {
+	case delta != nil:
+		r.Violations++
+	case decided != nil:
+		r.Undecided++
+		err = decided
+	default:
+		return
+	}
+	if len(r.Errors) < 5 {
+		r.Errors = append(r.Errors, err.Error())
+	}
+}
+
+// Summarize fills the fields derived at the end of a run from Ops and
+// Elapsed, which the caller has set: throughput, the latency percentiles
+// and bucket distribution of hs, and the native counter delta since start.
+func (r *StressReport) Summarize(hs *obs.HistSnapshot, start obs.Snapshot) {
+	if s := r.Elapsed.Seconds(); s > 0 {
+		r.OpsPerSec = float64(r.Ops) / s
+	}
+	r.Latency = summarize(hs)
+	if hs.Count > 0 {
+		r.Histogram = hs
+	}
+	r.Counters = MetricsSnapshot().Delta(start).Map()
 }
 
 // summarize derives the latency percentiles from a histogram snapshot.

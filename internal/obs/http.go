@@ -4,14 +4,17 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 )
 
-// This file is the live debug endpoint behind `efd-stress -http`: one
+// This file is the live debug endpoint behind the CLIs' -http flag: one
 // http.Handler that serves the whole observability surface while a
 // workload runs — Prometheus-text /metrics (counters, histograms, runtime
 // gauges), /trace ring dumps (raw JSON or Chrome trace format), the full
@@ -119,6 +122,39 @@ func DebugHandler(o DebugOptions) http.Handler {
 	}
 	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
+}
+
+// ServeDebug is a CLI's -http flag: it listens on addr, announces the
+// endpoint on stderr under the program's name and serves DebugHandler(o) in
+// the background until the returned stop is called. An empty addr serves
+// nothing. The error is the listen error as net reports it (it already names
+// the operation and the address).
+func ServeDebug(prog, addr string, o DebugOptions) (stop func(), err error) {
+	if addr == "" {
+		return func() {}, nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	serves := []string{"metrics"}
+	if o.Tracer != nil {
+		serves = append(serves, "trace")
+	}
+	if o.Progress != nil {
+		serves = append(serves, "progress")
+	}
+	fmt.Fprintf(os.Stderr, "%s: debug endpoint on http://%s/ (%s, debug/pprof)\n", prog, ln.Addr(), strings.Join(serves, ", "))
+	srv := &http.Server{Handler: DebugHandler(o)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(ln) // returns once stop closes the server
+	}()
+	return func() {
+		_ = srv.Close()
+		<-done
+	}, nil
 }
 
 // writeMetrics renders the Prometheus text exposition.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -233,4 +234,18 @@ func (d *TraceDump) WriteChrome(w io.Writer) error {
 		Drops       map[string]int64 `json:"drops,omitempty"`
 	}{TraceEvents: evs, Emitted: d.Emitted, Drops: d.Drops}
 	return json.NewEncoder(w).Encode(doc)
+}
+
+// WriteChromeFile dumps the ring to a new file at path in the Chrome
+// trace-event format: the CLIs' -trace-out.
+func (t *Tracer) WriteChromeFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = t.Dump().WriteChrome(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

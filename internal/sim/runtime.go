@@ -134,19 +134,22 @@ type Ops interface {
 	QueryFD() Value
 	// Decide records this C-process's decision (final; deciding twice panics).
 	Decide(v Value)
-	// Epoch returns the backend's change epoch, and AwaitEpoch parks the
-	// caller until the epoch differs from seen (or a bounded backstop
-	// elapses). Poll loops sample Epoch before a predicate sweep and park on
-	// the sampled value when the sweep makes no progress; because any change
-	// landing after the sample has already advanced the epoch, the park
-	// cannot miss it. Neither call is a shared-memory operation: no
+	// Epoch returns the backend's change epoch, and AwaitEpoch is the wait
+	// between two unsuccessful sweeps: poll loops sample Epoch before a
+	// predicate sweep and call AwaitEpoch with the sampled value whenever
+	// the sweep makes no progress. How to wait is the backend's decision,
+	// not the algorithm's. Neither call is a shared-memory operation: no
 	// scheduled step is consumed, nothing is traced, and schedules, explorer
 	// state spaces and experiment results are unchanged by their presence.
 	// On the sim backend the lockstep scheduler paces every step, so there
 	// is nothing to wait for: Epoch is constantly zero and AwaitEpoch
-	// returns immediately. On the native backend the epoch advances on every
-	// advice publication, every register write in event-advice mode, and
-	// teardown (see native.AdviceMode and the notifier in internal/native).
+	// returns immediately. On the native backend the wait follows the advice
+	// mode: under event advice the epoch advances on every advice
+	// publication, register write and teardown, and AwaitEpoch parks until
+	// it differs from seen — any change landing after the sample has already
+	// advanced it, so the park cannot miss one; under tick advice the epoch
+	// carries no register writes and AwaitEpoch is a scheduler yield (see
+	// native.Env.AwaitEpoch).
 	Epoch() uint64
 	AwaitEpoch(seen uint64)
 }

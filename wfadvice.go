@@ -2,26 +2,26 @@
 // (EFD) model and results of "Wait-Freedom with Advice" (Delporte-Gallet,
 // Fauconnier, Gafni, Kuznetsov; PODC 2012).
 //
-// The package re-exports the library's layers:
+// The package re-exports the slice of the library's layers that the
+// examples, the root benchmarks and benchmark/ are written against — every
+// name here has a caller there; the rest of the system (the schedule
+// explorer, the chaos wrappers, the per-layer metric gates, ...) is reached
+// through the cmd/ binaries and lives under internal/:
 //
-//   - the task formalism and zoo (consensus, k-set agreement, renaming,
-//     weak symmetry breaking): Task, NewConsensus, NewSetAgreement, ...
-//   - failure patterns, environments and detectors (Ω, ¬Ωk, vector-Ωk, the
-//     §2.3 counterexample): Pattern, Detector, Omega, AntiOmegaK, ...
+//   - task constructors (consensus, k-set agreement, renaming) and vectors
+//   - failure patterns and detectors (Ω, vector-Ωk, the §2.3 counterexample)
 //   - the step-level shared-memory runtime for EFD systems: Config,
-//     Runtime, Scheduler, plus trace analyzers (CheckTask, MaxConcurrency,
-//     CheckWaitFree, ...)
-//   - the restricted algorithms of the paper's figures (Prop 1, Figure 3,
-//     Figure 4, k-set agreement) as collect automata
+//     NewRuntime, schedulers, plus trace analyzers (CheckTask, DecidedAll,
+//     MaxConcurrency)
+//   - collect automata and the Borowsky–Gafni substrate
 //   - the solvers and reductions: the direct vector-Ωk agreement solver,
 //     the generic Theorem 9 machine, the Figure 1 ¬Ωk extraction, and the
 //     Theorem 7 puzzle pipeline
-//   - the systematic schedule explorer (bounded model checking over the
-//     runtime) with trace record/replay and counterexample shrinking
 //   - the native hardware-speed backend: the same algorithms on real
 //     goroutines over atomics-backed registers, with live advice, crash
-//     injection, a post-hoc checker and a stress harness
-//   - the experiment harness regenerating EXPERIMENTS.md (E1–E16).
+//     injection, a post-hoc checker, the two stress harnesses and the
+//     replicated KV they drive
+//   - the experiment engine regenerating the E-tables.
 //
 // See README.md for a quickstart and DESIGN.md for the system inventory.
 package wfadvice
@@ -31,7 +31,6 @@ import (
 	"wfadvice/internal/bg"
 	"wfadvice/internal/core"
 	"wfadvice/internal/exp"
-	"wfadvice/internal/explore"
 	"wfadvice/internal/fdet"
 	"wfadvice/internal/ids"
 	"wfadvice/internal/kv"
@@ -43,42 +42,18 @@ import (
 	"wfadvice/internal/wfree"
 )
 
-// Process identities.
-type (
-	// Proc identifies a process (C or S side).
-	Proc = ids.Proc
-)
+// Proc identifies a process (C or S side).
+type Proc = ids.Proc
 
 // C returns the identity of the i-th computation process (zero-based).
 func C(i int) Proc { return ids.C(i) }
 
-// S returns the identity of the i-th synchronization process (zero-based).
-func S(i int) Proc { return ids.S(i) }
-
-// Task formalism and zoo.
-type (
-	// Vector is a task input/output vector (nil entries are ⊥).
-	Vector = vec.Vector
-	// Task is a decision task (I, O, ∆).
-	Task = task.Task
-	// SequentialTask additionally exposes the sequential extension rule
-	// used by the Proposition 1 solver.
-	SequentialTask = task.Sequential
-	// Agreement is the (U,k)-agreement family.
-	Agreement = task.Agreement
-	// Renaming is the (j,ℓ)-renaming family.
-	Renaming = task.Renaming
-)
-
-// Task constructors.
+// Task and vector constructors.
 var (
 	NewConsensus       = task.NewConsensus
 	NewSetAgreement    = task.NewSetAgreement
 	NewSubsetAgreement = task.NewSubsetAgreement
 	NewRenaming        = task.NewRenaming
-	NewStrongRenaming  = task.NewStrongRenaming
-	NewWSB             = task.NewWSB
-	NewIdentity        = task.NewIdentity
 	NewVector          = vec.New
 	VectorOf           = vec.Of
 )
@@ -87,60 +62,28 @@ var (
 type (
 	// Pattern is a failure pattern over the S-processes.
 	Pattern = fdet.Pattern
-	// Environment is a set of failure patterns.
-	Environment = fdet.Environment
-	// EnvT is the environment E_t (at most t crashes).
-	EnvT = fdet.EnvT
-	// History is a failure-detector history H(q, τ).
-	History = fdet.History
-	// Detector generates histories from failure patterns.
-	Detector = fdet.Detector
 	// Omega is the Ω leader detector (≡ ¬Ω1).
 	Omega = fdet.Omega
-	// AntiOmegaK is the ¬Ωk detector — the weakest detector of hierarchy
-	// level k (Theorem 10).
-	AntiOmegaK = fdet.AntiOmegaK
-	// VectorOmegaK is the equivalent vector form consumed by Figure 2.
+	// VectorOmegaK is the vector form of ¬Ωk consumed by Figure 2.
 	VectorOmegaK = fdet.VectorOmegaK
 	// FirstAlive is the §2.3 separation detector.
 	FirstAlive = fdet.FirstAlive
-	// Trivial is the detector that always outputs ⊥.
-	Trivial = fdet.Trivial
-	// DAG is a Chandra–Toueg sample of a detector history (Figure 1).
-	DAG = fdet.DAG
-	// ChaosMode selects a hostile pre-stabilization advice family.
-	ChaosMode = fdet.ChaosMode
-	// AdviceChaos is the parsed chaos configuration (mode, window, seed).
-	AdviceChaos = fdet.AdviceChaos
 )
 
-// Failure-pattern constructors and auditors.
+// Failure-pattern constructors and the Figure 1 sampling substrate.
 var (
 	NewPattern         = fdet.NewPattern
 	FailureFree        = fdet.FailureFree
 	BuildDAG           = fdet.BuildDAG
 	RoundRobinSchedule = fdet.RoundRobinSchedule
-	CheckOmega         = fdet.CheckOmega
-	CheckAntiOmegaK    = fdet.CheckAntiOmegaK
-	CheckVectorOmegaK  = fdet.CheckVectorOmegaK
-	// Adversarial advice: hostile pre-stabilization wrappers (legal under
-	// the Check* contracts, which audit only the post-stabilization suffix).
-	ParseChaos = fdet.ParseChaos
-	WithChaos  = fdet.WithChaos
-	Flap       = fdet.Flap
-	LieUntil   = fdet.LieUntil
-	Diverge    = fdet.Diverge
+	// DetectorByName resolves a detector family by its CLI name.
+	DetectorByName = fdet.ByName
 )
 
 // Runtime.
 type (
 	// Config describes an EFD system to execute.
 	Config = sim.Config
-	// Runtime executes one system, one scheduled step at a time.
-	Runtime = sim.Runtime
-	// Env is a process's handle to shared memory and advice on the sim
-	// backend.
-	Env = sim.Env
 	// Ops is the backend-independent operation surface of a process body;
 	// both sim.Env and native.Env implement it.
 	Ops = sim.Ops
@@ -158,37 +101,23 @@ type (
 	Scheduler = sim.Scheduler
 	// RoundRobin is the canonical fair scheduler.
 	RoundRobin = sim.RoundRobin
-	// KGate enforces k-concurrency (§2.2).
-	KGate = sim.KGate
 	// PauseWindow suspends one process for a window (wait-freedom demos).
 	PauseWindow = sim.PauseWindow
 	// Exclude removes processes from scheduling forever.
 	Exclude = sim.Exclude
 	// Personified couples C-scheduling to S-liveness (§2.3).
 	Personified = sim.Personified
-	// Scripted follows an explicit schedule, skipping unready entries.
-	Scripted = sim.Scripted
-	// Priority always prefers the listed processes (starvation adversaries).
-	Priority = sim.Priority
-	// ReplaySched follows a recorded schedule exactly, failing loudly on
-	// divergence — the trace-replay scheduler.
-	ReplaySched = sim.Replay
-	// PendingOp is the operation a parked process will perform next.
-	PendingOp = sim.PendingOp
 	// StopWhenDecided ends a run once every C-process decided.
 	StopWhenDecided = sim.StopWhenDecided
 )
 
 // Runtime constructors and analyzers.
 var (
-	NewRuntime      = sim.New
-	NewRandomSched  = sim.NewRandom
-	CheckTask       = sim.CheckTask
-	CheckWaitFree   = sim.CheckWaitFree
-	CheckFair       = sim.CheckFair
-	DecidedAll      = sim.DecidedAll
-	MaxConcurrency  = sim.MaxConcurrency
-	ScheduledInWind = sim.ScheduledInWindow
+	NewRuntime     = sim.New
+	NewRandomSched = sim.NewRandom
+	CheckTask      = sim.CheckTask
+	DecidedAll     = sim.DecidedAll
+	MaxConcurrency = sim.MaxConcurrency
 )
 
 // Restricted algorithms (collect automata) and their substrate.
@@ -197,43 +126,25 @@ type (
 	Automaton = auto.Automaton
 	// AutoSystem executes automata deterministically in-process.
 	AutoSystem = auto.System
-	// BGSimulator is one Borowsky–Gafni simulator.
-	BGSimulator = bg.Simulator
 )
 
 // Automaton constructors.
 var (
-	NewAutoSystem     = auto.NewSystem
-	RunAutomatonOnEnv = auto.RunOnEnv
-	AutomatonBody     = auto.Body
-	NewProp1          = wfree.NewProp1
-	NewKSetAutomaton  = wfree.NewKSet
-	NewRenamingFig4   = wfree.NewRenaming
-	NewStrongRenFig3  = wfree.NewStrongRenaming
-	NewBGSimulator    = bg.NewSimulator
-	RunBG             = bg.Run
+	NewAutoSystem   = auto.NewSystem
+	NewRenamingFig4 = wfree.NewRenaming
+	RunBG           = bg.Run
 )
 
 // Solvers and reductions.
 type (
 	// DirectConfig is the direct vector-Ωk agreement solver.
 	DirectConfig = core.DirectConfig
-	// PollPark is the direct solver's C-process poll-loop policy.
-	PollPark = core.PollPark
 	// MachineConfig is the generic Theorem 9 solver (and Figure 2 lanes).
 	MachineConfig = core.MachineConfig
-	// SHelperConfig is the Proposition 2 construction.
-	SHelperConfig = core.SHelperConfig
 	// WitnessConfig configures the Figure 1 extraction witness.
 	WitnessConfig = core.WitnessConfig
-	// ExploreConfig configures the bounded Figure 1 corridor DFS.
-	ExploreConfig = core.ExploreConfig
-	// ExtractResult is an emulated ¬Ωk output stream.
-	ExtractResult = core.ExtractResult
 	// PuzzleConfig configures the Theorem 7 pipeline.
 	PuzzleConfig = core.PuzzleConfig
-	// SimAlg is an EFD algorithm in simulable (Figure 1) form.
-	SimAlg = core.SimAlg
 	// DirectSimAlg is the direct solver in simulable form.
 	DirectSimAlg = core.DirectSimAlg
 )
@@ -242,58 +153,16 @@ type (
 var (
 	VectorLeader         = core.VectorLeader
 	OmegaLeader          = core.OmegaLeader
-	ParsePark            = core.ParsePark
 	ExtractWitness       = core.ExtractWitness
-	ExploreCorridors     = core.ExploreCorridors
 	CheckAntiOmegaStream = core.CheckAntiOmegaStream
 	RunPuzzle            = core.RunPuzzle
-	VectorToAnti         = core.VectorToAnti
-	NewAsimMachine       = core.NewAsimMachine
 	InKey                = core.InKey
-)
-
-// Systematic schedule exploration (bounded model checking over the runtime).
-type (
-	// ExploreSpec describes a system under exploration (builder, violation
-	// predicate, trace metadata).
-	ExploreSpec = explore.Spec
-	// ExploreOptions configures a search (depth, workers, mode, pruning).
-	ExploreOptions = explore.Options
-	// ExploreReport is the deterministic search outcome.
-	ExploreReport = explore.Report
-	// ExploreViolation is one recorded violating run.
-	ExploreViolation = explore.Violation
-	// Trace is a recorded run in the canonical replayable format.
-	Trace = explore.Trace
-	// ShrinkResult reports a ddmin counterexample minimization.
-	ShrinkResult = explore.ShrinkResult
-)
-
-// Exploration entry points.
-var (
-	// ExploreSchedules runs the bounded model checker.
-	ExploreSchedules = explore.Explore
-	// RandomViolationSearch is the seeded random fallback mode.
-	RandomViolationSearch = explore.RandomSearch
-	// ShrinkSchedule ddmin-minimizes a violating schedule.
-	ShrinkSchedule = explore.Shrink
-	// RecordTrace, ParseTrace and ReplayTrace round-trip the trace format.
-	RecordTrace = explore.RecordTrace
-	ParseTrace  = explore.ParseTrace
-	ReplayTrace = explore.ReplayTrace
-	// StrongRenamingSpec and KSetSpec are the violation specs of §5 and §4.
-	StrongRenamingSpec = wfree.StrongRenamingSpec
-	KSetSpec           = wfree.KSetSpec
-	// ExploreStrongRenamingViolation and ExploreKSetViolation are the
-	// explorer-backed violation finders (random search as fallback).
-	ExploreStrongRenamingViolation = wfree.ExploreStrongRenamingViolation
-	ExploreKSetViolation           = wfree.ExploreKSetViolation
 )
 
 // Native hardware-speed backend: the same sim.Ops programs on real
 // goroutines over atomics-backed registers, with a live failure-detector
-// service, crash injection, a post-hoc decision checker and a stress
-// harness.
+// service, crash injection, a post-hoc decision checker and the stress
+// harnesses.
 type (
 	// NativeConfig describes a system to execute natively; its
 	// process-facing fields are shared with Config, so the same CBody/SBody
@@ -301,35 +170,24 @@ type (
 	NativeConfig = native.Config
 	// NativeRuntime executes one system at hardware speed.
 	NativeRuntime = native.Runtime
-	// NativeEnv is the native implementation of Ops.
-	NativeEnv = native.Env
-	// NativeResult captures a finished native run (decisions, latencies,
-	// op counts, injected crashes).
-	NativeResult = native.Result
 	// StressOptions configures a native stress run; StressReport is its
 	// aggregate outcome (throughput, latency percentiles, verdicts).
 	StressOptions = native.StressOptions
 	StressReport  = native.StressReport
-	// KVStressOptions configures an open-loop clerk workload against the
-	// replicated KV service (kv over a multi-Paxos log); its report is the
-	// shared StressReport shape, so the trend gate treats kv rows like any
-	// other scenario.
-	KVStressOptions = native.KVStressOptions
+	// KVStressOptions configures a clerk workload (open loop at Rate, closed
+	// loop at Rate 0) against the replicated KV service (kv over a
+	// multi-Paxos log); its report is the shared StressReport shape, so the
+	// trend gate treats kv rows like any other scenario.
+	KVStressOptions = core.KVStressOptions
 	// KVReplicaConfig and KVClerkConfig are the service and session halves
 	// of the replicated KV protocol, written as backend-independent bodies.
 	KVReplicaConfig = kv.ReplicaConfig
 	KVClerkConfig   = kv.ClerkConfig
-	// KVState is the deterministic sharded state machine both the replicas
-	// and the linearizability checkers replay.
-	KVState = kv.State
 	// KVSession is one clerk's observed operation history.
 	KVSession = kv.Session
 	// PaxosLog chains single-decree consensus instances into a replicated
 	// log with a sliding bound decision-register window.
 	PaxosLog = paxos.Log
-	// AdviceMode selects how the native failure-detector service publishes
-	// advice: tick re-sampling or event-driven transition publishing.
-	AdviceMode = native.AdviceMode
 	// Scenario is one task + algorithm + advice configuration executable on
 	// either backend ("two backends, one algorithm surface").
 	Scenario = core.Scenario
@@ -342,100 +200,44 @@ var (
 	// NewNativeRuntime validates a NativeConfig and builds a runtime.
 	NewNativeRuntime = native.New
 	// NativeCheck is the post-hoc checker: ∆ plus the wait-freedom
-	// obligation that every correct C-process decides. NativeCheckDelta and
-	// NativeCheckDecided are its two halves.
-	NativeCheck        = native.Check
-	NativeCheckDelta   = native.CheckDelta
-	NativeCheckDecided = native.CheckDecided
+	// obligation that every correct C-process decides.
+	NativeCheck = native.Check
 	// NativeStress hammers one scenario with back-to-back native instances.
 	NativeStress = native.Stress
-	// NativeKVStress runs the replicated KV under open-loop clerk load with
-	// optional leader crash injection.
-	NativeKVStress = native.KVStress
+	// NativeKVStress runs the replicated KV under clerk load with optional
+	// leader crash injection.
+	NativeKVStress = core.KVStress
 	// NewPaxosLog builds one process's view of a replicated consensus log.
 	NewPaxosLog = paxos.NewLog
-	// KVCheckSessions replays the version order the service reported;
-	// KVCheckLinearizable is the trustless cross-check (Wing & Gong search
-	// over small histories).
-	KVCheckSessions     = kv.CheckSessions
-	KVCheckLinearizable = kv.CheckLinearizable
+	// KVCheckSessions replays the version order the service reported.
+	KVCheckSessions = kv.CheckSessions
 	// NativeEnableMetrics gates the native backend's runtime counters for
-	// runtimes built after the call (handles resolve at construction);
-	// NativeMetricsSnapshot reads the process-wide totals. The stubbed mode
-	// exists for the instrumented-vs-stubbed overhead benchmarks.
-	NativeEnableMetrics   = native.EnableMetrics
-	NativeMetricsSnapshot = native.MetricsSnapshot
-	// The search-layer analogues: op counting in the step-level runtime,
-	// walk telemetry in the explorer, and cell telemetry in the experiment
-	// engine. Like the native gate, each resolves at construction time
-	// (runtimes, walks, engine runs started after the call), and none of
-	// them feeds back into rendered reports or tables.
-	SimEnableMetrics       = sim.EnableMetrics
-	SimMetricsSnapshot     = sim.MetricsSnapshot
-	ExploreEnableMetrics   = explore.EnableMetrics
-	ExploreMetricsSnapshot = explore.MetricsSnapshot
-	ExpEnableMetrics       = exp.EnableMetrics
-	ExpMetricsSnapshot     = exp.MetricsSnapshot
-	// NewScenario builds a backend-independent scenario; DetectorByName
-	// resolves a detector family for CLI use.
-	NewScenario    = core.NewScenario
-	DetectorByName = fdet.ByName
-	// ParseAdviceMode resolves an -advice flag value.
-	ParseAdviceMode = native.ParseAdviceMode
+	// runtimes built after the call (handles resolve at construction). The
+	// stubbed mode exists for the instrumented-vs-stubbed overhead
+	// benchmarks.
+	NativeEnableMetrics = native.EnableMetrics
+	// NewScenario builds a backend-independent scenario.
+	NewScenario = core.NewScenario
 )
 
-// Native advice publication modes.
-const (
-	// AdviceTick: the service re-samples the history once per clock tick.
-	AdviceTick = native.AdviceTick
-	// AdviceEvent: the service publishes enumerated history transitions as
-	// their deadlines pass and wakes epoch-parked pollers.
-	AdviceEvent = native.AdviceEvent
-)
+// AdviceEvent is the native advice mode in which the service publishes
+// enumerated history transitions as their deadlines pass and waiting pollers
+// park on the change epoch (the default, tick, re-samples on a ticker and
+// pollers yield).
+const AdviceEvent = native.AdviceEvent
 
-// Native run end reasons.
-const (
-	// NativeReasonAllDecided: every spawned C-process decided.
-	NativeReasonAllDecided = native.ReasonAllDecided
-	// NativeReasonBudget: the wall-clock budget elapsed first.
-	NativeReasonBudget = native.ReasonBudget
-	// NativeReasonAllReturned: every goroutine returned with some C-process
-	// undecided (a body with a non-deciding return path).
-	NativeReasonAllReturned = native.ReasonAllReturned
-)
+// NativeReasonAllDecided is the native run end reason "every spawned
+// C-process decided".
+const NativeReasonAllDecided = native.ReasonAllDecided
 
-// Experiments.
-type (
-	// ExpTable is one regenerated experiment table.
-	ExpTable = exp.Table
-	// ExpRunner produces one experiment table.
-	ExpRunner = exp.Runner
-	// ExpEngine executes experiment cells on a worker pool with
-	// deterministic per-trial seeding.
-	ExpEngine = exp.Engine
-	// ExpOptions configures an ExpEngine (parallelism, root seed, trial
-	// multiplier, per-trial timeout, reduced -short grids).
-	ExpOptions = exp.Options
-	// ExpExperiment is one experiment decomposed into trial cells.
-	ExpExperiment = exp.Experiment
-	// ExpCell is one independent trial job.
-	ExpCell = exp.Cell
-	// ExpTrial is the seeded context handed to a cell execution.
-	ExpTrial = exp.Trial
-	// ExpOutcome is the rows/failures contribution of one cell.
-	ExpOutcome = exp.Outcome
-)
+// ExpOptions configures an experiment engine (parallelism, root seed, trial
+// multiplier, per-trial timeout, reduced -short grids).
+type ExpOptions = exp.Options
 
 // Experiment harness entry points.
 var (
-	// AllExperiments returns the E1–E16 runners (engine-backed facade).
-	AllExperiments = exp.All
-	// Experiments returns the E1–E16 experiments in cell-generator form.
+	// Experiments returns the experiments in cell-generator form.
 	Experiments = exp.Experiments
 	// NewExpEngine builds a parallel experiment engine.
 	NewExpEngine = exp.NewEngine
-	// ExperimentByID resolves one experiment id ("E5").
-	ExperimentByID = exp.ByID
-	// SelectExperiments resolves a comma-separated id list.
-	SelectExperiments = exp.Select
 )

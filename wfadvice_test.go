@@ -93,12 +93,12 @@ func TestFacadeExtraction(t *testing.T) {
 
 // TestFacadeExperiments ensures the harness is reachable from the facade.
 func TestFacadeExperiments(t *testing.T) {
-	runners := wfadvice.AllExperiments()
-	if len(runners) != 17 {
-		t.Fatalf("got %d experiments, want 17", len(runners))
+	xs := wfadvice.Experiments()
+	if len(xs) != 17 {
+		t.Fatalf("got %d experiments, want 17", len(xs))
 	}
-	tbl := runners[0].Run() // E1 is fast
-	if tbl.Failures != 0 {
-		t.Fatalf("E1 failures: %d", tbl.Failures)
+	tbl := wfadvice.NewExpEngine(wfadvice.ExpOptions{Seed: 1}).Run(xs[0]) // E1 is fast
+	if tbl.ID != "E1" || len(tbl.Rows) == 0 || tbl.Failures != 0 {
+		t.Fatalf("E1 produced %q with %d rows, %d failures", tbl.ID, len(tbl.Rows), tbl.Failures)
 	}
 }
