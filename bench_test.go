@@ -121,12 +121,13 @@ func BenchmarkNativeRegisterOps(b *testing.B) {
 	}
 }
 
-// BenchmarkNativeRegisterOpsKeyed measures the unbound keyed path — the PR 3
-// Ops.Read/Write shape with a string key per operation — which setup code
-// and one-off writes still use. It exists to keep the keyed path honest now
-// that the hot loops run on bound handles: removing the one-entry MRU cell
-// cache (PR 5) was gated on this benchmark showing the per-Env map lookup
-// absorbs the traffic at no measurable cost.
+// BenchmarkNativeRegisterOpsKeyed measures the unbound keyed path — the
+// Ops.Read/Write shape with a string key per operation — which one-shot
+// writes (a C-process publishing in/i) still use. Every call resolves its
+// key in the sharded table (hash, shard lock, map hit): there is no
+// per-process cell cache in front of it, so this is the price of not
+// binding, about a third above a private map hit on the dev box (README
+// hot-path table).
 func BenchmarkNativeRegisterOpsKeyed(b *testing.B) {
 	for _, n := range []int{2, 8} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {

@@ -40,8 +40,10 @@ type ClerkConfig struct {
 	// OpTimeout bounds the reply wait of a single operation, in ns; 0 waits
 	// forever. On expiry the clerk records the op as TimedOut and moves on —
 	// a crashed or advice-starved service degrades to visible timeouts
-	// instead of a hung session. Needs Clock; ignored on sim, where there is
-	// no wall time to run out.
+	// instead of a hung session. Expiry has to be observed twice, with one
+	// wait and one more poll of the reply register in between (see the
+	// reply wait in Body). Needs Clock; ignored on sim, where there is no
+	// wall time to run out.
 	OpTimeout int64
 
 	// OnOp reports each completed operation and its due time (due==start
@@ -126,8 +128,20 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 			// the session moves on. A late reply for a timed-out seq is
 			// ignored (the seq check below) and the request itself may
 			// still apply; the checker owns that ambiguity.
+			//
+			// The deadline is a wall-clock comparison taken whenever the
+			// clerk happens to run, so one reading past it says nothing
+			// about the service: if the whole process was stalled for
+			// longer than OpTimeout, every clerk reads its deadline as
+			// passed before any replica got a step. The first such reading
+			// therefore only arms the expiry: the clerk waits once more —
+			// the longest backoff sleep where the driver supplies Sleep,
+			// since under yield-spin a Pause is a single Gosched, which
+			// does not promise that a replica runs before the clerk does
+			// again — polls, and records TimedOut only if the deadline
+			// still reads passed with no reply.
 			var r Reply
-			timedOut := false
+			timedOut, expired := false, false
 			polls, backoff := 0, clerkBackoffMin
 			for {
 				seen := e.Epoch()
@@ -136,8 +150,17 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 					break
 				}
 				if cfg.Clock != nil && cfg.OpTimeout > 0 && cfg.Clock()-start >= cfg.OpTimeout {
-					timedOut = true
-					break
+					if expired {
+						timedOut = true
+						break
+					}
+					expired = true
+					if cfg.Sleep != nil {
+						cfg.Sleep(clerkBackoffMax)
+					} else {
+						cfg.Pause(e, seen)
+					}
+					continue
 				}
 				if polls++; polls < clerkFreePolls {
 					cfg.Pause(e, seen)

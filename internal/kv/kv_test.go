@@ -1,10 +1,14 @@
 package kv
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"wfadvice/internal/fdet"
+	"wfadvice/internal/ids"
+	"wfadvice/internal/paxos"
 	"wfadvice/internal/sim"
 	"wfadvice/internal/vec"
 )
@@ -328,5 +332,215 @@ func TestKVSimLeaderCrash(t *testing.T) {
 		if res.Steps <= 2000 {
 			t.Fatalf("seed %d: run ended at step %d, before the leader crash", seed, res.Steps)
 		}
+	}
+}
+
+// TestReplicaStepShapeAcrossWindows pins what the replicas do on the sim
+// backend, step for step: the (process, op, key) sequence of three replicas
+// carrying a put-only script across three slides of the log's bound window
+// must hash to the recording taken before the log bound its registers a
+// window at a time. Advice is stable from step 0, so no slot is ever
+// contested and the recording is independent of how preemption is settled.
+func TestReplicaStepShapeAcrossWindows(t *testing.T) {
+	const (
+		n, ops     = 3, 200 // one slot per op: windows at 0, 64, 128 and 192
+		wantEvents = 84582
+		wantDigest = uint64(0x36e124b140fc3601)
+	)
+	pat := fdet.NewPattern(n, nil)
+	rc := ReplicaConfig{NC: 1, NS: n}
+	cc := ClerkConfig{NC: 1, NS: n, Ops: ops, PutFrac: 1}
+	cfg := sim.Config{
+		NC: 1, NS: n, Inputs: vec.Of(100),
+		CBody:    cc.Body,
+		SBody:    rc.Body,
+		Pattern:  pat,
+		History:  fdet.LiveOmega{}.History(pat, 0, 1),
+		MaxSteps: 2_000_000,
+	}
+	rt, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The corridor: the clerk, then each replica, over and over.
+	round := []ids.Proc{ids.C(0), ids.S(0), ids.S(1), ids.S(2)}
+	var script []ids.Proc
+	for i := 0; i < 60_000; i++ {
+		script = append(script, round...)
+	}
+	res := rt.Run(&sim.StopWhenDecided{Inner: &sim.Scripted{Seq: script}})
+	if err := sim.DecidedAll(res); err != nil {
+		t.Fatalf("%v (reason %v after %d steps)", err, res.Reason, res.Steps)
+	}
+	h := fnv.New64a()
+	events := 0
+	for _, ev := range res.Trace {
+		if ev.Proc.IsS() {
+			fmt.Fprintf(h, "%d %d %s\n", ev.Proc.Index, ev.Kind, ev.Key)
+			events++
+		}
+	}
+	if events != wantEvents || h.Sum64() != wantDigest {
+		t.Errorf("replicas performed %d steps with digest %#x, recorded %d and %#x", events, h.Sum64(), wantEvents, wantDigest)
+	}
+}
+
+// runClerkAgainstClock runs one clerk issuing a single op with a 1000 ns
+// timeout on the sim backend, its wall clock under the test's control: the
+// first pause of the reply wait jumps the clock past the deadline, and
+// onGrace runs inside the second — the one pause the clerk grants after
+// first reading its deadline as passed. It returns the op as recorded and
+// how often the clerk read its reply register.
+func runClerkAgainstClock(t *testing.T, onGrace func(e sim.Ops)) (OpRecord, int) {
+	t.Helper()
+	const timeout = 1000
+	now, pauses := int64(0), 0
+	cc := ClerkConfig{
+		NC: 1, NS: 1, Ops: 1, PutFrac: 1,
+		Clock:     func() int64 { return now },
+		Deadline:  1 << 40,
+		OpTimeout: timeout,
+		Pause: func(e sim.Ops, _ uint64) {
+			switch pauses++; pauses {
+			case 1:
+				now = 2 * timeout
+			case 2:
+				onGrace(e)
+			}
+		},
+	}
+	rt, err := sim.New(sim.Config{
+		NC: 1, Inputs: vec.Of(100), CBody: cc.Body,
+		Pattern: fdet.FailureFree(0), MaxSteps: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rt.Run(&sim.StopWhenDecided{Inner: &sim.RoundRobin{}})
+	if err := sim.DecidedAll(res); err != nil {
+		t.Fatalf("%v (reason %v)", err, res.Reason)
+	}
+	if pauses != 2 {
+		t.Errorf("the reply wait paused %d times, want 2: one free poll, one grace", pauses)
+	}
+	reads := 0
+	for _, ev := range res.Trace {
+		if ev.Kind == sim.OpRead && ev.Key == RepKey(0) {
+			reads++
+		}
+	}
+	s := res.Outputs[0].(*Session)
+	if len(s.Ops) != 1 {
+		t.Fatalf("session holds %d ops, want 1", len(s.Ops))
+	}
+	return s.Ops[0], reads
+}
+
+// A deadline read as passed is only armed; it takes a second reading, one
+// pause and one poll later, to expire the op. A process-wide stall longer
+// than OpTimeout therefore costs no op whose reply the replicas deliver as
+// soon as they run again, while a dead service still times every op out.
+func TestClerkDeadlineIsObservedTwice(t *testing.T) {
+	rec, reads := runClerkAgainstClock(t, func(e sim.Ops) {
+		e.Write(RepKey(0), Reply{Seq: 1, Val: 7, Ver: 1})
+	})
+	if rec.TimedOut || rec.Out != 7 || reads != 3 {
+		t.Errorf("reply landing in the grace pause: %+v after %d reply reads, want it completed by the third", rec, reads)
+	}
+	rec, reads = runClerkAgainstClock(t, func(sim.Ops) {})
+	if !rec.TimedOut || reads != 3 {
+		t.Errorf("silent service: %+v after %d reply reads, want TimedOut after exactly one poll beyond the first expiry", rec, reads)
+	}
+}
+
+// runAsLeader runs body as the only S-process of a sim system, advised
+// leader from step 0, so a test can drive replicas by hand (iterate, or
+// apply and serve with an explicit lead) on a real backend handle.
+func runAsLeader(t *testing.T, body sim.Body) {
+	t.Helper()
+	pat := fdet.NewPattern(1, nil)
+	rt, err := sim.New(sim.Config{
+		NS: 1, Inputs: vec.New(0),
+		SBody:   func(int) sim.Body { return body },
+		Pattern: pat, History: fdet.LiveOmega{}.History(pat, 0, 1),
+		MaxSteps: 100_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := rt.Run(&sim.RoundRobin{}); res.Reason != sim.ReasonAllDone {
+		t.Fatalf("run ended %v after %d steps", res.Reason, res.Steps)
+	}
+}
+
+// When a competitor decides the in-flight slot, the sweep that applies the
+// decision also settles the proposal and releases the slot; the replica
+// must not come back to the slot and mint a proposer nothing will release.
+func TestPreemptedSlotsLeaveNoProposer(t *testing.T) {
+	const rounds = 5
+	rc := ReplicaConfig{NC: 1, NS: 2, Shards: 1, MaxBatch: 1, Pause: func(sim.Ops, uint64) {}}
+	runAsLeader(t, func(e sim.Ops) {
+		r := newReplica(rc, 0, e)
+		rival := paxos.NewLog(e, LogPrefix, 1, rc.NS)
+		req := e.Bind(ReqKeys(1))
+		for k := 1; k <= rounds; k++ {
+			r.apply(true)
+			req.Write(0, Request{Client: 0, Seq: k, Op: OpPut, Key: "a", Val: int64(k)})
+			slot := r.next
+			if r.serve(true); !r.inflight || r.slot != slot {
+				t.Errorf("round %d: no batch in flight at the frontier %d: %+v", k, slot, r)
+				return
+			}
+			p := rival.Proposer(slot)
+			p.SetProposal(Batch{Proposer: 1, Seq: int64(k)})
+			for decided := false; !decided; {
+				_, decided = p.StepOp(true)
+			}
+			rival.Release(slot)
+
+			r.iterate()
+			if r.next <= slot {
+				t.Errorf("round %d: frontier %d did not pass the preempted slot %d", k, r.next, slot)
+			}
+			// A proposer the log still held for the slot would have been
+			// stepped to the decision; a freshly minted one has seen nothing.
+			if _, stepped := r.log.Proposer(slot).Decided(); stepped {
+				t.Errorf("round %d: the log still holds a proposer for slot %d, below the frontier %d", k, slot, r.next)
+			}
+			r.log.Release(slot)
+		}
+		if got := r.st.Applied(0); got != rounds-1 {
+			t.Errorf("applied through seq %d, want %d: every preempted batch re-proposed and committed", got, rounds-1)
+		}
+	})
+}
+
+// A reply register is written by whoever is advised at the time, so a
+// replica that was leading a moment ago can land a late write of an older
+// reply on top of the current leader's. The leader believes it delivered
+// and every other replica is a follower: unless the leader reads the
+// register back, the clerk waits out its whole deadline on a live service.
+func TestLeaderRestoresOverwrittenReply(t *testing.T) {
+	rc := ReplicaConfig{NC: 1, NS: 1, Shards: 1, MaxBatch: 1, LeaseReads: true, Pause: func(sim.Ops, uint64) {}}
+	for _, op := range []OpKind{OpPut, OpGet} {
+		runAsLeader(t, func(e sim.Ops) {
+			r := newReplica(rc, 0, e)
+			req, rep := e.Bind(ReqKeys(1)), e.Bind(RepKeys(1))
+			req.Write(0, Request{Client: 0, Seq: 2, Op: op, Key: "a", Val: 5})
+			r.iterate() // a put commits here and is delivered by the next sweep; a get is lease-served
+			r.iterate()
+			want, ok := rep.Read(0).(Reply)
+			if !ok || want.Seq != 2 || want.Lease != (op == OpGet) {
+				t.Errorf("%v: reply register holds %+v after two iterations", op, rep.Read(0))
+				return
+			}
+			rep.Write(0, Reply{Seq: 1}) // the stale leader's late write
+			for i := 0; i < redeliverAfter; i++ {
+				r.iterate()
+			}
+			if got := rep.Read(0); got != want {
+				t.Errorf("%v: reply register holds %+v after %d more iterations, want %+v back", op, got, redeliverAfter, want)
+			}
+		})
 	}
 }

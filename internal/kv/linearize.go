@@ -1,7 +1,9 @@
 package kv
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -51,7 +53,11 @@ func (r record) String() string {
 // enforces. With any timeout present the value replay is skipped: a
 // timed-out Put may have mutated the state invisibly.
 func CheckSessions(sessions []*Session, complete bool) error {
-	var all []record
+	total := 0
+	for _, s := range sessions {
+		total += len(s.Ops)
+	}
+	all := make([]record, 0, total)
 	timeouts := 0
 	for _, s := range sessions {
 		prevVer := int64(-1)
@@ -89,14 +95,17 @@ func CheckSessions(sessions []*Session, complete bool) error {
 	// violation inside the tie group (a later-start read sorts later, and
 	// every read's completion follows its own start). On the sim backend
 	// Start is uniformly zero and the tie-break is inert.
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Ver != all[j].Ver {
-			return all[i].Ver < all[j].Ver
+	slices.SortStableFunc(all, func(a, b record) int {
+		if a.Ver != b.Ver {
+			return cmp.Compare(a.Ver, b.Ver)
 		}
-		if all[i].Lease != all[j].Lease {
-			return !all[i].Lease
+		if a.Lease != b.Lease {
+			if b.Lease {
+				return -1
+			}
+			return 1
 		}
-		return all[i].Start < all[j].Start
+		return cmp.Compare(a.Start, b.Start)
 	})
 	if complete {
 		// Version audit: applied versions are globally unique, and any
@@ -141,20 +150,18 @@ func CheckSessions(sessions []*Session, complete bool) error {
 	// Real-time order: an op that completed before another started must
 	// not linearize after it. Reverse scan: minEnd is the earliest
 	// completion among ops placed later in the claimed order.
-	timed := all[:0:0]
-	for _, r := range all {
-		if r.End > 0 {
-			timed = append(timed, r)
-		}
-	}
 	minEnd := int64(1<<63 - 1)
-	for i := len(timed) - 1; i >= 0; i-- {
-		if timed[i].Start > minEnd {
-			return fmt.Errorf("kv: real-time violation: %v invoked after a later-linearized op completed (start=%d > min later end=%d)",
-				timed[i], timed[i].Start, minEnd)
+	for i := len(all) - 1; i >= 0; i-- {
+		r := &all[i]
+		if r.End <= 0 {
+			continue // untimed (sim backend)
 		}
-		if timed[i].End < minEnd {
-			minEnd = timed[i].End
+		if r.Start > minEnd {
+			return fmt.Errorf("kv: real-time violation: %v invoked after a later-linearized op completed (start=%d > min later end=%d)",
+				*r, r.Start, minEnd)
+		}
+		if r.End < minEnd {
+			minEnd = r.End
 		}
 	}
 	return nil

@@ -35,7 +35,7 @@ type replica struct {
 	reqBuf     []sim.Value
 	next       int     // apply frontier: first undecided slot
 	repWritten []Reply // last reply this replica wrote per clerk
-	leaseSeq   []int   // highest lease-served seq per clerk
+	unread     []int   // iterations since, with the request it answers still pending
 
 	inflight bool      // a proposed batch is riding the log
 	slot     int       // its slot
@@ -62,57 +62,63 @@ func (cfg ReplicaConfig) Body(me int) sim.Body {
 	if cfg.Pause == nil {
 		cfg.Pause = awaitEpoch
 	}
-	return func(e sim.Ops) {
-		r := &replica{
-			cfg:        cfg,
-			me:         me,
-			e:          e,
-			h:          newMetricsHandle(),
-			reqs:       e.Bind(ReqKeys(cfg.NC)),
-			reps:       e.Bind(RepKeys(cfg.NC)),
-			log:        paxos.NewLog(e, LogPrefix, me, cfg.NS),
-			st:         NewState(cfg.NC, cfg.Shards),
-			reqBuf:     make([]sim.Value, cfg.NC),
-			repWritten: make([]Reply, cfg.NC),
-			leaseSeq:   make([]int, cfg.NC),
-		}
-		r.run()
+	return func(e sim.Ops) { newReplica(cfg, me, e).run() }
+}
+
+// newReplica binds replica me's registers on e; cfg has its defaults filled
+// in (see Body).
+func newReplica(cfg ReplicaConfig, me int, e sim.Ops) *replica {
+	return &replica{
+		cfg:        cfg,
+		me:         me,
+		e:          e,
+		h:          newMetricsHandle(),
+		reqs:       e.Bind(ReqKeys(cfg.NC)),
+		reps:       e.Bind(RepKeys(cfg.NC)),
+		log:        paxos.NewLog(e, LogPrefix, me, cfg.NS),
+		st:         NewState(cfg.NC, cfg.Shards),
+		reqBuf:     make([]sim.Value, cfg.NC),
+		repWritten: make([]Reply, cfg.NC),
+		unread:     make([]int, cfg.NC),
 	}
 }
 
 func (r *replica) run() {
-	// burst bounds how many proposer steps one iteration drives: enough
-	// for both phases of an uncontested instance, so a committed batch
-	// costs one iteration, not 2n+3.
-	burst := 2*(r.cfg.NS+2) + 2
 	for {
-		seen := r.e.Epoch()
-		leader, _ := r.e.QueryFD().(int)
-		lead := leader == r.me
-		r.noteLead(lead)
+		r.iterate()
+	}
+}
 
-		progress := r.apply(lead)
-		if r.serve(lead) {
+// iterate is one round of the server loop.
+func (r *replica) iterate() {
+	seen := r.e.Epoch()
+	leader, _ := r.e.QueryFD().(int)
+	lead := leader == r.me
+	r.noteLead(lead)
+
+	progress := r.apply(lead)
+	if r.serve(lead) {
+		progress = true
+	}
+	if r.inflight {
+		n := 1 // non-leaders only poll the slot's decision register
+		if lead {
+			// Enough steps for both phases of an uncontested instance, so
+			// a committed batch costs one iteration, not 2n+3.
+			n = 2*(r.cfg.NS+2) + 2
+		}
+		for i := 0; i < n; i++ {
+			v, ok := r.log.Proposer(r.slot).StepOp(lead)
+			if !ok {
+				continue
+			}
+			r.settle(v)
 			progress = true
+			break
 		}
-		if r.inflight {
-			n := 1 // non-leaders only poll the slot's decision register
-			if lead {
-				n = burst
-			}
-			for i := 0; i < n; i++ {
-				v, ok := r.log.Proposer(r.slot).StepOp(lead)
-				if !ok {
-					continue
-				}
-				r.settle(v)
-				progress = true
-				break
-			}
-		}
-		if !progress && !(lead && r.inflight) {
-			r.cfg.Pause(r.e, seen)
-		}
+	}
+	if !progress && !(lead && r.inflight) {
+		r.cfg.Pause(r.e, seen)
 	}
 }
 
@@ -135,11 +141,17 @@ func (r *replica) noteLead(lead bool) {
 }
 
 // apply sweeps newly decided log entries into the state machine and, when
-// leading, delivers the resulting replies.
+// leading, delivers the resulting replies. A swept slot is released, so if
+// it is the in-flight one — a competitor decided it before this replica's
+// proposer noticed — the proposal is settled here, from the swept value:
+// past this point the slot's proposer is gone and must not be asked again.
 func (r *replica) apply(lead bool) bool {
 	moved := false
 	r.next = r.log.Sweep(r.next, func(slot int, v paxos.Value) bool {
 		moved = true
+		if r.inflight && slot == r.slot {
+			r.settle(v)
+		}
 		if b, ok := v.(Batch); ok {
 			r.h.Inc(cApply)
 			for _, req := range b.Reqs {
@@ -167,7 +179,15 @@ func (r *replica) deliver(c int, rep Reply) {
 	}
 	r.reps.Write(c, rep)
 	r.repWritten[c] = rep
+	r.unread[c] = 0
 }
+
+// redeliverAfter is how many consecutive iterations the leader watches a
+// request it has answered stay pending before it reads the reply register
+// back. Far more than a scheduled clerk needs to consume a reply, so the
+// read-back is off the path of a healthy op; few enough that a lost reply
+// is restored long before the clerk's deadline.
+const redeliverAfter = 64
 
 // serve handles the pending request registers: recorded replies for
 // already-applied requests (the retransmit path after a leadership
@@ -201,6 +221,23 @@ func (r *replica) serve(lead bool) bool {
 			continue
 		}
 		switch {
+		case r.repWritten[c].Seq == req.Seq:
+			// Answered by this replica, from the log or under a lease, and
+			// not consumed yet. Usually the clerk just has not run. But a
+			// reply register has several writers over time: a replica that
+			// was advised a moment ago may land a late write of an older
+			// reply on top of this one, and nobody else would put it back —
+			// this replica believes it delivered, the others are followers.
+			// So every redeliverAfter iterations the register is read back
+			// and, if it has lost the reply, written again.
+			if r.unread[c]++; r.unread[c] >= redeliverAfter {
+				r.unread[c] = 0
+				if got, _ := r.reps.Read(c).(Reply); got != r.repWritten[c] {
+					r.h.Inc(cRetransmit)
+					r.reps.Write(c, r.repWritten[c])
+					progress = true
+				}
+			}
 		case req.Seq <= r.st.Applied(c):
 			// Applied (by us or a predecessor's batch): deliver the
 			// recorded reply. A rewrite after a leadership change is the
@@ -210,14 +247,11 @@ func (r *replica) serve(lead bool) bool {
 				r.deliver(c, rep)
 				progress = true
 			}
-		case r.leaseSeq[c] >= req.Seq:
-			// Already lease-served; waiting for the clerk to consume it.
 		case r.inflight && r.inBatch(c, req.Seq):
 			// Riding the in-flight proposal.
 		case r.cfg.LeaseReads && req.Op == OpGet && clean():
 			rep := Reply{Seq: req.Seq, Val: r.st.Get(req.Key), Ver: r.st.Ver(), Lease: true}
 			r.deliver(c, rep)
-			r.leaseSeq[c] = req.Seq
 			r.h.Inc(cLeaseRead)
 			progress = true
 		default:

@@ -11,8 +11,7 @@ import "wfadvice/internal/sim"
 // buffers, no allocation (asserted by TestReadWriteAllocs with
 // testing.AllocsPerRun). Poll loops — the direct solver's decision sweeps,
 // the S-process input harvest, auto.RunOnEnv collects, every paxos
-// instance — run on bound handles, which is what made the one-entry MRU
-// cell cache of PR 4 dead weight (see Env.cell).
+// instance — run on bound handles.
 
 // boundRegs is the native sim.Regs: a resolved cell pointer per slot.
 type boundRegs struct {
@@ -23,16 +22,16 @@ type boundRegs struct {
 
 var _ sim.Regs = (*boundRegs)(nil)
 
-// Bind implements sim.Ops: it resolves every key to its register cell —
-// through the per-Env cache, so rebinding an already-touched key is a map
-// hit, not a sharded-table lookup — and returns the bound handle. Bind is
-// the setup step: it allocates the handle and runs once per body (or per
-// minted consensus instance); the operations on the result do not allocate.
+// Bind implements sim.Ops: it resolves every key to its register cell,
+// straight through the sharded table (one shard lookup per key; the cells
+// this call mints share one backing array, see store.bind), and returns the
+// bound handle. Bind is the setup step: it allocates the handle and runs
+// once per body, per stand-alone consensus instance or per window of log
+// slots; the operations on the result do not allocate.
 func (e *Env) Bind(keys []string) sim.Regs {
 	cells := make([]*cell, len(keys))
-	for i, k := range keys {
-		cells[i] = e.cell(k)
-	}
+	e.m.Add(cStoreShardLookup, int64(len(keys)))
+	e.r.store.bind(keys, cells)
 	return &boundRegs{e: e, keys: keys, cells: cells}
 }
 

@@ -22,8 +22,8 @@ import (
 // Counter taxonomy. The constants index counterNames; both orders must
 // stay in sync (pinned by TestCounterNames).
 const (
-	// Register operations through the keyed Ops surface (one map hit per
-	// op — setup code and one-off collects).
+	// Register operations through the keyed Ops surface (one shard lookup
+	// per key — setup code and one-off collects).
 	cRegReadKeyed obs.CounterID = iota
 	cRegWriteKeyed
 	cRegCollectKeyed
@@ -51,8 +51,8 @@ const (
 	cNotifyPark
 	cNotifyWake
 	cNotifyTimeout
-	// Store: sharded-table lookups (first touch of a key by an Env — the
-	// only lock on the register path) and the boxed slow path (non-int or
+	// Store: sharded-table lookups (one per key bound, one per keyed op —
+	// the only lock on the register path) and the boxed slow path (non-int or
 	// oversized values stored behind a pointer; memo misses are generic
 	// loads of a packed int that had to re-box).
 	cStoreShardLookup

@@ -230,7 +230,6 @@ func (r *Runtime) addEnv(id ids.Proc, input sim.Value, body sim.Body) {
 		input:     input,
 		body:      body,
 		crashable: id.IsS(),
-		cache:     make(map[string]*cell),
 		m:         newMetricsHandle(),
 	}
 	r.envs = append(r.envs, e)
@@ -364,7 +363,6 @@ type Env struct {
 	m obs.Handle
 	// The fields below are goroutine-local; the runtime reads them only
 	// after wg.Wait(), which orders the accesses.
-	cache    map[string]*cell
 	ops      int64
 	decided  bool
 	decision sim.Value
@@ -388,21 +386,13 @@ func (e *Env) step() {
 	}
 }
 
-// cell resolves key through the per-Env cache (the sharded table only on
-// first touch). Bound handles (Bind) resolve through here once and then
-// never again; the keyed Read/Write path pays one map hit per op. The
-// one-entry MRU that used to sit in front of the map is gone: with every
-// poll loop in the repo running on bound handles the MRU no longer had hot
-// traffic to serve — it bought ~18% on a keyed-path microbenchmark
-// (63→77ns when removed) but nothing end to end, and the bound path never
-// touches it (see DESIGN.md, hot path).
+// cell resolves key for a keyed operation: one lookup in the sharded table
+// (one shard lock, one map hit) on every call. Lookups are counted on the
+// process's own stripe; a counter inside the table would be one cache line
+// every process writes. Bodies bind the keys they touch more than once.
 func (e *Env) cell(key string) *cell {
-	c := e.cache[key]
-	if c == nil {
-		c = e.r.store.lookup(key)
-		e.cache[key] = c
-	}
-	return c
+	e.m.Inc(cStoreShardLookup)
+	return e.r.store.lookup(key)
 }
 
 // Proc returns this process's identity.
@@ -431,13 +421,12 @@ func (e *Env) Read(key string) sim.Value {
 }
 
 // ReadMany performs a batched collect: one operation prologue (stop/crash
-// check, counting len(keys) reads), then one cache-map resolution plus one
-// atomic load per key. It is still a regular collect — the loads are
-// individual and unsynchronized, so concurrent writes may land between
-// them. Hot collect loops run on bound handles instead (Regs.ReadMany:
-// resolved cells, reused buffer, no per-call work); this keyed form remains
-// for one-off collects, so the slice-identity cell memo it used to carry
-// went the way of the keyed MRU — dead weight once no hot loop ran keyed.
+// check, counting len(keys) reads), then one shard lookup plus one atomic
+// load per key. It is still a regular collect — the loads are individual
+// and unsynchronized, so concurrent writes may land between them. Hot
+// collect loops run on bound handles instead (Regs.ReadMany: resolved
+// cells, reused buffer, no per-call work); this keyed form is for one-off
+// collects.
 func (e *Env) ReadMany(keys []string) []sim.Value {
 	e.ops += int64(len(keys)) - 1
 	e.step()

@@ -16,8 +16,8 @@ import (
 // solvers — the Theorem 9 machine mints a fresh cons instance per simulated
 // step — hit it continuously. Shards are selected by a key hash, each with
 // its own mutex and map, so concurrent instances and processes contend only
-// when their keys collide in a shard; bound handles (sim.Regs) and per-Env
-// cell caches make the steady-state cost of a register one atomic access
+// when their keys collide in a shard; bound handles (sim.Regs) resolve their
+// cells once, so the steady-state cost of a register is one atomic access
 // with no lock at all.
 
 // cell is one shared register, padded on both sides against false sharing
@@ -200,15 +200,38 @@ func shardOf(key string) uint32 {
 	return uint32(h^(h>>32)) & (storeShards - 1)
 }
 
-// lookup returns key's cell, allocating it on first touch. Only the key's
-// shard is locked.
+// lookup returns key's cell, minting it on first touch. Only the key's shard
+// is locked. This is the keyed Read/Write path: one shard lookup per call.
 func (s *store) lookup(key string) *cell {
-	s.m.Inc(cStoreShardLookup)
+	var fresh []cell
+	return s.resolve(key, &fresh, 1)
+}
+
+// bind resolves keys[i] into cells[i] for a whole key table. The cells this
+// call has to mint share one backing array, allocated at the first miss and
+// sized for the keys still to come, so the registers of a freshly bound
+// table are one heap object; a table somebody else already minted costs
+// lookups only.
+func (s *store) bind(keys []string, cells []*cell) {
+	var fresh []cell
+	for i, k := range keys {
+		cells[i] = s.resolve(k, &fresh, len(keys)-i)
+	}
+}
+
+// resolve returns key's cell, minting it from *fresh on first touch; an
+// empty *fresh is replaced by a new array of want cells first.
+func (s *store) resolve(key string, fresh *[]cell, want int) *cell {
 	sh := &s.shards[shardOf(key)]
 	sh.mu.Lock()
 	c := sh.m[key]
 	if c == nil {
-		c = &cell{m: s.m}
+		if len(*fresh) == 0 {
+			*fresh = make([]cell, want)
+		}
+		c = &(*fresh)[0]
+		*fresh = (*fresh)[1:]
+		c.m = s.m
 		sh.m[key] = c
 	}
 	sh.mu.Unlock()

@@ -4,6 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"wfadvice/internal/fdet"
+	"wfadvice/internal/sim"
+	"wfadvice/internal/vec"
 )
 
 // realisticKeys generates the register-key population of the scenario zoo:
@@ -191,6 +196,60 @@ func TestStorePresizeZeroAndLarge(t *testing.T) {
 		}
 		if v := st.lookup("in/0").load(); v == nil || v.(int) != 42 {
 			t.Fatalf("hint %d: stored value lost", hint)
+		}
+	}
+}
+
+// TestBindOverlappingTablesShareCells: two processes binding overlapping
+// fresh key tables at the same moment must end up on the same cell for
+// every key they share — each call mints the cells it finds missing from
+// its own backing array, and a key the other process got to first has to
+// resolve to that process's cell, not to a second one. Run under -race.
+func TestBindOverlappingTablesShareCells(t *testing.T) {
+	const rounds, width, overlap = 50, 96, 64
+	var bound [2][rounds]*boundRegs
+	var start [rounds]sync.WaitGroup
+	for r := range start {
+		start[r].Add(2)
+	}
+	cfg := Config{
+		NC: 2, Inputs: vec.Of(1, 2),
+		CBody: func(i int) sim.Body {
+			return func(e sim.Ops) {
+				for r := 0; r < rounds; r++ {
+					keys := make([]string, width)
+					for k := range keys {
+						keys[k] = fmt.Sprintf("r/%d/%d", r, i*(width-overlap)+k)
+					}
+					start[r].Done()
+					start[r].Wait()
+					bound[i][r] = e.Bind(keys).(*boundRegs)
+				}
+				e.Decide(0)
+			}
+		},
+		Pattern: fdet.FailureFree(0),
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := rt.Run(time.Minute); res.Reason != ReasonAllDecided {
+		t.Fatalf("run ended %v", res.Reason)
+	}
+	for r := 0; r < rounds; r++ {
+		a, b := bound[0][r], bound[1][r]
+		for k := 0; k < overlap; k++ {
+			ka, kb := width-overlap+k, k
+			if a.keys[ka] != b.keys[kb] {
+				t.Fatalf("round %d: slots %d and %d hold %q and %q", r, ka, kb, a.keys[ka], b.keys[kb])
+			}
+			if a.cells[ka] != b.cells[kb] {
+				t.Fatalf("round %d: %q resolved to two cells", r, a.keys[ka])
+			}
+		}
+		if a.cells[0] == b.cells[width-1] {
+			t.Fatalf("round %d: distinct keys share a cell", r)
 		}
 	}
 }

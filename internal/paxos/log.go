@@ -1,95 +1,171 @@
 package paxos
 
 import (
-	"fmt"
+	"strconv"
 
 	"wfadvice/internal/sim"
 )
 
 // This file chains single-decree instances into a replicated log: slot i of
 // the log named prefix is the consensus instance keyed SlotKey(prefix, i).
-// A Log is one process's local view of that chain — it lazily mints a
-// Proposer per slot it drives and keeps a sliding window of decision
-// registers bound for batched sweeps, so the apply loop of a replicated
-// state machine pays one bound collect per poll rather than a keyed read
-// (and a key format) per slot.
+// A Log is one process's local view of that chain. It binds instance
+// registers a window of logWindow slots at a time — the decision registers
+// for batched sweeps, the block registers when this process first proposes
+// in the window — and hands out proposers that are views into those tables,
+// so a slot costs its protocol writes: no key is formatted, no register
+// resolved and no proposer allocated per slot.
 
 // SlotKey returns the consensus-instance key of slot i of the log prefix.
 func SlotKey(prefix string, slot int) string {
-	return fmt.Sprintf("%s/%d", prefix, slot)
+	return string(appendSlotKey(nil, prefix, slot))
 }
 
-// logWindow is the number of decision registers a Log keeps bound at once.
-// The window starts at the sweep frontier and is re-bound only when the
-// frontier walks past its end, so binding cost amortizes to one key table
-// per logWindow decided slots.
+func appendSlotKey(b []byte, prefix string, slot int) []byte {
+	return strconv.AppendInt(append(append(b, prefix...), '/'), int64(slot), 10)
+}
+
+// logWindow is the number of slots whose registers a Log binds at once. The
+// window starts at the sweep frontier and is re-bound only when the
+// frontier walks past its end, so binding cost amortizes to one pair of key
+// tables per logWindow decided slots.
 const logWindow = 64
 
+// window is the bound registers of logWindow consecutive slots.
+type window struct {
+	base int      // first slot covered
+	dec  sim.Regs // DecKey(SlotKey(prefix, base+i)) at slot i
+	// blk holds BlockKey(SlotKey(prefix, base+i), j) at slot i*nProps+j. It
+	// stays nil until this process proposes in the window: followers only
+	// sweep decisions and never pay for it.
+	blk sim.Regs
+}
+
 // Log is one process's handle on a replicated log of consensus instances.
-// It is purely local mechanism: slot proposers and a bound decision-read
-// window. Policy — who proposes, what a decided value means — belongs to
-// the caller (internal/kv's replica).
+// It is purely local mechanism: slot proposers and the bound window they
+// and the decision sweeps share. Policy — who proposes, what a decided
+// value means — belongs to the caller (internal/kv's replica).
 type Log struct {
 	e      sim.Ops
 	prefix string
 	me     int
 	nProps int
 
-	props map[int]*Proposer
+	props map[int]*Proposer // live proposers by slot
+	free  []*Proposer       // structs handed back by Release, for Proposer to reuse
 
-	win     sim.Regs    // DecKey(SlotKey(prefix, winBase+i)) at slot i
-	winBase int         // first slot covered by win; -1 before first bind
-	buf     []sim.Value // scratch for win.ReadMany
+	win *window     // nil before the first bind
+	buf []sim.Value // scratch for win.dec.ReadMany
+
+	keyBuf  []byte // scratch of keyTable
+	keyEnds []int
 }
 
 // NewLog returns a log view for proposer me (unique in 0..nProposers-1)
 // bound to backend handle e.
 func NewLog(e sim.Ops, prefix string, me, nProposers int) *Log {
 	return &Log{
-		e:       e,
-		prefix:  prefix,
-		me:      me,
-		nProps:  nProposers,
-		props:   make(map[int]*Proposer),
-		winBase: -1,
-		buf:     make([]sim.Value, logWindow),
+		e:      e,
+		prefix: prefix,
+		me:     me,
+		nProps: nProposers,
+		props:  make(map[int]*Proposer),
+		buf:    make([]sim.Value, logWindow),
 	}
 }
 
-// Proposer returns the slot's proposer, minting (and binding its instance
-// keys) on first use. The proposal starts nil; supply it via SetProposal.
+// keyTable cuts a table of n register keys out of one string; format appends
+// key i to the buffer it is given. The formatting buffer and the key
+// boundaries are scratch kept across calls, so a table costs its string and
+// its slice however many keys it holds.
+func (l *Log) keyTable(n int, format func(b []byte, i int) []byte) []string {
+	buf, ends := l.keyBuf[:0], l.keyEnds[:0]
+	for i := 0; i < n; i++ {
+		buf = format(buf, i)
+		ends = append(ends, len(buf))
+	}
+	l.keyBuf, l.keyEnds = buf, ends
+	all := string(buf)
+	keys := make([]string, n)
+	at := 0
+	for i, end := range ends {
+		keys[i] = all[at:end]
+		at = end
+	}
+	return keys
+}
+
+// slide positions the bound window so that it covers slot and returns it.
+func (l *Log) slide(slot int) *window {
+	if w := l.win; w != nil && slot >= w.base && slot < w.base+logWindow {
+		return w
+	}
+	keys := l.keyTable(logWindow, func(b []byte, i int) []byte {
+		return append(appendSlotKey(b, l.prefix, slot+i), decSuffix...)
+	})
+	l.win = &window{base: slot, dec: l.e.Bind(keys)}
+	return l.win
+}
+
+// Proposer returns the slot's proposer, minting it on first use: a view into
+// the tables of the window covering the slot (moving the window there if it
+// is elsewhere — a caller that also sweeps proposes at its sweep frontier),
+// in a struct Release handed back if there is one. The first proposer of a
+// window binds the window's block registers; after that minting formats,
+// binds and allocates nothing. The proposal starts nil; supply it via
+// SetProposal.
 func (l *Log) Proposer(slot int) *Proposer {
 	if p, ok := l.props[slot]; ok {
 		return p
 	}
-	p := NewProposer(l.e, SlotKey(l.prefix, slot), l.me, l.nProps, nil)
+	w := l.slide(slot)
+	if w.blk == nil {
+		keys := l.keyTable(logWindow*l.nProps, func(b []byte, i int) []byte {
+			b = append(appendSlotKey(b, l.prefix, w.base+i/l.nProps), blkInfix...)
+			return strconv.AppendInt(b, int64(i%l.nProps), 10)
+		})
+		w.blk = l.e.Bind(keys)
+	}
+	var p *Proposer
+	if n := len(l.free); n > 0 {
+		p, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		p = new(Proposer)
+	}
+	i := slot - w.base
+	*p = Proposer{
+		blk:    w.blk,
+		blkOff: i * l.nProps,
+		dec:    w.dec,
+		decOff: i,
+		me:     l.me,
+		nProps: l.nProps,
+		pc:     pcPoll,
+		round:  l.me + 1,
+	}
 	l.props[slot] = p
 	return p
 }
 
-// Release drops the slot's proposer so a long-lived log does not accumulate
-// one bound instance per decided slot. Callers release a slot once it has
-// been applied and will not be stepped again.
-func (l *Log) Release(slot int) { delete(l.props, slot) }
-
-// slide positions the bound window so that it covers slot.
-func (l *Log) slide(slot int) {
-	if l.winBase >= 0 && slot >= l.winBase && slot < l.winBase+logWindow {
+// Release drops the slot's proposer, so a long-lived log holds proposers
+// only for slots still being driven, and keeps the struct for the next
+// Proposer call. Callers release a slot once it has been applied and must
+// not step its proposer again: the struct is wiped here and will drive
+// another slot.
+func (l *Log) Release(slot int) {
+	p, ok := l.props[slot]
+	if !ok {
 		return
 	}
-	keys := make([]string, logWindow)
-	for i := range keys {
-		keys[i] = DecKey(SlotKey(l.prefix, slot+i))
-	}
-	l.win = l.e.Bind(keys)
-	l.winBase = slot
+	delete(l.props, slot)
+	*p = Proposer{}
+	l.free = append(l.free, p)
 }
 
 // Decided reads slot's decision register once (through the bound window)
 // and decodes it.
 func (l *Log) Decided(slot int) (Value, bool) {
-	l.slide(slot)
-	return DecodeDecision(l.win.Read(slot - l.winBase))
+	w := l.slide(slot)
+	return DecodeDecision(w.dec.Read(slot - w.base))
 }
 
 // Sweep collects the window of decision registers covering slot from in one
@@ -101,11 +177,11 @@ func (l *Log) Decided(slot int) (Value, bool) {
 // Sweep returns the new frontier: the first slot not passed to apply.
 func (l *Log) Sweep(from int, apply func(slot int, v Value) bool) int {
 	for {
-		l.slide(from)
-		l.win.ReadMany(l.buf)
-		end := l.winBase + logWindow
+		w := l.slide(from)
+		w.dec.ReadMany(l.buf)
+		end := w.base + logWindow
 		for from < end {
-			v, ok := DecodeDecision(l.buf[from-l.winBase])
+			v, ok := DecodeDecision(l.buf[from-w.base])
 			if !ok {
 				return from
 			}

@@ -3,8 +3,10 @@ package paxos
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"wfadvice/internal/fdet"
+	"wfadvice/internal/native"
 	"wfadvice/internal/sim"
 	"wfadvice/internal/vec"
 )
@@ -125,5 +127,96 @@ func TestLogSweepCrossesWindows(t *testing.T) {
 	res := rt.Run(&sim.RoundRobin{})
 	if res.Outputs[0] != "ok" {
 		t.Fatalf("log sweep: %v (reason %v)", res.Outputs[0], res.Reason)
+	}
+}
+
+// TestWindowKeyTables: the key tables a Log cuts out of one buffer hold
+// exactly the keys the string forms name, in window order — slot i's
+// decision register at i, proposer j's block of slot i at i*nProps+j.
+func TestWindowKeyTables(t *testing.T) {
+	const nProps, base = 3, 9_990 // the slot numbers gain a digit inside the window
+	e := &bindRecorder{}
+	l := NewLog(e, "kv/log", 1, nProps)
+	l.Proposer(base) // moves the window to the slot it is asked for
+	if len(e.tables) != 2 || len(e.tables[0]) != logWindow || len(e.tables[1]) != logWindow*nProps {
+		t.Fatalf("bound %d tables, want the decision window and its block table", len(e.tables))
+	}
+	for i := 0; i < logWindow; i++ {
+		key := SlotKey("kv/log", base+i)
+		if got := e.tables[0][i]; got != DecKey(key) {
+			t.Fatalf("decision key %d = %q, want %q", i, got, DecKey(key))
+		}
+		for j := 0; j < nProps; j++ {
+			if got := e.tables[1][i*nProps+j]; got != BlockKey(key, j) {
+				t.Fatalf("block key %d/%d = %q, want %q", i, j, got, BlockKey(key, j))
+			}
+		}
+	}
+	if got := SlotKey("kv/log", 12); got != "kv/log/12" {
+		t.Errorf("SlotKey = %q", got)
+	}
+}
+
+// bindRecorder is a backend that only records the key tables bound on it.
+type bindRecorder struct {
+	sim.Ops
+	tables [][]string
+}
+
+func (b *bindRecorder) Bind(keys []string) sim.Regs {
+	b.tables = append(b.tables, keys)
+	return nil
+}
+
+// TestLogSlotAllocs is the allocation guard on the log's per-slot path, on
+// the native backend: once a window is bound, minting a slot's proposer
+// allocates nothing, and a whole slot cycle — propose, decide, sweep,
+// release, with the window slides amortised in — costs its protocol writes
+// (two blocks and a decision, boxed twice each) and little else.
+func TestLogSlotAllocs(t *testing.T) {
+	var cycle, mint float64
+	cfg := native.Config{
+		NC: 1, Inputs: vec.Of(1),
+		CBody: func(int) sim.Body {
+			return func(e sim.Ops) {
+				l := NewLog(e, "log", 0, 3)
+				next := 0
+				drive := func() {
+					p := l.Proposer(next)
+					p.SetProposal(7) // the runtime boxes small ints statically
+					for decided := false; !decided; {
+						_, decided = p.StepOp(true)
+					}
+					next = l.Sweep(next, func(s int, _ Value) bool {
+						l.Release(s)
+						return true
+					})
+				}
+				drive() // the first slot pays for the Log's own first growth
+				cycle = testing.AllocsPerRun(4*logWindow, drive)
+				l.Proposer(next) // binds the window's blocks if the last slide was a sweep's
+				l.Release(next)
+				mint = testing.AllocsPerRun(100, func() {
+					l.Proposer(next)
+					l.Release(next)
+				})
+				e.Decide(0)
+			}
+		},
+		Pattern: fdet.FailureFree(0),
+		Tick:    time.Hour, // keep the advice sampler quiet during AllocsPerRun
+	}
+	rt, err := native.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rt.Run(time.Minute); r.Reason != native.ReasonAllDecided {
+		t.Fatalf("run ended %v", r.Reason)
+	}
+	if cycle > 10 {
+		t.Errorf("slot cycle: %v allocs, want ≤ 10", cycle)
+	}
+	if mint != 0 {
+		t.Errorf("Log.Proposer inside a bound window: %v allocs, want 0", mint)
 	}
 }

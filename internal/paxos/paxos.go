@@ -15,7 +15,7 @@
 package paxos
 
 import (
-	"fmt"
+	"strconv"
 
 	"wfadvice/internal/sim"
 )
@@ -35,11 +35,19 @@ type decRec struct {
 	V Value
 }
 
+// The register keys of instance key are key+blkInfix+i for proposer i's
+// block and key+decSuffix for the decision; the per-window key tables of a
+// Log (log.go) append the same pieces.
+const (
+	blkInfix  = "/blk/"
+	decSuffix = "/dec"
+)
+
 // BlockKey returns the register key of proposer i's block for instance key.
-func BlockKey(key string, i int) string { return fmt.Sprintf("%s/blk/%d", key, i) }
+func BlockKey(key string, i int) string { return key + blkInfix + strconv.Itoa(i) }
 
 // DecKey returns the decision register key for instance key.
-func DecKey(key string) string { return key + "/dec" }
+func DecKey(key string) string { return key + decSuffix }
 
 // InstanceKeys returns the bound key table of one consensus instance: one
 // block register per proposer (slot i = BlockKey(key, i)) followed by the
@@ -86,13 +94,19 @@ const (
 )
 
 // Proposer drives one consensus instance for one process. Each StepOp call
-// performs exactly one shared-memory operation, against the instance's key
-// table bound once at construction (block slots 0..nProposers-1, decision
-// slot nProposers — see InstanceKeys), so stepping an instance never
-// formats or re-resolves a register key.
+// performs at most one shared-memory operation, against registers bound
+// before the first step, so stepping an instance never formats or
+// re-resolves a register key. A Proposer is a view: it addresses its
+// instance inside two bound tables by offset. A stand-alone instance
+// (NewProposer) binds its own InstanceKeys table and points both halves at
+// it; a log slot (Log.Proposer) points into the tables its window of slots
+// shares, so minting one binds nothing.
 type Proposer struct {
-	regs      sim.Regs // InstanceKeys(key, nProps) bound to the caller's Ops
-	me        int      // proposer index in 0..nProposers-1
+	blk       sim.Regs // proposer j's block register is slot blkOff+j
+	blkOff    int
+	dec       sim.Regs // the decision register is slot decOff
+	decOff    int
+	me        int // proposer index in 0..nProposers-1
 	nProps    int
 	proposal  Value
 	pc        int
@@ -113,8 +127,11 @@ type Proposer struct {
 // supplied later via SetProposal; the proposer will not enter phase 1
 // without one.
 func NewProposer(e sim.Ops, key string, me, nProposers int, proposal Value) *Proposer {
+	regs := e.Bind(InstanceKeys(key, nProposers))
 	return &Proposer{
-		regs:     e.Bind(InstanceKeys(key, nProposers)),
+		blk:      regs,
+		dec:      regs,
+		decOff:   nProposers,
 		me:       me,
 		nProps:   nProposers,
 		proposal: proposal,
@@ -161,7 +178,7 @@ func (p *Proposer) StepOp(lead bool) (Value, bool) {
 		return p.decision, true
 
 	case pcPoll:
-		if v, ok := DecodeDecision(p.regs.Read(p.nProps)); ok {
+		if v, ok := DecodeDecision(p.dec.Read(p.decOff)); ok {
 			p.decision = v
 			p.pc = pcDone
 			return v, true
@@ -173,7 +190,7 @@ func (p *Proposer) StepOp(lead bool) (Value, bool) {
 
 	case pcP1Write:
 		p.lastWrite = Block{MBal: p.round, Bal: p.lastWrite.Bal, Val: p.lastWrite.Val}
-		p.regs.Write(p.me, p.lastWrite)
+		p.blk.Write(p.blkOff+p.me, p.lastWrite)
 		p.readIdx, p.maxSeen, p.pickBal, p.pickVal = 0, 0, 0, nil
 		p.pc = pcP1Read
 		return nil, false
@@ -200,7 +217,7 @@ func (p *Proposer) StepOp(lead bool) (Value, bool) {
 
 	case pcP2Write:
 		p.lastWrite = Block{MBal: p.round, Bal: p.round, Val: p.curVal}
-		p.regs.Write(p.me, p.lastWrite)
+		p.blk.Write(p.blkOff+p.me, p.lastWrite)
 		p.readIdx, p.maxSeen = 0, 0
 		p.pc = pcP2Read
 		return nil, false
@@ -218,7 +235,7 @@ func (p *Proposer) StepOp(lead bool) (Value, bool) {
 		return nil, false
 
 	case pcDecWrite:
-		p.regs.Write(p.nProps, decRec{V: p.curVal})
+		p.dec.Write(p.decOff, decRec{V: p.curVal})
 		p.decision = p.curVal
 		p.pc = pcDone
 		return p.decision, true
@@ -234,7 +251,7 @@ func (p *Proposer) readPhaseBlock() {
 	if j == p.me {
 		return // our own block cannot preempt us
 	}
-	b, ok := p.regs.Read(j).(Block)
+	b, ok := p.blk.Read(p.blkOff + j).(Block)
 	if !ok {
 		return
 	}
