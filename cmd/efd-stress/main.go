@@ -127,10 +127,10 @@ func main() {
 		Latency:       latency,
 		OnSnapshot: func(s native.SoakSnapshot) {
 			d := s.CounterDelta
-			fmt.Fprintf(os.Stderr, "soak %8s  runs=%d ops=%d interval=%.0f ops/s goroutines=%d heap=%dMB pubs=%d wakeups=%d\n",
+			fmt.Fprintf(os.Stderr, "soak %8s  runs=%d ops=%d interval=%.0f ops/s goroutines=%d heap=%dMB pubs=%d wakeups=%d timeouts=%d\n",
 				s.Elapsed.Round(time.Second), s.Runs, s.Ops, s.IntervalOpsPerSec,
 				s.Goroutines, s.HeapAlloc>>20,
-				d["advice_pub_coop"]+d["advice_pub_waker"]+d["advice_pub_tick"], d["notify_wake"])
+				d["advice_pub_coop"]+d["advice_pub_waker"]+d["advice_pub_tick"], d["notify_wake"], d["notify_timeout"])
 		},
 	})
 	if err != nil {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"wfadvice/internal/paxos"
 	"wfadvice/internal/sim"
@@ -27,10 +27,13 @@ type DirectConfig struct {
 	LeaderVec func(v sim.Value) []int
 	// InKeys and DecKeys are precomputed key tables — the NC input registers
 	// and the K decision registers — that the bodies bind their poll loops
-	// to. core.Scenario emits them once per scenario so every instance and
-	// process shares one table; nil tables are computed per body, so
-	// directly-constructed configs keep working unchanged.
+	// to, and ConsKeys[j] is the paxos.InstanceKeys table of consensus
+	// instance j that every S-process binds its proposer to. core.Scenario
+	// emits them once per scenario so every instance and process shares one
+	// table; nil tables are computed per body, so directly-constructed
+	// configs keep working unchanged.
 	InKeys, DecKeys []string
+	ConsKeys        [][]string
 }
 
 // directInKeys returns the input-register key table (InKey(0..nc-1)).
@@ -52,6 +55,16 @@ func directDecKeys(k int) []string {
 	return keys
 }
 
+// directConsKeys returns the instance key tables of the solver's k consensus
+// instances over ns proposers.
+func directConsKeys(k, ns int) [][]string {
+	tables := make([][]string, k)
+	for j := range tables {
+		tables[j] = paxos.InstanceKeys(consKey(j), ns)
+	}
+	return tables
+}
+
 func (c DirectConfig) inKeys() []string {
 	if c.InKeys != nil {
 		return c.InKeys
@@ -66,6 +79,13 @@ func (c DirectConfig) decKeys() []string {
 	return directDecKeys(c.K)
 }
 
+func (c DirectConfig) consKeys() [][]string {
+	if c.ConsKeys != nil {
+		return c.ConsKeys
+	}
+	return directConsKeys(c.K, c.NS)
+}
+
 // VectorLeader interprets detector values as []int vectors (vector-Ωk).
 func VectorLeader(v sim.Value) []int {
 	if xs, ok := v.([]int); ok {
@@ -74,16 +94,29 @@ func VectorLeader(v sim.Value) []int {
 	return nil
 }
 
-// OmegaLeader interprets detector values as single leaders (Ω), yielding a
-// 1-vector.
-func OmegaLeader(v sim.Value) []int {
-	if x, ok := v.(int); ok {
-		return []int{x}
+// omegaVecs backs the 1-vectors OmegaLeader answers with: the vector of leader
+// x is omegaVecs[x:x+1], shared by every caller and never written.
+var omegaVecs = func() (t [64]int) {
+	for x := range t {
+		t[x] = x
 	}
-	return nil
+	return t
+}()
+
+// OmegaLeader interprets detector values as single leaders (Ω), yielding a
+// 1-vector the caller must not modify.
+func OmegaLeader(v sim.Value) []int {
+	x, ok := v.(int)
+	if !ok {
+		return nil
+	}
+	if 0 <= x && x < len(omegaVecs) {
+		return omegaVecs[x : x+1 : x+1]
+	}
+	return []int{x}
 }
 
-func consKey(j int) string { return fmt.Sprintf("cons/%d", j) }
+func consKey(j int) string { return "cons/" + strconv.Itoa(j) }
 
 // DirectCBody returns the C-process body: publish the input, then poll the k
 // decision registers — one batched collect per sweep over a handle bound
@@ -124,8 +157,8 @@ func (c DirectConfig) DirectCBody(i int) sim.Body {
 func (c DirectConfig) DirectSBody(me int) sim.Body {
 	return func(e sim.Ops) {
 		props := make([]*paxos.Proposer, c.K)
-		for j := range props {
-			props[j] = paxos.NewProposer(e, consKey(j), me, c.NS, nil)
+		for j, keys := range c.consKeys() {
+			props[j] = paxos.NewBoundProposer(e.Bind(keys), me, c.NS, nil)
 		}
 		ins := e.Bind(c.inKeys())
 		buf := make([]sim.Value, ins.Len())

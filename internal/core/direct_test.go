@@ -1,10 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"wfadvice/internal/fdet"
 	"wfadvice/internal/ids"
+	"wfadvice/internal/native"
 	"wfadvice/internal/sim"
 	"wfadvice/internal/task"
 	"wfadvice/internal/vec"
@@ -198,5 +201,101 @@ func TestSeparationClassicalVsEFD(t *testing.T) {
 	}
 	if err := sim.CheckWaitFree(res, 1000); err == nil {
 		t.Fatal("expected a wait-freedom violation witness, got none")
+	}
+}
+
+// TestOneShotAllocBudget holds a one-shot instance to what its protocol and
+// its lifecycle allocate: back-to-back consensus/n=4/omega/advice=event
+// instances through the stress harness, one worker, average at most 45 heap
+// objects per decision (goroutines and their closures, Envs, binds, result
+// maps, advice boxes — about 34; a timer per park, a rand source per advice
+// module, 32 shard maps for nine registers and key tables formatted per
+// process would add 3 to 11 each). Under the race detector the same instance
+// reads 41 to 50, moving with the box — it runs across more advice ticks and
+// sync.Pool drops one Put in four — so the budget there is 70.
+func TestOneShotAllocBudget(t *testing.T) {
+	sc, err := NewScenario(ScenarioParams{Task: "consensus", N: 4, Stabilize: 10, Advice: "event"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(seed int64) (native.Config, error) { return sc.NativeConfig(seed, 0), nil }
+	var ms runtime.MemStats
+	var mallocs uint64
+	runs, decisions := 0, 0
+	for seed := int64(1); runs < 200; seed++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		rep, err := native.Stress(sc.Name, sc.Task, mk, native.StressOptions{
+			Duration: 100 * time.Millisecond, Workers: 1, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		if rep.Failed() || rep.Decisions != rep.Runs*sc.NC {
+			t.Fatalf("%d runs, %d decisions, %d violations, %d undecided", rep.Runs, rep.Decisions, rep.Violations, rep.Undecided)
+		}
+		mallocs += ms.Mallocs - before
+		runs += rep.Runs
+		decisions += rep.Decisions
+	}
+	budget := 45.0
+	if raceDetector {
+		budget = 70
+	}
+	per := float64(mallocs) / float64(decisions)
+	t.Logf("%.1f mallocs per decision over %d instances", per, runs)
+	if per > budget {
+		t.Errorf("%.1f mallocs per decision, want ≤ %v", per, budget)
+	}
+}
+
+// TestDirectSharedKeyTablesSameSteps: the key tables a scenario builds once
+// are the ones a body would compute for itself, so a DirectConfig carrying
+// them and one with nil tables perform the identical (process, operation,
+// key) sequence under the same script.
+func TestDirectSharedKeyTablesSameSteps(t *testing.T) {
+	const n = 4
+	for _, k := range []int{1, 2} {
+		lv, det := VectorLeader, fdet.Detector(fdet.VectorOmegaK{K: k, GoodPos: 0})
+		if k == 1 {
+			lv, det = OmegaLeader, fdet.Omega{}
+		}
+		pat := fdet.FailureFree(n)
+		var script []ids.Proc
+		for r := 0; r < 2000; r++ {
+			for i := 0; i < n; i++ {
+				// C-processes enter one after the other, S-processes interleave.
+				script = append(script, ids.S((i+r)%n), ids.C(i), ids.S(i))
+			}
+		}
+		steps := func(dc DirectConfig) []sim.Event {
+			rt, err := sim.New(sim.Config{
+				NC: n, NS: n, Inputs: intInputs(n),
+				CBody: dc.DirectCBody, SBody: dc.DirectSBody,
+				Pattern: pat, History: det.History(pat, 20, 5), MaxSteps: 100_000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := rt.Run(&sim.StopWhenDecided{Inner: &sim.Scripted{Seq: script}})
+			if err := sim.DecidedAll(res); err != nil {
+				t.Fatalf("k=%d: %v (reason %v after %d steps)", k, err, res.Reason, res.Steps)
+			}
+			return res.Trace
+		}
+		bare := steps(DirectConfig{NC: n, NS: n, K: k, LeaderVec: lv})
+		shared := steps(DirectConfig{NC: n, NS: n, K: k, LeaderVec: lv,
+			InKeys: directInKeys(n), DecKeys: directDecKeys(k), ConsKeys: directConsKeys(k, n)})
+		if len(bare) != len(shared) {
+			t.Fatalf("k=%d: %d steps with nil tables, %d with the scenario's", k, len(bare), len(shared))
+		}
+		for s := range bare {
+			a, b := bare[s], shared[s]
+			if a.Proc != b.Proc || a.Kind != b.Kind || a.Key != b.Key {
+				t.Fatalf("k=%d step %d: %v %v %q with nil tables, %v %v %q with the scenario's",
+					k, s, a.Proc, a.Kind, a.Key, b.Proc, b.Kind, b.Key)
+			}
+		}
 	}
 }

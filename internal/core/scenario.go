@@ -206,7 +206,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		s.Inputs = intInputs(p.N)
 		s.Registers = directRegisters(p.N, p.N, 1)
 		dc := DirectConfig{NC: p.N, NS: p.N, K: 1, LeaderVec: OmegaLeader,
-			InKeys: directInKeys(p.N), DecKeys: directDecKeys(1)}
+			InKeys: directInKeys(p.N), DecKeys: directDecKeys(1), ConsKeys: directConsKeys(1, p.N)}
 		if d == "vector" {
 			s.Detector = fdet.VectorOmegaK{K: 1, GoodPos: 0}
 			dc.LeaderVec = VectorLeader
@@ -227,7 +227,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		s.Registers = directRegisters(p.N, p.N, p.K)
 		s.Detector = fdet.VectorOmegaK{K: p.K, GoodPos: 0}
 		dc := DirectConfig{NC: p.N, NS: p.N, K: p.K, LeaderVec: VectorLeader,
-			InKeys: directInKeys(p.N), DecKeys: directDecKeys(p.K)}
+			InKeys: directInKeys(p.N), DecKeys: directDecKeys(p.K), ConsKeys: directConsKeys(p.K, p.N)}
 		s.CBody, s.SBody = dc.DirectCBody, dc.DirectSBody
 		s.Name = fmt.Sprintf("kset/n=%d/k=%d/vector", p.N, p.K)
 	case "renaming":

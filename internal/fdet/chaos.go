@@ -2,6 +2,7 @@ package fdet
 
 import (
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 )
@@ -235,10 +236,9 @@ func chaosValue(mode ChaosMode, p Pattern, shape any, w Time, lieSeed int64, i i
 		}
 		out := make([]int, 0, size)
 		if mode == ChaosLie {
-			rng := noiseRand(lieSeed, 0, win)
-			for _, x := range rng.Perm(n)[:size] {
-				out = append(out, x)
-			}
+			noise(lieSeed, 0, win, func(rng *rand.Rand) {
+				out = append(out, rng.Perm(n)[:size]...)
+			})
 		} else {
 			for o := 0; o < size; o++ {
 				out = append(out, (win+off+o)%n)
@@ -254,10 +254,13 @@ func chaosValue(mode ChaosMode, p Pattern, shape any, w Time, lieSeed int64, i i
 // lieLeader draws the agreed-but-wrong leader of a lie window: module-
 // independent (all modules trust it together) and biased toward faulty
 // processes when the pattern has any — the most damaging legal prefix.
-func lieLeader(p Pattern, lieSeed int64, win Time) int {
-	rng := noiseRand(lieSeed, 0, win)
-	if f := p.FaultySet(); len(f) > 0 && rng.Intn(2) == 0 {
-		return f[rng.Intn(len(f))]
-	}
-	return rng.Intn(p.N)
+func lieLeader(p Pattern, lieSeed int64, win Time) (leader int) {
+	noise(lieSeed, 0, win, func(rng *rand.Rand) {
+		if f := p.FaultySet(); len(f) > 0 && rng.Intn(2) == 0 {
+			leader = f[rng.Intn(len(f))]
+			return
+		}
+		leader = rng.Intn(p.N)
+	})
+	return leader
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // History is a failure detector history H: Query(i, t) is the value output
@@ -84,10 +85,21 @@ func everyTick(t Time) (Time, bool) { return t + 1, true }
 // never enumerates a constant history.
 func never(Time) (Time, bool) { return 0, false }
 
-// noiseRand returns a deterministic rng for (seed, i, t) so that histories
-// are pure functions of their arguments.
-func noiseRand(seed int64, i int, t Time) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1_000_003 + int64(i)*7_919 + int64(t)))
+// noisePool holds the generators noise draws from. A math/rand source is 607
+// words of state, so queries re-seed a pooled one instead of building one
+// each: (*rand.Rand).Seed(k) leaves a generator in exactly the state one
+// built from scratch for seed k starts in.
+var noisePool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// noise hands draw a deterministic rng for (seed, i, t), so that histories
+// are pure functions of their arguments. The generator is only the caller's
+// for the duration of draw — it goes back to the pool afterwards — which is
+// why it arrives as an argument and not as a result.
+func noise(seed int64, i int, t Time, draw func(rng *rand.Rand)) {
+	rng := noisePool.Get().(*rand.Rand)
+	rng.Seed(seed*1_000_003 + int64(i)*7_919 + int64(t))
+	draw(rng)
+	noisePool.Put(rng)
 }
 
 // DetectorNames lists the families resolvable by ByName.
@@ -153,7 +165,9 @@ func (Omega) History(p Pattern, stabilize Time, seed int64) History {
 		if t >= stabilize {
 			return leader
 		}
-		return noiseRand(seed, i, t).Intn(p.N)
+		var x int
+		noise(seed, i, t, func(rng *rand.Rand) { x = rng.Intn(p.N) })
+		return x
 	}, noisyUntil(stabilize))
 }
 
@@ -196,7 +210,9 @@ func (LiveOmega) History(p Pattern, stabilize Time, seed int64) History {
 	}
 	return HistoryWithTransitions(func(i int, t Time) any {
 		if t < stabilize {
-			return noiseRand(seed, i, t).Intn(p.N)
+			var x int
+			noise(seed, i, t, func(rng *rand.Rand) { x = rng.Intn(p.N) })
+			return x
 		}
 		return p.MinAlive(t)
 	}, next)
@@ -278,11 +294,9 @@ func (d AntiOmegaK) History(p Pattern, stabilize Time, seed int64) History {
 			}
 			return sortedCopy(out)
 		}
-		rng := noiseRand(seed, i, t)
-		perm := rng.Perm(n)
-		for _, x := range perm[:size] {
-			out = append(out, x)
-		}
+		noise(seed, i, t, func(rng *rand.Rand) {
+			out = append(out, rng.Perm(n)[:size]...)
+		})
 		return sortedCopy(out)
 	}, everyTick)
 }
@@ -364,10 +378,11 @@ func (d VectorOmegaK) History(p Pattern, stabilize Time, seed int64) History {
 	}
 	return HistoryWithTransitions(func(i int, t Time) any {
 		v := make([]int, d.K)
-		rng := noiseRand(seed, i, t)
-		for j := range v {
-			v[j] = rng.Intn(p.N)
-		}
+		noise(seed, i, t, func(rng *rand.Rand) {
+			for j := range v {
+				v[j] = rng.Intn(p.N)
+			}
+		})
 		if t >= stabilize {
 			if d.Pinned {
 				for j := range v {
@@ -506,12 +521,13 @@ func (EventuallyPerfect) History(p Pattern, stabilize Time, seed int64) History 
 			}
 			return out
 		}
-		rng := noiseRand(seed, i, t)
-		for x := 0; x < p.N; x++ {
-			if rng.Intn(2) == 0 {
-				out = append(out, x)
+		noise(seed, i, t, func(rng *rand.Rand) {
+			for x := 0; x < p.N; x++ {
+				if rng.Intn(2) == 0 {
+					out = append(out, x)
+				}
 			}
-		}
+		})
 		return out
 	}, next)
 }

@@ -23,6 +23,10 @@ func pastClock(now fdet.Time) *clock {
 	}
 }
 
+// TestNotifierEpochAndAwait: a stale epoch never blocks; a waiter on the
+// current epoch holds a channel and nothing else, so it stays parked until a
+// bump — and inside a Runtime under event advice, where nothing writes and
+// advice never moves, it is the advice loop's heartbeat that releases it.
 func TestNotifierEpochAndAwait(t *testing.T) {
 	n := newNotifier()
 	seen := n.current()
@@ -30,25 +34,54 @@ func TestNotifierEpochAndAwait(t *testing.T) {
 	if got := n.current(); got != seen+1 {
 		t.Fatalf("epoch after bump: got %d, want %d", got, seen+1)
 	}
-	// A stale epoch returns without blocking, no matter the timeout.
-	start := time.Now()
-	n.await(seen, time.Hour)
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("await with stale epoch blocked %v", d)
+	n.await(seen) // stale: returns at once, or the test hangs
+
+	released := make(chan struct{})
+	go func() {
+		n.await(n.current())
+		close(released)
+	}()
+	for n.waiters.Load() == 0 {
+		runtime.Gosched()
 	}
-	// A current epoch parks until the timeout backstop.
-	start = time.Now()
-	n.await(n.current(), 10*time.Millisecond)
-	if d := time.Since(start); d < 10*time.Millisecond {
-		t.Fatalf("await with current epoch returned after %v, want ≥ 10ms", d)
+	select {
+	case <-released:
+		t.Fatal("await on the current epoch returned with no bump: something other than the channel ended the park")
+	case <-time.After(20 * awaitBackstop):
+	}
+	n.bump()
+	<-released
+
+	// The event loop (nil history: no transition, ever) and the tick-sampler
+	// fallback (an opaque history whose next tick is an hour away) both beat.
+	opaque := fdet.HistoryFunc(func(int, fdet.Time) any { return nil })
+	for _, cfg := range []Config{{}, {History: opaque, Tick: time.Hour}} {
+		cfg.NC, cfg.Inputs, cfg.Pattern, cfg.Advice = 1, vec.Of(1), fdet.FailureFree(0), AdviceEvent
+		var parked time.Duration
+		cfg.CBody = func(int) sim.Body {
+			return func(e sim.Ops) {
+				start := time.Now()
+				e.AwaitEpoch(e.Epoch())
+				parked = time.Since(start)
+				e.Decide(1)
+			}
+		}
+		park, _, timeout := awaitDeltas(t, cfg)
+		if park != 1 || timeout != 1 {
+			t.Errorf("heartbeat release: notify_park=%d notify_timeout=%d, want 1 and 1", park, timeout)
+		}
+		if parked > 50*awaitBackstop {
+			t.Errorf("parked %v before the heartbeat, want about %v", parked, awaitBackstop)
+		}
 	}
 }
 
 // TestNotifierNoLostWakeups hammers the park protocol the poll loops use:
-// sample the epoch, sweep the predicate, park if nothing changed. The await
-// timeout is an hour, so if a bump could be lost the parked waiters outlive
-// the writer and the watchdog fires. Run under -race this also checks the
-// epoch/waiters/channel ordering argument in notifier's doc comment.
+// sample the epoch, sweep the predicate, park if nothing changed. await has
+// no timeout and no heart beats here, so if a bump could be lost the parked
+// waiters outlive the writer and the watchdog fires. Run under -race this
+// also checks the epoch/waiters/channel ordering argument in notifier's doc
+// comment.
 func TestNotifierNoLostWakeups(t *testing.T) {
 	const (
 		rounds  = 2000
@@ -69,7 +102,7 @@ func TestNotifierNoLostWakeups(t *testing.T) {
 					observed = cur
 					continue
 				}
-				n.await(seen, time.Hour)
+				n.await(seen)
 			}
 		}()
 	}
@@ -90,6 +123,50 @@ func TestNotifierNoLostWakeups(t *testing.T) {
 	case <-done:
 	case <-time.After(20 * time.Second):
 		t.Fatal("lost wakeup: a waiter is still parked after the writer finished")
+	}
+}
+
+// TestParkAndPublishAllocs pins what waiting and advising cost the heap. A
+// park → bump → wake cycle allocates the rotated broadcast channel and nothing
+// else — no timer, which would be three objects per park, fourteen parks per
+// one-shot instance. An event-mode publication of a noisy history over
+// NS modules allocates the NS advice boxes and nothing else — the noise comes
+// from a pooled generator, not a fresh 4.9 KB source (two objects) per module.
+// Under the race detector sync.Pool drops one Put in four on purpose, so a
+// quarter of the draws rebuild their generator there and the count reads
+// 1.5 × NS; the bound sits between that and the 3 × NS of a source per module.
+func TestParkAndPublishAllocs(t *testing.T) {
+	n := newNotifier()
+	var quit atomic.Bool
+	woke := make(chan struct{})
+	go func() {
+		for !quit.Load() {
+			n.await(n.current())
+			woke <- struct{}{}
+		}
+	}()
+	cycle := func() {
+		for n.waiters.Load() == 0 {
+			runtime.Gosched()
+		}
+		n.bump()
+		<-woke
+	}
+	if got := testing.AllocsPerRun(200, cycle); got > 1 {
+		t.Errorf("park → bump → wake: %v allocs per cycle, want ≤ 1 (the rotated channel)", got)
+	}
+	quit.Store(true)
+	cycle()
+
+	const ns = 4
+	p := fdet.FailureFree(ns)
+	s := newFDService(pastClock(0), fdet.Omega{}.History(p, 1<<30, 3), ns, AdviceEvent, newNotifier())
+	tm := fdet.Time(0)
+	if got := testing.AllocsPerRun(200, func() {
+		s.publishLocked(tm)
+		tm++
+	}); got >= 2*ns {
+		t.Errorf("event publication over %d noisy modules: %v allocs, want %d (one advice box each)", ns, got, ns)
 	}
 }
 
@@ -258,10 +335,10 @@ func TestAwaitEpochTickAdviceYields(t *testing.T) {
 // TestAwaitEpochEventAdviceParksUntilWrite: under event advice the wait is
 // the notifier park, and another process's register write is what ends it.
 // The writer holds its write until the poller is observably parked; a lost
-// wakeup would leave the backstop timeout as the only way out, so an attempt
-// passes only with a wake and no timeout. The backstop is a millisecond, so
-// a descheduled writer can lose an attempt to it on a loaded box — hence a
-// few attempts, of which one clean one suffices.
+// wakeup would leave the heartbeat as the only way out, so an attempt passes
+// only with a wake and no timeout. The heart beats every millisecond, so a
+// descheduled writer can lose an attempt to it on a loaded box — hence a few
+// attempts, of which one clean one suffices.
 func TestAwaitEpochEventAdviceParksUntilWrite(t *testing.T) {
 	var park, wake, timeout int64
 	for attempt := 0; attempt < 20; attempt++ {

@@ -118,6 +118,9 @@ type fdService struct {
 
 	// Event mode. th is nil when the history cannot enumerate transitions
 	// (the service then runs the tick fallback even if event was requested).
+	// beats is set whenever event advice was requested: processes park then,
+	// and the background loop owes them the heartbeat (notifier.release).
+	beats  bool
 	event  bool
 	th     fdet.TransitionHistory
 	notify *notifier
@@ -136,6 +139,7 @@ func newFDService(c *clock, hist fdet.History, n int, mode AdviceMode, notify *n
 		m:      newMetricsHandle(),
 	}
 	if mode == AdviceEvent {
+		s.beats = true
 		if th, ok := hist.(fdet.TransitionHistory); ok {
 			s.event = true
 			s.th = th
@@ -158,8 +162,9 @@ func (s *fdService) startService() {
 		go s.runEvent()
 		return
 	}
-	s.sample()
-	go s.run()
+	now := s.clock.now()
+	s.sample(now)
+	go s.run(now)
 }
 
 func (s *fdService) stopService() {
@@ -167,55 +172,78 @@ func (s *fdService) stopService() {
 	<-s.done
 }
 
-// run is the tick-mode sampler loop.
-func (s *fdService) run() {
+// run is the tick-mode sampler loop: one sample per ticker firing, sampled
+// being the tick startService published. As the event-mode fallback for a
+// history that cannot enumerate its transitions it also carries the
+// heartbeat: the ticker then fires at least once per awaitBackstop, and a
+// firing inside a tick already sampled releases the parked processes instead
+// of publishing the same advice again (a sample's own bump wakes them
+// otherwise).
+func (s *fdService) run(sampled fdet.Time) {
 	defer close(s.done)
-	t := time.NewTicker(s.clock.tick)
+	period := s.clock.tick
+	if s.beats {
+		period = min(period, awaitBackstop)
+	}
+	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
 		case <-t.C:
-			s.sample()
+			now := s.clock.now()
+			if s.beats && now == sampled {
+				s.notify.release()
+				continue
+			}
+			sampled = now
+			s.sample(now)
 		}
 	}
 }
 
-// runEvent is the event-mode waker: sleep until the next transition's wall
-// deadline, publish it, repeat. It exists for the quiescent case — when every
-// process is parked, someone must still publish the stabilization the
-// pollers are waiting on. Under load the queriers usually get there first
-// via maybeAdvance and the waker finds nothing left to do.
+// runEvent is the event-mode background loop, the one holder of a timer in
+// the runtime: it sleeps to the earlier of the next transition's wall
+// deadline and the heartbeat, on one timer re-armed every turn. As the waker
+// it exists for the quiescent case — when every process is parked, someone
+// must still publish the stabilization the pollers are waiting on; under
+// load the queriers usually get there first via maybeAdvance and the waker
+// finds nothing left to do. The heartbeat outlives the last transition:
+// deadlines the notifier does not carry keep arriving after advice converged.
 func (s *fdService) runEvent() {
 	defer close(s.done)
+	timer := time.NewTimer(awaitBackstop)
+	defer timer.Stop()
+	beat := time.Now()
 	for {
-		nt := s.nextT.Load()
-		if nt == noTransition {
-			// Converged: nothing left to publish, wait out the run.
-			<-s.stop
-			return
-		}
-		d := s.clock.until(fdet.Time(nt))
+		d := awaitBackstop - time.Since(beat)
 		if d <= 0 {
-			// Behind schedule. A history that transitions every tick (a
-			// flapping vector position, a rotating ¬Ωk window) can keep the
-			// next deadline perpetually in the past on a loaded box, so
-			// publishing in a tight catch-up loop here would monopolize a
-			// small machine and never reach the stop select below. Publish
-			// once at the current time (advance skips the missed
-			// transitions) and re-arm at tick cadence: the waker's cost is
-			// then capped at the tick sampler's, it stays stoppable, and
-			// queriers still get fresher advice cooperatively.
-			s.advance(true)
-			d = s.clock.tick
+			s.notify.release()
+			beat, d = time.Now(), awaitBackstop
 		}
-		t := time.NewTimer(d)
+		if nt := s.nextT.Load(); nt != noTransition {
+			u := s.clock.until(fdet.Time(nt))
+			if u <= 0 {
+				// Behind schedule. A history that transitions every tick (a
+				// flapping vector position, a rotating ¬Ωk window) can keep the
+				// next deadline perpetually in the past on a loaded box, so
+				// publishing in a tight catch-up loop here would monopolize a
+				// small machine and never reach the stop select below. Publish
+				// once at the current time (advance skips the missed
+				// transitions) and re-arm at tick cadence: the waker's cost is
+				// then capped at the tick sampler's, it stays stoppable, and
+				// queriers still get fresher advice cooperatively.
+				s.advance(true)
+				u = s.clock.tick
+			}
+			d = min(d, u)
+		}
+		timer.Reset(d)
 		select {
 		case <-s.stop:
-			t.Stop()
 			return
-		case <-t.C:
+		case <-timer.C:
 		}
 	}
 }
@@ -269,18 +297,15 @@ func (s *fdService) publishLocked(t fdet.Time) {
 	}
 	s.nextT.Store(nt)
 	s.tracer.Emit(TraceAdvice, 0, s.runID, int64(t))
-	if s.notify != nil {
-		s.notify.bump()
-	}
+	s.notify.bump()
 }
 
-// sample evaluates the history for every module at the current tick and
-// publishes the results (tick mode; also the event-mode fallback for
+// sample evaluates the history for every module at tick now and publishes
+// the results (tick mode; also the event-mode fallback for
 // non-enumerable histories). The notifier bump keeps epoch-parked pollers
 // live under the fallback: they wake at worst one tick after any advice
 // movement.
-func (s *fdService) sample() {
-	now := s.clock.now()
+func (s *fdService) sample(now fdet.Time) {
 	for i := range s.cells {
 		var v sim.Value
 		if s.hist != nil {
@@ -292,9 +317,7 @@ func (s *fdService) sample() {
 	}
 	s.m.Inc(cAdvicePubTick)
 	s.tracer.Emit(TraceAdvice, 0, s.runID, int64(now))
-	if s.notify != nil {
-		s.notify.bump()
-	}
+	s.notify.bump()
 }
 
 // advice returns the latest published advice for module i, first letting the

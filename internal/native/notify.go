@@ -3,7 +3,6 @@ package native
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wfadvice/internal/obs"
 )
@@ -48,6 +47,17 @@ func (n *notifier) current() uint64 { return n.epoch.Load() }
 func (n *notifier) bump() {
 	n.m.Inc(cNotifyBump)
 	n.epoch.Add(1)
+	n.release()
+}
+
+// release wakes every parked waiter by rotating the broadcast channel; with
+// nobody parked it is one atomic load. Called without a bump it is the
+// heartbeat: waiters hold no timer, so the advice service's background loop —
+// the one goroutine of a runtime that owns time — releases them once per
+// awaitBackstop to recheck what the epoch does not carry (a crash deadline, a
+// clerk's operation timeout). The epoch stays put then, which is how a
+// released waiter tells a heartbeat from a change.
+func (n *notifier) release() {
 	if n.waiters.Load() == 0 {
 		return
 	}
@@ -57,11 +67,10 @@ func (n *notifier) bump() {
 	n.mu.Unlock()
 }
 
-// await parks the caller until the epoch differs from seen or the timeout
-// elapses. The timeout is a liveness backstop, not a correctness mechanism:
-// it bounds how long a poller can sit parked across events the notifier does
-// not model (crash injection deadlines, a caller that raced its own sweep).
-func (n *notifier) await(seen uint64, timeout time.Duration) {
+// await parks the caller until the epoch differs from seen or a heartbeat
+// passes. It blocks on the broadcast channel alone: a lost wakeup would leave
+// the heartbeat as the only way out, and notify_timeout counts those.
+func (n *notifier) await(seen uint64) {
 	if n.epoch.Load() != seen {
 		return
 	}
@@ -74,13 +83,11 @@ func (n *notifier) await(seen uint64, timeout time.Duration) {
 		return
 	}
 	n.m.Inc(cNotifyPark)
-	t := time.NewTimer(timeout)
-	select {
-	case <-ch:
+	<-ch
+	n.waiters.Add(-1)
+	if n.epoch.Load() != seen {
 		n.m.Inc(cNotifyWake)
-	case <-t.C:
+	} else {
 		n.m.Inc(cNotifyTimeout)
 	}
-	t.Stop()
-	n.waiters.Add(-1)
 }

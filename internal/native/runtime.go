@@ -299,8 +299,7 @@ func (r *Runtime) Run(budget time.Duration) *Result {
 	r.stopped.Store(true)
 	// Wake every epoch-parked goroutine so it observes the stop: any
 	// AwaitEpoch entered after the store panics errStopped on entry, and any
-	// already parked is woken by this bump (or its backstop timeout) and
-	// panics on its next operation.
+	// already parked is woken by this bump and panics on its next operation.
 	r.notify.bump()
 	r.wg.Wait()
 	r.fd.stopService()
@@ -462,10 +461,11 @@ func (e *Env) QueryFD() sim.Value {
 	return e.r.fd.advice(e.id.Index)
 }
 
-// awaitBackstop bounds how long AwaitEpoch can park without rechecking its
-// surroundings: it is the liveness net for events the notifier does not
-// carry (this process's own crash deadline arriving while parked), not a
-// latency mechanism — all real wakeups are event-driven bumps.
+// awaitBackstop is the heartbeat period: how long a process can stay parked
+// in AwaitEpoch before the advice service's background loop releases it to
+// recheck its surroundings. It is the liveness net for events the notifier
+// does not carry (this process's own crash deadline arriving while parked),
+// not a latency mechanism — all real wakeups are event-driven bumps.
 const awaitBackstop = time.Millisecond
 
 // Epoch returns the runtime's change epoch, sampled before a predicate
@@ -476,9 +476,10 @@ func (e *Env) Epoch() uint64 { return e.r.notify.current() }
 // AwaitEpoch is the wait between two unsuccessful sweeps; how to wait is this
 // backend's decision, taken from what the epoch carries. Under event advice
 // every register write and advice publication bumps it, so the caller parks
-// until it differs from seen (or teardown). Sampling seen before the sweep
-// makes the park race-free: a change landing between sweep and park has
-// already advanced the epoch, so the park returns immediately. Under tick
+// until it differs from seen, teardown, or the next heartbeat (the caller
+// holds a channel and no timer). Sampling seen before the sweep makes the
+// park race-free: a change landing between sweep and park has already
+// advanced the epoch, so the park returns immediately. Under tick
 // advice the epoch carries no register writes — a park could sleep through
 // the write the caller is polling for — so the wait is one scheduler yield.
 // Like Epoch it consumes no step, but stop and crash deadlines are honored
@@ -499,7 +500,7 @@ func (e *Env) AwaitEpoch(seen uint64) {
 	if t := e.r.cfg.Tracer; t != nil {
 		p := procCode(e.id.IsS(), e.id.Index)
 		t.Emit(TracePark, p, e.r.cfg.RunID, int64(seen))
-		e.r.notify.await(seen, awaitBackstop)
+		e.r.notify.await(seen)
 		moved := int64(0)
 		if e.r.notify.current() != seen {
 			moved = 1
@@ -507,7 +508,7 @@ func (e *Env) AwaitEpoch(seen uint64) {
 		t.Emit(TraceWake, p, e.r.cfg.RunID, moved)
 		return
 	}
-	e.r.notify.await(seen, awaitBackstop)
+	e.r.notify.await(seen)
 }
 
 // Decide records this C-process's decision. The decision is final; deciding

@@ -150,10 +150,16 @@ func (c *cell) storeInt(x int) {
 	c.packed.Store(0)
 }
 
-// storeShards is the shard count: a power of two so the hash folds with a
-// mask. 32 shards keep per-shard collision odds low for the scenario key
-// populations (tens to a few thousand keys) at negligible fixed cost.
+// storeShards is the largest shard count: a power of two, like every shard
+// count, so the hash folds with a mask. 32 shards keep per-shard collision
+// odds low for the large key populations (a few thousand keys and up) at
+// negligible fixed cost.
 const storeShards = 32
+
+// keysPerShard is the population a shard is sized for before the table takes
+// another: a run of a handful of registers gets one shard and one small map,
+// not 32 maps it will leave empty.
+const keysPerShard = 8
 
 // shard is one slice of the table. The padding keeps each shard's mutex on
 // its own cache line so uncorrelated shards never false-share.
@@ -165,28 +171,32 @@ type shard struct {
 
 // store is the sharded register table.
 type store struct {
-	shards [storeShards]shard
+	shards []shard // a power of two of them, so a hash folds with a mask
 	m      obs.Handle
 }
 
-// newStore builds a table pre-sized for about hint registers spread across
-// the shards. The hint comes from the scenario's known key shapes (`in/i`,
-// `cons/j/*`, `cell/a/s/*` — see core.Scenario); it only sizes the maps, so
-// a low or zero hint costs map growth, never correctness.
+// newStore builds a table for about hint registers: the smallest power-of-two
+// shard count, up to storeShards, that leaves each shard at most keysPerShard
+// of them, with the maps pre-sized to match. The hint comes from the
+// scenario's known key shapes (`in/i`, `cons/j/*`, `cell/a/s/*` — see
+// core.Scenario); a low or zero hint costs contention on first touches and
+// map growth, never correctness.
 func newStore(hint int) *store {
-	per := hint / storeShards
-	if per < 4 {
-		per = 4
+	n := 1
+	for n < storeShards && n*keysPerShard < hint {
+		n *= 2
 	}
-	s := &store{m: newMetricsHandle()}
+	s := &store{shards: make([]shard, n), m: newMetricsHandle()}
+	per := max(hint/n, 4)
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]*cell, per)
 	}
 	return s
 }
 
-// shardOf hashes key to its shard index (FNV-1a folded to the shard mask).
-func shardOf(key string) uint32 {
+// keyHash hashes a register key (FNV-1a, high bits folded in so that a shard
+// mask does not discard them); a store masks it down to a shard index.
+func keyHash(key string) uint32 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -196,8 +206,7 @@ func shardOf(key string) uint32 {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	// Fold the high bits in so the mask does not discard them.
-	return uint32(h^(h>>32)) & (storeShards - 1)
+	return uint32(h ^ (h >> 32))
 }
 
 // lookup returns key's cell, minting it on first touch. Only the key's shard
@@ -222,7 +231,7 @@ func (s *store) bind(keys []string, cells []*cell) {
 // resolve returns key's cell, minting it from *fresh on first touch; an
 // empty *fresh is replaced by a new array of want cells first.
 func (s *store) resolve(key string, fresh *[]cell, want int) *cell {
-	sh := &s.shards[shardOf(key)]
+	sh := &s.shards[keyHash(key)&uint32(len(s.shards)-1)]
 	sh.mu.Lock()
 	c := sh.m[key]
 	if c == nil {

@@ -109,10 +109,12 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 }
 
 // TestStoreShardDistribution checks the key hash spreads the real scenario
-// key shapes across shards: with a population much larger than the shard
-// count, every shard must be populated and none may hold a gross excess
-// over the mean (a degenerate hash would defeat the sharding entirely).
+// key shapes across shards at the maximum shard count: with a population
+// much larger than the shard count, every shard must be populated and none
+// may hold a gross excess over the mean (a degenerate hash would defeat the
+// sharding entirely).
 func TestStoreShardDistribution(t *testing.T) {
+	shardOf := func(key string) uint32 { return keyHash(key) & (storeShards - 1) }
 	keys := realisticKeys(16, 8, 4)
 	if len(keys) < 32*storeShards {
 		t.Fatalf("key population %d too small for a meaningful distribution check", len(keys))
@@ -184,11 +186,18 @@ func TestCellRepresentations(t *testing.T) {
 	}
 }
 
-// TestStorePresizeZeroAndLarge: the Registers hint only sizes maps — both a
-// zero hint and an overshooting hint must behave identically.
+// TestStorePresizeZeroAndLarge: the Registers hint sizes the table — one
+// shard for a handful of keys, storeShards for thousands — and nothing else:
+// a zero hint and an overshooting hint must behave identically.
 func TestStorePresizeZeroAndLarge(t *testing.T) {
-	for _, hint := range []int{0, 1, 1 << 15} {
+	for _, tc := range []struct{ hint, minShards, maxShards int }{
+		{0, 1, 1}, {1, 1, 1}, {9, 1, 2}, {1 << 15, storeShards, storeShards},
+	} {
+		hint := tc.hint
 		st := newStore(hint)
+		if n := len(st.shards); n < tc.minShards || n > tc.maxShards || n&(n-1) != 0 {
+			t.Errorf("hint %d: %d shards, want a power of two in [%d, %d]", hint, n, tc.minShards, tc.maxShards)
+		}
 		c := st.lookup("in/0")
 		c.store(42)
 		if got := st.lookup("in/0"); got != c {
@@ -204,8 +213,16 @@ func TestStorePresizeZeroAndLarge(t *testing.T) {
 // fresh key tables at the same moment must end up on the same cell for
 // every key they share — each call mints the cells it finds missing from
 // its own backing array, and a key the other process got to first has to
-// resolve to that process's cell, not to a second one. Run under -race.
+// resolve to that process's cell, not to a second one. Run under -race, on a
+// one-shard table (every first touch on the same mutex and map) and on a
+// table at the maximum shard count.
 func TestBindOverlappingTablesShareCells(t *testing.T) {
+	for _, registers := range []int{0, 1 << 15} {
+		bindOverlappingTables(t, registers)
+	}
+}
+
+func bindOverlappingTables(t *testing.T, registers int) {
 	const rounds, width, overlap = 50, 96, 64
 	var bound [2][rounds]*boundRegs
 	var start [rounds]sync.WaitGroup
@@ -228,7 +245,7 @@ func TestBindOverlappingTablesShareCells(t *testing.T) {
 				e.Decide(0)
 			}
 		},
-		Pattern: fdet.FailureFree(0),
+		Pattern: fdet.FailureFree(0), Registers: registers,
 	}
 	rt, err := New(cfg)
 	if err != nil {
@@ -236,6 +253,9 @@ func TestBindOverlappingTablesShareCells(t *testing.T) {
 	}
 	if res := rt.Run(time.Minute); res.Reason != ReasonAllDecided {
 		t.Fatalf("run ended %v", res.Reason)
+	}
+	if n := len(rt.store.shards); (registers == 0) != (n == 1) {
+		t.Fatalf("Registers %d built %d shards", registers, n)
 	}
 	for r := 0; r < rounds; r++ {
 		a, b := bound[0][r], bound[1][r]

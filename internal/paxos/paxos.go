@@ -127,7 +127,14 @@ type Proposer struct {
 // supplied later via SetProposal; the proposer will not enter phase 1
 // without one.
 func NewProposer(e sim.Ops, key string, me, nProposers int, proposal Value) *Proposer {
-	regs := e.Bind(InstanceKeys(key, nProposers))
+	return NewBoundProposer(e.Bind(InstanceKeys(key, nProposers)), me, nProposers, proposal)
+}
+
+// NewBoundProposer is NewProposer over registers the caller has bound: regs
+// is an instance's InstanceKeys table for nProposers proposers. Processes
+// that drive the same instance run after run build that table once and bind
+// it here.
+func NewBoundProposer(regs sim.Regs, me, nProposers int, proposal Value) *Proposer {
 	return &Proposer{
 		blk:      regs,
 		dec:      regs,
