@@ -179,12 +179,18 @@ type store struct {
 // shard count, up to storeShards, that leaves each shard at most keysPerShard
 // of them, with the maps pre-sized to match. The hint comes from the
 // scenario's known key shapes (`in/i`, `cons/j/*`, `cell/a/s/*` — see
-// core.Scenario); a low or zero hint costs contention on first touches and
-// map growth, never correctness.
+// core.Scenario). A hint of zero or less means no estimate was given and
+// builds storeShards: every keyed Read and Write takes its shard's mutex
+// (only bound handles skip the table), so a table that does not know its
+// population must not put all of it behind one lock. A positive hint that is
+// too low costs that contention and map growth, never correctness.
 func newStore(hint int) *store {
-	n := 1
-	for n < storeShards && n*keysPerShard < hint {
-		n *= 2
+	n := storeShards
+	if hint > 0 {
+		n = 1
+		for n < storeShards && n*keysPerShard < hint {
+			n *= 2
+		}
 	}
 	s := &store{shards: make([]shard, n), m: newMetricsHandle()}
 	per := max(hint/n, 4)

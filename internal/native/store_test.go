@@ -187,11 +187,12 @@ func TestCellRepresentations(t *testing.T) {
 }
 
 // TestStorePresizeZeroAndLarge: the Registers hint sizes the table — one
-// shard for a handful of keys, storeShards for thousands — and nothing else:
-// a zero hint and an overshooting hint must behave identically.
+// shard for a handful of keys, storeShards for thousands or when no estimate
+// was given (zero: keyed operations must not all share one lock) — and
+// nothing else: a zero hint and an overshooting hint must behave identically.
 func TestStorePresizeZeroAndLarge(t *testing.T) {
 	for _, tc := range []struct{ hint, minShards, maxShards int }{
-		{0, 1, 1}, {1, 1, 1}, {9, 1, 2}, {1 << 15, storeShards, storeShards},
+		{0, storeShards, storeShards}, {1, 1, 1}, {9, 1, 2}, {1 << 15, storeShards, storeShards},
 	} {
 		hint := tc.hint
 		st := newStore(hint)
@@ -217,7 +218,7 @@ func TestStorePresizeZeroAndLarge(t *testing.T) {
 // one-shard table (every first touch on the same mutex and map) and on a
 // table at the maximum shard count.
 func TestBindOverlappingTablesShareCells(t *testing.T) {
-	for _, registers := range []int{0, 1 << 15} {
+	for _, registers := range []int{1, 1 << 15} {
 		bindOverlappingTables(t, registers)
 	}
 }
@@ -254,7 +255,7 @@ func bindOverlappingTables(t *testing.T, registers int) {
 	if res := rt.Run(time.Minute); res.Reason != ReasonAllDecided {
 		t.Fatalf("run ended %v", res.Reason)
 	}
-	if n := len(rt.store.shards); (registers == 0) != (n == 1) {
+	if n := len(rt.store.shards); (registers == 1) != (n == 1) {
 		t.Fatalf("Registers %d built %d shards", registers, n)
 	}
 	for r := 0; r < rounds; r++ {
