@@ -66,7 +66,7 @@ func main() {
 		chaos       = flag.String("chaos", "", "hostile pre-stabilization advice: "+strings.Join(fdet.ChaosModes(), " | ")+"[:window] (default none)")
 		clerkTO     = flag.Duration("clerk-timeout", time.Second, "per-operation clerk deadline; expired ops are recorded as timeouts (0 = wait forever)")
 		stabilize   = flag.Int("stabilize", 0, "advice stabilization time in ticks (0 = default 100)")
-		advice      = flag.String("advice", "", "advice publication mode: "+strings.Join(core.ScenarioAdviceModes(), " | ")+" (default tick)")
+		advice      = flag.String("advice", "", "how waiting processes wait: "+strings.Join(core.ScenarioAdviceModes(), " | ")+" (tick yields, event parks on the change epoch; default tick)")
 		tick        = flag.Duration("tick", 0, "clock tick = one model time unit (0 = default 100µs)")
 		seed        = flag.Int64("seed", 1, "root seed for advice history and clerk scripts")
 		keys        = flag.Int("keys", 0, "clerk keyspace size (0 = default 8)")

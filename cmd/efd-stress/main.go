@@ -65,7 +65,7 @@ func main() {
 		crashStorm = flag.Bool("crash-storm", false, "compress the crashes back to back instead of spacing them (needs -crash > 0)")
 		chaos      = flag.String("chaos", "", "hostile pre-stabilization advice: "+strings.Join(fdet.ChaosModes(), " | ")+"[:window] (default none)")
 		stabilize  = flag.Int("stabilize", 0, "advice stabilization time in ticks (0 = default 100)")
-		advice     = flag.String("advice", "", "advice publication mode: "+strings.Join(core.ScenarioAdviceModes(), " | ")+" (default tick)")
+		advice     = flag.String("advice", "", "how waiting processes wait: "+strings.Join(core.ScenarioAdviceModes(), " | ")+" (tick yields, event parks on the change epoch; default tick)")
 		procs      = flag.Int("procs", 0, "GOMAXPROCS for the whole process (0 = leave as is)")
 		workers    = flag.Int("workers", 0, "concurrent instances (0 = GOMAXPROCS / instance goroutines)")
 		duration   = flag.Duration("duration", 2*time.Second, "total stress wall-clock budget")
@@ -130,7 +130,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "soak %8s  runs=%d ops=%d interval=%.0f ops/s goroutines=%d heap=%dMB pubs=%d wakeups=%d timeouts=%d\n",
 				s.Elapsed.Round(time.Second), s.Runs, s.Ops, s.IntervalOpsPerSec,
 				s.Goroutines, s.HeapAlloc>>20,
-				d["advice_pub_coop"]+d["advice_pub_waker"]+d["advice_pub_tick"], d["notify_wake"], d["notify_timeout"])
+				d["advice_pub_coop"]+d["advice_pub_waker"], d["notify_wake"], d["notify_timeout"])
 		},
 	})
 	if err != nil {

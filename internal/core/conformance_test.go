@@ -38,10 +38,10 @@ import (
 
 // conformanceGrid covers every task in the scenario zoo, both detector
 // families with consuming algorithms, crash injection, and both advice
-// modes of the native service (and with them both ways a poller waits). The advice=event rows run the sim backend on the identical
-// discrete clock as their tick twins (the mode only changes how the native
-// service publishes), so they pin down exactly the claim of the event-mode
-// design: publication timing moves, verdicts do not.
+// modes (the two ways a native poller waits). The advice=event rows run the
+// sim backend on the identical discrete clock as their tick twins (the mode
+// only changes how native processes wait), so they pin down exactly the claim
+// of the design: wakeup timing moves, verdicts do not.
 func conformanceGrid() []core.ScenarioParams {
 	return []core.ScenarioParams{
 		{Task: "consensus", N: 3, Stabilize: 20},

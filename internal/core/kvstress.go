@@ -61,7 +61,7 @@ type KVStressOptions struct {
 	Stabilize fdet.Time
 	// Tick is the wall-clock length of one advice tick (0 = native.DefaultTick).
 	Tick time.Duration
-	// Advice is the native advice publication mode (tick or event).
+	// Advice is how waiting processes wait (tick yields, event parks).
 	Advice native.AdviceMode
 	// Seed seeds the advice history noise and the clerk scripts.
 	Seed int64

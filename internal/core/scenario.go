@@ -45,9 +45,9 @@ type Scenario struct {
 	// derived from the task's key shapes; it pre-sizes the native backend's
 	// sharded register table.
 	Registers int
-	// Advice is the native advice-publication mode (tick sampling or
-	// event-driven transition publishing). The sim backend ignores it: its
-	// discrete scheduler clock serves the history directly, so simulation
+	// Advice is how a waiting process waits on the native backend (yield
+	// under tick, park on the change epoch under event). The sim backend
+	// ignores it: its lockstep scheduler paces every step, so simulation
 	// traces and experiment bytes are identical under either mode.
 	Advice native.AdviceMode
 }
@@ -103,11 +103,10 @@ type ScenarioParams struct {
 	// leaders, flapping vectors — which is exactly the regime stress runs
 	// want to spend time in.
 	Stabilize fdet.Time
-	// Advice selects the native advice-publication mode: "" or "tick"
-	// (default, fixed-ticker re-sampling; waiting pollers yield) or "event"
-	// (publish enumerated history transitions as their deadlines pass;
-	// waiting pollers park on the change epoch and wake on publications
-	// and register writes). The sim backend is unaffected either way.
+	// Advice selects how waiting pollers wait on the native backend: "" or
+	// "tick" (default) yields; "event" parks on the change epoch and wakes
+	// on advice publications, register writes and the heartbeat. Advice is
+	// published the same way under both. The sim backend is unaffected.
 	Advice string
 	// Chaos replaces the detector's pre-stabilization output with a hostile
 	// schedule: "flap[:W]" (coherent rotation every W ticks), "lie[:W]"
@@ -307,8 +306,8 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 			s.Name += "/storm"
 		}
 	}
-	// The advice mode keys trend baselines like crash does: the two modes
-	// have very different latency profiles. Chaos keys them too — a
+	// The advice mode keys trend baselines like crash does: yielding and
+	// parking waits have very different latency profiles. Chaos keys them too — a
 	// flapping prefix is a different latency world.
 	if advice != native.AdviceTick {
 		s.Name += "/advice=" + advice.String()

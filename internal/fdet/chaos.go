@@ -22,11 +22,10 @@ import (
 // schedule hands consumers a convincing, coherent, wrong world every W
 // ticks. This is the adversary the paper's advice model actually permits.
 //
-// Wrapped histories keep enumerating transitions (TransitionHistory):
-// chaos values are functions of ⌊t/W⌋, so the pre-stabilization chain
-// visits exactly the window boundaries plus the stabilization instant, then
-// hands over to the inner enumerator — event-mode advice stays correct
-// under chaos.
+// Wrapped histories enumerate their own transitions: chaos values are
+// functions of ⌊t/W⌋, so the pre-stabilization chain visits exactly the
+// window boundaries plus the stabilization instant, then hands over to the
+// inner enumerator — live advice publishes every hostile window.
 
 // ChaosMode selects a hostile pre-stabilization schedule.
 type ChaosMode uint8
@@ -190,10 +189,6 @@ func (d chaosDetector) History(p Pattern, stabilize Time, seed int64) History {
 		}
 		return chaosValue(d.c.Mode, p, shape, w, lieSeed, i, t)
 	}
-	th, ok := inner.(TransitionHistory)
-	if !ok {
-		return HistoryFunc(query)
-	}
 	// Pre-stabilization the output is a function of ⌊t/W⌋, so the only
 	// change points are window boundaries — plus the stabilization instant
 	// itself, where the schedule hands over to the inner history. After it,
@@ -207,7 +202,7 @@ func (d chaosDetector) History(p Pattern, stabilize Time, seed int64) History {
 			}
 			return nxt, true
 		}
-		return th.NextTransition(t)
+		return inner.NextTransition(t)
 	}
 	return HistoryWithTransitions(query, next)
 }

@@ -30,16 +30,14 @@ func TestChaosTransitionsNeverMissAChange(t *testing.T) {
 		{"vector-omega-2", VectorOmegaK{K: 2, GoodPos: 0}, FailureFree(n)},
 		{"eventually-perfect", EventuallyPerfect{}, crashy},
 		{"trivial", Trivial{}, FailureFree(n)},
+		{"history-func", opaque{}, FailureFree(n)},
 	}
 	for _, in := range inners {
 		for _, c := range chaosGrid {
 			c := c
 			det := WithChaos(in.det, c)
 			t.Run(in.name+"+"+c.Suffix(), func(t *testing.T) {
-				h, ok := det.History(in.pat, stabilize, seed).(TransitionHistory)
-				if !ok {
-					t.Fatalf("%s history does not enumerate transitions", det.Name())
-				}
+				h := det.History(in.pat, stabilize, seed)
 				visited := transitionTimes(t, h, horizon)
 				for i := 0; i < n; i++ {
 					for at := Time(0); at < horizon-1; at++ {

@@ -10,8 +10,22 @@ import (
 // History is a failure detector history H: Query(i, t) is the value output
 // by the detector module of S-process q_{i+1} at time t (H(q_i, τ) in the
 // paper). Implementations must be deterministic functions of (i, t).
+//
+// Because a history is a pure function of (module, time), the set of times
+// at which any module's output may change is itself a function of the
+// history's parameters — noise flips every tick until stabilization, an Ω
+// leader appears exactly at the stabilization time, ◇P suspicion sets move
+// exactly at crash times. NextTransition enumerates those times, so a live
+// advice service steps from transition to transition and a converged history
+// costs it nothing.
 type History interface {
 	Query(i int, t Time) any
+	// NextTransition returns the smallest time strictly after t at which
+	// some module's advice may differ from its advice at t. ok=false means
+	// the history is constant from t on (no further transitions).
+	// NextTransition may be conservative — it may name times at which
+	// nothing actually changes — but it must never skip a real change.
+	NextTransition(t Time) (next Time, ok bool)
 }
 
 // Detector generates, for each failure pattern, one history from the set
@@ -26,45 +40,24 @@ type Detector interface {
 	History(p Pattern, stabilize Time, seed int64) History
 }
 
-// funcHistory adapts a query function to the History interface.
+// funcHistory is the one History implementation: a query function paired
+// with a transition enumerator.
 type funcHistory struct {
-	f func(i int, t Time) any
-}
-
-func (h funcHistory) Query(i int, t Time) any { return h.f(i, t) }
-
-// HistoryFunc returns a History backed by f.
-func HistoryFunc(f func(i int, t Time) any) History { return funcHistory{f: f} }
-
-// TransitionHistory is a History whose advice-change times are enumerable.
-// Because every history here is a pure function of (module, time), the set
-// of times at which any module's output may change is itself a function of
-// the history's parameters — noise flips every tick until stabilization, an
-// Ω leader appears exactly at the stabilization time, ◇P suspicion sets
-// move exactly at crash times. Event-driven advice services step directly
-// from transition to transition instead of re-sampling on a blind tick.
-type TransitionHistory interface {
-	History
-	// NextTransition returns the smallest time strictly after t at which
-	// some module's advice may differ from its advice at t. ok=false means
-	// the history is constant from t on (no further transitions).
-	// NextTransition may be conservative — it may name times at which
-	// nothing actually changes — but it must never skip a real change.
-	NextTransition(t Time) (next Time, ok bool)
-}
-
-// stepHistory pairs a query function with a transition enumerator.
-type stepHistory struct {
-	funcHistory
+	f    func(i int, t Time) any
 	next func(t Time) (Time, bool)
 }
 
-func (h stepHistory) NextTransition(t Time) (Time, bool) { return h.next(t) }
+func (h funcHistory) Query(i int, t Time) any            { return h.f(i, t) }
+func (h funcHistory) NextTransition(t Time) (Time, bool) { return h.next(t) }
 
-// HistoryWithTransitions returns a History that also enumerates its
-// transition times via next (see TransitionHistory).
+// HistoryFunc returns a History backed by f alone. Nothing is known about
+// when f's output moves, so it enumerates conservatively: every tick.
+func HistoryFunc(f func(i int, t Time) any) History { return funcHistory{f, everyTick} }
+
+// HistoryWithTransitions returns a History backed by f whose transition
+// times are enumerated by next (see History.NextTransition).
 func HistoryWithTransitions(f func(i int, t Time) any, next func(t Time) (Time, bool)) History {
-	return stepHistory{funcHistory{f: f}, next}
+	return funcHistory{f, next}
 }
 
 // noisyUntil enumerates the transitions of a history that emits fresh seeded

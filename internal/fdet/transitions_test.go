@@ -7,7 +7,7 @@ import (
 
 // transitionTimes walks the enumerated transition chain from time 0 up to
 // horizon (exclusive) and returns the visited times.
-func transitionTimes(t *testing.T, h TransitionHistory, horizon Time) map[Time]bool {
+func transitionTimes(t *testing.T, h History, horizon Time) map[Time]bool {
 	t.Helper()
 	out := map[Time]bool{}
 	at := Time(0)
@@ -25,6 +25,16 @@ func transitionTimes(t *testing.T, h TransitionHistory, horizon Time) map[Time]b
 		out[next] = true
 		at = next
 	}
+}
+
+// opaque is a detector whose histories are bare HistoryFuncs: the output
+// keeps moving at times nothing declares, before and after stabilization.
+type opaque struct{}
+
+func (opaque) Name() string { return "opaque" }
+
+func (opaque) History(p Pattern, _ Time, seed int64) History {
+	return HistoryFunc(func(i int, t Time) any { return (int(seed) + i + t/3) % p.N })
 }
 
 // TestTransitionsNeverMissAChange is the soundness property every enumerator
@@ -49,13 +59,11 @@ func TestTransitionsNeverMissAChange(t *testing.T) {
 		{"eventually-perfect", EventuallyPerfect{}, crashy},
 		{"live-omega", LiveOmega{}, FailureFree(n)},
 		{"live-omega/crash", LiveOmega{}, crashy},
+		{"history-func", opaque{}, FailureFree(n)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h, ok := tc.det.History(tc.pat, stabilize, seed).(TransitionHistory)
-			if !ok {
-				t.Fatalf("%s history does not enumerate transitions", tc.det.Name())
-			}
+			h := tc.det.History(tc.pat, stabilize, seed)
 			visited := transitionTimes(t, h, horizon)
 			for i := 0; i < n; i++ {
 				for at := Time(0); at < horizon-1; at++ {
@@ -74,7 +82,7 @@ func TestTransitionsNeverMissAChange(t *testing.T) {
 // noise prefix, a final transition at the stabilization time, nothing after.
 func TestOmegaTransitionsEndAtStabilize(t *testing.T) {
 	const stabilize = 10
-	h := Omega{}.History(FailureFree(3), stabilize, 1).(TransitionHistory)
+	h := Omega{}.History(FailureFree(3), stabilize, 1)
 	at := Time(0)
 	for want := Time(1); want <= stabilize; want++ {
 		next, ok := h.NextTransition(at)
@@ -91,7 +99,7 @@ func TestOmegaTransitionsEndAtStabilize(t *testing.T) {
 // TestAntiOmegaRotatesForever pins the ¬Ωk chain: the post-stabilization
 // window rotation keeps a transition at every tick.
 func TestAntiOmegaRotatesForever(t *testing.T) {
-	h := AntiOmegaK{K: 2}.History(FailureFree(4), 10, 1).(TransitionHistory)
+	h := AntiOmegaK{K: 2}.History(FailureFree(4), 10, 1)
 	for _, at := range []Time{0, 10, 1000} {
 		if next, ok := h.NextTransition(at); !ok || next != at+1 {
 			t.Fatalf("NextTransition(%d) = %d,%v, want %d,true", at, next, ok, at+1)
@@ -110,7 +118,7 @@ func TestAntiOmegaRotatesForever(t *testing.T) {
 func TestEventuallyPerfectTransitionsAreCrashTimes(t *testing.T) {
 	const stabilize = 10
 	p := NewPattern(4, map[int]Time{2: 25, 0: 40})
-	h := EventuallyPerfect{}.History(p, stabilize, 1).(TransitionHistory)
+	h := EventuallyPerfect{}.History(p, stabilize, 1)
 	if next, ok := h.NextTransition(stabilize); !ok || next != 25 {
 		t.Fatalf("NextTransition(%d) = %d,%v, want 25,true", stabilize, next, ok)
 	}
@@ -129,12 +137,14 @@ func TestEventuallyPerfectTransitionsAreCrashTimes(t *testing.T) {
 	}
 }
 
-// TestHistoryFuncHasNoEnumeration pins the fallback contract: a bare
-// HistoryFunc does not implement TransitionHistory, so event-mode services
-// must fall back to tick sampling for it.
-func TestHistoryFuncHasNoEnumeration(t *testing.T) {
+// TestHistoryFuncEnumeratesEveryTick pins the conservative enumerator of a
+// bare HistoryFunc: nothing is known about when its output moves, so every
+// tick is named, forever.
+func TestHistoryFuncEnumeratesEveryTick(t *testing.T) {
 	h := HistoryFunc(func(int, Time) any { return 0 })
-	if _, ok := h.(TransitionHistory); ok {
-		t.Fatal("HistoryFunc unexpectedly enumerates transitions")
+	for _, at := range []Time{0, 1, 99, 1 << 40} {
+		if next, ok := h.NextTransition(at); !ok || next != at+1 {
+			t.Fatalf("NextTransition(%d) = %d,%v, want %d,true", at, next, ok, at+1)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 		cfg.Pause = awaitEpoch
 	}
 	return func(e sim.Ops) {
-		h := newMetricsHandle()
+		h := metrics.Handle()
 		req := e.Bind([]string{ReqKey(i)})
 		rep := e.Bind([]string{RepKey(i)})
 		seed := cfg.Seed

@@ -297,7 +297,7 @@ func TestReplicaAbandonsInflightOnFlap(t *testing.T) {
 	// with a batch mid-flight abandons it (and counts the flap); gaining or
 	// keeping the lead, or losing it with nothing in flight, changes
 	// nothing.
-	r := &replica{h: newMetricsHandle(), wasLead: true, inflight: true,
+	r := &replica{h: metrics.Handle(), wasLead: true, inflight: true,
 		flight: []Request{{Client: 0, Seq: 1}}, batchSeq: 3}
 	r.noteLead(false)
 	if r.inflight || r.flight != nil || r.wasLead {

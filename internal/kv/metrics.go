@@ -1,10 +1,6 @@
 package kv
 
-import (
-	"sync/atomic"
-
-	"wfadvice/internal/obs"
-)
+import "wfadvice/internal/obs"
 
 // kv counter taxonomy, following internal/native/metrics.go: process-wide
 // striped counters, handles minted at body construction, one atomic add
@@ -72,23 +68,6 @@ var counterNames = []string{
 
 // metrics is the process-wide kv counter set.
 var metrics = obs.NewCounters(counterNames)
-
-// metricsEnabled gates handle minting at construction, mirroring
-// native.EnableMetrics.
-var metricsEnabled atomic.Bool
-
-func init() { metricsEnabled.Store(true) }
-
-func newMetricsHandle() obs.Handle {
-	if !metricsEnabled.Load() {
-		return obs.Handle{}
-	}
-	return metrics.Handle()
-}
-
-// EnableMetrics turns kv counter recording on or off for bodies built
-// after the call.
-func EnableMetrics(on bool) { metricsEnabled.Store(on) }
 
 // Metrics returns the process-wide kv counter set (for the debug
 // endpoint's MoreCounters and report deltas).

@@ -52,8 +52,8 @@ func TestNotifierEpochAndAwait(t *testing.T) {
 	n.bump()
 	<-released
 
-	// The event loop (nil history: no transition, ever) and the tick-sampler
-	// fallback (an opaque history whose next tick is an hour away) both beat.
+	// The heart beats whether the loop has no transition to sleep to, ever
+	// (nil history), or one an hour away (an opaque history names every tick).
 	opaque := fdet.HistoryFunc(func(int, fdet.Time) any { return nil })
 	for _, cfg := range []Config{{}, {History: opaque, Tick: time.Hour}} {
 		cfg.NC, cfg.Inputs, cfg.Pattern, cfg.Advice = 1, vec.Of(1), fdet.FailureFree(0), AdviceEvent
@@ -129,7 +129,7 @@ func TestNotifierNoLostWakeups(t *testing.T) {
 // TestParkAndPublishAllocs pins what waiting and advising cost the heap. A
 // park → bump → wake cycle allocates the rotated broadcast channel and nothing
 // else — no timer, which would be three objects per park, fourteen parks per
-// one-shot instance. An event-mode publication of a noisy history over
+// one-shot instance. A publication of a noisy history over
 // NS modules allocates the NS advice boxes and nothing else — the noise comes
 // from a pooled generator, not a fresh 4.9 KB source (two objects) per module.
 // Under the race detector sync.Pool drops one Put in four on purpose, so a
@@ -160,13 +160,13 @@ func TestParkAndPublishAllocs(t *testing.T) {
 
 	const ns = 4
 	p := fdet.FailureFree(ns)
-	s := newFDService(pastClock(0), fdet.Omega{}.History(p, 1<<30, 3), ns, AdviceEvent, newNotifier())
+	s := newFDService(pastClock(0), fdet.Omega{}.History(p, 1<<30, 3), ns, newNotifier())
 	tm := fdet.Time(0)
 	if got := testing.AllocsPerRun(200, func() {
 		s.publishLocked(tm)
 		tm++
 	}); got >= 2*ns {
-		t.Errorf("event publication over %d noisy modules: %v allocs, want %d (one advice box each)", ns, got, ns)
+		t.Errorf("publication over %d noisy modules: %v allocs, want %d (one advice box each)", ns, got, ns)
 	}
 }
 
@@ -179,10 +179,7 @@ func TestEventAdviceCooperativePublish(t *testing.T) {
 	p := fdet.NewPattern(3, nil)
 	hist := fdet.Omega{}.History(p, stabilize, 42)
 	notify := newNotifier()
-	s := newFDService(pastClock(10), hist, p.N, AdviceEvent, notify)
-	if !s.event || s.th == nil {
-		t.Fatalf("Omega history did not select the event path: event=%v th=%v", s.event, s.th)
-	}
+	s := newFDService(pastClock(10), hist, p.N, notify)
 	s.publishLocked(0) // what startService does, minus the waker goroutine
 	if nt := s.nextT.Load(); nt != 1 {
 		t.Fatalf("after tick-0 publish nextT = %d, want 1 (noisy history)", nt)
@@ -219,8 +216,8 @@ func TestEventWakerPublishesUnqueried(t *testing.T) {
 	hist := fdet.Omega{}.History(p, stabilize, 7)
 	notify := newNotifier()
 	c := &clock{start: time.Now(), tick: time.Millisecond}
-	s := newFDService(c, hist, p.N, AdviceEvent, notify)
-	s.startService()
+	s := newFDService(c, hist, p.N, notify)
+	s.startService(true)
 	defer s.stopService()
 
 	leader := p.MinCorrect()
@@ -239,45 +236,139 @@ func TestEventWakerPublishesUnqueried(t *testing.T) {
 	}
 }
 
-// TestEventFallbackForOpaqueHistory: a bare HistoryFunc cannot enumerate
-// transitions, so requesting event mode must fall back to tick sampling —
-// advice still tracks the history (one tick late at worst) and each sample
-// bumps the notifier so epoch-parked pollers stay live.
-func TestEventFallbackForOpaqueHistory(t *testing.T) {
+// TestOpaqueHistoryPublishesEveryTick: a bare HistoryFunc says nothing about
+// when its output moves, so its conservative enumerator names every tick and
+// the service publishes along the clock — under either wait. The advice served
+// is the history sampled along an increasing sequence of times: it never goes
+// back, and it gets somewhere.
+func TestOpaqueHistoryPublishesEveryTick(t *testing.T) {
 	hist := fdet.HistoryFunc(func(i int, t fdet.Time) any { return t })
-	notify := newNotifier()
-	c := &clock{start: time.Now(), tick: time.Millisecond}
-	s := newFDService(c, hist, 1, AdviceEvent, notify)
-	if s.event {
-		t.Fatal("opaque history selected the event path; want tick fallback")
-	}
-	s.startService()
-	defer s.stopService()
-
-	epoch := notify.current()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, _ := s.advice(0).(int)
-		if v >= 3 {
-			break
+	for _, mode := range []AdviceMode{AdviceTick, AdviceEvent} {
+		var last int
+		rt, err := New(Config{
+			NC: 1, NS: 1, Inputs: vec.Of(1), Pattern: fdet.FailureFree(1),
+			History: hist, Tick: time.Millisecond, Advice: mode,
+			SBody: func(int) sim.Body {
+				return func(e sim.Ops) {
+					for last < 3 {
+						seen := e.Epoch()
+						v, _ := e.QueryFD().(int)
+						if v < last {
+							t.Errorf("%v wait: advice went back from %d to %d", mode, last, v)
+						}
+						last = v
+						e.AwaitEpoch(seen)
+					}
+					e.Write("done", 1)
+				}
+			},
+			CBody: func(int) sim.Body {
+				return func(e sim.Ops) {
+					for {
+						seen := e.Epoch()
+						if e.Read("done") != nil {
+							e.Decide(1)
+							return
+						}
+						e.AwaitEpoch(seen)
+					}
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fallback sampler stuck at advice %v", s.advice(0))
+		if res := rt.Run(5 * time.Second); res.Reason != ReasonAllDecided {
+			t.Fatalf("%v wait: run ended %v with advice stuck at %d, want it to reach 3", mode, res.Reason, last)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if notify.current() == epoch {
-		t.Fatal("fallback sampling never bumped the notifier")
 	}
 }
 
-// TestEventNilHistory: the trivial service (no detector) in event mode has no
-// transitions at all — advice is ⊥ and the transition queue starts empty.
-func TestEventNilHistory(t *testing.T) {
-	s := newFDService(pastClock(10), nil, 2, AdviceEvent, newNotifier())
-	if !s.event {
-		t.Fatal("nil history did not select the event path")
+// TestConvergedAdviceIsPublishedOnce: publications follow the history's
+// transitions, not the clock. LiveOmega is noisy for its first stabilize
+// ticks and afterwards moves only when the acting leader crashes, so a run of
+// hundreds of ticks holds at most stabilize + crashes publications after
+// tick 0, whoever performs them — and the trace ring one advice event each.
+func TestConvergedAdviceIsPublishedOnce(t *testing.T) {
+	const (
+		stabilize = 10
+		crashAt   = 50
+		ticks     = 200
+		tick      = 100 * time.Microsecond
+	)
+	pat := fdet.NewPattern(3, map[int]fdet.Time{0: crashAt})
+	tracer := NewTracer(1 << 10)
+	before := MetricsSnapshot()
+	rt, err := New(Config{
+		NC: 1, NS: 3, Inputs: vec.Of(1), Pattern: pat, Tick: tick,
+		History: fdet.LiveOmega{}.History(pat, stabilize, 1),
+		Tracer:  tracer,
+		SBody: func(int) sim.Body {
+			return func(e sim.Ops) {
+				for {
+					e.QueryFD()
+					e.AwaitEpoch(e.Epoch())
+				}
+			}
+		},
+		CBody: func(int) sim.Body {
+			return func(e sim.Ops) {
+				for start := time.Now(); time.Since(start) < ticks*tick; {
+					e.AwaitEpoch(e.Epoch())
+				}
+				e.Decide(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	res := rt.Run(10 * time.Second)
+	if res.Reason != ReasonAllDecided || res.Ticks < ticks {
+		t.Fatalf("run ended %v after %d ticks, want all-decided after at least %d", res.Reason, res.Ticks, ticks)
+	}
+	d := MetricsSnapshot().Delta(before)
+	const budget = stabilize + 1 // every tick while noisy, then the crash time
+	if pubs := d.Get(cAdvicePubCoop) + d.Get(cAdvicePubWaker); pubs < 1 || pubs > budget {
+		t.Errorf("%d publications over %d ticks, want 1..%d", pubs, res.Ticks, budget)
+	}
+	events := 0
+	for _, ev := range tracer.Dump().Events {
+		if ev.Kind == traceKindNames[TraceAdvice] {
+			events++
+		}
+	}
+	if events > budget+1 {
+		t.Errorf("%d advice events in the trace, want ≤ %d (tick 0 and one per publication)", events, budget+1)
+	}
+}
+
+// TestConvergedServiceIsIdle: past its history's last transition, and with
+// nobody parked to owe a heartbeat to, the service does nothing at all — no
+// publication, no allocation — however many ticks go by.
+func TestConvergedServiceIsIdle(t *testing.T) {
+	p := fdet.FailureFree(3)
+	notify := newNotifier()
+	c := &clock{start: time.Now(), tick: DefaultTick}
+	s := newFDService(c, fdet.Omega{}.History(p, 0, 1), p.N, notify)
+	s.startService(false)
+	defer s.stopService()
+	epoch := notify.current()
+	if got := testing.AllocsPerRun(1, func() { time.Sleep(20 * time.Millisecond) }); got != 0 {
+		t.Errorf("idle service allocated %v objects per 20 ms, want 0", got)
+	}
+	if notify.current() != epoch {
+		t.Errorf("idle service published %d times over a converged history, want 0", notify.current()-epoch)
+	}
+	if got := s.advice(0); got != p.MinCorrect() {
+		t.Errorf("converged advice = %v, want leader %d", got, p.MinCorrect())
+	}
+}
+
+// TestEventNilHistory: the trivial service (no detector) has no transitions
+// at all — advice is ⊥ and the transition queue starts empty.
+func TestEventNilHistory(t *testing.T) {
+	s := newFDService(pastClock(10), nil, 2, newNotifier())
 	s.publishLocked(0)
 	if nt := s.nextT.Load(); nt != noTransition {
 		t.Fatalf("nil history nextT = %d, want noTransition", nt)

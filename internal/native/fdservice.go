@@ -12,23 +12,21 @@ import (
 	"wfadvice/internal/sim"
 )
 
-// AdviceMode selects how the failure-detector service turns a history into
-// live advice.
+// AdviceMode selects how a process waits between two unsuccessful sweeps
+// (Env.AwaitEpoch). It does not touch how advice is published: the
+// failure-detector service serves every history the same way (see fdService).
 type AdviceMode int
 
 const (
-	// AdviceTick re-samples the history once per clock tick on a background
-	// ticker. Robust and history-agnostic, but advice freshness then depends
-	// on the sampler goroutine getting scheduled — on a saturated box the
-	// sampler can starve behind spinning process goroutines and advice
-	// freezes for whole preemption quanta.
+	// AdviceTick waits by yielding: AwaitEpoch is one runtime.Gosched. The
+	// change epoch then carries advice publications only, nobody parks on
+	// it, and no heartbeat runs.
 	AdviceTick AdviceMode = iota
-	// AdviceEvent publishes each enumerated history transition
-	// (fdet.TransitionHistory) when its deadline passes, cooperatively from
-	// the queriers themselves, and bumps the runtime notifier so parked
-	// pollers wake exactly when advice moves. Histories that cannot
-	// enumerate transitions fall back to tick sampling (with notifier bumps
-	// per sample).
+	// AdviceEvent waits by parking on the change epoch: every register write
+	// and every advice publication bumps it, so a parked process wakes
+	// exactly when something it could be polling for moved — or on the
+	// advice service's heartbeat, which stands in for the deadlines the
+	// epoch does not carry.
 	AdviceEvent
 )
 
@@ -69,7 +67,7 @@ func (c *clock) until(t fdet.Time) time.Duration {
 	return time.Duration(t)*c.tick - time.Since(c.start)
 }
 
-// adviceCell holds the latest sampled advice for one S-process module,
+// adviceCell holds the latest published advice for one S-process module,
 // padded so modules on different cores never false-share.
 type adviceCell struct {
 	_ pad
@@ -85,29 +83,33 @@ const noTransition = math.MaxInt64
 // what turns the model's H(q_i, τ) into advice that moves with real time —
 // Ω and vector-Ωk leaders stabilize, ¬Ωk windows rotate, ◇P suspicion sets
 // converge, all while the algorithms run at hardware speed. A QueryFD on the
-// hot path is a single atomic load of the module's cell either way; the two
-// modes differ in who refreshes the cells and when (see AdviceMode).
+// hot path is one atomic load of the module's cell, and over a converged
+// history one more of nextT.
 //
-// In event mode the service is driven from both ends so a starved goroutine
-// can never freeze advice. The next enumerated transition's model time sits
-// in nextT; every advice query checks it against the clock (one extra atomic
-// load) and, if the deadline has passed, performs the publication itself —
-// so the spinning processes that monopolize a saturated box advance the
-// advice clock as a side effect of querying it. A background waker sleeps
-// until the next deadline and publishes too, covering the case where every
-// process is parked (that is what lets a parked poller be woken by a
-// stabilization it is waiting for). Publications may skip enumerated
+// Advice is published transition by transition: the history enumerates the
+// times its output may move (fdet.History.NextTransition), the model time of
+// the next one sits in nextT, and whoever notices its deadline has passed
+// evaluates the history into the cells. The service is driven from both ends
+// so a starved goroutine can never freeze advice. Every advice query checks
+// nextT against the clock and, if the deadline has passed, performs the
+// publication itself — so the spinning processes that monopolize a saturated
+// box advance the advice clock as a side effect of querying it. The
+// background loop sleeps until the next deadline and publishes too, covering
+// the case where nobody queries (that is what lets a parked poller be woken
+// by a stabilization it is waiting for). Publications may skip enumerated
 // transitions when the service falls behind; the advice actually served is
 // then the history sampled along an increasing sequence of times, which is
-// exactly what tick sampling serves as well, and the final transition of a
-// converging history is never skipped — after it, nextT is empty and the
-// last publication evaluated the history at a post-convergence time.
+// all a process querying H(q_i, τ) at its own pace can observe anyway, and
+// the final transition of a converging history is never skipped — after it,
+// nextT is empty and the last publication evaluated the history at a
+// post-convergence time.
 type fdService struct {
-	clock *clock
-	hist  fdet.History
-	cells []adviceCell
-	stop  chan struct{}
-	done  chan struct{}
+	clock  *clock
+	hist   fdet.History // nil is the trivial history: ⊥ forever
+	cells  []adviceCell
+	notify *notifier
+	stop   chan struct{}
+	done   chan struct{}
 
 	// Observability. m counts publications by who performed them; tracer
 	// (nil unless the run is traced) records each publication as a
@@ -116,55 +118,28 @@ type fdService struct {
 	tracer *obs.Tracer
 	runID  int64
 
-	// Event mode. th is nil when the history cannot enumerate transitions
-	// (the service then runs the tick fallback even if event was requested).
-	// beats is set whenever event advice was requested: processes park then,
-	// and the background loop owes them the heartbeat (notifier.release).
-	beats  bool
-	event  bool
-	th     fdet.TransitionHistory
-	notify *notifier
-	nextT  atomic.Int64 // model time of the next unpublished transition
-	pubMu  sync.Mutex   // serializes publications; nextT moves under it
+	nextT atomic.Int64 // model time of the next unpublished transition
+	pubMu sync.Mutex   // serializes publications; nextT moves under it
 }
 
-func newFDService(c *clock, hist fdet.History, n int, mode AdviceMode, notify *notifier) *fdService {
-	s := &fdService{
+func newFDService(c *clock, hist fdet.History, n int, notify *notifier) *fdService {
+	return &fdService{
 		clock:  c,
 		hist:   hist,
 		cells:  make([]adviceCell, n),
+		notify: notify,
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-		notify: notify,
 		m:      newMetricsHandle(),
 	}
-	if mode == AdviceEvent {
-		s.beats = true
-		if th, ok := hist.(fdet.TransitionHistory); ok {
-			s.event = true
-			s.th = th
-		} else if hist == nil {
-			// The trivial history is constant: event mode with no
-			// transitions at all.
-			s.event = true
-		}
-	}
-	return s
 }
 
 // startService publishes the tick-0 advice synchronously (so the first query
-// of every module is already served) and starts the mode's background
-// goroutine.
-func (s *fdService) startService() {
-	if s.event {
-		s.publishLocked(0)
-		s.m.Inc(cAdvicePubTick) // the synchronous tick-0 publication
-		go s.runEvent()
-		return
-	}
-	now := s.clock.now()
-	s.sample(now)
-	go s.run(now)
+// of every module is already served) and starts the background loop, which
+// owes parked processes the heartbeat when processes park at all.
+func (s *fdService) startService(heartbeat bool) {
+	s.publishLocked(0)
+	go s.waker(heartbeat)
 }
 
 func (s *fdService) stopService() {
@@ -172,55 +147,27 @@ func (s *fdService) stopService() {
 	<-s.done
 }
 
-// run is the tick-mode sampler loop: one sample per ticker firing, sampled
-// being the tick startService published. As the event-mode fallback for a
-// history that cannot enumerate its transitions it also carries the
-// heartbeat: the ticker then fires at least once per awaitBackstop, and a
-// firing inside a tick already sampled releases the parked processes instead
-// of publishing the same advice again (a sample's own bump wakes them
-// otherwise).
-func (s *fdService) run(sampled fdet.Time) {
-	defer close(s.done)
-	period := s.clock.tick
-	if s.beats {
-		period = min(period, awaitBackstop)
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			now := s.clock.now()
-			if s.beats && now == sampled {
-				s.notify.release()
-				continue
-			}
-			sampled = now
-			s.sample(now)
-		}
-	}
-}
-
-// runEvent is the event-mode background loop, the one holder of a timer in
-// the runtime: it sleeps to the earlier of the next transition's wall
-// deadline and the heartbeat, on one timer re-armed every turn. As the waker
-// it exists for the quiescent case — when every process is parked, someone
-// must still publish the stabilization the pollers are waiting on; under
-// load the queriers usually get there first via maybeAdvance and the waker
-// finds nothing left to do. The heartbeat outlives the last transition:
-// deadlines the notifier does not carry keep arriving after advice converged.
-func (s *fdService) runEvent() {
+// waker is the background loop, the one holder of a timer in the runtime: it
+// sleeps to the earlier of the next transition's wall deadline and the
+// heartbeat, on one timer re-armed every turn. It publishes for the quiescent
+// case — when every process is parked, someone must still publish the
+// stabilization the pollers are waiting on; under load the queriers usually
+// get there first via maybeAdvance and the waker finds nothing left to do. The heartbeat outlives the last transition: deadlines the notifier
+// does not carry keep arriving after advice converged. Without a heartbeat
+// and past the last transition the loop only waits to be stopped.
+func (s *fdService) waker(heartbeat bool) {
 	defer close(s.done)
 	timer := time.NewTimer(awaitBackstop)
 	defer timer.Stop()
 	beat := time.Now()
 	for {
-		d := awaitBackstop - time.Since(beat)
-		if d <= 0 {
-			s.notify.release()
-			beat, d = time.Now(), awaitBackstop
+		d := time.Duration(math.MaxInt64)
+		if heartbeat {
+			d = awaitBackstop - time.Since(beat)
+			if d <= 0 {
+				s.notify.release()
+				beat, d = time.Now(), awaitBackstop
+			}
 		}
 		if nt := s.nextT.Load(); nt != noTransition {
 			u := s.clock.until(fdet.Time(nt))
@@ -232,8 +179,8 @@ func (s *fdService) runEvent() {
 				// small machine and never reach the stop select below. Publish
 				// once at the current time (advance skips the missed
 				// transitions) and re-arm at tick cadence: the waker's cost is
-				// then capped at the tick sampler's, it stays stoppable, and
-				// queriers still get fresher advice cooperatively.
+				// then capped at one publication per tick, it stays stoppable,
+				// and queriers still get fresher advice cooperatively.
 				s.advance(true)
 				u = s.clock.tick
 			}
@@ -249,10 +196,12 @@ func (s *fdService) runEvent() {
 }
 
 // maybeAdvance is the cooperative publication hook on the query path: one
-// atomic load when no transition is due, otherwise the caller publishes the
-// due transition itself.
+// atomic load once the history has converged, one more clock read while a
+// transition is pending, and only when its deadline has passed does the
+// caller publish it itself.
 func (s *fdService) maybeAdvance() {
-	if !s.event || int64(s.clock.now()) < s.nextT.Load() {
+	nt := s.nextT.Load()
+	if nt == noTransition || int64(s.clock.now()) < nt {
 		return
 	}
 	s.advance(false)
@@ -280,18 +229,14 @@ func (s *fdService) advance(byWaker bool) {
 // cell, advances nextT past t, and bumps the notifier. Callers hold pubMu
 // (or, for the synchronous tick-0 publication, run before any concurrency).
 func (s *fdService) publishLocked(t fdet.Time) {
-	for i := range s.cells {
-		var v sim.Value
-		if s.hist != nil {
-			v = s.hist.Query(i, t)
-		}
-		p := new(sim.Value)
-		*p = v
-		s.cells[i].v.Store(p)
-	}
 	nt := int64(noTransition)
-	if s.th != nil {
-		if next, ok := s.th.NextTransition(t); ok {
+	if s.hist != nil {
+		for i := range s.cells {
+			p := new(sim.Value)
+			*p = s.hist.Query(i, t)
+			s.cells[i].v.Store(p)
+		}
+		if next, ok := s.hist.NextTransition(t); ok {
 			nt = int64(next)
 		}
 	}
@@ -300,28 +245,8 @@ func (s *fdService) publishLocked(t fdet.Time) {
 	s.notify.bump()
 }
 
-// sample evaluates the history for every module at tick now and publishes
-// the results (tick mode; also the event-mode fallback for
-// non-enumerable histories). The notifier bump keeps epoch-parked pollers
-// live under the fallback: they wake at worst one tick after any advice
-// movement.
-func (s *fdService) sample(now fdet.Time) {
-	for i := range s.cells {
-		var v sim.Value
-		if s.hist != nil {
-			v = s.hist.Query(i, now)
-		}
-		p := new(sim.Value)
-		*p = v
-		s.cells[i].v.Store(p)
-	}
-	s.m.Inc(cAdvicePubTick)
-	s.tracer.Emit(TraceAdvice, 0, s.runID, int64(now))
-	s.notify.bump()
-}
-
 // advice returns the latest published advice for module i, first letting the
-// caller publish any transition whose deadline has passed (event mode).
+// caller publish any transition whose deadline has passed.
 func (s *fdService) advice(i int) sim.Value {
 	if i < 0 || i >= len(s.cells) {
 		return nil

@@ -37,16 +37,14 @@ const (
 	cRegCollectBound
 	// Advice: queries served (one atomic load each) and publications by
 	// who performed them — cooperative (a querier found a transition's
-	// deadline passed), waker (the event-mode background deadline
-	// sleeper), tick (the tick-mode sampler and the event-mode fallback
-	// for non-enumerable histories).
+	// deadline passed), waker (the background deadline sleeper). The
+	// synchronous tick-0 publication of every run is run_start.
 	cAdviceQuery
 	cAdvicePubCoop
 	cAdvicePubWaker
-	cAdvicePubTick
 	// Notifier: epoch bumps (state changes published), parks (awaits that
 	// actually blocked), and how each park ended — woken by a bump or
-	// timed out on the liveness backstop.
+	// released by the heartbeat.
 	cNotifyBump
 	cNotifyPark
 	cNotifyWake
@@ -82,7 +80,6 @@ var counterNames = []string{
 	"advice_query",
 	"advice_pub_coop",
 	"advice_pub_waker",
-	"advice_pub_tick",
 	"notify_bump",
 	"notify_park",
 	"notify_wake",
@@ -148,7 +145,7 @@ const (
 	// it saw.
 	TracePark
 	// TraceWake is a park returning; arg = 1 if the epoch moved, 0 if the
-	// backstop timeout fired.
+	// heartbeat released it.
 	TraceWake
 )
 

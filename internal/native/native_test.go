@@ -2,8 +2,10 @@ package native_test
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,24 +140,51 @@ func TestProp1Native(t *testing.T) {
 	}
 }
 
-// TestCrashInjection crashes an S-process mid-run and verifies both that the
-// process was actually killed and that the survivors still decide (Ω's
-// leader is correct in the pattern, so advice routes around the crash). The
-// first crash lands at tick 1 so it strikes before the decisions: with the
-// poll loops parking instead of spinning, runs now finish within a few
-// ticks, and a later crash time would let the run end before any kill.
+// TestCrashInjection: every process the pattern makes faulty is killed at its
+// first operation past its crash time, and no correct one is, under either
+// wait. The system is built so that only crash injection can fail it: the
+// S-processes keep taking operations for as long as they live, and the
+// C-process cannot decide — which is what ends the run — before every faulty
+// S-process has unwound, so a victim that is never killed exhausts the budget.
 func TestCrashInjection(t *testing.T) {
-	s := scenario(t, core.ScenarioParams{Task: "consensus", N: 4, Crash: 2, CrashAt: 1, Stabilize: 20})
-	res := runNative(t, s, 3)
-	if err := native.Check(s.Task, res); err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Crashed) == 0 {
-		t.Fatal("no S-process was killed by crash injection")
-	}
-	for _, q := range res.Crashed {
-		if !s.Pattern.Faulty(q) {
-			t.Errorf("q%d was killed but is correct in the pattern", q+1)
+	const crashAt = 20
+	pat := fdet.NewPattern(4, map[int]fdet.Time{0: crashAt, 2: 2 * crashAt})
+	for _, mode := range []native.AdviceMode{native.AdviceTick, native.AdviceEvent} {
+		var unwound atomic.Int32
+		rt, err := native.New(native.Config{
+			NC: 1, NS: pat.N, Inputs: vec.Of(1), Pattern: pat, Tick: tick, Advice: mode,
+			SBody: func(q int) sim.Body {
+				return func(e sim.Ops) {
+					if pat.Faulty(q) {
+						defer unwound.Add(1)
+					}
+					r := e.Bind([]string{"x"})
+					for {
+						seen := e.Epoch()
+						r.Read(0)
+						e.AwaitEpoch(seen)
+					}
+				}
+			},
+			CBody: func(int) sim.Body {
+				return func(e sim.Ops) {
+					for int(unwound.Load()) < len(pat.FaultySet()) {
+						e.AwaitEpoch(e.Epoch())
+					}
+					e.Decide(1)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rt.Run(10 * time.Second)
+		if res.Reason != native.ReasonAllDecided {
+			t.Fatalf("%v wait: run ended %v after %d ticks with %v killed, want %v killed",
+				mode, res.Reason, res.Ticks, res.Crashed, pat.FaultySet())
+		}
+		if !reflect.DeepEqual(res.Crashed, pat.FaultySet()) {
+			t.Errorf("%v wait: killed %v, want exactly the faulty set %v", mode, res.Crashed, pat.FaultySet())
 		}
 	}
 }
@@ -291,7 +320,7 @@ func TestFDService(t *testing.T) {
 // TestFDServiceFamilies verifies the live service serves every detector
 // family — Ω, ¬Ωk, vector-Ωk, ◇P — with the family's stabilized output
 // shape: the service is history-generic, so advice is whatever the fdet
-// history prescribes at the sampled tick.
+// history prescribes at the published time.
 func TestFDServiceFamilies(t *testing.T) {
 	n, k := 4, 2
 	pat := fdet.NewPattern(n, map[int]fdet.Time{n - 1: 0}) // q4 faulty from the start
@@ -368,7 +397,9 @@ func TestFDServiceFamilies(t *testing.T) {
 }
 
 // TestStress exercises the harness on a short consensus burst and checks the
-// report's internal consistency.
+// report's internal consistency — and, the burst running under the default
+// tick wait, that no process of it ever parked: waiting by yielding touches
+// neither the notifier nor the heartbeat.
 func TestStress(t *testing.T) {
 	s := scenario(t, core.ScenarioParams{Task: "consensus", N: 4, Stabilize: 10})
 	dur := 200 * time.Millisecond
@@ -390,11 +421,14 @@ func TestStress(t *testing.T) {
 	if rep.Latency.Samples == 0 || rep.Latency.P50 <= 0 || rep.Latency.Max < rep.Latency.P99 {
 		t.Fatalf("implausible latency stats:\n%s", rep.Render())
 	}
+	if park, timeout := rep.Counters["notify_park"], rep.Counters["notify_timeout"]; park != 0 || timeout != 0 {
+		t.Errorf("tick-wait burst entered the notifier: notify_park=%d notify_timeout=%d, want 0 and 0", park, timeout)
+	}
 }
 
 // TestSoakSmoke is the short-duration leak check behind the ROADMAP's soak
 // profile: after back-to-back stress instances — each spawning 2n process
-// goroutines, an advice sampler and a register table — the goroutine count
+// goroutines, an advice service and a register table — the goroutine count
 // and the live heap must return to baseline. A leaked S-process goroutine
 // or advice service would accumulate across the bursts and show up here
 // long before a 10-minute soak could.
@@ -443,7 +477,7 @@ func TestSoakSmoke(t *testing.T) {
 		burst(dur)
 	}
 
-	// Goroutines: every instance goroutine and advice sampler must be gone.
+	// Goroutines: every instance goroutine and advice service must be gone.
 	// Retry briefly — exiting goroutines may still be winding down.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

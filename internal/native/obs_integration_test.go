@@ -12,8 +12,8 @@ import (
 // the whole observability surface end to end: the report carries counter
 // deltas and the latency histogram, the percentiles include a coherent
 // p999, and the tracer captured the decision lifecycle. Counters are
-// process-global, so every assertion is a minimum, never an exact match —
-// a concurrently running test may add traffic of its own.
+// process-global and the tests of this package run one at a time, so the
+// deltas are this burst's own.
 func TestStressObservability(t *testing.T) {
 	s := scenario(t, core.ScenarioParams{Task: "consensus", N: 4, Stabilize: 10, Advice: "event"})
 	tracer := native.NewTracer(1 << 14)
@@ -35,24 +35,20 @@ func TestStressObservability(t *testing.T) {
 		t.Fatalf("stress failed:\n%s", rep.Render())
 	}
 
-	// Counter deltas: every run started must be counted, every decision in
-	// the report must have bumped cDecide, and an event-mode consensus run
-	// queries advice continuously.
+	// Counter deltas: every run started is counted (and with it the tick-0
+	// publication each run starts with), every decision in the report has
+	// bumped cDecide, and a consensus run queries advice continuously.
 	if rep.Counters == nil {
 		t.Fatal("report carries no counter deltas")
 	}
-	if got := rep.Counters["run_start"]; got < int64(rep.Runs) {
-		t.Errorf("run_start delta %d < %d runs", got, rep.Runs)
+	if got := rep.Counters["run_start"]; got != int64(rep.Runs) {
+		t.Errorf("run_start delta %d, want %d runs", got, rep.Runs)
 	}
 	if got := rep.Counters["decide"]; got < int64(rep.Decisions) {
 		t.Errorf("decide delta %d < %d decisions", got, rep.Decisions)
 	}
 	if rep.Counters["advice_query"] == 0 {
 		t.Error("no advice queries counted during a consensus stress run")
-	}
-	pubs := rep.Counters["advice_pub_coop"] + rep.Counters["advice_pub_waker"] + rep.Counters["advice_pub_tick"]
-	if pubs < int64(rep.Runs) {
-		t.Errorf("%d advice publications for %d runs (each publishes tick-0 at least)", pubs, rep.Runs)
 	}
 
 	// Histogram and percentiles.

@@ -1,8 +1,8 @@
 // Package native is the hardware-speed execution backend for the EFD model:
 // process bodies are real goroutines over atomics-backed shared registers
 // (one padded atomic pointer cell per register), advice comes from a live
-// failure-detector service that samples an fdet.History against a monotonic
-// clock, and S-process crashes are injected mid-run per an fdet.Pattern.
+// failure-detector service that publishes an fdet.History's transitions
+// against a monotonic clock, and S-process crashes are injected mid-run per an fdet.Pattern.
 //
 // Any program written against sim.Ops — auto.RunOnEnv and with it every
 // collect automaton (Prop 1, the Figure 3/4 renaming algorithms, k-set
@@ -57,18 +57,18 @@ type Config struct {
 	// Pattern is the failure pattern for the S-processes; crash times are in
 	// clock ticks. A crashed S-process is killed at its next operation.
 	Pattern fdet.Pattern
-	// History supplies failure-detector advice, sampled once per tick by the
-	// live service; nil histories answer nil (the trivial detector).
+	// History supplies failure-detector advice: the live service publishes
+	// each transition it enumerates once the clock passes it. A nil history
+	// answers nil forever (the trivial detector).
 	History fdet.History
 
 	// Tick is the wall-clock length of one fdet.Time unit (0 = DefaultTick).
 	Tick time.Duration
 
-	// Advice selects how the failure-detector service publishes advice:
-	// AdviceTick (default) re-samples on a fixed ticker; AdviceEvent
-	// publishes enumerated history transitions as their deadlines pass and
-	// wakes epoch-parked pollers through the runtime notifier (register
-	// writes bump it too in this mode). See AdviceMode.
+	// Advice selects how a waiting process waits (AwaitEpoch): AdviceTick
+	// (default) yields; AdviceEvent parks on the change epoch, which
+	// register writes then bump along with advice publications, and the
+	// advice service owes the parked a heartbeat. See AdviceMode.
 	Advice AdviceMode
 
 	// Registers is an estimate of how many distinct register keys the run
@@ -165,7 +165,7 @@ type Runtime struct {
 	fd        *fdService
 	notify    *notifier
 	m         obs.Handle
-	wake      bool // event mode: register writes bump the notifier
+	wake      bool // processes park: writes bump the notifier, the heartbeat beats
 	envs      []*Env
 	stopped   atomic.Bool
 	undecided atomic.Int64
@@ -199,7 +199,7 @@ func New(cfg Config) (*Runtime, error) {
 		doneCh: make(chan struct{}),
 	}
 	r.notify.m = r.m
-	r.fd = newFDService(r.clock, cfg.History, cfg.NS, cfg.Advice, r.notify)
+	r.fd = newFDService(r.clock, cfg.History, cfg.NS, r.notify)
 	r.fd.tracer, r.fd.runID = cfg.Tracer, cfg.RunID
 	for i := 0; i < cfg.NC; i++ {
 		if cfg.Inputs[i] == nil {
@@ -247,7 +247,7 @@ func (r *Runtime) done() { r.doneOnce.Do(func() { close(r.doneCh) }) }
 // the run is over, exactly like the sim backend's StopWhenDecided.
 func (r *Runtime) Run(budget time.Duration) *Result {
 	r.clock.start = time.Now()
-	r.fd.startService()
+	r.fd.startService(r.wake)
 	r.live.Store(int64(len(r.envs)))
 	r.m.Inc(cRunStart)
 	r.cfg.Tracer.Emit(TraceRunStart, 0, r.cfg.RunID, int64(len(r.envs)))
@@ -451,7 +451,7 @@ func (e *Env) Write(key string, v sim.Value) {
 }
 
 // QueryFD returns this S-process's current advice from the live
-// failure-detector service: one atomic load of the latest sampled value.
+// failure-detector service: one atomic load of the latest published value.
 func (e *Env) QueryFD() sim.Value {
 	if !e.id.IsS() {
 		panic(fmt.Sprintf("native: C-process %v queried the failure detector", e.id))

@@ -204,7 +204,6 @@ func TestLogSlotAllocs(t *testing.T) {
 			}
 		},
 		Pattern: fdet.FailureFree(0),
-		Tick:    time.Hour, // keep the advice sampler quiet during AllocsPerRun
 	}
 	rt, err := native.New(cfg)
 	if err != nil {

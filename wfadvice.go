@@ -220,10 +220,10 @@ var (
 	NewScenario = core.NewScenario
 )
 
-// AdviceEvent is the native advice mode in which the service publishes
-// enumerated history transitions as their deadlines pass and waiting pollers
-// park on the change epoch (the default, tick, re-samples on a ticker and
-// pollers yield).
+// AdviceEvent is the native advice mode in which waiting pollers park on the
+// change epoch and wake on advice publications, register writes and the
+// heartbeat (under the default, tick, they yield). Advice itself is published
+// the same way under both: each history transition as its deadline passes.
 const AdviceEvent = native.AdviceEvent
 
 // NativeReasonAllDecided is the native run end reason "every spawned
