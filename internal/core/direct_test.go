@@ -204,6 +204,17 @@ func TestSeparationClassicalVsEFD(t *testing.T) {
 	}
 }
 
+// mallocsDuring is the number of heap objects the process allocated while f
+// ran, the allocation budgets' currency.
+func mallocsDuring(f func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	f()
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs - before
+}
+
 // TestOneShotAllocBudget holds a one-shot instance to what its protocol and
 // its lifecycle allocate: back-to-back consensus/n=4/omega/advice=event
 // instances through the stress harness, one worker, average at most 45 heap
@@ -219,25 +230,22 @@ func TestOneShotAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(seed int64) (native.Config, error) { return sc.NativeConfig(seed, 0), nil }
-	var ms runtime.MemStats
 	var mallocs uint64
 	runs, decisions := 0, 0
 	for seed := int64(1); runs < 200; seed++ {
-		runtime.ReadMemStats(&ms)
-		before := ms.Mallocs
-		rep, err := native.Stress(sc.Name, sc.Task, mk, native.StressOptions{
-			Duration: 100 * time.Millisecond, Workers: 1, Seed: seed,
+		mallocs += mallocsDuring(func() {
+			rep, err := native.Stress(sc.Name, sc.Task, mk, native.StressOptions{
+				Duration: 100 * time.Millisecond, Workers: 1, Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Failed() || rep.Decisions != rep.Runs*sc.NC {
+				t.Fatalf("%d runs, %d decisions, %d violations, %d undecided", rep.Runs, rep.Decisions, rep.Violations, rep.Undecided)
+			}
+			runs += rep.Runs
+			decisions += rep.Decisions
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&ms)
-		if rep.Failed() || rep.Decisions != rep.Runs*sc.NC {
-			t.Fatalf("%d runs, %d decisions, %d violations, %d undecided", rep.Runs, rep.Decisions, rep.Violations, rep.Undecided)
-		}
-		mallocs += ms.Mallocs - before
-		runs += rep.Runs
-		decisions += rep.Decisions
 	}
 	budget := 45.0
 	if raceDetector {

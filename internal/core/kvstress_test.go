@@ -148,3 +148,34 @@ func TestKVStressSharesScenarioAssembly(t *testing.T) {
 		t.Errorf("chaos detector: stress %q, grid %q", got, want)
 	}
 }
+
+// TestKVPutAllocBudget holds a replicated put to what its protocol allocates:
+// closed-loop runs of the benchmark's kv-put shape (3 replicas, 4 clerks, all
+// puts) average at most 5.5 heap objects per completed operation, set-up,
+// drain and post-hoc check included. About 4.6 is what is left once a
+// register write costs no object of the cell's own: the request and reply
+// boxings, the batch and its slice, the three paxos values of a slot shared
+// by the batch's operations, and four cells per slot. A cell that boxes every
+// non-int write again adds 3.5. Under the race detector a run completes a
+// tenth of the operations, so the fixed costs weigh more (about 4.9 against
+// 8.5): the budget there is 7.
+func TestKVPutAllocBudget(t *testing.T) {
+	var mallocs uint64
+	var ops int64
+	for seed := int64(1); ops < 20_000; seed++ {
+		mallocs += mallocsDuring(func() {
+			ops += runKVStress(t, KVStressOptions{
+				N: 3, Clients: 4, PutFrac: 1, Duration: 250 * time.Millisecond, Seed: seed,
+			}).Ops
+		})
+	}
+	budget := 5.5
+	if raceDetector {
+		budget = 7
+	}
+	per := float64(mallocs) / float64(ops)
+	t.Logf("%.2f mallocs per put over %d puts", per, ops)
+	if per > budget {
+		t.Errorf("%.2f mallocs per put, want ≤ %v", per, budget)
+	}
+}

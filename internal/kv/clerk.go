@@ -3,6 +3,7 @@ package kv
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"wfadvice/internal/sim"
 )
@@ -61,7 +62,46 @@ const (
 	// ns (~1µs to ~1ms). The cap keeps the deadline check responsive.
 	clerkBackoffMin = int64(1) << 10
 	clerkBackoffMax = int64(1) << 20
+	// clerkRateWindow is the fraction of the issue window (one part in
+	// this many) a closed-loop clerk lets pass before it trusts its own rate:
+	// the first milliseconds run under unstabilized advice and say little
+	// about the rest.
+	clerkRateWindow = 16
 )
+
+// pace is a point on a session's progress: done operations completed by
+// time at.
+type pace struct {
+	done int
+	at   int64
+}
+
+// records is how many operations a session at pace cur should expect to
+// record in all, from what the clerk already knows: the script length, the
+// open-loop schedule, or — closed loop — its own rate since prev, the last
+// time it asked, carried to the deadline with a quarter of what is still to
+// come to spare. Falling short costs a second copy of everything and
+// overshooting only the excess; a run's first moments go at another rate than
+// the rest, in either direction, and a later estimate has less left to be
+// wrong about. The record slice is given that capacity when it fills, so a
+// session allocates its records once or twice over instead of append's five
+// times. Zero leaves the growth to append: nothing is known, or it is too
+// early in the window to tell and doubling is still cheap.
+func (cfg ClerkConfig) records(prev, cur pace) int {
+	switch {
+	case cfg.Ops > 0:
+		return cfg.Ops
+	case cfg.Clock == nil:
+		return 0
+	case cfg.Interval > 0:
+		return int((cfg.Deadline + cfg.Interval - 1) / cfg.Interval)
+	case cur.at < cfg.Deadline/clerkRateWindow || cur.at <= prev.at:
+		return 0
+	}
+	rate := float64(cur.done-prev.done) / float64(cur.at-prev.at)
+	left := rate * float64(cfg.Deadline-cur.at)
+	return cur.done + int(left+left/4)
+}
 
 // Body returns clerk i's program.
 func (cfg ClerkConfig) Body(i int) sim.Body {
@@ -88,6 +128,7 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 			keys[k] = fmt.Sprintf("k%d", k)
 		}
 		sess := &Session{Client: i}
+		var sized pace // when sess.Ops was last given a capacity
 		for k := 0; ; k++ {
 			if cfg.Ops > 0 && k >= cfg.Ops {
 				break
@@ -195,6 +236,13 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 			}
 			if !timedOut {
 				rec.Out, rec.Ver, rec.Lease = r.Val, r.Ver, r.Lease
+			}
+			if n := len(sess.Ops); n == cap(sess.Ops) {
+				cur := pace{done: n, at: end}
+				if want := cfg.records(sized, cur); want > n {
+					sess.Ops = slices.Grow(sess.Ops, want-n)
+					sized = cur
+				}
 			}
 			sess.Ops = append(sess.Ops, rec)
 			if timedOut {

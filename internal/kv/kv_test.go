@@ -270,6 +270,40 @@ func TestKVSimEndToEnd(t *testing.T) {
 			if len(s.Ops) != ops {
 				t.Fatalf("seed %d: clerk %d completed %d/%d ops", seed, i, len(s.Ops), ops)
 			}
+			if cap(s.Ops) != ops {
+				t.Fatalf("seed %d: clerk %d's %d records sit in a slice of %d: a script knows its length", seed, i, ops, cap(s.Ops))
+			}
+		}
+	}
+}
+
+// TestClerkRecordCapacity: a session's record slice is sized from what the
+// clerk knows when it fills — the script length, the open-loop schedule, or a
+// closed-loop clerk's own rate since it last asked, once a sixteenth of the
+// window has passed.
+func TestClerkRecordCapacity(t *testing.T) {
+	clock := func() int64 { return 0 }
+	const second = int64(1e9)
+	for _, tc := range []struct {
+		name      string
+		cfg       ClerkConfig
+		prev, cur pace
+		want      int
+	}{
+		{"script", ClerkConfig{Ops: 40}, pace{}, pace{}, 40},
+		{"script under a clock", ClerkConfig{Ops: 40, Clock: clock, Deadline: second}, pace{}, pace{7, second / 2}, 40},
+		{"no clock, no script", ClerkConfig{}, pace{}, pace{done: 5}, 0},
+		{"open loop", ClerkConfig{Clock: clock, Deadline: second, Interval: 300e6}, pace{}, pace{}, 4}, // due at 0, 0.3, 0.6, 0.9 s
+		{"open loop, whole intervals", ClerkConfig{Clock: clock, Deadline: second, Interval: 250e6}, pace{}, pace{}, 4},
+		{"closed loop, too early", ClerkConfig{Clock: clock, Deadline: second}, pace{}, pace{64, second / 100}, 0},
+		// 800 in the first tenth: 7200 to come, and a quarter of that.
+		{"closed loop, first estimate", ClerkConfig{Clock: clock, Deadline: second}, pace{}, pace{800, second / 10}, 800 + 9000},
+		// 8000 since the first estimate, in 0.4 s: 10000 in the remaining half.
+		{"closed loop, rate since the last estimate", ClerkConfig{Clock: clock, Deadline: second}, pace{800, second / 10}, pace{8800, second / 2}, 8800 + 12500},
+		{"closed loop, past the deadline", ClerkConfig{Clock: clock, Deadline: second}, pace{}, pace{800, 2 * second}, 300},
+	} {
+		if got := tc.cfg.records(tc.prev, tc.cur); got != tc.want {
+			t.Errorf("%s: records(%v, %v) = %d, want %d", tc.name, tc.prev, tc.cur, got, tc.want)
 		}
 	}
 }

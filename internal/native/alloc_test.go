@@ -29,6 +29,10 @@ import (
 //     interface boxing plus one memo refresh; that pair is measured and
 //     bounded here rather than asserted to be zero.
 //   - ReadMany into a reused buffer: zero regardless of slot contents.
+//   - a fresh struct through Write/Read: one object for the write — the
+//     caller's conversion to sim.Value boxes the struct, and a typed cell
+//     stores that box's pointer, adding nothing of its own — and zero for
+//     reading it back.
 func TestReadWriteAllocs(t *testing.T) {
 	type result struct {
 		typedWrite, typedRead   float64
@@ -36,9 +40,11 @@ func TestReadWriteAllocs(t *testing.T) {
 		stableWrite, stableRead float64
 		collect                 float64
 		freshWrite              float64
+		structWrite, structRead float64
 	}
+	type rec struct{ A, B int }
 	var res result
-	keys := []string{"a", "b", "c", "d"}
+	keys := []string{"a", "b", "c", "d", "e"}
 	cfg := native.Config{
 		NC: 1, Inputs: vec.Of(1),
 		CBody: func(i int) sim.Body {
@@ -84,6 +90,17 @@ func TestReadWriteAllocs(t *testing.T) {
 					r.Write(3, y)
 				})
 
+				z := 0
+				res.structWrite = testing.AllocsPerRun(200, func() {
+					z++
+					r.Write(4, rec{z, -z})
+				})
+				res.structRead = testing.AllocsPerRun(200, func() {
+					if v := r.Read(4); v != (rec{z, -z}) {
+						t.Errorf("struct read = %v, want %v", v, rec{z, -z})
+					}
+				})
+
 				e.Decide(0)
 			}
 		},
@@ -104,6 +121,7 @@ func TestReadWriteAllocs(t *testing.T) {
 		"stable generic write":   res.stableWrite,
 		"stable generic read":    res.stableRead,
 		"bound ReadMany collect": res.collect,
+		"fresh struct read":      res.structRead,
 	} {
 		if got != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, got)
@@ -115,5 +133,8 @@ func TestReadWriteAllocs(t *testing.T) {
 	// fails loudly.
 	if res.freshWrite > 2 {
 		t.Errorf("fresh large generic write: %v allocs/op, want ≤ 2", res.freshWrite)
+	}
+	if res.structWrite != 1 {
+		t.Errorf("fresh struct write: %v allocs/op, want 1 (the caller's boxing)", res.structWrite)
 	}
 }

@@ -45,7 +45,7 @@ func (b *boundRegs) Key(i int) string { return b.keys[i] }
 func (b *boundRegs) Read(i int) sim.Value {
 	b.e.step()
 	b.e.m.Inc(cRegReadBound)
-	return b.cells[i].load()
+	return b.cells[i].load(&b.e.m)
 }
 
 // ReadInt performs one atomic read of slot i, unboxed: packed int values
@@ -63,7 +63,7 @@ func (b *boundRegs) ReadInt(i int) (int, bool) {
 func (b *boundRegs) Write(i int, v sim.Value) {
 	b.e.step()
 	b.e.m.Inc(cRegWriteBound)
-	b.cells[i].store(v)
+	b.cells[i].store(v, &b.e.m)
 	if b.e.r.wake {
 		b.e.r.notify.bump()
 	}
@@ -75,7 +75,7 @@ func (b *boundRegs) Write(i int, v sim.Value) {
 func (b *boundRegs) WriteInt(i int, x int) {
 	b.e.step()
 	b.e.m.Inc(cRegWriteTyped)
-	b.cells[i].storeInt(x)
+	b.cells[i].storeInt(x, &b.e.m)
 	if b.e.r.wake {
 		b.e.r.notify.bump()
 	}
@@ -95,7 +95,7 @@ func (b *boundRegs) ReadMany(dst []sim.Value) []sim.Value {
 	}
 	dst = dst[:len(b.cells)]
 	for i, c := range b.cells {
-		dst[i] = c.load()
+		dst[i] = c.load(&b.e.m)
 	}
 	return dst
 }

@@ -8,11 +8,12 @@ import (
 
 // This file is the native backend's counter taxonomy and its process-wide
 // metrics core (internal/obs wired in). Counters are striped padded
-// atomic cells: every Env, fdService, notifier and store mints a
-// pre-resolved obs.Handle at construction, and a bump on the hot path is
-// one predictable branch plus one atomic add on a stripe the goroutine
-// effectively owns — the zero-allocation guarantee of the bound register
-// path (TestReadWriteAllocs) is unchanged with metrics enabled.
+// atomic cells: every Env, fdService and notifier mints a pre-resolved
+// obs.Handle at construction (a register cell counts on its caller's), and
+// a bump on the hot path is one predictable branch plus one atomic add on a
+// stripe the goroutine effectively owns — the zero-allocation guarantee of
+// the bound register path (TestReadWriteAllocs) is unchanged with metrics
+// enabled.
 //
 // The counters are process-global, not per-Runtime: the stress harness
 // runs thousands of instances back to back and the debug endpoint
@@ -50,11 +51,15 @@ const (
 	cNotifyWake
 	cNotifyTimeout
 	// Store: sharded-table lookups (one per key bound, one per keyed op —
-	// the only lock on the register path) and the boxed slow path (non-int or
-	// oversized values stored behind a pointer; memo misses are generic
-	// loads of a packed int that had to re-box).
+	// the only lock on the register path) and the cell's paths off the
+	// packed word: boxed stores are all writes of a non-packed value (a
+	// typed cell's data word or the general box), generalised counts cells
+	// leaving int or typed mode for the general box (once per cell — a hot
+	// register that shows up here pays a box per write from then on), memo
+	// misses are generic loads of a packed int that had to re-box.
 	cStoreShardLookup
 	cCellBoxedStore
+	cCellGeneralised
 	cCellMemoMiss
 	// Lifecycle: instances started, C-process decisions, S-process crash
 	// injections.
@@ -86,6 +91,7 @@ var counterNames = []string{
 	"notify_timeout",
 	"store_shard_lookup",
 	"cell_boxed_store",
+	"cell_generalised",
 	"cell_memo_miss",
 	"run_start",
 	"decide",

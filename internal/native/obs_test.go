@@ -25,6 +25,8 @@ func TestCounterNames(t *testing.T) {
 		{cAdviceQuery, "advice_query"},
 		{cNotifyBump, "notify_bump"},
 		{cStoreShardLookup, "store_shard_lookup"},
+		{cCellGeneralised, "cell_generalised"},
+		{cCellMemoMiss, "cell_memo_miss"},
 		{cRunStart, "run_start"},
 		{cCrashInject, "crash_inject"},
 	} {

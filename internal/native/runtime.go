@@ -416,7 +416,7 @@ func (e *Env) HasDecided() bool { return e.decided }
 func (e *Env) Read(key string) sim.Value {
 	e.step()
 	e.m.Inc(cRegReadKeyed)
-	return e.cell(key).load()
+	return e.cell(key).load(&e.m)
 }
 
 // ReadMany performs a batched collect: one operation prologue (stop/crash
@@ -432,7 +432,7 @@ func (e *Env) ReadMany(keys []string) []sim.Value {
 	e.m.Inc(cRegCollectKeyed)
 	out := make([]sim.Value, len(keys))
 	for i, k := range keys {
-		out[i] = e.cell(k).load()
+		out[i] = e.cell(k).load(&e.m)
 	}
 	return out
 }
@@ -444,7 +444,7 @@ func (e *Env) ReadMany(keys []string) []sim.Value {
 func (e *Env) Write(key string, v sim.Value) {
 	e.step()
 	e.m.Inc(cRegWriteKeyed)
-	e.cell(key).store(v)
+	e.cell(key).store(v, &e.m)
 	if e.r.wake {
 		e.r.notify.bump()
 	}

@@ -3,56 +3,97 @@ package native
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"wfadvice/internal/obs"
 	"wfadvice/internal/sim"
 )
 
 // This file is the native register representation: the cell (one register's
-// storage, with an unboxed fast path for integer values) and the sharded
-// key→cell table that holds them. PR 3's single mutex-guarded map was the
-// backend's first scaling wall (ROADMAP "sharded register tables"): every
-// first touch of a key by any process serialized on one lock, and key-heavy
-// solvers — the Theorem 9 machine mints a fresh cons instance per simulated
-// step — hit it continuously. Shards are selected by a key hash, each with
-// its own mutex and map, so concurrent instances and processes contend only
-// when their keys collide in a shard; bound handles (sim.Regs) resolve their
-// cells once, so the steady-state cost of a register is one atomic access
-// with no lock at all.
+// storage) and the sharded key→cell table that holds them.
+//
+// The table. Shards are selected by a key hash, each with its own mutex and
+// map, so concurrent instances and processes contend only when their keys
+// collide in a shard. Bound handles (sim.Regs) resolve their cells once, so
+// the steady-state cost of a register is a few atomic accesses on one cache
+// line with no lock at all.
+//
+// The cell. A register holds one of three representations, named by its
+// mode word, and each representation has exactly one atomic word of truth:
+//
+//   - modeInt (the zero value): an int fitting 63 bits sits in packed,
+//     encoded (x<<1)|1 — a write is one atomic store and no allocation.
+//     packed == 0 is the register nobody has written, which reads nil.
+//   - modeTyped: the register's first write was a non-int value. Its
+//     interface type word is recorded once in typ (CAS from nil, never
+//     changed again), and from then on a write of that type is one atomic
+//     store into data of the interface's data word — the pointer to the
+//     boxed copy the caller's conversion to sim.Value already made, which
+//     nobody can mutate. A write costs no object of the cell's own.
+//   - modeGeneral: anything goes, behind box, a pointer to a heap-boxed
+//     sim.Value — one 16-byte object per write. A cell lands here when it
+//     sees what the other two cannot hold: a second dynamic type (an int
+//     into a typed cell, a struct into an int cell), an untyped nil, a typed
+//     nil pointer (its data word is nil, which data reserves for "not yet
+//     stored"), or an int needing all 64 bits.
+//
+// The mode only ever moves toward modeGeneral (int → typed → general, or
+// int → general), a writer stores into the word of the mode it loaded, and a
+// reader reads the word of the mode it loaded. A flip is: store the value
+// into the new mode's word, then move mode. That makes the register
+// linearizable for any mix of writers:
+//
+//   - An access to a mode's word while that mode is current linearizes at
+//     the access; the flip linearizes the last store its new word received
+//     before it, at the flip.
+//   - A writer that loaded an older mode and stores after the flip (a stale
+//     write) hits a word no later reader consults. Its interval contains the
+//     flip, so it linearizes just before it; so do the stores the new word
+//     received before the flip and that were overwritten there, and so does
+//     a stale reader, which loaded the old mode before the flip and may see
+//     such a stale write. All of them overlap the flip and hence each other,
+//     so ordering them by their access to the old word contradicts no
+//     real-time order.
+//   - A reader that has seen a newer mode never sees an older word again,
+//     so no process reads X, then Y, then X where each was written once.
+//
+// TestCellLinearizable races every pairing of writer kinds against that
+// last property; TestCellFirstWriteRace races the first write.
+//
+// The interface decomposition is the one sync/atomic.Value relies on. It is
+// confined to split and join below, the only uses of unsafe in the package:
+// everything else handles the two words as opaque *byte, which the collector
+// traces like any pointer (the data word keeps the caller's box alive; the
+// type word points at a static descriptor).
 
-// cell is one shared register, padded on both sides against false sharing
-// with neighboring allocations. Values have two representations:
-//
-//   - packed: an int fitting 63 bits is stored directly in an atomic
-//     uint64, encoded (x<<1)|1 — a write of such a value is one atomic
-//     store with no allocation at all. Zero means "no packed value; see
-//     boxed".
-//   - boxed: any other value (structs, slices, nil, huge ints) is stored
-//     behind an atomic pointer to a heap-boxed sim.Value, exactly the PR 3
-//     representation — one allocation per written value.
-//
-// Reading a packed cell through the generic any-typed surface would re-box
-// the int on every load, so the cell memoizes the boxed form of its packed
-// value (memo): a poll loop re-reading an unchanged register hits the memo
-// and allocates nothing, and a generic write of a changed int pays one memo
-// allocation — the same count the old always-boxed representation paid —
-// while the typed Regs.ReadInt/WriteInt path skips boxing entirely and is
-// allocation-free for every int. The register stays atomic across the two
-// representations: a writer publishes boxed before clearing packed, and a
-// reader consults boxed only when it observed no packed value, so every
-// read returns a value current at some instant within the read (see the
-// linearization tests in store_test.go).
+// cellSize is the stride of the cells in one store.bind backing array: the
+// hot words are 48 bytes and the pad puts the next cell's a full cache line
+// past them, so neighbouring registers never false-share (TestCellStride).
+// The allocator starts such an array on a 64-byte boundary, or 8 bytes past
+// one behind its malloc header, so a cell's hot words also share one line.
+const cellSize = 128
+
+// cell is one shared register; see the file comment for the representation.
 type cell struct {
-	_      pad
+	mode   atomic.Uint32
 	packed atomic.Uint64
-	boxed  atomic.Pointer[sim.Value]
-	memo   atomic.Pointer[intBox]
-	// m is the owning store's metrics stripe, for the slow-path counters
-	// (boxed stores, memo misses). Immutable after creation; the hot
-	// packed paths never touch it.
-	m obs.Handle
-	_ pad
+	typ    atomic.Pointer[byte]
+	data   atomic.Pointer[byte]
+	box    atomic.Pointer[sim.Value]
+	// memo is the boxed form of the packed value. Reading a packed cell
+	// through the any-typed surface would re-box the int on every load; with
+	// the memo a poll loop re-reading an unchanged register allocates
+	// nothing, and a generic write of a changed int pays one memo refresh.
+	// The typed ReadInt/WriteInt path never touches it.
+	memo atomic.Pointer[intBox]
+	_    [cellSize - 48]byte
 }
+
+const (
+	modeInt uint32 = iota
+	modeTyped
+	modeGeneral
+)
 
 // intBox memoizes the boxed form of one packed value. Instances are
 // immutable once published; readers validate u against the packed word they
@@ -62,8 +103,24 @@ type intBox struct {
 	v sim.Value
 }
 
+// eface is the runtime's layout of an interface value.
+type eface struct{ typ, data *byte }
+
+// split returns the type word and the data word of v.
+func split(v sim.Value) (typ, data *byte) {
+	e := (*eface)(unsafe.Pointer(&v))
+	return e.typ, e.data
+}
+
+// join rebuilds the interface value split took apart.
+func join(typ, data *byte) (v sim.Value) {
+	e := (*eface)(unsafe.Pointer(&v))
+	e.typ, e.data = typ, data
+	return v
+}
+
 // packInt encodes x for packed storage; ok is false when x needs all 64
-// bits and must take the boxed path.
+// bits and must take the general box.
 func packInt(x int) (uint64, bool) {
 	if (x<<1)>>1 != x {
 		return 0, false
@@ -76,9 +133,17 @@ func packInt(x int) (uint64, bool) {
 // below it re-box for free, so they skip the memo entirely.
 const smallPacked = 256<<1 | 1
 
-// load returns the cell's current value through the generic surface.
-func (c *cell) load() sim.Value {
-	if u := c.packed.Load(); u != 0 {
+// load returns the cell's current value through the generic surface. m is
+// the caller's metrics stripe, for the slow-path counters; it is passed by
+// address, here and below, so that the paths that count nothing do not load
+// it either.
+func (c *cell) load(m *obs.Handle) sim.Value {
+	switch c.mode.Load() {
+	case modeInt:
+		u := c.packed.Load()
+		if u == 0 {
+			return nil
+		}
 		if u < smallPacked {
 			return int(u >> 1) // static box, no heap, no memo
 		}
@@ -86,27 +151,28 @@ func (c *cell) load() sim.Value {
 			return b.v
 		}
 		// Memo miss: the value was stored through the typed path (which
-		// leaves the memo alone) or this load raced a concurrent writer.
-		// Box it once and publish the memo so subsequent generic reads of
-		// the unchanged value are free again.
-		c.m.Inc(cCellMemoMiss)
+		// leaves the memo alone) or this load raced a concurrent writer. Box
+		// it once and publish the memo so subsequent generic reads of the
+		// unchanged value are free again.
+		m.Inc(cCellMemoMiss)
 		b := &intBox{u: u, v: int(int64(u) >> 1)}
 		c.memo.Store(b)
 		return b.v
+	case modeTyped:
+		return join(c.typ.Load(), c.data.Load())
 	}
-	if p := c.boxed.Load(); p != nil {
-		return *p
-	}
-	return nil
+	return *c.box.Load()
 }
 
-// loadInt returns the cell's current value unboxed if it is an int.
+// loadInt returns the cell's current value unboxed if it is an int. A typed
+// cell never holds one: ints are packed or, past 63 bits, general.
 func (c *cell) loadInt() (int, bool) {
-	if u := c.packed.Load(); u != 0 {
-		return int(int64(u) >> 1), true
-	}
-	if p := c.boxed.Load(); p != nil {
-		x, ok := (*p).(int)
+	switch c.mode.Load() {
+	case modeInt:
+		u := c.packed.Load()
+		return int(int64(u) >> 1), u != 0
+	case modeGeneral:
+		x, ok := (*c.box.Load()).(int)
 		return x, ok
 	}
 	return 0, false
@@ -114,10 +180,12 @@ func (c *cell) loadInt() (int, bool) {
 
 // store writes v through the generic surface: packed for fitting ints (the
 // memo is refreshed only when the value actually changed, so re-writing the
-// same value allocates nothing), boxed for everything else.
-func (c *cell) store(v sim.Value) {
+// same value allocates nothing), the data word alone for the type a typed
+// cell was claimed for, the general box for everything else.
+func (c *cell) store(v sim.Value, m *obs.Handle) {
+	mode := c.mode.Load()
 	if x, ok := v.(int); ok {
-		if u, ok := packInt(x); ok {
+		if u, ok := packInt(x); ok && mode == modeInt {
 			if u >= smallPacked { // small ints re-box statically on load
 				if b := c.memo.Load(); b == nil || b.u != u {
 					c.memo.Store(&intBox{u: u, v: v})
@@ -126,28 +194,53 @@ func (c *cell) store(v sim.Value) {
 			c.packed.Store(u)
 			return
 		}
+	} else if typ, data := split(v); typ != nil && data != nil && c.storeTyped(mode, typ, data) {
+		m.Inc(cCellBoxedStore)
+		return
 	}
-	c.m.Inc(cCellBoxedStore)
-	p := new(sim.Value)
-	*p = v
-	c.boxed.Store(p)
-	c.packed.Store(0)
+	c.generalise(v, m)
+}
+
+// storeTyped stores the data word of a non-nil value of dynamic type typ if
+// the cell is typed on typ or can still become so: nobody has written an int
+// yet and the type word is free or already typ. The flip to typed loses only
+// to a racing generalise, which makes this a stale write.
+func (c *cell) storeTyped(mode uint32, typ, data *byte) bool {
+	switch {
+	case mode == modeTyped && c.typ.Load() == typ:
+		c.data.Store(data)
+	case mode == modeInt && c.packed.Load() == 0 &&
+		(c.typ.CompareAndSwap(nil, typ) || c.typ.Load() == typ):
+		c.data.Store(data)
+		c.mode.CompareAndSwap(modeInt, modeTyped)
+	default:
+		return false
+	}
+	return true
 }
 
 // storeInt writes x unboxed: one atomic store, no allocation, for every int
-// that fits 63 bits (the overflowing remainder takes the boxed path). The
-// memo is deliberately left alone — refreshing it would cost the allocation
-// this path exists to avoid; a later generic load re-boxes on demand.
-func (c *cell) storeInt(x int) {
-	if u, ok := packInt(x); ok {
+// that fits 63 bits while the cell is in int mode. The memo is deliberately
+// left alone — refreshing it would cost the allocation this path exists to
+// avoid; a later generic load re-boxes on demand.
+func (c *cell) storeInt(x int, m *obs.Handle) {
+	if u, ok := packInt(x); ok && c.mode.Load() == modeInt {
 		c.packed.Store(u)
 		return
 	}
-	c.m.Inc(cCellBoxedStore)
+	c.generalise(x, m)
+}
+
+// generalise stores v in the general box and makes sure the cell is in
+// general mode, for good.
+func (c *cell) generalise(v sim.Value, m *obs.Handle) {
+	m.Inc(cCellBoxedStore)
 	p := new(sim.Value)
-	*p = x
-	c.boxed.Store(p)
-	c.packed.Store(0)
+	*p = v
+	c.box.Store(p)
+	if c.mode.Load() != modeGeneral && c.mode.Swap(modeGeneral) != modeGeneral {
+		m.Inc(cCellGeneralised)
+	}
 }
 
 // storeShards is the largest shard count: a power of two, like every shard
@@ -172,7 +265,6 @@ type shard struct {
 // store is the sharded register table.
 type store struct {
 	shards []shard // a power of two of them, so a hash folds with a mask
-	m      obs.Handle
 }
 
 // newStore builds a table for about hint registers: the smallest power-of-two
@@ -192,7 +284,7 @@ func newStore(hint int) *store {
 			n *= 2
 		}
 	}
-	s := &store{shards: make([]shard, n), m: newMetricsHandle()}
+	s := &store{shards: make([]shard, n)}
 	per := max(hint/n, 4)
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]*cell, per)
@@ -246,7 +338,6 @@ func (s *store) resolve(key string, fresh *[]cell, want int) *cell {
 		}
 		c = &(*fresh)[0]
 		*fresh = (*fresh)[1:]
-		c.m = s.m
 		sh.m[key] = c
 	}
 	sh.mu.Unlock()

@@ -91,8 +91,8 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 				k := keys[(w*rounds+r)%len(keys)]
 				c := st.lookup(k)
 				if w%2 == 0 {
-					c.store(w*rounds + r)
-				} else if v := c.load(); v != nil {
+					c.store(w*rounds+r, &noMetrics)
+				} else if v := c.load(&noMetrics); v != nil {
 					if _, ok := v.(int); !ok {
 						errs <- fmt.Sprintf("read torn value %v from %q", v, k)
 						return
@@ -140,52 +140,6 @@ func TestStoreShardDistribution(t *testing.T) {
 	}
 }
 
-// TestCellRepresentations walks one cell through every representation
-// transition — nil, small packed int, large packed int, negative int,
-// boxed struct, 64-bit overflow int, back to packed — and checks the
-// generic and typed surfaces agree at every step. These transitions are
-// where the dual representation could go stale (a packed word surviving a
-// boxed write, or vice versa).
-func TestCellRepresentations(t *testing.T) {
-	type rec struct{ A, B int }
-	c := newStore(0).lookup("x")
-	if v := c.load(); v != nil {
-		t.Fatalf("fresh cell reads %v, want nil", v)
-	}
-	if _, ok := c.loadInt(); ok {
-		t.Fatal("fresh cell loadInt reports a value")
-	}
-	steps := []struct {
-		store func()
-		want  any
-		asInt func() (int, bool)
-	}{
-		{func() { c.store(7) }, 7, func() (int, bool) { return 7, true }},
-		{func() { c.store(1 << 40) }, 1 << 40, func() (int, bool) { return 1 << 40, true }},
-		{func() { c.storeInt(-42) }, -42, func() (int, bool) { return -42, true }},
-		{func() { c.store(rec{1, 2}) }, rec{1, 2}, func() (int, bool) { return 0, false }},
-		{func() { c.store(1<<62 + 1) }, 1<<62 + 1, func() (int, bool) { return 1<<62 + 1, true }}, // overflows packing → boxed
-		{func() { c.storeInt(1 << 62) }, 1 << 62, func() (int, bool) { return 1 << 62, true }},
-		{func() { c.store(nil) }, nil, func() (int, bool) { return 0, false }},
-		{func() { c.store(5) }, 5, func() (int, bool) { return 5, true }},
-	}
-	for i, s := range steps {
-		s.store()
-		if v := c.load(); v != s.want {
-			t.Fatalf("step %d: load = %v, want %v", i, v, s.want)
-		}
-		// Loads are idempotent (the memo populated by a first load must not
-		// change what a second load sees).
-		if v := c.load(); v != s.want {
-			t.Fatalf("step %d: second load = %v, want %v", i, v, s.want)
-		}
-		wantInt, wantOK := s.asInt()
-		if x, ok := c.loadInt(); ok != wantOK || x != wantInt {
-			t.Fatalf("step %d: loadInt = (%d, %v), want (%d, %v)", i, x, ok, wantInt, wantOK)
-		}
-	}
-}
-
 // TestStorePresizeZeroAndLarge: the Registers hint sizes the table — one
 // shard for a handful of keys, storeShards for thousands or when no estimate
 // was given (zero: keyed operations must not all share one lock) — and
@@ -200,11 +154,11 @@ func TestStorePresizeZeroAndLarge(t *testing.T) {
 			t.Errorf("hint %d: %d shards, want a power of two in [%d, %d]", hint, n, tc.minShards, tc.maxShards)
 		}
 		c := st.lookup("in/0")
-		c.store(42)
+		c.store(42, &noMetrics)
 		if got := st.lookup("in/0"); got != c {
 			t.Fatalf("hint %d: lookup not stable", hint)
 		}
-		if v := st.lookup("in/0").load(); v == nil || v.(int) != 42 {
+		if v := st.lookup("in/0").load(&noMetrics); v == nil || v.(int) != 42 {
 			t.Fatalf("hint %d: stored value lost", hint)
 		}
 	}
