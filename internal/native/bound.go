@@ -22,17 +22,48 @@ type boundRegs struct {
 
 var _ sim.Regs = (*boundRegs)(nil)
 
+// memoBinds is how many of a run's Binds, counted per process from its first,
+// an Env remembers for the next run. A one-shot body binds its whole key set
+// in its first two or three calls; a long-lived one that binds a fresh table
+// per window of log slots is remembered for its first few and no further.
+const memoBinds = 4
+
 // Bind implements sim.Ops: it resolves every key to its register cell,
 // straight through the sharded table (one shard lookup per key; the cells
 // this call mints share one backing array, see store.bind), and returns the
 // bound handle. Bind is the setup step: it allocates the handle and runs
 // once per body, per stand-alone consensus instance or per window of log
 // slots; the operations on the result do not allocate.
+//
+// On a re-armed runtime that kept its register table, a Bind of the table
+// this process bound at the same call position last run — the same backing
+// array and length; scenarios share one table per scenario — returns last
+// run's handle: its cells are the table's cells for those keys, emptied by
+// the Reset, and nothing is resolved or allocated.
 func (e *Env) Bind(keys []string) sim.Regs {
+	pos := e.nbind
+	e.nbind++
+	if pos < memoBinds {
+		if b := e.binds[pos]; b != nil && len(b.keys) == len(keys) && (len(keys) == 0 || &b.keys[0] == &keys[0]) {
+			return b
+		}
+	}
 	cells := make([]*cell, len(keys))
 	e.m.Add(cStoreShardLookup, int64(len(keys)))
 	e.r.store.bind(keys, cells)
-	return &boundRegs{e: e, keys: keys, cells: cells}
+	b := &boundRegs{e: e, keys: keys, cells: cells}
+	if pos < memoBinds {
+		e.binds[pos] = b
+	}
+	return b
+}
+
+// forgetBinds drops the remembered handles: the table they were resolved
+// against is gone. A nil Env has none.
+func (e *Env) forgetBinds() {
+	if e != nil {
+		e.binds = [memoBinds]*boundRegs{}
+	}
 }
 
 // Len returns the number of bound slots.

@@ -24,8 +24,8 @@ func pastClock(now fdet.Time) *clock {
 }
 
 // TestNotifierEpochAndAwait: a stale epoch never blocks; a waiter on the
-// current epoch holds a channel and nothing else, so it stays parked until a
-// bump — and inside a Runtime under event advice, where nothing writes and
+// current epoch waits for the wake generation and nothing else, so it stays
+// parked until a bump — and inside a Runtime under event advice, where nothing writes and
 // advice never moves, it is the advice loop's heartbeat that releases it.
 func TestNotifierEpochAndAwait(t *testing.T) {
 	n := newNotifier()
@@ -46,7 +46,7 @@ func TestNotifierEpochAndAwait(t *testing.T) {
 	}
 	select {
 	case <-released:
-		t.Fatal("await on the current epoch returned with no bump: something other than the channel ended the park")
+		t.Fatal("await on the current epoch returned with no bump: something other than a release ended the park")
 	case <-time.After(20 * awaitBackstop):
 	}
 	n.bump()
@@ -80,8 +80,8 @@ func TestNotifierEpochAndAwait(t *testing.T) {
 // sample the epoch, sweep the predicate, park if nothing changed. await has
 // no timeout and no heart beats here, so if a bump could be lost the parked
 // waiters outlive the writer and the watchdog fires. Run under -race this
-// also checks the epoch/waiters/channel ordering argument in notifier's doc
-// comment.
+// also checks the epoch/waiters/generation ordering argument in notifier's
+// doc comment.
 func TestNotifierNoLostWakeups(t *testing.T) {
 	const (
 		rounds  = 2000
@@ -126,15 +126,15 @@ func TestNotifierNoLostWakeups(t *testing.T) {
 	}
 }
 
-// TestParkAndPublishAllocs pins what waiting and advising cost the heap. A
-// park → bump → wake cycle allocates the rotated broadcast channel and nothing
-// else — no timer, which would be three objects per park, fourteen parks per
-// one-shot instance. A publication of a noisy history over
-// NS modules allocates the NS advice boxes and nothing else — the noise comes
-// from a pooled generator, not a fresh 4.9 KB source (two objects) per module.
-// Under the race detector sync.Pool drops one Put in four on purpose, so a
-// quarter of the draws rebuild their generator there and the count reads
-// 1.5 × NS; the bound sits between that and the 3 × NS of a source per module.
+// TestParkAndPublishAllocs pins what waiting and advising cost the heap:
+// nothing. A park → bump → wake cycle moves the wake generation and broadcasts
+// a condition variable — no channel minted per wake, no timer per park. A
+// publication of a noisy Ω history over NS modules stores NS pointers into the
+// static table of small advice boxes, and the noise comes from a pooled
+// generator, not a fresh 4.9 KB source (two objects) per module. Under the
+// race detector sync.Pool drops one Put in four on purpose, so a quarter of
+// the draws rebuild their generator there and the count reads 0.5 × NS; the
+// bound sits between that and the NS of a box per module.
 func TestParkAndPublishAllocs(t *testing.T) {
 	n := newNotifier()
 	var quit atomic.Bool
@@ -152,8 +152,8 @@ func TestParkAndPublishAllocs(t *testing.T) {
 		n.bump()
 		<-woke
 	}
-	if got := testing.AllocsPerRun(200, cycle); got > 1 {
-		t.Errorf("park → bump → wake: %v allocs per cycle, want ≤ 1 (the rotated channel)", got)
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Errorf("park → bump → wake: %v allocs per cycle, want 0", got)
 	}
 	quit.Store(true)
 	cycle()
@@ -165,8 +165,8 @@ func TestParkAndPublishAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() {
 		s.publishLocked(tm)
 		tm++
-	}); got >= 2*ns {
-		t.Errorf("publication over %d noisy modules: %v allocs, want %d (one advice box each)", ns, got, ns)
+	}); got >= ns {
+		t.Errorf("publication over %d noisy modules: %v allocs, want 0", ns, got)
 	}
 }
 

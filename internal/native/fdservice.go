@@ -75,6 +75,26 @@ type adviceCell struct {
 	_ pad
 }
 
+// smallAdvice backs the advice boxes of the values detectors publish most:
+// a leader index, a process count. The box of x is &smallAdvice[x], shared by
+// every service and never written, so publishing one allocates nothing.
+var smallAdvice = func() (t [64]sim.Value) {
+	for x := range t {
+		t[x] = x
+	}
+	return t
+}()
+
+// adviceBox returns the box an advice cell holds for v.
+func adviceBox(v sim.Value) *sim.Value {
+	if x, ok := v.(int); ok && 0 <= x && x < len(smallAdvice) {
+		return &smallAdvice[x]
+	}
+	p := new(sim.Value)
+	*p = v
+	return p
+}
+
 // noTransition marks an empty transition queue in fdService.nextT.
 const noTransition = math.MaxInt64
 
@@ -108,8 +128,18 @@ type fdService struct {
 	hist   fdet.History // nil is the trivial history: ⊥ forever
 	cells  []adviceCell
 	notify *notifier
-	stop   chan struct{}
-	done   chan struct{}
+
+	// The background loop is a goroutine per run: startService spawns it from
+	// loop, the func value of waker made once (a go statement on a stored
+	// func() allocates nothing, one on a method call or a capturing literal a
+	// closure per spawn), and stopService joins it before the run returns.
+	// stop and done carry one token per run each, so the service holds no
+	// channel state between runs, and timer is re-armed, never rebuilt.
+	loop      func()
+	heartbeat bool // this run's processes park and are owed the heartbeat
+	stop      chan struct{}
+	done      chan struct{}
+	timer     *time.Timer
 
 	// Observability. m counts publications by who performed them; tracer
 	// (nil unless the run is traced) records each publication as a
@@ -123,15 +153,33 @@ type fdService struct {
 }
 
 func newFDService(c *clock, hist fdet.History, n int, notify *notifier) *fdService {
-	return &fdService{
+	s := &fdService{
 		clock:  c,
-		hist:   hist,
-		cells:  make([]adviceCell, n),
 		notify: notify,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		stop:   make(chan struct{}, 1),
+		done:   make(chan struct{}, 1),
+		timer:  time.NewTimer(awaitBackstop),
 		m:      newMetricsHandle(),
 	}
+	s.timer.Stop()
+	s.loop = s.waker
+	s.reset(hist, n)
+	return s
+}
+
+// reset points a stopped service at the history of its next run: no module
+// has any advice (a nil history publishes none, so what the last run saw must
+// not survive here) and no transition is pending until startService publishes
+// tick 0. The cells are kept when there are still n of them.
+func (s *fdService) reset(hist fdet.History, n int) {
+	s.hist = hist
+	if len(s.cells) != n {
+		s.cells = make([]adviceCell, n)
+	}
+	for i := range s.cells {
+		s.cells[i].v.Store(nil)
+	}
+	s.nextT.Store(noTransition)
 }
 
 // startService publishes the tick-0 advice synchronously (so the first query
@@ -139,11 +187,13 @@ func newFDService(c *clock, hist fdet.History, n int, notify *notifier) *fdServi
 // owes parked processes the heartbeat when processes park at all.
 func (s *fdService) startService(heartbeat bool) {
 	s.publishLocked(0)
-	go s.waker(heartbeat)
+	s.heartbeat = heartbeat
+	go s.loop()
 }
 
+// stopService ends the background loop and returns once it has exited.
 func (s *fdService) stopService() {
-	close(s.stop)
+	s.stop <- struct{}{}
 	<-s.done
 }
 
@@ -152,17 +202,19 @@ func (s *fdService) stopService() {
 // heartbeat, on one timer re-armed every turn. It publishes for the quiescent
 // case — when every process is parked, someone must still publish the
 // stabilization the pollers are waiting on; under load the queriers usually
-// get there first via maybeAdvance and the waker finds nothing left to do. The heartbeat outlives the last transition: deadlines the notifier
-// does not carry keep arriving after advice converged. Without a heartbeat
-// and past the last transition the loop only waits to be stopped.
-func (s *fdService) waker(heartbeat bool) {
-	defer close(s.done)
-	timer := time.NewTimer(awaitBackstop)
-	defer timer.Stop()
+// get there first via maybeAdvance and the waker finds nothing left to do.
+// The heartbeat outlives the last transition: deadlines the notifier does not
+// carry keep arriving after advice converged. Without a heartbeat and past
+// the last transition the loop only waits to be stopped.
+func (s *fdService) waker() {
+	defer func() {
+		s.timer.Stop()
+		s.done <- struct{}{}
+	}()
 	beat := time.Now()
 	for {
 		d := time.Duration(math.MaxInt64)
-		if heartbeat {
+		if s.heartbeat {
 			d = awaitBackstop - time.Since(beat)
 			if d <= 0 {
 				s.notify.release()
@@ -186,11 +238,11 @@ func (s *fdService) waker(heartbeat bool) {
 			}
 			d = min(d, u)
 		}
-		timer.Reset(d)
+		s.timer.Reset(d)
 		select {
 		case <-s.stop:
 			return
-		case <-timer.C:
+		case <-s.timer.C:
 		}
 	}
 }
@@ -232,9 +284,7 @@ func (s *fdService) publishLocked(t fdet.Time) {
 	nt := int64(noTransition)
 	if s.hist != nil {
 		for i := range s.cells {
-			p := new(sim.Value)
-			*p = s.hist.Query(i, t)
-			s.cells[i].v.Store(p)
+			s.cells[i].v.Store(adviceBox(s.hist.Query(i, t)))
 		}
 		if next, ok := s.hist.NextTransition(t); ok {
 			nt = int64(next)

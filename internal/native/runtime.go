@@ -145,8 +145,8 @@ type Result struct {
 	Reason  Reason
 }
 
-// sentinels unwound through process goroutines; identity-compared in the
-// spawn wrapper's recover.
+// sentinels unwound through process goroutines; identity-compared in
+// Env.exited's recover.
 var (
 	errStopped = errors.New("native: runtime stopped")
 	errCrashed = errors.New("native: S-process crashed")
@@ -156,60 +156,139 @@ var (
 // registers (and advice cells) never false-share.
 type pad [64]byte
 
-// Runtime executes one configured system natively. A Runtime is single-use:
-// create, Run, inspect the Result.
+// Runtime executes configured systems natively, one run per arming: build it
+// with New (or take a zero Runtime and Reset it), Run, inspect the Result, and
+// either drop it or Reset it for the next system. Between runs a Runtime owns
+// no goroutine and no armed timer — process goroutines and the advice
+// service's loop are spawned by Run and joined before it returns — so there
+// is nothing to close. What it keeps across a Reset is what a run builds
+// around its protocol rather than for it: the register table and its cells,
+// the advice cells, the notifier, the Envs and the handles they bound, the
+// done channel, both timers and the Result.
+//
+// A Runtime is not for concurrent use: Reset and Run are called from one
+// goroutine at a time, and never while a Run is in progress.
 type Runtime struct {
-	cfg       Config
-	store     *store
-	clock     *clock
-	fd        *fdService
-	notify    *notifier
-	m         obs.Handle
-	wake      bool // processes park: writes bump the notifier, the heartbeat beats
-	envs      []*Env
+	cfg    Config
+	store  *store
+	clock  clock
+	fd     *fdService
+	notify *notifier
+	m      obs.Handle
+	wake   bool // processes park: writes bump the notifier, the heartbeat beats
+	armed  bool // Reset has prepared a run that Run has not yet taken
+
+	// cenvs[i] and senvs[i] are the Envs of C-process i and S-process i, built
+	// the first time a run spawns that process and re-armed for every later
+	// one; envs lists the ones this run spawns.
+	cenvs, senvs []*Env
+	envs         []*Env
+
 	stopped   atomic.Bool
 	undecided atomic.Int64
 	live      atomic.Int64
-	doneCh    chan struct{}
-	doneOnce  sync.Once
+	doneCh    chan struct{} // holds one token once the run is over
+	timer     *time.Timer   // the run budget, re-armed by every Run
 	wg        sync.WaitGroup
+	res       Result
 }
 
-// New validates cfg and builds a native runtime.
+// New validates cfg and builds a native runtime armed to run it: a zero
+// Runtime and its first Reset.
 func New(cfg Config) (*Runtime, error) {
+	r := new(Runtime)
+	if err := r.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Reset validates cfg and arms the runtime to run it, as New would a fresh
+// one; on an error the runtime is left as it was. Nothing of an earlier run
+// is visible to the next:
+//
+//   - Registers. Every register reads nil until the new run writes it. The
+//     table and its cells are kept and emptied in place when they fit —
+//     the table was sized for cfg.Registers and holds at most twice that
+//     many registers (at least 64) — and replaced otherwise, so a caller
+//     that names fresh keys every run cannot grow a runtime with the number
+//     of runs.
+//   - Advice. The service serves cfg.History from tick 0 on the clock Run
+//     starts; a nil history answers nil whatever the last one published.
+//   - Processes. Each spawned process gets a fresh body from cfg.CBody or
+//     cfg.SBody and its input, with its operation count, decision and crash
+//     state cleared. NC, NS and the participant set may all differ from the
+//     last run's. A process keeps the handles of its first few Binds: when it
+//     binds the same key table (same backing array and length) at the same
+//     call position as last run, it gets that handle back, resolved against
+//     the kept table, instead of a new one.
+//
+// The Result of the earlier run is overwritten by the next.
+func (r *Runtime) Reset(cfg Config) error {
 	if cfg.NC < 0 || cfg.NS < 0 {
-		return nil, fmt.Errorf("native: negative process counts")
+		return fmt.Errorf("native: negative process counts")
 	}
 	if len(cfg.Inputs) != cfg.NC {
-		return nil, fmt.Errorf("native: %d inputs for %d C-processes", len(cfg.Inputs), cfg.NC)
+		return fmt.Errorf("native: %d inputs for %d C-processes", len(cfg.Inputs), cfg.NC)
 	}
 	if cfg.Pattern.N != cfg.NS {
-		return nil, fmt.Errorf("native: pattern over %d processes, want %d", cfg.Pattern.N, cfg.NS)
+		return fmt.Errorf("native: pattern over %d processes, want %d", cfg.Pattern.N, cfg.NS)
+	}
+	if cfg.CBody == nil {
+		for i, in := range cfg.Inputs {
+			if in != nil {
+				return fmt.Errorf("native: participating C-process p%d has no body", i+1)
+			}
+		}
 	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = DefaultTick
 	}
-	r := &Runtime{
-		cfg:    cfg,
-		store:  newStore(cfg.Registers),
-		clock:  &clock{tick: cfg.Tick},
-		notify: newNotifier(),
-		m:      newMetricsHandle(),
-		wake:   cfg.Advice == AdviceEvent,
-		doneCh: make(chan struct{}),
+	r.cfg = cfg
+	r.clock.tick = cfg.Tick
+	r.wake = cfg.Advice == AdviceEvent
+	if r.notify == nil {
+		r.m = newMetricsHandle()
+		r.notify = newNotifier()
+		r.notify.m = r.m
+		r.doneCh = make(chan struct{}, 1)
+		r.timer = time.NewTimer(time.Hour)
+		r.timer.Stop()
+		r.fd = newFDService(&r.clock, cfg.History, cfg.NS, r.notify)
+	} else {
+		r.fd.reset(cfg.History, cfg.NS)
 	}
-	r.notify.m = r.m
-	r.fd = newFDService(r.clock, cfg.History, cfg.NS, r.notify)
 	r.fd.tracer, r.fd.runID = cfg.Tracer, cfg.RunID
+	if r.store == nil || !r.store.rearm(cfg.Registers) {
+		r.store = newStore(cfg.Registers)
+		for _, e := range r.cenvs {
+			e.forgetBinds()
+		}
+		for _, e := range r.senvs {
+			e.forgetBinds()
+		}
+	}
+	r.stopped.Store(false)
+	select {
+	case <-r.doneCh: // the last run's token, if its Run did not consume it
+	default:
+	}
+	r.envs = r.envs[:0]
+	for len(r.cenvs) < cfg.NC {
+		r.cenvs = append(r.cenvs, nil)
+	}
+	for len(r.senvs) < cfg.NS {
+		r.senvs = append(r.senvs, nil)
+	}
+	undecided := 0
 	for i := 0; i < cfg.NC; i++ {
 		if cfg.Inputs[i] == nil {
 			continue
 		}
-		if cfg.CBody == nil {
-			return nil, fmt.Errorf("native: participating C-process p%d has no body", i+1)
-		}
-		r.addEnv(ids.C(i), cfg.Inputs[i], cfg.CBody(i))
+		r.arm(&r.cenvs[i], ids.C(i), cfg.Inputs[i], cfg.CBody(i))
+		undecided++
 	}
+	r.undecided.Store(int64(undecided))
 	for i := 0; i < cfg.NS; i++ {
 		if cfg.SBody == nil {
 			continue
@@ -218,84 +297,72 @@ func New(cfg Config) (*Runtime, error) {
 		if b == nil {
 			continue
 		}
-		r.addEnv(ids.S(i), nil, b)
+		r.arm(&r.senvs[i], ids.S(i), nil, b)
 	}
-	return r, nil
+	r.armed = true
+	return nil
 }
 
-func (r *Runtime) addEnv(id ids.Proc, input sim.Value, body sim.Body) {
-	e := &Env{
-		r:         r,
-		id:        id,
-		input:     input,
-		body:      body,
-		crashable: id.IsS(),
-		m:         newMetricsHandle(),
+// arm readies the Env in *slot to run body as process id in the coming run,
+// building it the first time that process is spawned.
+func (r *Runtime) arm(slot **Env, id ids.Proc, input sim.Value, body sim.Body) {
+	e := *slot
+	if e == nil {
+		e = &Env{r: r, id: id, crashable: id.IsS(), m: newMetricsHandle()}
+		e.spawn = e.run
+		*slot = e
 	}
+	e.input, e.body = input, body
+	e.ops, e.decided, e.decision, e.decideAt, e.crashed = 0, false, nil, 0, false
+	e.nbind = 0
 	r.envs = append(r.envs, e)
-	if id.IsC() {
-		r.undecided.Add(1)
-	}
 }
 
-func (r *Runtime) done() { r.doneOnce.Do(func() { close(r.doneCh) }) }
+// done reports the run over; only the first report of a run leaves a token.
+func (r *Runtime) done() {
+	select {
+	case r.doneCh <- struct{}{}:
+	default:
+	}
+}
 
 // Run starts every process goroutine and the failure-detector service, then
 // waits until every spawned C-process has decided, every goroutine has
 // returned, or the wall-clock budget elapses, whichever comes first.
 // S-processes conceptually run forever; once the computation side is done
 // the run is over, exactly like the sim backend's StopWhenDecided.
+//
+// Each arming is good for one Run: a second Run without a Reset in between
+// panics on the caller's goroutine. The Result belongs to the runtime and is
+// overwritten by the Run after the next Reset.
 func (r *Runtime) Run(budget time.Duration) *Result {
+	if !r.armed {
+		panic("native: Run on a Runtime that is not armed: it has already run and was not Reset, or was never given a Config")
+	}
+	r.armed = false
 	r.clock.start = time.Now()
 	r.fd.startService(r.wake)
 	r.live.Store(int64(len(r.envs)))
 	r.m.Inc(cRunStart)
 	r.cfg.Tracer.Emit(TraceRunStart, 0, r.cfg.RunID, int64(len(r.envs)))
+	r.wg.Add(len(r.envs))
 	for _, e := range r.envs {
-		e := e
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer func() {
-				x := recover()
-				if r.live.Add(-1) == 0 {
-					r.done()
-				}
-				if x == errCrashed { //nolint:errorlint // sentinel identity
-					e.crashed = true
-					e.m.Inc(cCrashInject)
-					r.cfg.Tracer.Emit(TraceCrash, procCode(true, e.id.Index), r.cfg.RunID, int64(r.clock.now()))
-					return
-				}
-				if x != nil && x != errStopped { //nolint:errorlint // sentinel identity
-					panic(x)
-				}
-			}()
-			if r.cfg.Pin {
-				// Dedicate an OS thread to this process for the whole run;
-				// the unlock on return hands the thread back to the
-				// scheduler instead of destroying it, so back-to-back
-				// pinned instances reuse threads rather than churn them.
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
-			e.body(e)
-		}()
+		go e.spawn()
 	}
 	// A system with C-processes ends when they all decide; one without ends
-	// when every spawned goroutine returns (handled above), or immediately
+	// when every spawned goroutine returns (see Env.exited), or immediately
 	// if nothing was spawned.
 	if len(r.envs) == 0 {
 		r.done()
 	}
-	timer := time.NewTimer(budget)
-	defer timer.Stop()
+	r.timer.Reset(budget)
 	reason := ReasonAllDecided
 	select {
 	case <-r.doneCh:
-	case <-timer.C:
+	case <-r.timer.C:
 		reason = ReasonBudget
 	}
+	r.timer.Stop()
 	r.stopped.Store(true)
 	// Wake every epoch-parked goroutine so it observes the stop: any
 	// AwaitEpoch entered after the store panics errStopped on entry, and any
@@ -303,9 +370,9 @@ func (r *Runtime) Run(budget time.Duration) *Result {
 	r.notify.bump()
 	r.wg.Wait()
 	r.fd.stopService()
-	// doneCh also closes when every goroutine returns; if that happened
-	// with C-processes still undecided (a body with a non-deciding return
-	// path), the run did not actually end in the all-decided state.
+	// The run is also reported over when every goroutine returns; if that
+	// happened with C-processes still undecided (a body with a non-deciding
+	// return path), the run did not actually end in the all-decided state.
 	if reason == ReasonAllDecided && r.undecided.Load() != 0 {
 		reason = ReasonAllReturned
 	}
@@ -313,17 +380,25 @@ func (r *Runtime) Run(budget time.Duration) *Result {
 	return r.result(reason)
 }
 
+// result fills the runtime's Result from the finished run, reusing its maps
+// and vectors when the system has the size of the last one.
 func (r *Runtime) result(reason Reason) *Result {
-	res := &Result{
-		Inputs:       r.cfg.Inputs.Clone(),
-		Outputs:      vec.New(r.cfg.NC),
-		Decisions:    make(map[int]sim.Value),
-		Participated: make(map[int]bool),
-		Latency:      make(map[int]time.Duration),
-		Elapsed:      r.clock.since(),
-		Ticks:        r.clock.now(),
-		Reason:       reason,
+	res := &r.res
+	if res.Decisions == nil {
+		res.Decisions = make(map[int]sim.Value)
+		res.Participated = make(map[int]bool)
+		res.Latency = make(map[int]time.Duration)
 	}
+	clear(res.Decisions)
+	clear(res.Participated)
+	clear(res.Latency)
+	if len(res.Outputs) != r.cfg.NC {
+		res.Inputs, res.Outputs = vec.New(r.cfg.NC), vec.New(r.cfg.NC)
+	}
+	clear(res.Outputs)
+	res.Crashed = res.Crashed[:0]
+	res.Ops = 0
+	res.Elapsed, res.Ticks, res.Reason = r.clock.since(), r.clock.now(), reason
 	for _, e := range r.envs {
 		res.Ops += e.ops
 		if e.id.IsC() {
@@ -341,8 +416,9 @@ func (r *Runtime) result(reason Reason) *Result {
 	}
 	// The run's input vector contains only participating processes (§2.2).
 	for i := range res.Inputs {
-		if !res.Participated[i] {
-			res.Inputs[i] = nil
+		res.Inputs[i] = nil
+		if res.Participated[i] {
+			res.Inputs[i] = r.cfg.Inputs[i]
 		}
 	}
 	return res
@@ -360,6 +436,14 @@ type Env struct {
 	// m is this process's pre-resolved metrics stripe; a bump is one
 	// atomic add (or one branch when metrics are disabled).
 	m obs.Handle
+	// spawn is the func value of run, made once: Run's go statement on it
+	// allocates nothing.
+	spawn func()
+	// binds memoizes the handles of a run's first memoBinds calls to Bind, by
+	// call position, for the next run to take back (see Bind); nbind counts
+	// this run's calls.
+	binds [memoBinds]*boundRegs
+	nbind int
 	// The fields below are goroutine-local; the runtime reads them only
 	// after wg.Wait(), which orders the accesses.
 	ops      int64
@@ -370,6 +454,41 @@ type Env struct {
 }
 
 var _ sim.Ops = (*Env)(nil)
+
+// run is the process goroutine: the body, on its own OS thread when pinned.
+func (e *Env) run() {
+	defer e.r.wg.Done()
+	defer e.exited()
+	if e.r.cfg.Pin {
+		// Dedicate an OS thread to this process for the whole run; the
+		// unlock on return hands the thread back to the scheduler instead of
+		// destroying it, so back-to-back pinned instances reuse threads
+		// rather than churn them.
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+	}
+	e.body(e)
+}
+
+// exited runs deferred as the body unwinds: it reports the run over when the
+// last process goes, records an injected crash, swallows the stop sentinel
+// and re-raises anything else the body panicked with.
+func (e *Env) exited() {
+	x := recover()
+	r := e.r
+	if r.live.Add(-1) == 0 {
+		r.done()
+	}
+	if x == errCrashed { //nolint:errorlint // sentinel identity
+		e.crashed = true
+		e.m.Inc(cCrashInject)
+		r.cfg.Tracer.Emit(TraceCrash, procCode(true, e.id.Index), r.cfg.RunID, int64(r.clock.now()))
+		return
+	}
+	if x != nil && x != errStopped { //nolint:errorlint // sentinel identity
+		panic(x)
+	}
+}
 
 // step is the per-operation prologue: count the op, honor a stop, and kill a
 // crashed S-process. Crash injection happens here — at the process's next
@@ -477,9 +596,9 @@ func (e *Env) Epoch() uint64 { return e.r.notify.current() }
 // backend's decision, taken from what the epoch carries. Under event advice
 // every register write and advice publication bumps it, so the caller parks
 // until it differs from seen, teardown, or the next heartbeat (the caller
-// holds a channel and no timer). Sampling seen before the sweep makes the
-// park race-free: a change landing between sweep and park has already
-// advanced the epoch, so the park returns immediately. Under tick
+// waits on the notifier and holds no timer). Sampling seen before the sweep
+// makes the park race-free: a change landing between sweep and park has
+// already advanced the epoch, so the park returns immediately. Under tick
 // advice the epoch carries no register writes — a park could sleep through
 // the write the caller is polling for — so the wait is one scheduler yield.
 // Like Epoch it consumes no step, but stop and crash deadlines are honored

@@ -133,6 +133,17 @@ func packInt(x int) (uint64, bool) {
 // below it re-box for free, so they skip the memo entirely.
 const smallPacked = 256<<1 | 1
 
+// reset returns the cell to the register nobody has written. Only a re-arm
+// calls it, between two runs, when no process exists to race it.
+func (c *cell) reset() {
+	c.mode.Store(modeInt)
+	c.packed.Store(0)
+	c.typ.Store(nil)
+	c.data.Store(nil)
+	c.box.Store(nil)
+	c.memo.Store(nil)
+}
+
 // load returns the cell's current value through the generic surface. m is
 // the caller's metrics stripe, for the slow-path counters; it is passed by
 // address, here and below, so that the paths that count nothing do not load
@@ -277,19 +288,63 @@ type store struct {
 // population must not put all of it behind one lock. A positive hint that is
 // too low costs that contention and map growth, never correctness.
 func newStore(hint int) *store {
-	n := storeShards
-	if hint > 0 {
-		n = 1
-		for n < storeShards && n*keysPerShard < hint {
-			n *= 2
-		}
-	}
+	n := shardsFor(hint)
 	s := &store{shards: make([]shard, n)}
 	per := max(hint/n, 4)
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]*cell, per)
 	}
 	return s
+}
+
+// shardsFor is the shard count newStore gives a table for hint registers.
+func shardsFor(hint int) int {
+	if hint <= 0 {
+		return storeShards
+	}
+	n := 1
+	for n < storeShards && n*keysPerShard < hint {
+		n *= 2
+	}
+	return n
+}
+
+// retainedFloor is the least number of registers a retained table may hold
+// whatever the hint says, so that a small or absent estimate does not have a
+// runtime rebuild its table at every re-arm.
+const retainedFloor = 64
+
+// rearm makes the table ready for a run of about hint registers without
+// rebuilding it, and reports whether it could: every register it holds is
+// emptied in place and keeps its key, so a bound handle resolved against the
+// table stays valid. It declines, and the caller builds a new table, when the
+// table was sized for a different hint or holds more than twice the hint's
+// registers (at least retainedFloor): keys are the caller's to name, per
+// instance if it likes, and a table kept across instances must not grow with
+// their number. Nothing else may be using the table.
+func (s *store) rearm(hint int) bool {
+	if len(s.shards) != shardsFor(hint) {
+		return false
+	}
+	if s.held() > max(2*hint, retainedFloor) {
+		return false
+	}
+	for i := range s.shards {
+		for _, c := range s.shards[i].m {
+			c.reset()
+		}
+	}
+	return true
+}
+
+// held is the number of registers in the table. Like rearm it is for the
+// time between two runs.
+func (s *store) held() int {
+	n := 0
+	for i := range s.shards {
+		n += len(s.shards[i].m)
+	}
+	return n
 }
 
 // keyHash hashes a register key (FNV-1a, high bits folded in so that a shard

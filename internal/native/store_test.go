@@ -228,3 +228,49 @@ func bindOverlappingTables(t *testing.T, registers int) {
 		}
 	}
 }
+
+// TestRearmBoundsRetainedTable: keys are the caller's to name, and a config
+// factory may name them per instance; a runtime re-armed across such instances
+// as a Stress worker re-arms it must not grow with their number. The table is
+// kept while it holds at most twice the register estimate (at least
+// retainedFloor) and replaced otherwise — and the handles the Envs remembered
+// go with it: a handle that outlived its table would write where no keyed
+// read looks.
+func TestRearmBoundsRetainedTable(t *testing.T) {
+	const hint, perRun = 4, 3
+	shared := []string{"a", "b"}
+	mk := func(seed int64) Config {
+		own := fmt.Sprintf("inst/%d", seed)
+		return Config{
+			NC: 1, Inputs: vec.Of(1), Pattern: fdet.FailureFree(0), Registers: hint,
+			CBody: func(int) sim.Body {
+				return func(e sim.Ops) {
+					r := e.Bind(shared)
+					r.Write(0, 1000+int(seed))
+					e.Write(own, 1)
+					if got := e.Read(shared[0]); got != 1000+int(seed) {
+						t.Errorf("instance %d: keyed read of %q = %v after a bound write of %d", seed, shared[0], got, 1000+int(seed))
+					}
+					e.Decide(1)
+				}
+			},
+		}
+	}
+	rt := new(Runtime)
+	tables := map[*store]bool{}
+	for seed := int64(0); seed < 1000; seed++ {
+		if err := rt.Reset(mk(seed)); err != nil {
+			t.Fatal(err)
+		}
+		if res := rt.Run(time.Minute); res.Reason != ReasonAllDecided {
+			t.Fatalf("instance %d ended %v", seed, res.Reason)
+		}
+		if held, limit := rt.store.held(), max(2*hint, retainedFloor)+perRun; held > limit {
+			t.Fatalf("instance %d: the table holds %d registers, want ≤ %d", seed, held, limit)
+		}
+		tables[rt.store] = true
+	}
+	if len(tables) < 2 || len(tables) > 1000/(retainedFloor/perRun) {
+		t.Errorf("1000 instances of one fresh key each ran on %d tables, want one per %d or so", len(tables), retainedFloor)
+	}
+}

@@ -209,9 +209,10 @@ func (r *StressReport) Render() string {
 func (r *StressReport) Failed() bool { return r.Violations > 0 || r.Undecided > 0 }
 
 // Stress hammers one scenario: mk builds a fresh Config per instance from a
-// derived seed (fresh registers, fresh bodies, seeded history), the worker
-// pool runs instances back to back until opt.Duration elapses, and every
-// finished instance is checked against t.
+// derived seed (fresh bodies, seeded history), each worker of the pool runs
+// its instances back to back on one Runtime it re-arms with Reset — registers
+// empty, advice from tick 0, see Runtime.Reset — until opt.Duration elapses,
+// and every finished instance is checked against t.
 func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt StressOptions) (*StressReport, error) {
 	workers := opt.workers()
 	budget := opt.runBudget()
@@ -282,6 +283,9 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One runtime per worker, re-armed for every instance: what an
+			// instance allocates is its protocol's, not its plumbing's.
+			rt := new(Runtime)
 			for {
 				mu.Lock()
 				r := next
@@ -313,9 +317,8 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 				}
 				cfg.Tracer = opt.Tracer
 				cfg.RunID = r
-				var rt *Runtime
 				if err == nil {
-					rt, err = New(cfg)
+					err = rt.Reset(cfg)
 				}
 				if err != nil {
 					mu.Lock()

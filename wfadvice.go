@@ -168,7 +168,8 @@ type (
 	// process-facing fields are shared with Config, so the same CBody/SBody
 	// factories drive both backends.
 	NativeConfig = native.Config
-	// NativeRuntime executes one system at hardware speed.
+	// NativeRuntime executes systems at hardware speed, one Run per arming:
+	// NewNativeRuntime arms it for its first, Reset for every later one.
 	NativeRuntime = native.Runtime
 	// StressOptions configures a native stress run; StressReport is its
 	// aggregate outcome (throughput, latency percentiles, verdicts).
@@ -197,12 +198,14 @@ type (
 
 // Native backend entry points.
 var (
-	// NewNativeRuntime validates a NativeConfig and builds a runtime.
+	// NewNativeRuntime validates a NativeConfig and builds a runtime armed
+	// to run it (a zero NativeRuntime and its first Reset).
 	NewNativeRuntime = native.New
 	// NativeCheck is the post-hoc checker: ∆ plus the wait-freedom
 	// obligation that every correct C-process decides.
 	NativeCheck = native.Check
-	// NativeStress hammers one scenario with back-to-back native instances.
+	// NativeStress hammers one scenario with back-to-back native instances,
+	// each worker re-arming one runtime.
 	NativeStress = native.Stress
 	// NativeKVStress runs the replicated KV under clerk load with optional
 	// leader crash injection.
