@@ -62,8 +62,8 @@ func BenchmarkE14KSetSweep(b *testing.B)     { benchExperiment(b, "E14") }
 // ints is included, as in the pre-bind PR 4 numbers it is compared
 // against); the typed variant uses WriteInt/ReadInt, the fully unboxed
 // zero-allocation path. The stubbed variants rebuild the runtime with
-// metrics disabled (counter handles resolve to discarding zero handles at
-// construction), so instrumented-minus-stubbed is the whole per-op cost of
+// the telemetry switch off (counter handles resolve to discarding zero
+// handles at construction), so instrumented-minus-stubbed is the whole per-op cost of
 // the observability counters — the README records the delta.
 func BenchmarkNativeRegisterOps(b *testing.B) {
 	run := func(b *testing.B, n int, body func(r wfadvice.Regs, per int)) {
@@ -122,8 +122,8 @@ func BenchmarkNativeRegisterOps(b *testing.B) {
 }
 
 // BenchmarkNativeRegisterOpsKeyed measures the unbound keyed path — the
-// Ops.Read/Write shape with a string key per operation — which one-shot
-// writes (a C-process publishing in/i) still use. Every call resolves its
+// Ops.Read/Write shape with a string key per operation — which the examples
+// still teach and no body in internal/ runs. Every call resolves its
 // key in the sharded table (hash, shard lock, map hit): there is no
 // per-process cell cache in front of it, so this is the price of not
 // binding, about a third above a private map hit on the dev box (README

@@ -116,11 +116,8 @@ func main() {
 	planned := exp.PlanCells(experiments, eng.Options())
 	benchStart := time.Now()
 	stopHTTP, err := obs.ServeDebug("efd-bench", *httpAddr, obs.DebugOptions{
-		Counters:     exp.Metrics(),
-		MoreCounters: []*obs.Counters{sim.Metrics()},
-		Histograms:   map[string]*obs.Histogram{"exp_cell_latency_ns": exp.CellLatency()},
-		Gauges:       exp.ProgressGauges,
-		Progress:     func() any { return progressDoc(benchStart, planned) },
+		Layers:   []*obs.Taxonomy{exp.Telemetry, sim.Telemetry},
+		Progress: func() any { return progressDoc(benchStart, planned) },
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "efd-bench: -http: %v\n", err)
@@ -194,8 +191,8 @@ func eta(done, planned int64, elapsed time.Duration) time.Duration {
 // progressDoc assembles the /progress JSON payload: cell progress, the
 // overall ETA, and the engine gauges.
 func progressDoc(start time.Time, planned int) any {
-	m := exp.MetricsSnapshot().Map()
-	g := exp.ProgressGauges()
+	m := exp.Telemetry.Snapshot().Map()
+	g := exp.Telemetry.Gauges()
 	elapsed := time.Since(start)
 	done := m["exp_cell"]
 	return map[string]any{
@@ -214,7 +211,7 @@ func progressDoc(start time.Time, planned int) any {
 // `efd-stress -snapshot` shape: a tag, rounded elapsed time, then k=v
 // fields mixing cumulative progress, the interval rate, and the ETA.
 func progressLoop(interval time.Duration, planned int, stop <-chan struct{}) {
-	s := obs.NewSampler(exp.Metrics())
+	s := obs.NewSampler(exp.Telemetry)
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -225,7 +222,7 @@ func progressLoop(interval time.Duration, planned int, stop <-chan struct{}) {
 		}
 		w := s.Sample()
 		done := w.Total.Map()["exp_cell"]
-		g := exp.ProgressGauges()
+		g := exp.Telemetry.Gauges()
 		fmt.Fprintf(os.Stderr,
 			"bench %8s  cells=%d/%d interval=%.1f cells/s active=%d eta=%s\n",
 			w.Elapsed.Round(time.Second), done, planned,

@@ -156,11 +156,8 @@ func main() {
 
 	start := time.Now()
 	stopHTTP, err := obs.ServeDebug("efd-explore", *httpAddr, obs.DebugOptions{
-		Counters:     explore.Metrics(),
-		MoreCounters: []*obs.Counters{sim.Metrics()},
-		Histograms:   map[string]*obs.Histogram{"explore_node_depth": explore.NodeDepths()},
-		Gauges:       explore.ProgressGauges,
-		Progress:     func() any { return progressDoc(start) },
+		Layers:   []*obs.Taxonomy{explore.Telemetry, sim.Telemetry},
+		Progress: func() any { return progressDoc(start) },
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "efd-explore: -http: %v\n", err)
@@ -299,9 +296,9 @@ type witness struct {
 // progressDoc assembles the /progress JSON payload: cumulative explorer
 // and sim counters plus the live gauges.
 func progressDoc(start time.Time) any {
-	x := explore.MetricsSnapshot().Map()
-	s := sim.MetricsSnapshot().Map()
-	g := explore.ProgressGauges()
+	x := explore.Telemetry.Snapshot().Map()
+	s := sim.Telemetry.Snapshot().Map()
+	g := explore.Telemetry.Gauges()
 	return map[string]any{
 		"elapsed_s":      time.Since(start).Seconds(),
 		"nodes":          x["explore_node"],
@@ -324,8 +321,8 @@ func progressDoc(start time.Time) any {
 // `efd-stress -snapshot` shape: a tag, rounded elapsed time, then k=v
 // fields mixing cumulative counters, the interval rate, and live gauges.
 func progressLoop(interval time.Duration, stop <-chan struct{}) {
-	xs := obs.NewSampler(explore.Metrics())
-	ss := obs.NewSampler(sim.Metrics())
+	xs := obs.NewSampler(explore.Telemetry)
+	ss := obs.NewSampler(sim.Telemetry)
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -337,7 +334,7 @@ func progressLoop(interval time.Duration, stop <-chan struct{}) {
 		xw := xs.Sample()
 		sw := ss.Sample()
 		xt := xw.Total.Map()
-		g := explore.ProgressGauges()
+		g := explore.Telemetry.Gauges()
 		fmt.Fprintf(os.Stderr,
 			"explore %8s  nodes=%d steps=%d interval=%.0f nodes/s frontier=%d depth=%d dedup=%d sleep=%d items=%d/%d\n",
 			xw.Elapsed.Round(time.Second), xt["explore_node"], sw.Total.Map()["sim_step"],

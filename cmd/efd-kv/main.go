@@ -136,15 +136,10 @@ func main() {
 		tracer = native.NewTracer(*traceCap)
 	}
 	latency := obs.NewHistogram()
-	hists := map[string]*obs.Histogram{"kv_open_loop_latency_ns": latency}
-	for name, h := range kv.Latencies() {
-		hists[name] = h
-	}
 	stopHTTP, err := obs.ServeDebug("efd-kv", *httpAddr, obs.DebugOptions{
-		Counters:     native.Metrics(),
-		MoreCounters: []*obs.Counters{kv.Metrics()},
-		Histograms:   hists,
-		Tracer:       tracer,
+		Layers:     []*obs.Taxonomy{native.Telemetry, kv.Telemetry},
+		Histograms: map[string]*obs.Histogram{"kv_open_loop_latency_ns": latency},
+		Tracer:     tracer,
 	})
 	if err != nil {
 		fail("-http: %v", err)

@@ -103,7 +103,7 @@ func main() {
 	}
 	latency := obs.NewHistogram()
 	stopHTTP, err := obs.ServeDebug("efd-stress", *httpAddr, obs.DebugOptions{
-		Counters:   native.Metrics(),
+		Layers:     []*obs.Taxonomy{native.Telemetry},
 		Histograms: map[string]*obs.Histogram{"decision_latency_ns": latency},
 		Tracer:     tracer,
 	})

@@ -4,16 +4,12 @@
 // job — and fails on structural problems, large ops/sec regressions, or
 // decision-latency ceilings being exceeded.
 //
-// Four modes, combinable:
+// Three modes, combinable:
 //
 //   - Floor mode (-min-ops): every report must show at least the given
 //     ops/sec. CI uses a floor far below any healthy runner's numbers, so
 //     only a catastrophic regression (an accidentally serialized hot path,
 //     a spin collapse) trips it while machine-to-machine variance does not.
-//   - Baseline mode (-baseline): reports are compared scenario-by-scenario
-//     against an earlier artifact; a report whose ops/sec fell below
-//     -min-frac of its baseline fails. Meant for like-for-like machines
-//     (local before/after runs, dedicated perf boxes).
 //   - Ceiling mode (-max-p50 / -max-p99 / -max-p999): decision-latency
 //     percentiles must stay below the given ceilings. Each flag repeats; a
 //     value is either a bare duration (applies to every report) or
@@ -46,7 +42,6 @@
 //
 //	efd-trend BENCH_native.json
 //	efd-trend -min-ops 50000 BENCH_native.json
-//	efd-trend -baseline old/BENCH_native.json -min-frac 0.25 BENCH_native.json
 //	efd-trend -max-p50 'consensus/n=4/omega/advice=event:15ms' -max-p99 250ms BENCH_native.json
 //	efd-trend -history BENCH_history.jsonl -history-append BENCH_native.json
 //
@@ -59,7 +54,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -141,16 +135,14 @@ func (c ceilingList) match(scenario string) (time.Duration, bool) {
 // checkOptions carries every enabled check.
 type checkOptions struct {
 	minOps  float64
-	minFrac float64
 	maxP50  ceilingList
 	maxP99  ceilingList
 	maxP999 ceilingList
 }
 
-// checkReports runs every enabled check over the artifact's reports against
-// an optional baseline (scenario name → report) and returns the number of
-// failed checks. Output lines go through logf.
-func checkReports(reps []*native.StressReport, base map[string]*native.StressReport, opt checkOptions, logf func(format string, a ...any)) int {
+// checkReports runs every enabled check over the artifact's reports and
+// returns the number of failed checks. Output lines go through logf.
+func checkReports(reps []*native.StressReport, opt checkOptions, logf func(format string, a ...any)) int {
 	failures := 0
 	failf := func(format string, a ...any) {
 		failures++
@@ -159,9 +151,9 @@ func checkReports(reps []*native.StressReport, base map[string]*native.StressRep
 	if len(reps) == 0 {
 		failf("no stress reports in the artifact")
 	}
-	// Scenario names key the baseline match, so duplicates would silently
-	// shadow each other and a dropped scenario would dodge the comparison
-	// entirely — both are artifact-structure failures, not regressions.
+	// Scenario names key the ceiling and history matches, so duplicates
+	// would silently shadow each other — an artifact-structure failure, not
+	// a regression.
 	seen := make(map[string]bool, len(reps))
 	for _, r := range reps {
 		if seen[r.Scenario] {
@@ -201,30 +193,9 @@ func checkReports(reps []*native.StressReport, base map[string]*native.StressRep
 				!latency(r, "p999", r.Latency.P999, opt.maxP999) {
 				continue
 			}
-			note := ""
-			if b := base[r.Scenario]; b != nil && b.OpsPerSec > 0 {
-				frac := r.OpsPerSec / b.OpsPerSec
-				note = fmt.Sprintf("  (%.2fx of baseline)", frac)
-				if frac < opt.minFrac {
-					failf("%s: %.0f ops/sec is %.2fx of baseline %.0f (min %.2fx)",
-						r.Scenario, r.OpsPerSec, frac, b.OpsPerSec, opt.minFrac)
-					continue
-				}
-			}
-			logf("ok    %s: %d runs, %.0f ops/sec, p50 %v, p99 %v%s",
-				r.Scenario, r.Runs, r.OpsPerSec, r.Latency.P50, r.Latency.P99, note)
+			logf("ok    %s: %d runs, %.0f ops/sec, p50 %v, p99 %v",
+				r.Scenario, r.Runs, r.OpsPerSec, r.Latency.P50, r.Latency.P99)
 		}
-	}
-	missing := make([]string, 0, len(base))
-	for scenario := range base {
-		if !seen[scenario] {
-			missing = append(missing, scenario)
-		}
-	}
-	sort.Strings(missing)
-	for _, scenario := range missing {
-		failf("%s: present in baseline but missing from the artifact (a removed scenario is a 100%% regression)",
-			scenario)
 	}
 	return failures
 }
@@ -233,8 +204,6 @@ func main() {
 	var opt checkOptions
 	var (
 		minOps     = flag.Float64("min-ops", 0, "fail any report below this ops/sec floor (0 = skip)")
-		baseline   = flag.String("baseline", "", "earlier BENCH_native.json to compare against (scenario-matched)")
-		minFrac    = flag.Float64("min-frac", 0.25, "with -baseline: fail a scenario below this fraction of its baseline ops/sec")
 		history    = flag.String("history", "", "BENCH_history.jsonl cross-run log to gate against (missing file = empty history)")
 		histWindow = flag.Int("history-window", 5, "with -history: runs that must ALL regress for the gate to fail")
 		histFrac   = flag.Float64("history-frac", 0.5, "with -history: fail a scenario whose whole window is below this fraction of the recent peak")
@@ -256,38 +225,22 @@ func main() {
 	// invert the checks they tune (-history-frac 0 can never fail, 1.5
 	// always fails; -history-window 0 gates on an empty window), so they
 	// are flag errors, not configurations.
-	if *minFrac <= 0 || *minFrac > 1 {
-		badFlag("-min-frac must be in (0,1], got %v", *minFrac)
-	}
 	if *histWindow < 1 {
 		badFlag("-history-window must be at least 1, got %d", *histWindow)
 	}
 	if *histFrac <= 0 || *histFrac > 1 {
 		badFlag("-history-frac must be in (0,1], got %v", *histFrac)
 	}
-	opt.minOps, opt.minFrac = *minOps, *minFrac
+	opt.minOps = *minOps
 	reps, err := parseReports(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "efd-trend: %v\n", err)
 		os.Exit(2)
 	}
-	var base map[string]*native.StressReport
-	if *baseline != "" {
-		old, err := parseReports(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "efd-trend: %v\n", err)
-			os.Exit(2)
-		}
-		base = make(map[string]*native.StressReport, len(old))
-		for _, r := range old {
-			base[r.Scenario] = r
-		}
-	}
-
 	logf := func(format string, a ...any) {
 		fmt.Printf(format+"\n", a...)
 	}
-	failures := checkReports(reps, base, opt, logf)
+	failures := checkReports(reps, opt, logf)
 	if *history != "" {
 		hist, err := parseHistory(*history)
 		if err != nil {

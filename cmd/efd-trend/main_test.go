@@ -40,9 +40,9 @@ func ceilings(t *testing.T, vals ...string) ceilingList {
 }
 
 // check runs checkReports and returns the failure count and all output lines.
-func check(reps []*native.StressReport, base map[string]*native.StressReport, opt checkOptions) (int, []string) {
+func check(reps []*native.StressReport, opt checkOptions) (int, []string) {
 	var lines []string
-	n := checkReports(reps, base, opt, func(format string, a ...any) {
+	n := checkReports(reps, opt, func(format string, a ...any) {
 		lines = append(lines, fmt.Sprintf(format, a...))
 	})
 	return n, lines
@@ -105,12 +105,11 @@ func TestCheckReportsHealthy(t *testing.T) {
 		rep("renaming/n=4/j=3/k=2", 9000, time.Millisecond, 8*time.Millisecond),
 	}
 	opt := checkOptions{
-		minOps:  1000,
-		minFrac: 0.25,
-		maxP50:  ceilings(t, "consensus:15ms", "renaming:50ms"),
-		maxP99:  ceilings(t, "250ms"),
+		minOps: 1000,
+		maxP50: ceilings(t, "consensus:15ms", "renaming:50ms"),
+		maxP99: ceilings(t, "250ms"),
 	}
-	if n, lines := check(reps, nil, opt); n != 0 {
+	if n, lines := check(reps, opt); n != 0 {
 		t.Fatalf("healthy artifact: %d failures: %v", n, lines)
 	}
 }
@@ -120,13 +119,13 @@ func TestCheckReportsP50Ceiling(t *testing.T) {
 		rep("consensus/n=4/omega/advice=event", 50000, 20*time.Millisecond, 60*time.Millisecond),
 	}
 	opt := checkOptions{maxP50: ceilings(t, "consensus/n=4/omega/advice=event:15ms")}
-	n, _ := check(reps, nil, opt)
+	n, _ := check(reps, opt)
 	if n != 1 {
 		t.Fatalf("p50 20ms vs ceiling 15ms: got %d failures, want 1", n)
 	}
 	// Same report passes a looser ceiling for the same scenario.
 	opt = checkOptions{maxP50: ceilings(t, "consensus/n=4/omega/advice=event:25ms")}
-	if n, lines := check(reps, nil, opt); n != 0 {
+	if n, lines := check(reps, opt); n != 0 {
 		t.Fatalf("p50 20ms vs ceiling 25ms: %d failures: %v", n, lines)
 	}
 }
@@ -136,7 +135,7 @@ func TestCheckReportsP99Ceiling(t *testing.T) {
 		rep("consensus/n=4/omega", 50000, 80*time.Microsecond, 400*time.Millisecond),
 	}
 	opt := checkOptions{maxP99: ceilings(t, "250ms")}
-	if n, _ := check(reps, nil, opt); n != 1 {
+	if n, _ := check(reps, opt); n != 1 {
 		t.Fatalf("p99 400ms vs ceiling 250ms: got %d failures, want 1", n)
 	}
 }
@@ -145,7 +144,7 @@ func TestCheckReportsP999Ceiling(t *testing.T) {
 	r := rep("consensus/n=4/omega", 50000, 80*time.Microsecond, 400*time.Microsecond)
 	r.Latency.P999 = 600 * time.Millisecond
 	opt := checkOptions{maxP999: ceilings(t, "500ms")}
-	if n, _ := check([]*native.StressReport{r}, nil, opt); n != 1 {
+	if n, _ := check([]*native.StressReport{r}, opt); n != 1 {
 		t.Fatalf("p999 600ms vs ceiling 500ms: got %d failures, want 1", n)
 	}
 	// The p999 ceiling leaves p50/p99 alone and vice versa: the same report
@@ -155,7 +154,7 @@ func TestCheckReportsP999Ceiling(t *testing.T) {
 		maxP99:  ceilings(t, "1ms"),
 		maxP999: ceilings(t, "800ms"),
 	}
-	if n, lines := check([]*native.StressReport{r}, nil, opt); n != 0 {
+	if n, lines := check([]*native.StressReport{r}, opt); n != 0 {
 		t.Fatalf("p999 600ms vs ceiling 800ms: %d failures: %v", n, lines)
 	}
 }
@@ -168,7 +167,7 @@ func TestCheckReportsCeilingScoping(t *testing.T) {
 		rep("renaming/n=4/j=3/k=2", 5000, 25*time.Millisecond, 120*time.Millisecond),
 	}
 	opt := checkOptions{maxP50: ceilings(t, "consensus:1ms")}
-	if n, lines := check(reps, nil, opt); n != 0 {
+	if n, lines := check(reps, opt); n != 0 {
 		t.Fatalf("scoped ceiling hit unrelated scenario: %d failures: %v", n, lines)
 	}
 }
@@ -177,29 +176,29 @@ func TestCheckReportsCeilingNeedsSamples(t *testing.T) {
 	r := rep("consensus/n=4/omega", 50000, 0, 0)
 	r.Latency = native.LatencyStats{}
 	opt := checkOptions{maxP50: ceilings(t, "1ms")}
-	if n, _ := check([]*native.StressReport{r}, nil, opt); n != 1 {
+	if n, _ := check([]*native.StressReport{r}, opt); n != 1 {
 		t.Fatalf("ceiling over zero-sample report: got %d failures, want 1", n)
 	}
 	// Without a ceiling the same report is fine.
-	if n, lines := check([]*native.StressReport{r}, nil, checkOptions{}); n != 0 {
+	if n, lines := check([]*native.StressReport{r}, checkOptions{}); n != 0 {
 		t.Fatalf("zero-sample report with no ceiling: %d failures: %v", n, lines)
 	}
 }
 
 func TestCheckReportsStructural(t *testing.T) {
-	if n, _ := check(nil, nil, checkOptions{}); n != 1 {
+	if n, _ := check(nil, checkOptions{}); n != 1 {
 		t.Errorf("empty artifact: got %d failures, want 1", n)
 	}
 
 	empty := rep("consensus/n=4/omega", 0, 0, 0)
 	empty.Runs = 0
-	if n, _ := check([]*native.StressReport{empty}, nil, checkOptions{}); n != 1 {
+	if n, _ := check([]*native.StressReport{empty}, checkOptions{}); n != 1 {
 		t.Errorf("zero runs: got %d failures, want 1", n)
 	}
 
 	bad := rep("consensus/n=4/omega", 50000, time.Millisecond, time.Millisecond)
 	bad.Violations = 2
-	if n, _ := check([]*native.StressReport{bad}, nil, checkOptions{}); n != 1 {
+	if n, _ := check([]*native.StressReport{bad}, checkOptions{}); n != 1 {
 		t.Errorf("checker violations: got %d failures, want 1", n)
 	}
 
@@ -207,14 +206,14 @@ func TestCheckReportsStructural(t *testing.T) {
 		rep("consensus/n=4/omega", 50000, time.Millisecond, time.Millisecond),
 		rep("consensus/n=4/omega", 50000, time.Millisecond, time.Millisecond),
 	}
-	if n, _ := check(dup, nil, checkOptions{}); n != 1 {
+	if n, _ := check(dup, checkOptions{}); n != 1 {
 		t.Errorf("duplicate scenario: got %d failures, want 1", n)
 	}
 }
 
 // TestParseReportsSchemaTolerant pins that artifacts from before and after
 // the observability fields (counters, histogram, p999) were added both
-// parse: old baselines stay comparable and new artifacts don't break an old
+// parse: old artifacts stay checkable and new artifacts don't break an old
 // checkout's trend job.
 func TestParseReportsSchemaTolerant(t *testing.T) {
 	old := `{
@@ -263,7 +262,7 @@ func TestParseReportsSchemaTolerant(t *testing.T) {
 		t.Errorf("histogram = %+v, want count 48", reps[1].Histogram)
 	}
 	// Both shapes clear the structural checks together.
-	if n, lines := check(reps, nil, checkOptions{}); n != 0 {
+	if n, lines := check(reps, checkOptions{}); n != 0 {
 		t.Fatalf("mixed-schema artifact: %d failures: %v", n, lines)
 	}
 
@@ -297,23 +296,14 @@ func TestParseReportsSchemaTolerant(t *testing.T) {
 	}
 }
 
+// TestCheckReportsFloorAndBaseline checks the ops/sec floor (the baseline
+// comparison it also covered went with the -baseline flag).
 func TestCheckReportsFloorAndBaseline(t *testing.T) {
 	reps := []*native.StressReport{
 		rep("consensus/n=4/omega", 800, time.Millisecond, time.Millisecond),
 	}
-	if n, _ := check(reps, nil, checkOptions{minOps: 1000}); n != 1 {
+	if n, _ := check(reps, checkOptions{minOps: 1000}); n != 1 {
 		t.Errorf("ops floor: got %d failures, want 1", n)
-	}
-
-	base := map[string]*native.StressReport{
-		"consensus/n=4/omega": rep("consensus/n=4/omega", 10000, time.Millisecond, time.Millisecond),
-	}
-	if n, _ := check(reps, base, checkOptions{minFrac: 0.25}); n != 1 {
-		t.Errorf("baseline regression 0.08x: got %d failures, want 1", n)
-	}
-	base["renaming/n=4/j=3/k=2"] = rep("renaming/n=4/j=3/k=2", 5000, time.Millisecond, time.Millisecond)
-	if n, _ := check(reps, base, checkOptions{minFrac: 0.05}); n != 1 {
-		t.Errorf("baseline scenario missing from artifact: got %d failures, want 1", n)
 	}
 }
 

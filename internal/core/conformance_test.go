@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,16 +85,15 @@ func TestBackendConformance(t *testing.T) {
 		grid = []core.ScenarioParams{grid[0], grid[2], grid[3], grid[5], grid[6], grid[8], grid[12], grid[15], grid[18]}
 		seeds = 1
 	}
-	for _, p := range grid {
-		p := p
+	conform := func(name string, p core.ScenarioParams, sched func(seed int64) sim.Scheduler) {
 		s, err := core.NewScenario(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Run(s.Name, func(t *testing.T) {
+		t.Run(s.Name+name, func(t *testing.T) {
 			for sd := 0; sd < seeds; sd++ {
 				seed := int64(100 + sd)
-				simDecs, err := runSimBackend(s, seed)
+				simDecs, err := runSimBackend(s, seed, sched(seed))
 				if err != nil {
 					t.Fatalf("seed %d: sim backend: %v", seed, err)
 				}
@@ -111,6 +111,41 @@ func TestBackendConformance(t *testing.T) {
 				}
 			}
 		})
+	}
+	for _, p := range grid {
+		conform("", p, func(seed int64) sim.Scheduler { return sim.NewRandom(seed) })
+	}
+	// One row under the hostile scheduler, on a machine it is clean on (k = 1;
+	// TestMachineStaleViewKnownIssue is why not the k = 2 renaming row).
+	conform("/sched=bursty", core.ScenarioParams{Task: "prop1", N: 3, Stabilize: 20}, bursty)
+}
+
+// bursty is the hostile sim scheduler of the grid: bursts of 40 steps on
+// average, a quarter of the switched-out processes frozen for up to 1 600
+// scheduler calls — long enough for a replica to wake holding a view that
+// predates whole decided cells.
+func bursty(seed int64) sim.Scheduler {
+	return &sim.Bursty{Seed: seed, Burst: 40, FreezeProb: 0.25, FreezeLen: 1600}
+}
+
+// TestMachineStaleViewKnownIssue pins ROADMAP item 1 on the grid's own k = 2
+// row: under the bursty scheduler these seeds (3 of 1…2 500) decide one name
+// twice. While that reproduces the test skips, naming the seed; once the
+// machine is fixed the same seeds run to a clean verdict and this is the
+// regression test, unedited.
+func TestMachineStaleViewKnownIssue(t *testing.T) {
+	s, err := core.NewScenario(core.ScenarioParams{Task: "renaming", N: 4, J: 3, K: 2, Stabilize: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{1268, 1296, 2359} {
+		_, err := runSimBackend(s, seed, bursty(seed))
+		if err != nil && strings.HasPrefix(err.Error(), "∆ violated") {
+			t.Skipf("ROADMAP item 1: k ≥ 2 machine decides a stale view (bursty seed %d: %v)", seed, err)
+		}
+		if err != nil {
+			t.Fatalf("bursty seed %d: %v", seed, err)
+		}
 	}
 }
 
@@ -193,14 +228,14 @@ func TestBindConformance(t *testing.T) {
 	run("native", nres.Decisions, native.CheckDecided(nres))
 }
 
-// runSimBackend executes one seeded lockstep run and returns the decisions
-// after checking the scenario's verdict obligations.
-func runSimBackend(s *core.Scenario, seed int64) (map[int]sim.Value, error) {
+// runSimBackend executes one seeded lockstep run under sched and returns the
+// decisions after checking the scenario's verdict obligations.
+func runSimBackend(s *core.Scenario, seed int64, sched sim.Scheduler) (map[int]sim.Value, error) {
 	rt, err := sim.New(s.SimConfig(seed, 6_000_000))
 	if err != nil {
 		return nil, err
 	}
-	res := rt.Run(&sim.StopWhenDecided{Inner: sim.NewRandom(seed)})
+	res := rt.Run(&sim.StopWhenDecided{Inner: sched})
 	if err := sim.DecidedAll(res); err != nil {
 		return nil, fmt.Errorf("undecided: %v", err)
 	}

@@ -126,7 +126,7 @@ func consKey(j int) string { return "cons/" + strconv.Itoa(j) }
 // sweeps it waits the backend's way (sim.Ops.AwaitEpoch; inert on sim).
 func (c DirectConfig) DirectCBody(i int) sim.Body {
 	return func(e sim.Ops) {
-		e.Write(InKey(i), e.Input())
+		e.Bind(c.inKeys()[i:i+1]).Write(0, e.Input())
 		dec := e.Bind(c.decKeys())
 		buf := make([]sim.Value, dec.Len())
 		for {

@@ -196,8 +196,8 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 	if hist == nil {
 		hist = obs.NewHistogram()
 	}
-	startCounters := native.MetricsSnapshot()
-	startKV := kv.MetricsSnapshot()
+	startCounters := native.Telemetry.Snapshot()
+	startKV := kv.Telemetry.Snapshot()
 
 	// The open-loop schedule: clerk op k is due at k·interval from the run
 	// base, regardless of completions. base is captured by the Clock closure
@@ -240,7 +240,7 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 	hs := hist.Snapshot()
 	rep.Ops = hs.Count
 	rep.Summarize(hs, startCounters)
-	for name, v := range kv.MetricsSnapshot().Delta(startKV).Map() {
+	for name, v := range kv.Telemetry.Snapshot().Delta(startKV).Map() {
 		rep.Counters[name] = v
 	}
 	rep.Timeouts = rep.Counters["kv_deadline_expired"]

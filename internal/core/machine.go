@@ -426,8 +426,8 @@ func (r *replica) driveCells(codes []int) bool {
 // dominated decision latency.
 func (c MachineConfig) SolverCBody(i int) sim.Body {
 	return func(e sim.Ops) {
-		e.Write(InKey(i), e.Input())
 		r := newReplica(c, e, i)
+		r.regs.Write(i, e.Input())
 		r.inputs[i] = e.Input()
 		for {
 			if d, ok := r.decisions[i]; ok {
@@ -474,8 +474,8 @@ func (c MachineConfig) SolverSBody(q int) sim.Body {
 // simulated codes carry the payload) and runs until the step budget ends.
 func (c MachineConfig) LanesCBody(i int) sim.Body {
 	return func(e sim.Ops) {
-		e.Write(InKey(i), e.Input())
 		r := newReplica(c, e, i)
+		r.regs.Write(i, e.Input())
 		r.inputs[i] = e.Input()
 		for {
 			seen := e.Epoch()

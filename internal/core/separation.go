@@ -18,13 +18,12 @@ const faKey = "fa" // register holding the latest FirstAlive output
 
 // SeparationCBody is the C-process body of the classical algorithm: publish
 // the input, read the detector relay, and adopt the input of the process the
-// detector points at. The poll loop runs on a handle binding the relay
-// register (slot 0) and the input registers (slot 1+j).
+// detector points at — all on one handle binding the relay register (slot 0)
+// and the input registers (slot 1+j).
 func SeparationCBody(i int) sim.Body {
 	return func(e sim.Ops) {
-		e.Write(InKey(i), e.Input())
-		keys := append([]string{faKey}, directInKeys(e.NC())...)
-		regs := e.Bind(keys)
+		regs := e.Bind(append([]string{faKey}, directInKeys(e.NC())...))
+		regs.Write(1+i, e.Input())
 		for {
 			target, ok := regs.ReadInt(0)
 			if !ok {
@@ -41,8 +40,9 @@ func SeparationCBody(i int) sim.Body {
 // SeparationSBody relays the FirstAlive detector output into shared memory.
 func SeparationSBody(_ int) sim.Body {
 	return func(e sim.Ops) {
+		fa := e.Bind([]string{faKey})
 		for {
-			e.Write(faKey, e.QueryFD())
+			fa.Write(0, e.QueryFD())
 		}
 	}
 }

@@ -67,7 +67,7 @@ func (c SHelperConfig) vKeys() []string {
 // helper slots round-robin on a handle bound once.
 func (c SHelperConfig) SHelperCBody(i int) sim.Body {
 	return func(e sim.Ops) {
-		e.Write(InKey(i), e.Input())
+		e.Bind(c.inKeys()[i:i+1]).Write(0, e.Input())
 		vs := e.Bind(c.vKeys())
 		for j := 0; ; j = (j + 1) % c.NS {
 			if v := vs.Read(j); v != nil {
@@ -82,12 +82,12 @@ func (c SHelperConfig) SHelperCBody(i int) sim.Body {
 // bound handle until at least one C-process writes its input, then publish
 // that value in this helper's slot.
 func (c SHelperConfig) SHelperSBody(q int) sim.Body {
-	vKey := c.vKeys()[q]
 	return func(e sim.Ops) {
 		ins := e.Bind(c.inKeys())
+		slot := e.Bind(c.vKeys()[q : q+1])
 		for i := 0; ; i = (i + 1) % c.NC {
 			if v := ins.Read(i); v != nil {
-				e.Write(vKey, v)
+				slot.Write(0, v)
 				return
 			}
 		}

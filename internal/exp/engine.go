@@ -156,7 +156,7 @@ func (e *Engine) Run(x Experiment) *Table {
 	if workers < 1 {
 		workers = 1
 	}
-	mh := newExpHandle()
+	mh := Telemetry.Handle()
 	if mh.Enabled() {
 		gCellsTotal.Add(int64(len(cells)))
 	}
@@ -168,7 +168,7 @@ func (e *Engine) Run(x Experiment) *Table {
 			// Per-worker handle and private latency histogram: bumps land
 			// on a stripe this worker effectively owns, and Observe never
 			// contends. The histogram folds into the shared one at drain.
-			wh := newExpHandle()
+			wh := Telemetry.Handle()
 			var whist *obs.Histogram
 			if wh.Enabled() {
 				whist = obs.NewHistogram()

@@ -1,24 +1,19 @@
 package exp
 
-import (
-	"sync/atomic"
+import "wfadvice/internal/obs"
 
-	"wfadvice/internal/obs"
-)
+// This file is the experiment engine's live telemetry: counters for cells
+// completed / failed / timed out, gauges for planned work and active
+// workers, and a per-cell wall-time histogram — the signals behind
+// `efd-bench -http` and the -progress ETA heartbeat. Everything here sits
+// strictly OUTSIDE Table: outcomes still merge in cell-generation order,
+// so rendered tables are byte-identical at any parallelism and with
+// telemetry on or stubbed (pinned by TestEngineTelemetryDeterminism). Each
+// worker observes cell latencies into a private histogram with zero
+// contention and folds it into the shared one via Histogram.Merge when it
+// drains.
 
-// This file is the experiment engine's live telemetry (internal/obs wired
-// in): process-wide striped counters for cells completed / failed / timed
-// out, gauges for planned work and active workers, and a per-cell
-// wall-time histogram — the signals behind `efd-bench -http` and the
-// -progress ETA heartbeat. Everything here sits strictly OUTSIDE Table:
-// outcomes still merge in cell-generation order, so rendered tables are
-// byte-identical at any parallelism and with telemetry enabled or stubbed
-// (pinned by TestEngineTelemetryDeterminism). Each worker observes cell
-// latencies into a private histogram with zero contention and folds it
-// into the shared one via Histogram.Merge when it drains.
-
-// Engine counter taxonomy. The constants index expCounterNames; both
-// orders must stay in sync (pinned by TestExpCounterNames).
+// Engine counter taxonomy.
 const (
 	// cExpCell counts completed trial cells (the ETA denominator's done
 	// side); cExpCellFail counts cells that contributed claim-violation
@@ -32,61 +27,29 @@ const (
 	numExpCounters
 )
 
-// expCounterNames are the exported metric names, in CounterID order
-// (served as wfadvice_<name>_total by `efd-bench -http`).
-var expCounterNames = []string{
-	"exp_cell",
-	"exp_cell_fail",
-	"exp_cell_timeout",
-	"exp_experiment",
-}
-
-// expMetrics is the process-wide engine counter set.
-var expMetrics = obs.NewCounters(expCounterNames)
+// Telemetry is the engine layer's process-wide telemetry (counters are
+// served as wfadvice_<name>_total by `efd-bench -http`).
+var Telemetry = obs.NewTaxonomy(numExpCounters, []string{
+	cExpCell:        "exp_cell",
+	cExpCellFail:    "exp_cell_fail",
+	cExpCellTimeout: "exp_cell_timeout",
+	cExpExperiment:  "exp_experiment",
+})
 
 // Live gauges.
 var (
 	// gCellsTotal accumulates the cells planned by every Engine.Run so
 	// far; together with the exp_cell counter it is the live progress
 	// fraction.
-	gCellsTotal obs.Gauge
+	gCellsTotal = Telemetry.Gauge("exp_cells_total")
 	// gWorkersActive is the number of pool workers currently draining
 	// cells (the utilization signal: compare against Options.Parallelism).
-	gWorkersActive obs.Gauge
+	gWorkersActive = Telemetry.Gauge("exp_workers_active")
 )
 
 // cellLatency is the cross-worker per-cell wall-time histogram
-// (nanoseconds; exported as wfadvice_exp_cell_latency_ns on /metrics).
-var cellLatency = obs.NewHistogram()
-
-// expMetricsEnabled gates handle minting at Run/worker start, not
-// per-bump, mirroring native.EnableMetrics.
-var expMetricsEnabled atomic.Bool
-
-func init() { expMetricsEnabled.Store(true) }
-
-// EnableMetrics turns engine telemetry on or off for runs started AFTER
-// the call. Tables are byte-identical either way.
-func EnableMetrics(on bool) { expMetricsEnabled.Store(on) }
-
-// Metrics returns the process-wide engine counter set (the
-// `efd-bench -http` debug endpoint's primary source).
-func Metrics() *obs.Counters { return expMetrics }
-
-// MetricsSnapshot sums the counter stripes into a point-in-time snapshot.
-func MetricsSnapshot() obs.Snapshot { return expMetrics.Snapshot() }
-
-// CellLatency returns the live per-cell wall-time histogram.
-func CellLatency() *obs.Histogram { return cellLatency }
-
-// ProgressGauges reads every engine gauge, keyed by its metric name —
-// the DebugOptions.Gauges source.
-func ProgressGauges() map[string]int64 {
-	return map[string]int64{
-		"exp_cells_total":    gCellsTotal.Load(),
-		"exp_workers_active": gWorkersActive.Load(),
-	}
-}
+// (nanoseconds).
+var cellLatency = Telemetry.Histogram("exp_cell_latency_ns")
 
 // PlanCells counts the trial cells the given experiments would generate
 // under opt — the ETA denominator a driver computes up front, before any
@@ -97,14 +60,4 @@ func PlanCells(xs []Experiment, opt Options) int {
 		n += len(x.Cells(opt))
 	}
 	return n
-}
-
-// newExpHandle mints a recording handle, or a discarding zero handle when
-// telemetry is disabled. Each pool worker mints its own so bumps land on
-// stripes the workers effectively own.
-func newExpHandle() obs.Handle {
-	if !expMetricsEnabled.Load() {
-		return obs.Handle{}
-	}
-	return expMetrics.Handle()
 }

@@ -1,34 +1,20 @@
 package exp
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
-	"wfadvice/internal/sim"
+	"wfadvice/internal/obs"
 )
-
-// TestExpCounterNames pins the counter taxonomy: the names slice and the
-// CounterID constants index each other, so reordering either without the
-// other corrupts every exported series.
-func TestExpCounterNames(t *testing.T) {
-	want := []string{"exp_cell", "exp_cell_fail", "exp_cell_timeout", "exp_experiment"}
-	if !reflect.DeepEqual(expCounterNames, want) {
-		t.Errorf("expCounterNames = %v, want %v", expCounterNames, want)
-	}
-	if len(expCounterNames) != int(numExpCounters) {
-		t.Errorf("len(expCounterNames) = %d, numExpCounters = %d", len(expCounterNames), numExpCounters)
-	}
-}
 
 // TestEngineTelemetryCounts runs one synthetic experiment and checks the
 // counter deltas and the latency histogram against exact expectations.
 func TestEngineTelemetryCounts(t *testing.T) {
 	syn := syntheticExperiment(12, nil)
-	before := MetricsSnapshot()
-	histBefore := CellLatency().Snapshot().Count
+	before := Telemetry.Snapshot()
+	histBefore := cellLatency.Snapshot().Count
 	NewEngine(Options{Seed: 1, Parallelism: 4}).Run(syn)
-	m := MetricsSnapshot().Delta(before).Map()
+	m := Telemetry.Snapshot().Delta(before).Map()
 	if m["exp_cell"] != 12 {
 		t.Errorf("exp_cell delta = %d, want 12", m["exp_cell"])
 	}
@@ -38,26 +24,26 @@ func TestEngineTelemetryCounts(t *testing.T) {
 	if m["exp_cell_fail"] != 0 || m["exp_cell_timeout"] != 0 {
 		t.Errorf("unexpected failure deltas: %v", m)
 	}
-	if got := CellLatency().Snapshot().Count - histBefore; got != 12 {
+	if got := cellLatency.Snapshot().Count - histBefore; got != 12 {
 		t.Errorf("cell latency histogram grew by %d, want 12", got)
 	}
-	if g := ProgressGauges(); g["exp_workers_active"] != 0 {
-		t.Errorf("exp_workers_active = %d after the pool drained, want 0", g["exp_workers_active"])
+	if g := Telemetry.Gauges()["exp_workers_active"]; g != 0 {
+		t.Errorf("exp_workers_active = %d after the pool drained, want 0", g)
 	}
 }
 
-// TestEngineTelemetryDisabled checks that EnableMetrics(false) stubs runs
+// TestEngineTelemetryDisabled checks that obs.SetEnabled(false) stubs runs
 // started afterwards: no counter moves, no histogram growth.
 func TestEngineTelemetryDisabled(t *testing.T) {
-	EnableMetrics(false)
-	defer EnableMetrics(true)
-	before := MetricsSnapshot()
-	histBefore := CellLatency().Snapshot().Count
+	obs.SetEnabled(false)
+	defer obs.SetEnabled(true)
+	before := Telemetry.Snapshot()
+	histBefore := cellLatency.Snapshot().Count
 	NewEngine(Options{Seed: 1, Parallelism: 4}).Run(syntheticExperiment(8, nil))
-	if d := MetricsSnapshot().Delta(before).Map(); len(d) != 0 {
+	if d := Telemetry.Snapshot().Delta(before).Map(); len(d) != 0 {
 		t.Errorf("disabled telemetry still moved counters: %v", d)
 	}
-	if got := CellLatency().Snapshot().Count - histBefore; got != 0 {
+	if got := cellLatency.Snapshot().Count - histBefore; got != 0 {
 		t.Errorf("disabled telemetry still observed %d latencies", got)
 	}
 }
@@ -66,8 +52,8 @@ func TestEngineTelemetryDisabled(t *testing.T) {
 // experiment layer: the full rendered table set must be byte-identical
 // with telemetry enabled and stubbed, at one worker and at eight —
 // counters, gauges and the latency histogram sit strictly outside Table.
-// sim-level op counting toggles in lockstep so the whole stack under the
-// trials is exercised. Under -short the grid shrinks to the seeded
+// The one switch stubs the engine and the sim runtimes under the trials
+// together. Under -short the grid shrinks to the seeded
 // search experiments; the full job runs every non-measured experiment —
 // exactly the `efd-bench -short -skip-measured` table set.
 func TestEngineTelemetryDeterminism(t *testing.T) {
@@ -81,11 +67,9 @@ func TestEngineTelemetryDeterminism(t *testing.T) {
 		}
 		xs = append(xs, x)
 	}
-	defer EnableMetrics(true)
-	defer sim.EnableMetrics(true)
+	defer obs.SetEnabled(true)
 	render := func(telemetry bool, workers int) string {
-		EnableMetrics(telemetry)
-		sim.EnableMetrics(telemetry)
+		obs.SetEnabled(telemetry)
 		eng := NewEngine(Options{Seed: DefaultSeed, Short: true, Parallelism: workers})
 		var sb strings.Builder
 		for _, tbl := range eng.RunAll(xs) {

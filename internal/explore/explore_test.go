@@ -9,6 +9,7 @@ import (
 	"wfadvice/internal/explore"
 	"wfadvice/internal/fdet"
 	"wfadvice/internal/ids"
+	"wfadvice/internal/obs"
 	"wfadvice/internal/sim"
 	"wfadvice/internal/vec"
 )
@@ -367,17 +368,21 @@ func TestRenderMentionsSchedule(t *testing.T) {
 // TestExploreTelemetryDeterminism is the PR's determinism guard: the
 // rendered report must be byte-identical with telemetry enabled and
 // stubbed, at one worker and at eight — live counters, gauges and the
-// node-depth histogram sit strictly outside Report. sim-level op counting
-// is toggled in lockstep so the whole telemetry stack is exercised.
+// node-depth histogram sit strictly outside Report. The one switch stubs
+// the explorer and the sim runtime under it together, and while it is off
+// no counter of either moves.
 func TestExploreTelemetryDeterminism(t *testing.T) {
-	defer explore.EnableMetrics(true)
-	defer sim.EnableMetrics(true)
+	defer obs.SetEnabled(true)
 	run := func(telemetry bool, workers int) *explore.Report {
-		explore.EnableMetrics(telemetry)
-		sim.EnableMetrics(telemetry)
+		obs.SetEnabled(telemetry)
+		xs, ss := explore.Telemetry.Snapshot(), sim.Telemetry.Snapshot()
 		rep, err := explore.Explore(toySpec(false), explore.Options{MaxDepth: 8, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
+		}
+		x, s := explore.Telemetry.Snapshot().Delta(xs).Map(), sim.Telemetry.Snapshot().Delta(ss).Map()
+		if !telemetry && len(x)+len(s) != 0 {
+			t.Errorf("workers=%d: stubbed telemetry still moved: %v %v", workers, x, s)
 		}
 		return rep
 	}
@@ -401,12 +406,12 @@ func TestExploreTelemetryDeterminism(t *testing.T) {
 // the deterministic report: for a quiet process, the counter deltas of
 // one serial search must equal its Stats exactly.
 func TestExploreTelemetryMatchesStats(t *testing.T) {
-	before := explore.MetricsSnapshot()
+	before := explore.Telemetry.Snapshot()
 	rep, err := explore.Explore(toySpec(false), explore.Options{MaxDepth: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := explore.MetricsSnapshot().Delta(before).Map()
+	m := explore.Telemetry.Snapshot().Delta(before).Map()
 	if got := m["explore_node"]; got != int64(rep.TotalRuns) {
 		t.Errorf("explore_node delta = %d, want report total runs %d", got, rep.TotalRuns)
 	}
@@ -433,12 +438,12 @@ func TestShrinkTelemetryCountsRuns(t *testing.T) {
 	if len(rep.Witness) == 0 {
 		t.Fatalf("no witness to shrink:\n%s", rep.Render())
 	}
-	before := explore.MetricsSnapshot()
+	before := explore.Telemetry.Snapshot()
 	sr, err := explore.Shrink(toySpec(true), rep.Witness[0].Schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := explore.MetricsSnapshot().Delta(before).Map()
+	m := explore.Telemetry.Snapshot().Delta(before).Map()
 	if got := m["explore_shrink_run"]; got != int64(sr.Runs) {
 		t.Errorf("explore_shrink_run delta = %d, want %d candidate runs", got, sr.Runs)
 	}

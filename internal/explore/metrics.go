@@ -1,27 +1,21 @@
 package explore
 
-import (
-	"sync/atomic"
+import "wfadvice/internal/obs"
 
-	"wfadvice/internal/obs"
-)
+// This file is the explorer's live telemetry: counters, point-in-time
+// gauges and a node-depth histogram that make a long exhaustive sweep
+// observable — nodes replayed/sec, dedup-hit and sleep-prune rates, the
+// frontier depth the walk is at right now, how the explored nodes
+// distribute over depth, and ddmin shrink progress. Everything here sits
+// strictly OUTSIDE Report: the deterministic Stats that reports are built
+// from are still counted walk-locally and merged in item-generation order,
+// so Report.Render is byte-identical at any worker count and with
+// telemetry on or stubbed (pinned by TestExploreTelemetryDeterminism).
+// Handles are minted per walk at construction; a telemetry event on the
+// probe loop is a predictable branch plus a few atomic operations and
+// never allocates (TestExploreTelemetryAllocs).
 
-// This file is the explorer's live telemetry (internal/obs wired in):
-// process-wide striped counters, point-in-time gauges and a node-depth
-// histogram that make a long exhaustive sweep observable — nodes
-// replayed/sec, dedup-hit and sleep-prune rates, the frontier depth the
-// walk is at right now, how the explored nodes distribute over depth, and
-// ddmin shrink progress. Everything here sits strictly OUTSIDE Report:
-// the deterministic Stats that reports are built from are still counted
-// walk-locally and merged in item-generation order, so Report.Render is
-// byte-identical at any worker count and with telemetry enabled or
-// stubbed (pinned by TestExploreTelemetryDeterminism). Handles are minted
-// per walk at construction (the native backend's discipline); a telemetry
-// event on the probe loop is a predictable branch plus a few atomic
-// operations and never allocates (TestExploreTelemetryAllocs).
-
-// Explorer counter taxonomy. The constants index exploreCounterNames;
-// both orders must stay in sync (pinned by TestExploreCounterNames).
+// Explorer counter taxonomy.
 const (
 	// cXNode counts nodes replayed — one fresh-runtime prefix replay each
 	// (the nodes/sec numerator; multiply out with sim_step for states/sec).
@@ -42,78 +36,41 @@ const (
 	numExploreCounters
 )
 
-// exploreCounterNames are the exported metric names, in CounterID order
-// (served as wfadvice_<name>_total by `efd-explore -http`).
-var exploreCounterNames = []string{
-	"explore_node",
-	"explore_terminal",
-	"explore_dedup_hit",
-	"explore_sleep_prune",
-	"explore_violation",
-	"explore_sweep",
-	"explore_item",
-	"explore_shrink_run",
-	"explore_shrink_reduce",
-}
-
-// exploreMetrics is the process-wide explorer counter set.
-var exploreMetrics = obs.NewCounters(exploreCounterNames)
+// Telemetry is the explorer layer's process-wide telemetry (counters are
+// served as wfadvice_<name>_total by `efd-explore -http`).
+var Telemetry = obs.NewTaxonomy(numExploreCounters, []string{
+	cXNode:         "explore_node",
+	cXTerminal:     "explore_terminal",
+	cXDedupHit:     "explore_dedup_hit",
+	cXSleepPrune:   "explore_sleep_prune",
+	cXViolation:    "explore_violation",
+	cXSweep:        "explore_sweep",
+	cXItem:         "explore_item",
+	cXShrinkRun:    "explore_shrink_run",
+	cXShrinkReduce: "explore_shrink_reduce",
+})
 
 // Live gauges. Multi-worker writes are last-write-wins — the gauges are
 // "where is the search now" signals, not accounting (the counters are).
 var (
 	// gFrontierDepth is the prefix length of the most recently probed
 	// node; gFrontierMax is the sweep-lifetime high-water mark.
-	gFrontierDepth obs.Gauge
-	gFrontierMax   obs.Gauge
+	gFrontierDepth = Telemetry.Gauge("explore_frontier_depth")
+	gFrontierMax   = Telemetry.Gauge("explore_frontier_depth_max")
 	// gSweepDepth is the horizon of the sweep in progress.
-	gSweepDepth obs.Gauge
+	gSweepDepth = Telemetry.Gauge("explore_sweep_depth")
 	// gItemsTotal/gItemsDone are the current sweep's phase-2 work-item
 	// progress (the ETA numerator for a long exhaustive sweep).
-	gItemsTotal obs.Gauge
-	gItemsDone  obs.Gauge
+	gItemsTotal = Telemetry.Gauge("explore_items_total")
+	gItemsDone  = Telemetry.Gauge("explore_items_done")
 	// gShrinkLen is the current candidate schedule length during a Shrink.
-	gShrinkLen obs.Gauge
+	gShrinkLen = Telemetry.Gauge("explore_shrink_len")
 )
 
 // nodeDepths is the depth histogram: one observation per replayed node at
 // its prefix length. Cumulative across sweeps; windowed consumers (the
 // -progress heartbeat) difference snapshots.
-var nodeDepths = obs.NewHistogram()
-
-// exploreMetricsEnabled gates handle minting at walk construction, not
-// per-bump, mirroring native.EnableMetrics.
-var exploreMetricsEnabled atomic.Bool
-
-func init() { exploreMetricsEnabled.Store(true) }
-
-// EnableMetrics turns explorer telemetry on or off for walks started
-// AFTER the call. Reports are byte-identical either way.
-func EnableMetrics(on bool) { exploreMetricsEnabled.Store(on) }
-
-// Metrics returns the process-wide explorer counter set (the
-// `efd-explore -http` debug endpoint's primary source).
-func Metrics() *obs.Counters { return exploreMetrics }
-
-// MetricsSnapshot sums the counter stripes into a point-in-time snapshot.
-func MetricsSnapshot() obs.Snapshot { return exploreMetrics.Snapshot() }
-
-// NodeDepths returns the live node-depth histogram (exported as
-// wfadvice_explore_node_depth on /metrics).
-func NodeDepths() *obs.Histogram { return nodeDepths }
-
-// ProgressGauges reads every explorer gauge, keyed by its metric name —
-// the DebugOptions.Gauges source.
-func ProgressGauges() map[string]int64 {
-	return map[string]int64{
-		"explore_frontier_depth":     gFrontierDepth.Load(),
-		"explore_frontier_depth_max": gFrontierMax.Load(),
-		"explore_sweep_depth":        gSweepDepth.Load(),
-		"explore_items_total":        gItemsTotal.Load(),
-		"explore_items_done":         gItemsDone.Load(),
-		"explore_shrink_len":         gShrinkLen.Load(),
-	}
-}
+var nodeDepths = Telemetry.Histogram("explore_node_depth")
 
 // walkMetrics is the telemetry surface one walk records through: a
 // pre-resolved counter handle plus the shared gauges and histogram. The
@@ -123,14 +80,9 @@ type walkMetrics struct {
 	h obs.Handle
 }
 
-// newWalkMetrics mints the telemetry surface for one walk (or the stubbed
-// zero surface when telemetry is disabled).
-func newWalkMetrics() walkMetrics {
-	if !exploreMetricsEnabled.Load() {
-		return walkMetrics{}
-	}
-	return walkMetrics{h: exploreMetrics.Handle()}
-}
+// newWalkMetrics mints the telemetry surface for one walk (the stubbed
+// zero surface while telemetry is off).
+func newWalkMetrics() walkMetrics { return walkMetrics{h: Telemetry.Handle()} }
 
 // node records one replayed node at the given prefix depth: the node
 // counter, the live frontier gauges, and the depth histogram.

@@ -1,40 +1,13 @@
 package explore
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestExploreCounterNames pins the counter taxonomy: the names slice and
-// the CounterID constants index each other, so reordering either without
-// the other corrupts every exported series.
-func TestExploreCounterNames(t *testing.T) {
-	want := []string{
-		"explore_node",
-		"explore_terminal",
-		"explore_dedup_hit",
-		"explore_sleep_prune",
-		"explore_violation",
-		"explore_sweep",
-		"explore_item",
-		"explore_shrink_run",
-		"explore_shrink_reduce",
-	}
-	if !reflect.DeepEqual(exploreCounterNames, want) {
-		t.Errorf("exploreCounterNames = %v, want %v", exploreCounterNames, want)
-	}
-	if len(exploreCounterNames) != int(numExploreCounters) {
-		t.Errorf("len(exploreCounterNames) = %d, numExploreCounters = %d",
-			len(exploreCounterNames), numExploreCounters)
-	}
-}
+import "testing"
 
 // TestExploreTelemetryAllocs pins the hot-loop cost: recording one node —
 // counter bump, frontier gauges, depth histogram — must not allocate, and
 // the stubbed zero-value surface must be equally free. This is the
 // explorer analogue of the native backend's TestReadWriteAllocs.
 func TestExploreTelemetryAllocs(t *testing.T) {
-	m := walkMetrics{h: exploreMetrics.Handle()}
+	m := newWalkMetrics()
 	if a := testing.AllocsPerRun(1000, func() {
 		m.node(12)
 		m.inc(cXDedupHit)

@@ -115,7 +115,7 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 		cfg.Pause = awaitEpoch
 	}
 	return func(e sim.Ops) {
-		h := metrics.Handle()
+		h := Telemetry.Handle()
 		req := e.Bind([]string{ReqKey(i)})
 		rep := e.Bind([]string{RepKey(i)})
 		seed := cfg.Seed

@@ -13,22 +13,6 @@ import (
 	"wfadvice/internal/vec"
 )
 
-func TestKVCounterNames(t *testing.T) {
-	if len(counterNames) != int(numCounters) {
-		t.Fatalf("counterNames has %d entries, want %d", len(counterNames), int(numCounters))
-	}
-	seen := map[string]bool{}
-	for id, name := range counterNames {
-		if name == "" {
-			t.Fatalf("counter %d has no name", id)
-		}
-		if seen[name] {
-			t.Fatalf("duplicate counter name %q", name)
-		}
-		seen[name] = true
-	}
-}
-
 func TestStateApplyDedup(t *testing.T) {
 	st := NewState(2, 4)
 	rep, fresh := st.ApplyReq(Request{Client: 0, Seq: 1, Op: OpPut, Key: "a", Val: 7})
@@ -331,7 +315,7 @@ func TestReplicaAbandonsInflightOnFlap(t *testing.T) {
 	// with a batch mid-flight abandons it (and counts the flap); gaining or
 	// keeping the lead, or losing it with nothing in flight, changes
 	// nothing.
-	r := &replica{h: metrics.Handle(), wasLead: true, inflight: true,
+	r := &replica{h: Telemetry.Handle(), wasLead: true, inflight: true,
 		flight: []Request{{Client: 0, Seq: 1}}, batchSeq: 3}
 	r.noteLead(false)
 	if r.inflight || r.flight != nil || r.wasLead {

@@ -6,8 +6,7 @@ import "wfadvice/internal/obs"
 // striped counters, handles minted at body construction, one atomic add
 // per bump on the hot path. Deltas per run come from Snapshot subtraction.
 
-// Counter taxonomy. The constants index counterNames; both orders must
-// stay in sync (pinned by TestKVCounterNames).
+// Counter taxonomy.
 const (
 	// Client operations completed, by kind.
 	cOpGet obs.CounterID = iota
@@ -45,52 +44,33 @@ const (
 	numCounters
 )
 
-// counterNames are the exported metric names, in CounterID order: the keys
-// of the kv section of /metrics (as wfadvice_kv_<name>_total) and of
-// stress-report counter maps.
-var counterNames = []string{
-	"kv_op_get",
-	"kv_op_put",
-	"kv_proposal",
-	"kv_batch_commit",
-	"kv_batch_preempt",
-	"kv_batch_reqs",
-	"kv_apply",
-	"kv_dedup_hit",
-	"kv_retransmit",
-	"kv_lease_read",
-	"kv_redirect",
-	"kv_session",
-	"kv_advice_flap",
-	"kv_retry",
-	"kv_deadline_expired",
-}
-
-// metrics is the process-wide kv counter set.
-var metrics = obs.NewCounters(counterNames)
-
-// Metrics returns the process-wide kv counter set (for the debug
-// endpoint's MoreCounters and report deltas).
-func Metrics() *obs.Counters { return metrics }
-
-// MetricsSnapshot sums the counter stripes into a point-in-time snapshot.
-func MetricsSnapshot() obs.Snapshot { return metrics.Snapshot() }
+// Telemetry is the kv layer's process-wide telemetry. The counter names
+// are the keys of the kv section of /metrics (as wfadvice_kv_<name>_total)
+// and of stress-report counter maps.
+var Telemetry = obs.NewTaxonomy(numCounters, []string{
+	cOpGet:           "kv_op_get",
+	cOpPut:           "kv_op_put",
+	cProposal:        "kv_proposal",
+	cBatchCommit:     "kv_batch_commit",
+	cBatchPreempt:    "kv_batch_preempt",
+	cBatchReqs:       "kv_batch_reqs",
+	cApply:           "kv_apply",
+	cDedupHit:        "kv_dedup_hit",
+	cRetransmit:      "kv_retransmit",
+	cLeaseRead:       "kv_lease_read",
+	cRedirect:        "kv_redirect",
+	cSession:         "kv_session",
+	cAdviceFlap:      "kv_advice_flap",
+	cRetry:           "kv_retry",
+	cDeadlineExpired: "kv_deadline_expired",
+})
 
 // Per-op-kind latency histograms (ns), observed by the clerk at completion:
 // get (all reads, lease-served or logged), put, and the lease-served subset
 // of gets. Process-wide like the counters; the stress driver snapshots
 // around a run, the debug endpoint serves them live.
 var (
-	latGet   = obs.NewHistogram()
-	latPut   = obs.NewHistogram()
-	latLease = obs.NewHistogram()
+	latGet   = Telemetry.Histogram("kv_get_latency_ns")
+	latPut   = Telemetry.Histogram("kv_put_latency_ns")
+	latLease = Telemetry.Histogram("kv_lease_latency_ns")
 )
-
-// Latencies returns the kv latency histograms keyed by series name.
-func Latencies() map[string]*obs.Histogram {
-	return map[string]*obs.Histogram{
-		"kv_get_latency_ns":   latGet,
-		"kv_put_latency_ns":   latPut,
-		"kv_lease_latency_ns": latLease,
-	}
-}

@@ -72,7 +72,7 @@ func newReplica(cfg ReplicaConfig, me int, e sim.Ops) *replica {
 		cfg:        cfg,
 		me:         me,
 		e:          e,
-		h:          metrics.Handle(),
+		h:          Telemetry.Handle(),
 		reqs:       e.Bind(ReqKeys(cfg.NC)),
 		reps:       e.Bind(RepKeys(cfg.NC)),
 		log:        paxos.NewLog(e, LogPrefix, me, cfg.NS),

@@ -281,7 +281,7 @@ func TestCellFirstWriteRace(t *testing.T) {
 // cell exactly when the cell has reached the general box.
 func TestCellRepresentations(t *testing.T) {
 	type other struct{ X int }
-	counters := obs.NewCounters(counterNames)
+	counters := Telemetry
 	h := counters.Handle()
 	m := &h
 	ptr := &recA{W: 1}

@@ -298,7 +298,7 @@ func TestConvergedAdviceIsPublishedOnce(t *testing.T) {
 	)
 	pat := fdet.NewPattern(3, map[int]fdet.Time{0: crashAt})
 	tracer := NewTracer(1 << 10)
-	before := MetricsSnapshot()
+	before := Telemetry.Snapshot()
 	rt, err := New(Config{
 		NC: 1, NS: 3, Inputs: vec.Of(1), Pattern: pat, Tick: tick,
 		History: fdet.LiveOmega{}.History(pat, stabilize, 1),
@@ -327,7 +327,7 @@ func TestConvergedAdviceIsPublishedOnce(t *testing.T) {
 	if res.Reason != ReasonAllDecided || res.Ticks < ticks {
 		t.Fatalf("run ended %v after %d ticks, want all-decided after at least %d", res.Reason, res.Ticks, ticks)
 	}
-	d := MetricsSnapshot().Delta(before)
+	d := Telemetry.Snapshot().Delta(before)
 	const budget = stabilize + 1 // every tick while noisy, then the crash time
 	if pubs := d.Get(cAdvicePubCoop) + d.Get(cAdvicePubWaker); pubs < 1 || pubs > budget {
 		t.Errorf("%d publications over %d ticks, want 1..%d", pubs, res.Ticks, budget)
@@ -382,7 +382,7 @@ func TestEventNilHistory(t *testing.T) {
 // park/wake/timeout counters moved during the run.
 func awaitDeltas(t *testing.T, cfg Config) (park, wake, timeout int64) {
 	t.Helper()
-	before := MetricsSnapshot()
+	before := Telemetry.Snapshot()
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +390,7 @@ func awaitDeltas(t *testing.T, cfg Config) (park, wake, timeout int64) {
 	if res := rt.Run(10 * time.Second); res.Reason != ReasonAllDecided {
 		t.Fatalf("run ended %v, want all-decided", res.Reason)
 	}
-	d := MetricsSnapshot().Delta(before)
+	d := Telemetry.Snapshot().Delta(before)
 	return d.Get(cNotifyPark), d.Get(cNotifyWake), d.Get(cNotifyTimeout)
 }
 
@@ -433,13 +433,13 @@ func TestAwaitEpochTickAdviceYields(t *testing.T) {
 func TestAwaitEpochEventAdviceParksUntilWrite(t *testing.T) {
 	var park, wake, timeout int64
 	for attempt := 0; attempt < 20; attempt++ {
-		before := MetricsSnapshot().Get(cNotifyPark)
+		before := Telemetry.Snapshot().Get(cNotifyPark)
 		park, wake, timeout = awaitDeltas(t, Config{
 			NC: 2, Inputs: vec.Of(1, 2), Pattern: fdet.FailureFree(0), Advice: AdviceEvent,
 			CBody: func(i int) sim.Body {
 				if i == 1 {
 					return func(e sim.Ops) {
-						for MetricsSnapshot().Get(cNotifyPark) == before {
+						for Telemetry.Snapshot().Get(cNotifyPark) == before {
 							runtime.Gosched()
 						}
 						e.Write("flag", 1)

@@ -159,7 +159,7 @@ func newFDService(c *clock, hist fdet.History, n int, notify *notifier) *fdServi
 		stop:   make(chan struct{}, 1),
 		done:   make(chan struct{}, 1),
 		timer:  time.NewTimer(awaitBackstop),
-		m:      newMetricsHandle(),
+		m:      Telemetry.Handle(),
 	}
 	s.timer.Stop()
 	s.loop = s.waker

@@ -1,27 +1,21 @@
 package native
 
-import (
-	"sync/atomic"
+import "wfadvice/internal/obs"
 
-	"wfadvice/internal/obs"
-)
-
-// This file is the native backend's counter taxonomy and its process-wide
-// metrics core (internal/obs wired in). Counters are striped padded
-// atomic cells: every Env, fdService and notifier mints a pre-resolved
-// obs.Handle at construction (a register cell counts on its caller's), and
-// a bump on the hot path is one predictable branch plus one atomic add on a
-// stripe the goroutine effectively owns — the zero-allocation guarantee of
-// the bound register path (TestReadWriteAllocs) is unchanged with metrics
-// enabled.
+// This file is the native backend's counter taxonomy. Counters are striped
+// padded atomic cells: every Env, fdService and notifier mints a
+// pre-resolved obs.Handle at construction (a register cell counts on its
+// caller's), and a bump on the hot path is one predictable branch plus one
+// atomic add on a stripe the goroutine effectively owns — the
+// zero-allocation guarantee of the bound register path
+// (TestReadWriteAllocs) is unchanged with telemetry on.
 //
 // The counters are process-global, not per-Runtime: the stress harness
 // runs thousands of instances back to back and the debug endpoint
 // (`efd-stress -http`, /metrics) observes the aggregate live; per-run
 // deltas come from Snapshot subtraction (StressReport.Counters).
 
-// Counter taxonomy. The constants index counterNames; both orders must
-// stay in sync (pinned by TestCounterNames).
+// Counter taxonomy.
 const (
 	// Register operations through the keyed Ops surface (one shard lookup
 	// per key — setup code and one-off collects).
@@ -70,68 +64,36 @@ const (
 	numCounters
 )
 
-// counterNames are the exported metric names, in CounterID order. These
-// are the keys of StressReport.Counters and the /metrics series (as
+// Telemetry is the native layer's process-wide telemetry. The names are
+// the keys of StressReport.Counters and the /metrics series (as
 // wfadvice_<name>_total).
-var counterNames = []string{
-	"reg_read_keyed",
-	"reg_write_keyed",
-	"reg_collect_keyed",
-	"reg_read_bound",
-	"reg_write_bound",
-	"reg_read_typed",
-	"reg_write_typed",
-	"reg_collect_bound",
-	"advice_query",
-	"advice_pub_coop",
-	"advice_pub_waker",
-	"notify_bump",
-	"notify_park",
-	"notify_wake",
-	"notify_timeout",
-	"store_shard_lookup",
-	"cell_boxed_store",
-	"cell_generalised",
-	"cell_memo_miss",
-	"run_start",
-	"decide",
-	"crash_inject",
-}
-
-// metrics is the process-wide counter set.
-var metrics = obs.NewCounters(counterNames)
-
-// metricsEnabled gates handle minting: construction-time, not per-bump,
-// so a disabled run has literally zero live counter cells on its hot
-// paths (the stubbed mode BenchmarkNativeRegisterOps compares against).
-var metricsEnabled atomic.Bool
-
-func init() { metricsEnabled.Store(true) }
-
-// newMetricsHandle mints a recording handle, or a discarding zero handle
-// when metrics are disabled.
-func newMetricsHandle() obs.Handle {
-	if !metricsEnabled.Load() {
-		return obs.Handle{}
-	}
-	return metrics.Handle()
-}
-
-// EnableMetrics turns counter recording on or off for runtimes built
-// AFTER the call (handles are resolved at construction). It exists for
-// the instrumented-vs-stubbed overhead measurement; production tooling
-// leaves metrics on.
-func EnableMetrics(on bool) { metricsEnabled.Store(on) }
-
-// Metrics returns the process-wide native counter set (the debug
-// endpoint's source).
-func Metrics() *obs.Counters { return metrics }
-
-// MetricsSnapshot sums the counter stripes into a point-in-time snapshot.
-func MetricsSnapshot() obs.Snapshot { return metrics.Snapshot() }
+var Telemetry = obs.NewTaxonomy(numCounters, []string{
+	cRegReadKeyed:     "reg_read_keyed",
+	cRegWriteKeyed:    "reg_write_keyed",
+	cRegCollectKeyed:  "reg_collect_keyed",
+	cRegReadBound:     "reg_read_bound",
+	cRegWriteBound:    "reg_write_bound",
+	cRegReadTyped:     "reg_read_typed",
+	cRegWriteTyped:    "reg_write_typed",
+	cRegCollectBound:  "reg_collect_bound",
+	cAdviceQuery:      "advice_query",
+	cAdvicePubCoop:    "advice_pub_coop",
+	cAdvicePubWaker:   "advice_pub_waker",
+	cNotifyBump:       "notify_bump",
+	cNotifyPark:       "notify_park",
+	cNotifyWake:       "notify_wake",
+	cNotifyTimeout:    "notify_timeout",
+	cStoreShardLookup: "store_shard_lookup",
+	cCellBoxedStore:   "cell_boxed_store",
+	cCellGeneralised:  "cell_generalised",
+	cCellMemoMiss:     "cell_memo_miss",
+	cRunStart:         "run_start",
+	cDecide:           "decide",
+	cCrashInject:      "crash_inject",
+})
 
 // Trace event kinds recorded by the native backend (see obs.Tracer). The
-// constants index traceKindNames; a decision lifecycle reads as run_start
+// constants key traceKindNames; a decision lifecycle reads as run_start
 // → advice publications interleaved with parks/wakes → decide (or crash)
 // → run_end.
 const (
@@ -157,13 +119,13 @@ const (
 
 // traceKindNames are the exported trace kind names, in EventKind order.
 var traceKindNames = []string{
-	"run_start",
-	"run_end",
-	"decide",
-	"crash",
-	"advice",
-	"park",
-	"wake",
+	TraceRunStart: "run_start",
+	TraceRunEnd:   "run_end",
+	TraceDecide:   "decide",
+	TraceCrash:    "crash",
+	TraceAdvice:   "advice",
+	TracePark:     "park",
+	TraceWake:     "wake",
 }
 
 // NewTracer builds a decision-lifecycle tracer over the native event

@@ -7,38 +7,6 @@ import (
 	"wfadvice/internal/obs"
 )
 
-// TestCounterNames pins the CounterID constants to counterNames: an
-// appended constant without its name (or vice versa) silently shifts every
-// later counter's exported series, so the sync is enforced here.
-func TestCounterNames(t *testing.T) {
-	if len(counterNames) != int(numCounters) {
-		t.Fatalf("%d counter names for %d counters", len(counterNames), numCounters)
-	}
-	// Spot-pin the anchors of each taxonomy group; a reordering that keeps
-	// the lengths equal still trips these.
-	for _, pin := range []struct {
-		id   obs.CounterID
-		name string
-	}{
-		{cRegReadKeyed, "reg_read_keyed"},
-		{cRegReadBound, "reg_read_bound"},
-		{cAdviceQuery, "advice_query"},
-		{cNotifyBump, "notify_bump"},
-		{cStoreShardLookup, "store_shard_lookup"},
-		{cCellGeneralised, "cell_generalised"},
-		{cCellMemoMiss, "cell_memo_miss"},
-		{cRunStart, "run_start"},
-		{cCrashInject, "crash_inject"},
-	} {
-		if counterNames[pin.id] != pin.name {
-			t.Errorf("counterNames[%d] = %q, want %q", pin.id, counterNames[pin.id], pin.name)
-		}
-	}
-	if len(traceKindNames) != int(TraceWake)+1 {
-		t.Fatalf("%d trace kind names for %d kinds", len(traceKindNames), TraceWake+1)
-	}
-}
-
 // TestSummarize pins the histogram → LatencyStats derivation, including the
 // p999 ordering invariant the trend gate relies on.
 func TestSummarize(t *testing.T) {
@@ -65,17 +33,18 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-// TestEnableMetrics pins the gating contract: handles minted while metrics
-// are disabled discard, and re-enabling restores recording for runtimes
-// built afterwards.
+// TestEnableMetrics pins the gating contract on the native layer: handles
+// minted while the one switch is off discard, and re-enabling restores
+// recording for runtimes built afterwards (whole stubbed runs: the root
+// package's TestStressReportCounterKeys).
 func TestEnableMetrics(t *testing.T) {
-	EnableMetrics(false)
-	defer EnableMetrics(true)
-	if h := newMetricsHandle(); h.Enabled() {
+	obs.SetEnabled(false)
+	defer obs.SetEnabled(true)
+	if h := Telemetry.Handle(); h.Enabled() {
 		t.Fatal("handle minted while disabled records")
 	}
-	EnableMetrics(true)
-	if h := newMetricsHandle(); !h.Enabled() {
+	obs.SetEnabled(true)
+	if h := Telemetry.Handle(); !h.Enabled() {
 		t.Fatal("handle minted while enabled discards")
 	}
 }

@@ -189,7 +189,7 @@ func TestRearmRegistersAndAdviceStartEmpty(t *testing.T) {
 	if res := rt.Run(10 * time.Second); res.Reason != native.ReasonAllDecided {
 		t.Fatalf("first run ended %v", res.Reason)
 	}
-	before := native.MetricsSnapshot()
+	before := native.Telemetry.Snapshot()
 	if err := rt.Reset(second); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestRearmRegistersAndAdviceStartEmpty(t *testing.T) {
 	if res.Reason != native.ReasonAllDecided || res.Outputs[0] != 2 {
 		t.Fatalf("second run ended %v with %v, want all-decided with 2", res.Reason, res.Outputs[0])
 	}
-	if n := native.MetricsSnapshot().Delta(before).Map()["cell_generalised"]; n != 0 {
+	if n := native.Telemetry.Snapshot().Delta(before).Map()["cell_generalised"]; n != 0 {
 		t.Errorf("second run generalised %d cells writing ints into emptied ones, want 0", n)
 	}
 }

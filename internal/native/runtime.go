@@ -248,7 +248,7 @@ func (r *Runtime) Reset(cfg Config) error {
 	r.clock.tick = cfg.Tick
 	r.wake = cfg.Advice == AdviceEvent
 	if r.notify == nil {
-		r.m = newMetricsHandle()
+		r.m = Telemetry.Handle()
 		r.notify = newNotifier()
 		r.notify.m = r.m
 		r.doneCh = make(chan struct{}, 1)
@@ -308,7 +308,7 @@ func (r *Runtime) Reset(cfg Config) error {
 func (r *Runtime) arm(slot **Env, id ids.Proc, input sim.Value, body sim.Body) {
 	e := *slot
 	if e == nil {
-		e = &Env{r: r, id: id, crashable: id.IsS(), m: newMetricsHandle()}
+		e = &Env{r: r, id: id, crashable: id.IsS(), m: Telemetry.Handle()}
 		e.spawn = e.run
 		*slot = e
 	}

@@ -221,7 +221,7 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 	if hist == nil {
 		hist = obs.NewHistogram()
 	}
-	startCounters := MetricsSnapshot()
+	startCounters := Telemetry.Snapshot()
 	var (
 		mu   sync.Mutex
 		next int64 // instance counter, guarded by mu
@@ -255,7 +255,7 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 				}
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
-				now := MetricsSnapshot()
+				now := Telemetry.Snapshot()
 				snap := SoakSnapshot{
 					Elapsed:      time.Since(start),
 					Goroutines:   runtime.NumGoroutine(),
@@ -387,7 +387,7 @@ func (r *StressReport) Summarize(hs *obs.HistSnapshot, start obs.Snapshot) {
 	if hs.Count > 0 {
 		r.Histogram = hs
 	}
-	r.Counters = MetricsSnapshot().Delta(start).Map()
+	r.Counters = Telemetry.Snapshot().Delta(start).Map()
 }
 
 // summarize derives the latency percentiles from a histogram snapshot.

@@ -10,7 +10,7 @@ import (
 // on its own handle (the native Env shape). This is the number the
 // per-operation overhead budget in DESIGN.md cites.
 func BenchmarkObsCounter(b *testing.B) {
-	c := NewCounters([]string{"x", "y"})
+	c := NewTaxonomy(2, []string{"x", "y"})
 	b.Run("serial", func(b *testing.B) {
 		h := c.Handle()
 		b.ResetTimer()

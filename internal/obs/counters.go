@@ -5,9 +5,9 @@
 // lifecycles, and an http.Handler that serves it all live (Prometheus-text
 // /metrics, /trace dumps, pprof, expvar).
 //
-// The package is deliberately generic — counter and event-kind taxonomies
-// are supplied by the instrumented layer (internal/native defines its own,
-// see native's metrics.go) — and deliberately allocation-free on every
+// The package is deliberately generic — each instrumented layer declares
+// its own counters, gauges and histograms as one Taxonomy (taxonomy.go) and
+// its own event kinds — and deliberately allocation-free on every
 // record path: a counter bump is one atomic add on a pre-resolved cell, a
 // histogram observation is an index computation plus two atomic adds, a
 // trace emit is a handful of atomic stores into a claimed ring slot.
@@ -20,9 +20,9 @@ import "sync/atomic"
 // unrelated stripes never false-share.
 type pad [64]byte
 
-// CounterID indexes a counter within a Counters set. The instrumented
-// layer defines its IDs as consecutive constants matching the name slice
-// it passed to NewCounters.
+// CounterID indexes a counter within a layer's Taxonomy. The instrumented
+// layer defines its IDs as consecutive constants keying the name slice it
+// passes to NewTaxonomy.
 type CounterID int
 
 // counterStripes is the number of independent counter blocks. Handles are
@@ -41,46 +41,7 @@ type block struct {
 	_ pad
 }
 
-// Counters is a set of named, striped, monotone counters. All recording
-// goes through Handles (Handle method); Snapshot sums the stripes.
-type Counters struct {
-	names []string
-	// blocks are allocated eagerly so Handle never allocates.
-	blocks [counterStripes]block
-	next   atomic.Uint64
-}
-
-// NewCounters builds a counter set over the given names; the CounterID of
-// names[i] is i. The names are also the /metrics and Snapshot.Map keys, so
-// they should be stable identifiers (snake_case by convention).
-func NewCounters(names []string) *Counters {
-	c := &Counters{names: names}
-	for i := range c.blocks {
-		// The block's pads protect only the slice header; the backing
-		// arrays are separate allocations that can land adjacent on the
-		// heap, so each is over-allocated with a cache line of guard cells
-		// on both sides — two stripes' active cells never share a line.
-		const guard = 8 // 64B / 8B cells
-		arr := make([]atomic.Int64, len(names)+2*guard)
-		c.blocks[i].v = arr[guard : guard+len(names) : guard+len(names)]
-	}
-	return c
-}
-
-// Names returns the counter names in CounterID order. Callers must not
-// mutate the returned slice.
-func (c *Counters) Names() []string { return c.names }
-
-// Handle returns a pre-resolved recording handle on the next stripe
-// (round-robin). Handles are values; store them by value to keep the
-// record path one pointer dereference. A zero Handle is valid and
-// discards every bump — that is the stubbed (metrics-off) mode.
-func (c *Counters) Handle() Handle {
-	i := c.next.Add(1) - 1
-	return Handle{v: c.blocks[i%counterStripes].v}
-}
-
-// Handle is a pre-resolved reference to one stripe of a Counters set. The
+// Handle is a pre-resolved reference to one stripe of a layer's counters. The
 // zero Handle discards bumps (one predictable branch, no atomics).
 type Handle struct {
 	v []atomic.Int64
@@ -115,18 +76,6 @@ type Snapshot struct {
 	vals  []int64
 }
 
-// Snapshot sums the stripes into a Snapshot.
-func (c *Counters) Snapshot() Snapshot {
-	s := Snapshot{names: c.names, vals: make([]int64, len(c.names))}
-	for b := range c.blocks {
-		v := c.blocks[b].v
-		for i := range s.vals {
-			s.vals[i] += v[i].Load()
-		}
-	}
-	return s
-}
-
 // Get returns one counter's value.
 func (s Snapshot) Get(id CounterID) int64 {
 	if int(id) < 0 || int(id) >= len(s.vals) {
@@ -135,11 +84,8 @@ func (s Snapshot) Get(id CounterID) int64 {
 	return s.vals[id]
 }
 
-// Names returns the counter names in CounterID order.
-func (s Snapshot) Names() []string { return s.names }
-
 // Delta returns s - prev per counter. prev must come from the same
-// Counters set (same names); a zero prev yields s itself.
+// Taxonomy (same names); a zero prev yields s itself.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	d := Snapshot{names: s.names, vals: make([]int64, len(s.vals))}
 	copy(d.vals, s.vals)

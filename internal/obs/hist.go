@@ -53,7 +53,7 @@ func bucketLo(i int) uint64 {
 // Histogram is a fixed-size log-bucketed concurrent histogram. Observe is
 // safe from any number of goroutines; Snapshot reads concurrently with
 // writers (per-bucket counts are exact-at-some-instant, the cross-bucket
-// cut is best-effort like Counters.Snapshot).
+// cut is best-effort like Taxonomy.Snapshot).
 //
 // The zero value is NOT ready; use NewHistogram.
 type Histogram struct {

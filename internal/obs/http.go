@@ -4,12 +4,13 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -23,52 +24,25 @@ import (
 // DebugOptions configures DebugHandler. Every field is optional; nil
 // sources simply don't serve.
 type DebugOptions struct {
-	// Counters is the primary counter set to export; each counter
-	// serializes as <Prefix>_<name>_total. It is also the set published to
-	// expvar.
-	Counters *Counters
-	// MoreCounters are additional counter sets appended to /metrics after
-	// the primary one — an instrumented layer that sits on top of another
-	// (the explorer over the sim runtime) serves both taxonomies from one
-	// endpoint.
-	MoreCounters []*Counters
-	// Histograms maps a metric base name (e.g. "decision_latency_ns") to
-	// a live histogram, exported in the Prometheus histogram convention
-	// (cumulative _bucket series plus _sum and _count).
+	// Layers are the instrumented layers to export, in order: each
+	// layer's counters serialize as wfadvice_<name>_total, its gauges as
+	// wfadvice_<name> and its histograms in the Prometheus histogram
+	// convention (cumulative _bucket series plus _sum and _count). A layer
+	// that sits on top of another (the explorer over the sim runtime, the
+	// kv over the native backend) serves both from one endpoint. The first
+	// layer's counters are also the set published to expvar.
+	Layers []*Taxonomy
+	// Histograms are the run-owned histograms no layer declares (e.g.
+	// "decision_latency_ns", which the stress harness and the endpoint
+	// share), keyed by metric base name.
 	Histograms map[string]*Histogram
 	// Tracer, if set, serves /trace dumps.
 	Tracer *Tracer
-	// Gauges, if set, contributes extra point-in-time series (reported as
-	// <Prefix>_<name>, no _total suffix).
-	Gauges func() map[string]int64
 	// Progress, if set, is served at /progress as a JSON document — the
 	// caller-shaped live-progress summary (cells done/total, nodes/sec,
 	// ETA) that a dashboard or a CI curl reads without parsing Prometheus
 	// text.
 	Progress func() any
-	// Prefix is the metric namespace; empty means "wfadvice".
-	Prefix string
-}
-
-// counterSets returns every counter set to export, primary first.
-func (o DebugOptions) counterSets() []*Counters {
-	var sets []*Counters
-	if o.Counters != nil {
-		sets = append(sets, o.Counters)
-	}
-	for _, c := range o.MoreCounters {
-		if c != nil {
-			sets = append(sets, c)
-		}
-	}
-	return sets
-}
-
-func (o DebugOptions) prefix() string {
-	if o.Prefix == "" {
-		return "wfadvice"
-	}
-	return o.Prefix
 }
 
 // expvarOnce guards the process-global expvar publication (expvar.Publish
@@ -112,11 +86,11 @@ func DebugHandler(o DebugOptions) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if o.Counters != nil {
-		c := o.Counters
+	if len(o.Layers) > 0 {
+		first := o.Layers[0]
 		expvarOnce.Do(func() {
 			expvar.Publish("wfadvice_counters", expvar.Func(func() any {
-				return c.Snapshot().Map()
+				return first.Snapshot().Map()
 			}))
 		})
 	}
@@ -159,22 +133,21 @@ func ServeDebug(prog, addr string, o DebugOptions) (stop func(), err error) {
 
 // writeMetrics renders the Prometheus text exposition.
 func writeMetrics(w http.ResponseWriter, o DebugOptions) {
-	p := o.prefix()
-	for _, c := range o.counterSets() {
-		s := c.Snapshot()
-		names := s.Names()
-		for i, name := range names {
+	const p = "wfadvice" // the metric namespace
+	hists := make(map[string]*Histogram)
+	maps.Copy(hists, o.Histograms)
+	gauges := make(map[string]int64)
+	for _, l := range o.Layers {
+		s := l.Snapshot()
+		for i, name := range l.names {
 			fmt.Fprintf(w, "# TYPE %s_%s_total counter\n", p, name)
 			fmt.Fprintf(w, "%s_%s_total %d\n", p, name, s.Get(CounterID(i)))
 		}
+		maps.Copy(hists, l.hists)
+		maps.Copy(gauges, l.Gauges())
 	}
-	histNames := make([]string, 0, len(o.Histograms))
-	for name := range o.Histograms {
-		histNames = append(histNames, name)
-	}
-	sort.Strings(histNames)
-	for _, name := range histNames {
-		s := o.Histograms[name].Snapshot()
+	for _, name := range slices.Sorted(maps.Keys(hists)) {
+		s := hists[name].Snapshot()
 		fmt.Fprintf(w, "# TYPE %s_%s histogram\n", p, name)
 		cum := int64(0)
 		for _, b := range s.Buckets {
@@ -196,24 +169,12 @@ func writeMetrics(w http.ResponseWriter, o DebugOptions) {
 		fmt.Fprintf(w, "# TYPE %s_trace_dropped_total counter\n", p)
 		fmt.Fprintf(w, "%s_trace_dropped_total %d\n", p, drops)
 	}
-	gauges := map[string]int64{
-		"goroutines": int64(runtime.NumGoroutine()),
-	}
+	gauges["goroutines"] = int64(runtime.NumGoroutine())
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	gauges["heap_alloc_bytes"] = int64(ms.HeapAlloc)
 	gauges["heap_objects"] = int64(ms.HeapObjects)
-	if o.Gauges != nil {
-		for k, v := range o.Gauges() {
-			gauges[k] = v
-		}
-	}
-	gaugeNames := make([]string, 0, len(gauges))
-	for k := range gauges {
-		gaugeNames = append(gaugeNames, k)
-	}
-	sort.Strings(gaugeNames)
-	for _, k := range gaugeNames {
+	for _, k := range slices.Sorted(maps.Keys(gauges)) {
 		fmt.Fprintf(w, "# TYPE %s_%s gauge\n", p, k)
 		fmt.Fprintf(w, "%s_%s %d\n", p, k, gauges[k])
 	}

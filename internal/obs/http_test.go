@@ -10,7 +10,9 @@ import (
 )
 
 func debugFixture() (DebugOptions, Handle) {
-	c := NewCounters([]string{"reg_read", "advice_query"})
+	c := NewTaxonomy(2, []string{"reg_read", "advice_query"})
+	c.Gauge("workers").Set(4)
+	c.Histogram("op_latency_ns").Observe(7)
 	h := c.Handle()
 	hist := NewHistogram()
 	hist.Observe(1000)
@@ -18,10 +20,9 @@ func debugFixture() (DebugOptions, Handle) {
 	tr := NewTracer(16, traceKinds)
 	tr.Emit(0, 1, 1, 0)
 	return DebugOptions{
-		Counters:   c,
+		Layers:     []*Taxonomy{c},
 		Histograms: map[string]*Histogram{"decision_latency_ns": hist},
 		Tracer:     tr,
-		Gauges:     func() map[string]int64 { return map[string]int64{"workers": 4} },
 	}, h
 }
 
@@ -39,6 +40,7 @@ func TestDebugHandlerMetrics(t *testing.T) {
 		"wfadvice_decision_latency_ns_bucket{le=\"+Inf\"} 2",
 		"wfadvice_decision_latency_ns_count 2",
 		"wfadvice_decision_latency_ns_sum 3000",
+		"wfadvice_op_latency_ns_count 1",
 		"wfadvice_trace_emitted_total 1",
 		"wfadvice_goroutines",
 		"wfadvice_heap_alloc_bytes",
@@ -50,14 +52,16 @@ func TestDebugHandlerMetrics(t *testing.T) {
 	}
 }
 
-// TestDebugHandlerMoreCounters serves two counter taxonomies from one
-// endpoint: the primary set and an additional layer's set must both
-// appear on /metrics, and only the primary feeds expvar.
+// TestDebugHandlerMoreCounters serves more than one layer from one
+// endpoint: every layer's counters, gauges and histograms must appear on
+// /metrics (only the first feeds expvar).
 func TestDebugHandlerMoreCounters(t *testing.T) {
 	opt, h := debugFixture()
-	more := NewCounters([]string{"explore_node"})
+	more := NewTaxonomy(1, []string{"explore_node"})
 	more.Handle().Add(0, 9)
-	opt.MoreCounters = []*Counters{nil, more} // nils are skipped
+	more.Gauge("explore_sweep_depth").Set(30)
+	more.Histogram("explore_node_depth").Observe(3)
+	opt.Layers = append(opt.Layers, more)
 	h.Inc(0)
 	srv := httptest.NewServer(DebugHandler(opt))
 	defer srv.Close()
@@ -66,6 +70,8 @@ func TestDebugHandlerMoreCounters(t *testing.T) {
 	for _, want := range []string{
 		"wfadvice_reg_read_total 1",
 		"wfadvice_explore_node_total 9",
+		"wfadvice_explore_sweep_depth 30",
+		"wfadvice_explore_node_depth_count 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)

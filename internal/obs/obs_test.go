@@ -11,7 +11,7 @@ import (
 var testNames = []string{"alpha", "beta", "gamma"}
 
 func TestCountersBasic(t *testing.T) {
-	c := NewCounters(testNames)
+	c := NewTaxonomy(3, testNames)
 	h := c.Handle()
 	if !h.Enabled() {
 		t.Fatal("minted handle reports disabled")
@@ -39,7 +39,7 @@ func TestCountersBasic(t *testing.T) {
 }
 
 func TestCountersDelta(t *testing.T) {
-	c := NewCounters(testNames)
+	c := NewTaxonomy(3, testNames)
 	h := c.Handle()
 	h.Add(0, 10)
 	before := c.Snapshot()
@@ -68,7 +68,7 @@ func TestHandleDisabled(t *testing.T) {
 // under -race: the final total must be exact, and totals must be monotone
 // between snapshots taken while writers run.
 func TestCountersConcurrent(t *testing.T) {
-	c := NewCounters(testNames)
+	c := NewTaxonomy(3, testNames)
 	const workers, per = 8, 10000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

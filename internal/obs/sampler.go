@@ -3,28 +3,28 @@ package obs
 import "time"
 
 // This file is the windowed sampler behind the `-progress` heartbeats and
-// the live progress endpoints: it turns a monotone Counters set into
+// the live progress endpoints: it turns a layer's monotone counters into
 // rates by snapshotting on a cadence and differencing consecutive
 // snapshots. Sampling runs strictly off the hot path (one stripe-summing
 // snapshot per window, allocating freely); the recorded counters pay
 // nothing for being watched.
 
-// Sampler produces windowed counter-delta observations of one Counters
-// set. It is single-consumer: one goroutine (the heartbeat loop, the
+// Sampler produces windowed counter-delta observations of one layer's
+// counters. It is single-consumer: one goroutine (the heartbeat loop, the
 // progress handler) calls Sample; the counters themselves may be bumped
 // by any number of recorders meanwhile.
 type Sampler struct {
-	c      *Counters
+	t      *Taxonomy
 	start  time.Time
 	prev   Snapshot
 	prevAt time.Time
 }
 
-// NewSampler snapshots c to anchor the first window and returns the
+// NewSampler snapshots t to anchor the first window and returns the
 // sampler. Rates reported by the first Sample cover creation → first call.
-func NewSampler(c *Counters) *Sampler {
+func NewSampler(t *Taxonomy) *Sampler {
 	now := time.Now()
-	return &Sampler{c: c, start: now, prev: c.Snapshot(), prevAt: now}
+	return &Sampler{t: t, start: now, prev: t.Snapshot(), prevAt: now}
 }
 
 // Sample closes the current window: it snapshots the counters, diffs
@@ -33,7 +33,7 @@ func NewSampler(c *Counters) *Sampler {
 // previous call.
 func (s *Sampler) Sample() Window {
 	now := time.Now()
-	cur := s.c.Snapshot()
+	cur := s.t.Snapshot()
 	w := Window{
 		Elapsed: now.Sub(s.start),
 		Span:    now.Sub(s.prevAt),
@@ -55,16 +55,6 @@ type Window struct {
 	Total Snapshot
 	// Delta is Total minus the previous window's Total.
 	Delta Snapshot
-}
-
-// Rate returns one counter's within-window rate in events/second (zero
-// for an empty window).
-func (w Window) Rate(id CounterID) float64 {
-	s := w.Span.Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return float64(w.Delta.Get(id)) / s
 }
 
 // Rates renders every counter that moved during the window as

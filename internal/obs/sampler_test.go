@@ -51,7 +51,7 @@ func TestGaugeSetMaxConcurrent(t *testing.T) {
 }
 
 func TestSamplerWindows(t *testing.T) {
-	c := NewCounters(testNames)
+	c := NewTaxonomy(3, testNames)
 	h := c.Handle()
 	h.Add(0, 10)
 	s := NewSampler(c)
@@ -72,9 +72,6 @@ func TestSamplerWindows(t *testing.T) {
 	}
 	if w.Span <= 0 || w.Elapsed < w.Span {
 		t.Errorf("Span = %v, Elapsed = %v: want 0 < Span <= Elapsed", w.Span, w.Elapsed)
-	}
-	if r := w.Rate(0); r <= 0 {
-		t.Errorf("Rate(alpha) = %f, want > 0", r)
 	}
 	rates := w.Rates()
 	if _, ok := rates["beta"]; ok {

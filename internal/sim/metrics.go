@@ -1,24 +1,18 @@
 package sim
 
-import (
-	"sync/atomic"
+import "wfadvice/internal/obs"
 
-	"wfadvice/internal/obs"
-)
-
-// This file is the sim backend's op-count telemetry (internal/obs wired
-// in): process-wide striped counters for runs driven and steps executed by
-// kind. The counters exist for the layers *above* the runtime — the
-// explorer's nodes/sec and states/sec signals, the experiment engine's
+// This file is the sim backend's op-count telemetry: runs driven and steps
+// executed by kind. The counters exist for the layers *above* the runtime —
+// the explorer's nodes/sec and states/sec signals, the experiment engine's
 // live progress — and are strictly outside sim.Result: a Result, a trace,
-// a schedule and every rendered report are byte-identical with metrics
-// enabled or stubbed. Each Runtime mints one pre-resolved handle at
-// construction (the native backend's discipline), so the per-step cost is
-// one predictable branch plus two atomic adds on a stripe the driving
-// goroutine effectively owns, and a disabled run has zero live cells.
+// a schedule and every rendered report are byte-identical with telemetry
+// on or stubbed (obs.SetEnabled). Each Runtime mints one pre-resolved
+// handle at construction, so the per-step cost is one predictable branch
+// plus two atomic adds on a stripe the driving goroutine effectively owns,
+// and a stubbed run has zero live cells.
 
-// Sim counter taxonomy. The constants index simCounterNames; both orders
-// must stay in sync (pinned by TestSimCounterNames).
+// Sim counter taxonomy.
 const (
 	// cSimRun counts Runtime.Run invocations — one per explorer node
 	// probe, shrink candidate, or experiment trial run.
@@ -34,46 +28,17 @@ const (
 	numSimCounters
 )
 
-// simCounterNames are the exported metric names, in CounterID order
-// (served as wfadvice_<name>_total by debug endpoints mounting this set).
-var simCounterNames = []string{
-	"sim_run",
-	"sim_step",
-	"sim_read",
-	"sim_write",
-	"sim_query",
-	"sim_decide",
-}
-
-// simMetrics is the process-wide sim counter set.
-var simMetrics = obs.NewCounters(simCounterNames)
-
-// simMetricsEnabled gates handle minting at Runtime construction, not
-// per-bump, mirroring native.EnableMetrics.
-var simMetricsEnabled atomic.Bool
-
-func init() { simMetricsEnabled.Store(true) }
-
-// newMetricsHandle mints a recording handle, or a discarding zero handle
-// when metrics are disabled.
-func newMetricsHandle() obs.Handle {
-	if !simMetricsEnabled.Load() {
-		return obs.Handle{}
-	}
-	return simMetrics.Handle()
-}
-
-// EnableMetrics turns sim op counting on or off for runtimes built AFTER
-// the call (handles are resolved at construction). Results, traces and
-// schedules are identical either way; only the live telemetry disappears.
-func EnableMetrics(on bool) { simMetricsEnabled.Store(on) }
-
-// Metrics returns the process-wide sim counter set (mounted by the
-// efd-explore and efd-bench debug endpoints next to the layer's own set).
-func Metrics() *obs.Counters { return simMetrics }
-
-// MetricsSnapshot sums the counter stripes into a point-in-time snapshot.
-func MetricsSnapshot() obs.Snapshot { return simMetrics.Snapshot() }
+// Telemetry is the sim layer's process-wide telemetry (mounted by the
+// efd-explore and efd-bench debug endpoints next to the layer's own;
+// counters are served as wfadvice_<name>_total).
+var Telemetry = obs.NewTaxonomy(numSimCounters, []string{
+	cSimRun:    "sim_run",
+	cSimStep:   "sim_step",
+	cSimRead:   "sim_read",
+	cSimWrite:  "sim_write",
+	cSimQuery:  "sim_query",
+	cSimDecide: "sim_decide",
+})
 
 // kindCounter maps a step kind to its counter.
 func kindCounter(kind OpKind) obs.CounterID {

@@ -1,22 +1,10 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
-)
 
-// TestSimCounterNames pins the counter taxonomy: the names slice and the
-// CounterID constants index each other, so reordering either without the
-// other corrupts every exported series.
-func TestSimCounterNames(t *testing.T) {
-	want := []string{"sim_run", "sim_step", "sim_read", "sim_write", "sim_query", "sim_decide"}
-	if !reflect.DeepEqual(simCounterNames, want) {
-		t.Errorf("simCounterNames = %v, want %v", simCounterNames, want)
-	}
-	if len(simCounterNames) != int(numSimCounters) {
-		t.Errorf("len(simCounterNames) = %d, numSimCounters = %d", len(simCounterNames), numSimCounters)
-	}
-}
+	"wfadvice/internal/obs"
+)
 
 // TestSimOpCounts drives one deterministic run and checks the counter
 // deltas against the exact op totals: the echo system does one write, one
@@ -24,7 +12,7 @@ func TestSimCounterNames(t *testing.T) {
 // sim_step plus its kind counter.
 func TestSimOpCounts(t *testing.T) {
 	const nc = 4
-	before := MetricsSnapshot()
+	before := Telemetry.Snapshot()
 	rt, err := New(echoConfig(nc, 1000))
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +21,7 @@ func TestSimOpCounts(t *testing.T) {
 	if res.Reason != ReasonAllDone {
 		t.Fatalf("reason = %v, want all-done", res.Reason)
 	}
-	d := MetricsSnapshot().Delta(before)
+	d := Telemetry.Snapshot().Delta(before)
 	m := d.Map()
 	if m["sim_run"] != 1 {
 		t.Errorf("sim_run delta = %d, want 1", m["sim_run"])
@@ -50,12 +38,12 @@ func TestSimOpCounts(t *testing.T) {
 	}
 }
 
-// TestSimMetricsDisabled checks that EnableMetrics(false) stubs runtimes
+// TestSimMetricsDisabled checks that obs.SetEnabled(false) stubs runtimes
 // built afterwards — no counter moves — and that Results are unaffected.
 func TestSimMetricsDisabled(t *testing.T) {
-	EnableMetrics(false)
-	defer EnableMetrics(true)
-	before := MetricsSnapshot()
+	obs.SetEnabled(false)
+	defer obs.SetEnabled(true)
+	before := Telemetry.Snapshot()
 	rt, err := New(echoConfig(3, 1000))
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +52,7 @@ func TestSimMetricsDisabled(t *testing.T) {
 	if res.Reason != ReasonAllDone {
 		t.Fatalf("reason = %v, want all-done", res.Reason)
 	}
-	if d := MetricsSnapshot().Delta(before).Map(); len(d) != 0 {
+	if d := Telemetry.Snapshot().Delta(before).Map(); len(d) != 0 {
 		t.Errorf("disabled metrics still moved: %v", d)
 	}
 }

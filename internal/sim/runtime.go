@@ -290,7 +290,7 @@ func New(cfg Config) (*Runtime, error) {
 		reqCh:  make(chan *proc),
 		retCh:  make(chan *proc),
 		stopCh: make(chan struct{}),
-		mh:     newMetricsHandle(),
+		mh:     Telemetry.Handle(),
 	}
 	for i := 0; i < cfg.NC; i++ {
 		if cfg.Inputs[i] == nil {

@@ -114,6 +114,72 @@ func (s *Random) Next(v *View) (ids.Proc, bool) {
 	return v.Ready[s.Rng.Intn(len(v.Ready))], true
 }
 
+// Bursty is the hostile counterpart of Random: it keeps whoever is running
+// for a burst, and sometimes freezes the process it switches away from — the
+// shape of a goroutine that runs through its quantum and is then descheduled
+// while everyone else moves on. Uniform scheduling almost never builds the
+// schedules an adversary would (a replica acting on knowledge hundreds of
+// steps old); this one builds them on purpose. It is fair with probability
+// 1: freezes end, and every pick is uniform among the candidates.
+//
+// At each switch the outgoing process is frozen with probability FreezeProb
+// for uniform [1, FreezeLen] scheduler calls, the next process is picked
+// uniformly among the ready unfrozen ones (among all ready ones when every
+// one is frozen) and runs for a further uniform [0, 2·Burst) steps while it
+// stays ready. Burst 0 with FreezeProb 0 is uniform Random.
+type Bursty struct {
+	Seed       int64
+	Burst      int
+	FreezeProb float64
+	FreezeLen  int
+
+	rng    *rand.Rand
+	calls  int
+	cur    ids.Proc
+	left   int              // steps left in cur's burst
+	thawAt map[ids.Proc]int // first call at which a frozen process may run again
+}
+
+var _ Scheduler = (*Bursty)(nil)
+
+// frozen reports whether p is frozen at the current scheduler call.
+func (s *Bursty) frozen(p ids.Proc) bool { return s.thawAt[p] > s.calls }
+
+// Next implements Scheduler.
+func (s *Bursty) Next(v *View) (ids.Proc, bool) {
+	if len(v.Ready) == 0 {
+		return ids.Proc{}, false
+	}
+	s.calls++
+	switch {
+	case s.rng == nil:
+		s.rng = rand.New(rand.NewSource(s.Seed))
+		s.thawAt = make(map[ids.Proc]int)
+	case s.left > 0 && v.IsReady(s.cur):
+		s.left--
+		return s.cur, true
+	case s.FreezeLen > 0 && s.rng.Float64() < s.FreezeProb:
+		// Frozen for this call and up to FreezeLen-1 after it.
+		s.thawAt[s.cur] = s.calls + 1 + s.rng.Intn(s.FreezeLen)
+	}
+	var thawed []ids.Proc
+	for _, p := range v.Ready {
+		if !s.frozen(p) {
+			thawed = append(thawed, p)
+		}
+	}
+	if len(thawed) == 0 {
+		thawed = v.Ready
+	}
+	s.cur = thawed[s.rng.Intn(len(thawed))]
+	delete(s.thawAt, s.cur) // a fallback pick ends that process's freeze
+	s.left = 0
+	if s.Burst > 0 {
+		s.left = s.rng.Intn(2 * s.Burst)
+	}
+	return s.cur, true
+}
+
 // KGate wraps an inner scheduler and enforces k-concurrency (§2.2): a
 // C-process that has not yet taken a step is admitted only while fewer than
 // K participating C-processes are undecided. Runs produced under a KGate are

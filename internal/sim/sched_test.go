@@ -212,3 +212,60 @@ func TestSortedStoreKeys(t *testing.T) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 }
+
+// TestBurstyFreezesAndStaysFair drives Bursty call by call and pins its
+// contract: it picks from Ready; a process frozen going into a call is not
+// picked by it (eight processes and freezes of at most six calls, one new
+// freeze per call, leave an unfrozen one ready every time, so the fallback
+// never hides a bad pick); freezes and multi-step bursts both occur; and
+// every process keeps being scheduled, none waiting unboundedly.
+func TestBurstyFreezesAndStaysFair(t *testing.T) {
+	var procs []ids.Proc
+	for i := 0; i < 4; i++ {
+		procs = append(procs, ids.C(i), ids.S(i))
+	}
+	s := &Bursty{Seed: 1, Burst: 5, FreezeProb: 0.5, FreezeLen: 6}
+	lastPick := make(map[ids.Proc]int)
+	var prev ids.Proc
+	bursts, freezes, maxWait := 0, 0, 0
+	for call := 1; call <= 20_000; call++ {
+		// One process drops out of the ready set now and then, as a
+		// decided or crashed one does; it must not be picked while out.
+		ready := procs
+		if call%7 == 0 {
+			ready = procs[1:]
+		}
+		thawAt := make(map[ids.Proc]int)
+		for _, q := range ready {
+			thawAt[q] = s.thawAt[q]
+		}
+		v := testView(call, ready...)
+		p, ok := s.Next(v)
+		if !ok || !v.IsReady(p) || thawAt[p] > call {
+			t.Fatalf("call %d: picked %v (ok=%v) from ready set %v, frozen until call %d", call, p, ok, ready, thawAt[p])
+		}
+		if s.frozen(prev) {
+			freezes++
+		}
+		if p == prev {
+			bursts++
+		}
+		maxWait = max(maxWait, call-lastPick[p])
+		prev, lastPick[p] = p, call
+	}
+	if freezes == 0 || bursts == 0 {
+		t.Errorf("%d freezes and %d burst continuations in 20 000 calls, want both", freezes, bursts)
+	}
+	if limit := 100 * len(procs) * s.Burst; len(lastPick) != len(procs) || maxWait > limit {
+		t.Errorf("%d of %d processes scheduled, longest wait %d calls (limit %d)", len(lastPick), len(procs), maxWait, limit)
+	}
+
+	// When every ready process is frozen the pick falls back to all of them:
+	// a lone process under FreezeProb 1 still runs at every call.
+	lone := &Bursty{Seed: 1, FreezeProb: 1, FreezeLen: 1000}
+	for call := 1; call <= 100; call++ {
+		if p, ok := lone.Next(testView(call, ids.C(0))); !ok || p != ids.C(0) {
+			t.Fatalf("call %d: lone process not scheduled (%v, %v)", call, p, ok)
+		}
+	}
+}

@@ -51,8 +51,9 @@ func specOf(name string, slots, parts, idleS int, factory func(i int) auto.Autom
 			if idleS > 0 {
 				cfg.SBody = func(int) sim.Body {
 					return func(e sim.Ops) {
+						noop := e.Bind([]string{"noop"})
 						for {
-							e.Read("noop")
+							noop.Read(0)
 						}
 					}
 				}

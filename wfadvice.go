@@ -35,6 +35,7 @@ import (
 	"wfadvice/internal/ids"
 	"wfadvice/internal/kv"
 	"wfadvice/internal/native"
+	"wfadvice/internal/obs"
 	"wfadvice/internal/paxos"
 	"wfadvice/internal/sim"
 	"wfadvice/internal/task"
@@ -214,11 +215,11 @@ var (
 	NewPaxosLog = paxos.NewLog
 	// KVCheckSessions replays the version order the service reported.
 	KVCheckSessions = kv.CheckSessions
-	// NativeEnableMetrics gates the native backend's runtime counters for
-	// runtimes built after the call (handles resolve at construction). The
-	// stubbed mode exists for the instrumented-vs-stubbed overhead
-	// benchmarks.
-	NativeEnableMetrics = native.EnableMetrics
+	// NativeEnableMetrics is the one process-wide telemetry switch: it
+	// gates every layer's counters for runtimes built after the call
+	// (handles resolve at construction). The stubbed mode exists for the
+	// instrumented-vs-stubbed overhead benchmarks.
+	NativeEnableMetrics = obs.SetEnabled
 	// NewScenario builds a backend-independent scenario.
 	NewScenario = core.NewScenario
 )
