@@ -16,8 +16,9 @@
 // /metrics (Prometheus text: the engine and sim counter taxonomies, the
 // per-cell wall-time histogram, worker-utilization gauges), /progress
 // (cells done/planned and an ETA as JSON), /debug/pprof/* and
-// /debug/vars. -progress prints a heartbeat line to stderr every
-// interval — cells completed, interval cells/sec, active workers, ETA —
+// /debug/vars. -progress prints that same document to stderr every
+// interval as one heartbeat line — cells done and planned, active workers,
+// ETA — followed by the interval's engine counter rates (exp_cell/s, …),
 // in the same tagged k=v shape as `efd-stress -snapshot`. Neither flag
 // changes trial execution or the tables: telemetry is strictly outside
 // exp.Table, and the heartbeat goes to stderr so -json stdout stays pure.
@@ -115,7 +116,7 @@ func main() {
 	// will generate under these options, counted up front.
 	planned := exp.PlanCells(experiments, eng.Options())
 	benchStart := time.Now()
-	stopHTTP, err := obs.ServeDebug("efd-bench", *httpAddr, obs.DebugOptions{
+	stopHTTP, err := obs.ServeDebug("efd-bench", *httpAddr, *progress, obs.DebugOptions{
 		Layers:   []*obs.Taxonomy{exp.Telemetry, sim.Telemetry},
 		Progress: func() any { return progressDoc(benchStart, planned) },
 	})
@@ -124,11 +125,6 @@ func main() {
 		os.Exit(2)
 	}
 	defer stopHTTP()
-	if *progress > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go progressLoop(*progress, planned, stop)
-	}
 	rep := report{Seed: *seed, Parallelism: workers, Trials: *trials, Short: *short}
 	var slowest expReport
 	wallStart := time.Now()
@@ -204,29 +200,5 @@ func progressDoc(start time.Time, planned int) any {
 		"experiments_done": m["exp_experiment"],
 		"workers_active":   g["exp_workers_active"],
 		"eta_s":            eta(done, int64(planned), elapsed).Seconds(),
-	}
-}
-
-// progressLoop prints one heartbeat line per interval to stderr, in the
-// `efd-stress -snapshot` shape: a tag, rounded elapsed time, then k=v
-// fields mixing cumulative progress, the interval rate, and the ETA.
-func progressLoop(interval time.Duration, planned int, stop <-chan struct{}) {
-	s := obs.NewSampler(exp.Telemetry)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		w := s.Sample()
-		done := w.Total.Map()["exp_cell"]
-		g := exp.Telemetry.Gauges()
-		fmt.Fprintf(os.Stderr,
-			"bench %8s  cells=%d/%d interval=%.1f cells/s active=%d eta=%s\n",
-			w.Elapsed.Round(time.Second), done, planned,
-			w.Rates()["exp_cell"], g["exp_workers_active"],
-			eta(done, int64(planned), w.Elapsed).Round(time.Second))
 	}
 }

@@ -16,11 +16,11 @@
 // (Prometheus text: the explorer and sim counter taxonomies, the
 // node-depth histogram, frontier/sweep/item gauges), /progress (a compact
 // JSON progress document), /debug/pprof/* and /debug/vars. -progress
-// prints a heartbeat line to stderr every interval — nodes replayed,
-// interval nodes/sec, frontier depth, prune counters and work-item
-// progress — in the same tagged k=v shape as `efd-stress -snapshot`.
-// Neither flag changes the search or the report: telemetry is strictly
-// outside explore.Report.
+// prints that same document to stderr every interval as one heartbeat line
+// — nodes replayed, frontier depth, prune counters, work-item progress —
+// followed by the interval's explorer counter rates (explore_node/s, …), in
+// the same tagged k=v shape as `efd-stress -snapshot`. Neither flag changes
+// the search or the report: telemetry is strictly outside explore.Report.
 //
 // Exit codes: 0 on success, 1 when -expect mismatches the violation count,
 // when no violation is found, or when a replay diverges; 2 on bad flags.
@@ -155,7 +155,7 @@ func main() {
 	}
 
 	start := time.Now()
-	stopHTTP, err := obs.ServeDebug("efd-explore", *httpAddr, obs.DebugOptions{
+	stopHTTP, err := obs.ServeDebug("efd-explore", *httpAddr, *progress, obs.DebugOptions{
 		Layers:   []*obs.Taxonomy{explore.Telemetry, sim.Telemetry},
 		Progress: func() any { return progressDoc(start) },
 	})
@@ -164,11 +164,6 @@ func main() {
 		os.Exit(2)
 	}
 	defer stopHTTP()
-	if *progress > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go progressLoop(*progress, stop)
-	}
 
 	if *replay != "" {
 		os.Exit(runReplay(*replay, *jsonOut))
@@ -314,33 +309,6 @@ func progressDoc(start time.Time) any {
 		"items_total":    g["explore_items_total"],
 		"shrink_len":     g["explore_shrink_len"],
 		"shrink_runs":    x["explore_shrink_run"],
-	}
-}
-
-// progressLoop prints one heartbeat line per interval to stderr, in the
-// `efd-stress -snapshot` shape: a tag, rounded elapsed time, then k=v
-// fields mixing cumulative counters, the interval rate, and live gauges.
-func progressLoop(interval time.Duration, stop <-chan struct{}) {
-	xs := obs.NewSampler(explore.Telemetry)
-	ss := obs.NewSampler(sim.Telemetry)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		xw := xs.Sample()
-		sw := ss.Sample()
-		xt := xw.Total.Map()
-		g := explore.Telemetry.Gauges()
-		fmt.Fprintf(os.Stderr,
-			"explore %8s  nodes=%d steps=%d interval=%.0f nodes/s frontier=%d depth=%d dedup=%d sleep=%d items=%d/%d\n",
-			xw.Elapsed.Round(time.Second), xt["explore_node"], sw.Total.Map()["sim_step"],
-			xw.Rates()["explore_node"], g["explore_frontier_depth"], g["explore_sweep_depth"],
-			xt["explore_dedup_hit"], xt["explore_sleep_prune"],
-			g["explore_items_done"], g["explore_items_total"])
 	}
 }
 

@@ -136,7 +136,7 @@ func main() {
 		tracer = native.NewTracer(*traceCap)
 	}
 	latency := obs.NewHistogram()
-	stopHTTP, err := obs.ServeDebug("efd-kv", *httpAddr, obs.DebugOptions{
+	stopHTTP, err := obs.ServeDebug("efd-kv", *httpAddr, 0, obs.DebugOptions{
 		Layers:     []*obs.Taxonomy{native.Telemetry, kv.Telemetry},
 		Histograms: map[string]*obs.Histogram{"kv_open_loop_latency_ns": latency},
 		Tracer:     tracer,

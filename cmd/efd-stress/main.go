@@ -102,7 +102,7 @@ func main() {
 		tracer = native.NewTracer(*traceCap)
 	}
 	latency := obs.NewHistogram()
-	stopHTTP, err := obs.ServeDebug("efd-stress", *httpAddr, obs.DebugOptions{
+	stopHTTP, err := obs.ServeDebug("efd-stress", *httpAddr, 0, obs.DebugOptions{
 		Layers:     []*obs.Taxonomy{native.Telemetry},
 		Histograms: map[string]*obs.Histogram{"decision_latency_ns": latency},
 		Tracer:     tracer,

@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wfadvice/internal/fdet"
+	"wfadvice/internal/sim"
+	"wfadvice/internal/vec"
 )
 
 // syntheticExperiment builds an experiment whose cells report their index
@@ -144,7 +148,9 @@ func TestEngineTimeout(t *testing.T) {
 }
 
 // TestEnginePanicIsolated checks that a panicking cell becomes a failure
-// row rather than tearing down the run.
+// row rather than tearing down the run — whether the cell itself panics or a
+// process body of a sim run inside it (the panic comes out of Runtime.Run on
+// the cell's goroutine).
 func TestEnginePanicIsolated(t *testing.T) {
 	bad := Experiment{
 		ID: "BAD", Name: "bad", Title: "bad", Claim: "panics are contained",
@@ -152,13 +158,30 @@ func TestEnginePanicIsolated(t *testing.T) {
 		Cells: func(Options) []Cell {
 			return []Cell{
 				{Name: "boom", Run: func(*Trial) Outcome { panic("kaboom") }},
+				{Name: "body", Run: func(*Trial) Outcome {
+					rt, err := sim.New(sim.Config{
+						NC: 1, Inputs: vec.Of(1), Pattern: fdet.FailureFree(0), MaxSteps: 10,
+						CBody: func(int) sim.Body {
+							return func(e sim.Ops) {
+								e.Write("x", 1)
+								panic("body-kaboom")
+							}
+						},
+					})
+					if err != nil {
+						panic(err)
+					}
+					rt.Run(&sim.RoundRobin{})
+					return Row(false, "body", "ran on")
+				}},
 				{Name: "fine", Run: func(*Trial) Outcome { return Row(false, "fine", "ok") }},
 			}
 		},
 	}
 	tbl := NewEngine(Options{Seed: 1}).Run(bad)
-	if tbl.Failures != 1 || !strings.Contains(tbl.Render(), "kaboom") {
-		t.Fatalf("panic not contained as failure row:\n%s", tbl.Render())
+	out := tbl.Render()
+	if tbl.Failures != 2 || !strings.Contains(out, "kaboom") || !strings.Contains(out, "FAIL: panic: body-kaboom") || !strings.Contains(out, "ok") {
+		t.Fatalf("panics not contained as failure rows:\n%s", out)
 	}
 }
 

@@ -1122,7 +1122,6 @@ func expE16() Experiment {
 		Notes: []string{
 			"~-prefixed cells are wall-clock measurements (machine-dependent; skipped by -skip-measured determinism checks)",
 			"the …/pin row is the kernel-scheduled reference: every process goroutine locked to its own OS thread (efd-stress -pin)",
-			"PR 4 → PR 5 (allocation-free bound hot path, same 1-core box): register op 54.6ns generic → 16.0ns bound typed (0 allocs/op, procs=2; 223.8 → 64.9ns at procs=8), write+collect round 193.6 → 133.1ns (n=2) / 1093 → 643ns (n=8), stress ops/sec 34.8M → 44.7M (consensus/n=4) and 83M → 118.7M (n=16), p50 unchanged at ~20.1ms (advice-stabilization-bound)",
 		},
 		Cells: func(opt Options) []Cell {
 			g := grid

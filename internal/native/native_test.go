@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -435,14 +436,17 @@ func TestStress(t *testing.T) {
 func TestSoakSmoke(t *testing.T) {
 	s := scenario(t, core.ScenarioParams{Task: "consensus", N: 4, Stabilize: 10})
 	burst := func(d time.Duration) {
-		// Snapshot at a quarter of the burst so every burst exercises the
-		// soak profile: the monitor goroutine, the snapshot series and the
+		// Snapshot sixteen times a burst so every burst exercises the soak
+		// profile: the monitor goroutine, the snapshot series and the
 		// post-hoc leak audit — the same machinery `efd-stress -duration
-		// 10m -snapshot 30s` runs for real soaks.
+		// 10m -snapshot 30s` runs for real soaks. The audit compares the
+		// floors of the two halves of the series, and a floor read off two
+		// snapshots is no floor: a snapshot finds both workers mid-instance
+		// about one time in four and both idle one time in thirty.
 		rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
 			return s.NativeConfig(seed, tick), nil
 		}, native.StressOptions{Duration: d, RunBudget: 5 * time.Second, Workers: 2, ProcsPerRun: 8, Seed: 1,
-			SnapshotEvery: d / 4})
+			SnapshotEvery: d / 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -499,6 +503,39 @@ func TestSoakSmoke(t *testing.T) {
 	if after.HeapAlloc > base.HeapAlloc+slack {
 		t.Fatalf("heap grew from %d to %d bytes after soak (> %d slack): retained garbage",
 			base.HeapAlloc, after.HeapAlloc, slack)
+	}
+}
+
+// TestLeakCheckComparesFloors: a soak snapshot lands anywhere between every
+// worker idling between two instances and every worker mid-instance, so the
+// audit compares the low-water marks of the two halves of the series, not
+// two snapshots. A series whose first snapshot caught the pool empty and
+// whose last caught it full is clean (first against last, it read as 17
+// leaked goroutines); a floor that rises is a leak, in goroutines or heap.
+func TestLeakCheckComparesFloors(t *testing.T) {
+	series := func(heapStep uint64, goroutines ...int) *native.StressReport {
+		rep := &native.StressReport{}
+		for i, g := range goroutines {
+			rep.Snapshots = append(rep.Snapshots, native.SoakSnapshot{Goroutines: g, HeapAlloc: 8<<20 + uint64(i)*heapStep})
+		}
+		return rep
+	}
+	for _, clean := range [][]int{
+		{6, 23, 14, 23},                 // empty pool first, full pool last
+		{6, 23, 23, 14, 23, 13, 23, 23}, // the same shape, longer
+		{23, 23, 6, 6},                  // shrinking
+		{23},                            // no series to speak of
+	} {
+		if err := series(1<<20, clean...).LeakCheck(); err != nil {
+			t.Errorf("series %v: %v, want clean", clean, err)
+		}
+	}
+	// The floor rising by some eight goroutines a snapshot under the same noise.
+	if err := series(0, 6, 23, 31, 30, 38, 55, 63, 62).LeakCheck(); err == nil || !strings.Contains(err.Error(), "goroutine") {
+		t.Errorf("rising goroutine floor: LeakCheck = %v, want a goroutine leak", err)
+	}
+	if err := series(32<<20, 6, 23, 14, 23, 6, 23).LeakCheck(); err == nil || !strings.Contains(err.Error(), "heap") {
+		t.Errorf("heap growing 32 MB a snapshot: LeakCheck = %v, want a heap leak", err)
 	}
 }
 

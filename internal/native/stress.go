@@ -163,27 +163,43 @@ type StressReport struct {
 }
 
 // LeakCheck audits a soak series for monotone resource growth: it compares
-// the last snapshot against the first, allowing slack for scheduler and GC
-// noise (goroutines: a few stragglers from instances still winding down;
-// heap: transient live sets between GC cycles). It reports nil for runs
-// without a soak series. The thresholds are deliberately generous — this is
-// a leak detector for 10-minute soaks, not a memory benchmark.
+// the low-water marks of the second half of the series and of the first,
+// allowing slack for scheduler and GC noise (goroutines: a few stragglers
+// from instances still winding down; heap: transient live sets between GC
+// cycles). A snapshot lands anywhere between "every worker is between two
+// instances" and "every worker is mid-instance", a whole pool of process
+// goroutines apart, so two single snapshots say little; a leak raises the
+// floor, and the floor is what the halves are compared on. It reports nil
+// for runs without a soak series. The thresholds are deliberately generous —
+// this is a leak detector for 10-minute soaks, not a memory benchmark.
 func (r *StressReport) LeakCheck() error {
-	if len(r.Snapshots) < 2 {
+	n := len(r.Snapshots)
+	if n < 2 {
 		return nil
 	}
-	first, last := r.Snapshots[0], r.Snapshots[len(r.Snapshots)-1]
+	g0, h0 := lowWater(r.Snapshots[:n/2])
+	g1, h1 := lowWater(r.Snapshots[n/2:])
 	const goroutineSlack = 16
-	if last.Goroutines > first.Goroutines+goroutineSlack {
-		return fmt.Errorf("native: goroutines grew %d → %d across the soak (> %d slack): leaked instance or advice-service goroutines",
-			first.Goroutines, last.Goroutines, goroutineSlack)
+	if g1 > g0+goroutineSlack {
+		return fmt.Errorf("native: goroutine low-water mark grew %d → %d from the first half of the soak to the second (> %d slack): leaked instance or advice-service goroutines",
+			g0, g1, goroutineSlack)
 	}
 	const heapSlack = 64 << 20
-	if last.HeapAlloc > first.HeapAlloc+heapSlack {
-		return fmt.Errorf("native: heap grew %d → %d bytes across the soak (> %d slack): retained garbage",
-			first.HeapAlloc, last.HeapAlloc, heapSlack)
+	if h1 > h0+heapSlack {
+		return fmt.Errorf("native: heap low-water mark grew %d → %d bytes from the first half of the soak to the second (> %d slack): retained garbage",
+			h0, h1, heapSlack)
 	}
 	return nil
+}
+
+// lowWater is the floor of a stretch of a soak series: the fewest goroutines
+// and the smallest live heap any of its snapshots saw.
+func lowWater(ss []SoakSnapshot) (goroutines int, heap uint64) {
+	goroutines, heap = ss[0].Goroutines, ss[0].HeapAlloc
+	for _, s := range ss[1:] {
+		goroutines, heap = min(goroutines, s.Goroutines), min(heap, s.HeapAlloc)
+	}
+	return goroutines, heap
 }
 
 // Render formats the report as aligned text.

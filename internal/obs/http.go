@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
 	"maps"
 	"net"
 	"net/http"
@@ -13,13 +14,16 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"time"
 )
 
 // This file is the live debug endpoint behind the CLIs' -http flag: one
 // http.Handler that serves the whole observability surface while a
 // workload runs — Prometheus-text /metrics (counters, histograms, runtime
 // gauges), /trace ring dumps (raw JSON or Chrome trace format), the full
-// net/http/pprof suite for profiling a stress run in flight, and expvar.
+// net/http/pprof suite for profiling a stress run in flight, and expvar —
+// and the stderr heartbeat behind their -progress flag, which prints the
+// same /progress document on a cadence.
 
 // DebugOptions configures DebugHandler. Every field is optional; nil
 // sources simply don't serve.
@@ -41,7 +45,7 @@ type DebugOptions struct {
 	// Progress, if set, is served at /progress as a JSON document — the
 	// caller-shaped live-progress summary (cells done/total, nodes/sec,
 	// ETA) that a dashboard or a CI curl reads without parsing Prometheus
-	// text.
+	// text — and is what ServeDebug's heartbeat prints.
 	Progress func() any
 }
 
@@ -98,37 +102,91 @@ func DebugHandler(o DebugOptions) http.Handler {
 	return mux
 }
 
-// ServeDebug is a CLI's -http flag: it listens on addr, announces the
-// endpoint on stderr under the program's name and serves DebugHandler(o) in
-// the background until the returned stop is called. An empty addr serves
-// nothing. The error is the listen error as net reports it (it already names
-// the operation and the address).
-func ServeDebug(prog, addr string, o DebugOptions) (stop func(), err error) {
-	if addr == "" {
-		return func() {}, nil
+// ServeDebug is a CLI's -http and -progress flags: it listens on addr,
+// announces the endpoint on stderr under the program's name and serves
+// DebugHandler(o) in the background, and prints o.Progress to stderr every
+// beat (see heartbeat), both until the returned stop is called. An empty addr
+// serves nothing and a zero beat prints nothing. The error is the listen
+// error as net reports it (it already names the operation and the address).
+func ServeDebug(prog, addr string, beat time.Duration, o DebugOptions) (stop func(), err error) {
+	quit := make(chan struct{})
+	var wg sync.WaitGroup
+	var srv http.Server
+	if addr != "" {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		srv.Handler = DebugHandler(o)
+		serves := []string{"metrics"}
+		if o.Tracer != nil {
+			serves = append(serves, "trace")
+		}
+		if o.Progress != nil {
+			serves = append(serves, "progress")
+		}
+		fmt.Fprintf(os.Stderr, "%s: debug endpoint on http://%s/ (%s, debug/pprof)\n", prog, ln.Addr(), strings.Join(serves, ", "))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = srv.Serve(ln) // returns once stop closes the server
+		}()
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
+	if beat > 0 && o.Progress != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			heartbeat(os.Stderr, strings.TrimPrefix(prog, "efd-"), beat, o, quit)
+		}()
 	}
-	serves := []string{"metrics"}
-	if o.Tracer != nil {
-		serves = append(serves, "trace")
-	}
-	if o.Progress != nil {
-		serves = append(serves, "progress")
-	}
-	fmt.Fprintf(os.Stderr, "%s: debug endpoint on http://%s/ (%s, debug/pprof)\n", prog, ln.Addr(), strings.Join(serves, ", "))
-	srv := &http.Server{Handler: DebugHandler(o)}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ln) // returns once stop closes the server
-	}()
 	return func() {
+		close(quit)
 		_ = srv.Close()
-		<-done
+		wg.Wait()
 	}, nil
+}
+
+// heartbeat writes one line per beat to w until quit closes, in the
+// `efd-stress -snapshot` shape — a tag, the rounded elapsed time, then k=v
+// fields: the /progress document's own when it is a map[string]any (sorted
+// by key; elapsed_s is the line's second column), then the per-second rate
+// over the beat of every counter of the first layer that moved in it. The
+// line is the document, so a CLI describes its progress once and gets the
+// endpoint and the heartbeat.
+func heartbeat(w io.Writer, tag string, beat time.Duration, o DebugOptions, quit <-chan struct{}) {
+	start := time.Now()
+	var s *Sampler
+	if len(o.Layers) > 0 {
+		s = NewSampler(o.Layers[0])
+	}
+	t := time.NewTicker(beat)
+	defer t.Stop()
+	for {
+		select {
+		case <-quit:
+			return
+		case <-t.C:
+		}
+		line := fmt.Sprintf("%s %8s ", tag, time.Since(start).Round(time.Second))
+		doc, _ := o.Progress().(map[string]any)
+		for _, k := range slices.Sorted(maps.Keys(doc)) {
+			if k == "elapsed_s" {
+				continue // the column just printed
+			}
+			if f, ok := doc[k].(float64); ok {
+				line += fmt.Sprintf(" %s=%.1f", k, f)
+			} else {
+				line += fmt.Sprintf(" %s=%v", k, doc[k])
+			}
+		}
+		if s != nil {
+			rates := s.Sample().Rates()
+			for _, k := range slices.Sorted(maps.Keys(rates)) {
+				line += fmt.Sprintf(" %s/s=%.1f", k, rates[k])
+			}
+		}
+		fmt.Fprintln(w, line)
+	}
 }
 
 // writeMetrics renders the Prometheus text exposition.

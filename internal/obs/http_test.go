@@ -1,12 +1,14 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func debugFixture() (DebugOptions, Handle) {
@@ -165,4 +167,34 @@ func get(t *testing.T, url string) string {
 		t.Fatalf("GET %s: status %d, body %s", url, resp.StatusCode, body)
 	}
 	return string(body)
+}
+
+// TestHeartbeatPrintsProgressDocument: the -progress line is the /progress
+// document — tag, elapsed, the document's fields by key (elapsed_s being the
+// second column) — plus the rates of the first layer's counters that moved.
+func TestHeartbeatPrintsProgressDocument(t *testing.T) {
+	opt, h := debugFixture()
+	opt.Progress = func() any {
+		h.Add(0, 5) // reg_read moves in every beat, advice_query never
+		return map[string]any{"elapsed_s": 1.25, "cells_done": int64(3), "eta_s": 11.52}
+	}
+	r, w := io.Pipe()
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		heartbeat(w, "bench", time.Millisecond, opt, quit)
+	}()
+	line, err := bufio.NewReader(r).ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(quit)
+	go io.Copy(io.Discard, r) //nolint:errcheck // unblock a beat in flight
+	<-done
+	w.Close()
+	fields := strings.Fields(line)
+	if len(fields) != 5 || fields[0] != "bench" || fields[2] != "cells_done=3" || fields[3] != "eta_s=11.5" ||
+		!strings.HasPrefix(fields[4], "reg_read/s=") {
+		t.Fatalf("heartbeat line = %q, want `bench <elapsed> cells_done=3 eta_s=11.5 reg_read/s=…`", line)
+	}
 }

@@ -3,19 +3,21 @@
 // S-processes driven by an explicit scheduler, one atomic step at a time
 // (§2.1 of "Wait-Freedom with Advice").
 //
-// Process bodies are ordinary Go functions; every shared-memory operation
-// (read, write, failure-detector query, decide) blocks until the scheduler
-// grants the process a step, so a run's interleaving is fully determined by
-// the scheduler and runs are reproducible. Local computation between steps
-// is free, exactly as in the model. Crashes apply only to S-processes;
-// C-processes never crash but may simply stop being scheduled — the
-// distinction at the heart of the EFD model.
+// Process bodies are ordinary Go functions, each run as a coroutine of the
+// runtime's single thread of control: every shared-memory operation (read,
+// write, failure-detector query, decide) yields to Runtime.Run, which
+// resumes exactly one process per scheduled step. A run's interleaving is
+// therefore the scheduler's choices and nothing else, and runs are
+// reproducible. Local computation between steps is free, exactly as in the
+// model. Crashes apply only to S-processes; C-processes never crash but may
+// simply stop being scheduled — the distinction at the heart of the EFD
+// model.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"iter"
 
 	"wfadvice/internal/fdet"
 	"wfadvice/internal/ids"
@@ -154,8 +156,9 @@ type Ops interface {
 	AwaitEpoch(seen uint64)
 }
 
-// Body is a process program. It runs in its own goroutine against an Ops
-// backend; on the sim runtime every operation consumes one scheduled step.
+// Body is a process program. It runs against an Ops backend — as a coroutine
+// of the sim runtime, where every operation consumes one scheduled step, or
+// in its own goroutine on the native one.
 type Body func(e Ops)
 
 // Config describes a system to execute.
@@ -223,47 +226,61 @@ type Result struct {
 	FinalStore map[string]Value
 }
 
+// errStopped unwinds a parked body when its runtime stops.
 var errStopped = errors.New("sim: runtime stopped")
-
-type procState int
-
-const (
-	statePending  procState = iota + 1 // parked at an operation, awaiting grant
-	stateActive                        // granted, executing its operation
-	stateReturned                      // body finished
-)
 
 type proc struct {
 	id    ids.Proc
 	input Value
 	body  Body
 	env   *Env
-	grant chan struct{}
-	state procState // owned by the runtime loop
 	steps int
-	// pending is the operation this process is parked at. It is written by
-	// the process goroutine immediately before it parks on reqCh and read by
-	// the runtime loop after the channel receive, so the channel provides the
-	// necessary ordering.
+	// next resumes the body until it parks at its next operation or returns,
+	// stop unwinds a parked body, and yield is the body's side of the pair
+	// (iter.Pull); all three exist only while Run is executing.
+	next  func() (PendingOp, bool)
+	stop  func()
+	yield func(PendingOp) bool
+	// pending is the operation this process is parked at; parked is false
+	// before the body's first operation and once the body has returned.
 	pending PendingOp
+	parked  bool
 	// decided is set for C-processes once they call Decide.
 	decided  bool
 	decision Value
 }
 
+// run is the process's coroutine: the body, parking through yield. A body
+// unwound by errStopped has simply ended; any other panic propagates to
+// whoever resumed it.
+func (p *proc) run(yield func(PendingOp) bool) {
+	p.yield = yield
+	defer func() {
+		if x := recover(); x != nil && x != errStopped { //nolint:errorlint // sentinel identity
+			panic(x)
+		}
+	}()
+	p.body(p.env)
+}
+
+// advance resumes the body: it performs the operation it was parked at (if
+// any) and runs on to its next operation or its return. It reports whether
+// the process is parked again.
+func (p *proc) advance() bool {
+	p.pending, p.parked = p.next()
+	return p.parked
+}
+
 // Runtime executes one configured system. A Runtime is single-use: create,
-// Run, inspect the Result.
+// Run once, inspect the Result.
 type Runtime struct {
-	cfg    Config
-	store  map[string]Value
-	procs  []*proc // stable order: C(0..NC-1) then S(0..NS-1), spawned only
-	byID   map[ids.Proc]*proc
-	reqCh  chan *proc
-	retCh  chan *proc
-	stopCh chan struct{}
-	wg     sync.WaitGroup
-	trace  []Event
-	step   int
+	cfg   Config
+	store map[string]Value
+	procs []*proc // stable order: C(0..NC-1) then S(0..NS-1), spawned only
+	byID  map[ids.Proc]*proc
+	trace []Event
+	step  int
+	ran   bool
 	// mh is the op-count telemetry handle, minted at construction (zero =
 	// stubbed). Strictly outside Result: see metrics.go.
 	mh obs.Handle
@@ -284,13 +301,10 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("sim: pattern over %d processes, want %d", cfg.Pattern.N, cfg.NS)
 	}
 	r := &Runtime{
-		cfg:    cfg,
-		store:  make(map[string]Value),
-		byID:   make(map[ids.Proc]*proc),
-		reqCh:  make(chan *proc),
-		retCh:  make(chan *proc),
-		stopCh: make(chan struct{}),
-		mh:     Telemetry.Handle(),
+		cfg:   cfg,
+		store: make(map[string]Value),
+		byID:  make(map[ids.Proc]*proc),
+		mh:    Telemetry.Handle(),
 	}
 	for i := 0; i < cfg.NC; i++ {
 		if cfg.Inputs[i] == nil {
@@ -315,104 +329,55 @@ func New(cfg Config) (*Runtime, error) {
 }
 
 func (r *Runtime) addProc(id ids.Proc, input Value, body Body) {
-	p := &proc{id: id, input: input, body: body, grant: make(chan struct{})}
+	p := &proc{id: id, input: input, body: body}
 	p.env = &Env{r: r, p: p}
 	r.procs = append(r.procs, p)
 	r.byID[id] = p
 }
 
 // Run drives the system until the step budget is exhausted, the scheduler
-// stops, or every process returns.
+// stops, or every process returns. It is sequential code: every body is
+// advanced to its first operation in process order, and from then on one
+// step is one resumption of the process the scheduler chose — that process
+// performs the operation it was parked at against the store and runs on to
+// its next operation or its return while everything else stands still. A
+// panic in a body surfaces here, on the caller's goroutine, and every body
+// still parked when Run ends (normally or by that panic) is unwound first,
+// so a finished Runtime holds no coroutine.
 func (r *Runtime) Run(sched Scheduler) *Result {
+	if r.ran {
+		panic("sim: Run called twice on one Runtime; a Runtime is single-use, build the next one with sim.New")
+	}
+	r.ran = true
 	r.mh.Inc(cSimRun)
 	live := 0
-	pending := 0
 	for _, p := range r.procs {
-		p := p
-		live++
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer func() {
-				if x := recover(); x != nil && x != errStopped { //nolint:errorlint // sentinel identity
-					panic(x)
-				}
-				select {
-				case r.retCh <- p:
-				case <-r.stopCh:
-				}
-			}()
-			p.body(p.env)
-			panic(errStopped) // normal return: unify the exit path
-		}()
+		p.next, p.stop = iter.Pull(p.run)
+		defer p.stop()
+		if p.advance() {
+			live++
+		}
 	}
-
-	reason := ReasonMaxSteps
 	for live > 0 {
-		// Lockstep barrier: wait until every live process is parked at an
-		// operation. This makes scheduling decisions independent of
-		// goroutine timing, so runs are deterministic.
-		for pending < live {
-			select {
-			case p := <-r.reqCh:
-				p.state = statePending
-				pending++
-			case p := <-r.retCh:
-				if p.state == statePending {
-					pending--
-				}
-				p.state = stateReturned
-				live--
-			}
-		}
-		if live == 0 {
-			reason = ReasonAllDone
-			break
-		}
 		if r.step >= r.cfg.MaxSteps {
-			reason = ReasonMaxSteps
-			break
+			return r.result(ReasonMaxSteps)
 		}
 		view := r.view()
 		if len(view.Ready) == 0 {
 			// Every remaining process is crashed; the run is over.
-			reason = ReasonAllDone
-			break
+			return r.result(ReasonAllDone)
 		}
 		next, ok := sched.Next(view)
-		if !ok {
-			reason = ReasonScheduler
-			break
-		}
 		p := r.byID[next]
-		if p == nil || p.state != statePending {
-			reason = ReasonScheduler
-			break
+		if !ok || p == nil || !p.parked {
+			// The scheduler stopped, or named a process with no step to take.
+			return r.result(ReasonScheduler)
 		}
-		// Grant exactly one step. The process performs its operation against
-		// the store (it has exclusive access until it re-parks or returns).
-		p.state = stateActive
-		pending--
-		p.grant <- struct{}{}
-		// Wait for this process to park at its next operation or return; all
-		// other live processes are already parked, so the next message is
-		// necessarily from p.
-		select {
-		case q := <-r.reqCh:
-			q.state = statePending
-			pending++
-		case q := <-r.retCh:
-			q.state = stateReturned
+		if !p.advance() {
 			live--
 		}
 	}
-	if live == 0 {
-		reason = ReasonAllDone
-	}
-
-	close(r.stopCh)
-	r.wg.Wait()
-	return r.result(reason)
+	return r.result(ReasonAllDone)
 }
 
 // view assembles the scheduler's view of the current state.
@@ -438,7 +403,7 @@ func (r *Runtime) view() *View {
 				v.cRemaining++
 			}
 		}
-		if p.state != statePending {
+		if !p.parked {
 			continue
 		}
 		v.Pending[p.id] = p.pending
@@ -489,8 +454,8 @@ func (r *Runtime) result(reason Reason) *Result {
 	return res
 }
 
-// record appends a trace event; called by the active process during its
-// exclusive step window. The telemetry bumps ride here — the one place
+// record appends a trace event; called by the resumed process as it performs
+// its operation. The telemetry bumps ride here — the one place
 // every executed step passes — and touch nothing the Result is built from.
 func (r *Runtime) record(p *proc, kind OpKind, key string, val Value) {
 	r.trace = append(r.trace, Event{Step: r.step, Proc: p.id, Kind: kind, Key: key, Val: val})
@@ -501,8 +466,8 @@ func (r *Runtime) record(p *proc, kind OpKind, key string, val Value) {
 }
 
 // Env is a process's handle to the shared memory, its failure-detector
-// module (S-processes) and its decision action (C-processes). All methods
-// that consume a step block until the scheduler grants one.
+// module (S-processes) and its decision action (C-processes). Every method
+// that consumes a step yields to the runtime until the scheduler grants one.
 type Env struct {
 	r *Runtime
 	p *proc
@@ -511,17 +476,10 @@ type Env struct {
 var _ Ops = (*Env)(nil)
 
 // await parks the process until the scheduler grants it a step, announcing
-// the operation it is about to perform.
+// the operation it is about to perform. It returns on the grant; when the
+// runtime is stopping instead, it unwinds the body.
 func (e *Env) await(kind OpKind, key string) {
-	e.p.pending = PendingOp{Kind: kind, Key: key}
-	select {
-	case e.r.reqCh <- e.p:
-	case <-e.r.stopCh:
-		panic(errStopped)
-	}
-	select {
-	case <-e.p.grant:
-	case <-e.r.stopCh:
+	if !e.p.yield(PendingOp{Kind: kind, Key: key}) {
 		panic(errStopped)
 	}
 }
@@ -591,7 +549,7 @@ func (e *Env) QueryFD() Value {
 func (e *Env) Epoch() uint64 { return 0 }
 
 // AwaitEpoch implements Ops. Inert on the sim backend (see Epoch): the
-// scheduler already blocks the process until its next step is granted, so
+// scheduler already parks the process until its next step is granted, so
 // there is never anything to wait for here.
 func (e *Env) AwaitEpoch(uint64) {}
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"wfadvice/internal/fdet"
@@ -261,5 +263,132 @@ func TestMaxConcurrencyAnalyzer(t *testing.T) {
 	}
 	if got := MaxConcurrency(res); got != 2 {
 		t.Fatalf("MaxConcurrency = %d, want 2", got)
+	}
+}
+
+// loopConfig is a system whose bodies never return: nc C-processes writing
+// and deciding, then reading forever, and one S-process querying forever.
+// Every way a run of it ends leaves all of its bodies parked.
+func loopConfig(nc, maxSteps int) Config {
+	cfg := echoConfig(nc, maxSteps)
+	cfg.NS = 1
+	cfg.CBody = func(i int) Body {
+		return func(e Ops) {
+			e.Write(fmt.Sprintf("r/%d", i), e.Input())
+			e.Decide(e.Input())
+			for {
+				e.Read("r/0")
+			}
+		}
+	}
+	cfg.SBody = func(int) Body {
+		return func(e Ops) {
+			for {
+				e.QueryFD()
+			}
+		}
+	}
+	cfg.Pattern = fdet.FailureFree(1)
+	return cfg
+}
+
+// recovered runs f and returns what it panicked with (nil if it returned).
+func recovered(f func()) (x any) {
+	defer func() { x = recover() }()
+	f()
+	return nil
+}
+
+// TestBodyPanicSurfacesFromRun: a panic in a process body comes out of Run,
+// on the caller's goroutine, with the value the body panicked with — where a
+// test or exp.Engine can recover it — and the bodies of the other processes,
+// parked mid-run, are unwound all the same (their deferred calls run).
+func TestBodyPanicSurfacesFromRun(t *testing.T) {
+	type boom struct{ step int }
+	unwound := 0
+	cfg := loopConfig(3, 1000)
+	loop := cfg.CBody
+	cfg.CBody = func(i int) Body {
+		if i == 1 {
+			return func(e Ops) {
+				e.Write("x", 1)
+				panic(boom{step: 1})
+			}
+		}
+		return func(e Ops) {
+			defer func() { unwound++ }()
+			loop(i)(e)
+		}
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if x := recovered(func() { rt.Run(&RoundRobin{}) }); x != (boom{step: 1}) {
+		t.Fatalf("Run panicked with %v, want the body's own value %v", x, boom{step: 1})
+	}
+	if unwound != 2 {
+		t.Errorf("%d of the 2 other C-bodies were unwound", unwound)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before the run, %d after the panic", before, after)
+	}
+	// A body that misuses the interface before its first operation panics
+	// out of Run the same way.
+	cfg = echoConfig(1, 10)
+	cfg.CBody = func(int) Body { return func(e Ops) { e.QueryFD() } }
+	if rt, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if x := recovered(func() { rt.Run(&RoundRobin{}) }); x == nil || !strings.Contains(fmt.Sprint(x), "queried the failure detector") {
+		t.Fatalf("Run panicked with %v, want the C-process QueryFD misuse", x)
+	}
+}
+
+// TestRunIsSingleUse: a second Run panics on the caller's goroutine and says
+// what to do instead (the twin of native's TestRearmRunNeedsReset).
+func TestRunIsSingleUse(t *testing.T) {
+	rt, err := New(echoConfig(2, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := rt.Run(&RoundRobin{}); res.Reason != ReasonAllDone {
+		t.Fatalf("first run ended %v, want all-done", res.Reason)
+	}
+	x := recovered(func() { rt.Run(&RoundRobin{}) })
+	if x == nil || !strings.Contains(fmt.Sprint(x), "sim.New") {
+		t.Fatalf("second Run panicked with %v, want a message naming sim.New", x)
+	}
+}
+
+// TestRuntimeLeavesNoGoroutine: a runtime holds a coroutine per process only
+// while Run executes — none when it is built and never run, none after a run
+// that ends with every body still parked, whoever ended it.
+func TestRuntimeLeavesNoGoroutine(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		sched Scheduler // nil: never run
+		want  Reason
+	}{
+		{name: "New without Run"},
+		{name: "cut by MaxSteps", sched: &RoundRobin{}, want: ReasonMaxSteps},
+		{name: "cut by StopWhenDecided", sched: &StopWhenDecided{Inner: &RoundRobin{}}, want: ReasonScheduler},
+		{name: "cut by a probe's exhausted prefix", sched: &Replay{Seq: []ids.Proc{ids.C(0), ids.S(0), ids.C(1)}}, want: ReasonScheduler},
+	} {
+		before := runtime.NumGoroutine()
+		rt, err := New(loopConfig(3, 50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.sched != nil {
+			if res := rt.Run(c.sched); res.Reason != c.want {
+				t.Errorf("%s: run ended %v, want %v", c.name, res.Reason, c.want)
+			}
+		}
+		// Not !=: the previous test's own goroutine may still be exiting.
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines before, %d after", c.name, before, after)
+		}
 	}
 }

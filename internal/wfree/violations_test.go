@@ -66,6 +66,28 @@ func TestExhaustiveSweepIsWorkerInvariant(t *testing.T) {
 	}
 }
 
+// TestKSetSweepCounts pins the depth-20 sweep of 2-set agreement among 3
+// of 4 slots — the explorer's baseline row (benchmark/README.md, ROADMAP
+// item 2): the numbers of an exhaustive, violation-free sweep are a function
+// of the spec and the horizon alone, whatever the worker count. Sleep sets
+// and state hashes are computed from pending operations, so the counts move
+// if a process ever announces its next operation at a different point.
+func TestKSetSweepCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 60 370-run sweeps")
+	}
+	want := explore.Stats{Runs: 60_370, DedupHits: 2_313, SleepPrunes: 63_893}
+	for _, workers := range []int{1, 8} {
+		rep, err := explore.Explore(wfree.KSetSpec(4, 3, 2, 0), explore.Options{MaxDepth: 20, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stats != want || !rep.Exhausted {
+			t.Errorf("workers=%d: want exhausted with %+v, got:\n%s", workers, want, rep.Render())
+		}
+	}
+}
+
 // TestShrinkRenamingViolation covers the acceptance bar: a long random
 // violating trace (noise-padded by idle S-processes) must shrink to at most
 // a quarter of its executed steps, and the shrunk trace must replay to the
