@@ -157,17 +157,22 @@ func kvCrashSchedule(det fdet.Detector, ns, crashes int, first fdet.Time, storm 
 	return crashAt
 }
 
+// kvLiveSlots is the number of log slots the register table of a stress run
+// is sized for. It does not grow with the run: replicas give a window's
+// registers back once every frontier has passed it, so the table holds the
+// window being filled and the one or two behind it that the slowest
+// replica's next publication will free. A crashed replica pins the log from
+// its frontier on and the table then outgrows the estimate, which costs map
+// growth, never correctness.
+const kvLiveSlots = 4 * 64
+
 // scenario assembles the system one run executes: the shared kv scenario
 // sized for the offered load, under the (possibly chaos-wrapped) advice and
 // the crash pattern that chases it. cc carries the clerk fields that are the
 // harness's own — workload shape, open-loop clock, op observer.
 func (o KVStressOptions) scenario(cc kv.ClerkConfig) *Scenario {
 	nc, ns := o.clients(), o.N
-	// Register pre-sizing: the log grows one slot per committed batch, so
-	// the offered load bounds it; cap the estimate — overflow only costs map
-	// growth.
-	slots := min(max(1024, int(o.Rate*o.Duration.Seconds())+64), 1<<16)
-	s := kvScenario(nc, ns, slots, kv.ReplicaConfig{Shards: o.Shards}, cc)
+	s := kvScenario(nc, ns, kvLiveSlots, kv.ReplicaConfig{Shards: o.Shards}, cc)
 	s.Name = o.KVScenarioName()
 	s.Detector = fdet.WithChaos(s.Detector, o.Chaos)
 	// The crash schedule chases whatever the detector advises, so every
@@ -232,6 +237,7 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 		Decisions: len(res.Decisions),
 		Elapsed:   res.Elapsed,
 		Crashes:   len(res.Crashed),
+		Registers: rt.Registers(),
 	}
 	rep.Judge(native.CheckDelta(s.Task, res), native.CheckDecided(res))
 	// Ops counts completed client operations (the decided sessions plus

@@ -105,6 +105,69 @@ func TestKVStressClosedLoopEventAdvice(t *testing.T) {
 	}
 }
 
+// TestKVStressHoldsAFewWindowsOfRegisters: a fault-free closed-loop second of
+// the benchmark's kv-put shape decides tens of thousands of log slots (a few
+// thousand under the race detector) of four registers each, and ends with a
+// few windows' worth in the table — 300 to 500 on an idle box: the replicas
+// released the rest as their frontiers passed, and the binds that followed
+// minted from the arrays that came back. The count is taken the moment the
+// clerks finish, so a follower the scheduler held back just then still holds
+// the windows it has to catch up through (256 registers each); that is lag,
+// not growth, and a second run does not repeat it — the bound is on the best
+// of three, where a table that is not reclaimed holds a quarter of a million
+// every time.
+func TestKVStressHoldsAFewWindowsOfRegisters(t *testing.T) {
+	const tries = 3
+	for try := 1; ; try++ {
+		rep := runKVStress(t, KVStressOptions{N: 3, Clients: 4, PutFrac: 1, Duration: time.Second, Seed: int64(try)})
+		slots := rep.Counters["kv_batch_commit"] + rep.Counters["kv_batch_preempt"]
+		t.Logf("%d ops in %d slots: %d registers held, %d released, %d binds on a recycled array",
+			rep.Ops, slots, rep.Registers, rep.Counters["reg_released"], rep.Counters["cell_array_reused"])
+		if slots < 1024 {
+			t.Fatalf("the run decided %d slots, too few to tell a bounded table from an unbounded one", slots)
+		}
+		if rep.Counters["reg_released"] < 2*slots || rep.Counters["cell_array_reused"] == 0 {
+			t.Fatalf("%d registers released and %d binds on a recycled array over %d slots: the log is not being reclaimed",
+				rep.Counters["reg_released"], rep.Counters["cell_array_reused"], slots)
+		}
+		if rep.Registers <= 2048 {
+			return
+		}
+		if try == tries {
+			t.Fatalf("the table holds %d registers after %d slots, want ≤ 2048 in one run of %d", rep.Registers, slots, tries)
+		}
+	}
+}
+
+// TestKVStressCrashedReplicaPinsTheLog is the same second with the leader
+// crashed half way. The run must pass its checker like any other. What it
+// does not do is stay small: a crashed replica's frontier register keeps the
+// value it last published, the minimum over the frontiers stops there, and
+// every window from that one on stays in the table — the log after the crash
+// is held exactly as the whole log was before replicas released anything.
+// That is the known limit of reclamation by frontier alone (a survivor cannot
+// tell a crashed replica from a slow one); it goes when a lagging replica can
+// install a snapshot instead of sweeping. Until then this test documents the
+// pin: the registers held are the survivors' slots since the crash, not a few
+// windows.
+func TestKVStressCrashedReplicaPinsTheLog(t *testing.T) {
+	rep := runKVStress(t, KVStressOptions{
+		N: 3, Clients: 4, PutFrac: 1, Duration: time.Second, Seed: 1,
+		CrashLeader: 1, CrashAt: 5000, // tick 100 µs: half a second in
+	})
+	if rep.Crashes != 1 {
+		t.Fatalf("injected crashes = %d, want 1", rep.Crashes)
+	}
+	slots := rep.Counters["kv_batch_commit"] + rep.Counters["kv_batch_preempt"]
+	t.Logf("%d ops in %d slots: %d registers held, %d released", rep.Ops, slots, rep.Registers, rep.Counters["reg_released"])
+	if rep.Counters["reg_released"] == 0 {
+		t.Error("nothing was released in the half second before the crash")
+	}
+	if rep.Registers <= 2048 && slots > 4096 {
+		t.Logf("the table is small after a crash: has snapshot install landed? Then fold this test into the fault-free one")
+	}
+}
+
 // TestKVStressSharesScenarioAssembly is the drift guard: the system KVStress
 // runs and the conformance grid's NewScenario kv row come out of the same
 // constructor, so for equal (nc, ns) they agree on task, inputs, detector and
@@ -129,10 +192,11 @@ func TestKVStressSharesScenarioAssembly(t *testing.T) {
 	if stress.NC != grid.NC || stress.NS != grid.NS {
 		t.Errorf("dimensions: stress %d×%d, grid %d×%d", stress.NC, stress.NS, grid.NC, grid.NS)
 	}
-	// Same formula, each caller's own slot count: 1024 is the harness floor
-	// for a 100-op run, n·kvScriptOps the grid's script length.
-	if got, want := stress.Registers, kv.Registers(n, n, 1024); got != want {
-		t.Errorf("stress registers = %d, want kv.Registers(%d, %d, 1024) = %d", got, n, n, want)
+	// Same formula, each caller's own slot count: the live windows of a
+	// reclaiming log for the harness, n·kvScriptOps — the grid's script
+	// length — for the grid.
+	if got, want := stress.Registers, kv.Registers(n, n, kvLiveSlots); got != want {
+		t.Errorf("stress registers = %d, want kv.Registers(%d, %d, %d) = %d", got, n, n, kvLiveSlots, want)
 	}
 	if got, want := grid.Registers, kv.Registers(n, n, n*kvScriptOps); got != want {
 		t.Errorf("grid registers = %d, want kv.Registers(%d, %d, %d) = %d", got, n, n, n*kvScriptOps, want)

@@ -3,6 +3,8 @@ package kv
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -109,6 +111,123 @@ func TestCheckSessionsSameVersionLeaseReadsCommute(t *testing.T) {
 	s1 := sess(1, OpRecord{Op: OpGet, Key: "a", Out: 5, Ver: 1, Lease: true, Start: 10, End: 20})
 	if err := CheckSessions([]*Session{s0, s1}, true); err != nil {
 		t.Fatalf("commuting lease reads rejected: %v", err)
+	}
+}
+
+// stableSorted is the claimed order built the obvious way: concatenate the
+// completed records, session by session, and sort them stably.
+func stableSorted(sessions []*Session) []opRef {
+	var all []opRef
+	for s, sn := range sessions {
+		for i, op := range sn.Ops {
+			if !op.TimedOut {
+				all = append(all, opRef{int32(s), int32(i)})
+			}
+		}
+	}
+	slices.SortStableFunc(all, func(a, b opRef) int {
+		return claimedBefore(&sessions[a.s].Ops[a.i], &sessions[b.s].Ops[b.i])
+	})
+	return all
+}
+
+// TestClaimedOrderIsTheStableSort: the merge of the sessions is the stable
+// sort of their concatenation, on random histories (many sessions, lease
+// reads piling up on one version with ties in Start, timed-out ops in
+// between, empty sessions) and on the histories the sim backend produces,
+// where every Start is zero and every lease-read tie is broken by session
+// alone.
+func TestClaimedOrderIsTheStableSort(t *testing.T) {
+	check := func(name string, sessions []*Session) {
+		t.Helper()
+		got, timeouts, err := claimedOrder(sessions)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := stableSorted(sessions)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: merged order of %d ops differs from the stable sort", name, len(want))
+		}
+		total := 0
+		for _, s := range sessions {
+			total += len(s.Ops)
+		}
+		if len(got)+timeouts != total {
+			t.Fatalf("%s: %d ordered + %d timed out, want %d ops", name, len(got), timeouts, total)
+		}
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sessions := make([]*Session, 1+rng.Intn(9))
+		clock := make([]int64, len(sessions))
+		for c := range sessions {
+			sessions[c] = &Session{Client: c}
+		}
+		ver := int64(0)
+		for n := rng.Intn(400); n > 0; n-- {
+			c := rng.Intn(len(sessions))
+			s := sessions[c]
+			clock[c] += int64(rng.Intn(2)) // ties in Start are common
+			op := OpRecord{Op: OpGet, Key: "k", Start: clock[c], End: clock[c] + 1}
+			last := int64(-1)
+			for _, o := range s.Ops {
+				if !o.TimedOut {
+					last = o.Ver
+				}
+			}
+			switch rng.Intn(4) {
+			case 0:
+				op.TimedOut = true
+			case 1, 2:
+				if last <= ver { // a lease read of the current version
+					op.Ver, op.Lease = ver, true
+					break
+				}
+				fallthrough
+			default:
+				ver++
+				op.Ver, op.Op = ver, OpPut
+			}
+			s.Ops = append(s.Ops, op)
+		}
+		check(fmt.Sprintf("random seed %d", seed), sessions)
+	}
+	const n, ops = 3, 6
+	for seed := int64(0); seed < 6; seed++ {
+		res := runKV(t, kvSimConfig(n, ops, nil, 40, seed, 4_000_000), n, seed)
+		var sessions []*Session
+		leases := 0
+		for _, out := range res.Outputs {
+			s := out.(*Session)
+			sessions = append(sessions, s)
+			for _, op := range s.Ops {
+				if op.Start != 0 {
+					t.Fatalf("sim seed %d: an op has a start time", seed)
+				}
+				if op.Lease {
+					leases++
+				}
+			}
+		}
+		if leases == 0 {
+			t.Fatalf("sim seed %d: no lease read in the history, nothing ties", seed)
+		}
+		check(fmt.Sprintf("sim seed %d", seed), sessions)
+	}
+}
+
+func TestCheckSessionsCatchesSessionOutOfInvocationOrder(t *testing.T) {
+	// Two lease reads of one version whose starts run backwards: a clerk
+	// issues its ops one after the other, so this is no session, and the
+	// merge would not be the sort if it were let through.
+	s0 := sess(0,
+		OpRecord{Op: OpPut, Key: "a", Arg: 5, Out: 0, Ver: 1, Start: 1, End: 2},
+		OpRecord{Op: OpGet, Key: "a", Out: 5, Ver: 1, Lease: true, Start: 50, End: 60},
+		OpRecord{Op: OpGet, Key: "a", Out: 5, Ver: 1, Lease: true, Start: 10, End: 20},
+	)
+	err := CheckSessions([]*Session{s0}, true)
+	if err == nil || !strings.Contains(err.Error(), "invocation order") {
+		t.Fatalf("session with decreasing start times not caught: %v", err)
 	}
 }
 
@@ -353,17 +472,138 @@ func TestKVSimLeaderCrash(t *testing.T) {
 	}
 }
 
+// thenSettle follows Inner until every clerk has decided and then gives the
+// replicas still up Steps more steps, in turn, so that each one sweeps to the
+// end of the log and publishes where it got to. What the store holds after
+// that is what the system keeps, not what a frozen replica had yet to read.
+type thenSettle struct {
+	Inner sim.Scheduler
+	Steps int
+	rr    sim.RoundRobin
+}
+
+func (s *thenSettle) Next(v *sim.View) (ids.Proc, bool) {
+	if v.CRemaining() > 0 {
+		return s.Inner.Next(v)
+	}
+	if s.Steps--; s.Steps < 0 {
+		return ids.Proc{}, false
+	}
+	return s.rr.Next(v)
+}
+
+// TestReclaimUnderHostileSchedules runs the kv system with a log window of
+// two slots, so that a replica slides, publishes and truncates every other
+// slot, under the schedules that could catch reclamation out: the
+// conformance grid's bursty scheduler (a replica frozen for up to 1 600
+// scheduler calls wakes holding a window others have long left), with a
+// leader crash on top, and with advice flapping every four ticks through
+// most of the workload. Every run must pass the kv task (the sessions are
+// linearizable) and must not touch a released register — the sim backend
+// panics on that, and the panic comes out of Run. On the crash-free rows the
+// log registers left once the replicas have settled are a few windows' worth
+// however long the log grew; with a crashed replica they are not (its
+// frontier register stays where it was and pins every later window), which
+// is the pin the native crash test documents too.
+func TestReclaimUnderHostileSchedules(t *testing.T) {
+	const (
+		n, ops, window = 3, 16, 2
+		// Windows a settled crash-free system may still hold: the one in use,
+		// and those whose block registers the last leader keeps until its next
+		// slide because a follower was frozen behind when it last published.
+		heldWindows = 4
+		perWindow   = window * (n + 1)
+	)
+	seeds := int64(200)
+	if testing.Short() {
+		seeds = 12
+	}
+	sched := sim.Bursty{Burst: 40, FreezeProb: 0.25, FreezeLen: 1600}
+	for _, row := range []struct {
+		name      string
+		crash     map[int]fdet.Time
+		det       fdet.Detector
+		stabilize fdet.Time
+	}{
+		{"bursty", nil, fdet.LiveOmega{}, 40},
+		{"bursty/leader-crash", map[int]fdet.Time{0: 2500}, fdet.LiveOmega{}, 40},
+		{"bursty/flap:4", nil, fdet.Flap(fdet.LiveOmega{}, 4), 6000},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			most, fewest := 0, 1<<30
+			for seed := int64(0); seed < seeds; seed++ {
+				cfg := kvSimConfig(n, ops, row.crash, row.stabilize, seed, 6_000_000)
+				// Mostly puts, one to a batch: a slot per put, a slide every other.
+				cfg.CBody = ClerkConfig{NC: n, NS: n, Ops: ops, PutFrac: 0.8}.Body
+				cfg.SBody = ReplicaConfig{NC: n, NS: n, LeaseReads: true, Window: window, MaxBatch: 1}.Body
+				cfg.History = row.det.History(cfg.Pattern, row.stabilize, seed)
+				b := sched
+				b.Seed = seed
+				where := fmt.Sprintf("seed %d, window %d, bursty{burst %d, freeze-prob %v, freeze-len %d}",
+					seed, window, b.Burst, b.FreezeProb, b.FreezeLen)
+				rt, err := sim.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var res *sim.Result
+				func() {
+					defer func() {
+						if x := recover(); x != nil {
+							t.Fatalf("%s: %v", where, x)
+						}
+					}()
+					res = rt.Run(&thenSettle{Inner: &b, Steps: 4000})
+				}()
+				if err := sim.CheckTask(NewTask(n), res); err != nil {
+					t.Fatalf("%s: %v (reason %v)", where, err, res.Reason)
+				}
+				if err := sim.DecidedAll(res); err != nil {
+					t.Fatalf("%s: %v (reason %v after %d steps)", where, err, res.Reason, res.Steps)
+				}
+				held, slots := 0, 0
+				for k := range res.FinalStore {
+					if strings.HasPrefix(k, LogPrefix+"/") && !isFrontierKey(k) {
+						held++
+					}
+				}
+				for _, ev := range res.Trace {
+					if ev.Kind == sim.OpWrite && strings.HasSuffix(ev.Key, "/dec") && strings.HasPrefix(ev.Key, LogPrefix+"/") {
+						slots++ // an upper bound: several replicas may write one decision
+					}
+				}
+				most, fewest = max(most, held), min(fewest, slots)
+				if row.crash == nil && held > heldWindows*perWindow {
+					t.Fatalf("%s: %d log registers left after at most %d decided slots, want at most %d windows' worth (%d)",
+						where, held, slots, heldWindows, heldWindows*perWindow)
+				}
+			}
+			t.Logf("%d seeds: at most %d log registers left, at least %d decision writes", seeds, most, fewest)
+		})
+	}
+}
+
 // TestReplicaStepShapeAcrossWindows pins what the replicas do on the sim
 // backend, step for step: the (process, op, key) sequence of three replicas
 // carrying a put-only script across three slides of the log's bound window
 // must hash to the recording taken before the log bound its registers a
 // window at a time. Advice is stable from step 0, so no slot is ever
 // contested and the recording is independent of how preemption is settled.
+//
+// Reclamation may add steps on the frontier registers and nothing else: the
+// recording is compared over the events that are not on a frontier register,
+// and those are counted — three slides, each replica writing its own and
+// reading all three. So that the comparison tests the replicas and not the
+// schedule, a step on a frontier register is granted as soon as it is
+// pending, outside the corridor: the corridor's turns then fall on exactly
+// the operations they fell on in the recording, provided the replicas do
+// what they did there.
 func TestReplicaStepShapeAcrossWindows(t *testing.T) {
 	const (
-		n, ops     = 3, 200 // one slot per op: windows at 0, 64, 128 and 192
-		wantEvents = 84582
-		wantDigest = uint64(0x36e124b140fc3601)
+		n, ops       = 3, 200 // one slot per op: windows at 0, 64, 128 and 192
+		wantEvents   = 84582
+		wantDigest   = uint64(0x36e124b140fc3601)
+		wantFrontier = 3 * n * (1 + n)
 	)
 	pat := fdet.NewPattern(n, nil)
 	rc := ReplicaConfig{NC: 1, NS: n}
@@ -386,21 +626,44 @@ func TestReplicaStepShapeAcrossWindows(t *testing.T) {
 	for i := 0; i < 60_000; i++ {
 		script = append(script, round...)
 	}
-	res := rt.Run(&sim.StopWhenDecided{Inner: &sim.Scripted{Seq: script}})
+	res := rt.Run(&sim.StopWhenDecided{Inner: frontierFirst{&sim.Scripted{Seq: script}}})
 	if err := sim.DecidedAll(res); err != nil {
 		t.Fatalf("%v (reason %v after %d steps)", err, res.Reason, res.Steps)
 	}
 	h := fnv.New64a()
-	events := 0
+	events, frontier := 0, 0
 	for _, ev := range res.Trace {
-		if ev.Proc.IsS() {
+		switch {
+		case !ev.Proc.IsS():
+		case isFrontierKey(ev.Key):
+			frontier++
+		default:
 			fmt.Fprintf(h, "%d %d %s\n", ev.Proc.Index, ev.Kind, ev.Key)
 			events++
 		}
 	}
 	if events != wantEvents || h.Sum64() != wantDigest {
-		t.Errorf("replicas performed %d steps with digest %#x, recorded %d and %#x", events, h.Sum64(), wantEvents, wantDigest)
+		t.Errorf("replicas performed %d steps off the frontier registers with digest %#x, recorded %d and %#x", events, h.Sum64(), wantEvents, wantDigest)
 	}
+	if frontier != wantFrontier {
+		t.Errorf("replicas performed %d steps on the frontier registers, want %d", frontier, wantFrontier)
+	}
+}
+
+func isFrontierKey(key string) bool { return strings.HasPrefix(key, LogPrefix+"/frontier/") }
+
+// frontierFirst grants a pending operation on a frontier register at once and
+// leaves every other choice to the scheduler it wraps, which is not consulted
+// for those steps.
+type frontierFirst struct{ sim.Scheduler }
+
+func (s frontierFirst) Next(v *sim.View) (ids.Proc, bool) {
+	for _, p := range v.Ready {
+		if isFrontierKey(v.Pending[p].Key) {
+			return p, true
+		}
+	}
+	return s.Scheduler.Next(v)
 }
 
 // runClerkAgainstClock runs one clerk issuing a single op with a 1000 ns
@@ -499,7 +762,7 @@ func TestPreemptedSlotsLeaveNoProposer(t *testing.T) {
 	rc := ReplicaConfig{NC: 1, NS: 2, Shards: 1, MaxBatch: 1, Pause: func(sim.Ops, uint64) {}}
 	runAsLeader(t, func(e sim.Ops) {
 		r := newReplica(rc, 0, e)
-		rival := paxos.NewLog(e, LogPrefix, 1, rc.NS)
+		rival := paxos.NewLog(e, LogPrefix, 1, rc.NS, 0)
 		req := e.Bind(ReqKeys(1))
 		for k := 1; k <= rounds; k++ {
 			r.apply(true)

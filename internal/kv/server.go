@@ -19,6 +19,10 @@ type ReplicaConfig struct {
 	// Pause is called when an iteration makes no progress (nil = the
 	// backend's own wait).
 	Pause Pause
+	// Window is the number of log slots whose registers a replica binds, and
+	// gives back, at a time (0 = the log's default, 64). Every replica of a
+	// system gets the same one.
+	Window int
 }
 
 // replica is the per-body state of the server loop.
@@ -31,6 +35,10 @@ type replica struct {
 	reps sim.Regs
 	log  *paxos.Log
 	st   *State
+	// fronts holds every replica's published frontier (FrontierKeys);
+	// published is the last value this replica wrote to its own.
+	fronts    sim.Regs
+	published int
 
 	reqBuf     []sim.Value
 	next       int     // apply frontier: first undecided slot
@@ -75,8 +83,9 @@ func newReplica(cfg ReplicaConfig, me int, e sim.Ops) *replica {
 		h:          Telemetry.Handle(),
 		reqs:       e.Bind(ReqKeys(cfg.NC)),
 		reps:       e.Bind(RepKeys(cfg.NC)),
-		log:        paxos.NewLog(e, LogPrefix, me, cfg.NS),
+		log:        paxos.NewLog(e, LogPrefix, me, cfg.NS, cfg.Window),
 		st:         NewState(cfg.NC, cfg.Shards),
+		fronts:     e.Bind(FrontierKeys(cfg.NS)),
 		reqBuf:     make([]sim.Value, cfg.NC),
 		repWritten: make([]Reply, cfg.NC),
 		unread:     make([]int, cfg.NC),
@@ -168,7 +177,43 @@ func (r *replica) apply(lead bool) bool {
 		r.log.Release(slot)
 		return true
 	})
+	if moved {
+		r.reclaim()
+	}
 	return moved
+}
+
+// reclaim gives the log's decided windows back to the backend. When the
+// apply frontier has entered a new window, the replica publishes that
+// window's base in its frontier register, collects all NS of them, and has
+// the log release every window wholly below the minimum.
+//
+// Safety: a replica touches only slots at or past the base of the window its
+// frontier is in (the sweep collects that whole window, a proposal and the
+// lease check sit at the frontier), the frontier only grows, and the base is
+// published after the frontier got there — so a replica never touches a slot
+// below its published value, let alone below the minimum of all of them.
+// Every frontier walks up from 0 through every multiple of the window
+// length, so all replicas cut the log into the same windows and "wholly
+// below the minimum" names the same keys for each; slot keys never recur. A
+// replica that has not started reads 0 and a crashed one stays at what it
+// last wrote, so nothing at or above either is ever released: a crashed
+// replica pins the log from its frontier on, exactly as if nothing were
+// reclaimed.
+func (r *replica) reclaim() {
+	w := r.log.Window()
+	base := r.next - r.next%w
+	if base == r.published {
+		return
+	}
+	r.published = base
+	r.fronts.WriteInt(r.me, base)
+	low := base
+	for i := 0; i < r.cfg.NS; i++ {
+		f, _ := r.fronts.ReadInt(i) // a register nobody has written reads 0
+		low = min(low, f)
+	}
+	r.log.Truncate(low)
 }
 
 // deliver writes a reply register unless this replica already wrote that

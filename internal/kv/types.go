@@ -122,11 +122,27 @@ func RepKeys(nc int) []string {
 	return keys
 }
 
+// FrontierKey is replica i's frontier register: the base of the log window
+// its apply frontier is in, which is its promise never to touch a slot below
+// it again. It sits under the log's prefix because it is log bookkeeping.
+func FrontierKey(i int) string { return fmt.Sprintf("%s/frontier/%d", LogPrefix, i) }
+
+// FrontierKeys returns all frontier registers, slot i = FrontierKey(i).
+func FrontierKeys(ns int) []string {
+	keys := make([]string, ns)
+	for i := range keys {
+		keys[i] = FrontierKey(i)
+	}
+	return keys
+}
+
 // Registers estimates the register count of a kv system for native
-// preallocation: request+reply pairs, plus slots consensus instances of
-// nProps blocks + 1 decision register each.
+// preallocation: request+reply pairs and the replicas' frontier registers,
+// plus slots consensus instances of nProps blocks + 1 decision register
+// each — slots being the log slots live at once, not the run's total (see
+// replica.reclaim).
 func Registers(nc, ns, slots int) int {
-	return 2*nc + slots*(ns+1)
+	return 2*nc + ns + slots*(ns+1)
 }
 
 // Pause is the hook poll loops call after a sweep that made no progress,

@@ -50,12 +50,24 @@ func (e *Env) Bind(keys []string) sim.Regs {
 	}
 	cells := make([]*cell, len(keys))
 	e.m.Add(cStoreShardLookup, int64(len(keys)))
-	e.r.store.bind(keys, cells)
+	if e.r.store.bind(keys, cells) {
+		e.m.Inc(cCellArrayReused)
+	}
 	b := &boundRegs{e: e, keys: keys, cells: cells}
 	if pos < memoBinds {
 		e.binds[pos] = b
 	}
 	return b
+}
+
+// Release implements sim.Ops: the keys leave the register table and their
+// cells are emptied and recycled (see store.release), so a handle bound to
+// them before must not be used again — the caller has promised that of every
+// process. It is not an operation: no step is counted and no crash strikes
+// on it. A runtime whose table has released anything rebuilds the table at
+// its next Reset and forgets the handles it memoised.
+func (e *Env) Release(keys []string) {
+	e.m.Add(cRegReleased, int64(e.r.store.release(keys)))
 }
 
 // forgetBinds drops the remembered handles: the table they were resolved

@@ -51,10 +51,14 @@ const (
 	// leaving int or typed mode for the general box (once per cell — a hot
 	// register that shows up here pays a box per write from then on), memo
 	// misses are generic loads of a packed int that had to re-box.
+	// Reclamation: registers taken out of the table by Release, and binds
+	// that minted from a recycled backing array instead of allocating one.
 	cStoreShardLookup
 	cCellBoxedStore
 	cCellGeneralised
 	cCellMemoMiss
+	cRegReleased
+	cCellArrayReused
 	// Lifecycle: instances started, C-process decisions, S-process crash
 	// injections.
 	cRunStart
@@ -87,6 +91,8 @@ var Telemetry = obs.NewTaxonomy(numCounters, []string{
 	cCellBoxedStore:   "cell_boxed_store",
 	cCellGeneralised:  "cell_generalised",
 	cCellMemoMiss:     "cell_memo_miss",
+	cRegReleased:      "reg_released",
+	cCellArrayReused:  "cell_array_reused",
 	cRunStart:         "run_start",
 	cDecide:           "decide",
 	cCrashInject:      "crash_inject",

@@ -303,6 +303,10 @@ func (r *Runtime) Reset(cfg Config) error {
 	return nil
 }
 
+// Registers is the number of registers in the table: everything a run has
+// named and not released. For the time between two runs.
+func (r *Runtime) Registers() int { return r.store.held() }
+
 // arm readies the Env in *slot to run body as process id in the coming run,
 // building it the first time that process is spawned.
 func (r *Runtime) arm(slot **Env, id ids.Proc, input sim.Value, body sim.Body) {

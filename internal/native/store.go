@@ -60,6 +60,16 @@ import (
 // TestCellLinearizable races every pairing of writer kinds against that
 // last property; TestCellFirstWriteRace races the first write.
 //
+// Reclamation. A register lives until a process releases its key
+// (sim.Ops.Release: nobody will name the key again). Release takes the key
+// out of its shard map, empties the cell and counts it back into the backing
+// array it was minted from; an array whose minted cells have all been
+// released — and whose bind has finished minting — is parked on a free list
+// by length, and the next bind of that many keys mints from it instead of
+// allocating. A long-lived system that names fresh keys for ever (a log of
+// consensus instances) and releases the old ones therefore runs on a fixed
+// set of arrays, and its maps churn at constant population.
+//
 // The interface decomposition is the one sync/atomic.Value relies on. It is
 // confined to split and join below, the only uses of unsafe in the package:
 // everything else handles the two words as opaque *byte, which the collector
@@ -86,7 +96,21 @@ type cell struct {
 	// nothing, and a generic write of a changed int pays one memo refresh.
 	// The typed ReadInt/WriteInt path never touches it.
 	memo atomic.Pointer[intBox]
-	_    [cellSize - 48]byte
+	// arr is the backing array the cell belongs to, set when the array is
+	// made and never changed; release counts the cell back into it.
+	arr *cellArray
+	_   [cellSize - 56]byte
+}
+
+// cellArray is the backing array of the cells one bind mints, the unit of
+// recycling.
+type cellArray struct {
+	cells []cell
+	// live counts the cells minted from the array whose keys are still in
+	// the table, plus one while the bind minting from it is under way. The
+	// array is parked for reuse when it drops to zero: everything handed out
+	// has been released and nothing more will be handed out.
+	live atomic.Int32
 }
 
 const (
@@ -133,8 +157,9 @@ func packInt(x int) (uint64, bool) {
 // below it re-box for free, so they skip the memo entirely.
 const smallPacked = 256<<1 | 1
 
-// reset returns the cell to the register nobody has written. Only a re-arm
-// calls it, between two runs, when no process exists to race it.
+// reset returns the cell to the register nobody has written. A re-arm calls
+// it between two runs, when no process exists to race it, and release calls
+// it on a cell no process will touch again.
 func (c *cell) reset() {
 	c.mode.Store(modeInt)
 	c.packed.Store(0)
@@ -276,6 +301,14 @@ type shard struct {
 // store is the sharded register table.
 type store struct {
 	shards []shard // a power of two of them, so a hash folds with a mask
+
+	// free holds the recycled backing arrays by length. freeMu is taken by
+	// binds and releases, never by a register operation, and nests inside a
+	// shard lock, never around one.
+	freeMu sync.Mutex
+	free   map[int][]*cellArray
+	// released is set by the table's first release and makes rearm decline.
+	released atomic.Bool
 }
 
 // newStore builds a table for about hint registers: the smallest power-of-two
@@ -321,9 +354,13 @@ const retainedFloor = 64
 // table was sized for a different hint or holds more than twice the hint's
 // registers (at least retainedFloor): keys are the caller's to name, per
 // instance if it likes, and a table kept across instances must not grow with
-// their number. Nothing else may be using the table.
+// their number. It also declines once a key has been released: a handle
+// bound before the release still points at the cell the key had then, which
+// the table no longer maps and may have handed to another key, and a handle
+// the caller memoised must not come back to life over it. Nothing else may be
+// using the table.
 func (s *store) rearm(hint int) bool {
-	if len(s.shards) != shardsFor(hint) {
+	if len(s.shards) != shardsFor(hint) || s.released.Load() {
 		return false
 	}
 	if s.held() > max(2*hint, retainedFloor) {
@@ -362,39 +399,126 @@ func keyHash(key string) uint32 {
 	return uint32(h ^ (h >> 32))
 }
 
+// mint is the backing array one lookup or bind call mints from: taken at the
+// call's first miss, handed back by minted when the call is over.
+type mint struct {
+	arr      *cellArray
+	used     int
+	recycled bool // arr came off the free list
+}
+
 // lookup returns key's cell, minting it on first touch. Only the key's shard
 // is locked. This is the keyed Read/Write path: one shard lookup per call.
 func (s *store) lookup(key string) *cell {
-	var fresh []cell
-	return s.resolve(key, &fresh, 1)
+	var mt mint
+	c := s.resolve(key, &mt, 1)
+	s.minted(&mt)
+	return c
 }
 
-// bind resolves keys[i] into cells[i] for a whole key table. The cells this
-// call has to mint share one backing array, allocated at the first miss and
-// sized for the keys still to come, so the registers of a freshly bound
-// table are one heap object; a table somebody else already minted costs
-// lookups only.
-func (s *store) bind(keys []string, cells []*cell) {
-	var fresh []cell
+// bind resolves keys[i] into cells[i] for a whole key table and reports
+// whether it minted from a recycled array. The cells this call has to mint
+// share one backing array of len(keys) cells, taken at the first miss — off
+// the free list if a released table of that length is parked there — so the
+// registers of a freshly bound table are one heap object at most; a table
+// somebody else already minted costs lookups only.
+func (s *store) bind(keys []string, cells []*cell) (recycled bool) {
+	var mt mint
 	for i, k := range keys {
-		cells[i] = s.resolve(k, &fresh, len(keys)-i)
+		cells[i] = s.resolve(k, &mt, len(keys))
 	}
+	s.minted(&mt)
+	return mt.recycled
 }
 
-// resolve returns key's cell, minting it from *fresh on first touch; an
-// empty *fresh is replaced by a new array of want cells first.
-func (s *store) resolve(key string, fresh *[]cell, want int) *cell {
-	sh := &s.shards[keyHash(key)&uint32(len(s.shards)-1)]
+// resolve returns key's cell, minting it from mt on first touch; a call's
+// first miss takes mt's array, of want cells.
+func (s *store) resolve(key string, mt *mint, want int) *cell {
+	sh := s.shard(key)
 	sh.mu.Lock()
 	c := sh.m[key]
 	if c == nil {
-		if len(*fresh) == 0 {
-			*fresh = make([]cell, want)
+		if mt.arr == nil {
+			mt.arr, mt.recycled = s.array(want)
 		}
-		c = &(*fresh)[0]
-		*fresh = (*fresh)[1:]
+		c = &mt.arr.cells[mt.used]
+		mt.used++
+		mt.arr.live.Add(1)
 		sh.m[key] = c
 	}
 	sh.mu.Unlock()
 	return c
+}
+
+func (s *store) shard(key string) *shard {
+	return &s.shards[keyHash(key)&uint32(len(s.shards)-1)]
+}
+
+// array returns a backing array of n empty cells holding its minter's count:
+// a parked one if there is one, a new one otherwise.
+func (s *store) array(n int) (a *cellArray, recycled bool) {
+	s.freeMu.Lock()
+	if l := s.free[n]; len(l) > 0 {
+		a, s.free[n] = l[len(l)-1], l[:len(l)-1]
+	}
+	s.freeMu.Unlock()
+	recycled = a != nil
+	if !recycled {
+		a = &cellArray{cells: make([]cell, n)}
+		for i := range a.cells {
+			a.cells[i].arr = a
+		}
+	}
+	a.live.Store(1)
+	return a, recycled
+}
+
+// minted ends a call's minting: the array it took, if any, gives up the
+// minter's count.
+func (s *store) minted(mt *mint) {
+	if mt.arr != nil {
+		s.unref(mt.arr)
+	}
+}
+
+// unref drops one count of a and parks it when that was the last: its minted
+// cells are all released, hence empty, and nobody is minting from it.
+func (s *store) unref(a *cellArray) {
+	if a.live.Add(-1) != 0 {
+		return
+	}
+	s.freeMu.Lock()
+	if s.free == nil {
+		s.free = make(map[int][]*cellArray)
+	}
+	s.free[len(a.cells)] = append(s.free[len(a.cells)], a)
+	s.freeMu.Unlock()
+}
+
+// release takes keys out of the table and reports how many it held. The
+// caller vouches that no process will name them again (sim.Ops.Release), so
+// each cell is emptied on the spot and counted back into its array; a key
+// that is not there — never minted, or released by somebody else — is
+// skipped.
+func (s *store) release(keys []string) int {
+	n := 0
+	for _, k := range keys {
+		sh := s.shard(k)
+		sh.mu.Lock()
+		c := sh.m[k]
+		if c != nil {
+			delete(sh.m, k)
+		}
+		sh.mu.Unlock()
+		if c == nil {
+			continue
+		}
+		n++
+		c.reset()
+		s.unref(c.arr)
+	}
+	if n > 0 && !s.released.Load() {
+		s.released.Store(true)
+	}
+	return n
 }

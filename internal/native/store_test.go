@@ -274,3 +274,227 @@ func TestRearmBoundsRetainedTable(t *testing.T) {
 		t.Errorf("1000 instances of one fresh key each ran on %d tables, want one per %d or so", len(tables), retainedFloor)
 	}
 }
+
+// bindTable binds a table of n keys named after gen and returns the keys,
+// their cells and whether the bind minted from a recycled array.
+func bindTable(st *store, gen string, n int) ([]string, []*cell, bool) {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%s/%d", gen, i)
+	}
+	cells := make([]*cell, n)
+	recycled := st.bind(keys, cells)
+	return keys, cells, recycled
+}
+
+// TestReleaseIsIdempotent: a release takes exactly the keys that are there —
+// a second release of the same keys, by the same process or another, and a
+// release of keys nobody ever named take nothing and disturb nothing — and a
+// released key, named again, is a new register nobody has written.
+func TestReleaseIsIdempotent(t *testing.T) {
+	st := newStore(16)
+	keys, cells, _ := bindTable(st, "a", 4)
+	other := st.lookup("other")
+	other.store(7, &noMetrics)
+	for _, c := range cells {
+		c.store("v", &noMetrics)
+	}
+	if got := st.release(keys[:3]); got != 3 {
+		t.Fatalf("first release took %d registers, want 3", got)
+	}
+	if got := st.release(keys[:3]); got != 0 {
+		t.Fatalf("second release took %d registers, want 0", got)
+	}
+	if got := st.release([]string{"never/0", "never/1"}); got != 0 {
+		t.Fatalf("release of unnamed keys took %d registers", got)
+	}
+	if got := st.held(); got != 2 {
+		t.Fatalf("table holds %d registers, want the unreleased one and the bystander", got)
+	}
+	if st.lookup(keys[3]) != cells[3] || cells[3].load(&noMetrics) != "v" {
+		t.Fatal("releasing its neighbours disturbed a register")
+	}
+	if v := other.load(&noMetrics); v != 7 {
+		t.Fatalf("bystander reads %v, want 7", v)
+	}
+	if v := st.lookup(keys[0]).load(&noMetrics); v != nil {
+		t.Fatalf("a released key, named again, reads %v, want the unwritten register", v)
+	}
+}
+
+// TestArrayRecycledOnlyWhenAllMintedCellsReleased follows one backing array
+// through its life: while any cell minted from it is still in the table the
+// array stays out of the free list, whoever binds next allocates, and the
+// cells still in use keep their values; with the last one released the next
+// bind of that length mints from it, and finds every cell empty. An array
+// only partly minted (its bind found some keys already there) is recycled on
+// the release of the part that was.
+func TestArrayRecycledOnlyWhenAllMintedCellsReleased(t *testing.T) {
+	st := newStore(64)
+	keys, cells, recycled := bindTable(st, "a", 4)
+	if recycled {
+		t.Fatal("the first bind of a table minted from a recycled array")
+	}
+	for i, c := range cells {
+		c.store(100+i, &noMetrics)
+	}
+	st.release(keys[:3])
+	if _, fresh, recycled := bindTable(st, "b", 4); recycled || fresh[0].arr == cells[0].arr {
+		t.Fatal("an array with a cell still in the table was minted from again")
+	}
+	if v := cells[3].load(&noMetrics); v != 103 {
+		t.Fatalf("the cell still in the table reads %v, want 103", v)
+	}
+	st.release(keys[3:])
+	_, again, recycled := bindTable(st, "c", 4)
+	if !recycled || again[0].arr != cells[0].arr {
+		t.Fatal("a fully released array was not the next bind's backing array")
+	}
+	for i, c := range again {
+		if c != cells[i] {
+			t.Fatalf("cell %d of the recycled array is not where it was", i)
+		}
+		if v := c.load(&noMetrics); v != nil {
+			t.Fatalf("cell %d of the recycled array reads %v, want the unwritten register", i, v)
+		}
+	}
+	if _, _, recycled := bindTable(st, "d", 5); recycled {
+		t.Fatal("a bind of another length took the array")
+	}
+
+	// Half of e's keys exist when it is bound: its array mints two cells.
+	st.lookup("e/0")
+	st.lookup("e/2")
+	keys, cells, _ = bindTable(st, "e", 4)
+	if cells[1].arr != cells[3].arr || cells[0].arr == cells[1].arr {
+		t.Fatal("setup: the bind did not mint exactly the missing cells from its own array")
+	}
+	partly := cells[1].arr
+	st.release([]string{keys[1]})
+	if _, c, recycled := bindTable(st, "f", 4); recycled && c[0].arr == partly {
+		t.Fatal("a partly minted array was recycled with one of its two cells in the table")
+	}
+	st.release([]string{keys[3]})
+	for gen := 0; ; gen++ { // the free list may hand out c's array first
+		_, c, recycled := bindTable(st, fmt.Sprintf("g%d", gen), 4)
+		if !recycled {
+			t.Fatal("a partly minted array was not recycled once its two cells were released")
+		}
+		if c[0].arr == partly {
+			break
+		}
+	}
+}
+
+// TestBindRacesReleaseOfThePreviousTable is the log's access pattern under
+// -race: generation after generation, two binders race to bind the same
+// fresh table while a third goroutine releases the table of the generation
+// before, whose arrays the binders are drawing from the free list as it
+// fills. Both binders must get the same cells, every cell must start empty,
+// a value one writes must be the value the other reads, and the table must
+// stay two generations small.
+func TestBindRacesReleaseOfThePreviousTable(t *testing.T) {
+	const gens, width = 400, 32
+	st := newStore(4 * width)
+	var prev []string
+	recycledBinds := 0
+	for g := 0; g < gens; g++ {
+		keys := make([]string, width)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("g/%d/%d", g, i)
+		}
+		var cells [2][]*cell
+		var recycled [2]bool
+		var wg sync.WaitGroup
+		for b := range cells {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cells[b] = make([]*cell, width)
+				recycled[b] = st.bind(keys, cells[b])
+				for i, c := range cells[b] {
+					if i%2 == b {
+						c.store(g*width+i, &noMetrics)
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := st.release(prev); got != len(prev) {
+				t.Errorf("generation %d: released %d of the previous table's %d registers", g, got, len(prev))
+			}
+		}()
+		wg.Wait()
+		for i := range keys {
+			if cells[0][i] != cells[1][i] {
+				t.Fatalf("generation %d: %q resolved to two cells", g, keys[i])
+			}
+			if v := cells[0][i].load(&noMetrics); v != g*width+i {
+				t.Fatalf("generation %d: %q reads %v, want %d: a recycled cell was not empty, or a write was lost", g, keys[i], v, g*width+i)
+			}
+		}
+		if recycled[0] || recycled[1] {
+			recycledBinds++
+		}
+		if held := st.held(); held > 2*width {
+			t.Fatalf("generation %d: the table holds %d registers, want ≤ %d", g, held, 2*width)
+		}
+		prev = keys
+	}
+	if recycledBinds < gens/2 {
+		t.Errorf("%d of %d generations minted from a recycled array, want most", recycledBinds, gens)
+	}
+}
+
+// TestRearmAfterReleaseForgetsHandles: a runtime remembers a process's first
+// Binds for the next run to take back. Once a run has released keys, a
+// remembered handle to them points at cells the table no longer maps; handed
+// back, it would put its process on registers nobody else can see. The next
+// Reset builds a new table and forgets the handles: a value one process
+// writes through the table it bound at the remembered position is the value
+// the other reads by key.
+func TestRearmAfterReleaseForgetsHandles(t *testing.T) {
+	keys := []string{"t/0", "t/1"}
+	var wrote sync.WaitGroup
+	run := 0
+	cfg := Config{
+		NC: 2, Inputs: vec.Of(1, 2), Pattern: fdet.FailureFree(0), Registers: 8,
+		CBody: func(i int) sim.Body {
+			return func(e sim.Ops) {
+				if i == 0 {
+					r := e.Bind(keys) // call position 0 in every run
+					r.Write(0, 100+run)
+					if run == 0 {
+						e.Release(keys)
+					}
+					wrote.Done()
+				} else {
+					wrote.Wait()
+					if got, want := e.Read(keys[0]), any(101); run == 1 && got != want {
+						t.Errorf("second run: keyed read of %q = %v, want %v written through the bound table", keys[0], got, want)
+					}
+				}
+				e.Decide(0)
+			}
+		},
+	}
+	rt := new(Runtime)
+	var first *store
+	for run = 0; run < 2; run++ {
+		wrote.Add(1)
+		if err := rt.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = rt.store
+		}
+		if res := rt.Run(time.Minute); res.Reason != ReasonAllDecided {
+			t.Fatalf("run %d ended %v", run, res.Reason)
+		}
+	}
+	if rt.store == first {
+		t.Error("the table survived a Reset after one of its keys was released")
+	}
+}

@@ -147,9 +147,13 @@ type StressReport struct {
 	// (KV runs with a clerk timeout only): graceful degradation made
 	// visible, not a checker failure — the linearizability check accounts
 	// for every timed-out op.
-	Timeouts int64        `json:"timeouts,omitempty"`
-	Latency  LatencyStats `json:"latency"`
-	Errors   []string     `json:"errors,omitempty"` // first few checker messages
+	Timeouts int64 `json:"timeouts,omitempty"`
+	// Registers is the population of the register table when the run ended
+	// (KV runs only: one long-lived system, whose table is bounded by what
+	// its replicas release — see the reg_released counter).
+	Registers int          `json:"registers,omitempty"`
+	Latency   LatencyStats `json:"latency"`
+	Errors    []string     `json:"errors,omitempty"` // first few checker messages
 	// Snapshots is the soak series (StressOptions.SnapshotEvery > 0 only).
 	Snapshots []SoakSnapshot `json:"snapshots,omitempty"`
 	// Counters holds the native counter deltas attributable to this run
@@ -214,6 +218,10 @@ func (r *StressReport) Render() string {
 		r.Crashes, verdict)
 	if r.Timeouts > 0 {
 		s += fmt.Sprintf("timeouts:   %d\n", r.Timeouts)
+	}
+	if r.Registers > 0 {
+		s += fmt.Sprintf("registers:  %d held at the end, %d released, %d binds on a recycled array\n",
+			r.Registers, r.Counters["reg_released"], r.Counters["cell_array_reused"])
 	}
 	for _, e := range r.Errors {
 		s += "error:      " + e + "\n"

@@ -17,7 +17,7 @@ import (
 func logBody(n, ops, want int) func(i int) sim.Body {
 	return func(i int) sim.Body {
 		return func(e sim.Ops) {
-			l := NewLog(e, "log", i, n)
+			l := NewLog(e, "log", i, n, 0)
 			var applied []Value
 			next, cursor, k := 0, 0, 0
 			for len(applied) < want {
@@ -86,7 +86,7 @@ func TestLogSweepCrossesWindows(t *testing.T) {
 				for s := 0; s < slots; s++ {
 					e.Write(DecKey(SlotKey("log", s)), decRec{V: s})
 				}
-				l := NewLog(e, "log", 0, 1)
+				l := NewLog(e, "log", 0, 1, 0)
 				var got []Value
 				next := l.Sweep(0, func(s int, v Value) bool {
 					got = append(got, v)
@@ -136,7 +136,7 @@ func TestLogSweepCrossesWindows(t *testing.T) {
 func TestWindowKeyTables(t *testing.T) {
 	const nProps, base = 3, 9_990 // the slot numbers gain a digit inside the window
 	e := &bindRecorder{}
-	l := NewLog(e, "kv/log", 1, nProps)
+	l := NewLog(e, "kv/log", 1, nProps, 0)
 	l.Proposer(base) // moves the window to the slot it is asked for
 	if len(e.tables) != 2 || len(e.tables[0]) != logWindow || len(e.tables[1]) != logWindow*nProps {
 		t.Fatalf("bound %d tables, want the decision window and its block table", len(e.tables))
@@ -179,7 +179,7 @@ func TestLogSlotAllocs(t *testing.T) {
 		NC: 1, Inputs: vec.Of(1),
 		CBody: func(int) sim.Body {
 			return func(e sim.Ops) {
-				l := NewLog(e, "log", 0, 3)
+				l := NewLog(e, "log", 0, 3, 0)
 				next := 0
 				drive := func() {
 					p := l.Proposer(next)
@@ -217,5 +217,57 @@ func TestLogSlotAllocs(t *testing.T) {
 	}
 	if mint != 0 {
 		t.Errorf("Log.Proposer inside a bound window: %v allocs, want 0", mint)
+	}
+}
+
+// releaseRecorder is a backend that records the key tables bound on it and
+// released through it.
+type releaseRecorder struct {
+	bindRecorder
+	released [][]string
+}
+
+func (r *releaseRecorder) Release(keys []string) { r.released = append(r.released, keys) }
+
+// TestTruncateReleasesWindowsWhollyBelow: a view that has walked its window
+// over slots 0–11 four at a time, proposing in the first and the third,
+// releases on Truncate(min) exactly the windows that end at or below min —
+// their decision table, and their block table where it bound one — once, and
+// never the window it is in.
+func TestTruncateReleasesWindowsWhollyBelow(t *testing.T) {
+	const window, nProps = 4, 2
+	e := &releaseRecorder{}
+	l := NewLog(e, "log", 0, nProps, window)
+	if l.Window() != window {
+		t.Fatalf("Window() = %d, want %d", l.Window(), window)
+	}
+	l.Proposer(0) // window 0: decisions and blocks
+	l.Release(0)
+	l.slide(4) // window 4: decisions only
+	l.Proposer(8)
+	l.Release(8) // window 8, the current one: decisions and blocks
+	if got := len(e.tables); got != 5 {
+		t.Fatalf("bound %d tables, want 5", got)
+	}
+	keysOf := func(tables [][]string) string { return fmt.Sprint(tables) }
+	for _, step := range []struct {
+		min  int
+		want [][]string
+	}{
+		{3, nil},
+		{4, [][]string{e.tables[0], e.tables[1]}}, // window 0's two tables
+		{7, nil},                       // window 4 ends at 8
+		{4, nil},                       // going back releases nothing twice
+		{100, [][]string{e.tables[2]}}, // window 4; window 8 is in use
+		{100, nil},
+	} {
+		e.released = nil
+		l.Truncate(step.min)
+		if keysOf(e.released) != keysOf(step.want) {
+			t.Fatalf("Truncate(%d) released %v, want %v", step.min, e.released, step.want)
+		}
+	}
+	if len(e.tables[0]) != window || len(e.tables[1]) != window*nProps || e.tables[2][0] != DecKey(SlotKey("log", 4)) {
+		t.Fatalf("window tables %v are not %d slots long from their base", e.tables[:3], window)
 	}
 }

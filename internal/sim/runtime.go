@@ -154,6 +154,18 @@ type Ops interface {
 	// native.Env.AwaitEpoch).
 	Epoch() uint64
 	AwaitEpoch(seen uint64)
+	// Release gives registers back: the caller asserts that no process will
+	// ever name these keys again, itself included, so the backend may drop
+	// whatever it holds for them. Like Epoch it is not a shared-memory
+	// operation: no scheduled step, no trace event. Releasing a key that is
+	// already gone, or was never written, is a no-op, so several processes
+	// may release the same keys without coordinating. On the sim backend the
+	// keys leave the store and any later access to one fails the run (the
+	// use-after-release oracle every sim test and the explorer run under);
+	// on the native backend they leave the register table and their cells
+	// are recycled (see native.Env.Release), so an access after release is
+	// undefined there. The keys slice is not kept.
+	Release(keys []string)
 }
 
 // Body is a process program. It runs against an Ops backend — as a coroutine
@@ -276,11 +288,14 @@ func (p *proc) advance() bool {
 type Runtime struct {
 	cfg   Config
 	store map[string]Value
-	procs []*proc // stable order: C(0..NC-1) then S(0..NS-1), spawned only
-	byID  map[ids.Proc]*proc
-	trace []Event
-	step  int
-	ran   bool
+	// released holds every key a process has given back (Ops.Release); nil
+	// until the first release.
+	released map[string]struct{}
+	procs    []*proc // stable order: C(0..NC-1) then S(0..NS-1), spawned only
+	byID     map[ids.Proc]*proc
+	trace    []Event
+	step     int
+	ran      bool
 	// mh is the op-count telemetry handle, minted at construction (zero =
 	// stubbed). Strictly outside Result: see metrics.go.
 	mh obs.Handle
@@ -505,6 +520,7 @@ func (e *Env) HasDecided() bool { return e.p.decided }
 // Read performs one atomic register read.
 func (e *Env) Read(key string) Value {
 	e.await(OpRead, key)
+	e.r.checkLive(e.p, OpRead, key)
 	v := e.r.store[key]
 	e.r.record(e.p, OpRead, key, v)
 	return v
@@ -525,6 +541,7 @@ func (e *Env) ReadMany(keys []string) []Value {
 // Write performs one atomic register write.
 func (e *Env) Write(key string, v Value) {
 	e.await(OpWrite, key)
+	e.r.checkLive(e.p, OpWrite, key)
 	e.r.store[key] = v
 	e.r.record(e.p, OpWrite, key, v)
 }
@@ -552,6 +569,28 @@ func (e *Env) Epoch() uint64 { return 0 }
 // scheduler already parks the process until its next step is granted, so
 // there is never anything to wait for here.
 func (e *Env) AwaitEpoch(uint64) {}
+
+// Release implements Ops: the keys leave the store for good. No step is
+// consumed and nothing is traced.
+func (e *Env) Release(keys []string) {
+	r := e.r
+	if r.released == nil {
+		r.released = make(map[string]struct{}, len(keys))
+	}
+	for _, k := range keys {
+		delete(r.store, k)
+		r.released[k] = struct{}{}
+	}
+}
+
+// checkLive fails the run when p performs an operation on a register some
+// process has released: the releaser promised nobody would. The panic
+// surfaces from Run like any body panic.
+func (r *Runtime) checkLive(p *proc, kind OpKind, key string) {
+	if _, gone := r.released[key]; gone {
+		panic(fmt.Sprintf("sim: use after release: %v performs %v on register %q at step %d, after it was released", p.id, kind, key, r.step))
+	}
+}
 
 // Decide records this C-process's decision. Subsequent steps are permitted
 // (they are the paper's null steps) but the decision is final; deciding

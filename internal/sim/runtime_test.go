@@ -392,3 +392,76 @@ func TestRuntimeLeavesNoGoroutine(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseTakesKeysOutOfTheStore: Release is not a step — it consumes no
+// scheduled step and leaves no trace event — the released keys are gone from
+// the final store, a key released twice or never written is no trouble, and
+// the keys around them are untouched.
+func TestReleaseTakesKeysOutOfTheStore(t *testing.T) {
+	cfg := echoConfig(1, 100)
+	cfg.CBody = func(int) Body {
+		return func(e Ops) {
+			regs := e.Bind([]string{"a", "b", "c"})
+			regs.Write(0, 1)
+			regs.Write(1, 2)
+			regs.Write(2, 3)
+			e.Release([]string{"a", "b"})
+			e.Release([]string{"b", "never"})
+			e.Decide(regs.Read(2))
+		}
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rt.Run(&RoundRobin{})
+	if res.Outputs[0] != 3 {
+		t.Fatalf("decided %v, want the value of the register that was not released", res.Outputs[0])
+	}
+	if res.Steps != 5 || len(res.Trace) != 5 {
+		t.Errorf("%d steps and %d trace events for three writes, a read and a decision: Release is not a step", res.Steps, len(res.Trace))
+	}
+	if len(res.FinalStore) != 1 || res.FinalStore["c"] != 3 {
+		t.Errorf("final store %v, want only c=3", res.FinalStore)
+	}
+}
+
+// TestUseAfterReleaseFailsTheRun: a process that performs an operation on a
+// register another process has released — the operation was already pending
+// when the release happened, the worst case — panics out of Run with a
+// message that names the process, the operation, the key and the step; so
+// does a write, through a bound handle or by key.
+func TestUseAfterReleaseFailsTheRun(t *testing.T) {
+	for name, use := range map[string]func(e Ops, r Regs){
+		"read":        func(e Ops, r Regs) { e.Read("x") },
+		"write":       func(e Ops, r Regs) { e.Write("x", 2) },
+		"bound read":  func(e Ops, r Regs) { r.ReadMany(nil) },
+		"bound write": func(e Ops, r Regs) { r.WriteInt(0, 2) },
+	} {
+		cfg := echoConfig(2, 100)
+		cfg.CBody = func(i int) Body {
+			return func(e Ops) {
+				r := e.Bind([]string{"x"})
+				e.Write(fmt.Sprintf("turn/%d", i), 1)
+				if i == 0 {
+					e.Release([]string{"x"}) // runs as p1 goes on to park at its Decide
+					e.Decide(0)
+					return
+				}
+				use(e, r) // announced before p1 releases, granted after
+				e.Decide(0)
+			}
+		}
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := recovered(func() { rt.Run(&RoundRobin{}) })
+		msg := fmt.Sprint(x)
+		for _, want := range []string{"use after release", "p2", `"x"`, strings.Fields(name)[len(strings.Fields(name))-1]} {
+			if x == nil || !strings.Contains(msg, want) {
+				t.Errorf("%s of a released register: Run panicked with %v, want a message containing %q", name, x, want)
+			}
+		}
+	}
+}

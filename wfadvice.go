@@ -211,8 +211,11 @@ var (
 	// NativeKVStress runs the replicated KV under clerk load with optional
 	// leader crash injection.
 	NativeKVStress = core.KVStress
-	// NewPaxosLog builds one process's view of a replicated consensus log.
-	NewPaxosLog = paxos.NewLog
+	// NewPaxosLog builds one process's view of a replicated consensus log,
+	// binding registers the default 64 slots at a time.
+	NewPaxosLog = func(e Ops, prefix string, me, nProposers int) *PaxosLog {
+		return paxos.NewLog(e, prefix, me, nProposers, 0)
+	}
 	// KVCheckSessions replays the version order the service reported.
 	KVCheckSessions = kv.CheckSessions
 	// NativeEnableMetrics is the one process-wide telemetry switch: it
