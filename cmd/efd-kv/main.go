@@ -6,7 +6,7 @@
 // against the service instead of silently throttling the offered load.
 // -rate 0 runs closed loop instead (every clerk issues its next operation
 // when the previous one completes; the report's scenario key then ends in
-// /closed-loop, so the two kinds of latency never share a trend history).
+// /closed-loop, so the two kinds of latency never share a scenario key).
 // After the run every decided clerk session is checked for linearizability
 // (version replay plus real-time order) by the kv task's ∆.
 //
@@ -83,9 +83,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "efd-kv: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	// Flag errors print the usage too (the efd-trend precedent): a value
-	// outside its meaningful range silently disables or inverts what it
-	// tunes, so it is a flag error, not a configuration.
+	// Flag errors print the usage too: a value outside its meaningful range
+	// silently disables or inverts what it tunes, so it is a flag error, not
+	// a configuration.
 	badFlag := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "efd-kv: "+format+"\n", args...)
 		flag.Usage()

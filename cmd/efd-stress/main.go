@@ -81,6 +81,28 @@ func main() {
 		traceCap   = flag.Int("trace-buf", 1<<16, "trace ring capacity in events (oldest events are dropped beyond it)")
 	)
 	flag.Parse()
+	// A value outside its meaningful range silently disables or inverts what
+	// it tunes (a non-positive -duration runs nothing and reports OK), so it
+	// is a flag error, not a configuration: usage and exit 2, as in efd-kv.
+	badFlag := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "efd-stress: "+format+"\n", args...)
+		flag.Usage()
+		os.Exit(2)
+	}
+	switch {
+	case *duration <= 0:
+		badFlag("-duration must be positive, got %v", *duration)
+	case *runBudget <= 0:
+		badFlag("-run-budget must be positive, got %v", *runBudget)
+	case *rate < 0:
+		badFlag("-rate must be non-negative, got %v (0 = unthrottled)", *rate)
+	case *workers < 0:
+		badFlag("-workers must be non-negative, got %d (0 = sized to GOMAXPROCS)", *workers)
+	case *snapshot < 0:
+		badFlag("-snapshot must be non-negative, got %v (0 = off)", *snapshot)
+	case *procs < 0:
+		badFlag("-procs must be non-negative, got %d (0 = leave as is)", *procs)
+	}
 	if *procs > 0 {
 		runtime.GOMAXPROCS(*procs)
 	}
@@ -118,7 +140,6 @@ func main() {
 		Duration:      *duration,
 		RunBudget:     *runBudget,
 		Workers:       *workers,
-		ProcsPerRun:   sc.NC + sc.NS,
 		Rate:          *rate,
 		Seed:          *seed,
 		Pin:           *pin,

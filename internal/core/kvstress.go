@@ -108,10 +108,10 @@ func (o KVStressOptions) runBudget() time.Duration {
 }
 
 // KVScenarioName renders the stable scenario key the run reports under —
-// the efd-trend history is keyed by it, so the shape (and nothing
+// the CI checks select rows by it, so the shape (and nothing
 // machine-specific) goes in. Closed-loop runs (Rate 0) carry their own
 // suffix: issue-on-completion latency is a different quantity from
-// open-loop latency and the two must never share a history key.
+// open-loop latency and the two must never share a key.
 func (o KVStressOptions) KVScenarioName() string {
 	name := fmt.Sprintf("kv/n=%d/clients=%d", o.N, o.clients())
 	if o.CrashLeader > 0 {
@@ -183,8 +183,8 @@ func (o KVStressOptions) scenario(cc kv.ClerkConfig) *Scenario {
 }
 
 // KVStress runs one open-loop replicated-KV system and reports it in the
-// same shape as native.Stress so efd-trend and the BENCH tooling consume
-// either. Runs is 1 (one long-lived system), Ops counts completed client
+// same shape as native.Stress so the CI checks and the BENCH tooling
+// consume either. Runs is 1 (one long-lived system), Ops counts completed client
 // operations, and a checker failure is a linearizability violation across
 // the decided clerk sessions.
 func KVStress(opt KVStressOptions) (*native.StressReport, error) {

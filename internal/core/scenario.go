@@ -306,7 +306,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 			s.Name += "/storm"
 		}
 	}
-	// The advice mode keys trend baselines like crash does: yielding and
+	// The advice mode keys the scenario like crash does: yielding and
 	// parking waits have very different latency profiles. Chaos keys them too — a
 	// flapping prefix is a different latency world.
 	if advice != native.AdviceTick {

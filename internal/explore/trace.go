@@ -148,13 +148,16 @@ func parseKind(s string) (sim.OpKind, error) {
 	return 0, fmt.Errorf("explore: bad op kind %q", s)
 }
 
-// ParseTrace parses the serialized form.
+// ParseTrace parses the serialized form. It inverts Format exactly: a trace
+// it accepts formats back to text it parses to an equal trace — which is why
+// a bare "spec" line is an empty name and a missing verdict line reads as
+// the "ok" Format writes for an empty one.
 func ParseTrace(text string) (*Trace, error) {
 	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
 	if len(lines) == 0 || strings.TrimSpace(lines[0]) != traceHeader {
 		return nil, fmt.Errorf("explore: not an %q file", traceHeader)
 	}
-	t := &Trace{Meta: make(map[string]string)}
+	t := &Trace{Meta: make(map[string]string), Verdict: VerdictOK}
 	declared := -1
 	ended := false
 	for ln, line := range lines[1:] {
@@ -166,8 +169,8 @@ func ParseTrace(text string) (*Trace, error) {
 			return nil, fmt.Errorf("explore: line %d: content after end", ln+2)
 		}
 		switch {
-		case strings.HasPrefix(line, "spec "):
-			t.Spec = strings.TrimSpace(line[len("spec "):])
+		case line == "spec", strings.HasPrefix(line, "spec "):
+			t.Spec = strings.TrimSpace(line[len("spec"):])
 		case strings.HasPrefix(line, "meta "):
 			kv := strings.SplitN(line[len("meta "):], " ", 2)
 			if len(kv) != 2 {

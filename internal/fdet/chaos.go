@@ -94,7 +94,7 @@ func (c AdviceChaos) window() Time {
 }
 
 // Suffix renders the knob for scenario names ("flap:8"); empty when
-// disabled. Scenario names key trend baselines, so the shape is stable.
+// disabled. CI selects stress rows by scenario name, so the shape is stable.
 func (c AdviceChaos) Suffix() string {
 	if !c.Enabled() {
 		return ""

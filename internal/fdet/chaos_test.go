@@ -175,7 +175,7 @@ func TestParseChaos(t *testing.T) {
 	}
 }
 
-// TestChaosNaming pins the name and suffix shapes trend baselines key on.
+// TestChaosNaming pins the name and suffix shapes scenario keys are built from.
 func TestChaosNaming(t *testing.T) {
 	c := AdviceChaos{Mode: ChaosFlap}
 	if c.Suffix() != "flap:8" {
@@ -193,7 +193,7 @@ func TestChaosNaming(t *testing.T) {
 // FuzzParseChaos holds the -chaos flag parser to two properties on arbitrary
 // input: it never panics, and whatever it accepts survives the trip through
 // the scenario-name suffix — ParseChaos(c.Suffix()) is accepted, names the
-// same mode and effective window, and renders the same suffix, so a trend
+// same mode and effective window, and renders the same suffix, so a scenario
 // key always parses back to the configuration that produced it.
 func FuzzParseChaos(f *testing.F) {
 	for _, s := range []string{

@@ -409,7 +409,7 @@ func TestStress(t *testing.T) {
 	}
 	rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
 		return s.NativeConfig(seed, tick), nil
-	}, native.StressOptions{Duration: dur, RunBudget: 5 * time.Second, Workers: 2, ProcsPerRun: 8, Seed: 1})
+	}, native.StressOptions{Duration: dur, RunBudget: 5 * time.Second, Workers: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,6 +424,59 @@ func TestStress(t *testing.T) {
 	}
 	if park, timeout := rep.Counters["notify_park"], rep.Counters["notify_timeout"]; park != 0 || timeout != 0 {
 		t.Errorf("tick-wait burst entered the notifier: notify_park=%d notify_timeout=%d, want 0 and 0", park, timeout)
+	}
+}
+
+// TestStressNoRunsFails: a run that checked no instance passes nothing. The
+// report says so itself, and the harness refuses a budget that could not
+// start one.
+func TestStressNoRunsFails(t *testing.T) {
+	rep := &native.StressReport{Scenario: "consensus/n=4/omega"}
+	if !rep.Failed() {
+		t.Error("a zero-run report is not Failed")
+	}
+	if out := rep.Render(); !strings.Contains(out, "checker:    FAIL (no instance ran)") {
+		t.Errorf("a zero-run report renders without saying why it failed:\n%s", out)
+	}
+	s := scenario(t, core.ScenarioParams{Task: "consensus", N: 4, Stabilize: 10})
+	for _, d := range []time.Duration{0, -time.Second} {
+		calls := 0
+		rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
+			calls++
+			return s.NativeConfig(seed, tick), nil
+		}, native.StressOptions{Duration: d, Seed: 1})
+		if err == nil || rep != nil || calls != 0 {
+			t.Errorf("Duration %v: report %v, error %v, %d configs built; want an error and nothing built", d, rep, err, calls)
+		}
+	}
+}
+
+// TestStressBuildsEachInstanceOnce: the default pool is sized off instance
+// 0's config, which its worker then runs rather than building again, and an
+// explicit pool never builds one early — every instance that ran was built
+// exactly once, whichever way the pool was sized.
+func TestStressBuildsEachInstanceOnce(t *testing.T) {
+	s := scenario(t, core.ScenarioParams{Task: "consensus", N: 4, Stabilize: 10})
+	for _, workers := range []int{0, 1} {
+		var mu sync.Mutex
+		built := map[int64]int{}
+		rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
+			mu.Lock()
+			built[seed]++
+			mu.Unlock()
+			return s.NativeConfig(seed, tick), nil
+		}, native.StressOptions{Duration: 30 * time.Millisecond, Workers: workers, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed() || len(built) != rep.Runs {
+			t.Fatalf("Workers %d: %d configs built for %d runs\n%s", workers, len(built), rep.Runs, rep.Render())
+		}
+		for seed, n := range built {
+			if n != 1 {
+				t.Errorf("Workers %d: instance seed %d built %d times", workers, seed, n)
+			}
+		}
 	}
 }
 
@@ -445,7 +498,7 @@ func TestSoakSmoke(t *testing.T) {
 		// about one time in four and both idle one time in thirty.
 		rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
 			return s.NativeConfig(seed, tick), nil
-		}, native.StressOptions{Duration: d, RunBudget: 5 * time.Second, Workers: 2, ProcsPerRun: 8, Seed: 1,
+		}, native.StressOptions{Duration: d, RunBudget: 5 * time.Second, Workers: 2, Seed: 1,
 			SnapshotEvery: d / 16})
 		if err != nil {
 			t.Fatal(err)
@@ -552,7 +605,7 @@ func TestStressPinned(t *testing.T) {
 	}
 	rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
 		return s.NativeConfig(seed, tick), nil
-	}, native.StressOptions{Duration: dur, RunBudget: 5 * time.Second, Workers: 2, ProcsPerRun: 8, Seed: 1, Pin: true})
+	}, native.StressOptions{Duration: dur, RunBudget: 5 * time.Second, Workers: 2, Seed: 1, Pin: true})
 	if err != nil {
 		t.Fatal(err)
 	}

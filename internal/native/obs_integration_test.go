@@ -24,7 +24,7 @@ func TestStressObservability(t *testing.T) {
 	rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
 		return s.NativeConfig(seed, tick), nil
 	}, native.StressOptions{
-		Duration: dur, RunBudget: 5 * time.Second, Workers: 2, ProcsPerRun: 8, Seed: 1,
+		Duration: dur, RunBudget: 5 * time.Second, Workers: 2, Seed: 1,
 		Tracer:        tracer,
 		SnapshotEvery: dur / 4,
 	})

@@ -8,7 +8,7 @@ import (
 )
 
 // TestSummarize pins the histogram → LatencyStats derivation, including the
-// p999 ordering invariant the trend gate relies on.
+// p50 ≤ p99 ≤ p999 ordering the CI latency ceilings rely on.
 func TestSummarize(t *testing.T) {
 	if st := summarize(obs.NewHistogram().Snapshot()); st.Samples != 0 || st.Max != 0 {
 		t.Fatalf("empty histogram summarized to %+v", st)

@@ -27,12 +27,10 @@ type StressOptions struct {
 	// undecided C-processes counts in Undecided.
 	RunBudget time.Duration
 	// Workers is the number of concurrent instances; 0 sizes the pool as
-	// max(1, GOMAXPROCS / goroutines-per-instance) so the machine is loaded
-	// without drowning in oversubscription.
+	// max(1, GOMAXPROCS / (NC+NS)), reading the goroutine count of one
+	// instance off the config mk builds for instance 0, so the machine is
+	// loaded without drowning in oversubscription.
 	Workers int
-	// ProcsPerRun is the goroutine count of one instance (NC+NS), used only
-	// for the default worker sizing.
-	ProcsPerRun int
 	// Rate throttles instance starts per second across all workers
 	// (0 = unthrottled).
 	Rate float64
@@ -66,27 +64,6 @@ type StressOptions struct {
 	// caller (the efd-stress debug endpoint) observe percentiles live while
 	// the run is still going.
 	Latency *obs.Histogram
-}
-
-// workers sizes the pool: explicit Workers wins; otherwise instances are
-// packed GOMAXPROCS-aware — as many concurrent instances as fit whole
-// (GOMAXPROCS / goroutines-per-instance), at least one. The same packing
-// serves pinned runs: one pinned OS thread per process goroutine means the
-// default pool keeps the pinned thread count within about one instance of
-// GOMAXPROCS instead of drowning the kernel scheduler in runnable threads.
-func (o StressOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	per := o.ProcsPerRun
-	if per <= 0 {
-		per = 8
-	}
-	w := runtime.GOMAXPROCS(0) / per
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 func (o StressOptions) runBudget() time.Duration {
@@ -157,9 +134,7 @@ type StressReport struct {
 	// Snapshots is the soak series (StressOptions.SnapshotEvery > 0 only).
 	Snapshots []SoakSnapshot `json:"snapshots,omitempty"`
 	// Counters holds the native counter deltas attributable to this run
-	// (process-wide snapshot at end minus start; zeros omitted). Absent in
-	// reports produced before the counters existed — consumers
-	// (efd-trend) must tolerate the field missing.
+	// (process-wide snapshot at end minus start; zeros omitted).
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// Histogram is the full decision-latency bucket distribution backing
 	// Latency, for offline re-aggregation. Omitted when empty.
@@ -209,7 +184,10 @@ func lowWater(ss []SoakSnapshot) (goroutines int, heap uint64) {
 // Render formats the report as aligned text.
 func (r *StressReport) Render() string {
 	verdict := "OK"
-	if r.Violations > 0 || r.Undecided > 0 {
+	switch {
+	case r.Runs == 0:
+		verdict = "FAIL (no instance ran)"
+	case r.Failed():
 		verdict = fmt.Sprintf("FAIL (%d violations, %d undecided)", r.Violations, r.Undecided)
 	}
 	s := fmt.Sprintf("scenario:   %s\nworkers:    %d\nruns:       %d\ndecisions:  %d\nops:        %d\nops/sec:    %.0f\nlatency:    p50=%v p90=%v p99=%v p999=%v max=%v (%d samples)\ncrashes:    %d\nchecker:    %s\n",
@@ -229,8 +207,9 @@ func (r *StressReport) Render() string {
 	return s
 }
 
-// Failed reports whether the checker rejected any instance.
-func (r *StressReport) Failed() bool { return r.Violations > 0 || r.Undecided > 0 }
+// Failed reports whether the run failed: no instance ran, or the checker
+// rejected one. A run that checked nothing passes nothing.
+func (r *StressReport) Failed() bool { return r.Runs == 0 || r.Violations > 0 || r.Undecided > 0 }
 
 // Stress hammers one scenario: mk builds a fresh Config per instance from a
 // derived seed (fresh bodies, seeded history), each worker of the pool runs
@@ -238,7 +217,22 @@ func (r *StressReport) Failed() bool { return r.Violations > 0 || r.Undecided > 
 // empty, advice from tick 0, see Runtime.Reset — until opt.Duration elapses,
 // and every finished instance is checked against t.
 func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt StressOptions) (*StressReport, error) {
-	workers := opt.workers()
+	if opt.Duration <= 0 {
+		return nil, fmt.Errorf("native stress: need a positive duration, got %v", opt.Duration)
+	}
+	// The default pool packs instances GOMAXPROCS-aware: as many as fit
+	// whole, at least one, sized by instance 0's config, which its worker
+	// then runs. The same packing serves pinned runs: one pinned OS thread
+	// per process goroutine keeps the pinned thread count within about one
+	// instance of GOMAXPROCS instead of drowning the kernel scheduler.
+	workers, first := opt.Workers, (*Config)(nil)
+	if workers <= 0 {
+		cfg, err := mk(opt.Seed * 1_000_003)
+		if err != nil {
+			return nil, err
+		}
+		workers, first = max(1, runtime.GOMAXPROCS(0)/max(1, cfg.NC+cfg.NS)), &cfg
+	}
 	budget := opt.runBudget()
 	rep := &StressReport{Scenario: name, Workers: workers}
 	hist := opt.Latency
@@ -332,7 +326,13 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 						time.Sleep(d)
 					}
 				}
-				cfg, err := mk(opt.Seed*1_000_003 + r)
+				var cfg Config
+				var err error
+				if r == 0 && first != nil {
+					cfg = *first
+				} else {
+					cfg, err = mk(opt.Seed*1_000_003 + r)
+				}
 				if err == nil && len(cfg.Inputs) != cfg.NC {
 					err = fmt.Errorf("native: scenario produced %d inputs for %d C-processes", len(cfg.Inputs), cfg.NC)
 				}

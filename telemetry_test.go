@@ -119,7 +119,7 @@ func TestStressReportCounterKeys(t *testing.T) {
 		wfadvice.NativeEnableMetrics(on)
 		rep, err := wfadvice.NativeStress(sc.Name, sc.Task, func(seed int64) (wfadvice.NativeConfig, error) {
 			return sc.NativeConfig(seed, 20*time.Microsecond), nil
-		}, wfadvice.StressOptions{Duration: 100 * time.Millisecond, RunBudget: 5 * time.Second, Workers: 2, ProcsPerRun: 8, Seed: 1})
+		}, wfadvice.StressOptions{Duration: 100 * time.Millisecond, RunBudget: 5 * time.Second, Workers: 2, Seed: 1})
 		if err != nil || rep.Failed() {
 			t.Fatalf("stress: %v\n%s", err, rep.Render())
 		}

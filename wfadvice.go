@@ -178,8 +178,8 @@ type (
 	StressReport  = native.StressReport
 	// KVStressOptions configures a clerk workload (open loop at Rate, closed
 	// loop at Rate 0) against the replicated KV service (kv over a
-	// multi-Paxos log); its report is the shared StressReport shape, so the
-	// trend gate treats kv rows like any other scenario.
+	// multi-Paxos log); its report is the shared StressReport shape, so
+	// the CI checks read kv rows like any other scenario.
 	KVStressOptions = core.KVStressOptions
 	// KVReplicaConfig and KVClerkConfig are the service and session halves
 	// of the replicated KV protocol, written as backend-independent bodies.
