@@ -1,11 +1,14 @@
-// Command efd-bench regenerates every experiment table in EXPERIMENTS.md
-// (E1–E17), each validating one proposition, theorem or algorithm figure of
-// "Wait-Freedom with Advice".
+// Command efd-bench regenerates every experiment table (E1–E14), each
+// validating one proposition, theorem or algorithm figure of "Wait-Freedom
+// with Advice".
 //
 // Trials run on a worker pool and are seeded per (experiment, cell, seed)
-// triple, so for a fixed -seed the output is byte-identical for every
-// -parallel value (absent -timeout, whose wall-clock cutoff may fire
-// differently under different load).
+// triple, and no table carries a wall-clock cell, so for a fixed -seed the
+// tables are byte-identical for every -parallel value (absent -timeout,
+// whose wall-clock cutoff may fire differently under different load). Only
+// the "elapsed:" lines and the final summary line vary between runs;
+// internal/exp/testdata/tables-short-seed1.txt is the -seed 1 -short output
+// with those lines removed, and tier-1 compares against it byte for byte.
 //
 // Usage:
 //
@@ -65,7 +68,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "per-trial timeout (0 = none); a timed-out trial is a failure row")
 		short    = flag.Bool("short", false, "use the reduced -short experiment grids")
 		jsonOut  = flag.Bool("json", false, "emit tables as JSON on stdout instead of text")
-		skipMeas = flag.Bool("skip-measured", false, "skip experiments whose rows contain wall-clock measurements (for byte-level determinism checks)")
 		httpAddr = flag.String("http", "", "serve the live debug endpoint (/metrics, /progress, /debug/pprof) on this address for the duration of the run")
 		progress = flag.Duration("progress", 0, "emit a progress heartbeat to stderr every interval (0 = off)")
 	)
@@ -76,26 +78,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "efd-bench: %v\n", err)
 		os.Exit(2)
 	}
-	if *skipMeas {
-		kept := experiments[:0]
-		for _, x := range experiments {
-			if !x.Measured {
-				kept = append(kept, x)
-			}
-		}
-		experiments = kept
-		if len(experiments) == 0 {
-			fmt.Fprintln(os.Stderr, "efd-bench: -skip-measured filtered out every selected experiment")
-			os.Exit(2)
-		}
-	}
 	if *list {
 		for _, x := range experiments {
-			measured := ""
-			if x.Measured {
-				measured = "  [measured]"
-			}
-			fmt.Printf("%-4s %s%s\n", x.ID, x.Name, measured)
+			fmt.Printf("%-4s %s\n", x.ID, x.Name)
 		}
 		return
 	}

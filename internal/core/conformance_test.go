@@ -17,8 +17,7 @@ import (
 // lockstep sim runtime and on the native goroutine runtime from one
 // table-driven test, and the two backends must agree on the verdicts —
 // every participant decides and the decision vector satisfies the task's ∆
-// on both. This generalizes experiment E15 into `go test`, so a backend
-// divergence fails tier-1 instead of only the bench job.
+// on both, so a backend divergence fails tier-1.
 //
 // Decision *values* are intentionally not compared across backends: both
 // runtimes execute the same nondeterministic algorithms under different
@@ -75,6 +74,11 @@ func conformanceGrid() []core.ScenarioParams {
 		{Task: "kset", N: 4, K: 2, Stabilize: 24, Chaos: "diverge:4"},
 		{Task: "kv", N: 3, Stabilize: 24, Chaos: "flap:4"},
 		{Task: "kv", N: 3, Crash: 1, CrashAt: 30, Stabilize: 24, Chaos: "lie:4"},
+		// Scale rows (full run only): 2n goroutines per native instance and
+		// n-key collects on the direct solvers.
+		{Task: "consensus", N: 16, Stabilize: 20},
+		{Task: "kset", N: 16, K: 4, Stabilize: 20},
+		{Task: "consensus", N: 32, Stabilize: 20},
 	}
 }
 

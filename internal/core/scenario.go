@@ -21,7 +21,7 @@ import (
 // the same CBody/SBody factories, which is the "two backends, one algorithm
 // surface" contract: zero per-algorithm code changes between the model
 // runtime and real goroutines. cmd/efd-stress, cmd/efd-run-style tooling and
-// experiments E15/E16 all build their systems through it.
+// the cross-backend conformance grid all build their systems through it.
 
 // Scenario is a task plus the algorithm and advice that solve it, in
 // backend-independent form.

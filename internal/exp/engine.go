@@ -107,11 +107,6 @@ type Experiment struct {
 	Claim  string
 	Header []string
 	Notes  []string
-	// Measured marks experiments whose rows contain wall-clock measurements
-	// (throughput, latency): their verdict columns are reproducible but the
-	// numbers are not, so byte-level determinism checks must skip them.
-	// cmd/efd-bench's -skip-measured flag does exactly that.
-	Measured bool
 	// Cells generates the trial jobs for the given options (grids may shrink
 	// under opt.Short and repeat counts grow with opt.TrialMult).
 	Cells func(opt Options) []Cell

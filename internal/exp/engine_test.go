@@ -188,8 +188,8 @@ func TestEnginePanicIsolated(t *testing.T) {
 // TestSelect covers the efd-bench -only/-list selection logic.
 func TestSelect(t *testing.T) {
 	all, err := Select("")
-	if err != nil || len(all) != 17 {
-		t.Fatalf("empty selection: %d experiments, err=%v; want 17, nil", len(all), err)
+	if err != nil || len(all) != 14 {
+		t.Fatalf("empty selection: %d experiments, err=%v; want 14, nil", len(all), err)
 	}
 	got, err := Select(" e5 , E7 ")
 	if err != nil {

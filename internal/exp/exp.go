@@ -1,12 +1,13 @@
-// Package exp is the experiment harness: one Experiment per entry in
-// EXPERIMENTS.md (E1–E17), each regenerating the table that validates one of
+// Package exp is the experiment harness: one Experiment per table E1–E14
+// (listed in the README), each regenerating the table that validates one of
 // the paper's propositions, theorems or algorithm figures.
 //
 // Each experiment is decomposed into independent trial cells (one per grid
 // point), executed by an Engine worker pool sized to GOMAXPROCS and merged
 // back into stable row order, so regeneration is parallel yet byte-for-byte
-// deterministic for a given root seed. cmd/efd-bench prints every table;
-// the root bench_test.go benchmarks each experiment.
+// deterministic for a given root seed: no table carries a wall-clock cell.
+// cmd/efd-bench prints every table; the root bench_test.go benchmarks each
+// experiment, and testdata/tables-short-seed1.txt pins the -short set.
 package exp
 
 import (

@@ -1,16 +1,82 @@
 package exp
 
 import (
+	"os"
 	"strings"
 	"testing"
+
+	"wfadvice/internal/obs"
 )
 
-// TestAllExperimentsReproduce is the reproduction gate: every experiment
-// table regenerates with zero failures. It is the test-suite mirror of
-// `go run ./cmd/efd-bench`. Under -short the engine runs the reduced grids
-// instead of skipping, so even the fast suite exercises every experiment.
+// goldenTables is the -seed 1 -short table set as efd-bench prints it, minus
+// the lines that time the run.
+const goldenTables = "testdata/tables-short-seed1.txt"
+
+// TestGoldenTables holds every E-table to goldenTables byte for byte: the
+// -short set rendered with telemetry off at one worker, and outside -short
+// again with telemetry on at eight workers, since counters, gauges and the
+// latency histogram sit strictly outside Table and the merge is in cell
+// order. Every table must also reproduce (no failure row, at least one
+// row). A deliberate table change is a diff of the golden file; regenerate
+// it from the repository root with
+//
+//	go run ./cmd/efd-bench -seed 1 -short | grep -v -e elapsed -e '^efd-bench:' > internal/exp/testdata/tables-short-seed1.txt
+func TestGoldenTables(t *testing.T) {
+	raw, err := os.ReadFile(goldenTables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(string(raw), "\n")
+	defer obs.SetEnabled(true)
+	render := func(telemetry bool, workers int) string {
+		obs.SetEnabled(telemetry)
+		var b strings.Builder
+		for _, tbl := range NewEngine(Options{Seed: DefaultSeed, Short: true, Parallelism: workers}).RunAll(Experiments()) {
+			if tbl.Failures > 0 || len(tbl.Rows) == 0 {
+				t.Errorf("%s: %d failures, %d rows\n%s", tbl.ID, tbl.Failures, len(tbl.Rows), tbl.Render())
+			}
+			b.WriteString(tbl.Render())
+			b.WriteString("\n")
+		}
+		return b.String()
+	}
+	type config struct {
+		telemetry bool
+		workers   int
+	}
+	configs := []config{{false, 1}}
+	if !testing.Short() {
+		configs = append(configs, config{true, 8})
+	}
+	for _, c := range configs {
+		got := strings.Split(render(c.telemetry, c.workers), "\n")
+		for i := range max(len(got), len(want)) {
+			if g, w := lineAt(got, i), lineAt(want, i); g != w {
+				t.Errorf("telemetry=%v workers=%d: %s:%d differs\n got: %q\nwant: %q",
+					c.telemetry, c.workers, goldenTables, i+1, g, w)
+				break
+			}
+		}
+	}
+}
+
+// lineAt is lines[i], or "<EOF>" past the end.
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<EOF>"
+}
+
+// TestAllExperimentsReproduce is the reproduction gate on the full grids:
+// every experiment table regenerates with zero failures. It is the
+// test-suite mirror of `go run ./cmd/efd-bench`. Under -short it skips:
+// TestGoldenTables already renders every reduced grid.
 func TestAllExperimentsReproduce(t *testing.T) {
-	eng := NewEngine(Options{Seed: DefaultSeed, Short: testing.Short()})
+	if testing.Short() {
+		t.Skip("the -short grids are TestGoldenTables' render")
+	}
+	eng := NewEngine(Options{Seed: DefaultSeed})
 	for _, x := range Experiments() {
 		x := x
 		t.Run(x.ID+"_"+x.Name, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"time"
 
 	"wfadvice/internal/auto"
 	"wfadvice/internal/bg"
@@ -12,27 +11,21 @@ import (
 	"wfadvice/internal/explore"
 	"wfadvice/internal/fdet"
 	"wfadvice/internal/ids"
-	"wfadvice/internal/native"
 	"wfadvice/internal/sim"
 	"wfadvice/internal/task"
 	"wfadvice/internal/vec"
 	"wfadvice/internal/wfree"
 )
 
-// Experiments returns every experiment (E1–E17) in canonical order, each
+// Experiments returns every experiment (E1–E14) in canonical order, each
 // decomposed into independent trial cells for the Engine.
 func Experiments() []Experiment {
 	return []Experiment{
 		expE1(), expE2(), expE3(), expE4(), expE5(), expE6(),
 		expE7(), expE8(), expE9(), expE10(), expE11(), expE12(),
-		expE13(), expE14(), expE15(), expE16(), expE17(),
+		expE13(), expE14(),
 	}
 }
-
-// meas marks a wall-clock measurement cell: the "~" prefix tells readers
-// (and the CI determinism normalizer) that the number is machine- and
-// run-dependent, unlike every other cell in the tables.
-func meas(v string) string { return "~" + v }
 
 func intInputs(n, base int) vec.Vector {
 	v := vec.New(n)
@@ -996,284 +989,6 @@ func expE14() Experiment {
 			return cells
 		},
 	}
-}
-
-// expE15 validates backend agreement: the same scenario — task, algorithm
-// bodies, detector, seed — runs on the lockstep sim runtime and on the
-// native goroutine runtime, and both decide outputs that are valid for the
-// task with every participant decided. This is the "two backends, one
-// algorithm surface" contract made executable: zero per-algorithm code
-// changes between the backends.
-func expE15() Experiment {
-	grid := []core.ScenarioParams{
-		{Task: "consensus", N: 3, Stabilize: 20},
-		{Task: "consensus", N: 4, Crash: 1, CrashAt: 30, Stabilize: 20},
-		{Task: "kset", N: 4, K: 2, Stabilize: 20},
-		{Task: "nset", N: 4, Stabilize: 1},
-		{Task: "prop1", N: 3, Stabilize: 20},
-		{Task: "renaming", N: 4, J: 3, K: 2, Stabilize: 20},
-	}
-	return Experiment{
-		ID:       "E15",
-		Name:     "native-vs-sim",
-		Title:    "backend agreement: sim and native decide valid outputs from one algorithm surface",
-		Claim:    "for every (scenario, seed): both backends decide for all participants and both outputs satisfy ∆",
-		Header:   []string{"scenario", "seeds", "sim steps", "native ops", "sim", "native"},
-		Measured: true,
-		Notes: []string{
-			"~-prefixed cells are wall-clock measurements (machine-dependent; skipped by -skip-measured determinism checks)",
-		},
-		Cells: func(opt Options) []Cell {
-			g := grid
-			if opt.Short {
-				g = []core.ScenarioParams{grid[0], grid[2], grid[3]}
-			}
-			var cells []Cell
-			for _, p := range g {
-				p := p
-				cells = append(cells, Cell{
-					Name: p.Task,
-					Run: func(t *Trial) Outcome {
-						s, err := core.NewScenario(p)
-						if err != nil {
-							return Row(true, p.Task, "-", "-", "-", "FAIL: "+err.Error(), "-")
-						}
-						seeds := 2 * opt.mult()
-						simSteps, natOps := 0, int64(0)
-						simV, natV := "ok", "ok"
-						fail := false
-						for sd := 0; sd < seeds; sd++ {
-							seed := t.Seed + int64(sd)
-							rt, err := sim.New(s.SimConfig(seed, 6_000_000))
-							if err != nil {
-								simV, fail = "FAIL: "+err.Error(), true
-								break
-							}
-							res := rt.Run(&sim.StopWhenDecided{Inner: sim.NewRandom(seed)})
-							simSteps += res.Steps
-							verr := sim.CheckTask(s.Task, res)
-							if verr == nil {
-								verr = sim.DecidedAll(res)
-							}
-							if verr != nil {
-								simV, fail = "FAIL: "+verr.Error(), true
-								break
-							}
-							nrt, err := native.New(s.NativeConfig(seed, 0))
-							if err != nil {
-								natV, fail = "FAIL: "+err.Error(), true
-								break
-							}
-							nres := nrt.Run(30 * time.Second)
-							natOps += nres.Ops
-							if nerr := native.Check(s.Task, nres); nerr != nil {
-								natV, fail = "FAIL: "+nerr.Error(), true
-								break
-							}
-						}
-						return Row(fail, s.Name, fmt.Sprint(seeds),
-							fmt.Sprint(simSteps), meas(fmt.Sprint(natOps)), simV, natV)
-					},
-				})
-			}
-			return cells
-		},
-	}
-}
-
-// expE16 measures the native backend under stress: back-to-back hardware-
-// speed instances per grid point, reporting throughput and decision-latency
-// percentiles with the post-hoc checker as the pass criterion. The numbers
-// answer the question the lockstep runtime cannot: how do the paper's
-// advice-based wait-free algorithms behave under real concurrency and load?
-func expE16() Experiment {
-	type point struct {
-		p core.ScenarioParams
-		// pin runs the row with every process goroutine locked to its own
-		// OS thread (the ROADMAP NUMA/core-pinning knob) — a scheduling
-		// reference row, not a scenario variant, so it is a stress option
-		// rather than a scenario parameter.
-		pin bool
-	}
-	grid := []point{
-		{p: core.ScenarioParams{Task: "consensus", N: 4}},
-		{p: core.ScenarioParams{Task: "consensus", N: 4, Crash: 2, CrashAt: 40}},
-		// Kernel-scheduling reference: same system, every process goroutine
-		// pinned to its own OS thread.
-		{p: core.ScenarioParams{Task: "consensus", N: 4}, pin: true},
-		{p: core.ScenarioParams{Task: "kset", N: 5, K: 2}},
-		{p: core.ScenarioParams{Task: "nset", N: 4, Stabilize: 1}},
-		{p: core.ScenarioParams{Task: "renaming", N: 4, J: 3, K: 2}},
-		{p: core.ScenarioParams{Task: "prop1", N: 3}},
-		// Scale grid (ROADMAP): larger systems lean on the sharded store,
-		// batched collects and bound register handles — 2n goroutines per
-		// instance, n-key collects on resolved cells.
-		{p: core.ScenarioParams{Task: "consensus", N: 16}},
-		{p: core.ScenarioParams{Task: "kset", N: 16, K: 4}},
-		{p: core.ScenarioParams{Task: "consensus", N: 32}},
-	}
-	return Experiment{
-		ID:       "E16",
-		Name:     "native-stress",
-		Title:    "native stress: throughput and decision latency across n, detector and crash patterns",
-		Claim:    "every grid point sustains load with zero checker violations and zero undecided runs",
-		Header:   []string{"scenario", "n", "detector", "crashes", "runs", "ops/sec", "p50", "p99", "checker"},
-		Measured: true,
-		Notes: []string{
-			"~-prefixed cells are wall-clock measurements (machine-dependent; skipped by -skip-measured determinism checks)",
-			"the …/pin row is the kernel-scheduled reference: every process goroutine locked to its own OS thread (efd-stress -pin)",
-		},
-		Cells: func(opt Options) []Cell {
-			g := grid
-			dur := 250 * time.Millisecond
-			if opt.Short {
-				g = []point{grid[0], grid[1], grid[3]}
-				dur = 100 * time.Millisecond
-			}
-			var cells []Cell
-			for _, pt := range g {
-				pt := pt
-				p := pt.p
-				cells = append(cells, Cell{
-					Name: p.Task,
-					Run: func(t *Trial) Outcome {
-						s, err := core.NewScenario(p)
-						if err != nil {
-							return Row(true, p.Task, "-", "-", "-", "-", "-", "-", "-", "FAIL: "+err.Error())
-						}
-						name := s.Name
-						if pt.pin {
-							name += "/pin"
-						}
-						rep, err := native.Stress(name, s.Task, func(seed int64) (native.Config, error) {
-							return s.NativeConfig(seed, 0), nil
-						}, native.StressOptions{
-							Duration:  time.Duration(opt.mult()) * dur,
-							RunBudget: 20 * time.Second,
-							Seed:      t.Seed,
-							Pin:       pt.pin,
-						})
-						if err != nil {
-							return Row(true, name, "-", "-", "-", "-", "-", "-", "-", "FAIL: "+err.Error())
-						}
-						verdict := "ok"
-						fail := rep.Failed()
-						if fail {
-							verdict = fmt.Sprintf("FAIL (%d violations, %d undecided, %d runs)",
-								rep.Violations, rep.Undecided, rep.Runs)
-						}
-						return Row(fail, name, fmt.Sprint(s.NC), s.Detector.Name(),
-							fmt.Sprint(len(s.Pattern.FaultySet())),
-							meas(fmt.Sprint(rep.Runs)),
-							meas(fmt.Sprintf("%.0f", rep.OpsPerSec)),
-							meas(rep.Latency.P50.Round(10*time.Microsecond).String()),
-							meas(rep.Latency.P99.Round(10*time.Microsecond).String()),
-							verdict)
-					},
-				})
-			}
-			return cells
-		},
-	}
-}
-
-// expE17 quantifies graceful degradation under adversarial advice: the
-// native consensus system re-run under every hostile pre-stabilization
-// schedule (flap/lie/diverge), and the KV service under flapping advice
-// plus an advice-chasing crash storm with a per-op clerk deadline. The
-// pass criterion is the chaos layer's core claim — hostile advice may cost
-// throughput and tail latency but never safety, and a starved client
-// operation surfaces as a counted timeout, never a hang.
-func expE17() Experiment {
-	consensus := []core.ScenarioParams{
-		{Task: "consensus", N: 4},
-		{Task: "consensus", N: 4, Chaos: "flap:8"},
-		{Task: "consensus", N: 4, Chaos: "lie:8"},
-		{Task: "consensus", N: 4, Chaos: "diverge:8"},
-	}
-	kvRows := []core.KVStressOptions{
-		{N: 4, Rate: 4000},
-		{N: 4, Rate: 4000, Chaos: fdet.AdviceChaos{Mode: fdet.ChaosFlap, Window: 8},
-			CrashLeader: 2, CrashStorm: true, ClerkTimeout: time.Second},
-	}
-	return Experiment{
-		ID:       "E17",
-		Name:     "adversarial-advice",
-		Title:    "adversarial advice: measured degradation under hostile pre-stabilization schedules",
-		Claim:    "chaos costs throughput and tail latency, never verdicts; clerk deadlines turn starvation into counted timeouts",
-		Header:   []string{"scenario", "runs", "ops/sec", "p50", "p99", "timeouts", "checker"},
-		Measured: true,
-		Notes: []string{
-			"~-prefixed cells are wall-clock measurements (machine-dependent; skipped by -skip-measured determinism checks)",
-			"baseline rows (no /chaos= suffix) are the degradation reference for their chaos twins",
-			"the kv storm row kills whoever the flapping advice names, back to back, under a 1s per-op clerk deadline",
-		},
-		Cells: func(opt Options) []Cell {
-			cg, kg := consensus, kvRows
-			dur := 250 * time.Millisecond
-			if opt.Short {
-				cg = []core.ScenarioParams{consensus[0], consensus[1]}
-				dur = 100 * time.Millisecond
-			}
-			var cells []Cell
-			for _, p := range cg {
-				p := p
-				cells = append(cells, Cell{
-					Name: p.Task + "/" + p.Chaos,
-					Run: func(t *Trial) Outcome {
-						s, err := core.NewScenario(p)
-						if err != nil {
-							return Row(true, p.Task, "-", "-", "-", "-", "-", "FAIL: "+err.Error())
-						}
-						rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
-							return s.NativeConfig(seed, 0), nil
-						}, native.StressOptions{
-							Duration:  time.Duration(opt.mult()) * dur,
-							RunBudget: 20 * time.Second,
-							Seed:      t.Seed,
-						})
-						if err != nil {
-							return Row(true, s.Name, "-", "-", "-", "-", "-", "FAIL: "+err.Error())
-						}
-						return e17Row(s.Name, rep)
-					},
-				})
-			}
-			for _, o := range kg {
-				o := o
-				o.Duration = time.Duration(opt.mult()) * dur
-				cells = append(cells, Cell{
-					Name: "kv/" + o.Chaos.Suffix(),
-					Run: func(t *Trial) Outcome {
-						o.Seed = t.Seed
-						rep, err := core.KVStress(o)
-						if err != nil {
-							return Row(true, o.KVScenarioName(), "-", "-", "-", "-", "-", "FAIL: "+err.Error())
-						}
-						return e17Row(rep.Scenario, rep)
-					},
-				})
-			}
-			return cells
-		},
-	}
-}
-
-// e17Row renders one E17 measurement row from a stress report.
-func e17Row(name string, rep *native.StressReport) Outcome {
-	verdict := "ok"
-	fail := rep.Failed()
-	if fail {
-		verdict = fmt.Sprintf("FAIL (%d violations, %d undecided, %d runs)",
-			rep.Violations, rep.Undecided, rep.Runs)
-	}
-	return Row(fail, name,
-		meas(fmt.Sprint(rep.Runs)),
-		meas(fmt.Sprintf("%.0f", rep.OpsPerSec)),
-		meas(rep.Latency.P50.Round(10*time.Microsecond).String()),
-		meas(rep.Latency.P99.Round(10*time.Microsecond).String()),
-		meas(fmt.Sprint(rep.Timeouts)),
-		verdict)
 }
 
 // expE12 validates the BG substrate: with k of k+1 simulators stalled

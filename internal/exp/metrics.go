@@ -8,7 +8,7 @@ import "wfadvice/internal/obs"
 // `efd-bench -http` and the -progress ETA heartbeat. Everything here sits
 // strictly OUTSIDE Table: outcomes still merge in cell-generation order,
 // so rendered tables are byte-identical at any parallelism and with
-// telemetry on or stubbed (pinned by TestEngineTelemetryDeterminism). Each
+// telemetry on or stubbed (pinned by TestGoldenTables). Each
 // worker observes cell latencies into a private histogram with zero
 // contention and folds it into the shared one via Histogram.Merge when it
 // drains.

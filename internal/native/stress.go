@@ -10,8 +10,8 @@ import (
 	"wfadvice/internal/task"
 )
 
-// This file is the stress harness behind cmd/efd-stress, experiment E16 and
-// the native benchmarks: a pool of workers runs back-to-back native
+// This file is the stress harness behind cmd/efd-stress and the native
+// stress tests: a pool of workers runs back-to-back native
 // instances of one scenario until a wall-clock deadline, every instance is
 // checked post hoc, and the aggregate is reported as throughput, decision
 // latency percentiles (from an online log-bucketed histogram — bounded

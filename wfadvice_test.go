@@ -94,8 +94,8 @@ func TestFacadeExtraction(t *testing.T) {
 // TestFacadeExperiments ensures the harness is reachable from the facade.
 func TestFacadeExperiments(t *testing.T) {
 	xs := wfadvice.Experiments()
-	if len(xs) != 17 {
-		t.Fatalf("got %d experiments, want 17", len(xs))
+	if len(xs) != 14 {
+		t.Fatalf("got %d experiments, want 14", len(xs))
 	}
 	tbl := wfadvice.NewExpEngine(wfadvice.ExpOptions{Seed: 1}).Run(xs[0]) // E1 is fast
 	if tbl.ID != "E1" || len(tbl.Rows) == 0 || tbl.Failures != 0 {
