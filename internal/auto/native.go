@@ -11,12 +11,12 @@ func RegKey(table string, i int) string { return fmt.Sprintf("%s/%d", table, i) 
 
 // RunOnEnv executes automaton a as C-process slot me of an n-slot table over
 // the real runtime: the slot keys are bound once, then each step writes the
-// automaton's register and builds the collect with one bound ReadMany into a
-// reused buffer — on the sim backend exactly n individual reads in slot
-// order (the step shape is pinned by the scripted-scheduler tests), on the
-// native backend one prologue plus n atomic loads on the resolved cells with
-// no per-step allocation. The buffer is safe to reuse because OnView only
-// borrows its view for the duration of the call (the Automaton contract).
+// automaton's register and builds the collect with one bound ReadMany into
+// the handle's own buffer — on the sim backend exactly n individual reads in
+// slot order (the step shape is pinned by the scripted-scheduler tests), on
+// the native backend one prologue plus n atomic loads on the resolved cells
+// with no per-step allocation. The buffer is safe to reuse because OnView
+// only borrows its view for the duration of the call (the Automaton contract).
 // When the automaton decides, the process decides and returns. This is the
 // adapter that turns a restricted algorithm (§2.2) into a body for either
 // backend.
@@ -26,14 +26,13 @@ func RunOnEnv(e sim.Ops, table string, n, me int, a Automaton) {
 		keys[j] = RegKey(table, j)
 	}
 	regs := e.Bind(keys)
-	buf := make([]sim.Value, n)
 	for {
 		if d, ok := a.Decided(); ok {
 			e.Decide(d)
 			return
 		}
 		regs.Write(me, a.WriteValue())
-		a.OnView(regs.ReadMany(buf))
+		a.OnView(regs.ReadMany(nil))
 	}
 }
 

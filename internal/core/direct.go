@@ -25,15 +25,6 @@ type DirectConfig struct {
 	// failure-detector value. VectorLeader handles vector-Ωk; OmegaLeader
 	// adapts Ω for K = 1.
 	LeaderVec func(v sim.Value) []int
-	// InKeys and DecKeys are precomputed key tables — the NC input registers
-	// and the K decision registers — that the bodies bind their poll loops
-	// to, and ConsKeys[j] is the paxos.InstanceKeys table of consensus
-	// instance j that every S-process binds its proposer to. core.Scenario
-	// emits them once per scenario so every instance and process shares one
-	// table; nil tables are computed per body, so directly-constructed
-	// configs keep working unchanged.
-	InKeys, DecKeys []string
-	ConsKeys        [][]string
 }
 
 // directInKeys returns the input-register key table (InKey(0..nc-1)).
@@ -63,27 +54,6 @@ func directConsKeys(k, ns int) [][]string {
 		tables[j] = paxos.InstanceKeys(consKey(j), ns)
 	}
 	return tables
-}
-
-func (c DirectConfig) inKeys() []string {
-	if c.InKeys != nil {
-		return c.InKeys
-	}
-	return directInKeys(c.NC)
-}
-
-func (c DirectConfig) decKeys() []string {
-	if c.DecKeys != nil {
-		return c.DecKeys
-	}
-	return directDecKeys(c.K)
-}
-
-func (c DirectConfig) consKeys() [][]string {
-	if c.ConsKeys != nil {
-		return c.ConsKeys
-	}
-	return directConsKeys(c.K, c.NS)
 }
 
 // VectorLeader interprets detector values as []int vectors (vector-Ωk).
@@ -120,18 +90,22 @@ func consKey(j int) string { return "cons/" + strconv.Itoa(j) }
 
 // DirectCBody returns the C-process body: publish the input, then poll the k
 // decision registers — one batched collect per sweep over a handle bound
-// once, with a reused collect buffer, so a sweep performs no allocation and
+// once, into the handle's own buffer, so a sweep performs no allocation and
 // no key resolution at all on the native backend. The body takes no
 // synchronization steps — wait-freedom is structural. Between unsuccessful
 // sweeps it waits the backend's way (sim.Ops.AwaitEpoch; inert on sim).
+//
+// The bodies of this file build their key tables when the factory is called,
+// so a body built once (core.Scenario) binds the same tables every run and a
+// re-armed native runtime hands it last run's handles back.
 func (c DirectConfig) DirectCBody(i int) sim.Body {
+	in, decKeys := []string{InKey(i)}, directDecKeys(c.K)
 	return func(e sim.Ops) {
-		e.Bind(c.inKeys()[i:i+1]).Write(0, e.Input())
-		dec := e.Bind(c.decKeys())
-		buf := make([]sim.Value, dec.Len())
+		e.Bind(in).Write(0, e.Input())
+		dec := e.Bind(decKeys)
 		for {
 			seen := e.Epoch()
-			for _, v := range dec.ReadMany(buf) {
+			for _, v := range dec.ReadMany(nil) {
 				if d, ok := paxos.DecodeDecision(v); ok {
 					e.Decide(d)
 					return
@@ -155,27 +129,31 @@ func (c DirectConfig) DirectCBody(i int) sim.Body {
 // whole scheduler quanta while the processes that still have work to do —
 // the driving leader and the undecided C-pollers — wait their turn.
 func (c DirectConfig) DirectSBody(me int) sim.Body {
+	consKeys, inKeys := directConsKeys(c.K, c.NS), directInKeys(c.NC)
 	return func(e sim.Ops) {
-		props := make([]*paxos.Proposer, c.K)
-		for j, keys := range c.consKeys() {
-			props[j] = paxos.NewBoundProposer(e.Bind(keys), me, c.NS, nil)
+		var local [4]paxos.Proposer // the proposers live on the stack for k ≤ 4
+		props := local[:min(c.K, len(local))]
+		if c.K > len(local) {
+			props = make([]paxos.Proposer, c.K)
 		}
-		ins := e.Bind(c.inKeys())
-		buf := make([]sim.Value, ins.Len())
+		for j, keys := range consKeys {
+			props[j] = paxos.BoundProposer(e.Bind(keys), me, c.NS, nil)
+		}
+		ins := e.Bind(inKeys)
 		var proposal sim.Value
 		for {
 			seen := e.Epoch()
 			lv := c.LeaderVec(e.QueryFD())
 			if proposal == nil {
-				for _, v := range ins.ReadMany(buf) {
+				for _, v := range ins.ReadMany(nil) {
 					if v != nil {
 						proposal = v
 						break
 					}
 				}
 				if proposal != nil {
-					for _, p := range props {
-						p.SetProposal(proposal)
+					for j := range props {
+						props[j].SetProposal(proposal)
 					}
 					continue
 				}

@@ -211,18 +211,19 @@ func mallocsDuring(f func()) uint64 {
 
 // TestOneShotAllocBudget holds a one-shot instance to what its protocol
 // allocates: back-to-back consensus/n=4/omega/advice=event instances through
-// the stress harness, one worker on one re-armed runtime, average at most 12
-// heap objects per decision. It reads 10.0, and per instance of four decisions
-// the terms are: the config's input clone and seeded history, 4; the eight
-// body closures the scenario's factories return, 8; the bodies' collect
-// buffers and proposer slices, 12; the proposers, 4; the blocks they write, 3;
-// an input key formatted, 1; the panic that unwinds each S-process at
-// teardown, 4; and of the lifecycle — Envs, handles, table, advice cells,
-// notifier, timers, Result, all kept across Reset — the odd goroutine stack
-// and wait-queue entry the Go runtime's caches miss, under 1. Under the race
-// detector the same instance reads 14.0 to 14.6 — it runs across more advice
-// ticks and sync.Pool drops one Put in four, so a noisy publication rebuilds
-// generators — and the budget there is 18.
+// the stress harness, one worker on one re-armed runtime, average at most 2.5
+// heap objects per decision. It reads 2.0, and per instance of four decisions
+// the terms are: the config's input clone and seeded history, 4; the blocks
+// the proposers write, about 3; and under 1 of lifecycle — the odd goroutine
+// stack and wait-queue entry the Go runtime's caches miss. Nothing else is
+// built per instance: the scenario's bodies are built once, the proposers
+// live on the S-bodies' stacks, a collect fills its handle's own buffer, the
+// handles, Envs, table, advice cells, notifier, timers and Result are kept
+// across Reset, and a process unwinds off the heap. Under the race detector
+// the same instance reads 5.9 to 8.2 over a dozen runs — it runs across more
+// advice ticks and sync.Pool drops one Put in four, so a noisy publication
+// rebuilds generators, four objects a decision of it — and the budget there
+// is 10.
 func TestOneShotAllocBudget(t *testing.T) {
 	sc, err := NewScenario(ScenarioParams{Task: "consensus", N: 4, Stabilize: 10, Advice: "event"})
 	if err != nil {
@@ -246,9 +247,9 @@ func TestOneShotAllocBudget(t *testing.T) {
 			decisions += rep.Decisions
 		})
 	}
-	budget := 12.0
+	budget := 2.5
 	if raceDetector {
-		budget = 18
+		budget = 10
 	}
 	per := float64(mallocs) / float64(decisions)
 	t.Logf("%.1f mallocs per decision over %d instances", per, runs)
@@ -257,10 +258,10 @@ func TestOneShotAllocBudget(t *testing.T) {
 	}
 }
 
-// TestDirectSharedKeyTablesSameSteps: the key tables a scenario builds once
-// are the ones a body would compute for itself, so a DirectConfig carrying
-// them and one with nil tables perform the identical (process, operation,
-// key) sequence under the same script.
+// TestDirectSharedKeyTablesSameSteps: a body built once, as a scenario builds
+// it, keeps its key tables across runs and its per-run state inside the call,
+// so its second run performs the identical (process, operation, key)
+// sequence under the same script as bodies built for that run.
 func TestDirectSharedKeyTablesSameSteps(t *testing.T) {
 	const n = 4
 	for _, k := range []int{1, 2} {
@@ -276,10 +277,10 @@ func TestDirectSharedKeyTablesSameSteps(t *testing.T) {
 				script = append(script, ids.S((i+r)%n), ids.C(i), ids.S(i))
 			}
 		}
-		steps := func(dc DirectConfig) []sim.Event {
+		steps := func(cbody, sbody func(int) sim.Body) []sim.Event {
 			rt, err := sim.New(sim.Config{
 				NC: n, NS: n, Inputs: intInputs(n),
-				CBody: dc.DirectCBody, SBody: dc.DirectSBody,
+				CBody: cbody, SBody: sbody,
 				Pattern: pat, History: det.History(pat, 20, 5), MaxSteps: 100_000,
 			})
 			if err != nil {
@@ -291,16 +292,18 @@ func TestDirectSharedKeyTablesSameSteps(t *testing.T) {
 			}
 			return res.Trace
 		}
-		bare := steps(DirectConfig{NC: n, NS: n, K: k, LeaderVec: lv})
-		shared := steps(DirectConfig{NC: n, NS: n, K: k, LeaderVec: lv,
-			InKeys: directInKeys(n), DecKeys: directDecKeys(k), ConsKeys: directConsKeys(k, n)})
+		dc := DirectConfig{NC: n, NS: n, K: k, LeaderVec: lv}
+		bare := steps(dc.DirectCBody, dc.DirectSBody)
+		cbody, sbody := builtOnce(n, dc.DirectCBody), builtOnce(n, dc.DirectSBody)
+		steps(cbody, sbody)
+		shared := steps(cbody, sbody)
 		if len(bare) != len(shared) {
-			t.Fatalf("k=%d: %d steps with nil tables, %d with the scenario's", k, len(bare), len(shared))
+			t.Fatalf("k=%d: %d steps with fresh bodies, %d with bodies built once", k, len(bare), len(shared))
 		}
 		for s := range bare {
 			a, b := bare[s], shared[s]
 			if a.Proc != b.Proc || a.Kind != b.Kind || a.Key != b.Key {
-				t.Fatalf("k=%d step %d: %v %v %q with nil tables, %v %v %q with the scenario's",
+				t.Fatalf("k=%d step %d: %v %v %q with fresh bodies, %v %v %q with bodies built once",
 					k, s, a.Proc, a.Kind, a.Key, b.Proc, b.Kind, b.Key)
 			}
 		}

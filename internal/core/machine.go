@@ -52,16 +52,12 @@ type MachineConfig struct {
 	// Lanes selects Figure 2 / Theorem 14 mode: exactly K pre-admitted codes
 	// with static positions and no admission gate.
 	Lanes bool
-	// PollKeys is the precomputed bookkeeping key table — the NC input
-	// registers followed by the ovec register — that every replica binds its
-	// pollOnce reads (and the S-process ovec writes) to. core.Scenario emits
-	// it once per scenario; nil is computed per replica, so directly
-	// constructed configs keep working unchanged.
-	PollKeys []string
 }
 
-// machinePollKeys builds the replica bookkeeping key table: slot i < nc is
-// InKey(i), slot nc is the ovec register.
+// machinePollKeys builds the replica bookkeeping key table that its pollOnce
+// reads (and the S-process ovec writes) bind to: slot i < nc is InKey(i),
+// slot nc is the ovec register. The body factories build it when called, so
+// a body built once binds the same table every run.
 func machinePollKeys(nc int) []string {
 	keys := make([]string, nc+1)
 	for i := 0; i < nc; i++ {
@@ -69,13 +65,6 @@ func machinePollKeys(nc int) []string {
 	}
 	keys[nc] = "ovec"
 	return keys
-}
-
-func (c MachineConfig) pollKeys() []string {
-	if c.PollKeys != nil {
-		return c.PollKeys
-	}
-	return machinePollKeys(c.NC)
 }
 
 // WriteAt is a versioned simulated-register value carried inside decided
@@ -149,11 +138,11 @@ type replica struct {
 	cellProps map[cellID]*paxos.Proposer
 }
 
-func newReplica(cfg MachineConfig, e sim.Ops, me int) *replica {
+func newReplica(cfg MachineConfig, e sim.Ops, me int, pollKeys []string) *replica {
 	r := &replica{
 		cfg:         cfg,
 		e:           e,
-		regs:        e.Bind(cfg.pollKeys()),
+		regs:        e.Bind(pollKeys),
 		me:          me,
 		inputs:      make([]sim.Value, cfg.NC),
 		admitted:    make(map[int]bool),
@@ -425,8 +414,9 @@ func (r *replica) driveCells(codes []int) bool {
 // scheduled — on small machines that starvation, not the algorithm,
 // dominated decision latency.
 func (c MachineConfig) SolverCBody(i int) sim.Body {
+	keys := machinePollKeys(c.NC)
 	return func(e sim.Ops) {
-		r := newReplica(c, e, i)
+		r := newReplica(c, e, i, keys)
 		r.regs.Write(i, e.Input())
 		r.inputs[i] = e.Input()
 		for {
@@ -446,8 +436,9 @@ func (c MachineConfig) SolverCBody(i int) sim.Body {
 // SolverSBody returns the Theorem 9 S-process body: publish the advice
 // vector whenever it changes and help drive the machine forever.
 func (c MachineConfig) SolverSBody(q int) sim.Body {
+	keys := machinePollKeys(c.NC)
 	return func(e sim.Ops) {
-		r := newReplica(c, e, c.NC+q)
+		r := newReplica(c, e, c.NC+q, keys)
 		for {
 			seen := e.Epoch()
 			learned := false
@@ -473,8 +464,9 @@ func (c MachineConfig) SolverSBody(q int) sim.Body {
 // participation, then drive the k codes; the body never decides (the
 // simulated codes carry the payload) and runs until the step budget ends.
 func (c MachineConfig) LanesCBody(i int) sim.Body {
+	keys := machinePollKeys(c.NC)
 	return func(e sim.Ops) {
-		r := newReplica(c, e, i)
+		r := newReplica(c, e, i, keys)
 		r.regs.Write(i, e.Input())
 		r.inputs[i] = e.Input()
 		for {

@@ -34,6 +34,7 @@ type Scenario struct {
 	NC, NS int
 	Inputs vec.Vector
 	// CBody and SBody are the process programs, shared by both backends.
+	// NewScenario builds each body once; the factories return it every run.
 	CBody, SBody func(i int) sim.Body
 	// Pattern is the S-process failure pattern; Detector generates the
 	// advice histories; Stabilize is the time (model ticks) after which the
@@ -207,8 +208,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		s.Task = task.NewConsensus(p.N)
 		s.Inputs = intInputs(p.N)
 		s.Registers = directRegisters(p.N, p.N, 1)
-		dc := DirectConfig{NC: p.N, NS: p.N, K: 1, LeaderVec: OmegaLeader,
-			InKeys: directInKeys(p.N), DecKeys: directDecKeys(1), ConsKeys: directConsKeys(1, p.N)}
+		dc := DirectConfig{NC: p.N, NS: p.N, K: 1, LeaderVec: OmegaLeader}
 		if d == "vector" {
 			s.Detector = fdet.VectorOmegaK{K: 1, GoodPos: 0}
 			dc.LeaderVec = VectorLeader
@@ -228,8 +228,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		s.Inputs = intInputs(p.N)
 		s.Registers = directRegisters(p.N, p.N, p.K)
 		s.Detector = fdet.VectorOmegaK{K: p.K, GoodPos: 0}
-		dc := DirectConfig{NC: p.N, NS: p.N, K: p.K, LeaderVec: VectorLeader,
-			InKeys: directInKeys(p.N), DecKeys: directDecKeys(p.K), ConsKeys: directConsKeys(p.K, p.N)}
+		dc := DirectConfig{NC: p.N, NS: p.N, K: p.K, LeaderVec: VectorLeader}
 		s.CBody, s.SBody = dc.DirectCBody, dc.DirectSBody
 		s.Name = fmt.Sprintf("kset/n=%d/k=%d/vector", p.N, p.K)
 	case "renaming":
@@ -253,7 +252,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		}
 		s.Detector = fdet.VectorOmegaK{K: p.K, GoodPos: 0}
 		s.Registers = machineRegisters(p.N, p.N)
-		mc := MachineConfig{NC: p.N, NS: p.N, K: p.K, PollKeys: machinePollKeys(p.N),
+		mc := MachineConfig{NC: p.N, NS: p.N, K: p.K,
 			Factory: func(i int, _ sim.Value) auto.Automaton { return wfree.NewRenaming(i) }}
 		s.CBody, s.SBody = mc.SolverCBody, mc.SolverSBody
 		s.Name = fmt.Sprintf("renaming/n=%d/j=%d/k=%d/vector", p.N, p.J, p.K)
@@ -269,7 +268,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		s.Inputs = intInputs(p.N)
 		s.Detector = fdet.VectorOmegaK{K: 1, GoodPos: 0}
 		s.Registers = machineRegisters(p.N, p.N)
-		mc := MachineConfig{NC: p.N, NS: p.N, K: 1, PollKeys: machinePollKeys(p.N),
+		mc := MachineConfig{NC: p.N, NS: p.N, K: 1,
 			Factory: func(i int, input sim.Value) auto.Automaton { return wfree.NewProp1(tk, i, input) }}
 		s.CBody, s.SBody = mc.SolverCBody, mc.SolverSBody
 		s.Name = fmt.Sprintf("prop1/n=%d/vector", p.N)
@@ -290,8 +289,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		s.Inputs = intInputs(p.N)
 		s.Registers = 2 * p.N // in/i plus the V/q helper slots
 		s.Detector = fdet.Trivial{}
-		sh := SHelperConfig{NC: p.N, NS: p.N,
-			InKeys: directInKeys(p.N), VKeys: shelperVKeys(p.N)}
+		sh := SHelperConfig{NC: p.N, NS: p.N}
 		s.CBody, s.SBody = sh.SHelperCBody, sh.SHelperSBody
 		s.Name = fmt.Sprintf("nset/n=%d/trivial", p.N)
 	default:
@@ -318,7 +316,20 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 	if chaos.Enabled() {
 		s.Name += "/chaos=" + chaos.Suffix()
 	}
+	s.CBody, s.SBody = builtOnce(s.NC, s.CBody), builtOnce(s.NS, s.SBody)
 	return s, nil
+}
+
+// builtOnce calls factory once per process and returns a factory that hands
+// out those bodies. Every body keeps its per-run state inside the call, so
+// one body serves every run of the scenario, on any number of runtimes at
+// once, and re-arming a runtime builds none.
+func builtOnce(n int, factory func(i int) sim.Body) func(i int) sim.Body {
+	bodies := make([]sim.Body, n)
+	for i := range bodies {
+		bodies[i] = factory(i)
+	}
+	return func(i int) sim.Body { return bodies[i] }
 }
 
 // kvScriptOps is the per-clerk script length of the kv scenario: small

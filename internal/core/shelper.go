@@ -34,10 +34,6 @@ func InKey(i int) string { return fmt.Sprintf("in/%d", i) }
 // first copied value it finds.
 type SHelperConfig struct {
 	NC, NS int
-	// InKeys and VKeys are precomputed key tables (the NC input registers
-	// and the NS helper slots V/q) that the poll loops bind to; nil tables
-	// are computed per body, so directly-constructed configs keep working.
-	InKeys, VKeys []string
 }
 
 // shelperVKeys returns the helper-slot key table V/0..V/ns-1.
@@ -49,26 +45,14 @@ func shelperVKeys(ns int) []string {
 	return keys
 }
 
-func (c SHelperConfig) inKeys() []string {
-	if c.InKeys != nil {
-		return c.InKeys
-	}
-	return directInKeys(c.NC)
-}
-
-func (c SHelperConfig) vKeys() []string {
-	if c.VKeys != nil {
-		return c.VKeys
-	}
-	return shelperVKeys(c.NS)
-}
-
 // SHelperCBody returns the C-process body: publish the input, then poll the
-// helper slots round-robin on a handle bound once.
+// helper slots round-robin on a handle bound once. Like the direct solver's,
+// these bodies build their key tables when the factory is called.
 func (c SHelperConfig) SHelperCBody(i int) sim.Body {
+	in, vKeys := []string{InKey(i)}, shelperVKeys(c.NS)
 	return func(e sim.Ops) {
-		e.Bind(c.inKeys()[i:i+1]).Write(0, e.Input())
-		vs := e.Bind(c.vKeys())
+		e.Bind(in).Write(0, e.Input())
+		vs := e.Bind(vKeys)
 		for j := 0; ; j = (j + 1) % c.NS {
 			if v := vs.Read(j); v != nil {
 				e.Decide(v)
@@ -82,9 +66,10 @@ func (c SHelperConfig) SHelperCBody(i int) sim.Body {
 // bound handle until at least one C-process writes its input, then publish
 // that value in this helper's slot.
 func (c SHelperConfig) SHelperSBody(q int) sim.Body {
+	inKeys, slotKey := directInKeys(c.NC), shelperVKeys(c.NS)[q:q+1]
 	return func(e sim.Ops) {
-		ins := e.Bind(c.inKeys())
-		slot := e.Bind(c.vKeys()[q : q+1])
+		ins := e.Bind(inKeys)
+		slot := e.Bind(slotKey)
 		for i := 0; ; i = (i + 1) % c.NC {
 			if v := ins.Read(i); v != nil {
 				slot.Write(0, v)

@@ -28,7 +28,8 @@ import (
 //     generic write of a fresh large int pays the unavoidable caller-side
 //     interface boxing plus one memo refresh; that pair is measured and
 //     bounded here rather than asserted to be zero.
-//   - ReadMany into a reused buffer: zero regardless of slot contents.
+//   - ReadMany into a reused buffer: zero regardless of slot contents; so is
+//     ReadMany(nil) after the handle's first collect built its own buffer.
 //   - a fresh struct through Write/Read: one object for the write — the
 //     caller's conversion to sim.Value boxes the struct, and a typed cell
 //     stores that box's pointer, adding nothing of its own — and zero for
@@ -38,7 +39,7 @@ func TestReadWriteAllocs(t *testing.T) {
 		typedWrite, typedRead   float64
 		smallWrite, smallRead   float64
 		stableWrite, stableRead float64
-		collect                 float64
+		collect, ownCollect     float64
 		freshWrite              float64
 		structWrite, structRead float64
 	}
@@ -83,6 +84,13 @@ func TestReadWriteAllocs(t *testing.T) {
 						t.Errorf("collect returned %d slots, want %d", len(got), len(keys))
 					}
 				})
+				// AllocsPerRun's warm-up call is the handle's first collect,
+				// the one that allocates its buffer.
+				res.ownCollect = testing.AllocsPerRun(200, func() {
+					if got := r.ReadMany(nil); len(got) != len(keys) {
+						t.Errorf("collect returned %d slots, want %d", len(got), len(keys))
+					}
+				})
 
 				y := 1 << 41
 				res.freshWrite = testing.AllocsPerRun(200, func() {
@@ -121,6 +129,7 @@ func TestReadWriteAllocs(t *testing.T) {
 		"stable generic write":   res.stableWrite,
 		"stable generic read":    res.stableRead,
 		"bound ReadMany collect": res.collect,
+		"ReadMany(nil) collect":  res.ownCollect,
 		"fresh struct read":      res.structRead,
 	} {
 		if got != 0 {

@@ -13,11 +13,14 @@ import "wfadvice/internal/sim"
 // the S-process input harvest, auto.RunOnEnv collects, every paxos
 // instance — run on bound handles.
 
-// boundRegs is the native sim.Regs: a resolved cell pointer per slot.
+// boundRegs is the native sim.Regs: a resolved cell pointer per slot, and
+// the collect buffer ReadMany fills when the caller brings none. A handle the
+// bind memo returns next run brings its buffer along.
 type boundRegs struct {
 	e     *Env
 	keys  []string
 	cells []*cell
+	buf   []sim.Value
 }
 
 var _ sim.Regs = (*boundRegs)(nil)
@@ -37,9 +40,9 @@ const memoBinds = 4
 //
 // On a re-armed runtime that kept its register table, a Bind of the table
 // this process bound at the same call position last run — the same backing
-// array and length; scenarios share one table per scenario — returns last
-// run's handle: its cells are the table's cells for those keys, emptied by
-// the Reset, and nothing is resolved or allocated.
+// array and length; a body built once binds the tables it built then —
+// returns last run's handle: its cells are the table's cells for those keys,
+// emptied by the Reset, and nothing is resolved or allocated.
 func (e *Env) Bind(keys []string) sim.Regs {
 	pos := e.nbind
 	e.nbind++
@@ -126,15 +129,19 @@ func (b *boundRegs) WriteInt(i int, x int) {
 
 // ReadMany performs a batched collect over every bound slot: one operation
 // prologue (counting Len reads, exactly as the sim backend consumes Len
-// steps), then one atomic load per cell into dst. With a reused dst the
-// collect allocates nothing. It is a regular collect, never a snapshot:
-// concurrent writes may land between the individual loads.
+// steps), then one atomic load per cell into dst, or into the handle's own
+// buffer when dst is too short (nil included); only the handle's first such
+// collect allocates. It is a regular collect, never a snapshot: concurrent
+// writes may land between the individual loads.
 func (b *boundRegs) ReadMany(dst []sim.Value) []sim.Value {
 	b.e.ops += int64(len(b.cells)) - 1
 	b.e.step()
 	b.e.m.Inc(cRegCollectBound)
 	if len(dst) < len(b.cells) {
-		dst = make([]sim.Value, len(b.cells))
+		if b.buf == nil {
+			b.buf = make([]sim.Value, len(b.cells))
+		}
+		dst = b.buf
 	}
 	dst = dst[:len(b.cells)]
 	for i, c := range b.cells {

@@ -270,6 +270,103 @@ func TestRearmShapeChange(t *testing.T) {
 	}
 }
 
+// TestRearmSharedScenarioBodies: a scenario builds each process body once
+// and hands the same body to every run, so four workers run one body
+// concurrently, each re-arming its own runtime back to back. A body that kept
+// per-run state outside the call — a proposer, a replica, an automaton, a
+// collect buffer — would show here as an instance that does not decide or
+// that breaks ∆.
+func TestRearmSharedScenarioBodies(t *testing.T) {
+	for _, p := range []core.ScenarioParams{
+		{Task: "consensus", N: 4, Stabilize: 4, Advice: "event"},
+		{Task: "kset", N: 4, K: 2, Stabilize: 4},
+		{Task: "prop1", N: 3, Stabilize: 4},
+		{Task: "renaming", N: 4, K: 1, Stabilize: 4, Advice: "event"},
+	} {
+		s := scenario(t, p)
+		participants := len(s.Inputs.Participants())
+		rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
+			return s.NativeConfig(seed, tick), nil
+		}, native.StressOptions{Duration: 100 * time.Millisecond, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Runs == 0 || rep.Failed() || rep.Decisions != rep.Runs*participants {
+			t.Fatalf("%s: %d runs, %d decisions\n%s", s.Name, rep.Runs, rep.Decisions, rep.Render())
+		}
+	}
+}
+
+// TestRearmTeardownAllocs: unwinding a process costs no heap object, whether
+// it is stopped at the end of the run, crashed by the pattern, or either on a
+// pinned thread. Each case re-arms one runtime a few hundred times with
+// bodies that allocate nothing and counts the objects per unwound process.
+// The run's goroutine defers only Env.exited: restoring a second defer beside
+// it (the wait group's Done, or the pinned thread's unlock) makes the Go
+// runtime save that defer's state on the heap at every recover, one object
+// per unwound process, and fails this test in all three cases. The race
+// detector turns open-coded defers off, so only the plain run catches it.
+func TestRearmTeardownAllocs(t *testing.T) {
+	keys := []string{"x"}
+	loop := func(e sim.Ops) {
+		r := e.Bind(keys)
+		for {
+			seen := e.Epoch()
+			r.Read(0)
+			e.AwaitEpoch(seen)
+		}
+	}
+	decide := func(e sim.Ops) { e.Decide(1) }
+	// waitThenDecide gives a crash victim the time to take the operation
+	// that kills it.
+	waitThenDecide := func(e sim.Ops) {
+		for start := time.Now(); time.Since(start) < 20*tick; {
+			e.AwaitEpoch(e.Epoch())
+		}
+		e.Decide(1)
+	}
+	const ns = 3
+	for _, c := range []struct {
+		name    string
+		crashed map[int]fdet.Time
+		cbody   sim.Body
+		pin     bool
+	}{
+		{name: "stopped", cbody: decide},
+		{name: "crashed", crashed: map[int]fdet.Time{0: 0}, cbody: waitThenDecide},
+		{name: "pinned", cbody: decide, pin: true},
+	} {
+		cfg := native.Config{
+			NC: 1, NS: ns, Inputs: vec.Of(1), Pattern: fdet.NewPattern(ns, c.crashed), Tick: tick, Pin: c.pin,
+			CBody: func(int) sim.Body { return c.cbody },
+			SBody: func(int) sim.Body { return loop },
+		}
+		rt := new(native.Runtime)
+		crashes := 0
+		run := func() {
+			if err := rt.Reset(cfg); err != nil {
+				t.Fatal(err)
+			}
+			res := rt.Run(10 * time.Second)
+			if res.Reason != native.ReasonAllDecided {
+				t.Fatalf("%s: run ended %v", c.name, res.Reason)
+			}
+			// A victim the scheduler kept off the CPU until the stop unwinds
+			// as stopped instead; either way it unwinds.
+			crashes += len(res.Crashed)
+		}
+		for i := 0; i < 20; i++ {
+			run() // warm the runtime, its threads and the Go runtime's caches
+		}
+		if per := testing.AllocsPerRun(200, run) / ns; per != 0 {
+			t.Errorf("%s: %.2f objects per unwound process, want 0", c.name, per)
+		}
+		if (crashes > 0) != (c.crashed != nil) {
+			t.Errorf("%s: %d crashes injected", c.name, crashes)
+		}
+	}
+}
+
 // TestRearmStress drives the re-arm the way its one caller does: Stress over
 // consensus n=4 with two S-processes crashed mid-instance, under both waits,
 // pinned and traced. Every instance passes the checker; the report's crash

@@ -48,7 +48,10 @@ type Config struct {
 	Inputs vec.Vector
 
 	// CBody returns the program of C-process i; it must not be nil if any
-	// input is non-nil.
+	// input is non-nil. Reset calls CBody and SBody for every process it
+	// arms. A factory may return the same body every time, and to several
+	// runtimes at once, when the body keeps its per-run state inside the
+	// call, as every body in the repo does (core.Scenario builds each once).
 	CBody func(i int) sim.Body
 	// SBody returns the program of S-process i; nil (or a nil return) spawns
 	// no S-process.
@@ -215,13 +218,15 @@ func New(cfg Config) (*Runtime, error) {
 //     of runs.
 //   - Advice. The service serves cfg.History from tick 0 on the clock Run
 //     starts; a nil history answers nil whatever the last one published.
-//   - Processes. Each spawned process gets a fresh body from cfg.CBody or
-//     cfg.SBody and its input, with its operation count, decision and crash
-//     state cleared. NC, NS and the participant set may all differ from the
-//     last run's. A process keeps the handles of its first few Binds: when it
-//     binds the same key table (same backing array and length) at the same
-//     call position as last run, it gets that handle back, resolved against
-//     the kept table, instead of a new one.
+//   - Processes. Each spawned process gets its body from cfg.CBody or
+//     cfg.SBody — the factory's to build or hand out again; a body starts
+//     from nothing each call — and its input, with its operation count,
+//     decision and crash state cleared. NC, NS and the participant set may
+//     all differ from the last run's. A process keeps the handles of its
+//     first few Binds: when it binds the same key table (same backing array
+//     and length) at the same call position as last run, it gets that handle
+//     back, resolved against the kept table, collect buffer included, instead
+//     of a new one.
 //
 // The Result of the earlier run is overwritten by the next.
 func (r *Runtime) Reset(cfg Config) error {
@@ -460,38 +465,45 @@ type Env struct {
 var _ sim.Ops = (*Env)(nil)
 
 // run is the process goroutine: the body, on its own OS thread when pinned.
+// exited is its only defer. A recover that leaves other defers pending in
+// the frame it returns to makes the Go runtime save their state on the heap,
+// one object per stop or crash unwind; so exited does their work itself.
 func (e *Env) run() {
-	defer e.r.wg.Done()
 	defer e.exited()
 	if e.r.cfg.Pin {
 		// Dedicate an OS thread to this process for the whole run; the
-		// unlock on return hands the thread back to the scheduler instead of
+		// unlock in exited hands the thread back to the scheduler instead of
 		// destroying it, so back-to-back pinned instances reuse threads
 		// rather than churn them.
 		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
 	}
 	e.body(e)
 }
 
-// exited runs deferred as the body unwinds: it reports the run over when the
-// last process goes, records an injected crash, swallows the stop sentinel
-// and re-raises anything else the body panicked with.
+// exited runs deferred as the body unwinds: it releases a pinned thread,
+// reports the run over when the last process goes, records an injected
+// crash, swallows the stop sentinel and re-raises anything else the body
+// panicked with, which ends the program. Its last act is the wait group's
+// Done: after it the Runtime may re-arm this Env.
 func (e *Env) exited() {
 	x := recover()
 	r := e.r
+	if r.cfg.Pin {
+		runtime.UnlockOSThread()
+	}
 	if r.live.Add(-1) == 0 {
 		r.done()
 	}
-	if x == errCrashed { //nolint:errorlint // sentinel identity
+	switch x {
+	case nil, errStopped:
+	case errCrashed:
 		e.crashed = true
 		e.m.Inc(cCrashInject)
 		r.cfg.Tracer.Emit(TraceCrash, procCode(true, e.id.Index), r.cfg.RunID, int64(r.clock.now()))
-		return
-	}
-	if x != nil && x != errStopped { //nolint:errorlint // sentinel identity
+	default:
 		panic(x)
 	}
+	r.wg.Done()
 }
 
 // step is the per-operation prologue: count the op, honor a stop, and kill a

@@ -127,15 +127,17 @@ type Proposer struct {
 // supplied later via SetProposal; the proposer will not enter phase 1
 // without one.
 func NewProposer(e sim.Ops, key string, me, nProposers int, proposal Value) *Proposer {
-	return NewBoundProposer(e.Bind(InstanceKeys(key, nProposers)), me, nProposers, proposal)
+	p := BoundProposer(e.Bind(InstanceKeys(key, nProposers)), me, nProposers, proposal)
+	return &p
 }
 
-// NewBoundProposer is NewProposer over registers the caller has bound: regs
-// is an instance's InstanceKeys table for nProposers proposers. Processes
-// that drive the same instance run after run build that table once and bind
-// it here.
-func NewBoundProposer(regs sim.Regs, me, nProposers int, proposal Value) *Proposer {
-	return &Proposer{
+// BoundProposer is NewProposer over registers the caller has bound, as a
+// value: regs is an instance's InstanceKeys table for nProposers proposers.
+// Processes that drive the same instance run after run build that table once
+// and bind it here, and may keep the proposer in a local array: no method
+// lets the receiver escape.
+func BoundProposer(regs sim.Regs, me, nProposers int, proposal Value) Proposer {
+	return Proposer{
 		blk:      regs,
 		dec:      regs,
 		decOff:   nProposers,

@@ -38,9 +38,10 @@ type Regs interface {
 	// Ops.ReadMany over the bound keys (one scheduled step per slot on sim;
 	// one operation prologue plus Len atomic loads on native). The values
 	// are stored into dst when it is large enough (len(dst) ≥ Len) and the
-	// filled prefix is returned; a too-short dst is replaced by a fresh
-	// slice, so passing nil is allowed and a reused buffer makes the collect
-	// allocation-free.
+	// filled prefix is returned. A shorter dst, nil included, is replaced by
+	// a buffer the handle owns: it is allocated by the handle's first such
+	// collect, stays valid until the handle's next ReadMany overwrites it,
+	// and makes every later collect allocation-free.
 	ReadMany(dst []Value) []Value
 }
 
@@ -50,6 +51,7 @@ type Regs interface {
 type boundEnv struct {
 	e    *Env
 	keys []string
+	buf  []Value // ReadMany's own buffer
 }
 
 var _ Regs = (*boundEnv)(nil)
@@ -84,7 +86,10 @@ func (b *boundEnv) WriteInt(i int, x int) { b.e.Write(b.keys[i], x) }
 // exactly as Ops.ReadMany over the bound keys.
 func (b *boundEnv) ReadMany(dst []Value) []Value {
 	if len(dst) < len(b.keys) {
-		dst = make([]Value, len(b.keys))
+		if b.buf == nil {
+			b.buf = make([]Value, len(b.keys))
+		}
+		dst = b.buf
 	}
 	dst = dst[:len(b.keys)]
 	for i, k := range b.keys {

@@ -78,8 +78,9 @@ func TestBindStepShape(t *testing.T) {
 }
 
 // TestBindReadManyBuffer: a caller-supplied buffer is filled in place (the
-// allocation-free contract) and a short one is replaced, never indexed out
-// of range.
+// allocation-free contract); a nil or short one is replaced by the handle's
+// own buffer, which the handle's next collect overwrites; and whichever
+// buffer it fills, a collect is one scheduled step per slot.
 func TestBindReadManyBuffer(t *testing.T) {
 	keys := []string{"x", "y"}
 	cfg := Config{
@@ -93,10 +94,17 @@ func TestBindReadManyBuffer(t *testing.T) {
 				if len(got) != 2 || got[0] != "vx" || &got[0] != &buf[0] {
 					t.Errorf("large buffer not reused in place: %v", got)
 				}
-				short := make([]Value, 1)
-				got = r.ReadMany(short)
-				if len(got) != 2 || got[0] != "vx" {
-					t.Errorf("short buffer collect = %v", got)
+				own := r.ReadMany(nil)
+				if len(own) != 2 || own[0] != "vx" || own[1] != nil {
+					t.Errorf("nil buffer collect = %v", own)
+				}
+				r.Write(1, "vy")
+				got = r.ReadMany(make([]Value, 1))
+				if len(got) != 2 || &got[0] != &own[0] {
+					t.Errorf("short buffer collect = %v, not into the handle's buffer", got)
+				}
+				if own[1] != "vy" {
+					t.Errorf("the handle's buffer reads %v after the next collect, want it overwritten", own)
 				}
 				e.Decide(0)
 			}
@@ -111,6 +119,9 @@ func TestBindReadManyBuffer(t *testing.T) {
 	res := rt.Run(&StopWhenDecided{Inner: &RoundRobin{}})
 	if err := DecidedAll(res); err != nil {
 		t.Fatal(err)
+	}
+	if want := 2 + 3*len(keys) + 1; res.Steps != want { // two writes, three collects, the decision
+		t.Fatalf("consumed %d steps, want %d (one per slot collected)", res.Steps, want)
 	}
 }
 

@@ -183,7 +183,9 @@ type Config struct {
 	Inputs vec.Vector
 
 	// CBody returns the program of C-process i; it must not be nil if any
-	// input is non-nil.
+	// input is non-nil. A factory may return the same body on every run,
+	// and to several runtimes at once, when the body keeps its per-run state
+	// inside the call.
 	CBody func(i int) Body
 	// SBody returns the program of S-process i. A nil SBody (or nil return)
 	// spawns no S-process, which models the "restricted algorithms" of §2.2
