@@ -56,7 +56,6 @@ func main() {
 	var (
 		n           = flag.Int("n", 3, "number of replicas (S-processes)")
 		clients     = flag.Int("clients", 0, "number of clerk sessions (0 = n)")
-		shards      = flag.Int("shards", 0, "state-machine shards (0 = default 4)")
 		rate        = flag.Float64("rate", 10000, "total offered load in client ops/sec across all clerks (0 = closed loop: every clerk issues on completion)")
 		duration    = flag.Duration("duration", 2*time.Second, "issue window; the run drains in-flight ops afterwards")
 		runBudget   = flag.Duration("run-budget", 0, "whole-run wall-clock cap including drain (0 = duration + 10s)")
@@ -120,6 +119,9 @@ func main() {
 	if *clerkTO < 0 {
 		badFlag("-clerk-timeout must be non-negative, got %v", *clerkTO)
 	}
+	if *traceCap < 1 || *traceCap > obs.MaxTraceCap {
+		badFlag("-trace-buf must be in [1, %d], got %d", obs.MaxTraceCap, *traceCap)
+	}
 	adviceChaos, err := fdet.ParseChaos(*chaos)
 	if err != nil {
 		badFlag("-chaos: %v", err)
@@ -146,7 +148,7 @@ func main() {
 	}
 	defer stopHTTP()
 	rep, err := core.KVStress(core.KVStressOptions{
-		N: *n, Clients: *clients, Shards: *shards,
+		N: *n, Clients: *clients,
 		Rate: *rate, Duration: *duration, RunBudget: *runBudget,
 		CrashLeader: *crashLeader, CrashAt: fdet.Time(*crashAt), CrashStorm: *crashStorm,
 		Chaos: adviceChaos, ClerkTimeout: *clerkTO,

@@ -1,136 +1,51 @@
 // Command efd-run executes one EFD scenario from flags: a task, a detector,
 // an environment and a scheduler, printing the run's outcome and the
-// analyzer verdicts.
+// analyzer verdicts. The system is core.NewScenario's, run on the lockstep
+// backend; a combination it rejects exits 2 with its error.
 //
 // Usage examples:
 //
-//	efd-run -task consensus -n 4 -detector omega -seed 3
-//	efd-run -task kset -k 2 -n 5 -detector vector -crash 2 -pause-p1 50000
-//	efd-run -task renaming -j 4 -k 2 -n 5 -detector vector -solver machine
+//	efd-run -task consensus -n 4 -seed 3
+//	efd-run -task kset -k 2 -n 5 -crash 2 -pause-p1 50000
+//	efd-run -task renaming -j 4 -k 2 -n 5
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"strings"
 
-	"wfadvice/internal/auto"
 	"wfadvice/internal/core"
-	"wfadvice/internal/fdet"
 	"wfadvice/internal/ids"
 	"wfadvice/internal/sim"
-	"wfadvice/internal/task"
-	"wfadvice/internal/vec"
-	"wfadvice/internal/wfree"
 )
-
-// The valid values of the enumerating flags. An unknown value prints the
-// list and exits 2, mirroring efd-bench's unknown-experiment convention.
-var (
-	validTasks     = []string{"consensus", "kset", "renaming"}
-	validDetectors = []string{"omega", "vector", "trivial"}
-	validSolvers   = []string{"direct", "machine"}
-)
-
-// checkChoice validates an enumerating flag value.
-func checkChoice(name, got string, valid []string) {
-	for _, v := range valid {
-		if got == v {
-			return
-		}
-	}
-	fmt.Fprintf(os.Stderr, "efd-run: unknown -%s %q (valid: %s)\n", name, got, strings.Join(valid, " | "))
-	os.Exit(2)
-}
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("efd-run: ")
 	var (
-		taskName = flag.String("task", "consensus", "task: consensus | kset | renaming")
+		taskName = flag.String("task", "consensus", "task: "+strings.Join(core.ScenarioTasks(), " | "))
 		n        = flag.Int("n", 4, "number of C-processes (= S-processes)")
 		k        = flag.Int("k", 1, "agreement bound / concurrency level")
-		j        = flag.Int("j", 3, "renaming participants")
-		detector = flag.String("detector", "omega", "detector: omega | vector | trivial")
-		solver   = flag.String("solver", "direct", "solver: direct | machine")
+		j        = flag.Int("j", 0, "renaming participants (0 = n-1)")
+		detector = flag.String("detector", "", "advice detector override: "+strings.Join(core.ScenarioDetectors(), " | ")+" (default: the task's)")
 		crash    = flag.Int("crash", 0, "number of S-processes to crash")
 		pauseP1  = flag.Int("pause-p1", 0, "pause p1 for this many steps (wait-freedom demo)")
 		seed     = flag.Int64("seed", 1, "scheduler and history seed")
 		maxSteps = flag.Int("max-steps", 3_000_000, "step budget")
 	)
 	flag.Parse()
-	checkChoice("task", *taskName, validTasks)
-	checkChoice("detector", *detector, validDetectors)
-	checkChoice("solver", *solver, validSolvers)
-
-	crashAt := map[int]int{}
-	for c := 0; c < *crash && c < *n-1; c++ {
-		crashAt[*n-1-c] = 100 * (c + 1)
-	}
-	pat := fdet.NewPattern(*n, crashAt)
-
-	var hist fdet.History
-	var leaderVec func(sim.Value) []int
-	switch *detector {
-	case "omega":
-		hist = fdet.Omega{}.History(pat, 200, *seed)
-		leaderVec = core.OmegaLeader
-		*k = 1
-	case "vector":
-		hist = fdet.VectorOmegaK{K: *k, GoodPos: 0}.History(pat, 300, *seed)
-		leaderVec = core.VectorLeader
-	case "trivial":
-		hist = fdet.Trivial{}.History(pat, 0, *seed)
-	default:
-		panic("unreachable: detector validated by checkChoice")
-	}
-
-	var tk task.Task
-	inputs := vec.New(*n)
-	switch *taskName {
-	case "consensus":
-		tk = task.NewConsensus(*n)
-		for i := range inputs {
-			inputs[i] = 100 + i
-		}
-	case "kset":
-		tk = task.NewSetAgreement(*n, *k)
-		for i := range inputs {
-			inputs[i] = 100 + i
-		}
-	case "renaming":
-		tk = task.NewRenaming(*n, *j, *j+*k-1)
-		for i := 0; i < *j; i++ {
-			inputs[i] = i + 1
-		}
-	default:
-		panic("unreachable: task validated by checkChoice")
-	}
-
-	cfg := sim.Config{
-		NC: *n, NS: *n, Inputs: inputs,
-		Pattern: pat, History: hist, MaxSteps: *maxSteps,
-	}
-	switch *solver {
-	case "direct":
-		dc := core.DirectConfig{NC: *n, NS: *n, K: *k, LeaderVec: leaderVec}
-		cfg.CBody, cfg.SBody = dc.DirectCBody, dc.DirectSBody
-	case "machine":
-		factory := func(i int, input sim.Value) auto.Automaton { return wfree.NewKSet(i, input) }
-		if *taskName == "renaming" {
-			factory = func(i int, _ sim.Value) auto.Automaton { return wfree.NewRenaming(i) }
-		}
-		mc := core.MachineConfig{NC: *n, NS: *n, K: *k, Factory: factory}
-		cfg.CBody, cfg.SBody = mc.SolverCBody, mc.SolverSBody
-	default:
-		panic("unreachable: solver validated by checkChoice")
-	}
-
-	rt, err := sim.New(cfg)
+	sc, err := core.NewScenario(core.ScenarioParams{
+		Task: *taskName, N: *n, K: *k, J: *j, Crash: *crash, Detector: *detector,
+	})
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(os.Stderr, "efd-run: %v\n", err)
+		os.Exit(2)
+	}
+
+	rt, err := sim.New(sc.SimConfig(*seed, *maxSteps))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "efd-run: %v\n", err)
+		os.Exit(1)
 	}
 	var sched sim.Scheduler = sim.NewRandom(*seed)
 	if *pauseP1 > 0 {
@@ -138,13 +53,13 @@ func main() {
 	}
 	res := rt.Run(&sim.StopWhenDecided{Inner: sched})
 
-	fmt.Printf("task:      %s\n", tk.Name())
-	fmt.Printf("pattern:   %v\n", pat)
+	fmt.Printf("task:      %s\n", sc.Task.Name())
+	fmt.Printf("pattern:   %v\n", sc.Pattern)
 	fmt.Printf("steps:     %d (%v)\n", res.Steps, res.Reason)
 	fmt.Printf("inputs:    %v\n", res.Inputs)
 	fmt.Printf("outputs:   %v\n", res.Outputs)
 	fmt.Printf("decided:   %v\n", ok(sim.DecidedAll(res)))
-	fmt.Printf("valid ∆:   %v\n", ok(sim.CheckTask(tk, res)))
+	fmt.Printf("valid ∆:   %v\n", ok(sim.CheckTask(sc.Task, res)))
 	fmt.Printf("conc:      %d\n", sim.MaxConcurrency(res))
 	if err := sim.DecidedAll(res); err != nil {
 		os.Exit(1)

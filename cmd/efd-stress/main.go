@@ -102,6 +102,8 @@ func main() {
 		badFlag("-snapshot must be non-negative, got %v (0 = off)", *snapshot)
 	case *procs < 0:
 		badFlag("-procs must be non-negative, got %d (0 = leave as is)", *procs)
+	case *traceCap < 1 || *traceCap > obs.MaxTraceCap:
+		badFlag("-trace-buf must be in [1, %d], got %d", obs.MaxTraceCap, *traceCap)
 	}
 	if *procs > 0 {
 		runtime.GOMAXPROCS(*procs)

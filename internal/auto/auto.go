@@ -102,9 +102,6 @@ func (s *System) AllDecided() bool {
 // StepsOf returns the number of steps taken by slot i.
 func (s *System) StepsOf(i int) int { return s.steps[i] }
 
-// TotalSteps returns the number of steps taken overall.
-func (s *System) TotalSteps() int { return s.total }
-
 // View returns a copy of the current register contents.
 func (s *System) View() View {
 	v := make(View, len(s.last))

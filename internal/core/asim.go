@@ -44,7 +44,6 @@ type AsimMachine struct {
 	cDecided []bool
 	cDec     []any
 	cParity  []int // alternates own-step / BG-step
-	cSteps   []int
 
 	scodes []SCode
 	sLast  []auto.Value
@@ -70,7 +69,6 @@ func NewAsimMachine(alg SimAlg, inputs vec.Vector, dag *fdet.DAG) *AsimMachine {
 		cDecided: make([]bool, n),
 		cDec:     make([]any, n),
 		cParity:  make([]int, n),
-		cSteps:   make([]int, n),
 		scodes:   make([]SCode, n),
 		sLast:    make([]auto.Value, n),
 		sSteps:   make([]int, n),
@@ -106,16 +104,6 @@ func (m *AsimMachine) AllDecided(participants []int) bool {
 	return true
 }
 
-// STurns returns the simulated S-step sequence (shared slice; do not
-// mutate).
-func (m *AsimMachine) STurns() []int { return m.sTurns }
-
-// SStepsOf returns how many simulated steps S-code q has taken.
-func (m *AsimMachine) SStepsOf(q int) int { return m.sSteps[q] }
-
-// CStepsOf returns how many steps C-process i has taken.
-func (m *AsimMachine) CStepsOf(i int) int { return m.cSteps[i] }
-
 // combinedView snapshots the combined register table.
 func (m *AsimMachine) combinedView() auto.View {
 	v := make(auto.View, 2*m.n)
@@ -133,7 +121,6 @@ func (m *AsimMachine) StepC(i int) bool {
 	if m.ccodes[i] == nil {
 		m.ccodes[i] = m.alg.NewCCode(i, m.inputs[i])
 	}
-	m.cSteps[i]++
 	if m.cParity[i] == 0 && !m.cDecided[i] {
 		m.cParity[i] = 1
 		m.ownStep(i)

@@ -27,8 +27,6 @@ type KVStressOptions struct {
 	N int
 	// Clients is the number of clerk sessions (C-processes); 0 = N.
 	Clients int
-	// Shards is the state-machine shard count (0 = kv default).
-	Shards int
 	// Rate is the total offered load in client ops/sec across all clerks;
 	// each clerk's k-th operation is due at k·(Clients/Rate) on its own
 	// schedule. 0 runs closed-loop (issue on completion).
@@ -172,7 +170,7 @@ const kvLiveSlots = 4 * 64
 // harness's own — workload shape, open-loop clock, op observer.
 func (o KVStressOptions) scenario(cc kv.ClerkConfig) *Scenario {
 	nc, ns := o.clients(), o.N
-	s := kvScenario(nc, ns, kvLiveSlots, kv.ReplicaConfig{Shards: o.Shards}, cc)
+	s := kvScenario(nc, ns, kvLiveSlots, kv.ReplicaConfig{}, cc)
 	s.Name = o.KVScenarioName()
 	s.Detector = fdet.WithChaos(s.Detector, o.Chaos)
 	// The crash schedule chases whatever the detector advises, so every

@@ -18,7 +18,7 @@ import (
 )
 
 func TestStateApplyDedup(t *testing.T) {
-	st := NewState(2, 4)
+	st := NewState(2)
 	rep, fresh := st.ApplyReq(Request{Client: 0, Seq: 1, Op: OpPut, Key: "a", Val: 7})
 	if !fresh || rep.Val != 0 || rep.Ver != 1 {
 		t.Fatalf("first put: rep=%+v fresh=%v", rep, fresh)
@@ -769,7 +769,7 @@ func runAsLeader(t *testing.T, body sim.Body) {
 // must not come back to the slot and mint a proposer nothing will release.
 func TestPreemptedSlotsLeaveNoProposer(t *testing.T) {
 	const rounds = 5
-	rc := ReplicaConfig{NC: 1, NS: 2, Shards: 1, MaxBatch: 1, Pause: func(sim.Ops, uint64) {}}
+	rc := ReplicaConfig{NC: 1, NS: 2, MaxBatch: 1, Pause: func(sim.Ops, uint64) {}}
 	runAsLeader(t, func(e sim.Ops) {
 		r := newReplica(rc, 0, e)
 		rival := paxos.NewLog(e, LogPrefix, 1, rc.NS, 0)
@@ -812,7 +812,7 @@ func TestPreemptedSlotsLeaveNoProposer(t *testing.T) {
 // and every other replica is a follower: unless the leader reads the
 // register back, the clerk waits out its whole deadline on a live service.
 func TestLeaderRestoresOverwrittenReply(t *testing.T) {
-	rc := ReplicaConfig{NC: 1, NS: 1, Shards: 1, MaxBatch: 1, LeaseReads: true, Pause: func(sim.Ops, uint64) {}}
+	rc := ReplicaConfig{NC: 1, NS: 1, MaxBatch: 1, LeaseReads: true, Pause: func(sim.Ops, uint64) {}}
 	for _, op := range []OpKind{OpPut, OpGet} {
 		runAsLeader(t, func(e sim.Ops) {
 			r := newReplica(rc, 0, e)

@@ -8,9 +8,8 @@ import (
 
 // ReplicaConfig parameterizes one replica (an S-process body).
 type ReplicaConfig struct {
-	NC     int // clerks
-	NS     int // replicas
-	Shards int // state-machine shards (default 4)
+	NC int // clerks
+	NS int // replicas
 	// LeaseReads serves pure Gets from the leader's applied state under a
 	// one-read frontier check instead of a log round.
 	LeaseReads bool
@@ -61,9 +60,6 @@ type replica struct {
 // rest into one proposal, drive the in-flight proposal a burst of steps,
 // and park when none of that made progress.
 func (cfg ReplicaConfig) Body(me int) sim.Body {
-	if cfg.Shards < 1 {
-		cfg.Shards = 4
-	}
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = cfg.NC
 	}
@@ -84,7 +80,7 @@ func newReplica(cfg ReplicaConfig, me int, e sim.Ops) *replica {
 		reqs:       e.Bind(ReqKeys(cfg.NC)),
 		reps:       e.Bind(RepKeys(cfg.NC)),
 		log:        paxos.NewLog(e, LogPrefix, me, cfg.NS, cfg.Window),
-		st:         NewState(cfg.NC, cfg.Shards),
+		st:         NewState(cfg.NC),
 		fronts:     e.Bind(FrontierKeys(cfg.NS)),
 		reqBuf:     make([]sim.Value, cfg.NC),
 		repWritten: make([]Reply, cfg.NC),

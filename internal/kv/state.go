@@ -1,47 +1,28 @@
 package kv
 
 // State is the deterministic replicated state machine every replica feeds
-// the decided log into: a sharded map[string]int64 plus the session table
-// that makes application exactly-once. It is purely local (no sim.Ops);
-// determinism across replicas follows from applying identical log prefixes.
+// the decided log into: a map[string]int64 plus the session table that makes
+// application exactly-once. It is purely local (no sim.Ops) and only its
+// replica's goroutine touches it; determinism across replicas follows from
+// applying identical log prefixes.
 type State struct {
-	shards  []map[string]int64
+	m       map[string]int64
 	applied []int   // applied[c] = highest client-c seq applied
 	last    []Reply // last[c] = reply to applied[c]
 	ver     int64   // global apply counter; each fresh apply bumps it
 }
 
-// NewState returns an empty state machine for nc clients over the given
-// shard count (minimum 1).
-func NewState(nc, shards int) *State {
-	if shards < 1 {
-		shards = 1
-	}
-	s := &State{
-		shards:  make([]map[string]int64, shards),
+// NewState returns an empty state machine for nc clients.
+func NewState(nc int) *State {
+	return &State{
+		m:       make(map[string]int64),
 		applied: make([]int, nc),
 		last:    make([]Reply, nc),
 	}
-	for i := range s.shards {
-		s.shards[i] = make(map[string]int64)
-	}
-	return s
-}
-
-// shard routes a key (FNV-1a).
-func (s *State) shard(key string) map[string]int64 {
-	if len(s.shards) == 1 {
-		return s.shards[0]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return s.shards[h%uint32(len(s.shards))]
 }
 
 // Get returns the current value of key (zero if absent).
-func (s *State) Get(key string) int64 { return s.shard(key)[key] }
+func (s *State) Get(key string) int64 { return s.m[key] }
 
 // Ver returns the number of operations applied so far.
 func (s *State) Ver() int64 { return s.ver }
@@ -61,10 +42,9 @@ func (s *State) ApplyReq(r Request) (rep Reply, fresh bool) {
 		return s.last[r.Client], false
 	}
 	s.ver++
-	m := s.shard(r.Key)
-	prev := m[r.Key]
+	prev := s.m[r.Key]
 	if r.Op == OpPut {
-		m[r.Key] = r.Val
+		s.m[r.Key] = r.Val
 	}
 	rep = Reply{Seq: r.Seq, Val: prev, Ver: s.ver}
 	s.applied[r.Client] = r.Seq

@@ -2,7 +2,7 @@
 // substrate: the first real client-facing workload ("millions of users")
 // built from the pieces of the wait-freedom-with-advice model.
 //
-// The replicated state is a sharded map[string]int64 driven by a log of
+// The replicated state is a map[string]int64 driven by a log of
 // paxos instances (paxos.Log over sim.Ops registers); which replica drives
 // the log comes from live Ω advice (a QueryFD per replica loop), so
 // leadership converges exactly when the detector stabilizes. Clients are

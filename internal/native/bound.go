@@ -91,7 +91,7 @@ func (b *boundRegs) Key(i int) string { return b.keys[i] }
 func (b *boundRegs) Read(i int) sim.Value {
 	b.e.step()
 	b.e.m.Inc(cRegReadBound)
-	return b.cells[i].load(&b.e.m)
+	return b.cells[i].load()
 }
 
 // ReadInt performs one atomic read of slot i, unboxed: packed int values
@@ -145,7 +145,7 @@ func (b *boundRegs) ReadMany(dst []sim.Value) []sim.Value {
 	}
 	dst = dst[:len(b.cells)]
 	for i, c := range b.cells {
-		dst[i] = c.load(&b.e.m)
+		dst[i] = c.load()
 	}
 	return dst
 }

@@ -173,12 +173,12 @@ func raceCell(t *testing.T, kinds []writerKind, writes int) *cell {
 			r := newCellReader(kinds)
 			<-gate
 			for i := 1; i <= writes; i++ {
-				if !read(r, c.load(&noMetrics)) {
+				if !read(r, c.load()) {
 					return
 				}
 				writeKind(c, k, w, i)
 				r.wrote(k, w, i)
-				if !read(r, c.load(&noMetrics)) || !read(r, c.load(&noMetrics)) {
+				if !read(r, c.load()) || !read(r, c.load()) {
 					return
 				}
 			}
@@ -192,7 +192,7 @@ func raceCell(t *testing.T, kinds []writerKind, writes int) *cell {
 		for n, last := 0, false; !last; n++ {
 			last = left.Load() == 0 // one more read after the last write
 			if n%2 == 0 {
-				if !read(r, c.load(&noMetrics)) {
+				if !read(r, c.load()) {
 					return
 				}
 			} else if x, ok := c.loadInt(); ok && !read(r, x) {
@@ -254,11 +254,11 @@ func TestCellFirstWriteRace(t *testing.T) {
 		for _, kinds := range [][]writerKind{same, mixed} {
 			oneType := !slices.ContainsFunc(kinds, func(k writerKind) bool { return k != kindA })
 			c := raceCell(t, kinds, 1)
-			v := c.load(&noMetrics)
+			v := c.load()
 			if msg := newCellReader(kinds).observe(v); msg != "" {
 				t.Fatalf("%v: settled value: %s", kinds, msg)
 			}
-			if v2 := c.load(&noMetrics); v2 != v {
+			if v2 := c.load(); v2 != v {
 				t.Fatalf("%v: settled cell read %v, then %v", kinds, v, v2)
 			}
 			x, isInt := v.(int)
@@ -337,7 +337,7 @@ func TestCellRepresentations(t *testing.T) {
 		{"typed to general by its own nil pointer", []step{{store(ptr), ptr, modeTyped}, {store((*recA)(nil)), (*recA)(nil), modeGeneral}}},
 	} {
 		c := newStore(0).lookup("x")
-		if v := c.load(m); v != nil {
+		if v := c.load(); v != nil {
 			t.Fatalf("%s: fresh cell reads %v, want nil", path.name, v)
 		}
 		if _, ok := c.loadInt(); ok {
@@ -349,10 +349,9 @@ func TestCellRepresentations(t *testing.T) {
 			if s.mode != modeInt {
 				boxed++
 			}
-			// Loads are idempotent (the memo populated by a first load must
-			// not change what a second load sees).
+			// Loads are idempotent: a second load sees what the first saw.
 			for n := 0; n < 2; n++ {
-				if v := c.load(m); v != s.want {
+				if v := c.load(); v != s.want {
 					t.Fatalf("%s: step %d: load %d = %v, want %v", path.name, i, n, v, s.want)
 				}
 			}
@@ -391,10 +390,10 @@ func TestCellStride(t *testing.T) {
 		if addr(next)-addr(prev) != cellSize {
 			t.Fatalf("cells %d and %d of one bind are %d bytes apart, want %d", i-1, i, addr(next)-addr(prev), cellSize)
 		}
-		hotEnd := addr(&prev.memo) + reflect.TypeOf(&prev.memo).Elem().Size()
+		hotEnd := addr(&prev.box) + reflect.TypeOf(&prev.box).Elem().Size()
 		for name, first := range map[string]uintptr{
 			"mode": addr(&next.mode), "packed": addr(&next.packed), "typ": addr(&next.typ),
-			"data": addr(&next.data), "box": addr(&next.box), "memo": addr(&next.memo),
+			"data": addr(&next.data), "box": addr(&next.box),
 		} {
 			if first < hotEnd+64 {
 				t.Errorf("cell %d's %s starts %d bytes past cell %d's hot words, want ≥ 64", i, name, first-hotEnd, i-1)

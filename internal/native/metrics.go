@@ -49,14 +49,12 @@ const (
 	// packed word: boxed stores are all writes of a non-packed value (a
 	// typed cell's data word or the general box), generalised counts cells
 	// leaving int or typed mode for the general box (once per cell — a hot
-	// register that shows up here pays a box per write from then on), memo
-	// misses are generic loads of a packed int that had to re-box.
+	// register that shows up here pays a box per write from then on).
 	// Reclamation: registers taken out of the table by Release, and binds
 	// that minted from a recycled backing array instead of allocating one.
 	cStoreShardLookup
 	cCellBoxedStore
 	cCellGeneralised
-	cCellMemoMiss
 	cRegReleased
 	cCellArrayReused
 	// Lifecycle: instances started, C-process decisions, S-process crash
@@ -90,7 +88,6 @@ var Telemetry = obs.NewTaxonomy(numCounters, []string{
 	cStoreShardLookup: "store_shard_lookup",
 	cCellBoxedStore:   "cell_boxed_store",
 	cCellGeneralised:  "cell_generalised",
-	cCellMemoMiss:     "cell_memo_miss",
 	cRegReleased:      "reg_released",
 	cCellArrayReused:  "cell_array_reused",
 	cRunStart:         "run_start",

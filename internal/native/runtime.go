@@ -551,7 +551,7 @@ func (e *Env) HasDecided() bool { return e.decided }
 func (e *Env) Read(key string) sim.Value {
 	e.step()
 	e.m.Inc(cRegReadKeyed)
-	return e.cell(key).load(&e.m)
+	return e.cell(key).load()
 }
 
 // ReadMany performs a batched collect: one operation prologue (stop/crash
@@ -567,7 +567,7 @@ func (e *Env) ReadMany(keys []string) []sim.Value {
 	e.m.Inc(cRegCollectKeyed)
 	out := make([]sim.Value, len(keys))
 	for i, k := range keys {
-		out[i] = e.cell(k).load(&e.m)
+		out[i] = e.cell(k).load()
 	}
 	return out
 }

@@ -12,11 +12,11 @@ import (
 // This file is the native register representation: the cell (one register's
 // storage) and the sharded key→cell table that holds them.
 //
-// The table. Shards are selected by a key hash, each with its own mutex and
-// map, so concurrent instances and processes contend only when their keys
-// collide in a shard. Bound handles (sim.Regs) resolve their cells once, so
-// the steady-state cost of a register is a few atomic accesses on one cache
-// line with no lock at all.
+// The table. A key hash selects one of its shards, each with its own mutex
+// and map, so concurrent instances and processes contend only when their
+// keys collide in a shard. Bound handles (sim.Regs) resolve their cells once,
+// so the steady-state cost of a register is a few atomic accesses on one
+// cache line with no lock at all.
 //
 // The cell. A register holds one of three representations, named by its
 // mode word, and each representation has exactly one atomic word of truth:
@@ -77,7 +77,7 @@ import (
 // type word points at a static descriptor).
 
 // cellSize is the stride of the cells in one store.bind backing array: the
-// hot words are 48 bytes and the pad puts the next cell's a full cache line
+// hot words are 40 bytes and the pad puts the next cell's a full cache line
 // past them, so neighbouring registers never false-share (TestCellStride).
 // The allocator starts such an array on a 64-byte boundary, or 8 bytes past
 // one behind its malloc header, so a cell's hot words also share one line.
@@ -90,16 +90,10 @@ type cell struct {
 	typ    atomic.Pointer[byte]
 	data   atomic.Pointer[byte]
 	box    atomic.Pointer[sim.Value]
-	// memo is the boxed form of the packed value. Reading a packed cell
-	// through the any-typed surface would re-box the int on every load; with
-	// the memo a poll loop re-reading an unchanged register allocates
-	// nothing, and a generic write of a changed int pays one memo refresh.
-	// The typed ReadInt/WriteInt path never touches it.
-	memo atomic.Pointer[intBox]
 	// arr is the backing array the cell belongs to, set when the array is
 	// made and never changed; release counts the cell back into it.
 	arr *cellArray
-	_   [cellSize - 56]byte
+	_   [cellSize - 48]byte
 }
 
 // cellArray is the backing array of the cells one bind mints, the unit of
@@ -118,14 +112,6 @@ const (
 	modeTyped
 	modeGeneral
 )
-
-// intBox memoizes the boxed form of one packed value. Instances are
-// immutable once published; readers validate u against the packed word they
-// loaded, so a stale memo costs a fresh boxing, never a wrong value.
-type intBox struct {
-	u uint64
-	v sim.Value
-}
 
 // eface is the runtime's layout of an interface value.
 type eface struct{ typ, data *byte }
@@ -152,11 +138,6 @@ func packInt(x int) (uint64, bool) {
 	return uint64(x)<<1 | 1, true
 }
 
-// smallPacked is the exclusive upper bound of packed words whose ints the
-// Go runtime boxes statically (0..255 via its static box table): loads
-// below it re-box for free, so they skip the memo entirely.
-const smallPacked = 256<<1 | 1
-
 // reset returns the cell to the register nobody has written. A re-arm calls
 // it between two runs, when no process exists to race it, and release calls
 // it on a cell no process will touch again.
@@ -166,34 +147,19 @@ func (c *cell) reset() {
 	c.typ.Store(nil)
 	c.data.Store(nil)
 	c.box.Store(nil)
-	c.memo.Store(nil)
 }
 
-// load returns the cell's current value through the generic surface. m is
-// the caller's metrics stripe, for the slow-path counters; it is passed by
-// address, here and below, so that the paths that count nothing do not load
-// it either.
-func (c *cell) load(m *obs.Handle) sim.Value {
+// load returns the cell's current value through the generic surface.
+func (c *cell) load() sim.Value {
 	switch c.mode.Load() {
 	case modeInt:
 		u := c.packed.Load()
 		if u == 0 {
 			return nil
 		}
-		if u < smallPacked {
-			return int(u >> 1) // static box, no heap, no memo
-		}
-		if b := c.memo.Load(); b != nil && b.u == u {
-			return b.v
-		}
-		// Memo miss: the value was stored through the typed path (which
-		// leaves the memo alone) or this load raced a concurrent writer. Box
-		// it once and publish the memo so subsequent generic reads of the
-		// unchanged value are free again.
-		m.Inc(cCellMemoMiss)
-		b := &intBox{u: u, v: int(int64(u) >> 1)}
-		c.memo.Store(b)
-		return b.v
+		// Go boxes 0..255 statically; a larger int costs the reader one
+		// box, which ReadInt avoids.
+		return int(int64(u) >> 1)
 	case modeTyped:
 		return join(c.typ.Load(), c.data.Load())
 	}
@@ -214,19 +180,15 @@ func (c *cell) loadInt() (int, bool) {
 	return 0, false
 }
 
-// store writes v through the generic surface: packed for fitting ints (the
-// memo is refreshed only when the value actually changed, so re-writing the
-// same value allocates nothing), the data word alone for the type a typed
-// cell was claimed for, the general box for everything else.
+// store writes v through the generic surface: an int as storeInt does, the
+// data word alone for the type a typed cell was claimed for, the general box
+// for everything else (which keeps the caller's box of v). m is the caller's
+// metrics stripe, for the slow-path counters; it is passed by address, here
+// and below, so that the paths that count nothing do not load it either.
 func (c *cell) store(v sim.Value, m *obs.Handle) {
 	mode := c.mode.Load()
 	if x, ok := v.(int); ok {
 		if u, ok := packInt(x); ok && mode == modeInt {
-			if u >= smallPacked { // small ints re-box statically on load
-				if b := c.memo.Load(); b == nil || b.u != u {
-					c.memo.Store(&intBox{u: u, v: v})
-				}
-			}
 			c.packed.Store(u)
 			return
 		}
@@ -256,9 +218,7 @@ func (c *cell) storeTyped(mode uint32, typ, data *byte) bool {
 }
 
 // storeInt writes x unboxed: one atomic store, no allocation, for every int
-// that fits 63 bits while the cell is in int mode. The memo is deliberately
-// left alone — refreshing it would cost the allocation this path exists to
-// avoid; a later generic load re-boxes on demand.
+// that fits 63 bits while the cell is in int mode.
 func (c *cell) storeInt(x int, m *obs.Handle) {
 	if u, ok := packInt(x); ok && c.mode.Load() == modeInt {
 		c.packed.Store(u)
@@ -279,11 +239,11 @@ func (c *cell) generalise(v sim.Value, m *obs.Handle) {
 	}
 }
 
-// storeShards is the largest shard count: a power of two, like every shard
+// shardCap is the largest shard count: a power of two, like every shard
 // count, so the hash folds with a mask. 32 shards keep per-shard collision
 // odds low for the large key populations (a few thousand keys and up) at
 // negligible fixed cost.
-const storeShards = 32
+const shardCap = 32
 
 // keysPerShard is the population a shard is sized for before the table takes
 // another: a run of a handful of registers gets one shard and one small map,
@@ -312,11 +272,11 @@ type store struct {
 }
 
 // newStore builds a table for about hint registers: the smallest power-of-two
-// shard count, up to storeShards, that leaves each shard at most keysPerShard
+// shard count, up to shardCap, that leaves each shard at most keysPerShard
 // of them, with the maps pre-sized to match. The hint comes from the
 // scenario's known key shapes (`in/i`, `cons/j/*`, `cell/a/s/*` — see
 // core.Scenario). A hint of zero or less means no estimate was given and
-// builds storeShards: every keyed Read and Write takes its shard's mutex
+// builds shardCap shards: every keyed Read and Write takes its shard's mutex
 // (only bound handles skip the table), so a table that does not know its
 // population must not put all of it behind one lock. A positive hint that is
 // too low costs that contention and map growth, never correctness.
@@ -333,10 +293,10 @@ func newStore(hint int) *store {
 // shardsFor is the shard count newStore gives a table for hint registers.
 func shardsFor(hint int) int {
 	if hint <= 0 {
-		return storeShards
+		return shardCap
 	}
 	n := 1
-	for n < storeShards && n*keysPerShard < hint {
+	for n < shardCap && n*keysPerShard < hint {
 		n *= 2
 	}
 	return n

@@ -92,7 +92,7 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 				c := st.lookup(k)
 				if w%2 == 0 {
 					c.store(w*rounds+r, &noMetrics)
-				} else if v := c.load(&noMetrics); v != nil {
+				} else if v := c.load(); v != nil {
 					if _, ok := v.(int); !ok {
 						errs <- fmt.Sprintf("read torn value %v from %q", v, k)
 						return
@@ -114,16 +114,16 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 // may hold a gross excess over the mean (a degenerate hash would defeat the
 // sharding entirely).
 func TestStoreShardDistribution(t *testing.T) {
-	shardOf := func(key string) uint32 { return keyHash(key) & (storeShards - 1) }
+	shardOf := func(key string) uint32 { return keyHash(key) & (shardCap - 1) }
 	keys := realisticKeys(16, 8, 4)
-	if len(keys) < 32*storeShards {
+	if len(keys) < 32*shardCap {
 		t.Fatalf("key population %d too small for a meaningful distribution check", len(keys))
 	}
-	var counts [storeShards]int
+	var counts [shardCap]int
 	for _, k := range keys {
 		counts[shardOf(k)]++
 	}
-	mean := len(keys) / storeShards
+	mean := len(keys) / shardCap
 	for s, c := range counts {
 		if c == 0 {
 			t.Errorf("shard %d empty over %d realistic keys", s, len(keys))
@@ -141,24 +141,24 @@ func TestStoreShardDistribution(t *testing.T) {
 }
 
 // TestStorePresizeZeroAndLarge: the Registers hint sizes the table — one
-// shard for a handful of keys, storeShards for thousands or when no estimate
+// shard for a handful of keys, shardCap for thousands or when no estimate
 // was given (zero: keyed operations must not all share one lock) — and
 // nothing else: a zero hint and an overshooting hint must behave identically.
 func TestStorePresizeZeroAndLarge(t *testing.T) {
-	for _, tc := range []struct{ hint, minShards, maxShards int }{
-		{0, storeShards, storeShards}, {1, 1, 1}, {9, 1, 2}, {1 << 15, storeShards, storeShards},
+	for _, tc := range []struct{ hint, lo, hi int }{
+		{0, shardCap, shardCap}, {1, 1, 1}, {9, 1, 2}, {1 << 15, shardCap, shardCap},
 	} {
 		hint := tc.hint
 		st := newStore(hint)
-		if n := len(st.shards); n < tc.minShards || n > tc.maxShards || n&(n-1) != 0 {
-			t.Errorf("hint %d: %d shards, want a power of two in [%d, %d]", hint, n, tc.minShards, tc.maxShards)
+		if n := len(st.shards); n < tc.lo || n > tc.hi || n&(n-1) != 0 {
+			t.Errorf("hint %d: %d shards, want a power of two in [%d, %d]", hint, n, tc.lo, tc.hi)
 		}
 		c := st.lookup("in/0")
 		c.store(42, &noMetrics)
 		if got := st.lookup("in/0"); got != c {
 			t.Fatalf("hint %d: lookup not stable", hint)
 		}
-		if v := st.lookup("in/0").load(&noMetrics); v == nil || v.(int) != 42 {
+		if v := st.lookup("in/0").load(); v == nil || v.(int) != 42 {
 			t.Fatalf("hint %d: stored value lost", hint)
 		}
 	}
@@ -311,13 +311,13 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	if got := st.held(); got != 2 {
 		t.Fatalf("table holds %d registers, want the unreleased one and the bystander", got)
 	}
-	if st.lookup(keys[3]) != cells[3] || cells[3].load(&noMetrics) != "v" {
+	if st.lookup(keys[3]) != cells[3] || cells[3].load() != "v" {
 		t.Fatal("releasing its neighbours disturbed a register")
 	}
-	if v := other.load(&noMetrics); v != 7 {
+	if v := other.load(); v != 7 {
 		t.Fatalf("bystander reads %v, want 7", v)
 	}
-	if v := st.lookup(keys[0]).load(&noMetrics); v != nil {
+	if v := st.lookup(keys[0]).load(); v != nil {
 		t.Fatalf("a released key, named again, reads %v, want the unwritten register", v)
 	}
 }
@@ -342,7 +342,7 @@ func TestArrayRecycledOnlyWhenAllMintedCellsReleased(t *testing.T) {
 	if _, fresh, recycled := bindTable(st, "b", 4); recycled || fresh[0].arr == cells[0].arr {
 		t.Fatal("an array with a cell still in the table was minted from again")
 	}
-	if v := cells[3].load(&noMetrics); v != 103 {
+	if v := cells[3].load(); v != 103 {
 		t.Fatalf("the cell still in the table reads %v, want 103", v)
 	}
 	st.release(keys[3:])
@@ -354,7 +354,7 @@ func TestArrayRecycledOnlyWhenAllMintedCellsReleased(t *testing.T) {
 		if c != cells[i] {
 			t.Fatalf("cell %d of the recycled array is not where it was", i)
 		}
-		if v := c.load(&noMetrics); v != nil {
+		if v := c.load(); v != nil {
 			t.Fatalf("cell %d of the recycled array reads %v, want the unwritten register", i, v)
 		}
 	}
@@ -431,7 +431,7 @@ func TestBindRacesReleaseOfThePreviousTable(t *testing.T) {
 			if cells[0][i] != cells[1][i] {
 				t.Fatalf("generation %d: %q resolved to two cells", g, keys[i])
 			}
-			if v := cells[0][i].load(&noMetrics); v != g*width+i {
+			if v := cells[0][i].load(); v != g*width+i {
 				t.Fatalf("generation %d: %q reads %v, want %d: a recycled cell was not empty, or a write was lost", g, keys[i], v, g*width+i)
 			}
 		}

@@ -63,11 +63,14 @@ type Tracer struct {
 	drops []atomic.Int64
 }
 
+// MaxTraceCap is the largest ring a tracer takes, in events: a 40 MB ring.
+const MaxTraceCap = 1 << 20
+
 // NewTracer builds a tracer with capacity rounded up to a power of two
-// (minimum 16) over the given event-kind names.
+// (minimum 16, maximum MaxTraceCap) over the given event-kind names.
 func NewTracer(capacity int, kindNames []string) *Tracer {
 	size := 16
-	for size < capacity {
+	for size < min(capacity, MaxTraceCap) {
 		size <<= 1
 	}
 	return &Tracer{

@@ -46,6 +46,20 @@ func TestTracerBasic(t *testing.T) {
 	}
 }
 
+// TestTracerCapClamped: a capacity past MaxTraceCap builds the largest ring
+// instead of overflowing the doubling loop (which used to spin at 0) or
+// asking for a ring the machine cannot hold.
+func TestTracerCapClamped(t *testing.T) {
+	for _, capacity := range []int{MaxTraceCap + 1, 1<<62 + 1} {
+		if got := NewTracer(capacity, traceKinds).Cap(); got != MaxTraceCap {
+			t.Errorf("NewTracer(%d).Cap() = %d, want %d", capacity, got, MaxTraceCap)
+		}
+	}
+	if got := NewTracer(-1, traceKinds).Cap(); got != 16 {
+		t.Errorf("NewTracer(-1).Cap() = %d, want 16", got)
+	}
+}
+
 // TestTracerWraparound drives the ring through several full laps and
 // checks the flight-recorder contract: the dump holds exactly the most
 // recent capacity-many events in order, and the drop counters account for

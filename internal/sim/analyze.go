@@ -147,24 +147,3 @@ func Check(t task.Task, res *Result) error {
 	}
 	return DecidedAll(res)
 }
-
-// FDOutputs collects, per S-process, the values an S-process *wrote* to
-// registers with the given key prefix, indexed by step — the shape the
-// fdet.Check* auditors consume when judging an emulated detector.
-func FDOutputs(res *Result, keyPrefix string) map[int]map[int]Value {
-	out := make(map[int]map[int]Value)
-	for _, e := range res.Trace {
-		if e.Kind != OpWrite || !e.Proc.IsS() {
-			continue
-		}
-		if len(e.Key) < len(keyPrefix) || e.Key[:len(keyPrefix)] != keyPrefix {
-			continue
-		}
-		i := e.Proc.Index
-		if out[i] == nil {
-			out[i] = make(map[int]Value)
-		}
-		out[i][e.Step] = e.Val
-	}
-	return out
-}

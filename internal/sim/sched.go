@@ -323,28 +323,6 @@ func (s *Personified) Next(v *View) (ids.Proc, bool) {
 	return s.Inner.Next(&filtered)
 }
 
-// Priority always schedules the first ready process of Procs, falling back
-// to Inner when none is ready. It builds starvation adversaries.
-type Priority struct {
-	Procs []ids.Proc
-	Inner Scheduler
-}
-
-var _ Scheduler = (*Priority)(nil)
-
-// Next implements Scheduler.
-func (s *Priority) Next(v *View) (ids.Proc, bool) {
-	for _, p := range s.Procs {
-		if v.IsReady(p) {
-			return p, true
-		}
-	}
-	if s.Inner != nil {
-		return s.Inner.Next(v)
-	}
-	return ids.Proc{}, false
-}
-
 // StopWhenDecided ends the run as soon as every spawned C-process has
 // decided. S-processes conceptually run forever; once the computation side
 // is done, extending the run adds nothing, so bounded experiments wrap their

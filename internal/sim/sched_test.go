@@ -112,26 +112,6 @@ func TestExcludeRemovesProcessesForever(t *testing.T) {
 	}
 }
 
-func TestPriorityPrefersListThenFallsBack(t *testing.T) {
-	s := &Priority{Procs: []ids.Proc{ids.C(2), ids.C(1)}, Inner: &capture{}}
-	// First listed ready process wins, in list order.
-	if p, ok := s.Next(testView(0, ids.C(0), ids.C(1), ids.C(2))); !ok || p != ids.C(2) {
-		t.Fatalf("got %v/%v, want p3", p, ok)
-	}
-	if p, ok := s.Next(testView(1, ids.C(0), ids.C(1))); !ok || p != ids.C(1) {
-		t.Fatalf("got %v/%v, want p2", p, ok)
-	}
-	// None listed ready: fall back to the inner scheduler.
-	if p, ok := s.Next(testView(2, ids.C(0))); !ok || p != ids.C(0) {
-		t.Fatalf("fallback: got %v/%v, want p1", p, ok)
-	}
-	// No inner scheduler: stop.
-	bare := &Priority{Procs: []ids.Proc{ids.C(2)}}
-	if _, ok := bare.Next(testView(3, ids.C(0))); ok {
-		t.Fatal("priority without inner must stop when no listed process is ready")
-	}
-}
-
 func TestScriptedSkipsAndExhausts(t *testing.T) {
 	s := &Scripted{Seq: []ids.Proc{ids.C(1), ids.C(0), ids.C(1)}}
 	// C(1) not ready: the entry is skipped, not retried.

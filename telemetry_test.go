@@ -17,10 +17,8 @@ import (
 	"wfadvice/internal/sim"
 )
 
-// The exported series set, pinned: what each CLI's /metrics serves, as
-// captured from the CLIs before the layers' telemetry moved into
-// obs.Taxonomy, plus the two reclamation counters the native layer has
-// gained since. A series dropped, renamed or mounted on the wrong endpoint
+// The exported series set, pinned: what each CLI's /metrics serves. A
+// series dropped, renamed or mounted on the wrong endpoint
 // by a refactor fails here, not in a CI curl.
 var (
 	nativeCounters = strings.Fields(`
@@ -28,7 +26,7 @@ var (
 		reg_write_bound reg_read_typed reg_write_typed reg_collect_bound
 		advice_query advice_pub_coop advice_pub_waker notify_bump notify_park
 		notify_wake notify_timeout store_shard_lookup cell_boxed_store
-		cell_generalised cell_memo_miss reg_released cell_array_reused
+		cell_generalised reg_released cell_array_reused
 		run_start decide crash_inject`)
 	kvCounters = strings.Fields(`
 		kv_op_get kv_op_put kv_proposal kv_batch_commit kv_batch_preempt
