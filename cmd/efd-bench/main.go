@@ -4,16 +4,15 @@
 //
 // Trials run on a worker pool and are seeded per (experiment, cell, seed)
 // triple, and no table carries a wall-clock cell, so for a fixed -seed the
-// tables are byte-identical for every -parallel value (absent -timeout,
-// whose wall-clock cutoff may fire differently under different load). Only
-// the "elapsed:" lines and the final summary line vary between runs;
+// tables are byte-identical for every -parallel value. Only the "elapsed:"
+// lines and the final summary line vary between runs;
 // internal/exp/testdata/tables-short-seed1.txt is the -seed 1 -short output
 // with those lines removed, and tier-1 compares against it byte for byte.
 //
 // Usage:
 //
 //	efd-bench [-only E5,E7] [-list] [-parallel N] [-seed S] [-trials M]
-//	          [-timeout D] [-short] [-json] [-http ADDR] [-progress D]
+//	          [-short] [-json] [-http ADDR] [-progress D]
 //
 // -http serves the live debug endpoint while the regeneration runs:
 // /metrics (Prometheus text: the engine and sim counter taxonomies, the
@@ -65,7 +64,6 @@ func main() {
 		parallel = flag.Int("parallel", 0, "trial workers per experiment (0 = GOMAXPROCS)")
 		seed     = flag.Int64("seed", exp.DefaultSeed, "root seed; every trial derives its own from (experiment, cell, seed)")
 		trials   = flag.Int("trials", 1, "trial multiplier for the sweep experiments")
-		timeout  = flag.Duration("timeout", 0, "per-trial timeout (0 = none); a timed-out trial is a failure row")
 		short    = flag.Bool("short", false, "use the reduced -short experiment grids")
 		jsonOut  = flag.Bool("json", false, "emit tables as JSON on stdout instead of text")
 		httpAddr = flag.String("http", "", "serve the live debug endpoint (/metrics, /progress, /debug/pprof) on this address for the duration of the run")
@@ -89,7 +87,6 @@ func main() {
 		Parallelism: *parallel,
 		Seed:        *seed,
 		TrialMult:   *trials,
-		Timeout:     *timeout,
 		Short:       *short,
 	})
 	workers := *parallel
@@ -181,7 +178,6 @@ func progressDoc(start time.Time, planned int) any {
 		"cells_done":       done,
 		"cells_planned":    planned,
 		"cell_failures":    m["exp_cell_fail"],
-		"cell_timeouts":    m["exp_cell_timeout"],
 		"experiments_done": m["exp_experiment"],
 		"workers_active":   g["exp_workers_active"],
 		"eta_s":            eta(done, int64(planned), elapsed).Seconds(),

@@ -68,8 +68,7 @@ func main() {
 		advice      = flag.String("advice", "", "how waiting processes wait: "+strings.Join(core.ScenarioAdviceModes(), " | ")+" (tick yields, event parks on the change epoch; default tick)")
 		tick        = flag.Duration("tick", 0, "clock tick = one model time unit (0 = default 100µs)")
 		seed        = flag.Int64("seed", 1, "root seed for advice history and clerk scripts")
-		keys        = flag.Int("keys", 0, "clerk keyspace size (0 = default 8)")
-		putFrac     = flag.Float64("put-frac", 0.5, "fraction of Puts in the workload")
+		putFrac     = flag.Float64("put-frac", 0.5, "fraction of Puts in the workload (0 = Gets only, 1 = Puts only)")
 		pin         = flag.Bool("pin", false, "lock every process goroutine to its own OS thread")
 		procs       = flag.Int("procs", 0, "GOMAXPROCS for the whole process (0 = leave as is)")
 		jsonOut     = flag.Bool("json", false, "emit the report as JSON on stdout")
@@ -153,7 +152,7 @@ func main() {
 		CrashLeader: *crashLeader, CrashAt: fdet.Time(*crashAt), CrashStorm: *crashStorm,
 		Chaos: adviceChaos, ClerkTimeout: *clerkTO,
 		Stabilize: fdet.Time(*stabilize), Tick: *tick, Advice: adviceMode,
-		Seed: *seed, Keys: *keys, PutFrac: *putFrac, Pin: *pin,
+		Seed: *seed, PutFrac: *putFrac, Pin: *pin,
 		Tracer: tracer, Latency: latency,
 	})
 	if err != nil {

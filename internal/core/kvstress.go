@@ -63,9 +63,7 @@ type KVStressOptions struct {
 	Advice native.AdviceMode
 	// Seed seeds the advice history noise and the clerk scripts.
 	Seed int64
-	// Keys is the clerk keyspace size (0 = kv default).
-	Keys int
-	// PutFrac is the clerk Put fraction (0 = kv default 0.5).
+	// PutFrac is the clerk Put fraction: 0 issues only Gets, 1 only Puts.
 	PutFrac float64
 	// Pin locks every process goroutine to its own OS thread.
 	Pin bool
@@ -212,7 +210,7 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 		interval = int64(float64(opt.clients()) * float64(time.Second) / opt.Rate)
 	}
 	s := opt.scenario(kv.ClerkConfig{
-		Keys: opt.Keys, PutFrac: opt.PutFrac, Seed: opt.Seed,
+		PutFrac: opt.PutFrac, Seed: opt.Seed,
 		Clock:    func() int64 { return time.Since(base).Nanoseconds() },
 		Sleep:    func(ns int64) { time.Sleep(time.Duration(ns)) },
 		Deadline: opt.Duration.Nanoseconds(), Interval: interval,

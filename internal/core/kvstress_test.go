@@ -30,7 +30,7 @@ func runKVStress(t *testing.T, opt KVStressOptions) *native.StressReport {
 
 func TestKVStressOpenLoop(t *testing.T) {
 	rep := runKVStress(t, KVStressOptions{
-		N: 3, Rate: 2000, Duration: 300 * time.Millisecond, Seed: 1,
+		N: 3, Rate: 2000, Duration: 300 * time.Millisecond, PutFrac: 0.5, Seed: 1,
 	})
 	if rep.Latency.Samples == 0 || rep.Latency.P50 <= 0 {
 		t.Fatalf("no open-loop latencies recorded: %+v", rep.Latency)
@@ -40,11 +40,22 @@ func TestKVStressOpenLoop(t *testing.T) {
 	}
 }
 
+// TestKVStressGetOnly: a put fraction of 0 issues no put at all, and a
+// history of reads alone passes the checker like any other.
+func TestKVStressGetOnly(t *testing.T) {
+	rep := runKVStress(t, KVStressOptions{
+		N: 3, Rate: 2000, Duration: 300 * time.Millisecond, PutFrac: 0, Seed: 1,
+	})
+	if put, get := rep.Counters["kv_op_put"], rep.Counters["kv_op_get"]; put != 0 || get == 0 {
+		t.Fatalf("kv_op_put = %d, kv_op_get = %d; want no put and some gets", put, get)
+	}
+}
+
 func TestKVStressLeaderCrash(t *testing.T) {
 	// Short ticks put the crash (stabilize+100 ticks) well inside the issue
 	// window, so the run must survive a mid-workload leader failover.
 	rep := runKVStress(t, KVStressOptions{
-		N: 3, Rate: 1000, Duration: 400 * time.Millisecond, Seed: 2,
+		N: 3, Rate: 1000, Duration: 400 * time.Millisecond, PutFrac: 0.5, Seed: 2,
 		CrashLeader: 1, Tick: 20 * time.Microsecond,
 	})
 	if rep.Crashes != 1 {
@@ -61,7 +72,7 @@ func TestKVStressChaosStorm(t *testing.T) {
 	// deadline so a starved op surfaces as a timeout instead of a hang. The
 	// run must pass the checker whether or not any op actually timed out.
 	rep := runKVStress(t, KVStressOptions{
-		N: 4, Rate: 2000, Duration: 400 * time.Millisecond, Seed: 4,
+		N: 4, Rate: 2000, Duration: 400 * time.Millisecond, PutFrac: 0.5, Seed: 4,
 		Chaos:       fdet.AdviceChaos{Mode: fdet.ChaosFlap, Window: 8},
 		CrashLeader: 2, CrashStorm: true, Tick: 20 * time.Microsecond,
 		ClerkTimeout: 50 * time.Millisecond,
@@ -97,7 +108,7 @@ func TestKVCrashScheduleChasesAdvice(t *testing.T) {
 
 func TestKVStressClosedLoopEventAdvice(t *testing.T) {
 	rep := runKVStress(t, KVStressOptions{
-		N: 3, Clients: 2, Duration: 200 * time.Millisecond, Seed: 3,
+		N: 3, Clients: 2, Duration: 200 * time.Millisecond, PutFrac: 0.5, Seed: 3,
 		Advice: native.AdviceEvent,
 	})
 	if rep.Scenario != "kv/n=3/clients=2/advice=event/closed-loop" {

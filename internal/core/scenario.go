@@ -279,7 +279,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		// Clerks run a fixed deterministic script (seeded from their input);
 		// with Crash > 0 the advised leader actually dies and leadership
 		// migrates.
-		s = kvScenario(p.N, p.N, p.N*kvScriptOps, kv.ReplicaConfig{}, kv.ClerkConfig{Ops: kvScriptOps})
+		s = kvScenario(p.N, p.N, p.N*kvScriptOps, kv.ReplicaConfig{}, kv.ClerkConfig{Ops: kvScriptOps, PutFrac: 0.5})
 		s.Name = fmt.Sprintf("kv/n=%d/omega", p.N)
 	case "nset":
 		if _, err := pick("trivial", "trivial"); err != nil {

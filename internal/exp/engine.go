@@ -5,19 +5,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
-	"wfadvice/internal/obs"
+	"wfadvice/internal/par"
 )
 
 // Options configures an Engine.
 type Options struct {
 	// Parallelism is the number of worker goroutines executing trial cells;
-	// 0 or negative means GOMAXPROCS. With no Timeout, results are
-	// identical for every value.
+	// 0 or negative means GOMAXPROCS. Results are identical for every
+	// value.
 	Parallelism int
 	// Seed is the root seed. Each trial derives its own seed from the
 	// (Seed, experiment ID, cell index) triple, so a trial is reproducible
@@ -28,23 +26,9 @@ type Options struct {
 	// experiments (seeded runs in E10, schedule searches in E9/E11);
 	// 0 or negative means 1. Raise it for scale sweeps.
 	TrialMult int
-	// Timeout bounds one cell's wall time; 0 means no bound. A timed-out
-	// cell contributes one failure row. The trial goroutine is left to run
-	// to completion in the background; every trial is step-bounded, so it
-	// terminates. Because wall time varies with load and worker count, a
-	// Timeout weakens the cross-parallelism determinism guarantee: which
-	// cells time out may differ between runs.
-	Timeout time.Duration
 	// Short selects the reduced experiment grids used by `go test -short`
 	// and CI smoke jobs.
 	Short bool
-}
-
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (o Options) mult() int {
@@ -138,65 +122,32 @@ func cellSeed(root int64, expID string, cell int) int64 {
 
 // Run executes one experiment and merges the cell outcomes into a Table in
 // cell-generation order. The telemetry recorded along the way (cell
-// counters, worker gauges, the latency histogram) is strictly outside the
-// Table: rendered output is byte-identical with it enabled or stubbed.
+// counters, the running-cell gauge, the latency histogram) is strictly
+// outside the Table: rendered output is byte-identical with it enabled or
+// stubbed.
 func (e *Engine) Run(x Experiment) *Table {
 	cells := x.Cells(e.opt)
 	outs := make([]Outcome, len(cells))
-	jobs := make(chan int)
-	workers := e.opt.workers()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	mh := Telemetry.Handle()
 	if mh.Enabled() {
 		gCellsTotal.Add(int64(len(cells)))
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker handle and private latency histogram: bumps land
-			// on a stripe this worker effectively owns, and Observe never
-			// contends. The histogram folds into the shared one at drain.
-			wh := Telemetry.Handle()
-			var whist *obs.Histogram
-			if wh.Enabled() {
-				whist = obs.NewHistogram()
-				gWorkersActive.Add(1)
-				defer func() {
-					cellLatency.Merge(whist)
-					gWorkersActive.Add(-1)
-				}()
-			}
-			for i := range jobs {
-				if whist == nil {
-					outs[i], _ = e.runCell(x, i, cells[i])
-					continue
-				}
-				t0 := time.Now()
-				o, timedOut := e.runCell(x, i, cells[i])
-				whist.Observe(time.Since(t0).Nanoseconds())
-				wh.Inc(cExpCell)
-				if timedOut {
-					wh.Inc(cExpCellTimeout)
-				}
-				if o.Failures > 0 {
-					wh.Inc(cExpCellFail)
-				}
-				outs[i] = o
-			}
-		}()
-	}
-	for i := range cells {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	par.Each(len(cells), e.opt.Parallelism, func(i int) {
+		if !mh.Enabled() {
+			outs[i] = e.runCell(x, i, cells[i])
+			return
+		}
+		gWorkersActive.Add(1)
+		t0 := time.Now()
+		o := e.runCell(x, i, cells[i])
+		cellLatency.Observe(time.Since(t0).Nanoseconds())
+		mh.Inc(cExpCell)
+		if o.Failures > 0 {
+			mh.Inc(cExpCellFail)
+		}
+		gWorkersActive.Add(-1)
+		outs[i] = o
+	})
 	mh.Inc(cExpExperiment)
 
 	t := &Table{
@@ -223,9 +174,8 @@ func (e *Engine) RunAll(xs []Experiment) []*Table {
 	return out
 }
 
-// runCell executes one cell; timedOut reports that the outcome is the
-// Timeout failure row rather than the cell's own result.
-func (e *Engine) runCell(x Experiment, i int, c Cell) (o Outcome, timedOut bool) {
+// runCell executes one cell with its derived seed.
+func (e *Engine) runCell(x Experiment, i int, c Cell) Outcome {
 	seed := cellSeed(e.opt.Seed, x.ID, i)
 	trial := &Trial{
 		Experiment: x.ID,
@@ -235,22 +185,7 @@ func (e *Engine) runCell(x Experiment, i int, c Cell) (o Outcome, timedOut bool)
 		Rng:        rand.New(rand.NewSource(seed)),
 		Opt:        e.opt,
 	}
-	if e.opt.Timeout <= 0 {
-		return safeRun(c, trial), false
-	}
-	done := make(chan Outcome, 1)
-	go func() { done <- safeRun(c, trial) }()
-	timer := time.NewTimer(e.opt.Timeout)
-	defer timer.Stop()
-	select {
-	case o := <-done:
-		return o, false
-	case <-timer.C:
-		return Outcome{
-			Rows:     [][]string{{c.Name, fmt.Sprintf("FAIL: trial timed out after %v", e.opt.Timeout)}},
-			Failures: 1,
-		}, true
-	}
+	return safeRun(c, trial)
 }
 
 // safeRun converts a panicking cell into a failure row instead of tearing

@@ -119,34 +119,6 @@ func TestCellSeedDerivation(t *testing.T) {
 	}
 }
 
-// TestEngineTimeout checks that a cell exceeding the per-trial timeout is
-// recorded as a failure row instead of hanging the regeneration.
-func TestEngineTimeout(t *testing.T) {
-	slow := Experiment{
-		ID: "SLOW", Name: "slow", Title: "slow", Claim: "never finishes in time",
-		Header: []string{"cell", "status"},
-		Cells: func(Options) []Cell {
-			return []Cell{
-				{Name: "fast", Run: func(*Trial) Outcome { return Row(false, "fast", "ok") }},
-				{Name: "stuck", Run: func(*Trial) Outcome {
-					time.Sleep(2 * time.Second)
-					return Row(false, "stuck", "ok")
-				}},
-			}
-		},
-	}
-	tbl := NewEngine(Options{Seed: 1, Timeout: 50 * time.Millisecond, Parallelism: 2}).Run(slow)
-	if tbl.Failures != 1 {
-		t.Fatalf("failures = %d, want 1\n%s", tbl.Failures, tbl.Render())
-	}
-	if len(tbl.Rows) != 2 || !strings.Contains(strings.Join(tbl.Rows[1], " "), "timed out") {
-		t.Fatalf("timeout row missing:\n%s", tbl.Render())
-	}
-	if tbl.Rows[0][1] != "ok" {
-		t.Fatalf("fast cell corrupted: %v", tbl.Rows[0])
-	}
-}
-
 // TestEnginePanicIsolated checks that a panicking cell becomes a failure
 // row rather than tearing down the run — whether the cell itself panics or a
 // process body of a sim run inside it (the panic comes out of Runtime.Run on

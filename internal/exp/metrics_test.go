@@ -20,7 +20,7 @@ func TestEngineTelemetryCounts(t *testing.T) {
 	if m["exp_experiment"] != 1 {
 		t.Errorf("exp_experiment delta = %d, want 1", m["exp_experiment"])
 	}
-	if m["exp_cell_fail"] != 0 || m["exp_cell_timeout"] != 0 {
+	if m["exp_cell_fail"] != 0 {
 		t.Errorf("unexpected failure deltas: %v", m)
 	}
 	if got := cellLatency.Snapshot().Count - histBefore; got != 12 {

@@ -19,21 +19,20 @@
 //   - iterative deepening (ModeFirst): horizons grow one step at a time, so
 //     the first violation found is at minimal schedule depth.
 //
-// The frontier fans out across a worker pool with the same determinism
-// discipline as internal/exp: the sub-tree roots are generated in DFS order
-// at a fixed split depth independent of worker count, each item is explored
-// with item-local state, and item results merge back in generation order —
-// so a Report is byte-identical for any Options.Workers.
+// The frontier fans out on the worker pool of internal/par, which also runs
+// the experiment engine's cells: the sub-tree roots are generated in DFS
+// order at a fixed split depth independent of worker count, each item is
+// explored with item-local state, and item results merge back in generation
+// order — so a Report is byte-identical for any Options.Workers.
 package explore
 
 import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"runtime"
-	"sync"
 
 	"wfadvice/internal/ids"
+	"wfadvice/internal/par"
 	"wfadvice/internal/sim"
 )
 
@@ -101,21 +100,11 @@ type Options struct {
 	// MaxRuns bounds the number of replayed runs per sweep; 0 means 1<<20.
 	// A sweep cut short by the budget reports Exhausted=false.
 	MaxRuns int
-	// MaxViolations caps the witnesses stored in the report (counting
-	// continues past the cap); 0 means 32.
-	MaxViolations int
 	// Mode selects ModeExhaust (default) or ModeFirst.
 	Mode Mode
 	// NoPrune disables sleep sets and state hashing, forcing raw
 	// enumeration of every schedule at the horizon.
 	NoPrune bool
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (o Options) splitDepth() int {
@@ -136,12 +125,9 @@ func (o Options) maxRuns() int {
 	return 1 << 20
 }
 
-func (o Options) maxViolations() int {
-	if o.MaxViolations > 0 {
-		return o.MaxViolations
-	}
-	return 32
-}
+// maxWitnesses caps the witnesses stored in a report; counting continues
+// past the cap.
+const maxWitnesses = 32
 
 // Violation is one recorded violating run.
 type Violation struct {
@@ -196,7 +182,7 @@ type Report struct {
 	Stats
 	// TotalRuns accumulates runs across all deepening sweeps.
 	TotalRuns int `json:"total_runs"`
-	// Witness holds up to MaxViolations recorded violations in DFS order.
+	// Witness holds up to maxWitnesses recorded violations in DFS order.
 	Witness []Violation `json:"witness"`
 }
 
@@ -241,8 +227,8 @@ func Explore(spec Spec, opt Options) (*Report, error) {
 		rep.Stats = sw.stats
 		rep.Exhausted = !sw.cut
 		rep.Witness = sw.witness
-		if len(rep.Witness) > opt.maxViolations() {
-			rep.Witness = rep.Witness[:opt.maxViolations()]
+		if len(rep.Witness) > maxWitnesses {
+			rep.Witness = rep.Witness[:maxWitnesses]
 		}
 		if opt.Mode == ModeFirst && sw.stats.Violations > 0 {
 			rep.FoundDepth = d
@@ -323,29 +309,12 @@ func (s *searcher) sweep(depth int) (*sweepOut, error) {
 		perItem = 1
 	}
 	outs := make([]*walkState, len(items))
-	jobs := make(chan int)
-	workers := s.opt.workers()
-	if workers > len(items) {
-		workers = len(items)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				st := newWalkState(perItem)
-				s.walk(items[i].prefix, items[i].sleep, depth, st, nil)
-				st.mx.itemDone()
-				outs[i] = st
-			}
-		}()
-	}
-	for i := range items {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	par.Each(len(items), s.opt.Workers, func(i int) {
+		st := newWalkState(perItem)
+		s.walk(items[i].prefix, items[i].sleep, depth, st, nil)
+		st.mx.itemDone()
+		outs[i] = st
+	})
 	for _, st := range outs {
 		if st.probeErr != nil {
 			return nil, st.probeErr
@@ -383,7 +352,7 @@ func (s *searcher) walk(prefix []ids.Proc, sleep map[ids.Proc]bool, depth int, s
 	if verr := s.spec.Check(nd.res); verr != nil {
 		st.stats.Violations++
 		st.mx.inc(cXViolation)
-		if len(st.witness) < s.opt.maxViolations() {
+		if len(st.witness) < maxWitnesses {
 			st.witness = append(st.witness, Violation{
 				Depth:    len(prefix),
 				Schedule: cloneProcs(prefix),

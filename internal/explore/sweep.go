@@ -2,10 +2,9 @@ package explore
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
+	"wfadvice/internal/par"
 	"wfadvice/internal/sim"
 )
 
@@ -42,35 +41,21 @@ func (o *SweepOutcome) Failure() error {
 // GOMAXPROCS), so build must hand each seed a system that shares no mutable
 // state with the others.
 func Sweep(build func(seed int64) (Spec, sim.Scheduler), maxSteps int, from int64, seeds, workers int) *SweepOutcome {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	out := &SweepOutcome{Tried: seeds}
-	var (
-		next atomic.Int64 // offset from from of the next seed to run
-		mu   sync.Mutex   // guards out
-		wg   sync.WaitGroup
-	)
-	for range min(workers, seeds) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(seeds); i = next.Add(1) - 1 {
-				seed := from + i
-				steps, trace, err := sweepRun(build, seed, maxSteps)
-				if err == nil {
-					continue
-				}
-				mu.Lock()
-				if out.Hits == 0 || seed < out.Seed {
-					out.Seed, out.Err, out.Steps, out.Trace = seed, err.Error(), steps, trace
-				}
-				out.Hits++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
+	var mu sync.Mutex // guards out
+	par.Each(seeds, workers, func(i int) {
+		seed := from + int64(i)
+		steps, trace, err := sweepRun(build, seed, maxSteps)
+		if err == nil {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if out.Hits == 0 || seed < out.Seed {
+			out.Seed, out.Err, out.Steps, out.Trace = seed, err.Error(), steps, trace
+		}
+		out.Hits++
+	})
 	return out
 }
 

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 
@@ -26,8 +25,7 @@ type ClerkConfig struct {
 	NC      int
 	NS      int
 	Ops     int     // script length; 0 in open-loop mode
-	Keys    int     // keyspace size (default 8)
-	PutFrac float64 // fraction of Puts (default 0.5)
+	PutFrac float64 // fraction of Puts: 0 issues only Gets, 1 only Puts
 	Seed    int64   // base script seed; per-clerk seed adds the input
 	Pause   Pause
 
@@ -51,6 +49,9 @@ type ClerkConfig struct {
 	// outside open-loop mode) to the driver for per-run histograms.
 	OnOp func(rec OpRecord, due int64)
 }
+
+// clerkKeys is the keyspace every clerk draws its operations' keys from.
+var clerkKeys = [...]string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
 
 const (
 	// clerkFreePolls is how many no-progress reply polls a clerk burns
@@ -105,12 +106,6 @@ func (cfg ClerkConfig) records(prev, cur pace) int {
 
 // Body returns clerk i's program.
 func (cfg ClerkConfig) Body(i int) sim.Body {
-	if cfg.Keys < 1 {
-		cfg.Keys = 8
-	}
-	if cfg.PutFrac == 0 {
-		cfg.PutFrac = 0.5
-	}
 	if cfg.Pause == nil {
 		cfg.Pause = awaitEpoch
 	}
@@ -123,10 +118,6 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 			seed += int64(in)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		keys := make([]string, cfg.Keys)
-		for k := range keys {
-			keys[k] = fmt.Sprintf("k%d", k)
-		}
 		sess := &Session{Client: i}
 		var sized pace // when sess.Ops was last given a capacity
 		for k := 0; ; k++ {
@@ -150,7 +141,7 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 					}
 				}
 			}
-			key := keys[rng.Intn(cfg.Keys)]
+			key := clerkKeys[rng.Intn(len(clerkKeys))]
 			op, arg := OpGet, int64(0)
 			if rng.Float64() < cfg.PutFrac {
 				op, arg = OpPut, rng.Int63n(1_000_000)+1

@@ -338,7 +338,7 @@ func TestCheckLinearizable(t *testing.T) {
 func kvSimConfig(n, ops int, crash map[int]fdet.Time, stabilize fdet.Time, seed int64) sim.Config {
 	pat := fdet.NewPattern(n, crash)
 	rc := ReplicaConfig{NC: n, NS: n, LeaseReads: true}
-	cc := ClerkConfig{NC: n, NS: n, Ops: ops}
+	cc := ClerkConfig{NC: n, NS: n, Ops: ops, PutFrac: 0.5}
 	inputs := vec.New(n)
 	for i := range inputs {
 		inputs[i] = 100 + i

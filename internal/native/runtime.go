@@ -212,8 +212,8 @@ func New(cfg Config) (*Runtime, error) {
 //
 //   - Registers. Every register reads nil until the new run writes it. The
 //     table and its cells are kept and emptied in place when they fit —
-//     the table was sized for cfg.Registers and holds at most twice that
-//     many registers (at least 64) — and replaced otherwise, so a caller
+//     the table holds at most twice cfg.Registers registers (at least 64)
+//     — and replaced otherwise, so a caller
 //     that names fresh keys every run cannot grow a runtime with the number
 //     of runs.
 //   - Advice. The service serves cfg.History from tick 0 on the clock Run

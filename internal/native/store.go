@@ -239,16 +239,13 @@ func (c *cell) generalise(v sim.Value, m *obs.Handle) {
 	}
 }
 
-// shardCap is the largest shard count: a power of two, like every shard
-// count, so the hash folds with a mask. 32 shards keep per-shard collision
-// odds low for the large key populations (a few thousand keys and up) at
-// negligible fixed cost.
+// shardCap is the table's shard count: a power of two, so the hash folds
+// with a mask. 32 shards keep per-shard collision odds low for the large key
+// populations (a few thousand keys and up) at negligible fixed cost: a
+// runtime builds its table once and re-arms it for every later run. Every
+// keyed Read and Write takes its shard's mutex (only bound handles skip the
+// table), so a small table does not put all its keys behind one lock either.
 const shardCap = 32
-
-// keysPerShard is the population a shard is sized for before the table takes
-// another: a run of a handful of registers gets one shard and one small map,
-// not 32 maps it will leave empty.
-const keysPerShard = 8
 
 // shard is one slice of the table. The padding keeps each shard's mutex on
 // its own cache line so uncorrelated shards never false-share.
@@ -260,7 +257,7 @@ type shard struct {
 
 // store is the sharded register table.
 type store struct {
-	shards []shard // a power of two of them, so a hash folds with a mask
+	shards [shardCap]shard
 
 	// free holds the recycled backing arrays by length. freeMu is taken by
 	// binds and releases, never by a register operation, and nests inside a
@@ -271,35 +268,18 @@ type store struct {
 	released atomic.Bool
 }
 
-// newStore builds a table for about hint registers: the smallest power-of-two
-// shard count, up to shardCap, that leaves each shard at most keysPerShard
-// of them, with the maps pre-sized to match. The hint comes from the
-// scenario's known key shapes (`in/i`, `cons/j/*`, `cell/a/s/*` — see
-// core.Scenario). A hint of zero or less means no estimate was given and
-// builds shardCap shards: every keyed Read and Write takes its shard's mutex
-// (only bound handles skip the table), so a table that does not know its
-// population must not put all of it behind one lock. A positive hint that is
-// too low costs that contention and map growth, never correctness.
+// newStore builds a table for about hint registers, its maps pre-sized to
+// share them. The hint comes from the scenario's known key shapes (`in/i`,
+// `cons/j/*`, `cell/a/s/*` — see core.Scenario); zero or less means no
+// estimate was given. A hint that is too low costs map growth, never
+// correctness.
 func newStore(hint int) *store {
-	n := shardsFor(hint)
-	s := &store{shards: make([]shard, n)}
-	per := max(hint/n, 4)
+	s := &store{}
+	per := max(hint/shardCap, 4)
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]*cell, per)
 	}
 	return s
-}
-
-// shardsFor is the shard count newStore gives a table for hint registers.
-func shardsFor(hint int) int {
-	if hint <= 0 {
-		return shardCap
-	}
-	n := 1
-	for n < shardCap && n*keysPerShard < hint {
-		n *= 2
-	}
-	return n
 }
 
 // retainedFloor is the least number of registers a retained table may hold
@@ -311,16 +291,15 @@ const retainedFloor = 64
 // rebuilding it, and reports whether it could: every register it holds is
 // emptied in place and keeps its key, so a bound handle resolved against the
 // table stays valid. It declines, and the caller builds a new table, when the
-// table was sized for a different hint or holds more than twice the hint's
-// registers (at least retainedFloor): keys are the caller's to name, per
-// instance if it likes, and a table kept across instances must not grow with
-// their number. It also declines once a key has been released: a handle
-// bound before the release still points at the cell the key had then, which
-// the table no longer maps and may have handed to another key, and a handle
-// the caller memoised must not come back to life over it. Nothing else may be
-// using the table.
+// table holds more than twice the hint's registers (at least retainedFloor):
+// keys are the caller's to name, per instance if it likes, and a table kept
+// across instances must not grow with their number. It also declines once a
+// key has been released: a handle bound before the release still points at
+// the cell the key had then, which the table no longer maps and may have
+// handed to another key, and a handle the caller memoised must not come back
+// to life over it. Nothing else may be using the table.
 func (s *store) rearm(hint int) bool {
-	if len(s.shards) != shardsFor(hint) || s.released.Load() {
+	if s.released.Load() {
 		return false
 	}
 	if s.held() > max(2*hint, retainedFloor) {
@@ -411,7 +390,7 @@ func (s *store) resolve(key string, mt *mint, want int) *cell {
 }
 
 func (s *store) shard(key string) *shard {
-	return &s.shards[keyHash(key)&uint32(len(s.shards)-1)]
+	return &s.shards[keyHash(key)&(shardCap-1)]
 }
 
 // array returns a backing array of n empty cells holding its minter's count:

@@ -88,36 +88,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Merge folds every observation recorded in o into h. Buckets align
-// exactly (both histograms share the fixed log-bucket layout), so merging
-// is lossless: quantiles of the merged histogram are identical to
-// quantiles over the concatenated observation streams, to within the
-// usual one-sub-bucket resolution. The intended use is cross-worker
-// aggregation — each worker observes into a private histogram with zero
-// contention, then merges into the shared one when it drains. Merging is
-// safe concurrently with writers on h; o should be quiesced (a merge
-// concurrent with o's writers transfers a consistent-per-bucket but not
-// instantaneous cut, like Snapshot).
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	v := o.max.Load()
-	for {
-		m := h.max.Load()
-		if v <= m || h.max.CompareAndSwap(m, v) {
-			return
-		}
-	}
-}
-
 // HistBucket is one non-empty bucket of a snapshot: values in [Lo, Hi)
 // were observed N times.
 type HistBucket struct {

@@ -194,75 +194,6 @@ func TestHistogramEdgeCases(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeOracle checks quantiles-after-merge against a
-// sorted-slice oracle over the concatenated streams: merging per-worker
-// histograms must be indistinguishable from observing everything into one
-// (both share the fixed bucket layout, so the merge is lossless).
-func TestHistogramMergeOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	merged := NewHistogram()
-	var oracle []int64
-	// Three "workers" with deliberately different latency shapes: fast
-	// unimodal, slow unimodal, and log-uniform spanning both.
-	for w := 0; w < 3; w++ {
-		priv := NewHistogram()
-		for i := 0; i < 5000; i++ {
-			var v int64
-			switch w {
-			case 0:
-				v = 100 + int64(rng.Intn(50))
-			case 1:
-				v = 1_000_000 + int64(rng.Intn(500_000))
-			default:
-				v = int64(math.Exp(rng.Float64()*14) * 100)
-			}
-			priv.Observe(v)
-			oracle = append(oracle, v)
-		}
-		merged.Merge(priv)
-	}
-	merged.Merge(nil)            // nil-safe
-	merged.Merge(NewHistogram()) // empty merge is a no-op
-	sort.Slice(oracle, func(i, j int) bool { return oracle[i] < oracle[j] })
-	s := merged.Snapshot()
-	if s.Count != int64(len(oracle)) {
-		t.Fatalf("count = %d, want %d", s.Count, len(oracle))
-	}
-	var wantSum int64
-	for _, v := range oracle {
-		wantSum += v
-	}
-	if s.Sum != wantSum {
-		t.Errorf("sum = %d, want %d", s.Sum, wantSum)
-	}
-	if s.Max != oracle[len(oracle)-1] {
-		t.Errorf("max = %d, want %d", s.Max, oracle[len(oracle)-1])
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
-		got := s.Quantile(q)
-		exact := oracle[int(q*float64(len(oracle)-1))]
-		relErr := math.Abs(float64(got)-float64(exact)) / math.Max(float64(exact), 1)
-		if relErr > 0.125+1e-9 {
-			t.Errorf("q%.3f = %d, exact %d: relative error %.3f > 0.125", q, got, exact, relErr)
-		}
-	}
-	// The merged snapshot must be bucket-identical to observing the whole
-	// stream into one histogram.
-	direct := NewHistogram()
-	for _, v := range oracle {
-		direct.Observe(v)
-	}
-	ds := direct.Snapshot()
-	if len(ds.Buckets) != len(s.Buckets) {
-		t.Fatalf("bucket count %d after merge, %d direct", len(s.Buckets), len(ds.Buckets))
-	}
-	for i, b := range s.Buckets {
-		if b != ds.Buckets[i] {
-			t.Errorf("bucket %d = %+v after merge, %+v direct", i, b, ds.Buckets[i])
-		}
-	}
-}
-
 // TestHistogramConcurrent verifies exact counts and sums after concurrent
 // observers join, under -race with a live snapshot reader.
 func TestHistogramConcurrent(t *testing.T) {

@@ -37,7 +37,7 @@ var (
 		explore_node explore_terminal explore_dedup_hit explore_sleep_prune
 		explore_violation explore_sweep explore_item explore_shrink_run
 		explore_shrink_reduce`)
-	expCounters   = strings.Fields(`exp_cell exp_cell_fail exp_cell_timeout exp_experiment`)
+	expCounters   = strings.Fields(`exp_cell exp_cell_fail exp_experiment`)
 	traceCounters = []string{"trace_emitted", "trace_dropped"}
 )
 
@@ -121,7 +121,7 @@ func TestStressReportCounterKeys(t *testing.T) {
 		if err != nil || rep.Failed() {
 			t.Fatalf("stress: %v\n%s", err, rep.Render())
 		}
-		krep, err := wfadvice.NativeKVStress(wfadvice.KVStressOptions{N: 3, Rate: 2000, Duration: 200 * time.Millisecond, Seed: 1})
+		krep, err := wfadvice.NativeKVStress(wfadvice.KVStressOptions{N: 3, Rate: 2000, Duration: 200 * time.Millisecond, PutFrac: 0.5, Seed: 1})
 		if err != nil || krep.Failed() {
 			t.Fatalf("kv stress: %v\n%s", err, krep.Render())
 		}
