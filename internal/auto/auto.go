@@ -109,36 +109,6 @@ func (s *System) View() View {
 	return v
 }
 
-// RunRoundRobin steps all undecided slots in round-robin order until all
-// decide or the step budget runs out. It returns an error on budget
-// exhaustion with undecided slots remaining.
-func (s *System) RunRoundRobin(maxSteps int) error {
-	for s.total < maxSteps {
-		progressed := false
-		for i := range s.autos {
-			if s.total >= maxSteps {
-				break
-			}
-			if s.Step(i) {
-				progressed = true
-			}
-		}
-		if !progressed {
-			if s.AllDecided() {
-				return nil
-			}
-			return fmt.Errorf("auto: no automaton can step but not all decided")
-		}
-		if s.AllDecided() {
-			return nil
-		}
-	}
-	if s.AllDecided() {
-		return nil
-	}
-	return fmt.Errorf("auto: step budget %d exhausted with undecided automata", maxSteps)
-}
-
 // RunSchedule steps slots in the order given by schedule (indices), skipping
 // decided/empty slots, and returns the number of effective steps.
 func (s *System) RunSchedule(schedule []int) int {

@@ -36,21 +36,6 @@ func TestSystemStepAndViews(t *testing.T) {
 	}
 }
 
-func TestRunRoundRobin(t *testing.T) {
-	sys := NewSystem([]Automaton{NewCounter(5, 1), NewCounter(2, 2)})
-	if err := sys.RunRoundRobin(100); err != nil {
-		t.Fatal(err)
-	}
-	if !sys.AllDecided() {
-		t.Fatal("not all decided")
-	}
-	// Clocks never decide: the budget must be reported as exhausted.
-	sys2 := NewSystem([]Automaton{NewClock()})
-	if err := sys2.RunRoundRobin(10); err == nil {
-		t.Fatal("expected budget exhaustion")
-	}
-}
-
 func TestRunKConcurrentAdmission(t *testing.T) {
 	// With k = 1 the counters decide strictly in slot order.
 	order := make([]int, 0, 3)

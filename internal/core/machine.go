@@ -1,8 +1,9 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"wfadvice/internal/auto"
 	"wfadvice/internal/paxos"
@@ -27,6 +28,11 @@ import (
 // C-process that keeps taking steps finds its code's decision no matter what
 // the others do. That is wait-freedom with advice.
 //
+// Both sequences of instances are paxos.Logs: the admission log "adm" (slot
+// t decides the t-th AdmitCmd) and, per code a, the cell log "cell/a" (slot
+// s decides the view of a's step s). A replica proposes at each log's first
+// unapplied slot and releases the slot's proposer once it decides.
+//
 // Deviation from the paper, recorded in DESIGN.md: the paper layers extended
 // BG-simulation inside the Figure 2 k-code simulation; here each simulated
 // step is already a consensus instance, which subsumes the abort machinery.
@@ -50,7 +56,8 @@ type MachineConfig struct {
 	// mode, where codes are input-less).
 	Factory func(i int, input sim.Value) auto.Automaton
 	// Lanes selects Figure 2 / Theorem 14 mode: exactly K pre-admitted codes
-	// with static positions and no admission gate.
+	// with static positions and no admission gate. A C-process decides what
+	// the code of its own index decides, so lanes codes should never decide.
 	Lanes bool
 }
 
@@ -87,8 +94,14 @@ type ViewCmd struct {
 	View []WriteAt
 }
 
-func admKey(t int) string       { return fmt.Sprintf("adm/%d", t) }
-func cellKey(a, s int) string   { return fmt.Sprintf("cell/%d/%d", a, s) }
+// machineWindow is the slots per bound window of every machine log. A
+// replica walks its logs a slot at a time and never sweeps, and on the native
+// backend a window of 8 cost 2.8–3.2× the register lookups of a window of 1.
+const machineWindow = 1
+
+const admPrefix = "adm"
+
+func cellPrefix(a int) string   { return "cell/" + strconv.Itoa(a) }
 func (c MachineConfig) pn() int { return c.NC + c.NS }
 func (c MachineConfig) pos(b, attempt int) int {
 	if c.Lanes {
@@ -97,19 +110,15 @@ func (c MachineConfig) pos(b, attempt int) int {
 	return (b + attempt) % c.K
 }
 
-type cellID struct{ a, s int }
-
 type codeState struct {
-	a        auto.Automaton
-	applied  int // views applied; also the step index of the pending write
-	pending  auto.Value
-	decided  bool
-	decision auto.Value
+	a       auto.Automaton
+	log     *paxos.Log // cell log: slot s fixes the view of step s
+	applied int        // views applied; also the step index of the next write
 }
 
 // replica is the per-process deterministic reconstruction of the simulated
-// machine, plus this process's proposers. All replicas converge because
-// every transition is consensus-decided.
+// machine, plus this process's views of its logs. All replicas converge
+// because every transition is consensus-decided.
 type replica struct {
 	cfg MachineConfig
 	e   sim.Ops
@@ -124,33 +133,29 @@ type replica struct {
 	pollTick int
 	ovec     []int
 
-	admCmds     []AdmitCmd
-	admitted    map[int]bool
-	pendingAct  []AdmitCmd
-	activated   []int
-	activatedIn map[int]bool
+	adm        *paxos.Log // admission log: slot t fixes admCmds[t]
+	admCmds    []AdmitCmd
+	admitted   map[int]bool
+	pendingAct []AdmitCmd
+	activated  []int
 
 	codes     map[int]*codeState
 	decisions map[int]auto.Value
 	lastKnown []WriteAt
-
-	admProp   *paxos.Proposer
-	cellProps map[cellID]*paxos.Proposer
 }
 
 func newReplica(cfg MachineConfig, e sim.Ops, me int, pollKeys []string) *replica {
 	r := &replica{
-		cfg:         cfg,
-		e:           e,
-		regs:        e.Bind(pollKeys),
-		me:          me,
-		inputs:      make([]sim.Value, cfg.NC),
-		admitted:    make(map[int]bool),
-		activatedIn: make(map[int]bool),
-		codes:       make(map[int]*codeState),
-		decisions:   make(map[int]auto.Value),
-		lastKnown:   make([]WriteAt, cfg.NC),
-		cellProps:   make(map[cellID]*paxos.Proposer),
+		cfg:       cfg,
+		e:         e,
+		regs:      e.Bind(pollKeys),
+		me:        me,
+		inputs:    make([]sim.Value, cfg.NC),
+		adm:       paxos.NewLog(e, admPrefix, me, cfg.pn(), machineWindow),
+		admitted:  make(map[int]bool),
+		codes:     make(map[int]*codeState),
+		decisions: make(map[int]auto.Value),
+		lastKnown: make([]WriteAt, cfg.NC),
 	}
 	for i := range r.lastKnown {
 		r.lastKnown[i] = WriteAt{Step: -1}
@@ -162,10 +167,12 @@ func (r *replica) ensureCode(i int) *codeState {
 	if cs := r.codes[i]; cs != nil {
 		return cs
 	}
-	cs := &codeState{a: r.cfg.Factory(i, r.inputs[i])}
-	cs.pending = cs.a.WriteValue()
+	cs := &codeState{
+		a:   r.cfg.Factory(i, r.inputs[i]),
+		log: paxos.NewLog(r.e, cellPrefix(i), r.me, r.cfg.pn(), machineWindow),
+	}
 	r.codes[i] = cs
-	r.lastKnown[i] = WriteAt{Step: 0, Val: cs.pending}
+	r.lastKnown[i] = WriteAt{Step: 0, Val: cs.a.WriteValue()}
 	return cs
 }
 
@@ -227,22 +234,10 @@ func (r *replica) pollOnce() bool {
 // reports whether it changed.
 func (r *replica) readOvec(slot int) bool {
 	xs, ok := r.regs.Read(slot).([]int)
-	if !ok || intsEqual(xs, r.ovec) {
+	if !ok || slices.Equal(xs, r.ovec) {
 		return false
 	}
 	r.ovec = xs
-	return true
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
 	return true
 }
 
@@ -261,7 +256,6 @@ func (r *replica) activate() {
 		}
 		r.pendingAct = r.pendingAct[1:]
 		r.activated = append(r.activated, cmd.Code)
-		r.activatedIn[cmd.Code] = true
 		r.ensureCode(cmd.Code)
 	}
 }
@@ -294,9 +288,7 @@ func (r *replica) admissionProposal() (AdmitCmd, bool) {
 
 // viewProposal snapshots the replica's knowledge as a collect for code a.
 func (r *replica) viewProposal() ViewCmd {
-	v := make([]WriteAt, len(r.lastKnown))
-	copy(v, r.lastKnown)
-	return ViewCmd{View: v}
+	return ViewCmd{View: slices.Clone(r.lastKnown)}
 }
 
 // applyCell advances code a with its decided step view.
@@ -314,13 +306,11 @@ func (r *replica) applyCell(a int, cmd ViewCmd) {
 	cs.a.OnView(view)
 	cs.applied++
 	if d, ok := cs.a.Decided(); ok {
-		cs.decided, cs.decision = true, d
 		r.decisions[a] = d
 		return
 	}
-	cs.pending = cs.a.WriteValue()
 	if cs.applied > r.lastKnown[a].Step {
-		r.lastKnown[a] = WriteAt{Step: cs.applied, Val: cs.pending}
+		r.lastKnown[a] = WriteAt{Step: cs.applied, Val: cs.a.WriteValue()}
 	}
 }
 
@@ -336,24 +326,22 @@ func (r *replica) driveAll() bool {
 	}
 	progress := false
 	slot := len(r.admCmds)
-	if r.admProp == nil {
-		r.admProp = paxos.NewProposer(r.e, admKey(slot), r.me, r.cfg.pn(), nil)
-	}
-	if !r.admProp.HasProposal() {
+	p := r.adm.Proposer(slot)
+	if !p.HasProposal() {
 		if cmd, ok := r.admissionProposal(); ok {
-			r.admProp.SetProposal(cmd)
+			p.SetProposal(cmd)
 		}
 	}
-	lead := r.leaderIs(slot, r.admProp)
-	if lead || !r.admProp.Idle() {
+	lead := r.leaderIs(slot, p)
+	if lead || !p.Idle() {
 		progress = true
 	}
-	if v, ok := r.admProp.StepOp(lead); ok {
+	if v, ok := p.StepOp(lead); ok {
+		r.adm.Release(slot)
 		cmd := v.(AdmitCmd)
 		r.admCmds = append(r.admCmds, cmd)
 		r.admitted[cmd.Code] = true
 		r.pendingAct = append(r.pendingAct, cmd)
-		r.admProp = nil
 		r.activate()
 		progress = true
 	}
@@ -363,12 +351,9 @@ func (r *replica) driveAll() bool {
 // driveLanes drives the fixed K codes, restricted to the first
 // min(|pars|, K) as in Figure 2 line 21.
 func (r *replica) driveLanes() bool {
-	limit := len(r.pars())
-	if limit > r.cfg.K {
-		limit = r.cfg.K
-	}
+	limit := min(len(r.pars()), r.cfg.K)
 	codes := make([]int, 0, limit)
-	for a := 0; a < limit; a++ {
+	for a := range limit {
 		r.ensureCode(a)
 		codes = append(codes, a)
 	}
@@ -379,14 +364,13 @@ func (r *replica) driveCells(codes []int) bool {
 	progress := false
 	for _, a := range codes {
 		cs := r.codes[a]
-		if cs == nil || cs.decided {
+		if _, done := r.decisions[a]; cs == nil || done {
 			continue
 		}
-		cid := cellID{a: a, s: cs.applied}
-		p := r.cellProps[cid]
-		if p == nil {
-			p = paxos.NewProposer(r.e, cellKey(a, cs.applied), r.me, r.cfg.pn(), r.viewProposal())
-			r.cellProps[cid] = p
+		s := cs.applied
+		p := cs.log.Proposer(s)
+		if !p.HasProposal() { // just minted: propose the view as of now
+			p.SetProposal(r.viewProposal())
 		}
 		base := a // lanes mode: Figure 2's static code→position keying
 		if !r.cfg.Lanes {
@@ -397,7 +381,7 @@ func (r *replica) driveCells(codes []int) bool {
 			progress = true
 		}
 		if v, ok := p.StepOp(lead); ok {
-			delete(r.cellProps, cid)
+			cs.log.Release(s)
 			r.applyCell(a, v.(ViewCmd))
 			progress = true
 		}
@@ -412,7 +396,9 @@ func (r *replica) driveCells(codes []int) bool {
 // before the next one; without the wait such replicas spin through entire
 // scheduler quanta while the one replica that is leader waits to be
 // scheduled — on small machines that starvation, not the algorithm,
-// dominated decision latency.
+// dominated decision latency. In lanes mode it is the Figure 2 simulator
+// body: the clock codes never decide, so it drives the k codes until the
+// step budget ends.
 func (c MachineConfig) SolverCBody(i int) sim.Body {
 	keys := machinePollKeys(c.NC)
 	return func(e sim.Ops) {
@@ -433,8 +419,8 @@ func (c MachineConfig) SolverCBody(i int) sim.Body {
 	}
 }
 
-// SolverSBody returns the Theorem 9 S-process body: publish the advice
-// vector whenever it changes and help drive the machine forever.
+// SolverSBody returns the Theorem 9 (and Figure 2) S-process body: publish
+// the advice vector whenever it changes and help drive the machine forever.
 func (c MachineConfig) SolverSBody(q int) sim.Body {
 	keys := machinePollKeys(c.NC)
 	return func(e sim.Ops) {
@@ -445,11 +431,9 @@ func (c MachineConfig) SolverSBody(q int) sim.Body {
 			// Re-publishing an unchanged vector would teach the other
 			// replicas nothing; skipping it keeps the ovec register quiet
 			// when advice is stable (and with it the event-mode notifier).
-			if xs, ok := e.QueryFD().([]int); ok && !intsEqual(xs, r.ovec) {
-				cp := make([]int, len(xs))
-				copy(cp, xs)
-				r.ovec = cp
-				r.regs.Write(c.NC, cp)
+			if xs, ok := e.QueryFD().([]int); ok && !slices.Equal(xs, r.ovec) {
+				r.ovec = slices.Clone(xs)
+				r.regs.Write(c.NC, r.ovec)
 				learned = true
 			}
 			polled := r.pollOnce()
@@ -459,28 +443,6 @@ func (c MachineConfig) SolverSBody(q int) sim.Body {
 		}
 	}
 }
-
-// LanesCBody returns the Figure 2 simulator body for C-process i: register
-// participation, then drive the k codes; the body never decides (the
-// simulated codes carry the payload) and runs until the step budget ends.
-func (c MachineConfig) LanesCBody(i int) sim.Body {
-	keys := machinePollKeys(c.NC)
-	return func(e sim.Ops) {
-		r := newReplica(c, e, i, keys)
-		r.regs.Write(i, e.Input())
-		r.inputs[i] = e.Input()
-		for {
-			seen := e.Epoch()
-			polled := r.pollOnce()
-			if !r.driveAll() && !polled {
-				e.AwaitEpoch(seen)
-			}
-		}
-	}
-}
-
-// LanesSBody is the S-process body for Figure 2 mode.
-func (c MachineConfig) LanesSBody(q int) sim.Body { return c.SolverSBody(q) }
 
 // MachineTrace summarizes the decided machine history recovered from a
 // run's final store: admissions in slot order and, per code, the number of
@@ -494,26 +456,25 @@ type MachineTrace struct {
 func (c MachineConfig) Replay(store map[string]sim.Value) MachineTrace {
 	tr := MachineTrace{CellSteps: make(map[int]int)}
 	for t := 0; ; t++ {
-		v, ok := paxos.DecisionFromStore(store, admKey(t))
+		v, ok := paxos.DecisionFromStore(store, paxos.SlotKey(admPrefix, t))
 		if !ok {
 			break
 		}
 		tr.Admissions = append(tr.Admissions, v.(AdmitCmd))
 	}
 	codes := make([]int, 0, c.NC)
-	if c.Lanes {
-		for a := 0; a < c.K; a++ {
+	if c.Lanes { // lanes mode admits nothing: its codes are 0..K-1
+		for a := range c.K {
 			codes = append(codes, a)
 		}
-	} else {
-		for _, cmd := range tr.Admissions {
-			codes = append(codes, cmd.Code)
-		}
+	}
+	for _, cmd := range tr.Admissions {
+		codes = append(codes, cmd.Code)
 	}
 	for _, a := range codes {
 		s := 0
 		for {
-			if _, ok := paxos.DecisionFromStore(store, cellKey(a, s)); !ok {
+			if _, ok := paxos.DecisionFromStore(store, paxos.SlotKey(cellPrefix(a), s)); !ok {
 				break
 			}
 			s++
@@ -530,10 +491,7 @@ func (c MachineConfig) Replay(store map[string]sim.Value) MachineTrace {
 func (tr MachineTrace) ConcurrencyBound() int {
 	maxC := 0
 	for t, cmd := range tr.Admissions {
-		c := (t + 1) - len(cmd.Just)
-		if c > maxC {
-			maxC = c
-		}
+		maxC = max(maxC, (t+1)-len(cmd.Just))
 	}
 	return maxC
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"wfadvice/internal/auto"
@@ -150,8 +151,8 @@ func TestLanesTheorem14(t *testing.T) {
 		pat := fdet.FailureFree(tc.nc)
 		cfg := sim.Config{
 			NC: tc.nc, NS: tc.nc, Inputs: inputs,
-			CBody:    mc.LanesCBody,
-			SBody:    mc.LanesSBody,
+			CBody:    mc.SolverCBody,
+			SBody:    mc.SolverSBody,
 			Pattern:  pat,
 			History:  fdet.VectorOmegaK{K: tc.k, GoodPos: 0}.History(pat, 200, 3),
 			MaxSteps: 400_000,
@@ -187,6 +188,58 @@ func TestLanesTheorem14(t *testing.T) {
 		}
 		if best < 50 {
 			t.Fatalf("nc=%d k=%d ell=%d: best code advanced only %d steps", tc.nc, tc.k, tc.ell, best)
+		}
+	}
+}
+
+// TestMachineStepShape pins the machine's exact sim step shape — every
+// event's process, kind and register key, hashed in trace order — on one
+// solver run and one lanes run, beyond the summaries the experiment tables
+// pin. A change to how the machine mints or names its consensus instances
+// must leave these values alone; a change to its operations re-measures
+// them.
+func TestMachineStepShape(t *testing.T) {
+	pat := fdet.FailureFree(4)
+	inputs := vec.Of(1, 2, 3, nil)
+	for _, tc := range []struct {
+		name     string
+		lanes    bool
+		factory  func(int, sim.Value) auto.Automaton
+		sched    sim.Scheduler
+		maxSteps int
+		events   int
+		digest   uint64
+		outputs  string
+		admitted int
+		cells    string
+	}{
+		{"solver", false, renamingFactory, &sim.StopWhenDecided{Inner: &sim.RoundRobin{}}, 2_000_000,
+			6170, 0xba0b589f010e8f31, "[1 2 3 ⊥]", 3, "map[0:2 1:3 2:3]"},
+		{"lanes", true, func(int, sim.Value) auto.Automaton { return auto.NewClock() }, &sim.RoundRobin{}, 40_000,
+			40_000, 0x16bb84395ebe7068, "[⊥ ⊥ ⊥ ⊥]", 0, "map[0:63 1:6]"},
+	} {
+		mc := MachineConfig{NC: 4, NS: 4, K: 2, Factory: tc.factory, Lanes: tc.lanes}
+		rt, err := sim.New(sim.Config{
+			NC: 4, NS: 4, Inputs: inputs,
+			CBody: mc.SolverCBody, SBody: mc.SolverSBody, Pattern: pat,
+			History:  fdet.VectorOmegaK{K: 2, GoodPos: 0}.History(pat, 300, 1),
+			MaxSteps: tc.maxSteps,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rt.Run(tc.sched)
+		h := fnv.New64a()
+		for _, ev := range res.Trace {
+			fmt.Fprintf(h, "%v %d %s\n", ev.Proc, ev.Kind, ev.Key)
+		}
+		tr := mc.Replay(res.FinalStore)
+		got := fmt.Sprintf("events=%d digest=%#x outputs=%v admitted=%d cells=%v",
+			len(res.Trace), h.Sum64(), res.Outputs, len(tr.Admissions), tr.CellSteps)
+		want := fmt.Sprintf("events=%d digest=%#x outputs=%s admitted=%d cells=%s",
+			tc.events, tc.digest, tc.outputs, tc.admitted, tc.cells)
+		if got != want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, want)
 		}
 	}
 }

@@ -17,10 +17,13 @@ const goldenTables = "testdata/tables-short-seed1.txt"
 // again with telemetry on at eight workers, since counters, gauges and the
 // latency histogram sit strictly outside Table and the merge is in cell
 // order. Every table must also reproduce (no failure row, at least one
-// row). A deliberate table change is a diff of the golden file; regenerate
-// it from the repository root with
+// row). The full grids have their own golden file,
+// testdata/tables-full-seed1.txt, which CI's full job diffs against
+// efd-bench -seed 1. A deliberate table change is a diff of both golden
+// files; regenerate them from the repository root with
 //
 //	go run ./cmd/efd-bench -seed 1 -short | grep -v -e elapsed -e '^efd-bench:' > internal/exp/testdata/tables-short-seed1.txt
+//	go run ./cmd/efd-bench -seed 1 | grep -v -e '^   elapsed:' -e '^efd-bench: ' > internal/exp/testdata/tables-full-seed1.txt
 func TestGoldenTables(t *testing.T) {
 	raw, err := os.ReadFile(goldenTables)
 	if err != nil {

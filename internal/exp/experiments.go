@@ -253,8 +253,8 @@ func expE4() Experiment {
 						pat := fdet.FailureFree(tc.n)
 						cfg := sim.Config{
 							NC: tc.n, NS: tc.n, Inputs: inputs,
-							CBody:    mc.LanesCBody,
-							SBody:    mc.LanesSBody,
+							CBody:    mc.SolverCBody,
+							SBody:    mc.SolverSBody,
 							Pattern:  pat,
 							History:  fdet.VectorOmegaK{K: tc.k, GoodPos: 0}.History(pat, 200, t.Seed),
 							MaxSteps: maxSteps,

@@ -131,26 +131,6 @@ func ParseChaos(s string) (AdviceChaos, error) {
 	return c, nil
 }
 
-// Flap wraps d so its pre-stabilization output rotates through the process
-// space every window ticks, identically at every module (window 0 =
-// DefaultChaosWindow).
-func Flap(d Detector, window Time) Detector {
-	return WithChaos(d, AdviceChaos{Mode: ChaosFlap, Window: window})
-}
-
-// LieUntil wraps d so its pre-stabilization output is a seeded
-// agreed-but-wrong value re-drawn every window ticks, biased toward faulty
-// processes when the pattern has any.
-func LieUntil(d Detector, window Time, seed int64) Detector {
-	return WithChaos(d, AdviceChaos{Mode: ChaosLie, Window: window, Seed: seed})
-}
-
-// Diverge wraps d so its pre-stabilization output disagrees across modules:
-// the rotation is offset by the module index.
-func Diverge(d Detector, window Time) Detector {
-	return WithChaos(d, AdviceChaos{Mode: ChaosDiverge, Window: window})
-}
-
 // WithChaos wraps d under the given chaos knob; a disabled knob returns d
 // unchanged. The wrapped detector keeps d's family contract — only the
 // pre-stabilization output changes — so any Check* audit that accepts d's
@@ -162,7 +142,7 @@ func WithChaos(d Detector, c AdviceChaos) Detector {
 	return chaosDetector{inner: d, c: c}
 }
 
-// chaosDetector is the Detector wrapper behind Flap/LieUntil/Diverge.
+// chaosDetector is the Detector wrapper WithChaos returns.
 type chaosDetector struct {
 	inner Detector
 	c     AdviceChaos

@@ -113,7 +113,7 @@ func TestChaosPrefixShapes(t *testing.T) {
 	pat := NewPattern(n, map[int]Time{3: 1})
 	w := Time(4)
 
-	flap := Flap(Omega{}, w).History(pat, stabilize, seed)
+	flap := WithChaos(Omega{}, AdviceChaos{Mode: ChaosFlap, Window: w}).History(pat, stabilize, seed)
 	if a, b := flap.Query(0, 0), flap.Query(2, 0); a != b {
 		t.Fatalf("flap modules disagree: %v vs %v", a, b)
 	}
@@ -121,12 +121,12 @@ func TestChaosPrefixShapes(t *testing.T) {
 		t.Fatalf("flap did not rotate across the window boundary: %v", a)
 	}
 
-	div := Diverge(Omega{}, w).History(pat, stabilize, seed)
+	div := WithChaos(Omega{}, AdviceChaos{Mode: ChaosDiverge, Window: w}).History(pat, stabilize, seed)
 	if a, b := div.Query(0, 0), div.Query(1, 0); a == b {
 		t.Fatalf("diverge modules agree: %v", a)
 	}
 
-	lie := LieUntil(Omega{}, w, 9).History(pat, stabilize, seed)
+	lie := WithChaos(Omega{}, AdviceChaos{Mode: ChaosLie, Window: w, Seed: 9}).History(pat, stabilize, seed)
 	namedFaulty := false
 	for at := Time(0); at < stabilize; at++ {
 		a, b := lie.Query(0, at), lie.Query(3, at)

@@ -70,21 +70,3 @@ func (p Proc) Less(q Proc) bool {
 	}
 	return p.Index < q.Index
 }
-
-// AllC returns C(0..n-1) in order.
-func AllC(n int) []Proc {
-	out := make([]Proc, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, C(i))
-	}
-	return out
-}
-
-// AllS returns S(0..n-1) in order.
-func AllS(n int) []Proc {
-	out := make([]Proc, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, S(i))
-	}
-	return out
-}

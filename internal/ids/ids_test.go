@@ -16,14 +16,3 @@ func TestStringAndOrder(t *testing.T) {
 		t.Fatal("kind predicates wrong")
 	}
 }
-
-func TestAll(t *testing.T) {
-	cs := AllC(3)
-	ss := AllS(2)
-	if len(cs) != 3 || len(ss) != 2 {
-		t.Fatal("lengths wrong")
-	}
-	if cs[2] != C(2) || ss[1] != S(1) {
-		t.Fatal("contents wrong")
-	}
-}

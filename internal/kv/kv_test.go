@@ -439,7 +439,7 @@ func TestKVSimChaosFlap(t *testing.T) {
 	// stay linearizable.
 	kvSweep(t, 4, func(seed int64) (sim.Config, sim.Scheduler) {
 		cfg := kvSimConfig(3, 3, nil, 400, seed)
-		cfg.History = fdet.Flap(fdet.LiveOmega{}, 32).History(cfg.Pattern, 400, seed)
+		cfg.History = fdet.WithChaos(fdet.LiveOmega{}, fdet.AdviceChaos{Mode: fdet.ChaosFlap, Window: 32}).History(cfg.Pattern, 400, seed)
 		return cfg, uniform(seed)
 	}, nil)
 }
@@ -517,7 +517,7 @@ var reclaimRows = []struct {
 }{
 	{"bursty", nil, fdet.LiveOmega{}, 40},
 	{"bursty/leader-crash", map[int]fdet.Time{0: 2500}, fdet.LiveOmega{}, 40},
-	{"bursty/flap:4", nil, fdet.Flap(fdet.LiveOmega{}, 4), 6000},
+	{"bursty/flap:4", nil, fdet.WithChaos(fdet.LiveOmega{}, fdet.AdviceChaos{Mode: fdet.ChaosFlap, Window: 4}), 6000},
 }
 
 // TestReclaimUnderHostileSchedules runs the kv system with a log window of

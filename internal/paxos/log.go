@@ -48,7 +48,9 @@ type window struct {
 // Log is one process's handle on a replicated log of consensus instances.
 // It is purely local mechanism: slot proposers and the bound window they
 // and the decision sweeps share. Policy — who proposes, what a decided
-// value means — belongs to the caller (internal/kv's replica).
+// value means — belongs to the caller: internal/kv's replica, and the
+// Theorem 9 machine of internal/core (an admission log and a log per
+// simulated code).
 type Log struct {
 	e      sim.Ops
 	prefix string

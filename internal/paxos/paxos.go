@@ -51,9 +51,9 @@ func DecKey(key string) string { return key + decSuffix }
 
 // InstanceKeys returns the bound key table of one consensus instance: one
 // block register per proposer (slot i = BlockKey(key, i)) followed by the
-// decision register (slot nProposers = DecKey(key)). NewProposer binds it
-// once, so the proposer's per-operation path never formats a key or
-// resolves one again.
+// decision register (slot nProposers = DecKey(key)). The caller binds it
+// once for BoundProposer, so the proposer's per-operation path never
+// formats a key or resolves one again.
 func InstanceKeys(key string, nProposers int) []string {
 	keys := make([]string, nProposers+1)
 	for i := 0; i < nProposers; i++ {
@@ -98,9 +98,9 @@ const (
 // before the first step, so stepping an instance never formats or
 // re-resolves a register key. A Proposer is a view: it addresses its
 // instance inside two bound tables by offset. A stand-alone instance
-// (NewProposer) binds its own InstanceKeys table and points both halves at
-// it; a log slot (Log.Proposer) points into the tables its window of slots
-// shares, so minting one binds nothing.
+// (BoundProposer) points both halves at its own InstanceKeys table; a log
+// slot (Log.Proposer) points into the tables its window of slots shares, so
+// minting one binds nothing.
 type Proposer struct {
 	blk       sim.Regs // proposer j's block register is slot blkOff+j
 	blkOff    int
@@ -120,22 +120,12 @@ type Proposer struct {
 	lastWrite Block // our own block content (we are its only writer)
 }
 
-// NewProposer returns a proposer for the given instance, binding the
-// instance's registers on e (the proposer steps are tied to that backend
-// handle from then on). me must be unique among the nProposers processes
-// that may propose to this instance. The proposal may be nil initially and
-// supplied later via SetProposal; the proposer will not enter phase 1
-// without one.
-func NewProposer(e sim.Ops, key string, me, nProposers int, proposal Value) *Proposer {
-	p := BoundProposer(e.Bind(InstanceKeys(key, nProposers)), me, nProposers, proposal)
-	return &p
-}
-
-// BoundProposer is NewProposer over registers the caller has bound, as a
-// value: regs is an instance's InstanceKeys table for nProposers proposers.
-// Processes that drive the same instance run after run build that table once
-// and bind it here, and may keep the proposer in a local array: no method
-// lets the receiver escape.
+// BoundProposer returns a proposer, as a value, for the instance whose
+// InstanceKeys table the caller has bound as regs; me must be unique among
+// its nProposers. Callers that drive the same instance run after run bind
+// that table once and may keep the proposer in a local array: no method lets
+// the receiver escape. The proposal may be nil until SetProposal supplies
+// it; the proposer will not enter phase 1 without one.
 func BoundProposer(regs sim.Regs, me, nProposers int, proposal Value) Proposer {
 	return Proposer{
 		blk:      regs,
@@ -149,7 +139,8 @@ func BoundProposer(regs sim.Regs, me, nProposers int, proposal Value) Proposer {
 	}
 }
 
-// SetProposal supplies (or replaces, before phase 2) the proposer's value.
+// SetProposal supplies the proposer's value if it has none yet; a value
+// already supplied is kept.
 func (p *Proposer) SetProposal(v Value) {
 	if p.proposal == nil {
 		p.proposal = v

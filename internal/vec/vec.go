@@ -53,17 +53,6 @@ func (v Vector) Participants() []int {
 	return out
 }
 
-// Values returns the multiset of non-⊥ values in index order.
-func (v Vector) Values() []Value {
-	out := make([]Value, 0, len(v))
-	for _, x := range v {
-		if x != nil {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // DistinctValues returns the number of distinct non-⊥ values. All non-⊥
 // values must be comparable.
 func (v Vector) DistinctValues() int {

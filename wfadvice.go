@@ -238,7 +238,7 @@ const AdviceEvent = native.AdviceEvent
 const NativeReasonAllDecided = native.ReasonAllDecided
 
 // ExpOptions configures an experiment engine (parallelism, root seed, trial
-// multiplier, per-trial timeout, reduced -short grids).
+// multiplier, reduced -short grids).
 type ExpOptions = exp.Options
 
 // Experiment harness entry points.
