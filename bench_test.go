@@ -122,12 +122,12 @@ func BenchmarkNativeRegisterOps(b *testing.B) {
 }
 
 // BenchmarkNativeRegisterOpsKeyed measures the unbound keyed path — the
-// Ops.Read/Write shape with a string key per operation — which the examples
-// still teach and no body in internal/ runs. Every call resolves its
-// key in the sharded table (hash, shard lock, map hit): there is no
-// per-process cell cache in front of it, so this is the price of not
-// binding, about a third above a private map hit on the dev box (README
-// hot-path table).
+// Ops.Read/Write shape with a string key per operation — which no body in
+// internal/ and no Example runs, only benchmark/'s call decorator. Every
+// call resolves its key in the sharded table (hash, shard lock, map hit):
+// there is no per-process cell cache in front of it, so this is the price
+// of not binding, about a third above a private map hit on the dev box
+// (README hot-path table).
 func BenchmarkNativeRegisterOpsKeyed(b *testing.B) {
 	for _, n := range []int{2, 8} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {

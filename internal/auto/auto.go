@@ -13,7 +13,10 @@
 // "regular collect" semantics, never atomic snapshots.
 package auto
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Value is an automaton register value; nil means "never written".
 type Value = any
@@ -165,4 +168,33 @@ func (s *System) RunKConcurrent(k, maxSteps int) error {
 		return nil
 	}
 	return fmt.Errorf("auto: step budget %d exhausted in k-concurrent run", maxSteps)
+}
+
+// RunKConcurrentRandom is RunKConcurrent under a uniform random scheduler:
+// it admits non-nil slots in index order, keeping at most k undecided
+// admitted slots at any time, and steps one of them picked by rng. Returns
+// an error if maxSteps steps end before every slot decided.
+func (s *System) RunKConcurrentRandom(k int, rng *rand.Rand, maxSteps int) error {
+	var admitted, undecided []int
+	next := 0
+	for steps := 0; steps < maxSteps; steps++ {
+		undecided = undecided[:0]
+		for _, i := range admitted {
+			if _, ok := s.Decided(i); !ok {
+				undecided = append(undecided, i)
+			}
+		}
+		for len(undecided) < k && next < len(s.autos) {
+			if s.autos[next] != nil {
+				admitted = append(admitted, next)
+				undecided = append(undecided, next)
+			}
+			next++
+		}
+		if len(undecided) == 0 {
+			return nil
+		}
+		s.Step(undecided[rng.Intn(len(undecided))])
+	}
+	return fmt.Errorf("auto: step budget %d exhausted in random k-concurrent run", maxSteps)
 }

@@ -662,15 +662,13 @@ func expE10() Experiment {
 						Run: func(t *Trial) Outcome {
 							maxObserved, runs, bad := 0, 0, false
 							for s := 0; s < sweeps; s++ {
-								n := j + 1
-								inputs := vec.New(n)
-								autos := make([]auto.Automaton, n)
+								// j participants among j+1 slots; the last stays empty.
+								autos := make([]auto.Automaton, j+1)
 								for i := 0; i < j; i++ {
-									inputs[i] = i + 1
 									autos[i] = wfree.NewRenaming(i)
 								}
 								sys := auto.NewSystem(autos)
-								if !runKConcurrentRandom(sys, j, k, rand.New(rand.NewSource(t.Rng.Int63())), 300_000) {
+								if sys.RunKConcurrentRandom(k, rand.New(rand.NewSource(t.Rng.Int63())), 300_000) != nil {
 									bad = true
 									continue
 								}
@@ -694,29 +692,6 @@ func expE10() Experiment {
 			return cells
 		},
 	}
-}
-
-func runKConcurrentRandom(sys *auto.System, n, k int, rng *rand.Rand, budget int) bool {
-	var admitted []int
-	next := 0
-	for steps := 0; steps < budget; steps++ {
-		var undecided []int
-		for _, i := range admitted {
-			if _, okd := sys.Decided(i); !okd {
-				undecided = append(undecided, i)
-			}
-		}
-		for len(undecided) < k && next < n {
-			admitted = append(admitted, next)
-			undecided = append(undecided, next)
-			next++
-		}
-		if len(undecided) == 0 {
-			return true
-		}
-		sys.Step(undecided[rng.Intn(len(undecided))])
-	}
-	return false
 }
 
 // expE11 regenerates the Theorem 10 classification table. One cell per

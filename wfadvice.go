@@ -3,16 +3,15 @@
 // Fauconnier, Gafni, Kuznetsov; PODC 2012).
 //
 // The package re-exports the slice of the library's layers that the
-// examples, the root benchmarks and benchmark/ are written against — every
-// name here has a caller there; the rest of the system (the schedule
-// explorer, the chaos wrappers, the per-layer metric gates, ...) is reached
-// through the cmd/ binaries and lives under internal/:
+// Example functions, the root benchmarks and benchmark/ are written
+// against — every name here has a caller there; the rest of the system
+// (the schedule explorer, the chaos wrappers, the per-layer metric gates,
+// ...) is reached through the cmd/ binaries and lives under internal/:
 //
 //   - task constructors (consensus, k-set agreement, renaming) and vectors
 //   - failure patterns and detectors (Ω, vector-Ωk, the §2.3 counterexample)
 //   - the step-level shared-memory runtime for EFD systems: Config,
-//     NewRuntime, schedulers, plus trace analyzers (CheckTask, DecidedAll,
-//     MaxConcurrency)
+//     NewRuntime, schedulers, plus trace analyzers (CheckTask, DecidedAll)
 //   - collect automata and the Borowsky–Gafni substrate
 //   - the solvers and reductions: the direct vector-Ωk agreement solver,
 //     the generic Theorem 9 machine, the Figure 1 ¬Ωk extraction, and the
@@ -118,19 +117,15 @@ var (
 	NewRandomSched = sim.NewRandom
 	CheckTask      = sim.CheckTask
 	DecidedAll     = sim.DecidedAll
-	MaxConcurrency = sim.MaxConcurrency
 )
 
-// Restricted algorithms (collect automata) and their substrate.
-type (
-	// Automaton is a collect automaton (write + collect per step).
-	Automaton = auto.Automaton
-	// AutoSystem executes automata deterministically in-process.
-	AutoSystem = auto.System
-)
+// Automaton is a restricted algorithm: a collect automaton (write + collect
+// per step).
+type Automaton = auto.Automaton
 
-// Automaton constructors.
+// Automaton constructors and their substrate.
 var (
+	// NewAutoSystem executes automata deterministically in-process.
 	NewAutoSystem   = auto.NewSystem
 	NewRenamingFig4 = wfree.NewRenaming
 	RunBG           = bg.Run

@@ -6,70 +6,6 @@ import (
 	"wfadvice"
 )
 
-// TestFacadeConsensus drives the library exactly as README's quickstart
-// does, through the public API only.
-func TestFacadeConsensus(t *testing.T) {
-	pattern := wfadvice.FailureFree(4)
-	solver := wfadvice.DirectConfig{NC: 4, NS: 4, K: 1, LeaderVec: wfadvice.OmegaLeader}
-	cfg := wfadvice.Config{
-		NC: 4, NS: 4,
-		Inputs:   wfadvice.VectorOf("a", "b", "c", "d"),
-		CBody:    solver.DirectCBody,
-		SBody:    solver.DirectSBody,
-		Pattern:  pattern,
-		History:  wfadvice.Omega{}.History(pattern, 200, 42),
-		MaxSteps: 1_000_000,
-	}
-	rt, err := wfadvice.NewRuntime(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := rt.Run(&wfadvice.StopWhenDecided{Inner: &wfadvice.RoundRobin{}})
-	if err := wfadvice.DecidedAll(res); err != nil {
-		t.Fatal(err)
-	}
-	if err := wfadvice.CheckTask(wfadvice.NewConsensus(4), res); err != nil {
-		t.Fatal(err)
-	}
-	if wfadvice.MaxConcurrency(res) < 1 {
-		t.Fatal("no concurrency measured")
-	}
-}
-
-// TestFacadeGenericSolver exercises the Theorem 9 machine and the
-// Figure 4 automaton through the facade.
-func TestFacadeGenericSolver(t *testing.T) {
-	const n, j, k = 4, 3, 2
-	machine := wfadvice.MachineConfig{
-		NC: n, NS: n, K: k,
-		Factory: func(i int, _ any) wfadvice.Automaton { return wfadvice.NewRenamingFig4(i) },
-	}
-	pattern := wfadvice.FailureFree(n)
-	inputs := wfadvice.NewVector(n)
-	for i := 0; i < j; i++ {
-		inputs[i] = i + 1
-	}
-	cfg := wfadvice.Config{
-		NC: n, NS: n, Inputs: inputs,
-		CBody:    machine.SolverCBody,
-		SBody:    machine.SolverSBody,
-		Pattern:  pattern,
-		History:  wfadvice.VectorOmegaK{K: k, GoodPos: 0}.History(pattern, 300, 5),
-		MaxSteps: 5_000_000,
-	}
-	rt, err := wfadvice.NewRuntime(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := rt.Run(&wfadvice.StopWhenDecided{Inner: &wfadvice.RoundRobin{}})
-	if err := wfadvice.DecidedAll(res); err != nil {
-		t.Fatal(err)
-	}
-	if err := wfadvice.CheckTask(wfadvice.NewRenaming(n, j, j+k-1), res); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFacadeExtraction exercises the Figure 1 witness through the facade.
 func TestFacadeExtraction(t *testing.T) {
 	const n, k = 4, 1
