@@ -227,13 +227,12 @@ func TestKVStressSharesScenarioAssembly(t *testing.T) {
 // TestKVPutAllocBudget holds a replicated put to what its protocol allocates:
 // closed-loop runs of the benchmark's kv-put shape (3 replicas, 4 clerks, all
 // puts) average at most 5.5 heap objects per completed operation, set-up,
-// drain and post-hoc check included. About 4.6 is what is left once a
+// drain and post-hoc check included. About 3.0 is what is left once a
 // register write costs no object of the cell's own: the request and reply
-// boxings, the batch and its slice, the three paxos values of a slot shared
-// by the batch's operations, and four cells per slot. A cell that boxes every
-// non-int write again adds 3.5. Under the race detector a run completes a
-// tenth of the operations, so the fixed costs weigh more (about 4.9 against
-// 8.5): the budget there is 7.
+// boxings, and a slot's `Batch` box and phase-2 block shared by the batch's
+// operations. A cell that boxes every non-int write again adds 3.5. Under
+// the race detector a run completes a tenth of the operations, so the fixed
+// costs weigh more (it reads about 3.3): the budget there is 7.
 func TestKVPutAllocBudget(t *testing.T) {
 	var mallocs uint64
 	var ops int64

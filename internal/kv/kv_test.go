@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"wfadvice/internal/explore"
 	"wfadvice/internal/fdet"
@@ -403,8 +404,11 @@ func TestKVSimEndToEnd(t *testing.T) {
 // TestClerkRecordCapacity: a session's record slice is sized from what the
 // clerk knows when it fills — the script length, the open-loop schedule, or a
 // closed-loop clerk's own rate since it last asked, once a sixteenth of the
-// window has passed.
+// window has passed — and a record packs into 64 bytes.
 func TestClerkRecordCapacity(t *testing.T) {
+	if got := unsafe.Sizeof(OpRecord{}); got != 64 {
+		t.Errorf("OpRecord is %d bytes, want 64", got)
+	}
 	clock := func() int64 { return 0 }
 	const second = int64(1e9)
 	for _, tc := range []struct {
@@ -468,6 +472,29 @@ func TestReplicaAbandonsInflightOnFlap(t *testing.T) {
 	r.noteLead(false) // already a follower: nothing left to abandon
 	if r.wasLead {
 		t.Fatal("follower iterations did not track the edge")
+	}
+}
+
+// TestCarveCapsBatches: proposed batches share a slab until it is full, each
+// capped at its own length, so appending to one never writes into the next.
+func TestCarveCapsBatches(t *testing.T) {
+	r := &replica{}
+	reqs := []Request{{Client: 0, Seq: 1}, {Client: 1, Seq: 1}}
+	a := r.carve(reqs)
+	b := r.carve(reqs[:1])
+	if len(a) != 2 || cap(a) != 2 || &a[0] != &r.slab[0] || &b[0] != &r.slab[2] {
+		t.Fatalf("batches are not consecutive capped slices of one slab: len %d cap %d", len(a), cap(a))
+	}
+	_ = append(a, Request{Client: 2, Seq: 9})
+	if b[0] != reqs[0] {
+		t.Fatalf("appending to one batch overwrote the next: %+v", b[0])
+	}
+	for len(r.slab) < slabRequests-1 {
+		r.carve(reqs[:1])
+	}
+	full := &r.slab[0]
+	if c := r.carve(reqs); &r.slab[0] == full || &c[0] != &r.slab[0] || cap(r.slab) != slabRequests {
+		t.Fatal("a batch that does not fit the slab's tail did not start a new slab")
 	}
 }
 

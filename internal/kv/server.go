@@ -52,7 +52,14 @@ type replica struct {
 
 	// batch is per-iteration scratch, reused across iterations.
 	batch []Request
+	// slab is where proposed batches' requests are copied to: each batch is
+	// carved off its unused tail, capacity capped at its own length, and a
+	// full slab is left to the batches that hold it.
+	slab []Request
 }
+
+// slabRequests is the number of requests in one slab (12 KB).
+const slabRequests = 256
 
 // Body returns replica me's program. The loop is: query advice, apply
 // everything decided (Sweep), harvest the request registers in one batched
@@ -306,7 +313,7 @@ func (r *replica) serve(lead bool) bool {
 	}
 	if !r.inflight && len(r.batch) > 0 {
 		r.batchSeq++
-		b := Batch{Proposer: r.me, Seq: r.batchSeq, Reqs: append([]Request(nil), r.batch...)}
+		b := Batch{Proposer: r.me, Seq: r.batchSeq, Reqs: r.carve(r.batch)}
 		r.slot = r.next
 		r.flight = b.Reqs
 		r.log.Proposer(r.slot).SetProposal(b)
@@ -315,6 +322,18 @@ func (r *replica) serve(lead bool) bool {
 		progress = true
 	}
 	return progress
+}
+
+// carve copies reqs into the slab and returns the copy, capped at its own
+// length so that no later append can write into a proposed batch. A batch
+// that does not fit the slab's tail starts a new slab.
+func (r *replica) carve(reqs []Request) []Request {
+	n := len(r.slab)
+	if cap(r.slab)-n < len(reqs) {
+		r.slab, n = make([]Request, 0, max(slabRequests, len(reqs))), 0
+	}
+	r.slab = append(r.slab, reqs...)
+	return r.slab[n:len(r.slab):len(r.slab)]
 }
 
 // inBatch reports whether (c, seq) is in the in-flight batch. The batch is

@@ -71,15 +71,17 @@ type Batch struct {
 
 // OpRecord is one completed client operation as the clerk observed it, the
 // unit of the linearizability check.
+//
+// The fields are ordered by size, so that a record packs into 64 bytes.
 type OpRecord struct {
-	Op    OpKind
 	Key   string
 	Arg   int64 // Put argument
 	Out   int64 // reply value
 	Ver   int64 // reply version
-	Lease bool  // reply was lease-served (reads only)
 	Start int64 // invocation timestamp, ns since the run base; 0 on sim
 	End   int64 // completion timestamp; 0 on sim
+	Op    OpKind
+	Lease bool // reply was lease-served (reads only)
 	// TimedOut marks an operation whose reply never arrived before the
 	// clerk's per-op deadline. The clerk moves on; the request may still
 	// apply later (or never), so the linearizability check treats the op as

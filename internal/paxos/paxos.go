@@ -30,10 +30,16 @@ type Block struct {
 	Val  Value // the value written in round Bal
 }
 
-// decRec wraps a decision so that the register is non-nil once decided.
-type decRec struct {
-	V Value
-}
+// phase1Blocks holds Block{MBal: r}, boxed once, at index r: the phase-1
+// write of a proposer that has never accepted a value, which is every
+// phase-1 write of an uncontended instance. Register values are immutable,
+// so every such write shares its round's box and costs no object.
+var phase1Blocks = func() (t [64]sim.Value) {
+	for r := range t {
+		t[r] = Block{MBal: r}
+	}
+	return t
+}()
 
 // The register keys of instance key are key+blkInfix+i for proposer i's
 // block and key+decSuffix for the decision; the per-window key tables of a
@@ -66,20 +72,18 @@ func InstanceKeys(key string, nProposers int) []string {
 // DecodeDecision interprets a raw value read from an instance's DecKey
 // register. Batched poll loops read many decision registers in one
 // sim.Ops.ReadMany and decode each slot with it.
-func DecodeDecision(v sim.Value) (Value, bool) {
-	if d, ok := v.(decRec); ok {
-		return d.V, true
-	}
-	return nil, false
-}
+//
+// The register holds the decided value itself, and nil means undecided. That
+// rests on one invariant: no proposer decides nil. A proposer does not enter
+// phase 1 without a proposal, and the value it carries into phase 2 is its
+// proposal or one an earlier phase 2 carried, so by induction every value
+// written to a decision register is non-nil.
+func DecodeDecision(v sim.Value) (Value, bool) { return v, v != nil }
 
 // DecisionFromStore inspects a final-store snapshot for a decision without
 // consuming steps (test and analyzer use only).
 func DecisionFromStore(store map[string]sim.Value, key string) (Value, bool) {
-	if v, ok := store[DecKey(key)].(decRec); ok {
-		return v.V, true
-	}
-	return nil, false
+	return DecodeDecision(store[DecKey(key)])
 }
 
 // program counters of the proposer state machine.
@@ -189,8 +193,12 @@ func (p *Proposer) StepOp(lead bool) (Value, bool) {
 		return nil, false
 
 	case pcP1Write:
-		p.lastWrite = Block{MBal: p.round, Bal: p.lastWrite.Bal, Val: p.lastWrite.Val}
-		p.blk.Write(p.blkOff+p.me, p.lastWrite)
+		p.lastWrite.MBal = p.round
+		if p.lastWrite.Bal == 0 && p.round < len(phase1Blocks) {
+			p.blk.Write(p.blkOff+p.me, phase1Blocks[p.round])
+		} else {
+			p.blk.Write(p.blkOff+p.me, p.lastWrite)
+		}
 		p.readIdx, p.maxSeen, p.pickBal, p.pickVal = 0, 0, 0, nil
 		p.pc = pcP1Read
 		return nil, false
@@ -235,7 +243,7 @@ func (p *Proposer) StepOp(lead bool) (Value, bool) {
 		return nil, false
 
 	case pcDecWrite:
-		p.dec.Write(p.decOff, decRec{V: p.curVal})
+		p.dec.Write(p.decOff, p.curVal)
 		p.decision = p.curVal
 		p.pc = pcDone
 		return p.decision, true

@@ -90,7 +90,16 @@ func TestValidity(t *testing.T) {
 }
 
 func TestSoloProposerDecides(t *testing.T) {
-	sweepProposers(t, 1, 1, 1000, always, decidedAll("v0"))
+	sweepProposers(t, 1, 1, 1000, always, func(res *sim.Result) error {
+		if err := decidedAll("v0")(res); err != nil {
+			return err
+		}
+		// The decision register holds the decided value itself.
+		if v := res.FinalStore[DecKey("inst")]; v != "v0" {
+			return fmt.Errorf("decision register holds %#v, want the proposal", v)
+		}
+		return nil
+	})
 }
 
 func TestStableLeaderDecides(t *testing.T) {
