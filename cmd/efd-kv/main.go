@@ -30,7 +30,8 @@
 //
 // -http serves the live debug endpoint while the run is going: /metrics
 // (native and kv counters, per-op-kind latency histograms, the overall
-// open-loop latency histogram), /trace, /debug/pprof/* and /debug/vars.
+// open-loop latency histogram), /progress (clerk ops completed, timeouts,
+// goroutines and live heap), /trace, /debug/pprof/* and /debug/vars.
 //
 // Exit status: 0 on success, 1 if the checker rejected the run (a
 // linearizability violation or an undecided clerk), 2 on bad flags.
@@ -137,10 +138,15 @@ func main() {
 		tracer = native.NewTracer(*traceCap)
 	}
 	latency := obs.NewHistogram()
+	start := kv.Telemetry.Snapshot()
 	stopHTTP, err := obs.ServeDebug("efd-kv", *httpAddr, 0, obs.DebugOptions{
 		Layers:     []*obs.Taxonomy{native.Telemetry, kv.Telemetry},
 		Histograms: map[string]*obs.Histogram{"kv_open_loop_latency_ns": latency},
 		Tracer:     tracer,
+		Progress: func() any {
+			d := kv.Telemetry.Snapshot().Delta(start).Map()
+			return obs.WithProcess(map[string]any{"ops": latency.Snapshot().Count, "timeouts": d["kv_deadline_expired"]})
+		},
 	})
 	if err != nil {
 		fail("-http: %v", err)

@@ -2,8 +2,8 @@
 // a pool of workers runs back-to-back instances of the task's advice-based
 // algorithm — real goroutines over atomics-backed registers, live
 // failure-detector advice, injected S-process crashes — until the wall-clock
-// budget elapses, then reports throughput, decision-latency percentiles and
-// the post-hoc checker verdicts.
+// budget elapses, then reports throughput in decisions per second,
+// decision-latency percentiles and the post-hoc checker verdicts.
 //
 // Usage examples:
 //
@@ -18,20 +18,22 @@
 //	efd-stress -task consensus -n 4 -duration 30s -http 127.0.0.1:9190
 //	efd-stress -task consensus -n 4 -duration 5s -trace-out trace.json
 //
-// The -snapshot form is the native soak profile: periodic report snapshots
-// (cumulative runs/ops, interval throughput, goroutine and heap gauges, and
-// the native counter deltas — advice publications and notifier wakeups —
-// for the interval) are printed to stderr as the run progresses and
-// embedded in the -json report; after the run the snapshot series is
-// audited for goroutine/heap growth and a detected leak fails the command
-// like a checker violation.
+// The -snapshot form is the native soak profile: every interval a progress
+// line goes to stderr — runs and decisions so far, the goroutine count, the
+// live heap, and the per-second rate of every native counter that moved in
+// the interval (advice publications, notifier wakeups and timeouts among
+// them). It is the /progress document -http serves, printed by the debug
+// endpoint's heartbeat. After the run the goroutine and heap series is
+// audited for growth, and a detected leak fails the command like a checker
+// violation. The interval may be at most half of -duration, so the audit
+// has two halves to compare.
 //
 // -http serves the live debug endpoint while the run is going: /metrics
 // (Prometheus text: every native counter, the decision-latency histogram,
-// runtime gauges), /trace (the decision-lifecycle ring; ?format=chrome for
-// chrome://tracing / Perfetto), /debug/pprof/* and /debug/vars. -trace-out
-// writes the Chrome-format trace dump to a file when the run ends; either
-// flag arms the tracer.
+// runtime gauges), /progress, /trace (the decision-lifecycle ring;
+// ?format=chrome for chrome://tracing / Perfetto), /debug/pprof/* and
+// /debug/vars. -trace-out writes the Chrome-format trace dump to a file when
+// the run ends; either flag arms the tracer.
 //
 // Exit status: 0 on success, 1 if any instance failed the checker (a ∆
 // violation or an undecided C-process) or the soak leak audit, 2 on bad
@@ -74,7 +76,7 @@ func main() {
 		tick       = flag.Duration("tick", 0, "clock tick = one model time unit (0 = default 100µs)")
 		seed       = flag.Int64("seed", 1, "root seed for advice histories")
 		pin        = flag.Bool("pin", false, "lock every process goroutine to its own OS thread (kernel-scheduled instances)")
-		snapshot   = flag.Duration("snapshot", 0, "soak profile: emit a report snapshot every interval (0 = off); leak growth across snapshots fails the run")
+		snapshot   = flag.Duration("snapshot", 0, "soak profile: print a progress line every interval (0 = off, at most half of -duration); goroutine or heap growth across the lines fails the run")
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON on stdout")
 		httpAddr   = flag.String("http", "", "serve the live debug endpoint (/metrics, /trace, /debug/pprof) on this address for the duration of the run")
 		traceOut   = flag.String("trace-out", "", "write the decision-lifecycle trace (Chrome trace format) to this file at exit")
@@ -100,6 +102,8 @@ func main() {
 		badFlag("-workers must be non-negative, got %d (0 = sized to GOMAXPROCS)", *workers)
 	case *snapshot < 0:
 		badFlag("-snapshot must be non-negative, got %v (0 = off)", *snapshot)
+	case *snapshot > *duration/2:
+		badFlag("-snapshot must be at most half of -duration (%v), got %v: the leak audit compares two halves of the series", *duration, *snapshot)
 	case *procs < 0:
 		badFlag("-procs must be non-negative, got %d (0 = leave as is)", *procs)
 	case *traceCap < 1 || *traceCap > obs.MaxTraceCap:
@@ -126,36 +130,36 @@ func main() {
 		tracer = native.NewTracer(*traceCap)
 	}
 	latency := obs.NewHistogram()
-	stopHTTP, err := obs.ServeDebug("efd-stress", *httpAddr, 0, obs.DebugOptions{
+	// The soak profile is the debug endpoint's heartbeat at -snapshot, its
+	// line the /progress document; the soak records every beat's gauges.
+	soak, start := new(obs.Soak), native.Telemetry.Snapshot()
+	stopHTTP, err := obs.ServeDebug("efd-stress", *httpAddr, *snapshot, obs.DebugOptions{
 		Layers:     []*obs.Taxonomy{native.Telemetry},
 		Histograms: map[string]*obs.Histogram{"decision_latency_ns": latency},
 		Tracer:     tracer,
+		Progress: func() any {
+			d := native.Telemetry.Snapshot().Delta(start).Map()
+			return obs.WithProcess(map[string]any{"runs": d["run_start"], "decisions": d["decide"]})
+		},
+		Soak: soak,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "efd-stress: -http: %v\n", err)
 		os.Exit(2)
 	}
-	defer stopHTTP()
 	rep, err := native.Stress(sc.Name, sc.Task, func(s int64) (native.Config, error) {
 		return sc.NativeConfig(s, *tick), nil
 	}, native.StressOptions{
-		Duration:      *duration,
-		RunBudget:     *runBudget,
-		Workers:       *workers,
-		Rate:          *rate,
-		Seed:          *seed,
-		Pin:           *pin,
-		SnapshotEvery: *snapshot,
-		Tracer:        tracer,
-		Latency:       latency,
-		OnSnapshot: func(s native.SoakSnapshot) {
-			d := s.CounterDelta
-			fmt.Fprintf(os.Stderr, "soak %8s  runs=%d ops=%d interval=%.0f ops/s goroutines=%d heap=%dMB pubs=%d wakeups=%d timeouts=%d\n",
-				s.Elapsed.Round(time.Second), s.Runs, s.Ops, s.IntervalOpsPerSec,
-				s.Goroutines, s.HeapAlloc>>20,
-				d["advice_pub_coop"]+d["advice_pub_waker"], d["notify_wake"], d["notify_timeout"])
-		},
+		Duration:  *duration,
+		RunBudget: *runBudget,
+		Workers:   *workers,
+		Rate:      *rate,
+		Seed:      *seed,
+		Pin:       *pin,
+		Tracer:    tracer,
+		Latency:   latency,
 	})
+	stopHTTP()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "efd-stress: %v\n", err)
 		os.Exit(2)
@@ -176,7 +180,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	leakErr := rep.LeakCheck()
+	leakErr := soak.Check()
 	if leakErr != nil {
 		fmt.Fprintf(os.Stderr, "efd-stress: soak leak audit: %v\n", leakErr)
 	}

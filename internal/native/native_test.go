@@ -14,6 +14,7 @@ import (
 	"wfadvice/internal/core"
 	"wfadvice/internal/fdet"
 	"wfadvice/internal/native"
+	"wfadvice/internal/obs"
 	"wfadvice/internal/sim"
 	"wfadvice/internal/task"
 	"wfadvice/internal/vec"
@@ -419,6 +420,9 @@ func TestStress(t *testing.T) {
 	if rep.Runs == 0 || rep.Ops == 0 || rep.Decisions == 0 {
 		t.Fatalf("empty stress report:\n%s", rep.Render())
 	}
+	if rep.Ops != int64(rep.Decisions) {
+		t.Errorf("ops = %d, want one per decision (%d): a one-shot run's operation is a decision", rep.Ops, rep.Decisions)
+	}
 	if rep.Latency.Samples == 0 || rep.Latency.P50 <= 0 || rep.Latency.Max < rep.Latency.P99 {
 		t.Fatalf("implausible latency stats:\n%s", rep.Render())
 	}
@@ -489,33 +493,37 @@ func TestStressBuildsEachInstanceOnce(t *testing.T) {
 func TestSoakSmoke(t *testing.T) {
 	s := scenario(t, core.ScenarioParams{Task: "consensus", N: 4, Stabilize: 10})
 	burst := func(d time.Duration) {
-		// Snapshot sixteen times a burst so every burst exercises the soak
-		// profile: the monitor goroutine, the snapshot series and the
+		// Beat sixteen times a burst so every burst exercises the soak
+		// profile: the debug endpoint's heartbeat, the soak series and the
 		// post-hoc leak audit — the same machinery `efd-stress -duration
 		// 10m -snapshot 30s` runs for real soaks. The audit compares the
 		// floors of the two halves of the series, and a floor read off two
-		// snapshots is no floor: a snapshot finds both workers mid-instance
-		// about one time in four and both idle one time in thirty.
+		// beats is no floor: a beat finds both workers mid-instance about
+		// one time in four and both idle one time in thirty.
+		var soak obs.Soak
+		beats := 0 // read after stop, which waits for the heartbeat
+		stop, err := obs.ServeDebug("soak", "", d/16, obs.DebugOptions{
+			Progress: func() any { beats++; return map[string]any{} },
+			Soak:     &soak,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
 			return s.NativeConfig(seed, tick), nil
-		}, native.StressOptions{Duration: d, RunBudget: 5 * time.Second, Workers: 2, Seed: 1,
-			SnapshotEvery: d / 16})
+		}, native.StressOptions{Duration: d, RunBudget: 5 * time.Second, Workers: 2, Seed: 1})
+		stop()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Failed() {
 			t.Fatalf("soak burst failed:\n%s", rep.Render())
 		}
-		if len(rep.Snapshots) == 0 {
-			t.Fatal("soak burst collected no snapshots")
+		if beats < 2 {
+			t.Fatalf("soak burst heard %d heartbeat beats, want at least two to audit", beats)
 		}
-		for _, snap := range rep.Snapshots {
-			if snap.Goroutines <= 0 || snap.HeapAlloc == 0 {
-				t.Fatalf("implausible soak snapshot: %+v", snap)
-			}
-		}
-		if err := rep.LeakCheck(); err != nil {
-			t.Fatalf("leak audit over %d snapshots: %v", len(rep.Snapshots), err)
+		if err := soak.Check(); err != nil {
+			t.Fatalf("leak audit over %d beats: %v", beats, err)
 		}
 	}
 	bursts, dur := 3, 150*time.Millisecond
@@ -556,39 +564,6 @@ func TestSoakSmoke(t *testing.T) {
 	if after.HeapAlloc > base.HeapAlloc+slack {
 		t.Fatalf("heap grew from %d to %d bytes after soak (> %d slack): retained garbage",
 			base.HeapAlloc, after.HeapAlloc, slack)
-	}
-}
-
-// TestLeakCheckComparesFloors: a soak snapshot lands anywhere between every
-// worker idling between two instances and every worker mid-instance, so the
-// audit compares the low-water marks of the two halves of the series, not
-// two snapshots. A series whose first snapshot caught the pool empty and
-// whose last caught it full is clean (first against last, it read as 17
-// leaked goroutines); a floor that rises is a leak, in goroutines or heap.
-func TestLeakCheckComparesFloors(t *testing.T) {
-	series := func(heapStep uint64, goroutines ...int) *native.StressReport {
-		rep := &native.StressReport{}
-		for i, g := range goroutines {
-			rep.Snapshots = append(rep.Snapshots, native.SoakSnapshot{Goroutines: g, HeapAlloc: 8<<20 + uint64(i)*heapStep})
-		}
-		return rep
-	}
-	for _, clean := range [][]int{
-		{6, 23, 14, 23},                 // empty pool first, full pool last
-		{6, 23, 23, 14, 23, 13, 23, 23}, // the same shape, longer
-		{23, 23, 6, 6},                  // shrinking
-		{23},                            // no series to speak of
-	} {
-		if err := series(1<<20, clean...).LeakCheck(); err != nil {
-			t.Errorf("series %v: %v, want clean", clean, err)
-		}
-	}
-	// The floor rising by some eight goroutines a snapshot under the same noise.
-	if err := series(0, 6, 23, 31, 30, 38, 55, 63, 62).LeakCheck(); err == nil || !strings.Contains(err.Error(), "goroutine") {
-		t.Errorf("rising goroutine floor: LeakCheck = %v, want a goroutine leak", err)
-	}
-	if err := series(32<<20, 6, 23, 14, 23, 6, 23).LeakCheck(); err == nil || !strings.Contains(err.Error(), "heap") {
-		t.Errorf("heap growing 32 MB a snapshot: LeakCheck = %v, want a heap leak", err)
 	}
 }
 

@@ -25,8 +25,7 @@ func TestStressObservability(t *testing.T) {
 		return s.NativeConfig(seed, tick), nil
 	}, native.StressOptions{
 		Duration: dur, RunBudget: 5 * time.Second, Workers: 2, Seed: 1,
-		Tracer:        tracer,
-		SnapshotEvery: dur / 4,
+		Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,20 +57,6 @@ func TestStressObservability(t *testing.T) {
 	l := rep.Latency
 	if !(l.P50 <= l.P90 && l.P90 <= l.P99 && l.P99 <= l.P999 && l.P999 <= l.Max) {
 		t.Errorf("percentiles not monotone: %+v", l)
-	}
-
-	// Soak snapshots carry interval counter deltas.
-	if len(rep.Snapshots) == 0 {
-		t.Fatal("no soak snapshots collected")
-	}
-	sawDelta := false
-	for _, snap := range rep.Snapshots {
-		if len(snap.CounterDelta) > 0 {
-			sawDelta = true
-		}
-	}
-	if !sawDelta {
-		t.Error("no snapshot carried counter deltas")
 	}
 
 	// Trace: the ring must hold complete lifecycles, and the accounting

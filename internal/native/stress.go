@@ -45,16 +45,6 @@ type StressOptions struct {
 	// default pool never runs more pinned threads than ~GOMAXPROCS rounded
 	// up to one whole instance.
 	Pin bool
-	// SnapshotEvery enables the soak profile: every such interval the
-	// harness appends a SoakSnapshot — cumulative runs/ops, interval
-	// ops/sec, live goroutine count and heap stats — to the report, and
-	// calls OnSnapshot if set. Long-duration runs (`-duration 10m
-	// -snapshot 30s`) use the series to spot slow goroutine or heap leaks
-	// that a 2s smoke cannot (StressReport.LeakCheck audits it post hoc).
-	SnapshotEvery time.Duration
-	// OnSnapshot, if non-nil, observes each snapshot as it is taken (the
-	// efd-stress live progress line).
-	OnSnapshot func(SoakSnapshot)
 	// Tracer, if non-nil, records every instance's decision lifecycle into
 	// the shared ring (runs are distinguished by RunID = the instance
 	// counter). Nil traces nothing at zero cost.
@@ -73,26 +63,6 @@ func (o StressOptions) runBudget() time.Duration {
 	return 5 * time.Second
 }
 
-// SoakSnapshot is one periodic observation of a long stress run: cumulative
-// progress, the interval's throughput, and the process-level resource gauges
-// whose growth across snapshots is the leak signal.
-type SoakSnapshot struct {
-	Elapsed time.Duration `json:"elapsed_ns"`
-	Runs    int           `json:"runs"`
-	Ops     int64         `json:"ops"`
-	// IntervalOpsPerSec is the throughput since the previous snapshot (the
-	// cumulative rate hides late-run collapses).
-	IntervalOpsPerSec float64 `json:"interval_ops_per_sec"`
-	Goroutines        int     `json:"goroutines"`
-	HeapAlloc         uint64  `json:"heap_alloc"`
-	HeapObjects       uint64  `json:"heap_objects"`
-	// CounterDelta holds the native counters that moved during this
-	// snapshot's interval (zeros omitted) — the live "is advice still
-	// publishing, are parked pollers still waking" signal on the progress
-	// line.
-	CounterDelta map[string]int64 `json:"counter_delta,omitempty"`
-}
-
 // LatencyStats summarizes decision latencies. The percentiles come from the
 // log-bucketed histogram, so each is exact to within its bucket's ±12.5%
 // relative resolution; Max and Samples are exact.
@@ -105,7 +75,10 @@ type LatencyStats struct {
 	Samples int           `json:"samples"`
 }
 
-// StressReport is the aggregate outcome of a stress run.
+// StressReport is the aggregate outcome of a stress run. Ops counts
+// client-visible operations and OpsPerSec their rate: a C-process decision
+// each in a one-shot run, a completed clerk operation in a KV run. Raw
+// register operations are not the currency: spin-reads inflate them.
 type StressReport struct {
 	Scenario  string        `json:"scenario"`
 	Workers   int           `json:"workers"`
@@ -131,54 +104,12 @@ type StressReport struct {
 	Registers int          `json:"registers,omitempty"`
 	Latency   LatencyStats `json:"latency"`
 	Errors    []string     `json:"errors,omitempty"` // first few checker messages
-	// Snapshots is the soak series (StressOptions.SnapshotEvery > 0 only).
-	Snapshots []SoakSnapshot `json:"snapshots,omitempty"`
 	// Counters holds the native counter deltas attributable to this run
 	// (process-wide snapshot at end minus start; zeros omitted).
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// Histogram is the full decision-latency bucket distribution backing
 	// Latency, for offline re-aggregation. Omitted when empty.
 	Histogram *obs.HistSnapshot `json:"histogram,omitempty"`
-}
-
-// LeakCheck audits a soak series for monotone resource growth: it compares
-// the low-water marks of the second half of the series and of the first,
-// allowing slack for scheduler and GC noise (goroutines: a few stragglers
-// from instances still winding down; heap: transient live sets between GC
-// cycles). A snapshot lands anywhere between "every worker is between two
-// instances" and "every worker is mid-instance", a whole pool of process
-// goroutines apart, so two single snapshots say little; a leak raises the
-// floor, and the floor is what the halves are compared on. It reports nil
-// for runs without a soak series. The thresholds are deliberately generous —
-// this is a leak detector for 10-minute soaks, not a memory benchmark.
-func (r *StressReport) LeakCheck() error {
-	n := len(r.Snapshots)
-	if n < 2 {
-		return nil
-	}
-	g0, h0 := lowWater(r.Snapshots[:n/2])
-	g1, h1 := lowWater(r.Snapshots[n/2:])
-	const goroutineSlack = 16
-	if g1 > g0+goroutineSlack {
-		return fmt.Errorf("native: goroutine low-water mark grew %d → %d from the first half of the soak to the second (> %d slack): leaked instance or advice-service goroutines",
-			g0, g1, goroutineSlack)
-	}
-	const heapSlack = 64 << 20
-	if h1 > h0+heapSlack {
-		return fmt.Errorf("native: heap low-water mark grew %d → %d bytes from the first half of the soak to the second (> %d slack): retained garbage",
-			h0, h1, heapSlack)
-	}
-	return nil
-}
-
-// lowWater is the floor of a stretch of a soak series: the fewest goroutines
-// and the smallest live heap any of its snapshots saw.
-func lowWater(ss []SoakSnapshot) (goroutines int, heap uint64) {
-	goroutines, heap = ss[0].Goroutines, ss[0].HeapAlloc
-	for _, s := range ss[1:] {
-		goroutines, heap = min(goroutines, s.Goroutines), min(heap, s.HeapAlloc)
-	}
-	return goroutines, heap
 }
 
 // Render formats the report as aligned text.
@@ -251,51 +182,6 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 	if opt.Rate > 0 {
 		interval = time.Duration(float64(time.Second) / opt.Rate)
 	}
-	// Soak monitor: sample progress and resource gauges on a fixed cadence
-	// until the workers drain. runtime.ReadMemStats stops the world briefly,
-	// which at soak cadences (tens of seconds) is negligible.
-	monitorDone := make(chan struct{})
-	var monitorWG sync.WaitGroup
-	if opt.SnapshotEvery > 0 {
-		monitorWG.Add(1)
-		go func() {
-			defer monitorWG.Done()
-			ticker := time.NewTicker(opt.SnapshotEvery)
-			defer ticker.Stop()
-			var lastOps int64
-			var lastAt time.Duration
-			lastCounters := startCounters
-			for {
-				select {
-				case <-monitorDone:
-					return
-				case <-ticker.C:
-				}
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				now := Telemetry.Snapshot()
-				snap := SoakSnapshot{
-					Elapsed:      time.Since(start),
-					Goroutines:   runtime.NumGoroutine(),
-					HeapAlloc:    ms.HeapAlloc,
-					HeapObjects:  ms.HeapObjects,
-					CounterDelta: now.Delta(lastCounters).Map(),
-				}
-				lastCounters = now
-				mu.Lock()
-				snap.Runs, snap.Ops = rep.Runs, rep.Ops
-				if dt := (snap.Elapsed - lastAt).Seconds(); dt > 0 {
-					snap.IntervalOpsPerSec = float64(snap.Ops-lastOps) / dt
-				}
-				lastOps, lastAt = snap.Ops, snap.Elapsed
-				rep.Snapshots = append(rep.Snapshots, snap)
-				mu.Unlock()
-				if opt.OnSnapshot != nil {
-					opt.OnSnapshot(snap)
-				}
-			}
-		}()
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -360,7 +246,6 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 				derr := CheckDecided(res)
 				mu.Lock()
 				rep.Runs++
-				rep.Ops += res.Ops
 				rep.Decisions += len(res.Decisions)
 				rep.Crashes += len(res.Crashed)
 				rep.Judge(verr, derr)
@@ -369,12 +254,11 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 		}()
 	}
 	wg.Wait()
-	close(monitorDone)
-	monitorWG.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	rep.Elapsed = time.Since(start)
+	rep.Ops = int64(rep.Decisions)
 	rep.Summarize(hist.Snapshot(), startCounters)
 	return rep, nil
 }

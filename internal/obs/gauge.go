@@ -5,7 +5,7 @@ import "sync/atomic"
 // This file adds the point-in-time primitive the counters deliberately are
 // not: a Gauge is a single padded atomic cell holding the *current* value
 // of something (frontier depth, cells in flight, workers active), written
-// by whoever holds the fact and read by samplers and the debug endpoint.
+// by whoever holds the fact and read by the debug endpoint.
 // Unlike counters, gauges go down; unlike histograms, they have no memory.
 // Writes are last-write-wins across goroutines — exactly right for a live
 // "where is the search now" signal, and meaningless for anything that must

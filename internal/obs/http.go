@@ -22,8 +22,8 @@ import (
 // workload runs — Prometheus-text /metrics (counters, histograms, runtime
 // gauges), /trace ring dumps (raw JSON or Chrome trace format), the full
 // net/http/pprof suite for profiling a stress run in flight, and expvar —
-// and the stderr heartbeat behind their -progress flag, which prints the
-// same /progress document on a cadence.
+// and the stderr heartbeat behind their -progress flag (efd-stress:
+// -snapshot), which prints the same /progress document on a cadence.
 
 // DebugOptions configures DebugHandler. Every field is optional; nil
 // sources simply don't serve.
@@ -47,6 +47,9 @@ type DebugOptions struct {
 	// ETA) that a dashboard or a CI curl reads without parsing Prometheus
 	// text — and is what ServeDebug's heartbeat prints.
 	Progress func() any
+	// Soak, if set, receives the goroutine count and the live heap at
+	// every heartbeat beat, for the leak audit (Soak.Check) after the run.
+	Soak *Soak
 }
 
 // expvarOnce guards the process-global expvar publication (expvar.Publish
@@ -102,12 +105,13 @@ func DebugHandler(o DebugOptions) http.Handler {
 	return mux
 }
 
-// ServeDebug is a CLI's -http and -progress flags: it listens on addr,
-// announces the endpoint on stderr under the program's name and serves
-// DebugHandler(o) in the background, and prints o.Progress to stderr every
-// beat (see heartbeat), both until the returned stop is called. An empty addr
-// serves nothing and a zero beat prints nothing. The error is the listen
-// error as net reports it (it already names the operation and the address).
+// ServeDebug is a CLI's -http and -progress (efd-stress: -snapshot) flags:
+// it listens on addr, announces the endpoint on stderr under the program's
+// name and serves DebugHandler(o) in the background, and prints o.Progress
+// to stderr every beat (see heartbeat), both until the returned stop is
+// called. An empty addr serves nothing and a zero beat prints nothing. The
+// error is the listen error as net reports it (it already names the
+// operation and the address).
 func ServeDebug(prog, addr string, beat time.Duration, o DebugOptions) (stop func(), err error) {
 	quit := make(chan struct{})
 	var wg sync.WaitGroup
@@ -146,18 +150,20 @@ func ServeDebug(prog, addr string, beat time.Duration, o DebugOptions) (stop fun
 	}, nil
 }
 
-// heartbeat writes one line per beat to w until quit closes, in the
-// `efd-stress -snapshot` shape — a tag, the rounded elapsed time, then k=v
-// fields: the /progress document's own when it is a map[string]any (sorted
-// by key; elapsed_s is the line's second column), then the per-second rate
-// over the beat of every counter of the first layer that moved in it. The
-// line is the document, so a CLI describes its progress once and gets the
-// endpoint and the heartbeat.
+// heartbeat writes one line per beat to w until quit closes: a tag, the
+// elapsed time rounded to the beat (or to the second), then k=v fields —
+// the /progress document's own when it is a map[string]any (sorted by key;
+// elapsed_s is the line's second column), then the per-second rate over
+// the beat of every counter of the first layer that moved in it. The line
+// is the document, so a CLI describes its progress once and gets the
+// endpoint and the heartbeat. Each beat first records the process gauges
+// into o.Soak, when set.
 func heartbeat(w io.Writer, tag string, beat time.Duration, o DebugOptions, quit <-chan struct{}) {
 	start := time.Now()
-	var s *Sampler
+	var prev Snapshot
+	prevAt := start
 	if len(o.Layers) > 0 {
-		s = NewSampler(o.Layers[0])
+		prev = o.Layers[0].Snapshot()
 	}
 	t := time.NewTicker(beat)
 	defer t.Stop()
@@ -167,7 +173,10 @@ func heartbeat(w io.Writer, tag string, beat time.Duration, o DebugOptions, quit
 			return
 		case <-t.C:
 		}
-		line := fmt.Sprintf("%s %8s ", tag, time.Since(start).Round(time.Second))
+		if o.Soak != nil {
+			o.Soak.add(processGauges())
+		}
+		line := fmt.Sprintf("%s %8s ", tag, time.Since(start).Round(min(beat, time.Second)))
 		doc, _ := o.Progress().(map[string]any)
 		for _, k := range slices.Sorted(maps.Keys(doc)) {
 			if k == "elapsed_s" {
@@ -179,11 +188,13 @@ func heartbeat(w io.Writer, tag string, beat time.Duration, o DebugOptions, quit
 				line += fmt.Sprintf(" %s=%v", k, doc[k])
 			}
 		}
-		if s != nil {
-			rates := s.Sample().Rates()
-			for _, k := range slices.Sorted(maps.Keys(rates)) {
-				line += fmt.Sprintf(" %s/s=%.1f", k, rates[k])
+		if len(o.Layers) > 0 {
+			cur, now := o.Layers[0].Snapshot(), time.Now()
+			moved, dt := cur.Delta(prev).Map(), now.Sub(prevAt).Seconds()
+			for _, k := range slices.Sorted(maps.Keys(moved)) {
+				line += fmt.Sprintf(" %s/s=%.1f", k, float64(moved[k])/dt)
 			}
+			prev, prevAt = cur, now
 		}
 		fmt.Fprintln(w, line)
 	}

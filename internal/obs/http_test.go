@@ -171,30 +171,54 @@ func get(t *testing.T, url string) string {
 
 // TestHeartbeatPrintsProgressDocument: the -progress line is the /progress
 // document — tag, elapsed, the document's fields by key (elapsed_s being the
-// second column) — plus the rates of the first layer's counters that moved.
+// second column) — plus the rates of the first layer's counters that moved
+// in the beat: a later beat shows only what moved since the one before. Each
+// beat also records the process gauges into the soak series.
 func TestHeartbeatPrintsProgressDocument(t *testing.T) {
 	opt, h := debugFixture()
+	beats := 0
 	opt.Progress = func() any {
-		h.Add(0, 5) // reg_read moves in every beat, advice_query never
+		switch beats++; beats {
+		case 1:
+			h.Add(0, 5) // reg_read moves in the first beat only
+		case 2:
+			h.Inc(1) // advice_query in the second only
+		}
 		return map[string]any{"elapsed_s": 1.25, "cells_done": int64(3), "eta_s": 11.52}
 	}
+	opt.Soak = new(Soak)
 	r, w := io.Pipe()
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
 		heartbeat(w, "bench", time.Millisecond, opt, quit)
 	}()
-	line, err := bufio.NewReader(r).ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
+	br := bufio.NewReader(r)
+	var lines [2]string
+	for i := range lines {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = line
 	}
 	close(quit)
 	go io.Copy(io.Discard, r) //nolint:errcheck // unblock a beat in flight
 	<-done
 	w.Close()
-	fields := strings.Fields(line)
-	if len(fields) != 5 || fields[0] != "bench" || fields[2] != "cells_done=3" || fields[3] != "eta_s=11.5" ||
-		!strings.HasPrefix(fields[4], "reg_read/s=") {
-		t.Fatalf("heartbeat line = %q, want `bench <elapsed> cells_done=3 eta_s=11.5 reg_read/s=…`", line)
+	for i, moved := range []string{"reg_read/s=", "advice_query/s="} {
+		fields := strings.Fields(lines[i])
+		if len(fields) != 5 || fields[0] != "bench" || fields[2] != "cells_done=3" || fields[3] != "eta_s=11.5" ||
+			!strings.HasPrefix(fields[4], moved) {
+			t.Errorf("beat %d line = %q, want `bench <elapsed> cells_done=3 eta_s=11.5 %s…`", i+1, lines[i], moved)
+		}
+	}
+	if len(opt.Soak.samples) < 2 {
+		t.Fatalf("soak recorded %d samples over two beats", len(opt.Soak.samples))
+	}
+	for _, s := range opt.Soak.samples {
+		if s.goroutines <= 0 || s.heap == 0 {
+			t.Errorf("implausible soak sample: %+v", s)
+		}
 	}
 }
