@@ -61,10 +61,8 @@ func BenchmarkE14KSetSweep(b *testing.B)     { benchExperiment(b, "E14") }
 // and reads any-typed values (so the caller-side interface boxing of large
 // ints is included, as in the pre-bind PR 4 numbers it is compared
 // against); the typed variant uses WriteInt/ReadInt, the fully unboxed
-// zero-allocation path. The stubbed variants rebuild the runtime with
-// the telemetry switch off (counter handles resolve to discarding zero
-// handles at construction), so instrumented-minus-stubbed is the whole per-op cost of
-// the observability counters — the README records the delta.
+// zero-allocation path. Every op bumps one counter; BenchmarkObsCounter
+// in internal/obs prices that bump alone.
 func BenchmarkNativeRegisterOps(b *testing.B) {
 	run := func(b *testing.B, n int, body func(r wfadvice.Regs, per int)) {
 		inputs := wfadvice.NewVector(n)
@@ -104,20 +102,9 @@ func BenchmarkNativeRegisterOps(b *testing.B) {
 			r.ReadInt(0)
 		}
 	}
-	stubbed := func(b *testing.B, body func(b *testing.B)) {
-		wfadvice.NativeEnableMetrics(false)
-		defer wfadvice.NativeEnableMetrics(true)
-		body(b)
-	}
 	for _, n := range []int{2, 8} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) { run(b, n, generic) })
-		b.Run(fmt.Sprintf("procs=%d/stubbed", n), func(b *testing.B) {
-			stubbed(b, func(b *testing.B) { run(b, n, generic) })
-		})
 		b.Run(fmt.Sprintf("procs=%d/typed", n), func(b *testing.B) { run(b, n, typed) })
-		b.Run(fmt.Sprintf("procs=%d/typed/stubbed", n), func(b *testing.B) {
-			stubbed(b, func(b *testing.B) { run(b, n, typed) })
-		})
 	}
 }
 

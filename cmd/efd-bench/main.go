@@ -11,8 +11,8 @@
 //
 // Usage:
 //
-//	efd-bench [-only E5,E7] [-list] [-parallel N] [-seed S] [-trials M]
-//	          [-short] [-json] [-http ADDR] [-progress D]
+//	efd-bench [-only E5,E7] [-list] [-parallel N] [-seed S] [-short]
+//	          [-json] [-http ADDR] [-progress D]
 //
 // -http serves the live debug endpoint while the regeneration runs:
 // /metrics (Prometheus text: the engine and sim counter taxonomies, the
@@ -50,7 +50,6 @@ type expReport struct {
 type report struct {
 	Seed        int64       `json:"seed"`
 	Parallelism int         `json:"parallelism"`
-	Trials      int         `json:"trials"`
 	Short       bool        `json:"short"`
 	Experiments []expReport `json:"experiments"`
 	Failures    int         `json:"failures"`
@@ -63,7 +62,6 @@ func main() {
 		list     = flag.Bool("list", false, "list experiments and exit")
 		parallel = flag.Int("parallel", 0, "trial workers per experiment (0 = GOMAXPROCS)")
 		seed     = flag.Int64("seed", exp.DefaultSeed, "root seed; every trial derives its own from (experiment, cell, seed)")
-		trials   = flag.Int("trials", 1, "trial multiplier for the sweep experiments")
 		short    = flag.Bool("short", false, "use the reduced -short experiment grids")
 		jsonOut  = flag.Bool("json", false, "emit tables as JSON on stdout instead of text")
 		httpAddr = flag.String("http", "", "serve the live debug endpoint (/metrics, /progress, /debug/pprof) on this address for the duration of the run")
@@ -86,7 +84,6 @@ func main() {
 	eng := exp.NewEngine(exp.Options{
 		Parallelism: *parallel,
 		Seed:        *seed,
-		TrialMult:   *trials,
 		Short:       *short,
 	})
 	workers := *parallel
@@ -107,7 +104,7 @@ func main() {
 		os.Exit(2)
 	}
 	defer stopHTTP()
-	rep := report{Seed: *seed, Parallelism: workers, Trials: *trials, Short: *short}
+	rep := report{Seed: *seed, Parallelism: workers, Short: *short}
 	var slowest expReport
 	wallStart := time.Now()
 	for _, x := range experiments {

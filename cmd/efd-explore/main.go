@@ -61,6 +61,9 @@ const (
 
 var modeNames = []string{modeExhaust, modeFirst, modeRandom}
 
+// randomRuns is the number of seeds -mode random sweeps.
+const randomRuns = 64
+
 // badFlag reports an invalid flag value with the valid choices and exits 2,
 // the same convention as efd-bench's unknown-experiment handling.
 func badFlag(name, got string, valid []string) {
@@ -68,15 +71,28 @@ func badFlag(name, got string, valid []string) {
 	os.Exit(2)
 }
 
-// specFor builds the violation spec selected by the task flags.
+// specFor builds the violation spec selected by the task flags, or says
+// which of them it cannot judge.
 func specFor(task string, n, j, k, idleS int) (explore.Spec, error) {
+	if n < 1 {
+		return explore.Spec{}, fmt.Errorf("need -n ≥ 1, got %d", n)
+	}
+	if idleS < 0 {
+		return explore.Spec{}, fmt.Errorf("need -idle-s ≥ 0, got %d", idleS)
+	}
 	switch task {
 	case taskStrongRename:
+		if j < 1 {
+			return explore.Spec{}, fmt.Errorf("need -j ≥ 1, got %d", j)
+		}
 		if j > n {
 			return explore.Spec{}, fmt.Errorf("need -n ≥ -j (%d participants on %d slots)", j, n)
 		}
 		return wfree.StrongRenamingSpec(n, j, idleS), nil
 	case taskKSet:
+		if k < 1 {
+			return explore.Spec{}, fmt.Errorf("need -k ≥ 1, got %d", k)
+		}
 		if k+1 > n {
 			return explore.Spec{}, fmt.Errorf("need -n ≥ k+1 (violation search runs k+1 participants)")
 		}
@@ -149,7 +165,6 @@ func main() {
 		mode     = flag.String("mode", modeExhaust, "search mode: exhaust | first | random")
 		noPrune  = flag.Bool("no-prune", false, "disable sleep sets and state hashing (raw enumeration)")
 		maxRuns  = flag.Int("max-runs", 0, "run budget per sweep (0 = default)")
-		randRuns = flag.Int("random-runs", 64, "attempts in -mode random")
 		traceOut = flag.String("trace-out", "", "write the (shrunk, if -shrink) witness trace to this file")
 		shrink   = flag.Bool("shrink", false, "ddmin-minimize the witness schedule")
 		replay   = flag.String("replay", "", "replay a recorded trace file and verify the verdict")
@@ -173,6 +188,10 @@ func main() {
 	}
 	if !found {
 		badFlag("mode", *mode, modeNames)
+	}
+	if *depth < 1 {
+		fmt.Fprintf(os.Stderr, "efd-explore: need -depth ≥ 1, got %d\n", *depth)
+		os.Exit(2)
 	}
 
 	start := time.Now()
@@ -201,7 +220,7 @@ func main() {
 	var outTrace *explore.Trace // the witness, shrunk with -shrink
 	switch *mode {
 	case modeRandom:
-		ro := explore.Sweep(explore.Uniform(spec), 4*(*depth), 1, *randRuns, *workers)
+		ro := explore.Sweep(explore.Uniform(spec), 4*(*depth), 1, randomRuns, *workers)
 		rep.Random, violations, outTrace = ro, ro.Hits, ro.Trace
 		if !*jsonOut {
 			fmt.Printf("random: tried=%d hits=%d", ro.Tried, ro.Hits)

@@ -81,13 +81,16 @@ type WitnessConfig struct {
 	Leaders []int
 	// Inputs is the task input vector.
 	Inputs vec.Vector
-	// PreludeBudget bounds the steps spent stalling each simulator;
-	// SoloSteps is the length of the final solo descent; EmitEvery sets the
-	// output sampling cadence.
-	PreludeBudget int
-	SoloSteps     int
-	EmitEvery     int
 }
+
+// The witness run's fixed budgets: at most witnessPrelude steps to stall
+// each simulator, a solo descent of witnessSolo steps, and one output
+// sample every witnessEmit steps.
+const (
+	witnessPrelude = 50_000
+	witnessSolo    = 50_000
+	witnessEmit    = 10
+)
 
 // ExtractWitness builds the blocking run and returns its output stream.
 // The corridor is {p1, ..., p_{k+1}}: simulators p2..p_{k+1} each stall
@@ -98,19 +101,10 @@ func ExtractWitness(cfg WitnessConfig) (*ExtractResult, error) {
 	if len(cfg.Leaders) < cfg.K {
 		return nil, fmt.Errorf("need %d leaders, have %d", cfg.K, len(cfg.Leaders))
 	}
-	if cfg.PreludeBudget == 0 {
-		cfg.PreludeBudget = 50_000
-	}
-	if cfg.SoloSteps == 0 {
-		cfg.SoloSteps = 50_000
-	}
-	if cfg.EmitEvery == 0 {
-		cfg.EmitEvery = 10
-	}
 	m := NewAsimMachine(cfg.Alg, cfg.Inputs, cfg.DAG)
 	res := &ExtractResult{}
 	emit := func() {
-		if res.Steps%cfg.EmitEvery == 0 {
+		if res.Steps%witnessEmit == 0 {
 			res.Samples = append(res.Samples, OutputSample{Tick: res.Steps, Set: m.LastSTurnSet(n - cfg.K)})
 		}
 	}
@@ -119,7 +113,7 @@ func ExtractWitness(cfg WitnessConfig) (*ExtractResult, error) {
 		sim := idx + 1 // C-process index of the simulator to stall
 		target := cfg.Leaders[idx]
 		stalled := false
-		for t := 0; t < cfg.PreludeBudget; t++ {
+		for t := 0; t < witnessPrelude; t++ {
 			if !m.StepC(sim) {
 				return nil, fmt.Errorf("simulator p%d cannot step", sim+1)
 			}
@@ -134,12 +128,12 @@ func ExtractWitness(cfg WitnessConfig) (*ExtractResult, error) {
 			}
 		}
 		if !stalled {
-			return nil, fmt.Errorf("simulator p%d never engaged q%d within %d steps", sim+1, target+1, cfg.PreludeBudget)
+			return nil, fmt.Errorf("simulator p%d never engaged q%d within %d steps", sim+1, target+1, witnessPrelude)
 		}
 		res.BlockedS = append(res.BlockedS, target)
 	}
 	// Solo descent of p1.
-	for t := 0; t < cfg.SoloSteps; t++ {
+	for t := 0; t < witnessSolo; t++ {
 		if !m.StepC(0) {
 			return nil, fmt.Errorf("p1 cannot step")
 		}
@@ -160,14 +154,11 @@ type ExploreConfig struct {
 	K   int
 	DAG *fdet.DAG
 	// Inputs are the input vectors I0 to iterate over (Figure 1 line 1).
+	// The arrival order π0 (Figure 1 line 2) is the identity order.
 	Inputs []vec.Vector
-	// Perms are the arrival orders π0 (Figure 1 line 2), as C-index
-	// sequences; nil means the identity order only.
-	Perms [][]int
 	// StepBudget bounds the total machine steps across the exploration
 	// (replays included).
 	StepBudget int
-	EmitEvery  int
 }
 
 type explorer struct {
@@ -185,28 +176,19 @@ func ExploreCorridors(cfg ExploreConfig) (*ExtractResult, int, error) {
 	if cfg.StepBudget == 0 {
 		cfg.StepBudget = 200_000
 	}
-	if cfg.EmitEvery == 0 {
-		cfg.EmitEvery = 25
-	}
 	x := &explorer{cfg: cfg, n: cfg.Alg.N(), budget: cfg.StepBudget, res: &ExtractResult{}}
-	perms := cfg.Perms
-	if perms == nil {
-		id := make([]int, x.n)
-		for i := range id {
-			id[i] = i
-		}
-		perms = [][]int{id}
+	pi := make([]int, x.n)
+	for i := range pi {
+		pi[i] = i
 	}
 	for _, input := range cfg.Inputs {
-		for _, pi := range perms {
-			p0 := corridorInit(input, pi, cfg.K+1)
-			if len(p0) == 0 {
-				continue
-			}
-			x.explore(input, nil, p0, pi)
-			if x.budget <= 0 {
-				return x.res, x.maxConc, nil
-			}
+		p0 := corridorInit(input, pi, cfg.K+1)
+		if len(p0) == 0 {
+			continue
+		}
+		x.explore(input, nil, p0, pi)
+		if x.budget <= 0 {
+			break
 		}
 	}
 	return x.res, x.maxConc, nil

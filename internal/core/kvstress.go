@@ -8,6 +8,7 @@ import (
 	"wfadvice/internal/kv"
 	"wfadvice/internal/native"
 	"wfadvice/internal/obs"
+	"wfadvice/internal/task"
 )
 
 // This file is the stress harness behind cmd/efd-kv. Unlike native.Stress —
@@ -235,7 +236,7 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 		Crashes:   len(res.Crashed),
 		Registers: rt.Registers(),
 	}
-	rep.Judge(native.CheckDelta(s.Task, res), native.CheckDecided(res))
+	rep.Judge(task.Check(s.Task, res.Inputs, res.Outputs), native.CheckDecided(res))
 	// Ops counts completed client operations (the decided sessions plus
 	// whatever an undecided run still recorded); res.Ops would count raw
 	// register operations, which is the wrong currency for a KV benchmark.

@@ -20,8 +20,9 @@ import (
 // lockstep sim.Config and NativeConfig a hardware-speed native.Config from
 // the same CBody/SBody factories, which is the "two backends, one algorithm
 // surface" contract: zero per-algorithm code changes between the model
-// runtime and real goroutines. cmd/efd-stress, cmd/efd-run-style tooling and
-// the cross-backend conformance grid all build their systems through it.
+// runtime and real goroutines. cmd/efd-stress, efd-explore's -replay, the
+// repo benchmark and the cross-backend conformance grid all build their
+// systems through it.
 
 // Scenario is a task plus the algorithm and advice that solve it, in
 // backend-independent form.

@@ -22,25 +22,14 @@ type Options struct {
 	// in isolation and results are independent of worker count and
 	// completion order.
 	Seed int64
-	// TrialMult multiplies the per-cell repeated-run counts of the sweep
-	// experiments (seeded runs in E10, schedule searches in E9/E11);
-	// 0 or negative means 1. Raise it for scale sweeps.
-	TrialMult int
 	// Short selects the reduced experiment grids used by `go test -short`
 	// and CI smoke jobs.
 	Short bool
 }
 
-func (o Options) mult() int {
-	if o.TrialMult > 0 {
-		return o.TrialMult
-	}
-	return 1
-}
-
 // Trial is the context handed to one cell execution: its derived seed, a
 // private rand.Rand, and the engine options (for grid decisions that depend
-// on Short or TrialMult).
+// on Short).
 type Trial struct {
 	Experiment string
 	Cell       int
@@ -92,7 +81,7 @@ type Experiment struct {
 	Header []string
 	Notes  []string
 	// Cells generates the trial jobs for the given options (grids may shrink
-	// under opt.Short and repeat counts grow with opt.TrialMult).
+	// under opt.Short).
 	Cells func(opt Options) []Cell
 }
 
@@ -123,20 +112,13 @@ func cellSeed(root int64, expID string, cell int) int64 {
 // Run executes one experiment and merges the cell outcomes into a Table in
 // cell-generation order. The telemetry recorded along the way (cell
 // counters, the running-cell gauge, the latency histogram) is strictly
-// outside the Table: rendered output is byte-identical with it enabled or
-// stubbed.
+// outside the Table: nothing rendered reads it.
 func (e *Engine) Run(x Experiment) *Table {
 	cells := x.Cells(e.opt)
 	outs := make([]Outcome, len(cells))
 	mh := Telemetry.Handle()
-	if mh.Enabled() {
-		gCellsTotal.Add(int64(len(cells)))
-	}
+	gCellsTotal.Add(int64(len(cells)))
 	par.Each(len(cells), e.opt.Parallelism, func(i int) {
-		if !mh.Enabled() {
-			outs[i] = e.runCell(x, i, cells[i])
-			return
-		}
 		gWorkersActive.Add(1)
 		t0 := time.Now()
 		o := e.runCell(x, i, cells[i])

@@ -196,21 +196,3 @@ func TestShortGridsAreSubsets(t *testing.T) {
 		}
 	}
 }
-
-// TestTrialMultScalesSweeps checks the -trials multiplier reaches the sweep
-// cells: E10's run counts scale with TrialMult.
-func TestTrialMultScalesSweeps(t *testing.T) {
-	x, ok := ByID("E10")
-	if !ok {
-		t.Fatal("E10 not registered")
-	}
-	one := NewEngine(Options{Seed: 3, Short: true}).Run(x)
-	three := NewEngine(Options{Seed: 3, Short: true, TrialMult: 3}).Run(x)
-	if one.Failures != 0 || three.Failures != 0 {
-		t.Fatalf("sweeps failed: x1=%d x3=%d failures", one.Failures, three.Failures)
-	}
-	// The "runs" column (index 4) must triple.
-	if one.Rows[0][4] == three.Rows[0][4] {
-		t.Fatalf("TrialMult did not scale the sweep: %v vs %v", one.Rows[0], three.Rows[0])
-	}
-}

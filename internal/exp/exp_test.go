@@ -4,8 +4,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"wfadvice/internal/obs"
 )
 
 // goldenTables is the -seed 1 -short table set as efd-bench prints it, minus
@@ -13,10 +11,9 @@ import (
 const goldenTables = "testdata/tables-short-seed1.txt"
 
 // TestGoldenTables holds every E-table to goldenTables byte for byte: the
-// -short set rendered with telemetry off at one worker, and outside -short
-// again with telemetry on at eight workers, since counters, gauges and the
-// latency histogram sit strictly outside Table and the merge is in cell
-// order. Every table must also reproduce (no failure row, at least one
+// -short set rendered at one worker, and outside -short again at eight
+// workers, since counters, gauges and the latency histogram sit strictly
+// outside Table and the merge is in cell order. Every table must also reproduce (no failure row, at least one
 // row). The full grids have their own golden file,
 // testdata/tables-full-seed1.txt, which CI's full job diffs against
 // efd-bench -seed 1. A deliberate table change is a diff of both golden
@@ -30,9 +27,7 @@ func TestGoldenTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(string(raw), "\n")
-	defer obs.SetEnabled(true)
-	render := func(telemetry bool, workers int) string {
-		obs.SetEnabled(telemetry)
+	render := func(workers int) string {
 		var b strings.Builder
 		for _, tbl := range NewEngine(Options{Seed: DefaultSeed, Short: true, Parallelism: workers}).RunAll(Experiments()) {
 			if tbl.Failures > 0 || len(tbl.Rows) == 0 {
@@ -43,20 +38,16 @@ func TestGoldenTables(t *testing.T) {
 		}
 		return b.String()
 	}
-	type config struct {
-		telemetry bool
-		workers   int
-	}
-	configs := []config{{false, 1}}
+	workers := []int{1}
 	if !testing.Short() {
-		configs = append(configs, config{true, 8})
+		workers = append(workers, 8)
 	}
-	for _, c := range configs {
-		got := strings.Split(render(c.telemetry, c.workers), "\n")
+	for _, w := range workers {
+		got := strings.Split(render(w), "\n")
 		for i := range max(len(got), len(want)) {
-			if g, w := lineAt(got, i), lineAt(want, i); g != w {
-				t.Errorf("telemetry=%v workers=%d: %s:%d differs\n got: %q\nwant: %q",
-					c.telemetry, c.workers, goldenTables, i+1, g, w)
+			if g, wl := lineAt(got, i), lineAt(want, i); g != wl {
+				t.Errorf("workers=%d: %s:%d differs\n got: %q\nwant: %q",
+					w, goldenTables, i+1, g, wl)
 				break
 			}
 		}

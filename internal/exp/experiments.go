@@ -648,10 +648,10 @@ func expE10() Experiment {
 		Header: []string{"j", "k", "bound j+k−1", "max observed", "runs", "ok"},
 		Cells: func(opt Options) []Cell {
 			js := []int{2, 3, 4, 5, 6}
-			sweeps := 20 * opt.mult()
+			sweeps := 20
 			if opt.Short {
 				js = []int{2, 3, 4}
-				sweeps = 5 * opt.mult()
+				sweeps = 5
 			}
 			var cells []Cell
 			for _, j := range js {

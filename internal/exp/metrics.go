@@ -7,8 +7,7 @@ import "wfadvice/internal/obs"
 // per-cell wall-time histogram — the signals behind `efd-bench -http` and
 // the -progress ETA heartbeat. Everything here sits strictly OUTSIDE Table:
 // outcomes still merge in cell-generation order, so rendered tables are
-// byte-identical at any parallelism and with telemetry on or stubbed
-// (pinned by TestGoldenTables).
+// byte-identical at any parallelism (pinned by TestGoldenTables).
 
 // Engine counter taxonomy.
 const (

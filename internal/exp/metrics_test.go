@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"testing"
-
-	"wfadvice/internal/obs"
-)
+import "testing"
 
 // TestEngineTelemetryCounts runs one synthetic experiment and checks the
 // counter deltas and the latency histogram against exact expectations.
@@ -28,21 +24,5 @@ func TestEngineTelemetryCounts(t *testing.T) {
 	}
 	if g := Telemetry.Gauges()["exp_workers_active"]; g != 0 {
 		t.Errorf("exp_workers_active = %d after the pool drained, want 0", g)
-	}
-}
-
-// TestEngineTelemetryDisabled checks that obs.SetEnabled(false) stubs runs
-// started afterwards: no counter moves, no histogram growth.
-func TestEngineTelemetryDisabled(t *testing.T) {
-	obs.SetEnabled(false)
-	defer obs.SetEnabled(true)
-	before := Telemetry.Snapshot()
-	histBefore := cellLatency.Snapshot().Count
-	NewEngine(Options{Seed: 1, Parallelism: 4}).Run(syntheticExperiment(8, nil))
-	if d := Telemetry.Snapshot().Delta(before).Map(); len(d) != 0 {
-		t.Errorf("disabled telemetry still moved counters: %v", d)
-	}
-	if got := cellLatency.Snapshot().Count - histBefore; got != 0 {
-		t.Errorf("disabled telemetry still observed %d latencies", got)
 	}
 }

@@ -261,10 +261,9 @@ type walkState struct {
 	witness    []Violation
 	cut        bool
 	probeErr   error
-	// mx is the walk's live-telemetry surface, minted at construction
-	// (zero = stubbed). It mirrors stats into the process-wide counters
-	// and never feeds back into the walk — Report stays byte-identical
-	// with telemetry enabled or disabled.
+	// mx is the walk's live-telemetry surface, minted at construction.
+	// It mirrors stats into the process-wide counters and never feeds
+	// back into the walk — Report does not depend on it.
 	mx walkMetrics
 }
 

@@ -9,11 +9,10 @@ import "wfadvice/internal/obs"
 // distribute over depth, and ddmin shrink progress. Everything here sits
 // strictly OUTSIDE Report: the deterministic Stats that reports are built
 // from are still counted walk-locally and merged in item-generation order,
-// so Report.Render is byte-identical at any worker count and with
-// telemetry on or stubbed (pinned by TestExploreTelemetryDeterminism).
-// Handles are minted per walk at construction; a telemetry event on the
-// probe loop is a predictable branch plus a few atomic operations and
-// never allocates (TestExploreTelemetryAllocs).
+// so Report.Render is byte-identical at any worker count (pinned by
+// TestExploreTelemetryDeterminism). Handles are minted per walk at
+// construction; a telemetry event on the probe loop is a few atomic
+// operations and never allocates (TestExploreTelemetryAllocs).
 
 // Explorer counter taxonomy.
 const (
@@ -73,23 +72,17 @@ var (
 var nodeDepths = Telemetry.Histogram("explore_node_depth")
 
 // walkMetrics is the telemetry surface one walk records through: a
-// pre-resolved counter handle plus the shared gauges and histogram. The
-// zero value (zero Handle) is the stubbed mode — every method becomes one
-// predictable branch, no atomics, no shared-state touches.
+// pre-resolved counter handle plus the shared gauges and histogram.
 type walkMetrics struct {
 	h obs.Handle
 }
 
-// newWalkMetrics mints the telemetry surface for one walk (the stubbed
-// zero surface while telemetry is off).
+// newWalkMetrics mints the telemetry surface for one walk.
 func newWalkMetrics() walkMetrics { return walkMetrics{h: Telemetry.Handle()} }
 
 // node records one replayed node at the given prefix depth: the node
 // counter, the live frontier gauges, and the depth histogram.
 func (m walkMetrics) node(depth int) {
-	if !m.h.Enabled() {
-		return
-	}
 	m.h.Inc(cXNode)
 	d := int64(depth)
 	gFrontierDepth.Set(d)
@@ -102,27 +95,16 @@ func (m walkMetrics) inc(id obs.CounterID) { m.h.Inc(id) }
 
 // sweepStart publishes a new sweep's horizon and resets item progress.
 func (m walkMetrics) sweepStart(depth int) {
-	if !m.h.Enabled() {
-		return
-	}
 	gSweepDepth.Set(int64(depth))
 	gItemsTotal.Set(0)
 	gItemsDone.Set(0)
 }
 
 // itemsPlanned publishes the sweep's phase-2 work-item count.
-func (m walkMetrics) itemsPlanned(n int) {
-	if !m.h.Enabled() {
-		return
-	}
-	gItemsTotal.Set(int64(n))
-}
+func (m walkMetrics) itemsPlanned(n int) { gItemsTotal.Set(int64(n)) }
 
 // itemDone counts one drained work item.
 func (m walkMetrics) itemDone() {
-	if !m.h.Enabled() {
-		return
-	}
 	m.h.Inc(cXItem)
 	gItemsDone.Add(1)
 }
@@ -131,19 +113,11 @@ func (m walkMetrics) itemDone() {
 func (m walkMetrics) sweepDone() { m.h.Inc(cXSweep) }
 
 // shrinkLen publishes the current candidate schedule length of a Shrink.
-func (m walkMetrics) shrinkLen(n int) {
-	if !m.h.Enabled() {
-		return
-	}
-	gShrinkLen.Set(int64(n))
-}
+func (m walkMetrics) shrinkLen(n int) { gShrinkLen.Set(int64(n)) }
 
 // shrinkReduced counts one successful ddmin reduction and publishes the
 // new candidate length.
 func (m walkMetrics) shrinkReduced(n int) {
-	if !m.h.Enabled() {
-		return
-	}
 	m.h.Inc(cXShrinkReduce)
 	gShrinkLen.Set(int64(n))
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"wfadvice/internal/obs"
 	"wfadvice/internal/sim"
 )
 
@@ -38,13 +37,13 @@ var kindNames = [numKinds]string{"int", "recA", "recB", "nil", "nilptr"}
 
 const sumMul = 1_000_003
 
-// noMetrics is the discarding counter handle the raced cells are driven with.
-var noMetrics obs.Handle
+// testMetrics is the counter handle the raced cells are driven with.
+var testMetrics = Telemetry.Handle()
 
 // writeKind performs writer w's i-th write (i ≥ 1) on c. Int writers
 // alternate between the generic and the typed surface.
 func writeKind(c *cell, k writerKind, w, i int) {
-	m := &noMetrics
+	m := &testMetrics
 	switch k {
 	case kindInt:
 		if x := (w+1)<<32 | i; i%2 == 0 {

@@ -11,19 +11,6 @@ import (
 // is judged from what a run leaves behind: the participating input vector
 // and the collected decision vector.
 
-// CheckDelta verifies that the run's (I, O) pair satisfies task t: the
-// participating inputs lie in I and the decided outputs are ∆-related to
-// them (∆ is prefix-closed, so undecided entries are permitted here).
-func CheckDelta(t task.Task, res *Result) error {
-	if err := t.InDomain(res.Inputs); err != nil {
-		return fmt.Errorf("input vector outside I: %w", err)
-	}
-	if err := t.Validate(res.Inputs, res.Outputs); err != nil {
-		return fmt.Errorf("(I,O) violates ∆: %w", err)
-	}
-	return nil
-}
-
 // CheckDecided verifies the wait-freedom obligation. In the EFD model
 // C-processes never crash, and on the native backend a spawned C-process
 // keeps taking steps until it decides or the run is cut off — so every
@@ -40,9 +27,10 @@ func CheckDecided(res *Result) error {
 	return nil
 }
 
-// Check is the full post-hoc checker: ∆ plus the wait-freedom obligation.
+// Check is the full post-hoc checker: ∆ (task.Check, the sim backend's
+// check too) plus the wait-freedom obligation.
 func Check(t task.Task, res *Result) error {
-	if err := CheckDelta(t, res); err != nil {
+	if err := task.Check(t, res.Inputs, res.Outputs); err != nil {
 		return err
 	}
 	return CheckDecided(res)

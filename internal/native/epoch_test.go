@@ -28,7 +28,7 @@ func pastClock(now fdet.Time) *clock {
 // parked until a bump — and inside a Runtime under event advice, where nothing writes and
 // advice never moves, it is the advice loop's heartbeat that releases it.
 func TestNotifierEpochAndAwait(t *testing.T) {
-	n := newNotifier()
+	n := newNotifier(Telemetry.Handle())
 	seen := n.current()
 	n.bump()
 	if got := n.current(); got != seen+1 {
@@ -87,7 +87,7 @@ func TestNotifierNoLostWakeups(t *testing.T) {
 		rounds  = 2000
 		waiters = 4
 	)
-	n := newNotifier()
+	n := newNotifier(Telemetry.Handle())
 	var v atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < waiters; w++ {
@@ -136,7 +136,7 @@ func TestNotifierNoLostWakeups(t *testing.T) {
 // the draws rebuild their generator there and the count reads 0.5 × NS; the
 // bound sits between that and the NS of a box per module.
 func TestParkAndPublishAllocs(t *testing.T) {
-	n := newNotifier()
+	n := newNotifier(Telemetry.Handle())
 	var quit atomic.Bool
 	woke := make(chan struct{})
 	go func() {
@@ -160,7 +160,7 @@ func TestParkAndPublishAllocs(t *testing.T) {
 
 	const ns = 4
 	p := fdet.FailureFree(ns)
-	s := newFDService(pastClock(0), fdet.Omega{}.History(p, 1<<30, 3), ns, newNotifier())
+	s := newFDService(pastClock(0), fdet.Omega{}.History(p, 1<<30, 3), ns, newNotifier(Telemetry.Handle()))
 	tm := fdet.Time(0)
 	if got := testing.AllocsPerRun(200, func() {
 		s.publishLocked(tm)
@@ -178,7 +178,7 @@ func TestEventAdviceCooperativePublish(t *testing.T) {
 	const stabilize = 5
 	p := fdet.NewPattern(3, nil)
 	hist := fdet.Omega{}.History(p, stabilize, 42)
-	notify := newNotifier()
+	notify := newNotifier(Telemetry.Handle())
 	s := newFDService(pastClock(10), hist, p.N, notify)
 	s.publishLocked(0) // what startService does, minus the waker goroutine
 	if nt := s.nextT.Load(); nt != 1 {
@@ -214,7 +214,7 @@ func TestEventWakerPublishesUnqueried(t *testing.T) {
 	const stabilize = 3
 	p := fdet.NewPattern(2, nil)
 	hist := fdet.Omega{}.History(p, stabilize, 7)
-	notify := newNotifier()
+	notify := newNotifier(Telemetry.Handle())
 	c := &clock{start: time.Now(), tick: time.Millisecond}
 	s := newFDService(c, hist, p.N, notify)
 	s.startService(true)
@@ -348,7 +348,7 @@ func TestConvergedAdviceIsPublishedOnce(t *testing.T) {
 // publication, no allocation — however many ticks go by.
 func TestConvergedServiceIsIdle(t *testing.T) {
 	p := fdet.FailureFree(3)
-	notify := newNotifier()
+	notify := newNotifier(Telemetry.Handle())
 	c := &clock{start: time.Now(), tick: DefaultTick}
 	s := newFDService(c, fdet.Omega{}.History(p, 0, 1), p.N, notify)
 	s.startService(false)
@@ -368,7 +368,7 @@ func TestConvergedServiceIsIdle(t *testing.T) {
 // TestEventNilHistory: the trivial service (no detector) has no transitions
 // at all — advice is ⊥ and the transition queue starts empty.
 func TestEventNilHistory(t *testing.T) {
-	s := newFDService(pastClock(10), nil, 2, newNotifier())
+	s := newFDService(pastClock(10), nil, 2, newNotifier(Telemetry.Handle()))
 	s.publishLocked(0)
 	if nt := s.nextT.Load(); nt != noTransition {
 		t.Fatalf("nil history nextT = %d, want noTransition", nt)

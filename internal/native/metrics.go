@@ -5,10 +5,9 @@ import "wfadvice/internal/obs"
 // This file is the native backend's counter taxonomy. Counters are striped
 // padded atomic cells: every Env, fdService and notifier mints a
 // pre-resolved obs.Handle at construction (a register cell counts on its
-// caller's), and a bump on the hot path is one predictable branch plus one
-// atomic add on a stripe the goroutine effectively owns — the
-// zero-allocation guarantee of the bound register path
-// (TestReadWriteAllocs) is unchanged with telemetry on.
+// caller's), and a bump on the hot path is one atomic add on a stripe the
+// goroutine effectively owns — the bound register path stays
+// allocation-free with every counter recording (TestReadWriteAllocs).
 //
 // The counters are process-global, not per-Runtime: the stress harness
 // runs thousands of instances back to back and the debug endpoint

@@ -248,7 +248,7 @@ func TestCheckDecided(t *testing.T) {
 	if err := native.CheckDecided(res); err == nil {
 		t.Fatal("CheckDecided accepted an undecided participant")
 	}
-	if err := native.CheckDelta(task.NewSetAgreement(2, 2), res); err != nil {
+	if err := task.Check(task.NewSetAgreement(2, 2), res.Inputs, res.Outputs); err != nil {
 		t.Fatalf("prefix output should satisfy ∆: %v", err)
 	}
 }

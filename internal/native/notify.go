@@ -43,8 +43,8 @@ type notifier struct {
 	m       obs.Handle
 }
 
-func newNotifier() *notifier {
-	n := &notifier{}
+func newNotifier(m obs.Handle) *notifier {
+	n := &notifier{m: m}
 	n.cond.L = &n.mu
 	return n
 }

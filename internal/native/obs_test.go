@@ -32,19 +32,3 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("p50 = %v, want ~500µs", st.P50)
 	}
 }
-
-// TestEnableMetrics pins the gating contract on the native layer: handles
-// minted while the one switch is off discard, and re-enabling restores
-// recording for runtimes built afterwards (whole stubbed runs: the root
-// package's TestStressReportCounterKeys).
-func TestEnableMetrics(t *testing.T) {
-	obs.SetEnabled(false)
-	defer obs.SetEnabled(true)
-	if h := Telemetry.Handle(); h.Enabled() {
-		t.Fatal("handle minted while disabled records")
-	}
-	obs.SetEnabled(true)
-	if h := Telemetry.Handle(); !h.Enabled() {
-		t.Fatal("handle minted while enabled discards")
-	}
-}

@@ -254,8 +254,7 @@ func (r *Runtime) Reset(cfg Config) error {
 	r.wake = cfg.Advice == AdviceEvent
 	if r.notify == nil {
 		r.m = Telemetry.Handle()
-		r.notify = newNotifier()
-		r.notify.m = r.m
+		r.notify = newNotifier(r.m)
 		r.doneCh = make(chan struct{}, 1)
 		r.timer = time.NewTimer(time.Hour)
 		r.timer.Stop()
@@ -443,7 +442,7 @@ type Env struct {
 	body      sim.Body
 	crashable bool
 	// m is this process's pre-resolved metrics stripe; a bump is one
-	// atomic add (or one branch when metrics are disabled).
+	// atomic add.
 	m obs.Handle
 	// spawn is the func value of run, made once: Run's go statement on it
 	// allocates nothing.

@@ -91,7 +91,7 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 				k := keys[(w*rounds+r)%len(keys)]
 				c := st.lookup(k)
 				if w%2 == 0 {
-					c.store(w*rounds+r, &noMetrics)
+					c.store(w*rounds+r, &testMetrics)
 				} else if v := c.load(); v != nil {
 					if _, ok := v.(int); !ok {
 						errs <- fmt.Sprintf("read torn value %v from %q", v, k)
@@ -147,7 +147,7 @@ func TestStorePresizeZeroAndLarge(t *testing.T) {
 	for _, hint := range []int{0, 1, 9, 1 << 15} {
 		st := newStore(hint)
 		c := st.lookup("in/0")
-		c.store(42, &noMetrics)
+		c.store(42, &testMetrics)
 		if got := st.lookup("in/0"); got != c {
 			t.Fatalf("hint %d: lookup not stable", hint)
 		}
@@ -284,9 +284,9 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	st := newStore(16)
 	keys, cells, _ := bindTable(st, "a", 4)
 	other := st.lookup("other")
-	other.store(7, &noMetrics)
+	other.store(7, &testMetrics)
 	for _, c := range cells {
-		c.store("v", &noMetrics)
+		c.store("v", &testMetrics)
 	}
 	if got := st.release(keys[:3]); got != 3 {
 		t.Fatalf("first release took %d registers, want 3", got)
@@ -325,7 +325,7 @@ func TestArrayRecycledOnlyWhenAllMintedCellsReleased(t *testing.T) {
 		t.Fatal("the first bind of a table minted from a recycled array")
 	}
 	for i, c := range cells {
-		c.store(100+i, &noMetrics)
+		c.store(100+i, &testMetrics)
 	}
 	st.release(keys[:3])
 	if _, fresh, recycled := bindTable(st, "b", 4); recycled || fresh[0].arr == cells[0].arr {
@@ -403,7 +403,7 @@ func TestBindRacesReleaseOfThePreviousTable(t *testing.T) {
 				recycled[b] = st.bind(keys, cells[b])
 				for i, c := range cells[b] {
 					if i%2 == b {
-						c.store(g*width+i, &noMetrics)
+						c.store(g*width+i, &testMetrics)
 					}
 				}
 			}()

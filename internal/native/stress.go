@@ -242,7 +242,7 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 				for _, l := range res.Latency {
 					hist.Observe(int64(l))
 				}
-				verr := CheckDelta(t, res)
+				verr := task.Check(t, res.Inputs, res.Outputs)
 				derr := CheckDecided(res)
 				mu.Lock()
 				rep.Runs++
@@ -263,7 +263,7 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 	return rep, nil
 }
 
-// Judge accounts one checked run: delta is its CheckDelta verdict, decided
+// Judge accounts one checked run: delta is its task.Check verdict, decided
 // its CheckDecided verdict. ∆ comes first and wait-freedom second — the task
 // validates whatever did decide even when some process was cut off — so a
 // safety violation is never masked by a liveness miss. Only the first few

@@ -26,13 +26,6 @@ func BenchmarkObsCounter(b *testing.B) {
 			}
 		})
 	})
-	b.Run("disabled", func(b *testing.B) {
-		var h Handle
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Inc(0)
-		}
-	})
 }
 
 // BenchmarkObsHistogram measures the histogram record path: bucket index

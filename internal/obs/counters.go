@@ -41,28 +41,18 @@ type block struct {
 	_ pad
 }
 
-// Handle is a pre-resolved reference to one stripe of a layer's counters. The
-// zero Handle discards bumps (one predictable branch, no atomics).
+// Handle is a pre-resolved reference to one stripe of a layer's counters,
+// minted by Taxonomy.Handle. Every layer mints its handles at construction,
+// so there is no zero Handle on any record path.
 type Handle struct {
 	v []atomic.Int64
 }
 
-// Enabled reports whether this handle records anywhere.
-func (h Handle) Enabled() bool { return h.v != nil }
-
 // Inc adds 1 to the counter: a single atomic add on a pre-resolved cell.
-func (h Handle) Inc(id CounterID) {
-	if h.v != nil {
-		h.v[id].Add(1)
-	}
-}
+func (h Handle) Inc(id CounterID) { h.v[id].Add(1) }
 
 // Add adds n to the counter.
-func (h Handle) Add(id CounterID, n int64) {
-	if h.v != nil {
-		h.v[id].Add(n)
-	}
-}
+func (h Handle) Add(id CounterID, n int64) { h.v[id].Add(n) }
 
 // Snapshot is a point-in-time reading of every counter in a set. Each
 // counter's value is monotone and exact once recorders have quiesced;

@@ -6,25 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// enabled is the one process-wide telemetry switch, consulted when a
-// handle is minted — never per bump.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns counter recording on or off for every layer, for
-// handles minted AFTER the call (handles resolve at construction, so a
-// stubbed run has zero live counter cells on its hot paths). It exists
-// for the instrumented-vs-stubbed register benchmark that prices the
-// counters, and for the tests that pin that results are identical either
-// way; production tooling leaves it on.
-func SetEnabled(on bool) { enabled.Store(on) }
-
 // Taxonomy is one instrumented layer's telemetry, declared once as a
 // package-level var: a set of named, striped, monotone counters plus the
 // gauges and histograms the layer declares on it. The layer owns the ID
-// constants and the names; obs owns where the cells live, the switch that
-// stubs them, and how they reach a debug endpoint (DebugOptions.Layers).
+// constants and the names; obs owns where the cells live and how they
+// reach a debug endpoint (DebugOptions.Layers).
 // All counter recording goes through Handles; Snapshot sums the stripes.
 type Taxonomy struct {
 	names []string
@@ -88,13 +74,9 @@ func (t *Taxonomy) Histogram(name string) *Histogram {
 }
 
 // Handle returns a pre-resolved recording handle on the next stripe
-// (round-robin), or the discarding zero Handle while the switch is off.
-// Handles are values; store them by value to keep the record path one
-// pointer dereference.
+// (round-robin). Handles are values; store them by value to keep the
+// record path one pointer dereference.
 func (t *Taxonomy) Handle() Handle {
-	if !enabled.Load() {
-		return Handle{}
-	}
 	i := t.next.Add(1) - 1
 	return Handle{v: t.blocks[i%counterStripes].v}
 }

@@ -17,15 +17,7 @@ import (
 // C-process with ⊥ output took only finitely many steps. In a bounded run
 // the latter cannot be checked directly, so callers combine CheckTask with
 // CheckWaitFree over the suffix.
-func CheckTask(t task.Task, res *Result) error {
-	if err := t.InDomain(res.Inputs); err != nil {
-		return fmt.Errorf("input vector outside I: %w", err)
-	}
-	if err := t.Validate(res.Inputs, res.Outputs); err != nil {
-		return fmt.Errorf("(I,O) violates ∆: %w", err)
-	}
-	return nil
-}
+func CheckTask(t task.Task, res *Result) error { return task.Check(t, res.Inputs, res.Outputs) }
 
 // MaxConcurrency returns the maximum, over all times, of the number of
 // participating-but-undecided C-processes — the concurrency level of the

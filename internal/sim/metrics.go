@@ -5,12 +5,10 @@ import "wfadvice/internal/obs"
 // This file is the sim backend's op-count telemetry: runs driven and steps
 // executed by kind. The counters exist for the layers *above* the runtime —
 // the explorer's nodes/sec and states/sec signals, the experiment engine's
-// live progress — and are strictly outside sim.Result: a Result, a trace,
-// a schedule and every rendered report are byte-identical with telemetry
-// on or stubbed (obs.SetEnabled). Each Runtime mints one pre-resolved
-// handle at construction, so the per-step cost is one predictable branch
-// plus two atomic adds on a stripe the driving goroutine effectively owns,
-// and a stubbed run has zero live cells.
+// live progress — and are strictly outside sim.Result: nothing a run
+// returns reads them. Each Runtime mints one pre-resolved handle at
+// construction, so the per-step cost is two atomic adds on a stripe the
+// driving goroutine effectively owns.
 
 // Sim counter taxonomy.
 const (

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"wfadvice/internal/obs"
-)
+import "testing"
 
 // TestSimOpCounts drives one deterministic run and checks the counter
 // deltas against the exact op totals: the echo system does one write, one
@@ -35,24 +31,5 @@ func TestSimOpCounts(t *testing.T) {
 	}
 	if m["sim_step"] != m["sim_read"]+m["sim_write"]+m["sim_query"]+m["sim_decide"] {
 		t.Errorf("sim_step %d != sum of kind counters %v", m["sim_step"], m)
-	}
-}
-
-// TestSimMetricsDisabled checks that obs.SetEnabled(false) stubs runtimes
-// built afterwards — no counter moves — and that Results are unaffected.
-func TestSimMetricsDisabled(t *testing.T) {
-	obs.SetEnabled(false)
-	defer obs.SetEnabled(true)
-	before := Telemetry.Snapshot()
-	rt, err := New(echoConfig(3, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := rt.Run(&RoundRobin{})
-	if res.Reason != ReasonAllDone {
-		t.Fatalf("reason = %v, want all-done", res.Reason)
-	}
-	if d := Telemetry.Snapshot().Delta(before).Map(); len(d) != 0 {
-		t.Errorf("disabled metrics still moved: %v", d)
 	}
 }

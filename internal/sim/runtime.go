@@ -298,8 +298,8 @@ type Runtime struct {
 	trace    []Event
 	step     int
 	ran      bool
-	// mh is the op-count telemetry handle, minted at construction (zero =
-	// stubbed). Strictly outside Result: see metrics.go.
+	// mh is the op-count telemetry handle, minted at construction.
+	// Strictly outside Result: see metrics.go.
 	mh obs.Handle
 }
 

@@ -33,6 +33,19 @@ type Task interface {
 	Validate(in, out vec.Vector) error
 }
 
+// Check judges a run's (I, O) pair against t: the inputs lie in I and the
+// outputs are ∆-related to them (undecided ⊥ entries are permitted, ∆
+// being prefix-closed). Both execution backends judge their runs with it.
+func Check(t Task, in, out vec.Vector) error {
+	if err := t.InDomain(in); err != nil {
+		return fmt.Errorf("input vector outside I: %w", err)
+	}
+	if err := t.Validate(in, out); err != nil {
+		return fmt.Errorf("(I,O) violates ∆: %w", err)
+	}
+	return nil
+}
+
 // Sequential is a task with a constructive sequential specification: given
 // the input vector restricted to what a process has seen and the outputs
 // decided so far, Extend picks an output value for process i such that the

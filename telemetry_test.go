@@ -104,42 +104,37 @@ func TestExportedSeries(t *testing.T) {
 }
 
 // TestStressReportCounterKeys: the counter keys a stress report carries are
-// pinned names (zero counters are omitted, so the keys are a subset), and a
-// run built with the one switch off carries none — no native or kv recorder
-// mints its handle around it.
+// pinned names (zero counters are omitted, so the keys are a subset), and
+// each report counts the operations its run performed.
 func TestStressReportCounterKeys(t *testing.T) {
 	sc, err := wfadvice.NewScenario(wfadvice.ScenarioParams{Task: "consensus", N: 4, Stabilize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wfadvice.NativeEnableMetrics(true)
-	for _, on := range []bool{true, false} {
-		wfadvice.NativeEnableMetrics(on)
-		rep, err := wfadvice.NativeStress(sc.Name, sc.Task, func(seed int64) (wfadvice.NativeConfig, error) {
-			return sc.NativeConfig(seed, 20*time.Microsecond), nil
-		}, wfadvice.StressOptions{Duration: 100 * time.Millisecond, RunBudget: 5 * time.Second, Workers: 2, Seed: 1})
-		if err != nil || rep.Failed() {
-			t.Fatalf("stress: %v\n%s", err, rep.Render())
+	rep, err := wfadvice.NativeStress(sc.Name, sc.Task, func(seed int64) (wfadvice.NativeConfig, error) {
+		return sc.NativeConfig(seed, 20*time.Microsecond), nil
+	}, wfadvice.StressOptions{Duration: 100 * time.Millisecond, RunBudget: 5 * time.Second, Workers: 2, Seed: 1})
+	if err != nil || rep.Failed() {
+		t.Fatalf("stress: %v\n%s", err, rep.Render())
+	}
+	krep, err := wfadvice.NativeKVStress(wfadvice.KVStressOptions{N: 3, Rate: 2000, Duration: 200 * time.Millisecond, PutFrac: 0.5, Seed: 1})
+	if err != nil || krep.Failed() {
+		t.Fatalf("kv stress: %v\n%s", err, krep.Render())
+	}
+	for _, c := range []struct {
+		got    map[string]int64
+		pinned []string
+		must   string
+	}{
+		{rep.Counters, nativeCounters, "decide"},
+		{krep.Counters, slices.Concat(nativeCounters, kvCounters), "kv_op_put"},
+	} {
+		if c.got[c.must] == 0 {
+			t.Errorf("report counts no %s: %v", c.must, c.got)
 		}
-		krep, err := wfadvice.NativeKVStress(wfadvice.KVStressOptions{N: 3, Rate: 2000, Duration: 200 * time.Millisecond, PutFrac: 0.5, Seed: 1})
-		if err != nil || krep.Failed() {
-			t.Fatalf("kv stress: %v\n%s", err, krep.Render())
-		}
-		for _, c := range []struct {
-			got    map[string]int64
-			pinned []string
-			must   string
-		}{
-			{rep.Counters, nativeCounters, "decide"},
-			{krep.Counters, slices.Concat(nativeCounters, kvCounters), "kv_op_put"},
-		} {
-			if on == (c.got[c.must] == 0) {
-				t.Errorf("telemetry=%v: report counts %d %s: %v", on, c.got[c.must], c.must, c.got)
-			}
-			for name := range c.got {
-				if !on || !slices.Contains(c.pinned, name) {
-					t.Errorf("telemetry=%v: report carries counter %q", on, name)
-				}
+		for name := range c.got {
+			if !slices.Contains(c.pinned, name) {
+				t.Errorf("report carries counter %q", name)
 			}
 		}
 	}

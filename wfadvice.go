@@ -34,7 +34,6 @@ import (
 	"wfadvice/internal/ids"
 	"wfadvice/internal/kv"
 	"wfadvice/internal/native"
-	"wfadvice/internal/obs"
 	"wfadvice/internal/paxos"
 	"wfadvice/internal/sim"
 	"wfadvice/internal/task"
@@ -213,11 +212,6 @@ var (
 	}
 	// KVCheckSessions replays the version order the service reported.
 	KVCheckSessions = kv.CheckSessions
-	// NativeEnableMetrics is the one process-wide telemetry switch: it
-	// gates every layer's counters for runtimes built after the call
-	// (handles resolve at construction). The stubbed mode exists for the
-	// instrumented-vs-stubbed overhead benchmarks.
-	NativeEnableMetrics = obs.SetEnabled
 	// NewScenario builds a backend-independent scenario.
 	NewScenario = core.NewScenario
 )
@@ -232,8 +226,8 @@ const AdviceEvent = native.AdviceEvent
 // C-process decided".
 const NativeReasonAllDecided = native.ReasonAllDecided
 
-// ExpOptions configures an experiment engine (parallelism, root seed, trial
-// multiplier, reduced -short grids).
+// ExpOptions configures an experiment engine (parallelism, root seed,
+// reduced -short grids).
 type ExpOptions = exp.Options
 
 // Experiment harness entry points.
