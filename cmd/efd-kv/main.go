@@ -119,6 +119,21 @@ func main() {
 	if *clerkTO < 0 {
 		badFlag("-clerk-timeout must be non-negative, got %v", *clerkTO)
 	}
+	if *runBudget < 0 {
+		badFlag("-run-budget must be non-negative, got %v (0 = duration + 10s)", *runBudget)
+	}
+	if *crashAt < 0 {
+		badFlag("-crash-at must be non-negative, got %d (0 = stabilize + 100)", *crashAt)
+	}
+	if *stabilize < 0 {
+		badFlag("-stabilize must be non-negative, got %d (0 = default 100)", *stabilize)
+	}
+	if *tick < 0 {
+		badFlag("-tick must be non-negative, got %v (0 = default 100µs)", *tick)
+	}
+	if *procs < 0 {
+		badFlag("-procs must be non-negative, got %d (0 = leave as is)", *procs)
+	}
 	if *traceCap < 1 || *traceCap > obs.MaxTraceCap {
 		badFlag("-trace-buf must be in [1, %d], got %d", obs.MaxTraceCap, *traceCap)
 	}

@@ -106,6 +106,12 @@ func main() {
 		badFlag("-snapshot must be at most half of -duration (%v), got %v: the leak audit compares two halves of the series", *duration, *snapshot)
 	case *procs < 0:
 		badFlag("-procs must be non-negative, got %d (0 = leave as is)", *procs)
+	case *crashAt < 0:
+		badFlag("-crash-at must be non-negative, got %d (0 = default 50)", *crashAt)
+	case *stabilize < 0:
+		badFlag("-stabilize must be non-negative, got %d (0 = default 100)", *stabilize)
+	case *tick < 0:
+		badFlag("-tick must be non-negative, got %v (0 = default 100µs)", *tick)
 	case *traceCap < 1 || *traceCap > obs.MaxTraceCap:
 		badFlag("-trace-buf must be in [1, %d], got %d", obs.MaxTraceCap, *traceCap)
 	}

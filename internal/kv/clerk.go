@@ -119,7 +119,8 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		sess := &Session{Client: i}
-		var sized pace // when sess.Ops was last given a capacity
+		var reqs slab[Request] // the request register holds a pointer into it
+		var sized pace         // when sess.Ops was last given a capacity
 		for k := 0; ; k++ {
 			if cfg.Ops > 0 && k >= cfg.Ops {
 				break
@@ -151,7 +152,7 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 			if cfg.Clock != nil {
 				start = cfg.Clock()
 			}
-			req.Write(0, Request{Client: i, Seq: seq, Op: op, Key: key, Val: arg})
+			req.Write(0, reqs.one(Request{Client: i, Seq: seq, Op: op, Key: key, Val: arg}))
 			// The reply wait degrades in stages instead of spinning
 			// forever on a dead or advice-starved service: a bounded free
 			// budget of parked polls, then counted retries under capped
@@ -177,8 +178,8 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 			polls, backoff := 0, clerkBackoffMin
 			for {
 				seen := e.Epoch()
-				if v, ok := rep.Read(0).(Reply); ok && v.Seq == seq {
-					r = v
+				if v, ok := rep.Read(0).(*Reply); ok && v.Seq == seq {
+					r = *v
 					break
 				}
 				if cfg.Clock != nil && cfg.OpTimeout > 0 && cfg.Clock()-start >= cfg.OpTimeout {

@@ -475,27 +475,131 @@ func TestReplicaAbandonsInflightOnFlap(t *testing.T) {
 	}
 }
 
-// TestCarveCapsBatches: proposed batches share a slab until it is full, each
-// capped at its own length, so appending to one never writes into the next.
-func TestCarveCapsBatches(t *testing.T) {
-	r := &replica{}
+// TestSlab: values share a slab until it is full; one hands out the address of
+// a copy and many a copy capped at its own length, so appending to one never
+// writes into the next, and a value that does not fit the slab's tail starts a
+// new slab without touching what the old one handed out.
+func TestSlab(t *testing.T) {
+	var s slab[Request]
 	reqs := []Request{{Client: 0, Seq: 1}, {Client: 1, Seq: 1}}
-	a := r.carve(reqs)
-	b := r.carve(reqs[:1])
-	if len(a) != 2 || cap(a) != 2 || &a[0] != &r.slab[0] || &b[0] != &r.slab[2] {
-		t.Fatalf("batches are not consecutive capped slices of one slab: len %d cap %d", len(a), cap(a))
+	a := s.many(reqs)
+	p := s.one(reqs[1])
+	b := s.many(reqs[:1])
+	if len(a) != 2 || cap(a) != 2 || &a[0] != &s.buf[0] || p != &s.buf[2] || &b[0] != &s.buf[3] {
+		t.Fatalf("values are not consecutive capped slices of one slab: len %d cap %d", len(a), cap(a))
 	}
 	_ = append(a, Request{Client: 2, Seq: 9})
-	if b[0] != reqs[0] {
-		t.Fatalf("appending to one batch overwrote the next: %+v", b[0])
+	if *p != reqs[1] || b[0] != reqs[0] {
+		t.Fatalf("appending to one batch overwrote the next: %+v, %+v", *p, b[0])
 	}
-	for len(r.slab) < slabRequests-1 {
-		r.carve(reqs[:1])
+	for len(s.buf) < cap(s.buf)-1 {
+		s.one(reqs[0])
 	}
-	full := &r.slab[0]
-	if c := r.carve(reqs); &r.slab[0] == full || &c[0] != &r.slab[0] || cap(r.slab) != slabRequests {
+	full := &s.buf[0]
+	if c := s.many(reqs); &s.buf[0] == full || &c[0] != &s.buf[0] || cap(s.buf) < slabLen {
 		t.Fatal("a batch that does not fit the slab's tail did not start a new slab")
 	}
+	if q := s.one(reqs[1]); q != &s.buf[2] || a[0] != reqs[0] || *p != reqs[1] {
+		t.Fatal("one did not continue the new slab, or a new slab moved an old value")
+	}
+	if n := testing.AllocsPerRun(100, func() { s.one(reqs[0]) }); n > 0 {
+		t.Errorf("one allocates %v objects a value, want one per slab of %d values", n, slabLen)
+	}
+}
+
+// TestMailboxValuesStayPut: a request or reply register holds a pointer into
+// its writer's slab, and a reader copies what the pointer holds only after the
+// read that returned it (the clerk its reply, the replica its request), so
+// nothing a slab handed out may ever change. One clerk and one replica carry puts on the
+// sim backend until both slabs have rolled over at least twice; every value
+// read from either register must still hold the (Client, Seq) it was read
+// with when the run is over.
+func TestMailboxValuesStayPut(t *testing.T) {
+	var rq slab[Request]
+	var rp slab[Reply]
+	rq.one(Request{})
+	rp.one(Reply{})
+	ops := 2*max(cap(rq.buf), cap(rp.buf)) + 40
+	type read struct {
+		req       *Request
+		rep       *Reply
+		client, s int
+	}
+	var reads []read
+	keep := func(v sim.Value) {
+		switch v := v.(type) {
+		case *Request:
+			reads = append(reads, read{req: v, client: v.Client, s: v.Seq})
+		case *Reply:
+			reads = append(reads, read{rep: v, s: v.Seq})
+		}
+	}
+	watched := func(body func(int) sim.Body) func(int) sim.Body {
+		return func(i int) sim.Body {
+			b := body(i)
+			return func(e sim.Ops) { b(keptReads{e, keep}) }
+		}
+	}
+	pat := fdet.NewPattern(1, nil)
+	rt, err := sim.New(sim.Config{
+		NC: 1, NS: 1, Inputs: vec.Of(100),
+		CBody:    watched(ClerkConfig{NC: 1, NS: 1, Ops: ops, PutFrac: 1}.Body),
+		SBody:    watched(ReplicaConfig{NC: 1, NS: 1, LeaseReads: true}.Body),
+		Pattern:  pat,
+		History:  fdet.LiveOmega{}.History(pat, 0, 1),
+		MaxSteps: 2_000_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rt.Run(&sim.StopWhenDecided{Inner: &sim.RoundRobin{}})
+	if err := sim.DecidedAll(res); err != nil {
+		t.Fatalf("%v (reason %v after %d steps)", err, res.Reason, res.Steps)
+	}
+	reqs, reps := map[*Request]bool{}, map[*Reply]bool{}
+	for _, r := range reads {
+		if r.req != nil {
+			reqs[r.req] = true
+			if r.req.Client != r.client || r.req.Seq != r.s {
+				t.Fatalf("a request read as (%d, %d) now holds (%d, %d)", r.client, r.s, r.req.Client, r.req.Seq)
+			}
+			continue
+		}
+		reps[r.rep] = true
+		if r.rep.Seq != r.s {
+			t.Fatalf("a reply read as seq %d now holds seq %d", r.s, r.rep.Seq)
+		}
+	}
+	if len(reqs) < ops || len(reps) < ops {
+		t.Fatalf("read %d distinct requests and %d distinct replies, want at least %d of each", len(reqs), len(reps), ops)
+	}
+}
+
+// keptReads hands every value its bound handles read to keep.
+type keptReads struct {
+	sim.Ops
+	keep func(sim.Value)
+}
+
+func (o keptReads) Bind(keys []string) sim.Regs { return keptRegs{o.Ops.Bind(keys), o.keep} }
+
+type keptRegs struct {
+	sim.Regs
+	keep func(sim.Value)
+}
+
+func (r keptRegs) Read(i int) sim.Value {
+	v := r.Regs.Read(i)
+	r.keep(v)
+	return v
+}
+
+func (r keptRegs) ReadMany(dst []sim.Value) []sim.Value {
+	vs := r.Regs.ReadMany(dst)
+	for _, v := range vs {
+		r.keep(v)
+	}
+	return vs
 }
 
 func TestKVSimLeaderCrash(t *testing.T) {
@@ -760,7 +864,7 @@ func runClerkAgainstClock(t *testing.T, onGrace func(e sim.Ops)) (OpRecord, int)
 // soon as they run again, while a dead service still times every op out.
 func TestClerkDeadlineIsObservedTwice(t *testing.T) {
 	rec, reads := runClerkAgainstClock(t, func(e sim.Ops) {
-		e.Write(RepKey(0), Reply{Seq: 1, Val: 7, Ver: 1})
+		e.Write(RepKey(0), &Reply{Seq: 1, Val: 7, Ver: 1})
 	})
 	if rec.TimedOut || rec.Out != 7 || reads != 3 {
 		t.Errorf("reply landing in the grace pause: %+v after %d reply reads, want it completed by the third", rec, reads)
@@ -803,7 +907,7 @@ func TestPreemptedSlotsLeaveNoProposer(t *testing.T) {
 		req := e.Bind(ReqKeys(1))
 		for k := 1; k <= rounds; k++ {
 			r.apply(true)
-			req.Write(0, Request{Client: 0, Seq: k, Op: OpPut, Key: "a", Val: int64(k)})
+			req.Write(0, &Request{Client: 0, Seq: k, Op: OpPut, Key: "a", Val: int64(k)})
 			slot := r.next
 			if r.serve(true); !r.inflight || r.slot != slot {
 				t.Errorf("round %d: no batch in flight at the frontier %d: %+v", k, slot, r)
@@ -844,20 +948,20 @@ func TestLeaderRestoresOverwrittenReply(t *testing.T) {
 		runAsLeader(t, func(e sim.Ops) {
 			r := newReplica(rc, 0, e)
 			req, rep := e.Bind(ReqKeys(1)), e.Bind(RepKeys(1))
-			req.Write(0, Request{Client: 0, Seq: 2, Op: op, Key: "a", Val: 5})
+			req.Write(0, &Request{Client: 0, Seq: 2, Op: op, Key: "a", Val: 5})
 			r.iterate() // a put commits here and is delivered by the next sweep; a get is lease-served
 			r.iterate()
-			want, ok := rep.Read(0).(Reply)
+			want, ok := rep.Read(0).(*Reply)
 			if !ok || want.Seq != 2 || want.Lease != (op == OpGet) {
 				t.Errorf("%v: reply register holds %+v after two iterations", op, rep.Read(0))
 				return
 			}
-			rep.Write(0, Reply{Seq: 1}) // the stale leader's late write
+			rep.Write(0, &Reply{Seq: 1}) // the stale leader's late write
 			for i := 0; i < redeliverAfter; i++ {
 				r.iterate()
 			}
-			if got := rep.Read(0); got != want {
-				t.Errorf("%v: reply register holds %+v after %d more iterations, want %+v back", op, got, redeliverAfter, want)
+			if got, _ := rep.Read(0).(*Reply); got == nil || *got != *want {
+				t.Errorf("%v: reply register holds %+v after %d more iterations, want %+v back", op, got, redeliverAfter, *want)
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package kv
 
 import (
+	"slices"
+
 	"wfadvice/internal/obs"
 	"wfadvice/internal/paxos"
 	"wfadvice/internal/sim"
@@ -43,6 +45,9 @@ type replica struct {
 	next       int     // apply frontier: first undecided slot
 	repWritten []Reply // last reply this replica wrote per clerk
 	unread     []int   // iterations since, with the request it answers still pending
+	// replies holds the replies this replica has written: a reply register
+	// holds a pointer into it.
+	replies slab[Reply]
 
 	inflight bool      // a proposed batch is riding the log
 	slot     int       // its slot
@@ -52,14 +57,37 @@ type replica struct {
 
 	// batch is per-iteration scratch, reused across iterations.
 	batch []Request
-	// slab is where proposed batches' requests are copied to: each batch is
-	// carved off its unused tail, capacity capped at its own length, and a
-	// full slab is left to the batches that hold it.
-	slab []Request
+	// batches holds the requests of the batches this replica has proposed.
+	batches slab[Request]
 }
 
-// slabRequests is the number of requests in one slab (12 KB).
-const slabRequests = 256
+// slabLen is the least number of values in one slab: 12 KB of requests, 8 KB
+// of replies.
+const slabLen = 256
+
+// slab hands out copies of values in append-only arrays of at least slabLen,
+// so that a process publishing a value per operation allocates once per
+// slabLen of them. Nothing handed out is ever written again — a full array is
+// left to the values that point into it and a new one started — so a reader
+// may keep what it was handed for as long as it likes. A slab belongs to one
+// process and one run.
+type slab[T any] struct{ buf []T }
+
+// one copies v into the slab and returns its address.
+func (s *slab[T]) one(v T) *T { return &s.many([]T{v})[0] }
+
+// many copies vs into the slab and returns the copy, capped at its own length
+// so that no later append can write into it.
+func (s *slab[T]) many(vs []T) []T {
+	n := len(s.buf)
+	if cap(s.buf)-n < len(vs) {
+		// Grow, unlike make, fills the allocator's size class, so a value
+		// costs no more bytes than its own box would.
+		s.buf, n = slices.Grow([]T(nil), max(slabLen, len(vs))), 0
+	}
+	s.buf = append(s.buf, vs...)
+	return s.buf[n:len(s.buf):len(s.buf)]
+}
 
 // Body returns replica me's program. The loop is: query advice, apply
 // everything decided (Sweep), harvest the request registers in one batched
@@ -225,7 +253,7 @@ func (r *replica) deliver(c int, rep Reply) {
 	if r.repWritten[c] == rep {
 		return
 	}
-	r.reps.Write(c, rep)
+	r.reps.Write(c, r.replies.one(rep))
 	r.repWritten[c] = rep
 	r.unread[c] = 0
 }
@@ -264,10 +292,11 @@ func (r *replica) serve(lead bool) bool {
 	progress := false
 	r.batch = r.batch[:0]
 	for c := 0; c < r.cfg.NC; c++ {
-		req, ok := r.reqBuf[c].(Request)
+		p, ok := r.reqBuf[c].(*Request)
 		if !ok {
 			continue
 		}
+		req := *p
 		switch {
 		case r.repWritten[c].Seq == req.Seq:
 			// Answered by this replica, from the log or under a lease, and
@@ -280,9 +309,9 @@ func (r *replica) serve(lead bool) bool {
 			// and, if it has lost the reply, written again.
 			if r.unread[c]++; r.unread[c] >= redeliverAfter {
 				r.unread[c] = 0
-				if got, _ := r.reps.Read(c).(Reply); got != r.repWritten[c] {
+				if got, _ := r.reps.Read(c).(*Reply); got == nil || *got != r.repWritten[c] {
 					r.h.Inc(cRetransmit)
-					r.reps.Write(c, r.repWritten[c])
+					r.reps.Write(c, r.replies.one(r.repWritten[c]))
 					progress = true
 				}
 			}
@@ -313,7 +342,7 @@ func (r *replica) serve(lead bool) bool {
 	}
 	if !r.inflight && len(r.batch) > 0 {
 		r.batchSeq++
-		b := Batch{Proposer: r.me, Seq: r.batchSeq, Reqs: r.carve(r.batch)}
+		b := Batch{Proposer: r.me, Seq: r.batchSeq, Reqs: r.batches.many(r.batch)}
 		r.slot = r.next
 		r.flight = b.Reqs
 		r.log.Proposer(r.slot).SetProposal(b)
@@ -322,18 +351,6 @@ func (r *replica) serve(lead bool) bool {
 		progress = true
 	}
 	return progress
-}
-
-// carve copies reqs into the slab and returns the copy, capped at its own
-// length so that no later append can write into a proposed batch. A batch
-// that does not fit the slab's tail starts a new slab.
-func (r *replica) carve(reqs []Request) []Request {
-	n := len(r.slab)
-	if cap(r.slab)-n < len(reqs) {
-		r.slab, n = make([]Request, 0, max(slabRequests, len(reqs))), 0
-	}
-	r.slab = append(r.slab, reqs...)
-	return r.slab[n:len(r.slab):len(r.slab)]
 }
 
 // inBatch reports whether (c, seq) is in the in-flight batch. The batch is

@@ -42,8 +42,8 @@ func (k OpKind) String() string {
 	return "get"
 }
 
-// Request is one client operation, written by clerk c into ReqKey(c).
-// Values must be treated as immutable once written.
+// Request is one client operation. Clerk c writes a pointer to it into
+// ReqKey(c), taken from the clerk's slab, which never writes it again.
 type Request struct {
 	Client int // clerk index
 	Seq    int // per-client sequence number, starting at 1
@@ -52,7 +52,8 @@ type Request struct {
 	Val    int64 // Put argument; ignored for Get
 }
 
-// Reply answers Request{Client, Seq}; the replica writes it to RepKey(c).
+// Reply answers Request{Client, Seq}; the replica writes a pointer to it,
+// taken from its slab, to RepKey(c).
 type Reply struct {
 	Seq   int
 	Val   int64 // Get: value read; Put: previous value
