@@ -106,6 +106,12 @@ func main() {
 		badFlag("-snapshot must be at most half of -duration (%v), got %v: the leak audit compares two halves of the series", *duration, *snapshot)
 	case *procs < 0:
 		badFlag("-procs must be non-negative, got %d (0 = leave as is)", *procs)
+	case *k < 0:
+		badFlag("-k must be non-negative, got %d (0 = default 1)", *k)
+	case *j < 0:
+		badFlag("-j must be non-negative, got %d (0 = n-1)", *j)
+	case *crash < 0:
+		badFlag("-crash must be non-negative, got %d", *crash)
 	case *crashAt < 0:
 		badFlag("-crash-at must be non-negative, got %d (0 = default 50)", *crashAt)
 	case *stabilize < 0:

@@ -28,6 +28,9 @@ func TestOutOfRangeSettingsAreFlagErrors(t *testing.T) {
 		{"-tick", "-1ms"},
 		{"-stabilize", "-5"},
 		{"-crash-at", "-3", "-crash", "1"},
+		{"-crash", "-2", "-crash-storm"},
+		{"-k", "-3"},
+		{"-j", "-1"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-task", "consensus", "-n", "3", "-duration", "300ms"}, bad...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

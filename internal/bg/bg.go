@@ -146,10 +146,7 @@ func (s *Simulator) OnView(view auto.View) {
 			return
 		}
 		if mine.Level == 1 {
-			lvl := 2
-			if s.sawLevel2(key) {
-				lvl = 0
-			}
+			lvl := Raise(s.me, s.m, func(j int) int { return s.entryOf(j, key).Level })
 			s.record(key, saEntry{Level: lvl, Proposal: mine.Proposal})
 			s.cursor = (c + 1) % s.nCodes
 			return
@@ -177,59 +174,60 @@ func (s *Simulator) ingest(view auto.View) {
 	}
 }
 
-// entryOf returns simulator j's current entry for key (using local state for
-// j == me).
-func (s *Simulator) entryOf(j int, key saKey) (saEntry, bool) {
+// entryOf returns simulator j's current entry for key, the zero entry
+// (level 0) when it has none, using local state for j == me.
+func (s *Simulator) entryOf(j int, key saKey) saEntry {
 	if j == s.me {
-		e, ok := s.myIdx[key]
-		return e, ok
+		return s.myIdx[key]
 	}
-	e, ok := s.peerIdx[j][key]
-	return e, ok
+	return s.peerIdx[j][key]
 }
 
-// sawLevel2 reports whether any other simulator has level 2 for key.
-func (s *Simulator) sawLevel2(key saKey) bool {
-	for j := 0; j < s.m; j++ {
-		if j == s.me {
-			continue
-		}
-		if e, ok := s.peerIdx[j][key]; ok && e.Level == 2 {
-			return true
+// Raise is safe agreement's second write: a simulator me at level 1, having
+// collected the levels of all m simulators (level(j) is 0 when j has no
+// entry), moves to level 2, or backs off to level 0 if another simulator is
+// already at level 2.
+func Raise(me, m int, level func(j int) int) int {
+	for j := 0; j < m; j++ {
+		if j != me && level(j) == 2 {
+			return 0
 		}
 	}
-	return false
+	return 2
 }
 
-// tryResolve applies code c's next step if its agreement has resolved: no
-// level-1 entry anywhere and at least one level-2 entry; the winner is the
-// smallest simulator id at level 2.
+// Resolve reads a safe agreement from the levels of its m simulators
+// (level(j) is 0 when j has no entry): it is unresolved while anyone is at
+// level 1 or nobody is at level 2; otherwise the smallest id at level 2
+// wins.
+func Resolve(m int, level func(j int) int) (winner int, ok bool) {
+	winner = -1
+	for j := 0; j < m; j++ {
+		switch level(j) {
+		case 1:
+			return -1, false
+		case 2:
+			if winner < 0 {
+				winner = j
+			}
+		}
+	}
+	return winner, winner >= 0
+}
+
+// tryResolve applies code c's next step if its agreement has resolved (see
+// Resolve).
 func (s *Simulator) tryResolve(c int) bool {
 	if s.decided[c] {
 		return false
 	}
 	key := saKey{c: c, s: s.applied[c]}
-	var winner auto.View
-	found := false
-	for j := 0; j < s.m; j++ {
-		e, ok := s.entryOf(j, key)
-		if !ok {
-			continue
-		}
-		switch e.Level {
-		case 1:
-			return false // unresolved
-		case 2:
-			if !found {
-				winner, found = e.Proposal, true
-			}
-		}
-	}
-	if !found {
+	w, ok := Resolve(s.m, func(j int) int { return s.entryOf(j, key).Level })
+	if !ok {
 		return false
 	}
 	stepView := make(auto.View, s.nCodes)
-	copy(stepView, winner)
+	copy(stepView, s.entryOf(w, key).Proposal)
 	stepView[c] = s.pending[c] // a collect follows the code's own write
 	s.codes[c].OnView(stepView)
 	s.applied[c]++

@@ -158,3 +158,40 @@ func TestBGKSetUngated(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSafeAgreementRule is the raise/resolve rule on its own, as both this
+// package's simulators and core's Asim call it: level(j) reads a table built
+// from (simulator, level) records in the listed order, 0 for simulators
+// with no record.
+func TestSafeAgreementRule(t *testing.T) {
+	type rec struct{ id, level int }
+	for _, tc := range []struct {
+		name       string
+		m, me      int
+		recs       []rec
+		wantRaise  int
+		wantWinner int // -1: unresolved
+	}{
+		{"level 1 blocks resolution", 3, 2, []rec{{0, 2}, {1, 1}}, 0, -1},
+		{"level 1 above a level 2 blocks too", 3, 1, []rec{{2, 1}, {0, 2}}, 0, -1},
+		{"smallest level-2 id wins, recorded last", 4, 0, []rec{{3, 2}, {2, 2}, {1, 2}}, 0, 1},
+		{"smallest level-2 id wins, recorded first", 4, 0, []rec{{1, 2}, {3, 2}, {2, 2}}, 0, 1},
+		{"absent and level-0 entries neither block nor win", 4, 1, []rec{{0, 0}, {2, 2}}, 0, 2},
+		{"no level-2 entry: unresolved", 3, 0, []rec{{0, 0}, {2, 0}}, 2, -1},
+		{"no entries: unresolved", 3, 0, nil, 2, -1},
+		{"raise ignores the caller's own level 2", 3, 1, []rec{{1, 2}, {0, 0}}, 2, 1},
+	} {
+		levels := map[int]int{}
+		for _, r := range tc.recs {
+			levels[r.id] = r.level
+		}
+		level := func(j int) int { return levels[j] }
+		if got := Raise(tc.me, tc.m, level); got != tc.wantRaise {
+			t.Errorf("%s: Raise(%d) = %d, want %d", tc.name, tc.me, got, tc.wantRaise)
+		}
+		w, ok := Resolve(tc.m, level)
+		if ok != (tc.wantWinner >= 0) || (ok && w != tc.wantWinner) {
+			t.Errorf("%s: Resolve = %d, %v; want winner %d", tc.name, w, ok, tc.wantWinner)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"wfadvice/internal/auto"
+	"wfadvice/internal/bg"
 	"wfadvice/internal/fdet"
 	"wfadvice/internal/vec"
 )
@@ -18,7 +19,8 @@ import (
 // level-1 and level-2 safe-agreement writes blocks one S-code — with at most
 // k stalled C-processes in a (k+1)-concurrent run, at least n−k S-codes keep
 // receiving turns, which is the structural fact the ¬Ωk output rule turns
-// into advice.
+// into advice. The raise and resolve rules are bg.Raise and bg.Resolve,
+// the ones internal/bg's simulators run.
 
 // asimSAKey identifies the safe agreement deciding S-code q's step s.
 type asimSAKey struct {
@@ -154,10 +156,7 @@ func (m *AsimMachine) bgStep(i int) {
 		}
 		key := asimSAKey{q: q, s: m.sSteps[q]}
 		entries := m.sa[key]
-		mine, engaged := asimSAEntry{}, false
-		if entries != nil {
-			mine, engaged = entries[i]
-		}
+		mine, engaged := entries[i]
 		if !engaged {
 			// Choosing the DAG sample is part of proposing the step; if the
 			// DAG has no causally-succeeding sample for q, the step cannot
@@ -177,12 +176,7 @@ func (m *AsimMachine) bgStep(i int) {
 			return
 		}
 		if mine.level == 1 {
-			lvl := 2
-			for j, e := range entries {
-				if j != i && e.level == 2 {
-					lvl = 0
-				}
-			}
+			lvl := bg.Raise(i, m.n, func(j int) int { return entries[j].level })
 			entries[i] = asimSAEntry{level: lvl, proposal: mine.proposal, fd: mine.fd}
 			m.resolveAll()
 			m.bgCursor[i] = (q + 1) % m.n
@@ -204,19 +198,8 @@ func (m *AsimMachine) resolveAll() {
 func (m *AsimMachine) resolveOne(q int) bool {
 	key := asimSAKey{q: q, s: m.sSteps[q]}
 	entries := m.sa[key]
-	if entries == nil {
-		return false
-	}
-	winnerID := -1
-	for j, e := range entries {
-		if e.level == 1 {
-			return false
-		}
-		if e.level == 2 && (winnerID == -1 || j < winnerID) {
-			winnerID = j
-		}
-	}
-	if winnerID == -1 {
+	winnerID, ok := bg.Resolve(m.n, func(j int) int { return entries[j].level })
+	if !ok {
 		return false
 	}
 	win := entries[winnerID]

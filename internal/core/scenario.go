@@ -142,6 +142,11 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 	if p.N < 2 {
 		return nil, fmt.Errorf("scenario: need n ≥ 2, got %d", p.N)
 	}
+	// A negative count would silently run a default instead (k=1, j=n−1, no
+	// crash), so it is refused like any other out-of-range parameter.
+	if p.Crash < 0 || p.K < 0 || p.J < 0 {
+		return nil, fmt.Errorf("scenario: crash, k and j must be non-negative, got crash=%d k=%d j=%d", p.Crash, p.K, p.J)
+	}
 	if p.K <= 0 {
 		p.K = 1
 	}
@@ -161,7 +166,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %v", err)
 	}
-	if p.Storm && p.Crash == 0 {
+	if p.Storm && p.Crash <= 0 {
 		return nil, fmt.Errorf("scenario: crash-storm needs crash > 0")
 	}
 	crashAt := map[int]fdet.Time{}

@@ -24,7 +24,6 @@ func syntheticExperiment(cells int, delay func(i int) time.Duration) Experiment 
 		Cells: func(Options) []Cell {
 			out := make([]Cell, cells)
 			for i := range out {
-				i := i
 				out[i] = Cell{
 					Name: fmt.Sprintf("cell=%d", i),
 					Run: func(t *Trial) Outcome {

@@ -69,7 +69,6 @@ func expE1() Experiment {
 			var cells []Cell
 			for _, n := range sizes {
 				for _, z := range zoo {
-					n, z := n, z
 					cells = append(cells, Cell{
 						Name: fmt.Sprintf("%s/n=%d", z.name, n),
 						Run: func(*Trial) Outcome {
@@ -122,7 +121,6 @@ func expE2() Experiment {
 			for _, ns := range sizes {
 				env := fdet.EnvT{T: ns - 1}
 				for pi, pat := range env.Sample(ns, 1000) {
-					ns, pat := ns, pat
 					cells = append(cells, Cell{
 						Name: fmt.Sprintf("nS=%d/pattern=%d", ns, pi),
 						Run: func(t *Trial) Outcome {
@@ -240,7 +238,6 @@ func expE4() Experiment {
 			}
 			var cells []Cell
 			for _, tc := range grid {
-				tc := tc
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("n=%d/k=%d/ell=%d", tc.n, tc.k, tc.ell),
 					Run: func(t *Trial) Outcome {
@@ -322,7 +319,6 @@ func expE5() Experiment {
 			}
 			var cells []Cell
 			for _, tc := range grid {
-				tc := tc
 				adv := "rr"
 				if tc.pause {
 					adv = "pause"
@@ -332,21 +328,11 @@ func expE5() Experiment {
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("n=%d/k=%d/crash=%d/%s", tc.n, tc.k, tc.crash, adv),
 					Run: func(t *Trial) Outcome {
-						crashAt := map[int]int{}
-						for c := 0; c < tc.crash; c++ {
-							crashAt[tc.n-1-c] = 50 * (c + 1)
+						sc, err := core.NewScenario(core.ScenarioParams{Task: "kset", N: tc.n, K: tc.k, Crash: tc.crash, Stabilize: 300})
+						if err != nil {
+							return Row(true, t.Name, "FAIL: "+err.Error())
 						}
-						pat := fdet.NewPattern(tc.n, crashAt)
-						dc := core.DirectConfig{NC: tc.n, NS: tc.n, K: tc.k, LeaderVec: core.VectorLeader}
-						cfg := sim.Config{
-							NC: tc.n, NS: tc.n, Inputs: intInputs(tc.n, 100),
-							CBody:    dc.DirectCBody,
-							SBody:    dc.DirectSBody,
-							Pattern:  pat,
-							History:  fdet.VectorOmegaK{K: tc.k, GoodPos: 0}.History(pat, 300, t.Seed),
-							MaxSteps: 2_000_000,
-						}
-						rt, err := sim.New(cfg)
+						rt, err := sim.New(sc.SimConfig(t.Seed, 2_000_000))
 						if err != nil {
 							return Row(true, t.Name, "FAIL: "+err.Error())
 						}
@@ -361,7 +347,7 @@ func expE5() Experiment {
 							adversary = "seeded random"
 						}
 						res := rt.Run(&sim.StopWhenDecided{Inner: inner})
-						verr := sim.Check(task.NewSetAgreement(tc.n, tc.k), res)
+						verr := sim.Check(sc.Task, res)
 						return Row(verr != nil, fmt.Sprint(tc.n), fmt.Sprint(tc.k),
 							fmt.Sprint(tc.crash), adversary, fmt.Sprint(res.Steps), ok(verr))
 					},
@@ -391,38 +377,26 @@ func expE6() Experiment {
 			}
 			var cells []Cell
 			for _, tc := range grid {
-				tc := tc
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("n=%d/j=%d/k=%d", tc.n, tc.j, tc.k),
 					Run: func(t *Trial) Outcome {
-						inputs := vec.New(tc.n)
-						for i := 0; i < tc.j; i++ {
-							inputs[i] = i + 1
+						sc, err := core.NewScenario(core.ScenarioParams{Task: "renaming", N: tc.n, J: tc.j, K: tc.k, Stabilize: 300})
+						if err != nil {
+							return Row(true, t.Name, "FAIL: "+err.Error())
 						}
-						mc := core.MachineConfig{NC: tc.n, NS: tc.n, K: tc.k,
-							Factory: func(i int, _ sim.Value) auto.Automaton { return wfree.NewRenaming(i) }}
-						pat := fdet.FailureFree(tc.n)
-						cfg := sim.Config{
-							NC: tc.n, NS: tc.n, Inputs: inputs,
-							CBody:    mc.SolverCBody,
-							SBody:    mc.SolverSBody,
-							Pattern:  pat,
-							History:  fdet.VectorOmegaK{K: tc.k, GoodPos: 0}.History(pat, 300, t.Seed),
-							MaxSteps: 6_000_000,
-						}
-						rt, err := sim.New(cfg)
+						rt, err := sim.New(sc.SimConfig(t.Seed, 6_000_000))
 						if err != nil {
 							return Row(true, t.Name, "FAIL: "+err.Error())
 						}
 						res := rt.Run(&sim.StopWhenDecided{Inner: &sim.RoundRobin{}})
-						verr := sim.Check(task.NewRenaming(tc.n, tc.j, tc.j+tc.k-1), res)
+						verr := sim.Check(sc.Task, res)
 						maxName := 0
 						for _, v := range res.Outputs {
 							if name, isInt := v.(int); isInt && name > maxName {
 								maxName = name
 							}
 						}
-						tr := mc.Replay(res.FinalStore)
+						tr := core.MachineConfig{NC: tc.n, K: tc.k}.Replay(res.FinalStore)
 						concOK := tr.ConcurrencyBound() <= tc.k
 						return Row(verr != nil || !concOK,
 							fmt.Sprint(tc.n), fmt.Sprint(tc.j), fmt.Sprint(tc.k),
@@ -455,7 +429,6 @@ func expE7() Experiment {
 			}
 			var cells []Cell
 			for _, tc := range grid {
-				tc := tc
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("n=%d/k=%d", tc.n, tc.k),
 					Run: func(t *Trial) Outcome {
@@ -526,7 +499,6 @@ func expE8() Experiment {
 			}
 			var cells []Cell
 			for _, tc := range grid {
-				tc := tc
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("n=%d/k=%d", tc.n, tc.k),
 					Run: func(t *Trial) Outcome {
@@ -586,7 +558,6 @@ func expE9() Experiment {
 				},
 			}
 			for _, j := range []int{3, 4} {
-				j := j
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("fig3/j=%d", j),
 					Run: func(t *Trial) Outcome {
@@ -656,7 +627,6 @@ func expE10() Experiment {
 			var cells []Cell
 			for _, j := range js {
 				for k := 1; k <= j; k++ {
-					j, k := j, k
 					cells = append(cells, Cell{
 						Name: fmt.Sprintf("j=%d/k=%d", j, k),
 						Run: func(t *Trial) Outcome {
@@ -707,7 +677,6 @@ func expE11() Experiment {
 		Cells: func(opt Options) []Cell {
 			var cells []Cell
 			for k := 1; k <= n-1; k++ {
-				k := k
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("kset/k=%d", k),
 					Run: func(*Trial) Outcome {
@@ -930,7 +899,6 @@ func expE14() Experiment {
 			}
 			var cells []Cell
 			for _, tc := range grid {
-				tc := tc
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("n=%d/k=%d", tc.slots, tc.k),
 					Run: func(t *Trial) Outcome {
@@ -970,7 +938,6 @@ func expE12() Experiment {
 			}
 			var cells []Cell
 			for _, tc := range grid {
-				tc := tc
 				cells = append(cells, Cell{
 					Name: fmt.Sprintf("n=%d/k=%d", tc.n, tc.k),
 					Run: func(*Trial) Outcome {

@@ -34,7 +34,6 @@ func TestChaosTransitionsNeverMissAChange(t *testing.T) {
 	}
 	for _, in := range inners {
 		for _, c := range chaosGrid {
-			c := c
 			det := WithChaos(in.det, c)
 			t.Run(in.name+"+"+c.Suffix(), func(t *testing.T) {
 				h := det.History(in.pat, stabilize, seed)
@@ -61,7 +60,6 @@ func TestChaosLegality(t *testing.T) {
 	const n, stabilize, horizon, seed = 4, 16, 48, 11
 	pat := NewPattern(n, map[int]Time{3: 6})
 	for _, c := range chaosGrid {
-		c := c
 		t.Run(c.Suffix(), func(t *testing.T) {
 			record := func(h History) map[int]map[Time]any {
 				out := map[int]map[Time]any{}

@@ -164,7 +164,6 @@ func raceCell(t *testing.T, kinds []writerKind, writes int) *cell {
 		return true
 	}
 	for w, k := range kinds {
-		w, k := w, k
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

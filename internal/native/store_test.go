@@ -48,7 +48,6 @@ func TestStoreLookupStable(t *testing.T) {
 	cells := make([]map[string]*cell, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -83,7 +82,6 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan string, workers)
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -34,7 +34,6 @@ func TestGaugeSetMaxConcurrent(t *testing.T) {
 	const workers, per = 8, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

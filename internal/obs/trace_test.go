@@ -127,7 +127,6 @@ func TestTracerConcurrent(t *testing.T) {
 	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
