@@ -226,27 +226,29 @@ func TestKVStressSharesScenarioAssembly(t *testing.T) {
 
 // TestKVPutAllocBudget holds a replicated put to what its protocol allocates:
 // closed-loop runs of the benchmark's kv-put shape (3 replicas, 4 clerks, all
-// puts) average at most 2.0 heap objects per completed operation, set-up,
-// drain and post-hoc check included. About 1.2 is what is left once a
-// register write costs no object of the cell's own and the request and reply
-// registers hold pointers into their writers' slabs: a slot's `Batch` box and
-// phase-2 block shared by the batch's operations. Boxing the request and the
-// reply again adds 2.0. Under the race detector a run completes a tenth of
-// the operations, so the fixed costs weigh more (it reads about 1.3): the
-// budget there is 2.5.
+// puts) average at most 0.5 heap objects per completed operation, set-up,
+// drain and post-hoc check included. About 0.19 is what is left once a
+// register write costs no object of the cell's own and every register holds
+// a pointer into its writer's slab — a request, a reply, a decided `Batch`
+// and a paxos block alike — so that a committed log slot allocates nothing:
+// the window tables, the slabs' chunks and the runs' set-up. Boxing the
+// `Batch` and the phase-2 block again adds about 1.0, the request and the
+// reply 2.0. Under the race detector a run completes a tenth of the
+// operations, so the fixed costs weigh more (it reads about 0.33): the
+// budget there is 0.75.
 func TestKVPutAllocBudget(t *testing.T) {
-	kvAllocBudget(t, 1, 2.0, 2.5)
+	kvAllocBudget(t, 1, 0.5, 0.75)
 }
 
 // TestKVLeaseReadAllocBudget holds a lease read to what its protocol
 // allocates, which is next to nothing: closed-loop runs of the benchmark's
-// kv-get shape (3 replicas, 4 clerks, 5 % puts) average at most 0.5 heap
-// objects per completed operation. It reads about 0.12 — the puts' share of
-// their log slots and the slabs' one object per 256 requests or replies —
-// and 0.23 under the race detector, where the budget is 0.75. Boxing the
-// request and the reply adds 2.0.
+// kv-get shape (3 replicas, 4 clerks, 5 % puts) average at most 0.1 heap
+// objects per completed operation. It reads about 0.03 — the window tables
+// of its puts' log slots and the slabs' chunks — and 0.10 under the race
+// detector, where the budget is 0.25. Boxing the request and the reply adds
+// 2.0.
 func TestKVLeaseReadAllocBudget(t *testing.T) {
-	kvAllocBudget(t, 0.05, 0.5, 0.75)
+	kvAllocBudget(t, 0.05, 0.1, 0.25)
 }
 
 // kvAllocBudget runs closed-loop KVStress segments of 3 replicas and 4 clerks

@@ -119,8 +119,8 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		sess := &Session{Client: i}
-		var reqs slab[Request] // the request register holds a pointer into it
-		var sized pace         // when sess.Ops was last given a capacity
+		var reqs sim.Slab[Request] // the request register holds a pointer into it
+		var sized pace             // when sess.Ops was last given a capacity
 		for k := 0; ; k++ {
 			if cfg.Ops > 0 && k >= cfg.Ops {
 				break
@@ -152,7 +152,7 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 			if cfg.Clock != nil {
 				start = cfg.Clock()
 			}
-			req.Write(0, reqs.one(Request{Client: i, Seq: seq, Op: op, Key: key, Val: arg}))
+			req.Write(0, reqs.One(Request{Client: i, Seq: seq, Op: op, Key: key, Val: arg}))
 			// The reply wait degrades in stages instead of spinning
 			// forever on a dead or advice-starved service: a bounded free
 			// budget of parked polls, then counted retries under capped

@@ -475,63 +475,32 @@ func TestReplicaAbandonsInflightOnFlap(t *testing.T) {
 	}
 }
 
-// TestSlab: values share a slab until it is full; one hands out the address of
-// a copy and many a copy capped at its own length, so appending to one never
-// writes into the next, and a value that does not fit the slab's tail starts a
-// new slab without touching what the old one handed out.
-func TestSlab(t *testing.T) {
-	var s slab[Request]
-	reqs := []Request{{Client: 0, Seq: 1}, {Client: 1, Seq: 1}}
-	a := s.many(reqs)
-	p := s.one(reqs[1])
-	b := s.many(reqs[:1])
-	if len(a) != 2 || cap(a) != 2 || &a[0] != &s.buf[0] || p != &s.buf[2] || &b[0] != &s.buf[3] {
-		t.Fatalf("values are not consecutive capped slices of one slab: len %d cap %d", len(a), cap(a))
-	}
-	_ = append(a, Request{Client: 2, Seq: 9})
-	if *p != reqs[1] || b[0] != reqs[0] {
-		t.Fatalf("appending to one batch overwrote the next: %+v, %+v", *p, b[0])
-	}
-	for len(s.buf) < cap(s.buf)-1 {
-		s.one(reqs[0])
-	}
-	full := &s.buf[0]
-	if c := s.many(reqs); &s.buf[0] == full || &c[0] != &s.buf[0] || cap(s.buf) < slabLen {
-		t.Fatal("a batch that does not fit the slab's tail did not start a new slab")
-	}
-	if q := s.one(reqs[1]); q != &s.buf[2] || a[0] != reqs[0] || *p != reqs[1] {
-		t.Fatal("one did not continue the new slab, or a new slab moved an old value")
-	}
-	if n := testing.AllocsPerRun(100, func() { s.one(reqs[0]) }); n > 0 {
-		t.Errorf("one allocates %v objects a value, want one per slab of %d values", n, slabLen)
-	}
-}
-
-// TestMailboxValuesStayPut: a request or reply register holds a pointer into
-// its writer's slab, and a reader copies what the pointer holds only after the
-// read that returned it (the clerk its reply, the replica its request), so
-// nothing a slab handed out may ever change. One clerk and one replica carry puts on the
-// sim backend until both slabs have rolled over at least twice; every value
-// read from either register must still hold the (Client, Seq) it was read
-// with when the run is over.
+// TestMailboxValuesStayPut: a request, a reply or a decided batch register
+// holds a pointer into its writer's slab, and a reader copies what the
+// pointer holds only after the read that returned it (the clerk its reply,
+// the replica its request and the batches it applies), so nothing a slab
+// handed out may ever change. One clerk and one replica carry puts on the sim
+// backend until every slab has rolled over past a full-grown chunk of
+// sim.SlabMax values (the chunks before it hold under 2*SlabMax); every value
+// read from a register must still hold what it was read with when the run is
+// over.
 func TestMailboxValuesStayPut(t *testing.T) {
-	var rq slab[Request]
-	var rp slab[Reply]
-	rq.one(Request{})
-	rp.one(Reply{})
-	ops := 2*max(cap(rq.buf), cap(rp.buf)) + 40
+	const ops = 3 * sim.SlabMax // one put per batch, so as many slots commit
 	type read struct {
-		req       *Request
-		rep       *Reply
-		client, s int
+		req   *Request
+		rep   *Reply
+		batch *Batch
+		was   any // a copy of what it held when it was read
 	}
 	var reads []read
 	keep := func(v sim.Value) {
 		switch v := v.(type) {
 		case *Request:
-			reads = append(reads, read{req: v, client: v.Client, s: v.Seq})
+			reads = append(reads, read{req: v, was: *v})
 		case *Reply:
-			reads = append(reads, read{rep: v, s: v.Seq})
+			reads = append(reads, read{rep: v, was: *v})
+		case *Batch:
+			reads = append(reads, read{batch: v, was: fmt.Sprint(*v)})
 		}
 	}
 	watched := func(body func(int) sim.Body) func(int) sim.Body {
@@ -556,22 +525,24 @@ func TestMailboxValuesStayPut(t *testing.T) {
 	if err := sim.DecidedAll(res); err != nil {
 		t.Fatalf("%v (reason %v after %d steps)", err, res.Reason, res.Steps)
 	}
-	reqs, reps := map[*Request]bool{}, map[*Reply]bool{}
+	reqs, reps, batches := map[*Request]bool{}, map[*Reply]bool{}, map[*Batch]bool{}
 	for _, r := range reads {
-		if r.req != nil {
-			reqs[r.req] = true
-			if r.req.Client != r.client || r.req.Seq != r.s {
-				t.Fatalf("a request read as (%d, %d) now holds (%d, %d)", r.client, r.s, r.req.Client, r.req.Seq)
-			}
-			continue
+		var now any
+		switch {
+		case r.req != nil:
+			reqs[r.req], now = true, *r.req
+		case r.rep != nil:
+			reps[r.rep], now = true, *r.rep
+		default:
+			batches[r.batch], now = true, fmt.Sprint(*r.batch)
 		}
-		reps[r.rep] = true
-		if r.rep.Seq != r.s {
-			t.Fatalf("a reply read as seq %d now holds seq %d", r.s, r.rep.Seq)
+		if now != r.was {
+			t.Fatalf("a value read as %+v now holds %+v", r.was, now)
 		}
 	}
-	if len(reqs) < ops || len(reps) < ops {
-		t.Fatalf("read %d distinct requests and %d distinct replies, want at least %d of each", len(reqs), len(reps), ops)
+	if len(reqs) < ops || len(reps) < ops || len(batches) < ops {
+		t.Fatalf("read %d distinct requests, %d replies and %d batches, want at least %d of each",
+			len(reqs), len(reps), len(batches), ops)
 	}
 }
 
@@ -914,7 +885,7 @@ func TestPreemptedSlotsLeaveNoProposer(t *testing.T) {
 				return
 			}
 			p := rival.Proposer(slot)
-			p.SetProposal(Batch{Proposer: 1, Seq: int64(k)})
+			p.SetProposal(&Batch{Proposer: 1, Seq: int64(k)})
 			for decided := false; !decided; {
 				_, decided = p.StepOp(true)
 			}

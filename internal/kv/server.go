@@ -1,8 +1,6 @@
 package kv
 
 import (
-	"slices"
-
 	"wfadvice/internal/obs"
 	"wfadvice/internal/paxos"
 	"wfadvice/internal/sim"
@@ -47,7 +45,7 @@ type replica struct {
 	unread     []int   // iterations since, with the request it answers still pending
 	// replies holds the replies this replica has written: a reply register
 	// holds a pointer into it.
-	replies slab[Reply]
+	replies sim.Slab[Reply]
 
 	inflight bool      // a proposed batch is riding the log
 	slot     int       // its slot
@@ -57,36 +55,10 @@ type replica struct {
 
 	// batch is per-iteration scratch, reused across iterations.
 	batch []Request
-	// batches holds the requests of the batches this replica has proposed.
-	batches slab[Request]
-}
-
-// slabLen is the least number of values in one slab: 12 KB of requests, 8 KB
-// of replies.
-const slabLen = 256
-
-// slab hands out copies of values in append-only arrays of at least slabLen,
-// so that a process publishing a value per operation allocates once per
-// slabLen of them. Nothing handed out is ever written again — a full array is
-// left to the values that point into it and a new one started — so a reader
-// may keep what it was handed for as long as it likes. A slab belongs to one
-// process and one run.
-type slab[T any] struct{ buf []T }
-
-// one copies v into the slab and returns its address.
-func (s *slab[T]) one(v T) *T { return &s.many([]T{v})[0] }
-
-// many copies vs into the slab and returns the copy, capped at its own length
-// so that no later append can write into it.
-func (s *slab[T]) many(vs []T) []T {
-	n := len(s.buf)
-	if cap(s.buf)-n < len(vs) {
-		// Grow, unlike make, fills the allocator's size class, so a value
-		// costs no more bytes than its own box would.
-		s.buf, n = slices.Grow([]T(nil), max(slabLen, len(vs))), 0
-	}
-	s.buf = append(s.buf, vs...)
-	return s.buf[n:len(s.buf):len(s.buf)]
+	// batches holds the batches this replica has proposed, and batchReqs
+	// their requests: a decided slot holds a pointer into the first.
+	batches   sim.Slab[Batch]
+	batchReqs sim.Slab[Request]
 }
 
 // Body returns replica me's program. The loop is: query advice, apply
@@ -192,7 +164,7 @@ func (r *replica) apply(lead bool) bool {
 		if r.inflight && slot == r.slot {
 			r.settle(v)
 		}
-		if b, ok := v.(Batch); ok {
+		if b, ok := v.(*Batch); ok {
 			r.h.Inc(cApply)
 			for _, req := range b.Reqs {
 				rep, fresh := r.st.ApplyReq(req)
@@ -253,7 +225,7 @@ func (r *replica) deliver(c int, rep Reply) {
 	if r.repWritten[c] == rep {
 		return
 	}
-	r.reps.Write(c, r.replies.one(rep))
+	r.reps.Write(c, r.replies.One(rep))
 	r.repWritten[c] = rep
 	r.unread[c] = 0
 }
@@ -311,7 +283,7 @@ func (r *replica) serve(lead bool) bool {
 				r.unread[c] = 0
 				if got, _ := r.reps.Read(c).(*Reply); got == nil || *got != r.repWritten[c] {
 					r.h.Inc(cRetransmit)
-					r.reps.Write(c, r.replies.one(r.repWritten[c]))
+					r.reps.Write(c, r.replies.One(r.repWritten[c]))
 					progress = true
 				}
 			}
@@ -342,7 +314,7 @@ func (r *replica) serve(lead bool) bool {
 	}
 	if !r.inflight && len(r.batch) > 0 {
 		r.batchSeq++
-		b := Batch{Proposer: r.me, Seq: r.batchSeq, Reqs: r.batches.many(r.batch)}
+		b := r.batches.One(Batch{Proposer: r.me, Seq: r.batchSeq, Reqs: r.batchReqs.Many(r.batch)})
 		r.slot = r.next
 		r.flight = b.Reqs
 		r.log.Proposer(r.slot).SetProposal(b)
@@ -369,7 +341,7 @@ func (r *replica) inBatch(c, seq int) bool {
 // registers at the new frontier on the next iteration — requests are never
 // lost, they stay pending until applied).
 func (r *replica) settle(v paxos.Value) {
-	if b, ok := v.(Batch); ok && b.Proposer == r.me && b.Seq == r.batchSeq {
+	if b, ok := v.(*Batch); ok && b.Proposer == r.me && b.Seq == r.batchSeq {
 		r.h.Inc(cBatchCommit)
 		r.h.Add(cBatchReqs, int64(len(r.flight)))
 	} else {

@@ -61,9 +61,10 @@ type Reply struct {
 	Lease bool  // served from a leader lease, not a log entry
 }
 
-// Batch is a log entry: one leader's bundle of pending requests. (Proposer,
-// Seq) identifies the batch so the proposing leader can tell whether a
-// decided slot carries its own batch or a competitor's.
+// Batch is a log entry: one leader's bundle of pending requests, proposed as
+// a pointer taken from the leader's slab. (Proposer, Seq) identifies the
+// batch so the proposing leader can tell whether a decided slot carries its
+// own batch or a competitor's.
 type Batch struct {
 	Proposer int
 	Seq      int64

@@ -58,8 +58,9 @@ type Log struct {
 	nProps int
 	length int // slots per window
 
-	props map[int]*Proposer // live proposers by slot
-	free  []*Proposer       // structs handed back by Release, for Proposer to reuse
+	props  map[int]*Proposer // live proposers by slot
+	free   []*Proposer       // structs handed back by Release, for Proposer to reuse
+	blocks sim.Slab[Block]   // the blocks this view's proposers have written
 
 	win *window     // nil before the first bind
 	old []*window   // the windows slide has left, until Truncate releases them
@@ -184,6 +185,7 @@ func (l *Log) Proposer(slot int) *Proposer {
 		decOff: i,
 		me:     l.me,
 		nProps: l.nProps,
+		blocks: &l.blocks,
 		pc:     pcPoll,
 		round:  l.me + 1,
 	}

@@ -15,6 +15,7 @@
 package paxos
 
 import (
+	"fmt"
 	"strconv"
 
 	"wfadvice/internal/sim"
@@ -23,20 +24,33 @@ import (
 // Value is a consensus value; it must be non-nil.
 type Value = any
 
-// Block is the per-proposer register content.
+// Block is the per-proposer register content. A block register holds a
+// *Block, which is never written again once it is published.
 type Block struct {
 	MBal int   // highest round in which the owner has started phase 1
 	Bal  int   // highest round in which the owner has written a value
 	Val  Value // the value written in round Bal
 }
 
-// phase1Blocks holds Block{MBal: r}, boxed once, at index r: the phase-1
-// write of a proposer that has never accepted a value, which is every
-// phase-1 write of an uncontended instance. Register values are immutable,
-// so every such write shares its round's box and costs no object.
-var phase1Blocks = func() (t [64]sim.Value) {
+// String renders the block by content, as fmt renders a Block value: a
+// trace prints a register's pointer by what it points to, but a pointer
+// nested in it — a *kv.Batch as Val — by its address, which no replay
+// reproduces.
+func (b Block) String() string { return fmt.Sprintf("{%d %d %v}", b.MBal, b.Bal, b.Val) }
+
+// GoString renders the block by content for the explorer's state hash
+// (%#v), for the reason String does.
+func (b Block) GoString() string {
+	return fmt.Sprintf("paxos.Block{MBal:%d, Bal:%d, Val:%#v}", b.MBal, b.Bal, b.Val)
+}
+
+// phase1Blocks holds Block{MBal: r} at index r: the phase-1 write of a
+// proposer that has never accepted a value, which is every phase-1 write of
+// an uncontended instance. Register values are immutable, so every such
+// write stores a pointer to its round's entry and costs no object.
+var phase1Blocks = func() (t [64]Block) {
 	for r := range t {
-		t[r] = Block{MBal: r}
+		t[r].MBal = r
 	}
 	return t
 }()
@@ -112,6 +126,7 @@ type Proposer struct {
 	decOff    int
 	me        int // proposer index in 0..nProposers-1
 	nProps    int
+	blocks    *sim.Slab[Block] // where a Log's proposer boxes its blocks; nil for BoundProposer
 	proposal  Value
 	pc        int
 	round     int
@@ -194,11 +209,7 @@ func (p *Proposer) StepOp(lead bool) (Value, bool) {
 
 	case pcP1Write:
 		p.lastWrite.MBal = p.round
-		if p.lastWrite.Bal == 0 && p.round < len(phase1Blocks) {
-			p.blk.Write(p.blkOff+p.me, phase1Blocks[p.round])
-		} else {
-			p.blk.Write(p.blkOff+p.me, p.lastWrite)
-		}
+		p.writeBlock()
 		p.readIdx, p.maxSeen, p.pickBal, p.pickVal = 0, 0, 0, nil
 		p.pc = pcP1Read
 		return nil, false
@@ -225,7 +236,7 @@ func (p *Proposer) StepOp(lead bool) (Value, bool) {
 
 	case pcP2Write:
 		p.lastWrite = Block{MBal: p.round, Bal: p.round, Val: p.curVal}
-		p.blk.Write(p.blkOff+p.me, p.lastWrite)
+		p.writeBlock()
 		p.readIdx, p.maxSeen = 0, 0
 		p.pc = pcP2Read
 		return nil, false
@@ -251,6 +262,24 @@ func (p *Proposer) StepOp(lead bool) (Value, bool) {
 	return nil, false
 }
 
+// writeBlock publishes lastWrite in this proposer's block register: a
+// phase-1 block of one that has never accepted a value from the package
+// table, any other into the Log's slab, or for a stand-alone proposer into
+// a box of its own.
+func (p *Proposer) writeBlock() {
+	var b *Block
+	switch {
+	case p.lastWrite.Bal == 0 && p.lastWrite.MBal < len(phase1Blocks):
+		b = &phase1Blocks[p.lastWrite.MBal]
+	case p.blocks != nil:
+		b = p.blocks.One(p.lastWrite)
+	default:
+		b = new(Block)
+		*b = p.lastWrite
+	}
+	p.blk.Write(p.blkOff+p.me, b)
+}
+
 // readPhaseBlock reads the next block register of the current phase and
 // folds it into the phase state.
 func (p *Proposer) readPhaseBlock() {
@@ -259,7 +288,7 @@ func (p *Proposer) readPhaseBlock() {
 	if j == p.me {
 		return // our own block cannot preempt us
 	}
-	b, ok := p.blk.Read(p.blkOff + j).(Block)
+	b, ok := p.blk.Read(p.blkOff + j).(*Block)
 	if !ok {
 		return
 	}
