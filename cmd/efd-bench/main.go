@@ -24,6 +24,10 @@
 // in the same tagged k=v shape as `efd-stress -snapshot`. Neither flag
 // changes trial execution or the tables: telemetry is strictly outside
 // exp.Table, and the heartbeat goes to stderr so -json stdout stays pure.
+//
+// Exit status: 0 when every table reproduces its claim, 1 on any failure
+// row, 2 on bad flags (an unknown -only id, a negative -parallel or
+// -progress).
 package main
 
 import (
@@ -68,6 +72,19 @@ func main() {
 		progress = flag.Duration("progress", 0, "emit a progress heartbeat to stderr every interval (0 = off)")
 	)
 	flag.Parse()
+	// A negative setting would silently run the default instead, so it is a
+	// flag error: a message, the usage and exit 2, as in efd-stress.
+	badFlag := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "efd-bench: "+format+"\n", args...)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *parallel < 0 {
+		badFlag("-parallel must be non-negative, got %d (0 = GOMAXPROCS)", *parallel)
+	}
+	if *progress < 0 {
+		badFlag("-progress must be non-negative, got %v (0 = off)", *progress)
+	}
 
 	experiments, err := exp.Select(*only)
 	if err != nil {

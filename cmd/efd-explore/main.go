@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -64,10 +65,11 @@ var modeNames = []string{modeExhaust, modeFirst, modeRandom}
 // randomRuns is the number of seeds -mode random sweeps.
 const randomRuns = 64
 
-// badFlag reports an invalid flag value with the valid choices and exits 2,
-// the same convention as efd-bench's unknown-experiment handling.
-func badFlag(name, got string, valid []string) {
-	fmt.Fprintf(os.Stderr, "efd-explore: unknown -%s %q (valid: %s)\n", name, got, strings.Join(valid, " | "))
+// badFlag reports a flag value the search cannot use, prints the usage and
+// exits 2, as efd-stress and efd-kv do.
+func badFlag(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "efd-explore: "+format+"\n", args...)
+	flag.Usage()
 	os.Exit(2)
 }
 
@@ -175,23 +177,21 @@ func main() {
 	)
 	flag.Parse()
 
-	found := false
-	for _, t := range taskNames {
-		found = found || *task == t
-	}
-	if !found {
-		badFlag("task", *task, taskNames)
-	}
-	found = false
-	for _, m := range modeNames {
-		found = found || *mode == m
-	}
-	if !found {
-		badFlag("mode", *mode, modeNames)
-	}
-	if *depth < 1 {
-		fmt.Fprintf(os.Stderr, "efd-explore: need -depth ≥ 1, got %d\n", *depth)
-		os.Exit(2)
+	switch {
+	case !slices.Contains(taskNames, *task):
+		badFlag("unknown -task %q (valid: %s)", *task, strings.Join(taskNames, " | "))
+	case !slices.Contains(modeNames, *mode):
+		badFlag("unknown -mode %q (valid: %s)", *mode, strings.Join(modeNames, " | "))
+	case *depth < 1:
+		badFlag("-depth must be at least 1, got %d", *depth)
+	case *workers < 0:
+		badFlag("-workers must be non-negative, got %d (0 = GOMAXPROCS)", *workers)
+	case *maxRuns < 0:
+		badFlag("-max-runs must be non-negative, got %d (0 = default)", *maxRuns)
+	case *progress < 0:
+		badFlag("-progress must be non-negative, got %v (0 = off)", *progress)
+	case *expect < -1:
+		badFlag("-expect must be a count or -1 (no check), got %d", *expect)
 	}
 
 	start := time.Now()
@@ -211,8 +211,7 @@ func main() {
 
 	spec, err := specFor(*task, *n, *j, *k, *idleS)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "efd-explore: %v\n", err)
-		os.Exit(2)
+		badFlag("%v", err)
 	}
 
 	rep := &report{}

@@ -1,6 +1,45 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// runMainEnv, set in a child's environment, makes the test binary run main
+// instead of the tests, so that a test can run the command itself.
+const runMainEnv = "EFD_EXPLORE_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestOutOfRangeSettingsAreFlagErrors: a negative setting would silently run
+// the default instead (or, for -expect, no check at all), so each is refused
+// before anything runs — a message, the usage, exit 2.
+func TestOutOfRangeSettingsAreFlagErrors(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-depth", "0"},
+		{"-workers", "-2"},
+		{"-max-runs", "-5"},
+		{"-progress", "-1s"},
+		{"-expect", "-3"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-task", "strongrename", "-n", "2", "-j", "2"}, bad...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "efd-explore: "+bad[0]+" ") || !strings.Contains(string(out), "Usage") {
+			t.Errorf("efd-explore %s: %v, want exit 2 with a message on %s and the usage; output:\n%s", strings.Join(bad, " "), err, bad[0], out)
+		}
+	}
+}
 
 // TestSpecForRejectsWhatItCannotJudge: specFor builds a spec for every
 // sizing a search can judge and returns an error — which main turns into

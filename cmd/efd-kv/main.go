@@ -4,8 +4,9 @@
 // issues an open-loop Get/Put workload — operation k is due at k·interval
 // on a global schedule regardless of completions, so queueing delay counts
 // against the service instead of silently throttling the offered load.
-// -rate 0 runs closed loop instead (every clerk issues its next operation
-// when the previous one completes; the report's scenario key then ends in
+// -rate 0, or a rate so high that a clerk's interval rounds to 0 ns, runs
+// closed loop instead (every clerk issues its next operation when the
+// previous one completes; the report's scenario key then ends in
 // /closed-loop, so the two kinds of latency never share a scenario key).
 // After the run every decided clerk session is checked for linearizability
 // (version replay plus real-time order) by the kv task's ∆.
@@ -41,6 +42,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -101,10 +103,10 @@ func main() {
 	if *duration <= 0 {
 		badFlag("-duration must be positive, got %v", *duration)
 	}
-	if *rate < 0 {
-		badFlag("-rate must be non-negative, got %v (0 = closed loop)", *rate)
+	if !(*rate >= 0) || math.IsInf(*rate, 1) {
+		badFlag("-rate must be finite and non-negative, got %v (0 = closed loop)", *rate)
 	}
-	if *putFrac < 0 || *putFrac > 1 {
+	if !(*putFrac >= 0 && *putFrac <= 1) {
 		badFlag("-put-frac must be in [0,1], got %v", *putFrac)
 	}
 	if *crashStorm && !set["crash-leader"] {

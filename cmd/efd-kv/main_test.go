@@ -21,7 +21,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestOutOfRangeSettingsAreFlagErrors: a negative setting would silently run
-// the default instead, so each is refused before anything runs — a message,
+// the default instead, and a NaN or infinite rate a closed loop filed under
+// an open-loop key, so each is refused before anything runs — a message,
 // the usage, exit 2.
 func TestOutOfRangeSettingsAreFlagErrors(t *testing.T) {
 	for _, bad := range [][]string{
@@ -30,6 +31,9 @@ func TestOutOfRangeSettingsAreFlagErrors(t *testing.T) {
 		{"-crash-at", "-3", "-crash-leader", "1"},
 		{"-run-budget", "-1s"},
 		{"-procs", "-2"},
+		{"-rate", "NaN"},
+		{"-rate", "+Inf"},
+		{"-put-frac", "NaN"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-n", "3", "-duration", "300ms"}, bad...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

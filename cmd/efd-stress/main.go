@@ -44,6 +44,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -96,8 +97,8 @@ func main() {
 		badFlag("-duration must be positive, got %v", *duration)
 	case *runBudget <= 0:
 		badFlag("-run-budget must be positive, got %v", *runBudget)
-	case *rate < 0:
-		badFlag("-rate must be non-negative, got %v (0 = unthrottled)", *rate)
+	case !(*rate >= 0) || math.IsInf(*rate, 1):
+		badFlag("-rate must be finite and non-negative, got %v (0 = unthrottled)", *rate)
 	case *workers < 0:
 		badFlag("-workers must be non-negative, got %d (0 = sized to GOMAXPROCS)", *workers)
 	case *snapshot < 0:

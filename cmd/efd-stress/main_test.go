@@ -21,8 +21,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestOutOfRangeSettingsAreFlagErrors: a negative setting would silently run
-// the default instead, so each is refused before anything runs — a message,
-// the usage, exit 2.
+// the default instead, and a NaN rate an unthrottled run, so each is refused
+// before anything runs — a message, the usage, exit 2.
 func TestOutOfRangeSettingsAreFlagErrors(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-tick", "-1ms"},
@@ -31,6 +31,7 @@ func TestOutOfRangeSettingsAreFlagErrors(t *testing.T) {
 		{"-crash", "-2", "-crash-storm"},
 		{"-k", "-3"},
 		{"-j", "-1"},
+		{"-rate", "NaN"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-task", "consensus", "-n", "3", "-duration", "300ms"}, bad...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"wfadvice/internal/fdet"
@@ -30,7 +31,9 @@ type KVStressOptions struct {
 	Clients int
 	// Rate is the total offered load in client ops/sec across all clerks;
 	// each clerk's k-th operation is due at k·(Clients/Rate) on its own
-	// schedule. 0 runs closed-loop (issue on completion).
+	// schedule. 0, or a rate so high that the interval rounds to 0 ns, runs
+	// closed-loop (issue on completion). NaN, infinite and negative rates
+	// are errors.
 	Rate float64
 	// Duration is the issue window: clerks stop starting operations once it
 	// elapses, then the run drains in-flight replies.
@@ -64,7 +67,8 @@ type KVStressOptions struct {
 	Advice native.AdviceMode
 	// Seed seeds the advice history noise and the clerk scripts.
 	Seed int64
-	// PutFrac is the clerk Put fraction: 0 issues only Gets, 1 only Puts.
+	// PutFrac is the clerk Put fraction in [0, 1]: 0 issues only Gets, 1
+	// only Puts.
 	PutFrac float64
 	// Pin locks every process goroutine to its own OS thread.
 	Pin bool
@@ -97,6 +101,16 @@ func (o KVStressOptions) crashAt() fdet.Time {
 	return o.stabilize() + 100
 }
 
+// interval is the open-loop spacing of one clerk's operations in ns, 0 for
+// closed loop. It is the one place the run's loop kind is decided: the
+// clerk config and the scenario name both read it.
+func (o KVStressOptions) interval() int64 {
+	if !(o.Rate > 0) {
+		return 0
+	}
+	return int64(float64(o.clients()) * float64(time.Second) / o.Rate)
+}
+
 func (o KVStressOptions) runBudget() time.Duration {
 	if o.RunBudget > 0 {
 		return o.RunBudget
@@ -106,7 +120,7 @@ func (o KVStressOptions) runBudget() time.Duration {
 
 // KVScenarioName renders the stable scenario key the run reports under —
 // the CI checks select rows by it, so the shape (and nothing
-// machine-specific) goes in. Closed-loop runs (Rate 0) carry their own
+// machine-specific) goes in. Closed-loop runs (interval 0) carry their own
 // suffix: issue-on-completion latency is a different quantity from
 // open-loop latency and the two must never share a key.
 func (o KVStressOptions) KVScenarioName() string {
@@ -123,7 +137,7 @@ func (o KVStressOptions) KVScenarioName() string {
 	if o.Chaos.Enabled() {
 		name += "/chaos=" + o.Chaos.Suffix()
 	}
-	if o.Rate == 0 {
+	if o.interval() == 0 {
 		name += "/closed-loop"
 	}
 	return name
@@ -191,6 +205,12 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 	if opt.Duration <= 0 {
 		return nil, fmt.Errorf("kv stress: need a positive duration, got %v", opt.Duration)
 	}
+	if !(opt.Rate >= 0) || math.IsInf(opt.Rate, 1) {
+		return nil, fmt.Errorf("kv stress: need a finite, non-negative rate, got %v", opt.Rate)
+	}
+	if !(opt.PutFrac >= 0 && opt.PutFrac <= 1) {
+		return nil, fmt.Errorf("kv stress: need a put fraction in [0, 1], got %v", opt.PutFrac)
+	}
 	if opt.CrashStorm && opt.CrashLeader < 1 {
 		return nil, fmt.Errorf("kv stress: crash-storm needs crash-leader > 0")
 	}
@@ -206,15 +226,11 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 	// and re-anchored just before Run so config construction time does not
 	// count against the first op's latency.
 	var base time.Time
-	var interval int64
-	if opt.Rate > 0 {
-		interval = int64(float64(opt.clients()) * float64(time.Second) / opt.Rate)
-	}
 	s := opt.scenario(kv.ClerkConfig{
 		PutFrac: opt.PutFrac, Seed: opt.Seed,
 		Clock:    func() int64 { return time.Since(base).Nanoseconds() },
 		Sleep:    func(ns int64) { time.Sleep(time.Duration(ns)) },
-		Deadline: opt.Duration.Nanoseconds(), Interval: interval,
+		Deadline: opt.Duration.Nanoseconds(), Interval: opt.interval(),
 		OpTimeout: opt.ClerkTimeout.Nanoseconds(),
 		OnOp:      func(rec kv.OpRecord, due int64) { hist.Observe(rec.End - due) },
 	})

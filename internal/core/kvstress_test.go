@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -272,5 +273,36 @@ func kvAllocBudget(t *testing.T, putFrac, budget, raceBudget float64) {
 	t.Logf("%.2f mallocs per op over %d ops", per, ops)
 	if per > budget {
 		t.Errorf("%.2f mallocs per op, want ≤ %v", per, budget)
+	}
+}
+
+// TestKVScenarioNameFollowsTheInterval: a rate so high that the open-loop
+// interval rounds to zero runs closed loop, and its key says so.
+func TestKVScenarioNameFollowsTheInterval(t *testing.T) {
+	for _, c := range []struct {
+		rate float64
+		want string
+	}{
+		{0, "kv/n=3/clients=3/closed-loop"},
+		{1e20, "kv/n=3/clients=3/closed-loop"},
+		{10000, "kv/n=3/clients=3"},
+	} {
+		if got := (KVStressOptions{N: 3, Rate: c.rate}).KVScenarioName(); got != c.want {
+			t.Errorf("rate %v: scenario key %q, want %q", c.rate, got, c.want)
+		}
+	}
+}
+
+// TestKVStressRefusesUnusableSettings: a rate or put fraction the clerks
+// cannot honour is an error, not a closed loop or a Get-only run.
+func TestKVStressRefusesUnusableSettings(t *testing.T) {
+	for _, o := range []KVStressOptions{
+		{Rate: math.NaN()}, {Rate: math.Inf(1)}, {Rate: -1},
+		{PutFrac: math.NaN()}, {PutFrac: -0.1}, {PutFrac: 1.5},
+	} {
+		o.N, o.Duration = 3, 10*time.Millisecond
+		if _, err := KVStress(o); err == nil {
+			t.Errorf("KVStress(rate %v, put-frac %v): no error", o.Rate, o.PutFrac)
+		}
 	}
 }

@@ -6,6 +6,16 @@ import (
 	"wfadvice/internal/sim"
 )
 
+// This file is the replica, the S-process body that turns Ω advice into
+// leadership of the kv log. Each iteration applies what the log decided,
+// harvests the request registers in one collect, answers what it can
+// (recorded replies, lease reads) and batches the rest into one proposal at
+// the apply frontier (Body). Every value it writes — a reply, a batch and
+// the batch's requests — is a pointer into a slab the replica owns, so no
+// register write allocates. serve restores a reply a stale replica wrote
+// over, and reclaim gives the log windows every replica has passed back to
+// the backend; their comments carry the arguments.
+
 // ReplicaConfig parameterizes one replica (an S-process body).
 type ReplicaConfig struct {
 	NC int // clerks

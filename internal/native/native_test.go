@@ -2,6 +2,7 @@ package native_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -611,5 +612,19 @@ func TestStressRate(t *testing.T) {
 	}
 	if rep.Failed() {
 		t.Fatalf("stress failed:\n%s", rep.Render())
+	}
+}
+
+// TestStressRefusesUnusableRates: a NaN, infinite or negative start rate is
+// an error, not an unthrottled run.
+func TestStressRefusesUnusableRates(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), -1} {
+		_, err := native.Stress("bad-rate", nil, func(int64) (native.Config, error) {
+			t.Fatal("Stress built a config for a rate it should refuse")
+			return native.Config{}, nil
+		}, native.StressOptions{Duration: time.Millisecond, Rate: rate})
+		if err == nil {
+			t.Errorf("Stress(rate %v): no error", rate)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package native
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -32,7 +33,7 @@ type StressOptions struct {
 	// loaded without drowning in oversubscription.
 	Workers int
 	// Rate throttles instance starts per second across all workers
-	// (0 = unthrottled).
+	// (0 = unthrottled); NaN, infinite and negative rates are errors.
 	Rate float64
 	// Seed is the root seed; instance r derives seed Seed*1_000_003 + r.
 	Seed int64
@@ -150,6 +151,9 @@ func (r *StressReport) Failed() bool { return r.Runs == 0 || r.Violations > 0 ||
 func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt StressOptions) (*StressReport, error) {
 	if opt.Duration <= 0 {
 		return nil, fmt.Errorf("native stress: need a positive duration, got %v", opt.Duration)
+	}
+	if !(opt.Rate >= 0) || math.IsInf(opt.Rate, 1) {
+		return nil, fmt.Errorf("native stress: need a finite, non-negative rate, got %v", opt.Rate)
 	}
 	// The default pool packs instances GOMAXPROCS-aware: as many as fit
 	// whole, at least one, sized by instance 0's config, which its worker

@@ -7,8 +7,8 @@ import (
 
 // BenchmarkObsCounter measures the counter record path — one atomic add
 // on a pre-resolved stripe cell — serial and with every parallel worker
-// on its own handle (the native Env shape). This is the number the
-// per-operation overhead budget in DESIGN.md cites.
+// on its own handle (the native Env shape). This is a counter's unit price:
+// a workload's telemetry costs it times the bumps the workload counts.
 func BenchmarkObsCounter(b *testing.B) {
 	c := NewTaxonomy(2, []string{"x", "y"})
 	b.Run("serial", func(b *testing.B) {
