@@ -33,6 +33,9 @@
 // (native and kv counters, per-op-kind latency histograms, the overall
 // open-loop latency histogram), /progress (clerk ops completed, timeouts,
 // goroutines and live heap), /trace, /debug/pprof/* and /debug/vars.
+// -trace-out writes the Chrome-format trace dump to a file when the run
+// ends; either flag arms the tracer, whose ring keeps the last 65 536
+// events.
 //
 // Exit status: 0 on success, 1 if the checker rejected the run (a
 // linearizability violation or an undecided clerk), 2 on bad flags.
@@ -44,7 +47,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -72,12 +74,9 @@ func main() {
 		tick        = flag.Duration("tick", 0, "clock tick = one model time unit (0 = default 100µs)")
 		seed        = flag.Int64("seed", 1, "root seed for advice history and clerk scripts")
 		putFrac     = flag.Float64("put-frac", 0.5, "fraction of Puts in the workload (0 = Gets only, 1 = Puts only)")
-		pin         = flag.Bool("pin", false, "lock every process goroutine to its own OS thread")
-		procs       = flag.Int("procs", 0, "GOMAXPROCS for the whole process (0 = leave as is)")
 		jsonOut     = flag.Bool("json", false, "emit the report as JSON on stdout")
 		httpAddr    = flag.String("http", "", "serve the live debug endpoint (/metrics, /trace, /debug/pprof) on this address for the duration of the run")
 		traceOut    = flag.String("trace-out", "", "write the decision-lifecycle trace (Chrome trace format) to this file at exit")
-		traceCap    = flag.Int("trace-buf", 1<<16, "trace ring capacity in events (oldest events are dropped beyond it)")
 	)
 	flag.Parse()
 	fail := func(format string, args ...any) {
@@ -133,12 +132,6 @@ func main() {
 	if *tick < 0 {
 		badFlag("-tick must be non-negative, got %v (0 = default 100µs)", *tick)
 	}
-	if *procs < 0 {
-		badFlag("-procs must be non-negative, got %d (0 = leave as is)", *procs)
-	}
-	if *traceCap < 1 || *traceCap > obs.MaxTraceCap {
-		badFlag("-trace-buf must be in [1, %d], got %d", obs.MaxTraceCap, *traceCap)
-	}
 	adviceChaos, err := fdet.ParseChaos(*chaos)
 	if err != nil {
 		badFlag("-chaos: %v", err)
@@ -147,12 +140,9 @@ func main() {
 	if err != nil {
 		badFlag("%v", err)
 	}
-	if *procs > 0 {
-		runtime.GOMAXPROCS(*procs)
-	}
 	var tracer *obs.Tracer
 	if *httpAddr != "" || *traceOut != "" {
-		tracer = native.NewTracer(*traceCap)
+		tracer = native.NewTracer(1 << 16)
 	}
 	latency := obs.NewHistogram()
 	start := kv.Telemetry.Snapshot()
@@ -175,7 +165,7 @@ func main() {
 		CrashLeader: *crashLeader, CrashAt: fdet.Time(*crashAt), CrashStorm: *crashStorm,
 		Chaos: adviceChaos, ClerkTimeout: *clerkTO,
 		Stabilize: fdet.Time(*stabilize), Tick: *tick, Advice: adviceMode,
-		Seed: *seed, PutFrac: *putFrac, Pin: *pin,
+		Seed: *seed, PutFrac: *putFrac,
 		Tracer: tracer, Latency: latency,
 	})
 	if err != nil {

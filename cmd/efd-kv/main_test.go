@@ -30,7 +30,6 @@ func TestOutOfRangeSettingsAreFlagErrors(t *testing.T) {
 		{"-stabilize", "-5"},
 		{"-crash-at", "-3", "-crash-leader", "1"},
 		{"-run-budget", "-1s"},
-		{"-procs", "-2"},
 		{"-rate", "NaN"},
 		{"-rate", "+Inf"},
 		{"-put-frac", "NaN"},

@@ -11,9 +11,8 @@
 //	efd-stress -task kset -n 5 -k 2 -crash 2 -duration 5s -json
 //	efd-stress -task consensus -n 4 -chaos flap:8 -duration 2s
 //	efd-stress -task consensus -n 4 -crash 2 -crash-storm -chaos flap:8 -duration 2s
-//	efd-stress -task renaming -n 5 -j 4 -k 2 -procs 8 -rate 100
+//	efd-stress -task renaming -n 5 -j 4 -k 2 -rate 100
 //	efd-stress -task consensus -n 4 -advice event -duration 2s
-//	efd-stress -task consensus -n 4 -pin -duration 2s
 //	efd-stress -task consensus -n 4 -duration 10m -snapshot 30s
 //	efd-stress -task consensus -n 4 -duration 30s -http 127.0.0.1:9190
 //	efd-stress -task consensus -n 4 -duration 5s -trace-out trace.json
@@ -33,7 +32,12 @@
 // runtime gauges), /progress, /trace (the decision-lifecycle ring;
 // ?format=chrome for chrome://tracing / Perfetto), /debug/pprof/* and
 // /debug/vars. -trace-out writes the Chrome-format trace dump to a file when
-// the run ends; either flag arms the tracer.
+// the run ends; either flag arms the tracer, whose ring keeps the last
+// 65 536 events.
+//
+// The detector is the task's (Ω for consensus, vector-Ωk for kset, renaming
+// and prop1, none for nset), and the Go runtime's own GOMAXPROCS sets how
+// many CPUs the processes share.
 //
 // Exit status: 0 on success, 1 if any instance failed the checker (a ∆
 // violation or an undecided C-process) or the soak leak audit, 2 on bad
@@ -46,7 +50,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -62,26 +65,22 @@ func main() {
 		n          = flag.Int("n", 4, "number of C-processes (= S-processes)")
 		k          = flag.Int("k", 1, "agreement bound / concurrency level")
 		j          = flag.Int("j", 0, "renaming participants (0 = n-1)")
-		detector   = flag.String("detector", "", "advice detector override: "+strings.Join(core.ScenarioDetectors(), " | ")+" (default: the task's)")
 		crash      = flag.Int("crash", 0, "number of S-processes to crash mid-run")
 		crashAt    = flag.Int("crash-at", 0, "first crash time in ticks (0 = default 50)")
 		crashStorm = flag.Bool("crash-storm", false, "compress the crashes back to back instead of spacing them (needs -crash > 0)")
 		chaos      = flag.String("chaos", "", "hostile pre-stabilization advice: "+strings.Join(fdet.ChaosModes(), " | ")+"[:window] (default none)")
 		stabilize  = flag.Int("stabilize", 0, "advice stabilization time in ticks (0 = default 100)")
 		advice     = flag.String("advice", "", "how waiting processes wait: "+strings.Join(core.ScenarioAdviceModes(), " | ")+" (tick yields, event parks on the change epoch; default tick)")
-		procs      = flag.Int("procs", 0, "GOMAXPROCS for the whole process (0 = leave as is)")
 		workers    = flag.Int("workers", 0, "concurrent instances (0 = GOMAXPROCS / instance goroutines)")
 		duration   = flag.Duration("duration", 2*time.Second, "total stress wall-clock budget")
 		runBudget  = flag.Duration("run-budget", 20*time.Second, "per-instance wall-clock budget")
 		rate       = flag.Float64("rate", 0, "throttle instance starts per second (0 = unthrottled)")
 		tick       = flag.Duration("tick", 0, "clock tick = one model time unit (0 = default 100µs)")
 		seed       = flag.Int64("seed", 1, "root seed for advice histories")
-		pin        = flag.Bool("pin", false, "lock every process goroutine to its own OS thread (kernel-scheduled instances)")
 		snapshot   = flag.Duration("snapshot", 0, "soak profile: print a progress line every interval (0 = off, at most half of -duration); goroutine or heap growth across the lines fails the run")
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON on stdout")
 		httpAddr   = flag.String("http", "", "serve the live debug endpoint (/metrics, /trace, /debug/pprof) on this address for the duration of the run")
 		traceOut   = flag.String("trace-out", "", "write the decision-lifecycle trace (Chrome trace format) to this file at exit")
-		traceCap   = flag.Int("trace-buf", 1<<16, "trace ring capacity in events (oldest events are dropped beyond it)")
 	)
 	flag.Parse()
 	// A value outside its meaningful range silently disables or inverts what
@@ -105,8 +104,6 @@ func main() {
 		badFlag("-snapshot must be non-negative, got %v (0 = off)", *snapshot)
 	case *snapshot > *duration/2:
 		badFlag("-snapshot must be at most half of -duration (%v), got %v: the leak audit compares two halves of the series", *duration, *snapshot)
-	case *procs < 0:
-		badFlag("-procs must be non-negative, got %d (0 = leave as is)", *procs)
 	case *k < 0:
 		badFlag("-k must be non-negative, got %d (0 = default 1)", *k)
 	case *j < 0:
@@ -119,17 +116,11 @@ func main() {
 		badFlag("-stabilize must be non-negative, got %d (0 = default 100)", *stabilize)
 	case *tick < 0:
 		badFlag("-tick must be non-negative, got %v (0 = default 100µs)", *tick)
-	case *traceCap < 1 || *traceCap > obs.MaxTraceCap:
-		badFlag("-trace-buf must be in [1, %d], got %d", obs.MaxTraceCap, *traceCap)
-	}
-	if *procs > 0 {
-		runtime.GOMAXPROCS(*procs)
 	}
 	sc, err := core.NewScenario(core.ScenarioParams{
 		Task: *taskName, N: *n, K: *k, J: *j,
 		Crash: *crash, CrashAt: fdet.Time(*crashAt), Storm: *crashStorm,
-		Detector: *detector, Stabilize: fdet.Time(*stabilize),
-		Advice: *advice, Chaos: *chaos,
+		Stabilize: fdet.Time(*stabilize), Advice: *advice, Chaos: *chaos,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "efd-stress: %v\n", err)
@@ -140,7 +131,7 @@ func main() {
 	// live percentiles mid-run.
 	var tracer *obs.Tracer
 	if *httpAddr != "" || *traceOut != "" {
-		tracer = native.NewTracer(*traceCap)
+		tracer = native.NewTracer(1 << 16)
 	}
 	latency := obs.NewHistogram()
 	// The soak profile is the debug endpoint's heartbeat at -snapshot, its
@@ -168,7 +159,6 @@ func main() {
 		Workers:   *workers,
 		Rate:      *rate,
 		Seed:      *seed,
-		Pin:       *pin,
 		Tracer:    tracer,
 		Latency:   latency,
 	})

@@ -46,7 +46,7 @@ import (
 func conformanceGrid() []core.ScenarioParams {
 	return []core.ScenarioParams{
 		{Task: "consensus", N: 3, Stabilize: 20},
-		{Task: "consensus", N: 4, Detector: "vector", Stabilize: 20},
+		{Task: "kset", N: 4, K: 1, Stabilize: 20},
 		{Task: "consensus", N: 4, Crash: 1, CrashAt: 30, Stabilize: 20},
 		{Task: "kset", N: 4, K: 2, Stabilize: 20},
 		{Task: "kset", N: 5, K: 2, Crash: 1, CrashAt: 30, Stabilize: 20},

@@ -70,8 +70,6 @@ type KVStressOptions struct {
 	// PutFrac is the clerk Put fraction in [0, 1]: 0 issues only Gets, 1
 	// only Puts.
 	PutFrac float64
-	// Pin locks every process goroutine to its own OS thread.
-	Pin bool
 	// Tracer, if non-nil, records the run's decision lifecycle.
 	Tracer *obs.Tracer
 	// Latency, if non-nil, receives per-op open-loop latencies; the harness
@@ -211,6 +209,15 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 	if !(opt.PutFrac >= 0 && opt.PutFrac <= 1) {
 		return nil, fmt.Errorf("kv stress: need a put fraction in [0, 1], got %v", opt.PutFrac)
 	}
+	// Zero means the default; a negative setting would silently run it too,
+	// and a crash count past n-1 would kill fewer than it reports.
+	if opt.Clients < 0 || opt.CrashAt < 0 || opt.Stabilize < 0 || opt.Tick < 0 || opt.ClerkTimeout < 0 || opt.RunBudget < 0 {
+		return nil, fmt.Errorf("kv stress: need non-negative clients, crash-at, stabilize, tick, clerk-timeout and run-budget, got %d, %d, %d, %v, %v, %v",
+			opt.Clients, opt.CrashAt, opt.Stabilize, opt.Tick, opt.ClerkTimeout, opt.RunBudget)
+	}
+	if opt.CrashLeader < 0 || opt.CrashLeader >= opt.N {
+		return nil, fmt.Errorf("kv stress: crash-leader must leave a live replica: want 0..%d, got %d", opt.N-1, opt.CrashLeader)
+	}
 	if opt.CrashStorm && opt.CrashLeader < 1 {
 		return nil, fmt.Errorf("kv stress: crash-storm needs crash-leader > 0")
 	}
@@ -235,7 +242,7 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 		OnOp:      func(rec kv.OpRecord, due int64) { hist.Observe(rec.End - due) },
 	})
 	cfg := s.NativeConfig(opt.Seed, opt.Tick)
-	cfg.Tracer, cfg.Pin = opt.Tracer, opt.Pin
+	cfg.Tracer = opt.Tracer
 	rt, err := native.New(cfg)
 	if err != nil {
 		return nil, err

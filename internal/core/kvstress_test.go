@@ -294,15 +294,20 @@ func TestKVScenarioNameFollowsTheInterval(t *testing.T) {
 }
 
 // TestKVStressRefusesUnusableSettings: a rate or put fraction the clerks
-// cannot honour is an error, not a closed loop or a Get-only run.
+// cannot honour is an error, not a closed loop or a Get-only run; a
+// negative setting is an error, not its default; and a crash count that
+// would leave no replica is an error, not fewer crashes than it reports.
 func TestKVStressRefusesUnusableSettings(t *testing.T) {
 	for _, o := range []KVStressOptions{
 		{Rate: math.NaN()}, {Rate: math.Inf(1)}, {Rate: -1},
 		{PutFrac: math.NaN()}, {PutFrac: -0.1}, {PutFrac: 1.5},
+		{Clients: -1}, {CrashLeader: -1}, {CrashLeader: 3}, {CrashLeader: 5},
+		{CrashLeader: 1, CrashAt: -1}, {Stabilize: -1}, {Tick: -time.Millisecond},
+		{ClerkTimeout: -time.Second}, {RunBudget: -time.Second},
 	} {
 		o.N, o.Duration = 3, 10*time.Millisecond
 		if _, err := KVStress(o); err == nil {
-			t.Errorf("KVStress(rate %v, put-frac %v): no error", o.Rate, o.PutFrac)
+			t.Errorf("KVStress(%+v): no error", o)
 		}
 	}
 }

@@ -88,7 +88,8 @@ type ScenarioParams struct {
 	// "kset" (direct vector-Ωk solver), "renaming" (Theorem 9 machine over
 	// the Figure 4 automata), "prop1" (Theorem 9 machine at k=1 over the
 	// Proposition 1 solver, here for consensus), "nset" (the Proposition 2
-	// S-helpers with the trivial detector).
+	// S-helpers with the trivial detector), "kv" (the replicated store
+	// under live Ω).
 	Task string
 	// N is the system size (NC = NS = N).
 	N int
@@ -100,9 +101,6 @@ type ScenarioParams struct {
 	// CrashAt (default 50 ticks), always leaving at least one correct.
 	Crash   int
 	CrashAt fdet.Time
-	// Detector overrides the task's default advice detector; one of
-	// ScenarioDetectors compatible with the task.
-	Detector string
 	// Stabilize is the advice stabilization time in model ticks
 	// (default 100). Before it, detector output is seeded noise — dueling
 	// leaders, flapping vectors — which is exactly the regime stress runs
@@ -131,9 +129,6 @@ func ScenarioTasks() []string {
 	return []string{"consensus", "kset", "renaming", "prop1", "nset", "kv"}
 }
 
-// ScenarioDetectors lists the valid ScenarioParams.Detector values.
-func ScenarioDetectors() []string { return []string{"omega", "vector", "trivial"} }
-
 // ScenarioAdviceModes lists the valid ScenarioParams.Advice values.
 func ScenarioAdviceModes() []string { return []string{"tick", "event"} }
 
@@ -153,10 +148,13 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 	if p.J <= 0 {
 		p.J = p.N - 1
 	}
-	if p.Stabilize <= 0 {
+	if p.Stabilize < 0 || p.CrashAt < 0 {
+		return nil, fmt.Errorf("scenario: stabilize and crash-at must be non-negative, got stabilize=%d crash-at=%d", p.Stabilize, p.CrashAt)
+	}
+	if p.Stabilize == 0 {
 		p.Stabilize = 100
 	}
-	if p.CrashAt <= 0 {
+	if p.CrashAt == 0 {
 		p.CrashAt = 50
 	}
 	if p.Crash >= p.N {
@@ -191,42 +189,20 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario: %v", err)
 	}
 
+	// Each task runs under the weakest detector that solves it: Ω for
+	// consensus and the kv log, vector-Ωk (the ¬Ωk family) at concurrency
+	// level k, nothing for n-set agreement.
 	s := &Scenario{NC: p.N, NS: p.N}
-	det := p.Detector
-	pick := func(def string, allowed ...string) (string, error) {
-		if det == "" {
-			return def, nil
-		}
-		for _, a := range allowed {
-			if det == a {
-				return det, nil
-			}
-		}
-		return "", fmt.Errorf("scenario: detector %q incompatible with task %q (want one of %v)", det, p.Task, allowed)
-	}
-
 	switch p.Task {
 	case "consensus":
-		d, err := pick("omega", "omega", "vector")
-		if err != nil {
-			return nil, err
-		}
 		s.Task = task.NewConsensus(p.N)
 		s.Inputs = intInputs(p.N)
 		s.Registers = directRegisters(p.N, p.N, 1)
+		s.Detector = fdet.Omega{}
 		dc := DirectConfig{NC: p.N, NS: p.N, K: 1, LeaderVec: OmegaLeader}
-		if d == "vector" {
-			s.Detector = fdet.VectorOmegaK{K: 1, GoodPos: 0}
-			dc.LeaderVec = VectorLeader
-		} else {
-			s.Detector = fdet.Omega{}
-		}
 		s.CBody, s.SBody = dc.DirectCBody, dc.DirectSBody
-		s.Name = fmt.Sprintf("consensus/n=%d/%s", p.N, d)
+		s.Name = fmt.Sprintf("consensus/n=%d/omega", p.N)
 	case "kset":
-		if _, err := pick("vector", "vector"); err != nil {
-			return nil, err
-		}
 		if p.K >= p.N {
 			return nil, fmt.Errorf("scenario: kset needs k < n, got k=%d n=%d", p.K, p.N)
 		}
@@ -238,9 +214,6 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		s.CBody, s.SBody = dc.DirectCBody, dc.DirectSBody
 		s.Name = fmt.Sprintf("kset/n=%d/k=%d/vector", p.N, p.K)
 	case "renaming":
-		if _, err := pick("vector", "vector"); err != nil {
-			return nil, err
-		}
 		if p.J >= p.N {
 			return nil, fmt.Errorf("scenario: renaming needs j < n, got j=%d n=%d", p.J, p.N)
 		}
@@ -263,9 +236,6 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		s.CBody, s.SBody = mc.SolverCBody, mc.SolverSBody
 		s.Name = fmt.Sprintf("renaming/n=%d/j=%d/k=%d/vector", p.N, p.J, p.K)
 	case "prop1":
-		if _, err := pick("vector", "vector"); err != nil {
-			return nil, err
-		}
 		// Proposition 1's solver is 1-concurrent only; the Theorem 9 machine
 		// at k=1 is what makes it correct under real concurrency — the same
 		// automaton value on both backends, zero changes.
@@ -279,18 +249,12 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		s.CBody, s.SBody = mc.SolverCBody, mc.SolverSBody
 		s.Name = fmt.Sprintf("prop1/n=%d/vector", p.N)
 	case "kv":
-		if _, err := pick("omega", "omega"); err != nil {
-			return nil, err
-		}
 		// Clerks run a fixed deterministic script (seeded from their input);
 		// with Crash > 0 the advised leader actually dies and leadership
 		// migrates.
 		s = kvScenario(p.N, p.N, p.N*kvScriptOps, kv.ReplicaConfig{}, kv.ClerkConfig{Ops: kvScriptOps, PutFrac: 0.5})
 		s.Name = fmt.Sprintf("kv/n=%d/omega", p.N)
 	case "nset":
-		if _, err := pick("trivial", "trivial"); err != nil {
-			return nil, err
-		}
 		s.Task = task.NewSetAgreement(p.N, p.N)
 		s.Inputs = intInputs(p.N)
 		s.Registers = 2 * p.N // in/i plus the V/q helper slots
@@ -303,7 +267,7 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 	}
 	s.Pattern, s.Stabilize, s.Advice, s.Params = pat, p.Stabilize, advice, p
 	if chaos.Enabled() {
-		// The wrapper composes over whatever detector the task picked: the
+		// The wrapper composes over whatever detector the task runs: the
 		// same scenario machinery serves both backends a hostile history.
 		s.Detector = fdet.WithChaos(s.Detector, chaos)
 	}

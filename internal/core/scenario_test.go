@@ -22,7 +22,8 @@ func TestNewScenarioRefusesOutOfRangeParams(t *testing.T) {
 		{ScenarioParams{Task: "consensus", N: 4, Storm: true}, "crash-storm needs crash > 0"},
 		{ScenarioParams{Task: "consensus", N: 4, Chaos: "bogus"}, "scenario:"},
 		{ScenarioParams{Task: "consensus", N: 4, Advice: "bogus"}, "scenario:"},
-		{ScenarioParams{Task: "kset", N: 4, Detector: "omega"}, "incompatible with task"},
+		{ScenarioParams{Task: "consensus", N: 4, Stabilize: -1}, "stabilize=-1"},
+		{ScenarioParams{Task: "consensus", N: 4, Crash: 1, CrashAt: -5}, "crash-at=-5"},
 		{ScenarioParams{Task: "kset", N: 4, K: 4}, "kset needs k < n"},
 		{ScenarioParams{Task: "renaming", N: 4, J: 4}, "renaming needs j < n"},
 		{ScenarioParams{Task: "renaming", N: 4, J: 2, K: 2}, "renaming needs j > k"},

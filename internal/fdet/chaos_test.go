@@ -28,7 +28,6 @@ func TestChaosTransitionsNeverMissAChange(t *testing.T) {
 		{"live-omega/crash", LiveOmega{}, crashy},
 		{"anti-omega-2", AntiOmegaK{K: 2}, FailureFree(n)},
 		{"vector-omega-2", VectorOmegaK{K: 2, GoodPos: 0}, FailureFree(n)},
-		{"eventually-perfect", EventuallyPerfect{}, crashy},
 		{"trivial", Trivial{}, FailureFree(n)},
 		{"history-func", opaque{}, FailureFree(n)},
 	}

@@ -14,7 +14,7 @@ import (
 // Because a history is a pure function of (module, time), the set of times
 // at which any module's output may change is itself a function of the
 // history's parameters — noise flips every tick until stabilization, an Ω
-// leader appears exactly at the stabilization time, ◇P suspicion sets move
+// leader appears exactly at the stabilization time, a live-Ω leader moves
 // exactly at crash times. NextTransition enumerates those times, so a live
 // advice service steps from transition to transition and a converged history
 // costs it nothing.
@@ -97,16 +97,13 @@ func noise(seed int64, i int, t Time, draw func(rng *rand.Rand)) {
 
 // DetectorNames lists the families resolvable by ByName.
 func DetectorNames() []string {
-	return []string{"trivial", "omega", "live-omega", "anti-omega", "vector-omega", "eventually-perfect"}
+	return []string{"trivial", "omega", "live-omega", "anti-omega", "vector-omega"}
 }
 
 // ByName resolves a detector family by name; k parameterizes the ¬Ωk and
 // vector-Ωk families (ignored by the others). It is the library-level
-// registry behind the wfadvice.DetectorByName facade, covering every
-// family the native advice service can serve. Note that cmd/efd-stress
-// selects detectors through core.ScenarioParams instead, which validates
-// task-compatible short names (omega | vector | trivial) — only those
-// families have consuming algorithms in the scenario zoo.
+// registry behind the wfadvice.DetectorByName facade. A core.Scenario does
+// not look detectors up by name: its task fixes the one it runs under.
 func ByName(name string, k int) (Detector, error) {
 	switch name {
 	case "trivial":
@@ -119,8 +116,6 @@ func ByName(name string, k int) (Detector, error) {
 		return AntiOmegaK{K: k}, nil
 	case "vector-omega":
 		return VectorOmegaK{K: k, GoodPos: 0}, nil
-	case "eventually-perfect":
-		return EventuallyPerfect{}, nil
 	default:
 		return nil, fmt.Errorf("fdet: unknown detector %q (valid: %v)", name, DetectorNames())
 	}
@@ -468,59 +463,4 @@ func (FirstAlive) History(p Pattern, _ Time, _ int64) History {
 		out = 0
 	}
 	return HistoryWithTransitions(func(int, Time) any { return out }, never)
-}
-
-// EventuallyPerfect is the ◇P detector: eventually the output at every
-// correct process is exactly the set of faulty processes. Included for
-// baseline comparisons in the hierarchy experiments.
-type EventuallyPerfect struct{}
-
-var _ Detector = EventuallyPerfect{}
-
-// Name implements Detector.
-func (EventuallyPerfect) Name() string { return "EventuallyPerfect" }
-
-// History implements Detector: after stabilization the suspected set is
-// exactly the processes crashed so far (which converges to faulty(F));
-// before it, arbitrary subsets.
-func (EventuallyPerfect) History(p Pattern, stabilize Time, seed int64) History {
-	// After stabilization the output only moves when a process crashes, so
-	// the remaining transitions are exactly the crash times of the pattern.
-	crashes := make([]Time, 0, p.N)
-	for _, at := range p.CrashAt {
-		if at != NoCrash {
-			crashes = append(crashes, at)
-		}
-	}
-	sort.Slice(crashes, func(a, b int) bool { return crashes[a] < crashes[b] })
-	next := func(t Time) (Time, bool) {
-		if t < stabilize {
-			return t + 1, true
-		}
-		for _, at := range crashes {
-			if at > t {
-				return at, true
-			}
-		}
-		return 0, false
-	}
-	return HistoryWithTransitions(func(i int, t Time) any {
-		out := make([]int, 0, p.N)
-		if t >= stabilize {
-			for x := 0; x < p.N; x++ {
-				if p.Crashed(x, t) {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		noise(seed, i, t, func(rng *rand.Rand) {
-			for x := 0; x < p.N; x++ {
-				if rng.Intn(2) == 0 {
-					out = append(out, x)
-				}
-			}
-		})
-		return out
-	}, next)
 }

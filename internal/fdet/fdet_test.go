@@ -110,19 +110,10 @@ func TestFirstAliveHistory(t *testing.T) {
 	}
 }
 
-func TestEventuallyPerfect(t *testing.T) {
-	p := NewPattern(3, map[int]Time{1: 10})
-	h := EventuallyPerfect{}.History(p, 50, 2)
-	got := h.Query(0, 100).([]int)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("suspects = %v, want [1]", got)
-	}
-}
-
 func TestHistoriesDeterministic(t *testing.T) {
 	f := func(seed int64, q uint8, tm uint16) bool {
 		p := FailureFree(4)
-		dets := []Detector{Omega{}, AntiOmegaK{K: 2}, VectorOmegaK{K: 2}, EventuallyPerfect{}}
+		dets := []Detector{Omega{}, AntiOmegaK{K: 2}, VectorOmegaK{K: 2}}
 		for _, d := range dets {
 			h1 := d.History(p, 100, seed)
 			h2 := d.History(p, 100, seed)

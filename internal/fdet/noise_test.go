@@ -62,7 +62,7 @@ func TestQueryConcurrentMatchesSequential(t *testing.T) {
 	p := NewPattern(5, map[int]Time{3: 20, 4: 50})
 	dets := []Detector{
 		Trivial{}, Omega{}, LiveOmega{}, AntiOmegaK{K: 2},
-		VectorOmegaK{K: 2, GoodPos: 1}, FirstAlive{}, EventuallyPerfect{},
+		VectorOmegaK{K: 2, GoodPos: 1}, FirstAlive{},
 		WithChaos(Omega{}, AdviceChaos{Mode: ChaosLie, Window: 4, Seed: 9}),
 		WithChaos(AntiOmegaK{K: 2}, AdviceChaos{Mode: ChaosLie, Window: 4}),
 		WithChaos(VectorOmegaK{K: 2}, AdviceChaos{Mode: ChaosFlap, Window: 4}),

@@ -1,7 +1,7 @@
 // Package fdet implements failure patterns, environments, failure-detector
 // histories and the detectors used in "Wait-Freedom with Advice": the
 // trivial detector, Ω, anti-Ω-k (¬Ωk), vector-Ω-k (the equivalent form used
-// by the Figure 2 simulation), the §2.3 counterexample detector, and ◇P.
+// by the Figure 2 simulation) and the §2.3 counterexample detector.
 //
 // Only S-processes are subject to failures (§2.1): a failure pattern F maps
 // each time τ to the set of S-processes that have crashed by τ. A history H

@@ -56,7 +56,6 @@ func TestTransitionsNeverMissAChange(t *testing.T) {
 		{"vector-omega-2", VectorOmegaK{K: 2, GoodPos: 0}, FailureFree(n)},
 		{"vector-omega-2/pinned", VectorOmegaK{K: 2, GoodPos: 0, Pinned: true}, FailureFree(n)},
 		{"vector-omega-1", VectorOmegaK{K: 1, GoodPos: 0}, FailureFree(n)},
-		{"eventually-perfect", EventuallyPerfect{}, crashy},
 		{"live-omega", LiveOmega{}, FailureFree(n)},
 		{"live-omega/crash", LiveOmega{}, crashy},
 		{"history-func", opaque{}, FailureFree(n)},
@@ -109,31 +108,6 @@ func TestAntiOmegaRotatesForever(t *testing.T) {
 	a, b := h.Query(0, 20), h.Query(0, 21)
 	if reflect.DeepEqual(a, b) {
 		t.Fatalf("window did not rotate: %v at both t=20 and t=21", a)
-	}
-}
-
-// TestEventuallyPerfectTransitionsAreCrashTimes pins the ◇P chain after
-// stabilization: exactly the crash times strictly greater than the query
-// point, then nothing.
-func TestEventuallyPerfectTransitionsAreCrashTimes(t *testing.T) {
-	const stabilize = 10
-	p := NewPattern(4, map[int]Time{2: 25, 0: 40})
-	h := EventuallyPerfect{}.History(p, stabilize, 1)
-	if next, ok := h.NextTransition(stabilize); !ok || next != 25 {
-		t.Fatalf("NextTransition(%d) = %d,%v, want 25,true", stabilize, next, ok)
-	}
-	if next, ok := h.NextTransition(25); !ok || next != 40 {
-		t.Fatalf("NextTransition(25) = %d,%v, want 40,true", next, ok)
-	}
-	if next, ok := h.NextTransition(40); ok {
-		t.Fatalf("NextTransition(40) = %d,true, want none", next)
-	}
-	// The suspicion set picks up each crash exactly at its transition.
-	if got := h.Query(1, 25); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("Query(1,25) = %v, want [2]", got)
-	}
-	if got := h.Query(1, 40); !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Fatalf("Query(1,40) = %v, want [0 2]", got)
 	}
 }
 

@@ -101,10 +101,10 @@ const noTransition = math.MaxInt64
 // fdService is the live failure-detector service. Histories are pure
 // functions of (module, time); serving them against the monotonic clock is
 // what turns the model's H(q_i, τ) into advice that moves with real time —
-// Ω and vector-Ωk leaders stabilize, ¬Ωk windows rotate, ◇P suspicion sets
-// converge, all while the algorithms run at hardware speed. A QueryFD on the
-// hot path is one atomic load of the module's cell, and over a converged
-// history one more of nextT.
+// Ω and vector-Ωk leaders stabilize, ¬Ωk windows rotate, a live-Ω leader
+// follows the crashes, all while the algorithms run at hardware speed. A
+// QueryFD on the hot path is one atomic load of the module's cell, and over
+// a converged history one more of nextT.
 //
 // Advice is published transition by transition: the history enumerates the
 // times its output may move (fdet.History.NextTransition), the model time of

@@ -321,7 +321,7 @@ func TestFDService(t *testing.T) {
 }
 
 // TestFDServiceFamilies verifies the live service serves every detector
-// family — Ω, ¬Ωk, vector-Ωk, ◇P — with the family's stabilized output
+// family — Ω, ¬Ωk, vector-Ωk — with the family's stabilized output
 // shape: the service is history-generic, so advice is whatever the fdet
 // history prescribes at the published time.
 func TestFDServiceFamilies(t *testing.T) {
@@ -343,18 +343,6 @@ func TestFDServiceFamilies(t *testing.T) {
 		"vector-omega": func(v any) error {
 			if vec, ok := v.([]int); !ok || len(vec) != k {
 				return fmt.Errorf("vector-Ω%d output %v, want a %d-vector", k, v, k)
-			}
-			return nil
-		},
-		"eventually-perfect": func(v any) error {
-			set, ok := v.([]int)
-			if !ok {
-				return fmt.Errorf("◇P output %v (%T), want []int", v, v)
-			}
-			for _, x := range set {
-				if !pat.Faulty(x) {
-					return fmt.Errorf("◇P suspects correct q%d after stabilization", x+1)
-				}
 			}
 			return nil
 		},
@@ -568,31 +556,6 @@ func TestSoakSmoke(t *testing.T) {
 	}
 }
 
-// TestStressPinned runs a short burst with OS-thread pinning: every
-// instance goroutine is kernel-scheduled on its own thread, and the checker
-// verdicts must be exactly as clean as unpinned (pinning is a scheduling
-// knob, never a semantics change). The run also covers thread handback —
-// back-to-back pinned instances must not accumulate OS threads.
-func TestStressPinned(t *testing.T) {
-	s := scenario(t, core.ScenarioParams{Task: "consensus", N: 4, Stabilize: 10})
-	dur := 150 * time.Millisecond
-	if testing.Short() {
-		dur = 50 * time.Millisecond
-	}
-	rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
-		return s.NativeConfig(seed, tick), nil
-	}, native.StressOptions{Duration: dur, RunBudget: 5 * time.Second, Workers: 2, Seed: 1, Pin: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed() {
-		t.Fatalf("pinned stress failed:\n%s", rep.Render())
-	}
-	if rep.Runs == 0 || rep.Decisions == 0 {
-		t.Fatalf("empty pinned stress report:\n%s", rep.Render())
-	}
-}
-
 // TestStressRate verifies the -rate throttle paces instance starts.
 func TestStressRate(t *testing.T) {
 	if testing.Short() {
@@ -625,6 +588,24 @@ func TestStressRefusesUnusableRates(t *testing.T) {
 		}, native.StressOptions{Duration: time.Millisecond, Rate: rate})
 		if err == nil {
 			t.Errorf("Stress(rate %v): no error", rate)
+		}
+	}
+}
+
+// TestStressRefusesUnusableSettings: a negative worker count or run budget
+// is an error before any instance is built, not the default pool or budget.
+func TestStressRefusesUnusableSettings(t *testing.T) {
+	for _, opt := range []native.StressOptions{
+		{Duration: time.Millisecond, Workers: -1},
+		{Duration: time.Millisecond, Workers: 1, RunBudget: -time.Second},
+	} {
+		built := false
+		_, err := native.Stress("bad-setting", nil, func(int64) (native.Config, error) {
+			built = true
+			return native.Config{}, fmt.Errorf("no config")
+		}, opt)
+		if err == nil || built {
+			t.Errorf("Stress(workers %d, run budget %v): %v, built a config: %v; want an error before any", opt.Workers, opt.RunBudget, err, built)
 		}
 	}
 }

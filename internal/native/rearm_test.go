@@ -211,7 +211,7 @@ func TestRearmShapeChange(t *testing.T) {
 		{Task: "consensus", N: 4, Stabilize: 4, Advice: "event"},
 		{Task: "consensus", N: 3, Stabilize: 4},
 		{Task: "kset", N: 5, K: 2, Stabilize: 4, Advice: "event"},
-		{Task: "consensus", N: 4, Stabilize: 4, Detector: "vector"},
+		{Task: "kset", N: 4, K: 1, Stabilize: 4},
 		{Task: "nset", N: 3, Stabilize: 1},
 	}
 	rt := new(native.Runtime)
@@ -219,7 +219,7 @@ func TestRearmShapeChange(t *testing.T) {
 		for _, p := range shapes {
 			s := scenario(t, p)
 			cfg := s.NativeConfig(int64(round), tick)
-			if p.Task == "consensus" && round == 1 {
+			if (p.Task == "consensus" || p.K == 1) && round == 1 {
 				cfg.Inputs[1] = nil // p2 sits this one out
 			}
 			if err := rt.Reset(cfg); err != nil {
@@ -298,14 +298,14 @@ func TestRearmSharedScenarioBodies(t *testing.T) {
 }
 
 // TestRearmTeardownAllocs: unwinding a process costs no heap object, whether
-// it is stopped at the end of the run, crashed by the pattern, or either on a
-// pinned thread. Each case re-arms one runtime a few hundred times with
-// bodies that allocate nothing and counts the objects per unwound process.
-// The run's goroutine defers only Env.exited: restoring a second defer beside
-// it (the wait group's Done, or the pinned thread's unlock) makes the Go
-// runtime save that defer's state on the heap at every recover, one object
-// per unwound process, and fails this test in all three cases. The race
-// detector turns open-coded defers off, so only the plain run catches it.
+// it is stopped at the end of the run or crashed by the pattern. Each case
+// re-arms one runtime a few hundred times with bodies that allocate nothing
+// and counts the objects per unwound process. The run's goroutine defers only
+// Env.exited: restoring a second defer beside it (the wait group's Done)
+// makes the Go runtime save that defer's state on the heap at every recover,
+// one object per unwound process, and fails this test in both cases. The
+// race detector turns open-coded defers off, so only the plain run catches
+// it.
 func TestRearmTeardownAllocs(t *testing.T) {
 	keys := []string{"x"}
 	loop := func(e sim.Ops) {
@@ -330,14 +330,12 @@ func TestRearmTeardownAllocs(t *testing.T) {
 		name    string
 		crashed map[int]fdet.Time
 		cbody   sim.Body
-		pin     bool
 	}{
 		{name: "stopped", cbody: decide},
 		{name: "crashed", crashed: map[int]fdet.Time{0: 0}, cbody: waitThenDecide},
-		{name: "pinned", cbody: decide, pin: true},
 	} {
 		cfg := native.Config{
-			NC: 1, NS: ns, Inputs: vec.Of(1), Pattern: fdet.NewPattern(ns, c.crashed), Tick: tick, Pin: c.pin,
+			NC: 1, NS: ns, Inputs: vec.Of(1), Pattern: fdet.NewPattern(ns, c.crashed), Tick: tick,
 			CBody: func(int) sim.Body { return c.cbody },
 			SBody: func(int) sim.Body { return loop },
 		}
@@ -369,7 +367,7 @@ func TestRearmTeardownAllocs(t *testing.T) {
 
 // TestRearmStress drives the re-arm the way its one caller does: Stress over
 // consensus n=4 with two S-processes crashed mid-instance, under both waits,
-// pinned and traced. Every instance passes the checker; the report's crash
+// with the tracer on. Every instance passes the checker; the report's crash
 // count is the sum of per-run kills (it equals the injections counted, where
 // a crashed flag surviving Reset would count a victim again in every later
 // run); trace run ids follow the instance counter; no cell leaves its
@@ -385,7 +383,7 @@ func TestRearmStress(t *testing.T) {
 			tracer := native.NewTracer(1 << 16)
 			rep, err := native.Stress(s.Name, s.Task, func(seed int64) (native.Config, error) {
 				return s.NativeConfig(seed, tick), nil
-			}, native.StressOptions{Duration: 100 * time.Millisecond, Workers: 2, Seed: int64(runs), Pin: runs == 0, Tracer: tracer})
+			}, native.StressOptions{Duration: 100 * time.Millisecond, Workers: 2, Seed: int64(runs), Tracer: tracer})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,16 +88,6 @@ type Config struct {
 	// RunID labels this instance's trace events (the stress harness
 	// passes its instance counter); meaningless without Tracer.
 	RunID int64
-
-	// Pin locks every process goroutine to its own OS thread
-	// (runtime.LockOSThread) for the duration of the run. With pinning the
-	// kernel scheduler, not the Go scheduler, arbitrates between the
-	// processes of concurrent instances, so a deciding S-process is never
-	// migrated or descheduled by a spin-polling sibling inside the same
-	// GOMAXPROCS slot — the ROADMAP's NUMA/core-pinning knob. Costs one OS
-	// thread per process goroutine; size worker pools accordingly (the
-	// stress harness packs instances GOMAXPROCS-aware, see StressOptions).
-	Pin bool
 }
 
 // Reason reports why a native run ended.
@@ -463,33 +453,23 @@ type Env struct {
 
 var _ sim.Ops = (*Env)(nil)
 
-// run is the process goroutine: the body, on its own OS thread when pinned.
-// exited is its only defer. A recover that leaves other defers pending in
-// the frame it returns to makes the Go runtime save their state on the heap,
-// one object per stop or crash unwind; so exited does their work itself.
+// run is the process goroutine: the body, with exited as its only defer. A
+// recover that leaves other defers pending in the frame it returns to makes
+// the Go runtime save their state on the heap, one object per stop or crash
+// unwind; so exited does their work itself.
 func (e *Env) run() {
 	defer e.exited()
-	if e.r.cfg.Pin {
-		// Dedicate an OS thread to this process for the whole run; the
-		// unlock in exited hands the thread back to the scheduler instead of
-		// destroying it, so back-to-back pinned instances reuse threads
-		// rather than churn them.
-		runtime.LockOSThread()
-	}
 	e.body(e)
 }
 
-// exited runs deferred as the body unwinds: it releases a pinned thread,
-// reports the run over when the last process goes, records an injected
-// crash, swallows the stop sentinel and re-raises anything else the body
-// panicked with, which ends the program. Its last act is the wait group's
+// exited runs deferred as the body unwinds: it reports the run over when
+// the last process goes, records an injected crash, swallows the stop
+// sentinel and re-raises anything else the body panicked with, which ends
+// the program. Its last act is the wait group's
 // Done: after it the Runtime may re-arm this Env.
 func (e *Env) exited() {
 	x := recover()
 	r := e.r
-	if r.cfg.Pin {
-		runtime.UnlockOSThread()
-	}
 	if r.live.Add(-1) == 0 {
 		r.done()
 	}

@@ -37,15 +37,6 @@ type StressOptions struct {
 	Rate float64
 	// Seed is the root seed; instance r derives seed Seed*1_000_003 + r.
 	Seed int64
-	// Pin locks every process goroutine of every instance to its own OS
-	// thread (native.Config.Pin): the kernel scheduler arbitrates between
-	// the processes instead of the Go scheduler, so spin-heavy siblings
-	// cannot monopolize a GOMAXPROCS slot against a deciding leader — the
-	// ROADMAP NUMA/core-pinning knob, `-pin` on efd-stress. Combine with
-	// the GOMAXPROCS-aware default worker packing: with Pin set, the
-	// default pool never runs more pinned threads than ~GOMAXPROCS rounded
-	// up to one whole instance.
-	Pin bool
 	// Tracer, if non-nil, records every instance's decision lifecycle into
 	// the shared ring (runs are distinguished by RunID = the instance
 	// counter). Nil traces nothing at zero cost.
@@ -155,11 +146,14 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 	if !(opt.Rate >= 0) || math.IsInf(opt.Rate, 1) {
 		return nil, fmt.Errorf("native stress: need a finite, non-negative rate, got %v", opt.Rate)
 	}
+	// Zero means the default; a negative count or budget would silently run
+	// it too, so it is refused.
+	if opt.Workers < 0 || opt.RunBudget < 0 {
+		return nil, fmt.Errorf("native stress: need non-negative workers and run budget, got workers=%d run-budget=%v", opt.Workers, opt.RunBudget)
+	}
 	// The default pool packs instances GOMAXPROCS-aware: as many as fit
 	// whole, at least one, sized by instance 0's config, which its worker
-	// then runs. The same packing serves pinned runs: one pinned OS thread
-	// per process goroutine keeps the pinned thread count within about one
-	// instance of GOMAXPROCS instead of drowning the kernel scheduler.
+	// then runs.
 	workers, first := opt.Workers, (*Config)(nil)
 	if workers <= 0 {
 		cfg, err := mk(opt.Seed * 1_000_003)
@@ -225,9 +219,6 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 				}
 				if err == nil && len(cfg.Inputs) != cfg.NC {
 					err = fmt.Errorf("native: scenario produced %d inputs for %d C-processes", len(cfg.Inputs), cfg.NC)
-				}
-				if opt.Pin {
-					cfg.Pin = true
 				}
 				cfg.Tracer = opt.Tracer
 				cfg.RunID = r

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"wfadvice/internal/ids"
@@ -193,19 +194,27 @@ var _ Scheduler = (*KGate)(nil)
 
 // Next implements Scheduler.
 func (s *KGate) Next(v *View) (ids.Proc, bool) {
-	undecided := len(v.UndecidedParticipating)
+	full := len(v.UndecidedParticipating) >= s.K
+	return nextAmong(v, s.Inner, func(p ids.Proc) bool {
+		return !(full && p.IsC() && !v.Started[p]) // newcomers hold at the gate
+	})
+}
+
+// nextAmong asks inner for a pick from a copy of v whose Ready keeps, in
+// order, the processes keep accepts; with none kept the run stops. It is
+// the one body of the filtering schedulers.
+func nextAmong(v *View, inner Scheduler, keep func(ids.Proc) bool) (ids.Proc, bool) {
 	filtered := *v
 	filtered.Ready = nil
 	for _, p := range v.Ready {
-		if p.IsC() && !v.Started[p] && undecided >= s.K {
-			continue // hold at the gate
+		if keep(p) {
+			filtered.Ready = append(filtered.Ready, p)
 		}
-		filtered.Ready = append(filtered.Ready, p)
 	}
 	if len(filtered.Ready) == 0 {
 		return ids.Proc{}, false
 	}
-	return s.Inner.Next(&filtered)
+	return inner.Next(&filtered)
 }
 
 // PauseWindow excludes one process from scheduling during [From, To). It
@@ -222,17 +231,7 @@ var _ Scheduler = (*PauseWindow)(nil)
 // Next implements Scheduler.
 func (s *PauseWindow) Next(v *View) (ids.Proc, bool) {
 	if v.Step >= s.From && v.Step < s.To {
-		filtered := *v
-		filtered.Ready = nil
-		for _, p := range v.Ready {
-			if p != s.Proc {
-				filtered.Ready = append(filtered.Ready, p)
-			}
-		}
-		if len(filtered.Ready) == 0 {
-			return ids.Proc{}, false
-		}
-		return s.Inner.Next(&filtered)
+		return nextAmong(v, s.Inner, func(p ids.Proc) bool { return p != s.Proc })
 	}
 	return s.Inner.Next(v)
 }
@@ -249,24 +248,7 @@ var _ Scheduler = (*Exclude)(nil)
 
 // Next implements Scheduler.
 func (s *Exclude) Next(v *View) (ids.Proc, bool) {
-	filtered := *v
-	filtered.Ready = nil
-	for _, p := range v.Ready {
-		skip := false
-		for _, x := range s.Procs {
-			if p == x {
-				skip = true
-				break
-			}
-		}
-		if !skip {
-			filtered.Ready = append(filtered.Ready, p)
-		}
-	}
-	if len(filtered.Ready) == 0 {
-		return ids.Proc{}, false
-	}
-	return s.Inner.Next(&filtered)
+	return nextAmong(v, s.Inner, func(p ids.Proc) bool { return !slices.Contains(s.Procs, p) })
 }
 
 // Scripted follows an explicit schedule, one process per step; entries that
@@ -309,18 +291,7 @@ var _ Scheduler = (*Personified)(nil)
 
 // Next implements Scheduler.
 func (s *Personified) Next(v *View) (ids.Proc, bool) {
-	filtered := *v
-	filtered.Ready = nil
-	for _, p := range v.Ready {
-		if p.IsC() && s.Pattern.Crashed(p.Index, v.Step) {
-			continue
-		}
-		filtered.Ready = append(filtered.Ready, p)
-	}
-	if len(filtered.Ready) == 0 {
-		return ids.Proc{}, false
-	}
-	return s.Inner.Next(&filtered)
+	return nextAmong(v, s.Inner, func(p ids.Proc) bool { return !p.IsC() || !s.Pattern.Crashed(p.Index, v.Step) })
 }
 
 // StopWhenDecided ends the run as soon as every spawned C-process has

@@ -112,6 +112,36 @@ func TestExcludeRemovesProcessesForever(t *testing.T) {
 	}
 }
 
+// crashedFrom is a failure pattern in which S-process i crashes at step
+// crashedFrom[i].
+type crashedFrom map[int]int
+
+func (c crashedFrom) Crashed(i, t int) bool {
+	at, ok := c[i]
+	return ok && t >= at
+}
+
+func TestPersonifiedDropsCrashedCounterparts(t *testing.T) {
+	inner := &capture{}
+	s := &Personified{Pattern: crashedFrom{0: 5}, Inner: inner}
+
+	// Before q1 crashes, p1 is scheduled like everyone else.
+	if p, ok := s.Next(testView(4, ids.C(0), ids.C(1), ids.S(0))); !ok || p != ids.C(0) {
+		t.Fatalf("before the crash: got %v/%v, want p1", p, ok)
+	}
+	// From the crash on p1 is dropped; the rest keep their Ready order.
+	if p, ok := s.Next(testView(5, ids.C(0), ids.S(0), ids.C(1))); !ok || p != ids.S(0) {
+		t.Fatalf("after the crash: got %v/%v, want q1", p, ok)
+	}
+	if want := []ids.Proc{ids.S(0), ids.C(1)}; !reflect.DeepEqual(inner.seen, want) {
+		t.Fatalf("inner saw %v, want %v", inner.seen, want)
+	}
+	// Only C-processes of crashed counterparts ready: the run stops.
+	if _, ok := s.Next(testView(6, ids.C(0))); ok {
+		t.Fatal("view of only dropped processes must stop")
+	}
+}
+
 func TestScriptedSkipsAndExhausts(t *testing.T) {
 	s := &Scripted{Seq: []ids.Proc{ids.C(1), ids.C(0), ids.C(1)}}
 	// C(1) not ready: the entry is skipped, not retried.
