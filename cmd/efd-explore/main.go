@@ -123,18 +123,29 @@ func specFromMeta(meta map[string]string) (explore.Spec, error) {
 		}
 		return s.ExploreSpec(seed), nil
 	}
+	// A key the trace leaves out keeps its flag default; one it sets must
+	// be an integer.
+	var bad error
 	geti := func(key string, def int) int {
-		if v, err := strconv.Atoi(meta[key]); err == nil {
-			return v
+		s, ok := meta[key]
+		if !ok {
+			return def
 		}
-		return def
+		v, err := strconv.Atoi(s)
+		if err != nil && bad == nil {
+			bad = fmt.Errorf("trace %s: %v", key, err)
+		}
+		return v
 	}
-	task := meta["task"]
-	switch task {
+	n, j, k, idleS := geti("n", 2), geti("j", 2), geti("k", 1), geti("idle-s", 0)
+	if bad != nil {
+		return explore.Spec{}, bad
+	}
+	switch task := meta["task"]; task {
 	case taskStrongRename:
-		return specFor(task, geti("n", 2), geti("j", 2), 0, geti("idle-s", 0))
+		return specFor(task, n, j, 0, idleS)
 	case taskKSet:
-		return specFor(task, geti("n", 2), 0, geti("k", 1), geti("idle-s", 0))
+		return specFor(task, n, 0, k, idleS)
 	default:
 		return explore.Spec{}, fmt.Errorf("trace names unknown task %q", task)
 	}

@@ -93,6 +93,12 @@ func TestSpecFromMetaValidates(t *testing.T) {
 		{map[string]string{"task": taskKSet, "n": "3", "k": "1"}, true},
 		{map[string]string{"task": taskKSet, "n": "3", "k": "-1"}, false},
 		{map[string]string{"task": taskStrongRename, "n": "2", "j": "2", "idle-s": "-1"}, false},
+		// Absent keys keep their defaults; present ones must parse.
+		{map[string]string{"task": taskKSet}, true},
+		{map[string]string{"task": taskKSet, "n": "abc", "k": "1"}, false},
+		{map[string]string{"task": taskKSet, "n": "3", "k": ""}, false},
+		{map[string]string{"task": taskStrongRename, "n": "2", "j": "2x"}, false},
+		{map[string]string{"task": taskStrongRename, "n": "2", "j": "2", "idle-s": "one"}, false},
 	} {
 		if _, err := specFromMeta(c.meta); (err == nil) != c.ok {
 			t.Errorf("specFromMeta(%v): err = %v, want ok=%v", c.meta, err, c.ok)

@@ -197,7 +197,7 @@ func ByID(id string) (Experiment, bool) {
 
 // Select resolves a comma-separated id list ("E5,e7") to experiments in
 // canonical order; an empty list selects every experiment. Unknown ids are
-// an error.
+// an error, and so is a non-empty list that names none (",").
 func Select(ids string) ([]Experiment, error) {
 	all := Experiments()
 	if strings.TrimSpace(ids) == "" {
@@ -217,6 +217,9 @@ func Select(ids string) ([]Experiment, error) {
 			return nil, fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(known, ","))
 		}
 		want[id] = true
+	}
+	if len(want) == 0 {
+		return nil, fmt.Errorf("experiment list %q names no experiment", ids)
 	}
 	var out []Experiment
 	for _, x := range all {

@@ -176,6 +176,9 @@ func TestSelect(t *testing.T) {
 	if _, err := Select("E5,E99"); err == nil || !strings.Contains(err.Error(), "E99") {
 		t.Fatalf("unknown id not rejected: %v", err)
 	}
+	if got, err := Select(" , "); err == nil {
+		t.Fatalf("a list naming no experiment selected %d, want an error", len(got))
+	}
 	if _, ok := ByID("e11"); !ok {
 		t.Fatal("ByID is not case-insensitive")
 	}

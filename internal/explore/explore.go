@@ -92,11 +92,6 @@ type Options struct {
 	// Workers sizes the sub-tree worker pool; 0 or negative means
 	// GOMAXPROCS. Reports are byte-identical for every value.
 	Workers int
-	// SplitDepth is the prefix length at which the tree is cut into
-	// independent work items. It is deliberately independent of Workers so
-	// that the search structure (and hence the report) does not vary with
-	// parallelism; 0 means min(4, MaxDepth).
-	SplitDepth int
 	// MaxRuns bounds the number of replayed runs per sweep; 0 means 1<<20.
 	// A sweep cut short by the budget reports Exhausted=false.
 	MaxRuns int
@@ -107,16 +102,11 @@ type Options struct {
 	NoPrune bool
 }
 
-func (o Options) splitDepth() int {
-	s := o.SplitDepth
-	if s <= 0 {
-		s = 4
-	}
-	if s > o.MaxDepth {
-		s = o.MaxDepth
-	}
-	return s
-}
+// splitDepth is the prefix length at which a sweep's tree is cut into
+// independent work items (or the sweep's depth, if shorter). It is
+// deliberately independent of Workers so that the search structure (and
+// hence the report) does not vary with parallelism.
+const splitDepth = 4
 
 func (o Options) maxRuns() int {
 	if o.MaxRuns > 0 {
@@ -279,10 +269,7 @@ type sweepOut struct {
 
 // sweep explores the tree once at the given horizon.
 func (s *searcher) sweep(depth int) (*sweepOut, error) {
-	split := s.opt.splitDepth()
-	if split > depth {
-		split = depth
-	}
+	split := min(splitDepth, depth)
 	// Phase 1: serial expansion of the tree up to the split depth; nodes at
 	// exactly the split depth become work items instead of being explored.
 	var items []workItem
@@ -454,7 +441,7 @@ func (s *probeSched) Next(v *sim.View) (ids.Proc, bool) {
 	s.ready = append([]ids.Proc(nil), v.Ready...)
 	s.pending = make(map[ids.Proc]sim.PendingOp, len(v.Ready))
 	for _, p := range v.Ready {
-		s.pending[p] = v.Pending[p]
+		s.pending[p] = v.Pending(p)
 	}
 	return ids.Proc{}, false
 }

@@ -322,7 +322,7 @@ func TestDedupCollapsesConvergentStates(t *testing.T) {
 		},
 		Check: func(*sim.Result) error { return nil },
 	}
-	red, err := explore.Explore(spec, explore.Options{MaxDepth: 8, Workers: 1, SplitDepth: 1})
+	red, err := explore.Explore(spec, explore.Options{MaxDepth: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -771,7 +771,7 @@ type frontierFirst struct{ sim.Scheduler }
 
 func (s frontierFirst) Next(v *sim.View) (ids.Proc, bool) {
 	for _, p := range v.Ready {
-		if isFrontierKey(v.Pending[p].Key) {
+		if isFrontierKey(v.Pending(p).Key) {
 			return p, true
 		}
 	}

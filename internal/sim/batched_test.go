@@ -130,7 +130,7 @@ func TestReadManyPendingOps(t *testing.T) {
 	}
 	var pendings []PendingOp
 	rt.Run(schedFunc(func(v *View) (ids.Proc, bool) {
-		pendings = append(pendings, v.Pending[ids.C(0)])
+		pendings = append(pendings, v.Pending(ids.C(0)))
 		return ids.C(0), true
 	}))
 	want := []PendingOp{

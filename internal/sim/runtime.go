@@ -294,7 +294,7 @@ type Runtime struct {
 	// until the first release.
 	released map[string]struct{}
 	procs    []*proc // stable order: C(0..NC-1) then S(0..NS-1), spawned only
-	byID     map[ids.Proc]*proc
+	view     View    // the scheduler's one View, refilled before every step
 	trace    []Event
 	step     int
 	ran      bool
@@ -320,7 +320,6 @@ func New(cfg Config) (*Runtime, error) {
 	r := &Runtime{
 		cfg:   cfg,
 		store: make(map[string]Value),
-		byID:  make(map[ids.Proc]*proc),
 		mh:    Telemetry.Handle(),
 	}
 	for i := 0; i < cfg.NC; i++ {
@@ -349,7 +348,16 @@ func (r *Runtime) addProc(id ids.Proc, input Value, body Body) {
 	p := &proc{id: id, input: input, body: body}
 	p.env = &Env{r: r, p: p}
 	r.procs = append(r.procs, p)
-	r.byID[id] = p
+}
+
+// lookup returns the process named id in procs, or nil if none was spawned.
+func lookup(procs []*proc, id ids.Proc) *proc {
+	for _, p := range procs {
+		if p.id == id {
+			return p
+		}
+	}
+	return nil
 }
 
 // Run drives the system until the step budget is exhausted, the scheduler
@@ -367,6 +375,7 @@ func (r *Runtime) Run(sched Scheduler) *Result {
 	}
 	r.ran = true
 	r.mh.Inc(cSimRun)
+	r.view.procs = r.procs
 	live := 0
 	for _, p := range r.procs {
 		p.next, p.stop = iter.Pull(p.run)
@@ -379,13 +388,13 @@ func (r *Runtime) Run(sched Scheduler) *Result {
 		if r.step >= r.cfg.MaxSteps {
 			return r.result(ReasonMaxSteps)
 		}
-		view := r.view()
-		if len(view.Ready) == 0 {
+		r.refill()
+		if len(r.view.Ready) == 0 {
 			// Every remaining process is crashed; the run is over.
 			return r.result(ReasonAllDone)
 		}
-		next, ok := sched.Next(view)
-		p := r.byID[next]
+		next, ok := sched.Next(&r.view)
+		p := lookup(r.procs, next)
 		if !ok || p == nil || !p.parked {
 			// The scheduler stopped, or named a process with no step to take.
 			return r.result(ReasonScheduler)
@@ -397,44 +406,24 @@ func (r *Runtime) Run(sched Scheduler) *Result {
 	return r.result(ReasonAllDone)
 }
 
-// view assembles the scheduler's view of the current state.
-func (r *Runtime) view() *View {
-	v := &View{
-		Step:      r.step,
-		NC:        r.cfg.NC,
-		NS:        r.cfg.NS,
-		Started:   make(map[ids.Proc]bool, len(r.procs)),
-		DecidedC:  make(map[int]bool, r.cfg.NC),
-		Pending:   make(map[ids.Proc]PendingOp, len(r.procs)),
-		stepsOf:   make(map[ids.Proc]int, len(r.procs)),
-		decisions: make(map[int]Value, r.cfg.NC),
-	}
+// refill brings the runtime's View up to the current state, reusing its
+// slices.
+func (r *Runtime) refill() {
+	v := &r.view
+	v.Step, v.cRemaining = r.step, 0
+	v.Ready, v.UndecidedParticipating = v.Ready[:0], v.UndecidedParticipating[:0]
 	for _, p := range r.procs {
-		v.Started[p.id] = p.steps > 0
-		v.stepsOf[p.id] = p.steps
-		if p.id.IsC() {
-			if p.decided {
-				v.DecidedC[p.id.Index] = true
-				v.decisions[p.id.Index] = p.decision
-			} else {
-				v.cRemaining++
+		if p.id.IsC() && !p.decided {
+			v.cRemaining++
+			if p.steps > 0 {
+				v.UndecidedParticipating = append(v.UndecidedParticipating, p.id.Index)
 			}
 		}
-		if !p.parked {
-			continue
-		}
-		v.Pending[p.id] = p.pending
-		if p.id.IsS() && r.cfg.Pattern.Crashed(p.id.Index, r.step) {
-			continue // crashed S-processes take no further steps
-		}
-		v.Ready = append(v.Ready, p.id)
-	}
-	for _, p := range r.procs {
-		if p.id.IsC() && p.steps > 0 && !p.decided {
-			v.UndecidedParticipating = append(v.UndecidedParticipating, p.id.Index)
+		// Crashed S-processes take no further steps.
+		if p.parked && !(p.id.IsS() && r.cfg.Pattern.Crashed(p.id.Index, r.step)) {
+			v.Ready = append(v.Ready, p.id)
 		}
 	}
-	return v
 }
 
 func (r *Runtime) result(reason Reason) *Result {

@@ -9,29 +9,20 @@ import (
 	"wfadvice/internal/ids"
 )
 
-// View is the scheduler's observation of the system between steps.
+// View is the scheduler's observation of the system between steps. A
+// runtime owns one View and refills it in place before every step, so a
+// scheduler must copy whatever it keeps past its Next call: the slices
+// below are overwritten by the next step.
 type View struct {
 	Step int
-	NC   int
-	NS   int
 	// Ready lists the processes that can take the next step (parked at an
 	// operation and, for S-processes, not crashed), in stable id order.
 	Ready []ids.Proc
-	// Started reports whether a process took at least one step (for
-	// C-processes this is the paper's "participating").
-	Started map[ids.Proc]bool
-	// DecidedC reports which C-process indices have decided.
-	DecidedC map[int]bool
 	// UndecidedParticipating lists C-process indices that participate but
 	// have not decided — the quantity bounded by k-concurrency.
 	UndecidedParticipating []int
-	// Pending maps every parked process (ready or crashed) to the operation
-	// it will perform on its next granted step. Schedule explorers consult it
-	// to decide which pending operations commute.
-	Pending map[ids.Proc]PendingOp
 
-	stepsOf    map[ids.Proc]int
-	decisions  map[int]Value
+	procs      []*proc // the runtime's process table, read in place
 	cRemaining int
 }
 
@@ -40,17 +31,24 @@ type View struct {
 func (v *View) CRemaining() int { return v.cRemaining }
 
 // IsReady reports whether p may take the next step.
-func (v *View) IsReady(p ids.Proc) bool {
-	for _, q := range v.Ready {
-		if q == p {
-			return true
-		}
-	}
-	return false
+func (v *View) IsReady(p ids.Proc) bool { return slices.Contains(v.Ready, p) }
+
+// Started reports whether p took at least one step (for C-processes this is
+// the paper's "participating").
+func (v *View) Started(p ids.Proc) bool {
+	q := lookup(v.procs, p)
+	return q != nil && q.steps > 0
 }
 
-// StepsOf returns how many steps p has taken.
-func (v *View) StepsOf(p ids.Proc) int { return v.stepsOf[p] }
+// Pending returns the operation p will perform on its next granted step, if
+// p is parked (ready or crashed); the zero PendingOp otherwise. Schedule
+// explorers consult it to decide which pending operations commute.
+func (v *View) Pending(p ids.Proc) PendingOp {
+	if q := lookup(v.procs, p); q != nil && q.parked {
+		return q.pending
+	}
+	return PendingOp{}
+}
 
 // Scheduler picks the next process to step. Returning ok=false stops the
 // run. Schedulers must pick from v.Ready.
@@ -70,19 +68,9 @@ var _ Scheduler = (*RoundRobin)(nil)
 
 // Next implements Scheduler.
 func (s *RoundRobin) Next(v *View) (ids.Proc, bool) {
-	if len(v.Ready) == 0 {
-		return ids.Proc{}, false
-	}
-	if s.order == nil {
-		s.order = append(s.order, v.Ready...)
-	}
-	// Refresh the order with any processes not yet known (stable append).
-	known := make(map[ids.Proc]bool, len(s.order))
-	for _, p := range s.order {
-		known[p] = true
-	}
+	// Append processes not yet known, in the order they first turn up.
 	for _, p := range v.Ready {
-		if !known[p] {
+		if !slices.Contains(s.order, p) {
 			s.order = append(s.order, p)
 		}
 	}
@@ -196,7 +184,7 @@ var _ Scheduler = (*KGate)(nil)
 func (s *KGate) Next(v *View) (ids.Proc, bool) {
 	full := len(v.UndecidedParticipating) >= s.K
 	return nextAmong(v, s.Inner, func(p ids.Proc) bool {
-		return !(full && p.IsC() && !v.Started[p]) // newcomers hold at the gate
+		return !(full && p.IsC() && !v.Started(p)) // newcomers hold at the gate
 	})
 }
 

@@ -13,19 +13,11 @@ import (
 )
 
 // testView builds a View with the given ready processes; every listed
-// process counts as started.
+// process is parked and counts as started.
 func testView(step int, ready ...ids.Proc) *View {
-	v := &View{
-		Step:     step,
-		Ready:    append([]ids.Proc(nil), ready...),
-		Started:  make(map[ids.Proc]bool),
-		DecidedC: make(map[int]bool),
-		Pending:  make(map[ids.Proc]PendingOp),
-		stepsOf:  make(map[ids.Proc]int),
-	}
+	v := &View{Step: step, Ready: append([]ids.Proc(nil), ready...)}
 	for _, p := range ready {
-		v.Started[p] = true
-		v.stepsOf[p] = 1
+		v.procs = append(v.procs, &proc{id: p, steps: 1, parked: true})
 	}
 	return v
 }
@@ -51,7 +43,7 @@ func TestKGateHoldsNewcomersAtTheGate(t *testing.T) {
 	// One participating undecided process: a not-yet-started C-process must
 	// be held, an S-process passes through.
 	v := testView(0, ids.C(0), ids.C(1), ids.S(0))
-	v.Started[ids.C(1)] = false
+	lookup(v.procs, ids.C(1)).steps = 0
 	v.UndecidedParticipating = []int{0}
 	p, ok := g.Next(v)
 	if !ok || p != ids.C(0) {
@@ -61,10 +53,10 @@ func TestKGateHoldsNewcomersAtTheGate(t *testing.T) {
 		t.Fatalf("inner saw %v, want %v (C(1) held at the gate)", inner.seen, want)
 	}
 
-	// Once p1 decided, the gate reopens for p2.
+	// Once p1 decided (no participating process is undecided), the gate
+	// reopens for p2.
 	v = testView(1, ids.C(1), ids.S(0))
-	v.Started[ids.C(1)] = false
-	v.DecidedC[0] = true
+	lookup(v.procs, ids.C(1)).steps = 0
 	p, ok = g.Next(v)
 	if !ok || p != ids.C(1) {
 		t.Fatalf("got %v/%v, want p2 admitted after p1 decided", p, ok)
@@ -72,7 +64,7 @@ func TestKGateHoldsNewcomersAtTheGate(t *testing.T) {
 
 	// Every ready process held: the gate stops the run.
 	v = testView(2, ids.C(1))
-	v.Started[ids.C(1)] = false
+	lookup(v.procs, ids.C(1)).steps = 0
 	v.UndecidedParticipating = []int{0}
 	if _, ok := g.Next(v); ok {
 		t.Fatal("gate with only held processes must stop")
