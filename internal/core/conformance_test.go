@@ -111,8 +111,8 @@ func TestBackendConformance(t *testing.T) {
 				// agreement tasks), which ∆ already enforces — asserting it
 				// here keeps the conformance failure message symmetric when
 				// one backend regresses.
-				if len(simDecs) != len(natDecs) {
-					t.Fatalf("seed %d: sim decided %d processes, native %d", seed, len(simDecs), len(natDecs))
+				if simDecs.Count() != natDecs.Count() {
+					t.Fatalf("seed %d: sim decided %d processes, native %d", seed, simDecs.Count(), natDecs.Count())
 				}
 			}
 		})
@@ -210,7 +210,7 @@ func TestBindConformance(t *testing.T) {
 			}
 		}
 	}
-	run := func(backend string, decs map[int]sim.Value, err error) {
+	run := func(backend string, decs vec.Vector, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s backend: %v", backend, err)
@@ -238,7 +238,7 @@ func TestBindConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	sres := srt.Run(&sim.StopWhenDecided{Inner: sim.NewRandom(7)})
-	run("sim", sres.Decisions, sim.DecidedAll(sres))
+	run("sim", sres.Outputs, sim.DecidedAll(sres))
 
 	nrt, err := native.New(native.Config{
 		NC: n, Inputs: inputs.Clone(), CBody: body,
@@ -248,12 +248,12 @@ func TestBindConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	nres := nrt.Run(30 * time.Second)
-	run("native", nres.Decisions, native.CheckDecided(nres))
+	run("native", nres.Outputs, native.CheckDecided(nres))
 }
 
 // runSimBackend executes one seeded lockstep run under the uniform scheduler
 // and returns the decisions after checking the scenario's verdict obligations.
-func runSimBackend(s *core.Scenario, seed int64) (map[int]sim.Value, error) {
+func runSimBackend(s *core.Scenario, seed int64) (vec.Vector, error) {
 	rt, err := sim.New(s.SimConfig(seed, 6_000_000))
 	if err != nil {
 		return nil, err
@@ -262,12 +262,12 @@ func runSimBackend(s *core.Scenario, seed int64) (map[int]sim.Value, error) {
 	if err := sim.Check(s.Task, res); err != nil {
 		return nil, err
 	}
-	return res.Decisions, nil
+	return res.Outputs, nil
 }
 
 // runNativeBackend executes one seeded hardware-speed run and returns the
 // decisions after the post-hoc checker.
-func runNativeBackend(s *core.Scenario, seed int64) (map[int]sim.Value, error) {
+func runNativeBackend(s *core.Scenario, seed int64) (vec.Vector, error) {
 	rt, err := native.New(s.NativeConfig(seed, 20*time.Microsecond))
 	if err != nil {
 		return nil, err
@@ -276,5 +276,5 @@ func runNativeBackend(s *core.Scenario, seed int64) (map[int]sim.Value, error) {
 	if err := native.Check(s.Task, res); err != nil {
 		return nil, err
 	}
-	return res.Decisions, nil
+	return res.Outputs, nil
 }

@@ -56,7 +56,7 @@ func toySpec(withS bool) explore.Spec {
 			return sim.New(cfg)
 		},
 		Check: func(res *sim.Result) error {
-			if res.Decisions[0] == 1 && res.Decisions[1] == 1 {
+			if res.Outputs[0] == 1 && res.Outputs[1] == 1 {
 				return fmt.Errorf("both processes decided 1")
 			}
 			return nil

@@ -45,7 +45,7 @@ func ladder(n int, fate map[int64]string, reversed bool) func(int64) (explore.Sp
 					defer close(done[seed])
 				}
 				if fate[seed] == "fail" {
-					return fmt.Errorf("decided %v", res.Decisions[0])
+					return fmt.Errorf("decided %v", res.Outputs[0])
 				}
 				return nil
 			},

@@ -19,7 +19,7 @@ import (
 // the run's budget.
 func CheckDecided(res *Result) error {
 	for i := range res.Inputs {
-		if res.Participated[i] && res.Outputs[i] == nil {
+		if res.Inputs[i] != nil && res.Outputs[i] == nil {
 			return fmt.Errorf("wait-freedom: p%d kept taking steps but never decided (run ended: %v after %v, %d ops)",
 				i+1, res.Reason, res.Elapsed.Round(0), res.Ops)
 		}

@@ -118,12 +118,11 @@ func (r Reason) String() string {
 // is no step trace — at hardware speed recording one would serialize the
 // run — so analysis is post hoc over the decisions and counters.
 type Result struct {
+	// Inputs holds the input of each C-process that performed at least one
+	// operation (the participating ones, §2.2); nil for the others.
 	Inputs    vec.Vector
 	Outputs   vec.Vector // decision of each C-process (nil = undecided)
 	Decisions map[int]sim.Value
-	// Participated[i] reports whether C-process i performed at least one
-	// operation.
-	Participated map[int]bool
 	// Latency[i] is the wall-clock time from run start to C-process i's
 	// decision.
 	Latency map[int]time.Duration
@@ -384,15 +383,14 @@ func (r *Runtime) result(reason Reason) *Result {
 	res := &r.res
 	if res.Decisions == nil {
 		res.Decisions = make(map[int]sim.Value)
-		res.Participated = make(map[int]bool)
 		res.Latency = make(map[int]time.Duration)
 	}
 	clear(res.Decisions)
-	clear(res.Participated)
 	clear(res.Latency)
 	if len(res.Outputs) != r.cfg.NC {
 		res.Inputs, res.Outputs = vec.New(r.cfg.NC), vec.New(r.cfg.NC)
 	}
+	clear(res.Inputs)
 	clear(res.Outputs)
 	res.Crashed = res.Crashed[:0]
 	res.Ops = 0
@@ -400,8 +398,9 @@ func (r *Runtime) result(reason Reason) *Result {
 	for _, e := range r.envs {
 		res.Ops += e.ops
 		if e.id.IsC() {
+			// The run's input vector contains only participating processes (§2.2).
 			if e.ops > 0 {
-				res.Participated[e.id.Index] = true
+				res.Inputs[e.id.Index] = e.input
 			}
 			if e.decided {
 				res.Decisions[e.id.Index] = e.decision
@@ -410,13 +409,6 @@ func (r *Runtime) result(reason Reason) *Result {
 			}
 		} else if e.crashed {
 			res.Crashed = append(res.Crashed, e.id.Index)
-		}
-	}
-	// The run's input vector contains only participating processes (§2.2).
-	for i := range res.Inputs {
-		res.Inputs[i] = nil
-		if res.Participated[i] {
-			res.Inputs[i] = r.cfg.Inputs[i]
 		}
 	}
 	return res

@@ -106,15 +106,11 @@ func CheckWaitFree(res *Result, suffix int) error {
 	if from < 0 {
 		from = 0
 	}
-	for i := 0; i < len(res.Inputs); i++ {
-		p := ids.C(i)
-		if !res.Participated[i] {
+	for i := range res.Inputs {
+		if res.Inputs[i] == nil || res.Outputs[i] != nil {
 			continue
 		}
-		if res.Outputs[i] != nil {
-			continue
-		}
-		if ScheduledInWindow(res, p, from, res.Steps) {
+		if ScheduledInWindow(res, ids.C(i), from, res.Steps) {
 			return fmt.Errorf("p%d took steps in the final %d-step window but never decided", i+1, suffix)
 		}
 	}
@@ -124,7 +120,7 @@ func CheckWaitFree(res *Result, suffix int) error {
 // DecidedAll reports an error unless every participating C-process decided.
 func DecidedAll(res *Result) error {
 	for i := range res.Inputs {
-		if res.Participated[i] && res.Outputs[i] == nil {
+		if res.Inputs[i] != nil && res.Outputs[i] == nil {
 			return fmt.Errorf("p%d participated but did not decide (run ended: %v after %d steps)", i+1, res.Reason, res.Steps)
 		}
 	}

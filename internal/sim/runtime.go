@@ -228,15 +228,16 @@ func (r Reason) String() string {
 
 // Result captures everything observable about a finished run.
 type Result struct {
-	Inputs    vec.Vector
-	Outputs   vec.Vector // decision of each C-process (nil = undecided)
-	Decisions map[int]Value
-	Trace     []Event
-	Steps     int
-	Reason    Reason
-	// Participated[i] reports whether C-process i took at least one step.
-	Participated map[int]bool
-	// FinalStore is a copy of the shared memory at the end of the run.
+	// Inputs holds the input of each C-process that took at least one step
+	// (the participating ones, §2.2); nil for the others.
+	Inputs  vec.Vector
+	Outputs vec.Vector // decision of each C-process (nil = undecided)
+	Trace   []Event
+	Steps   int
+	Reason  Reason
+	// FinalStore is the shared memory at the end of the run: the runtime's
+	// own store, handed over like Trace, since a Runtime is single-use and
+	// nothing writes it once Run is over.
 	FinalStore map[string]Value
 }
 
@@ -428,34 +429,23 @@ func (r *Runtime) refill() {
 
 func (r *Runtime) result(reason Reason) *Result {
 	res := &Result{
-		Inputs:       r.cfg.Inputs.Clone(),
-		Outputs:      vec.New(r.cfg.NC),
-		Decisions:    make(map[int]Value),
-		Trace:        r.trace,
-		Steps:        r.step,
-		Reason:       reason,
-		Participated: make(map[int]bool),
-		FinalStore:   make(map[string]Value, len(r.store)),
+		Inputs:     vec.New(r.cfg.NC),
+		Outputs:    vec.New(r.cfg.NC),
+		Trace:      r.trace,
+		Steps:      r.step,
+		Reason:     reason,
+		FinalStore: r.store,
 	}
 	for _, p := range r.procs {
-		if p.id.IsC() {
-			if p.steps > 0 {
-				res.Participated[p.id.Index] = true
-			}
-			if p.decided {
-				res.Decisions[p.id.Index] = p.decision
-				res.Outputs[p.id.Index] = p.decision
-			}
+		if !p.id.IsC() {
+			continue
 		}
-	}
-	// The run's input vector contains only participating processes (§2.2).
-	for i := range res.Inputs {
-		if !res.Participated[i] {
-			res.Inputs[i] = nil
+		if p.steps > 0 {
+			res.Inputs[p.id.Index] = p.input
 		}
-	}
-	for k, v := range r.store {
-		res.FinalStore[k] = v
+		if p.decided {
+			res.Outputs[p.id.Index] = p.decision
+		}
 	}
 	return res
 }

@@ -209,7 +209,7 @@ func TestPauseWindowAndExclude(t *testing.T) {
 	if res2.Outputs[0] == nil || res2.Outputs[2] == nil {
 		t.Fatal("non-excluded processes should decide")
 	}
-	if res2.Participated[1] {
+	if res2.Inputs[1] != nil || StepsOf(res2, ids.C(1)) != nil {
 		t.Fatal("excluded process should not participate")
 	}
 }
@@ -238,7 +238,7 @@ func TestNonParticipantNotSpawned(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := rt.Run(&RoundRobin{})
-	if res.Participated[1] {
+	if StepsOf(res, ids.C(1)) != nil {
 		t.Fatal("non-participant took steps")
 	}
 	if res.Inputs[1] != nil {

@@ -12,7 +12,9 @@ import (
 // View is the scheduler's observation of the system between steps. A
 // runtime owns one View and refills it in place before every step, so a
 // scheduler must copy whatever it keeps past its Next call: the slices
-// below are overwritten by the next step.
+// below are overwritten by the next step. A wrapping scheduler may narrow
+// Ready in place, keeping its order, before it delegates: the runtime reads
+// only its process table after Next.
 type View struct {
 	Step int
 	// Ready lists the processes that can take the next step (parked at an
@@ -151,16 +153,10 @@ func (s *Bursty) Next(v *View) (ids.Proc, bool) {
 		// Frozen for this call and up to FreezeLen-1 after it.
 		s.thawAt[s.cur] = s.calls + 1 + s.rng.Intn(s.FreezeLen)
 	}
-	var thawed []ids.Proc
-	for _, p := range v.Ready {
-		if !s.frozen(p) {
-			thawed = append(thawed, p)
-		}
+	if slices.ContainsFunc(v.Ready, func(p ids.Proc) bool { return !s.frozen(p) }) {
+		v.Ready = slices.DeleteFunc(v.Ready, s.frozen)
 	}
-	if len(thawed) == 0 {
-		thawed = v.Ready
-	}
-	s.cur = thawed[s.rng.Intn(len(thawed))]
+	s.cur = v.Ready[s.rng.Intn(len(v.Ready))]
 	delete(s.thawAt, s.cur) // a fallback pick ends that process's freeze
 	s.left = 0
 	if s.Burst > 0 {
@@ -184,25 +180,19 @@ var _ Scheduler = (*KGate)(nil)
 func (s *KGate) Next(v *View) (ids.Proc, bool) {
 	full := len(v.UndecidedParticipating) >= s.K
 	return nextAmong(v, s.Inner, func(p ids.Proc) bool {
-		return !(full && p.IsC() && !v.Started(p)) // newcomers hold at the gate
+		return full && p.IsC() && !v.Started(p) // newcomers hold at the gate
 	})
 }
 
-// nextAmong asks inner for a pick from a copy of v whose Ready keeps, in
-// order, the processes keep accepts; with none kept the run stops. It is
-// the one body of the filtering schedulers.
-func nextAmong(v *View, inner Scheduler, keep func(ids.Proc) bool) (ids.Proc, bool) {
-	filtered := *v
-	filtered.Ready = nil
-	for _, p := range v.Ready {
-		if keep(p) {
-			filtered.Ready = append(filtered.Ready, p)
-		}
-	}
-	if len(filtered.Ready) == 0 {
+// nextAmong narrows v.Ready in place to the processes drop rejects, in
+// order, and asks inner for a pick from it; with none left the run stops.
+// It is the one body of the filtering schedulers.
+func nextAmong(v *View, inner Scheduler, drop func(ids.Proc) bool) (ids.Proc, bool) {
+	v.Ready = slices.DeleteFunc(v.Ready, drop)
+	if len(v.Ready) == 0 {
 		return ids.Proc{}, false
 	}
-	return inner.Next(&filtered)
+	return inner.Next(v)
 }
 
 // PauseWindow excludes one process from scheduling during [From, To). It
@@ -219,7 +209,7 @@ var _ Scheduler = (*PauseWindow)(nil)
 // Next implements Scheduler.
 func (s *PauseWindow) Next(v *View) (ids.Proc, bool) {
 	if v.Step >= s.From && v.Step < s.To {
-		return nextAmong(v, s.Inner, func(p ids.Proc) bool { return p != s.Proc })
+		return nextAmong(v, s.Inner, func(p ids.Proc) bool { return p == s.Proc })
 	}
 	return s.Inner.Next(v)
 }
@@ -236,7 +226,7 @@ var _ Scheduler = (*Exclude)(nil)
 
 // Next implements Scheduler.
 func (s *Exclude) Next(v *View) (ids.Proc, bool) {
-	return nextAmong(v, s.Inner, func(p ids.Proc) bool { return !slices.Contains(s.Procs, p) })
+	return nextAmong(v, s.Inner, func(p ids.Proc) bool { return slices.Contains(s.Procs, p) })
 }
 
 // Scripted follows an explicit schedule, one process per step; entries that
@@ -279,7 +269,7 @@ var _ Scheduler = (*Personified)(nil)
 
 // Next implements Scheduler.
 func (s *Personified) Next(v *View) (ids.Proc, bool) {
-	return nextAmong(v, s.Inner, func(p ids.Proc) bool { return !p.IsC() || !s.Pattern.Crashed(p.Index, v.Step) })
+	return nextAmong(v, s.Inner, func(p ids.Proc) bool { return p.IsC() && s.Pattern.Crashed(p.Index, v.Step) })
 }
 
 // StopWhenDecided ends the run as soon as every spawned C-process has

@@ -6,10 +6,14 @@ package sim
 // what is filtered, what falls through, and when a combinator stops a run.
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
+	"wfadvice/internal/fdet"
 	"wfadvice/internal/ids"
+	"wfadvice/internal/vec"
 )
 
 // testView builds a View with the given ready processes; every listed
@@ -268,6 +272,79 @@ func TestBurstyFreezesAndStaysFair(t *testing.T) {
 	for call := 1; call <= 100; call++ {
 		if p, ok := lone.Next(testView(call, ids.C(0))); !ok || p != ids.C(0) {
 			t.Fatalf("call %d: lone process not scheduled (%v, %v)", call, p, ok)
+		}
+	}
+}
+
+// TestFilterPicksPinned pins every pick the filtering combinators make, end
+// to end: a small system (three C-processes of different lengths, three
+// S-processes of which q2 crashes at step 40, the pattern Personified
+// follows) runs under each combinator and two nestings for 50 seeds, and the
+// trace's (proc, kind, key) sequence, step count and end reason of every run
+// hash to a constant per row. A change to how a filter narrows Ready that
+// moves a single pick, or a single rng draw, moves the hash.
+func TestFilterPicksPinned(t *testing.T) {
+	pat := fdet.NewPattern(3, map[int]fdet.Time{1: 40})
+	cfg := Config{
+		NC: 3, NS: 3, Inputs: vec.Of(0, 1, 2), Pattern: pat,
+		CBody: func(i int) Body {
+			return func(e Ops) {
+				mine, next := fmt.Sprintf("c/%d", i), fmt.Sprintf("c/%d", (i+1)%3)
+				for r := 0; r < 4+2*i; r++ {
+					e.Write(mine, r)
+					e.Read(next)
+				}
+				e.Decide(i)
+			}
+		},
+		SBody: func(i int) Body {
+			return func(e Ops) {
+				for {
+					e.QueryFD()
+					e.Write(fmt.Sprintf("s/%d", i), 1)
+				}
+			}
+		},
+		MaxSteps: 150,
+	}
+	bursty := func(seed int64) Scheduler {
+		return &Bursty{Seed: seed, Burst: 5, FreezeProb: 0.5, FreezeLen: 50}
+	}
+	for _, c := range []struct {
+		name  string
+		sched func(seed int64) Scheduler
+		want  uint64
+	}{
+		{"bursty", bursty, 0x63421ad14a276d48},
+		{"kgate", func(seed int64) Scheduler { return &KGate{K: 2, Inner: NewRandom(seed)} }, 0x99e53e35b2f5ee9},
+		{"pause", func(seed int64) Scheduler {
+			return &PauseWindow{Proc: ids.C(0), From: 5, To: 60, Inner: NewRandom(seed)}
+		}, 0xa97d4d2df072d7da},
+		{"exclude", func(seed int64) Scheduler {
+			return &Exclude{Procs: []ids.Proc{ids.C(2), ids.S(0)}, Inner: NewRandom(seed)}
+		}, 0x2174ae1e25463309},
+		{"personified", func(seed int64) Scheduler { return &Personified{Pattern: pat, Inner: NewRandom(seed)} }, 0x390ba6ef3366c692},
+		{"pause∘personified∘bursty", func(seed int64) Scheduler {
+			return &PauseWindow{Proc: ids.C(1), From: 10, To: 50, Inner: &Personified{Pattern: pat, Inner: bursty(seed)}}
+		}, 0x65d83d74fa06b9af},
+		{"exclude∘kgate", func(seed int64) Scheduler {
+			return &Exclude{Procs: []ids.Proc{ids.S(2)}, Inner: &KGate{K: 1, Inner: NewRandom(seed)}}
+		}, 0x50b9bc36c7943fce},
+	} {
+		h := fnv.New64a()
+		for seed := int64(1); seed <= 50; seed++ {
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := rt.Run(c.sched(seed))
+			for _, e := range res.Trace {
+				fmt.Fprintf(h, "%v %d %s;", e.Proc, e.Kind, e.Key)
+			}
+			fmt.Fprintf(h, "|%d %d|", res.Steps, res.Reason)
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: picks hash to %#x, want %#x", c.name, got, c.want)
 		}
 	}
 }

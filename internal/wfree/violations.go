@@ -85,9 +85,8 @@ func StrongRenamingSpec(slots, j, idleS int) explore.Spec {
 // scanned in sorted order so the verdict text is deterministic.
 func CheckStrongRenamingDecisions(res *sim.Result, j int) error {
 	byName := make(map[int]int)
-	for i := 0; i < len(res.Inputs); i++ {
-		d, ok := res.Decisions[i]
-		if !ok {
+	for i, d := range res.Outputs {
+		if d == nil {
 			continue
 		}
 		name, isInt := d.(int)
@@ -126,9 +125,8 @@ func KSetSpec(slots, parts, k, idleS int) explore.Spec {
 func CheckKSetDecisions(res *sim.Result, k int) error {
 	distinct := make(map[auto.Value]bool)
 	var order []auto.Value
-	for i := 0; i < len(res.Inputs); i++ {
-		d, ok := res.Decisions[i]
-		if !ok {
+	for _, d := range res.Outputs {
+		if d == nil {
 			continue
 		}
 		if !distinct[d] {
