@@ -32,6 +32,9 @@ type Scenario struct {
 	// Task is the decision task the run is checked against.
 	Task task.Task
 	// NC and NS are the system dimensions; Inputs the task input vector.
+	// Every config SimConfig and NativeConfig build shares Inputs, and
+	// neither runtime writes it: a caller that wants other inputs for one
+	// run clones the config's vector before editing it.
 	NC, NS int
 	Inputs vec.Vector
 	// CBody and SBody are the process programs, shared by both backends.
@@ -60,7 +63,7 @@ type Scenario struct {
 // SimConfig builds the lockstep backend configuration for one seeded run.
 func (s *Scenario) SimConfig(seed int64, maxSteps int) sim.Config {
 	return sim.Config{
-		NC: s.NC, NS: s.NS, Inputs: s.Inputs.Clone(),
+		NC: s.NC, NS: s.NS, Inputs: s.Inputs,
 		CBody: s.CBody, SBody: s.SBody,
 		Pattern:  s.Pattern,
 		History:  s.Detector.History(s.Pattern, s.Stabilize, seed),
@@ -72,7 +75,7 @@ func (s *Scenario) SimConfig(seed int64, maxSteps int) sim.Config {
 // (tick 0 = native.DefaultTick).
 func (s *Scenario) NativeConfig(seed int64, tick time.Duration) native.Config {
 	return native.Config{
-		NC: s.NC, NS: s.NS, Inputs: s.Inputs.Clone(),
+		NC: s.NC, NS: s.NS, Inputs: s.Inputs,
 		CBody: s.CBody, SBody: s.SBody,
 		Pattern:   s.Pattern,
 		History:   s.Detector.History(s.Pattern, s.Stabilize, seed),

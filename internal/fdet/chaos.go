@@ -3,6 +3,7 @@ package fdet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -157,34 +158,42 @@ func (d chaosDetector) Name() string { return d.inner.Name() + "+" + d.c.Suffix(
 // consumers parse them as ordinary advice.
 func (d chaosDetector) History(p Pattern, stabilize Time, seed int64) History {
 	inner := d.inner.History(p, stabilize, seed)
-	w := d.c.window()
 	// Shape probe: the stabilized output tells us what well-typed hostile
 	// values must look like. Histories are pure functions, so the probe is
 	// side-effect free.
-	shape := inner.Query(0, stabilize)
-	lieSeed := d.c.Seed*1_000_003 + seed
-	query := func(i int, t Time) any {
-		if t >= stabilize {
-			return inner.Query(i, t)
-		}
-		return chaosValue(d.c.Mode, p, shape, w, lieSeed, i, t)
+	return chaosHistory{inner: inner, shape: inner.Query(0, stabilize), p: p, mode: d.c.Mode,
+		w: d.c.window(), stabilize: stabilize, lieSeed: d.c.Seed*1_000_003 + seed}
+}
+
+// chaosHistory is chaosValue's schedule before stabilize and inner from it
+// on.
+type chaosHistory struct {
+	inner        History
+	shape        any
+	p            Pattern
+	mode         ChaosMode
+	w, stabilize Time
+	lieSeed      int64
+}
+
+func (h chaosHistory) Query(i int, t Time) any {
+	if t >= h.stabilize {
+		return h.inner.Query(i, t)
 	}
-	// Pre-stabilization the output is a function of ⌊t/W⌋, so the only
-	// change points are window boundaries — plus the stabilization instant
-	// itself, where the schedule hands over to the inner history. After it,
-	// the inner enumerator is authoritative (its own pre-stabilization
-	// density is irrelevant: those times are never queried through it).
-	next := func(t Time) (Time, bool) {
-		if t < stabilize {
-			nxt := (t/w + 1) * w
-			if nxt > stabilize {
-				nxt = stabilize
-			}
-			return nxt, true
-		}
-		return inner.NextTransition(t)
+	return chaosValue(h.mode, h.p, h.shape, h.w, h.lieSeed, i, t)
+}
+
+// NextTransition implements History. Pre-stabilization the output is a
+// function of ⌊t/W⌋, so the only change points are window boundaries —
+// plus the stabilization instant itself, where the schedule hands over to
+// the inner history. After it, the inner enumerator is authoritative (its
+// own pre-stabilization density is irrelevant: those times are never
+// queried through it).
+func (h chaosHistory) NextTransition(t Time) (Time, bool) {
+	if t < h.stabilize {
+		return min((t/h.w+1)*h.w, h.stabilize), true
 	}
-	return HistoryWithTransitions(query, next)
+	return h.inner.NextTransition(t)
 }
 
 // chaosValue synthesizes the hostile output for module i at time t, shaped
@@ -205,21 +214,18 @@ func chaosValue(mode ChaosMode, p Pattern, shape any, w Time, lieSeed int64, i i
 		}
 		return (win + off) % n
 	case []int:
-		size := len(v)
-		if size > n {
-			size = n
-		}
-		out := make([]int, 0, size)
+		size := min(len(v), n)
+		var out []int
 		if mode == ChaosLie {
-			noise(lieSeed, 0, win, func(rng *rand.Rand) {
-				out = append(out, rng.Perm(n)[:size]...)
-			})
+			noise(lieSeed, 0, win, func(rng *rand.Rand) { out = rng.Perm(n)[:size] })
 		} else {
-			for o := 0; o < size; o++ {
-				out = append(out, (win+off+o)%n)
+			out = make([]int, size)
+			for o := range out {
+				out[o] = (win + off + o) % n
 			}
 		}
-		return sortedCopy(out)
+		slices.Sort(out)
+		return out
 	default:
 		// Shapeless families (Trivial's ⊥): nothing hostile to forge.
 		return shape
@@ -230,12 +236,26 @@ func chaosValue(mode ChaosMode, p Pattern, shape any, w Time, lieSeed int64, i i
 // independent (all modules trust it together) and biased toward faulty
 // processes when the pattern has any — the most damaging legal prefix.
 func lieLeader(p Pattern, lieSeed int64, win Time) (leader int) {
+	faulty := 0
+	for q := 0; q < p.N; q++ {
+		if p.Faulty(q) {
+			faulty++
+		}
+	}
 	noise(lieSeed, 0, win, func(rng *rand.Rand) {
-		if f := p.FaultySet(); len(f) > 0 && rng.Intn(2) == 0 {
-			leader = f[rng.Intn(len(f))]
+		if faulty == 0 || rng.Intn(2) != 0 {
+			leader = rng.Intn(p.N)
 			return
 		}
-		leader = rng.Intn(p.N)
+		// The r-th faulty process, counting from 0 in index order.
+		for r := rng.Intn(faulty); ; leader++ {
+			if p.Faulty(leader) {
+				if r == 0 {
+					return
+				}
+				r--
+			}
+		}
 	})
 	return leader
 }

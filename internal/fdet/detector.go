@@ -3,7 +3,7 @@ package fdet
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -40,59 +40,53 @@ type Detector interface {
 	History(p Pattern, stabilize Time, seed int64) History
 }
 
-// funcHistory is the one History implementation: a query function paired
-// with a transition enumerator.
-type funcHistory struct {
-	f    func(i int, t Time) any
-	next func(t Time) (Time, bool)
-}
+// funcHistory is the History behind HistoryFunc.
+type funcHistory func(i int, t Time) any
 
-func (h funcHistory) Query(i int, t Time) any            { return h.f(i, t) }
-func (h funcHistory) NextTransition(t Time) (Time, bool) { return h.next(t) }
+func (f funcHistory) Query(i int, t Time) any { return f(i, t) }
+
+// NextTransition implements History: nothing is known about when f's
+// output moves, so it names every tick.
+func (funcHistory) NextTransition(t Time) (Time, bool) { return t + 1, true }
 
 // HistoryFunc returns a History backed by f alone. Nothing is known about
 // when f's output moves, so it enumerates conservatively: every tick.
-func HistoryFunc(f func(i int, t Time) any) History { return funcHistory{f, everyTick} }
+func HistoryFunc(f func(i int, t Time) any) History { return funcHistory(f) }
 
-// HistoryWithTransitions returns a History backed by f whose transition
-// times are enumerated by next (see History.NextTransition).
-func HistoryWithTransitions(f func(i int, t Time) any, next func(t Time) (Time, bool)) History {
-	return funcHistory{f, next}
-}
-
-// noisyUntil enumerates the transitions of a history that emits fresh seeded
-// noise every tick before stabilize and is constant afterwards.
-func noisyUntil(stabilize Time) func(Time) (Time, bool) {
-	return func(t Time) (Time, bool) {
-		if t < stabilize {
-			return t + 1, true
-		}
-		return 0, false
+// nextTick enumerates the transitions of a history that may move every tick
+// before stabilize and is constant from it on.
+func nextTick(t, stabilize Time) (Time, bool) {
+	if t < stabilize {
+		return t + 1, true
 	}
+	return 0, false
 }
 
-// everyTick enumerates a history that may change at every tick forever
-// (rotating windows, permanently flapping vector positions).
-func everyTick(t Time) (Time, bool) { return t + 1, true }
-
-// never enumerates a constant history.
-func never(Time) (Time, bool) { return 0, false }
-
-// noisePool holds the generators noise draws from. A math/rand source is 607
-// words of state, so queries re-seed a pooled one instead of building one
-// each: (*rand.Rand).Seed(k) leaves a generator in exactly the state one
-// built from scratch for seed k starts in.
-var noisePool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// noisePool holds the generators noise draws from. Each wraps a lazySource,
+// so re-seeding one costs O(1) and builds nothing, and (*rand.Rand).Seed(s)
+// leaves it drawing exactly what rand.New(rand.NewSource(s)) would.
+var noisePool = sync.Pool{New: func() any { return rand.New(new(lazySource)) }}
 
 // noise hands draw a deterministic rng for (seed, i, t), so that histories
 // are pure functions of their arguments. The generator is only the caller's
 // for the duration of draw — it goes back to the pool afterwards — which is
 // why it arrives as an argument and not as a result.
 func noise(seed int64, i int, t Time, draw func(rng *rand.Rand)) {
+	seeded(seed*1_000_003+int64(i)*7_919+int64(t), draw)
+}
+
+// seeded hands draw a pooled generator seeded with s, as noise does.
+func seeded(s int64, draw func(rng *rand.Rand)) {
 	rng := noisePool.Get().(*rand.Rand)
-	rng.Seed(seed*1_000_003 + int64(i)*7_919 + int64(t))
+	rng.Seed(s)
 	draw(rng)
 	noisePool.Put(rng)
+}
+
+// noiseIntn is the seeded pre-stabilization leader of module i at time t.
+func noiseIntn(seed int64, i int, t Time, n int) (x int) {
+	noise(seed, i, t, func(rng *rand.Rand) { x = rng.Intn(n) })
+	return x
 }
 
 // DetectorNames lists the families resolvable by ByName.
@@ -132,9 +126,13 @@ var _ Detector = Trivial{}
 func (Trivial) Name() string { return "Trivial" }
 
 // History implements Detector.
-func (Trivial) History(Pattern, Time, int64) History {
-	return HistoryWithTransitions(func(int, Time) any { return nil }, never)
-}
+func (Trivial) History(Pattern, Time, int64) History { return trivialHistory{} }
+
+// trivialHistory is ⊥ at every module forever.
+type trivialHistory struct{}
+
+func (trivialHistory) Query(int, Time) any              { return nil }
+func (trivialHistory) NextTransition(Time) (Time, bool) { return 0, false }
 
 // Omega is the Ω leader detector: eventually the same correct S-process is
 // permanently output at all correct processes. Ω is equivalent to ¬Ω1.
@@ -148,16 +146,24 @@ func (Omega) Name() string { return "Omega" }
 
 // History implements Detector.
 func (Omega) History(p Pattern, stabilize Time, seed int64) History {
-	leader := p.MinCorrect()
-	return HistoryWithTransitions(func(i int, t Time) any {
-		if t >= stabilize {
-			return leader
-		}
-		var x int
-		noise(seed, i, t, func(rng *rand.Rand) { x = rng.Intn(p.N) })
-		return x
-	}, noisyUntil(stabilize))
+	return omegaHistory{n: p.N, leader: p.MinCorrect(), stabilize: stabilize, seed: seed}
 }
+
+// omegaHistory is seeded noise before stabilize and leader from it on.
+type omegaHistory struct {
+	n, leader int
+	stabilize Time
+	seed      int64
+}
+
+func (h omegaHistory) Query(i int, t Time) any {
+	if t >= h.stabilize {
+		return h.leader
+	}
+	return noiseIntn(h.seed, i, t, h.n)
+}
+
+func (h omegaHistory) NextTransition(t Time) (Time, bool) { return nextTick(t, h.stabilize) }
 
 // LiveOmega generates Ω histories whose post-stabilization output is the
 // lowest-indexed S-process still alive at query time. Crashes are finitely
@@ -176,34 +182,40 @@ func (LiveOmega) Name() string { return "LiveOmega" }
 
 // History implements Detector.
 func (LiveOmega) History(p Pattern, stabilize Time, seed int64) History {
-	// Transitions: every tick while noisy, then each post-stabilization
-	// crash time (the only instants the min-alive process can change).
-	var crashes []Time
-	for i := 0; i < p.N; i++ {
-		if p.CrashAt[i] != NoCrash && p.CrashAt[i] >= stabilize {
-			crashes = append(crashes, p.CrashAt[i])
+	return liveOmegaHistory{p: p, stabilize: stabilize, seed: seed}
+}
+
+// liveOmegaHistory is seeded noise before stabilize and the lowest process
+// alive at query time from it on.
+type liveOmegaHistory struct {
+	p         Pattern
+	stabilize Time
+	seed      int64
+}
+
+func (h liveOmegaHistory) Query(i int, t Time) any {
+	if t < h.stabilize {
+		return noiseIntn(h.seed, i, t, h.p.N)
+	}
+	return h.p.MinAlive(t)
+}
+
+// NextTransition implements History: every tick while noisy, then each
+// later crash time (the only instants the min-alive process can change).
+func (h liveOmegaHistory) NextTransition(t Time) (Time, bool) {
+	if t < h.stabilize {
+		return t + 1, true
+	}
+	next := NoCrash
+	for _, ct := range h.p.CrashAt {
+		if ct > t && ct < next {
+			next = ct
 		}
 	}
-	sort.Ints(crashes)
-	next := func(t Time) (Time, bool) {
-		if t < stabilize {
-			return t + 1, true
-		}
-		for _, ct := range crashes {
-			if ct > t {
-				return ct, true
-			}
-		}
+	if next == NoCrash {
 		return 0, false
 	}
-	return HistoryWithTransitions(func(i int, t Time) any {
-		if t < stabilize {
-			var x int
-			noise(seed, i, t, func(rng *rand.Rand) { x = rng.Intn(p.N) })
-			return x
-		}
-		return p.MinAlive(t)
-	}, next)
+	return next, true
 }
 
 // CheckOmega audits a recorded output stream against Ω's property over the
@@ -259,35 +271,39 @@ func (d AntiOmegaK) Name() string { return fmt.Sprintf("AntiOmega-%d", d.K) }
 // consumers against maximal permitted variety. Before stabilization the sets
 // are arbitrary.
 func (d AntiOmegaK) History(p Pattern, stabilize Time, seed int64) History {
-	n := p.N
-	safe := p.MinCorrect()
-	others := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != safe {
-			others = append(others, i)
-		}
-	}
-	size := n - d.K
-	if size < 0 {
-		size = 0
-	}
-	// The post-stabilization window rotates at every tick, so the history
-	// keeps a transition at every tick forever.
-	return HistoryWithTransitions(func(i int, t Time) any {
-		out := make([]int, 0, size)
-		if t >= stabilize {
-			// Rotate a window of size n−k over the non-safe processes.
-			for o := 0; o < size; o++ {
-				out = append(out, others[(t+o+i)%len(others)])
-			}
-			return sortedCopy(out)
-		}
-		noise(seed, i, t, func(rng *rand.Rand) {
-			out = append(out, rng.Perm(n)[:size]...)
-		})
-		return sortedCopy(out)
-	}, everyTick)
+	return antiOmegaHistory{n: p.N, size: max(p.N-d.K, 0), safe: p.MinCorrect(), stabilize: stabilize, seed: seed}
 }
+
+// antiOmegaHistory outputs sorted sets of size processes: seeded ones before
+// stabilize, then a window rotating over every process but safe.
+type antiOmegaHistory struct {
+	n, size, safe int
+	stabilize     Time
+	seed          int64
+}
+
+func (h antiOmegaHistory) Query(i int, t Time) any {
+	var out []int
+	if t >= h.stabilize {
+		// Rotate the window over the n−1 processes other than safe.
+		out = make([]int, h.size)
+		for o := range out {
+			x := (t + o + i) % (h.n - 1)
+			if x >= h.safe {
+				x++
+			}
+			out[o] = x
+		}
+	} else {
+		noise(h.seed, i, t, func(rng *rand.Rand) { out = rng.Perm(h.n)[:h.size] })
+	}
+	slices.Sort(out)
+	return out
+}
+
+// NextTransition implements History: the post-stabilization window rotates
+// at every tick, so there is a transition at every tick forever.
+func (antiOmegaHistory) NextTransition(t Time) (Time, bool) { return t + 1, true }
 
 // CheckAntiOmegaK audits a recorded output stream against the ¬Ωk property
 // over the suffix [stabilize, horizon): there is a correct process that no
@@ -351,46 +367,69 @@ func (d VectorOmegaK) Name() string { return fmt.Sprintf("VectorOmega-%d", d.K) 
 
 // History implements Detector.
 func (d VectorOmegaK) History(p Pattern, stabilize Time, seed int64) History {
-	leader := p.MinCorrect()
 	good := d.GoodPos
 	if good < 0 || good >= d.K {
-		good = int(rand.New(rand.NewSource(seed)).Intn(d.K))
+		seeded(seed, func(rng *rand.Rand) { good = rng.Intn(d.K) })
 	}
-	correct := p.Correct()
-	// Pinned (or single-position) vectors are constant after stabilization;
-	// otherwise the non-good positions flap forever, so the history keeps a
-	// transition at every tick.
-	next := everyTick
-	if d.Pinned || d.K == 1 {
-		next = noisyUntil(stabilize)
-	}
-	return HistoryWithTransitions(func(i int, t Time) any {
-		v := make([]int, d.K)
-		noise(seed, i, t, func(rng *rand.Rand) {
-			for j := range v {
-				v[j] = rng.Intn(p.N)
-			}
-		})
-		if t >= stabilize {
-			if d.Pinned {
-				for j := range v {
-					v[j] = correct[j%len(correct)]
-				}
-			}
-			v[good] = leader
+	return vectorOmegaHistory{p: p, k: d.K, good: good, leader: p.MinCorrect(),
+		pinned: d.Pinned, stabilize: stabilize, seed: seed}
+}
+
+// vectorOmegaHistory outputs k-vectors of seeded noise whose position good
+// holds leader from stabilize on (every position, if pinned).
+type vectorOmegaHistory struct {
+	p               Pattern
+	k, good, leader int
+	pinned          bool
+	stabilize       Time
+	seed            int64
+}
+
+func (h vectorOmegaHistory) Query(i int, t Time) any {
+	v := make([]int, h.k)
+	noise(h.seed, i, t, func(rng *rand.Rand) {
+		for j := range v {
+			v[j] = rng.Intn(h.p.N)
 		}
-		return v
-	}, next)
+	})
+	if t >= h.stabilize {
+		if h.pinned {
+			cycleCorrect(v, h.p)
+		}
+		v[h.good] = h.leader
+	}
+	return v
+}
+
+// NextTransition implements History: pinned (or single-position) vectors
+// are constant after stabilization; otherwise the non-good positions flap
+// forever, so there is a transition at every tick.
+func (h vectorOmegaHistory) NextTransition(t Time) (Time, bool) {
+	if h.pinned || h.k == 1 {
+		return nextTick(t, h.stabilize)
+	}
+	return t + 1, true
+}
+
+// cycleCorrect sets v[j] to p.Correct()[j mod |Correct|] for every j.
+func cycleCorrect(v []int, p Pattern) {
+	c := 0
+	for q := 0; q < p.N && c < len(v); q++ {
+		if !p.Faulty(q) {
+			v[c] = q
+			c++
+		}
+	}
+	for j := c; j < len(v); j++ {
+		v[j] = v[j-c]
+	}
 }
 
 // PinnedLeaders returns the stabilized leader of every position of a Pinned
 // vector-Ωk history over pattern p (position good carries MinCorrect).
 func (d VectorOmegaK) PinnedLeaders(p Pattern) []int {
-	correct := p.Correct()
 	v := make([]int, d.K)
-	for j := range v {
-		v[j] = correct[j%len(correct)]
-	}
+	cycleCorrect(v, p)
 	good := d.GoodPos
 	if good >= 0 && good < d.K {
 		v[good] = p.MinCorrect()
@@ -462,5 +501,11 @@ func (FirstAlive) History(p Pattern, _ Time, _ int64) History {
 	if !p.Faulty(0) {
 		out = 0
 	}
-	return HistoryWithTransitions(func(int, Time) any { return out }, never)
+	return constHistory{out}
 }
+
+// constHistory outputs v at every module forever.
+type constHistory struct{ v int }
+
+func (h constHistory) Query(int, Time) any            { return h.v }
+func (constHistory) NextTransition(Time) (Time, bool) { return 0, false }

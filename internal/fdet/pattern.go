@@ -12,10 +12,7 @@
 // Figure 1 extraction algorithm).
 package fdet
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Time is the discrete time range T = N of the model; the simulation runtime
 // identifies time with its global step counter.
@@ -167,13 +164,5 @@ func (e EnvT) Sample(n int, horizon Time) []Pattern {
 		}
 		out = append(out, NewPattern(n, early), NewPattern(n, late))
 	}
-	return out
-}
-
-// sortedCopy returns a sorted copy of xs.
-func sortedCopy(xs []int) []int {
-	out := make([]int, len(xs))
-	copy(out, xs)
-	sort.Ints(out)
 	return out
 }

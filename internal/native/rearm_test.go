@@ -81,6 +81,7 @@ func TestRearmDecisionsBelongToTheirInstance(t *testing.T) {
 		rt := new(native.Runtime)
 		for r := 0; r < 250; r++ {
 			cfg := s.NativeConfig(int64(r), tick)
+			cfg.Inputs = cfg.Inputs.Clone() // the scenario's vector is shared
 			for i := range cfg.Inputs {
 				cfg.Inputs[i] = 1000*r + i
 			}
@@ -220,6 +221,7 @@ func TestRearmShapeChange(t *testing.T) {
 			s := scenario(t, p)
 			cfg := s.NativeConfig(int64(round), tick)
 			if (p.Task == "consensus" || p.K == 1) && round == 1 {
+				cfg.Inputs = cfg.Inputs.Clone()
 				cfg.Inputs[1] = nil // p2 sits this one out
 			}
 			if err := rt.Reset(cfg); err != nil {

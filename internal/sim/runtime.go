@@ -179,7 +179,8 @@ type Config struct {
 	NS int // number of S-processes (n in the paper)
 
 	// Inputs holds one task input per C-process; a nil entry means the
-	// process does not participate and is not spawned.
+	// process does not participate and is not spawned. The runtime only
+	// reads it, so configs may share one vector.
 	Inputs vec.Vector
 
 	// CBody returns the program of C-process i; it must not be nil if any
