@@ -15,12 +15,16 @@ import "wfadvice/internal/sim"
 
 // boundRegs is the native sim.Regs: a resolved cell pointer per slot, and
 // the collect buffer ReadMany fills when the caller brings none. A handle the
-// bind memo returns next run brings its buffer along.
+// bind memo returns next run brings its buffer along, and so does one that
+// Release hands to the process's next Bind.
 type boundRegs struct {
 	e     *Env
 	keys  []string
 	cells []*cell
 	buf   []sim.Value
+	// next links the handle into its Env's list of releasable handles, or
+	// into its free list: linking allocates nothing.
+	next *boundRegs
 }
 
 var _ sim.Regs = (*boundRegs)(nil)
@@ -34,9 +38,11 @@ const memoBinds = 4
 // Bind implements sim.Ops: it resolves every key to its register cell,
 // straight through the sharded table (one shard lookup per key; the cells
 // this call mints share one backing array, see store.bind), and returns the
-// bound handle. Bind is the setup step: it allocates the handle and runs
-// once per body, per stand-alone consensus instance or per window of log
-// slots; the operations on the result do not allocate.
+// bound handle. Bind is the setup step: it runs once per body, per
+// stand-alone consensus instance or per window of log slots, and the
+// operations on the result do not allocate. Nor does Bind itself once the
+// process has released, through its key slice, a table at least as long
+// (see Release): it resolves keys into that table's handle and cells slice.
 //
 // On a re-armed runtime that kept its register table, a Bind of the table
 // this process bound at the same call position last run — the same backing
@@ -51,16 +57,45 @@ func (e *Env) Bind(keys []string) sim.Regs {
 			return b
 		}
 	}
-	cells := make([]*cell, len(keys))
+	b := e.spare(len(keys))
+	b.keys = keys
 	e.m.Add(cStoreShardLookup, int64(len(keys)))
-	if e.r.store.bind(keys, cells) {
+	if e.r.store.bind(keys, b.cells) {
 		e.m.Inc(cCellArrayReused)
 	}
-	b := &boundRegs{e: e, keys: keys, cells: cells}
-	if pos < memoBinds {
-		e.binds[pos] = b
+	switch {
+	case pos < memoBinds:
+		e.binds[pos] = b // the memo's for good: never recycled, see Release
+	case len(keys) > 0:
+		if e.newest == nil {
+			e.bound = b
+		} else {
+			e.newest.next = b
+		}
+		e.newest = b
 	}
 	return b
+}
+
+// spare returns a handle for a table of n keys: the released one with the
+// least room that fits, or a new one.
+func (e *Env) spare(n int) *boundRegs {
+	var best, before *boundRegs
+	for prev, b := (*boundRegs)(nil), e.free; b != nil; prev, b = b, b.next {
+		if c := cap(b.cells); c >= n && (best == nil || c < cap(best.cells)) {
+			best, before = b, prev
+		}
+	}
+	if best == nil {
+		return &boundRegs{e: e, cells: make([]*cell, n)}
+	}
+	if before == nil {
+		e.free = best.next
+	} else {
+		before.next = best.next
+	}
+	best.next, best.cells = nil, best.cells[:n]
+	return best
 }
 
 // Release implements sim.Ops: the keys leave the register table and their
@@ -69,8 +104,34 @@ func (e *Env) Bind(keys []string) sim.Regs {
 // process. It is not an operation: no step is counted and no crash strikes
 // on it. A runtime whose table has released anything rebuilds the table at
 // its next Reset and forgets the handles it memoised.
+//
+// When keys is the very slice (same first element, same length) from which
+// this process bound a handle this run, and the bind memo does not hold that
+// handle, the handle is emptied and parked for the process's next Bind; the
+// caller may then refill the slice for another table. The parked handles
+// belong to this process, so nothing here takes a lock.
 func (e *Env) Release(keys []string) {
 	e.m.Add(cRegReleased, int64(e.r.store.release(keys)))
+	if len(keys) == 0 {
+		return
+	}
+	for prev, b := (*boundRegs)(nil), e.bound; b != nil; prev, b = b, b.next {
+		if len(b.keys) != len(keys) || &b.keys[0] != &keys[0] {
+			continue
+		}
+		if prev == nil {
+			e.bound = b.next
+		} else {
+			prev.next = b.next
+		}
+		if b.next == nil {
+			e.newest = prev
+		}
+		clear(b.cells)
+		b.keys, b.cells = nil, b.cells[:0]
+		b.next, e.free = e.free, b
+		return
+	}
 }
 
 // forgetBinds drops the remembered handles: the table they were resolved
@@ -138,7 +199,7 @@ func (b *boundRegs) ReadMany(dst []sim.Value) []sim.Value {
 	b.e.step()
 	b.e.m.Inc(cRegCollectBound)
 	if len(dst) < len(b.cells) {
-		if b.buf == nil {
+		if cap(b.buf) < len(b.cells) {
 			b.buf = make([]sim.Value, len(b.cells))
 		}
 		dst = b.buf

@@ -1,0 +1,160 @@
+package native
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"wfadvice/internal/fdet"
+	"wfadvice/internal/sim"
+	"wfadvice/internal/vec"
+)
+
+// keyTable returns n keys named after gen.
+func keyTable(gen string, n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%s/%d", gen, i)
+	}
+	return keys
+}
+
+// TestBindRecyclesReleasedHandles: a handle given back by releasing the slice
+// it was bound from is what the process's next Bind of a table that fits
+// hands out, and it shows that table only — its Len, its keys, the registers
+// it reads and writes, its ReadMany collect — never the released one's; so
+// does one bound again from the released slice refilled with other keys, the
+// way a paxos.Log reuses a window's. A table longer than any parked handle,
+// and a handle the bind memo holds for the next run, are bound afresh.
+func TestBindRecyclesReleasedHandles(t *testing.T) {
+	var problems []string
+	fail := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
+	// shows checks that r is bound to keys and reads and writes them.
+	shows := func(e sim.Ops, r sim.Regs, keys []string, what string) {
+		if r.Len() != len(keys) {
+			fail("%s: Len %d, want %d", what, r.Len(), len(keys))
+			return
+		}
+		for i, v := range r.ReadMany(nil) {
+			if r.Key(i) != keys[i] || v != nil {
+				fail("%s: slot %d is %q reading %v, want %q unwritten", what, i, r.Key(i), v, keys[i])
+			}
+			r.WriteInt(i, 1000+i)
+		}
+		for i, v := range r.ReadMany(nil) {
+			if v != 1000+i || e.Read(keys[i]) != 1000+i {
+				fail("%s: slot %d reads %v and its key %v, want %d", what, i, v, e.Read(keys[i]), 1000+i)
+			}
+		}
+	}
+	cfg := Config{
+		NC: 1, Inputs: vec.Of(1), Pattern: fdet.FailureFree(0),
+		CBody: func(int) sim.Body {
+			return func(e sim.Ops) {
+				memoKeys := keyTable("memo", 4)
+				memo := e.Bind(memoKeys)
+				for i := 1; i < memoBinds; i++ {
+					e.Bind(keyTable(fmt.Sprint("pad", i), 1))
+				}
+				old := keyTable("old", 8)
+				a := e.Bind(old)
+				shows(e, a, old, "first bind")
+				e.Release(old)
+
+				fresh := keyTable("new", 5)
+				if b := e.Bind(fresh); b != a {
+					fail("a bind of 5 keys after a table of 8 was released got a new handle")
+				} else {
+					shows(e, b, fresh, "recycled handle")
+				}
+				e.Release(fresh)
+
+				for i := range old {
+					old[i] = fmt.Sprintf("refilled/%d", i)
+				}
+				if b := e.Bind(old); b != a {
+					fail("a bind of the released slice, refilled, got a new handle")
+				} else {
+					shows(e, b, old, "handle bound from the refilled slice")
+				}
+				e.Release(old)
+
+				if long := e.Bind(keyTable("long", 9)); long == a {
+					fail("a table of 9 keys was bound into a handle with room for 8")
+				}
+				e.Release(memoKeys)
+				if b := e.Bind(keyTable("after-memo", 4)); b == memo {
+					fail("the handle the bind memo holds was handed to another table")
+				}
+				e.Decide(0)
+			}
+		},
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := rt.Run(time.Minute); res.Reason != ReasonAllDecided {
+		t.Fatalf("run ended %v", res.Reason)
+	}
+	if len(problems) > 0 {
+		t.Fatal(strings.Join(problems, "\n"))
+	}
+}
+
+// TestRearmCrashableFollowsThePattern: whether an S-process's operations
+// read the clock to check for its crash is decided at every arming, from the
+// run's pattern. A runtime re-armed crash-free, crashing, then crash-free
+// again checks only the middle run's victim, the crash strikes that process
+// there, and nothing is injected in the other two runs.
+func TestRearmCrashableFollowsThePattern(t *testing.T) {
+	const ns, victim = 3, 1
+	keys := []string{"x"}
+	loop := func(e sim.Ops) {
+		r := e.Bind(keys)
+		for {
+			seen := e.Epoch()
+			r.Read(0)
+			e.AwaitEpoch(seen)
+		}
+	}
+	rt := new(Runtime)
+	for run, crashes := range []map[int]fdet.Time{nil, {victim: 0}, nil} {
+		cfg := Config{
+			NC: 1, NS: ns, Inputs: vec.Of(1), Pattern: fdet.NewPattern(ns, crashes),
+			CBody: func(int) sim.Body {
+				return func(e sim.Ops) {
+					// Wait for the victim's goroutine to be gone, so the crash
+					// is not overtaken by the stop.
+					live := &e.(*Env).r.live
+					for end := time.Now().Add(10 * time.Second); crashes != nil && live.Load() > ns && time.Now().Before(end); {
+						e.AwaitEpoch(e.Epoch())
+					}
+					e.Decide(0)
+				}
+			},
+			SBody: func(int) sim.Body { return loop },
+		}
+		if err := rt.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range rt.senvs[:ns] {
+			if want := crashes != nil && i == victim; e.crashable != want {
+				t.Errorf("run %d: s%d crashable = %v, want %v", run, i+1, e.crashable, want)
+			}
+		}
+		res := rt.Run(time.Minute)
+		if res.Reason != ReasonAllDecided {
+			t.Fatalf("run %d ended %v", run, res.Reason)
+		}
+		var want []int
+		if crashes != nil {
+			want = []int{victim}
+		}
+		if !slices.Equal(res.Crashed, want) {
+			t.Errorf("run %d: crashed %v, want %v", run, res.Crashed, want)
+		}
+	}
+}

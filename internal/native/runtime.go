@@ -306,13 +306,15 @@ func (r *Runtime) Registers() int { return r.store.held() }
 func (r *Runtime) arm(slot **Env, id ids.Proc, input sim.Value, body sim.Body) {
 	e := *slot
 	if e == nil {
-		e = &Env{r: r, id: id, crashable: id.IsS(), m: Telemetry.Handle()}
+		e = &Env{r: r, id: id, m: Telemetry.Handle()}
 		e.spawn = e.run
 		*slot = e
 	}
 	e.input, e.body = input, body
+	e.crashable = id.IsS() && r.cfg.Pattern.Faulty(id.Index)
 	e.ops, e.decided, e.decision, e.decideAt, e.crashed = 0, false, nil, 0, false
 	e.nbind = 0
+	e.bound, e.newest = nil, nil
 	r.envs = append(r.envs, e)
 }
 
@@ -423,7 +425,7 @@ type Env struct {
 	id        ids.Proc
 	input     sim.Value
 	body      sim.Body
-	crashable bool
+	crashable bool // an S-process this run's pattern crashes: only it reads the clock
 	// m is this process's pre-resolved metrics stripe; a bump is one
 	// atomic add.
 	m obs.Handle
@@ -435,6 +437,11 @@ type Env struct {
 	// this run's calls.
 	binds [memoBinds]*boundRegs
 	nbind int
+	// bound is the oldest of this run's handles that Release can take back
+	// by their key slice, linked in bind order up to newest; free links the
+	// released ones, for the next Bind to refill (see Bind and Release).
+	bound, newest *boundRegs
+	free          *boundRegs
 	// The fields below are goroutine-local; the runtime reads them only
 	// after wg.Wait(), which orders the accesses.
 	ops      int64

@@ -15,7 +15,9 @@ import (
 // slot costs its protocol writes: no key is formatted, no register resolved
 // and no proposer allocated per slot. It keeps the key tables of the windows
 // it has moved on from, and releases them to the backend when its caller
-// says every process is past them (Truncate).
+// says every process is past them (Truncate). A released window keeps its
+// struct and key slices for the next slide, so a truncated log pays one
+// object per window table: the string its keys are cut from.
 
 // SlotKey returns the consensus-instance key of slot i of the log prefix.
 func SlotKey(prefix string, slot int) string {
@@ -33,7 +35,8 @@ func appendSlotKey(b []byte, prefix string, slot int) []byte {
 const logWindow = 64
 
 // window is the bound registers of one window of consecutive slots, with the
-// key tables they were bound from (what Truncate hands to Release).
+// key tables they were bound from (what Truncate hands to Release, and what
+// the next slide refills once it has).
 type window struct {
 	base    int      // first slot covered
 	dec     sim.Regs // DecKey(SlotKey(prefix, base+i)) at slot i
@@ -62,9 +65,10 @@ type Log struct {
 	free   []*Proposer       // structs handed back by Release, for Proposer to reuse
 	blocks sim.Slab[Block]   // the blocks this view's proposers have written
 
-	win *window     // nil before the first bind
-	old []*window   // the windows slide has left, until Truncate releases them
-	buf []sim.Value // scratch for win.dec.ReadMany
+	win   *window     // nil before the first bind
+	old   []*window   // the windows slide has left, until Truncate releases them
+	spare []*window   // windows Truncate released, for slide to refill
+	buf   []sim.Value // scratch for win.dec.ReadMany
 
 	keyBuf  []byte // scratch of keyTable
 	keyEnds []int
@@ -91,11 +95,12 @@ func NewLog(e sim.Ops, prefix string, me, nProposers, window int) *Log {
 // Window is the number of slots per bound window.
 func (l *Log) Window() int { return l.length }
 
-// keyTable cuts a table of n register keys out of one string; format appends
-// key i to the buffer it is given. The formatting buffer and the key
-// boundaries are scratch kept across calls, so a table costs its string and
-// its slice however many keys it holds.
-func (l *Log) keyTable(n int, format func(b []byte, i int) []byte) []string {
+// keyTable cuts a table of n register keys out of one string into keys,
+// which it empties first; format appends key i to the buffer it is given. The
+// formatting buffer and the key boundaries are scratch kept across calls, so
+// a table costs its string, and its slice unless keys is a released table's
+// with room for n, however many keys it holds.
+func (l *Log) keyTable(keys []string, n int, format func(b []byte, i int) []byte) []string {
 	buf, ends := l.keyBuf[:0], l.keyEnds[:0]
 	for i := 0; i < n; i++ {
 		buf = format(buf, i)
@@ -103,17 +108,21 @@ func (l *Log) keyTable(n int, format func(b []byte, i int) []byte) []string {
 	}
 	l.keyBuf, l.keyEnds = buf, ends
 	all := string(buf)
-	keys := make([]string, n)
+	if cap(keys) < n {
+		keys = make([]string, 0, n)
+	}
+	keys = keys[:0]
 	at := 0
-	for i, end := range ends {
-		keys[i] = all[at:end]
+	for _, end := range ends {
+		keys = append(keys, all[at:end])
 		at = end
 	}
 	return keys
 }
 
-// slide positions the bound window so that it covers slot and returns it.
-// The window it leaves is kept for Truncate.
+// slide positions the bound window so that it covers slot and returns it,
+// in a window Truncate released if there is one. The window it leaves is kept
+// for Truncate.
 func (l *Log) slide(slot int) *window {
 	if w := l.win; w != nil {
 		if slot >= w.base && slot < w.base+l.length {
@@ -121,11 +130,19 @@ func (l *Log) slide(slot int) *window {
 		}
 		l.old = append(l.old, w)
 	}
-	keys := l.keyTable(l.length, func(b []byte, i int) []byte {
+	var w *window
+	if n := len(l.spare); n > 0 {
+		w, l.spare = l.spare[n-1], l.spare[:n-1]
+	} else {
+		w = new(window)
+	}
+	w.base = slot
+	w.decKeys = l.keyTable(w.decKeys, l.length, func(b []byte, i int) []byte {
 		return append(appendSlotKey(b, l.prefix, slot+i), decSuffix...)
 	})
-	l.win = &window{base: slot, dec: l.e.Bind(keys), decKeys: keys}
-	return l.win
+	w.dec = l.e.Bind(w.decKeys)
+	l.win = w
+	return w
 }
 
 // Truncate releases the registers of every window this view has left that
@@ -135,7 +152,9 @@ func (l *Log) slide(slot int) *window {
 // — and the views agree on which keys that is when their windows have the
 // same bases, as they do when each walks its frontier up from slot 0. Views
 // release the same decision keys independently; a key already gone is
-// skipped by the backend. The current window is never released.
+// skipped by the backend. Each table goes back as the slice it was bound
+// from, which gives the backend its handle too, and the window is kept for
+// slide to refill. The current window is never released.
 func (l *Log) Truncate(min int) {
 	kept := l.old[:0]
 	for _, w := range l.old {
@@ -144,9 +163,11 @@ func (l *Log) Truncate(min int) {
 			continue
 		}
 		l.e.Release(w.decKeys)
-		if w.blkKeys != nil {
+		if w.blk != nil {
 			l.e.Release(w.blkKeys)
 		}
+		w.dec, w.blk = nil, nil
+		l.spare = append(l.spare, w)
 	}
 	clear(l.old[len(kept):])
 	l.old = kept
@@ -165,7 +186,7 @@ func (l *Log) Proposer(slot int) *Proposer {
 	}
 	w := l.slide(slot)
 	if w.blk == nil {
-		w.blkKeys = l.keyTable(l.length*l.nProps, func(b []byte, i int) []byte {
+		w.blkKeys = l.keyTable(w.blkKeys, l.length*l.nProps, func(b []byte, i int) []byte {
 			b = append(appendSlotKey(b, l.prefix, w.base+i/l.nProps), blkInfix...)
 			return strconv.AppendInt(b, int64(i%l.nProps), 10)
 		})

@@ -3,6 +3,7 @@ package paxos
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -158,24 +159,33 @@ func TestWindowKeyTables(t *testing.T) {
 	}
 }
 
-// bindRecorder is a backend that only records the key tables bound on it.
+// bindRecorder is a backend that only records the key tables bound on it:
+// a copy of each, since a Log refills a table's slice once it has released
+// it, and the slice itself. The handles it returns do nothing.
 type bindRecorder struct {
 	sim.Ops
 	tables [][]string
+	bound  [][]string
 }
 
+type nopRegs struct{ sim.Regs }
+
 func (b *bindRecorder) Bind(keys []string) sim.Regs {
-	b.tables = append(b.tables, keys)
-	return nil
+	b.tables = append(b.tables, slices.Clone(keys))
+	b.bound = append(b.bound, keys)
+	return nopRegs{}
 }
 
 // TestLogSlotAllocs is the allocation guard on the log's per-slot path, on
 // the native backend: once a window is bound, minting a slot's proposer
 // allocates nothing, and a whole slot cycle — propose, decide, sweep,
-// release, with the window slides amortised in — allocates nothing either,
-// for a proposal of a small int or a pointer: the phase-1 block points into
-// a package table, the phase-2 block into the Log's slab, and the decision
-// register stores the proposal itself.
+// release — allocates nothing either, for a proposal of a small int or a
+// pointer: the phase-1 block points into a package table, the phase-2 block
+// into the Log's slab, and the decision register stores the proposal itself.
+// The log here never truncates, so every window it slides into binds fresh
+// tables and grows the register table: just under one object per slot,
+// which AllocsPerRun's integer division rounds away. TestLogWindowAllocs
+// holds what a window costs.
 func TestLogSlotAllocs(t *testing.T) {
 	var cycle, ptrCycle, mint float64
 	cfg := native.Config{
@@ -227,6 +237,94 @@ func TestLogSlotAllocs(t *testing.T) {
 	}
 	if mint != 0 {
 		t.Errorf("Log.Proposer inside a bound window: %v allocs, want 0", mint)
+	}
+}
+
+// bindCounter counts the tables bound through it.
+type bindCounter struct {
+	sim.Ops
+	n *int
+}
+
+func (b bindCounter) Bind(keys []string) sim.Regs {
+	*b.n++
+	return b.Ops.Bind(keys)
+}
+
+// TestLogWindowAllocs is the allocation guard on the log's per-window path,
+// on the native backend: two views of one log — a proposer, which binds a
+// decision and a block table per window, and a follower, which binds the
+// decision table — walk it a window at a time and truncate what both have
+// passed, and a window costs at most one object per table bound: the string
+// its keys are cut from. The window structs, their key slices and the bound
+// handles all come back from the windows Truncate released. The slots are
+// decided by keyed writes of keys formatted up front, so the slot path's own
+// costs (TestLogSlotAllocs) stay out of the count. The count is the least of
+// a few rounds: the runtime's own goroutine may still be allocating as it
+// parks when the first round starts.
+func TestLogWindowAllocs(t *testing.T) {
+	const window, warm, windows, rounds = 8, 16, 32, 5
+	decKeys := make([]string, (warm+rounds*windows)*window)
+	for s := range decKeys {
+		decKeys[s] = DecKey(SlotKey("log", s))
+	}
+	var objects, tables int
+	cfg := native.Config{
+		NC: 1, Inputs: vec.Of(1),
+		CBody: func(int) sim.Body {
+			return func(e sim.Ops) {
+				binds := 0
+				lead := NewLog(bindCounter{e, &binds}, "log", 0, 2, window)
+				follow := NewLog(bindCounter{e, &binds}, "log", 1, 2, window)
+				next := 0
+				walk := func() {
+					lead.Proposer(next) // binds the window's blocks
+					lead.Release(next)
+					for end := next + window; next < end; next++ {
+						e.Write(decKeys[next], 7)
+						if lead.Sweep(next, func(int, Value) bool { return false }) != next+1 ||
+							follow.Sweep(next, func(int, Value) bool { return false }) != next+1 {
+							panic(fmt.Sprintf("slot %d did not sweep", next))
+						}
+					}
+					lead.Truncate(next)
+					follow.Truncate(next)
+				}
+				for i := 0; i < warm; i++ {
+					walk() // the first windows allocate what later ones reuse
+				}
+				objects = -1
+				for range rounds {
+					var before, after runtime.MemStats
+					binds = 0
+					runtime.ReadMemStats(&before)
+					for i := 0; i < windows; i++ {
+						walk()
+					}
+					runtime.ReadMemStats(&after)
+					if n := int(after.Mallocs - before.Mallocs); objects < 0 || n < objects {
+						objects = n
+					}
+					tables = binds
+				}
+				e.Decide(0)
+			}
+		},
+		Pattern: fdet.FailureFree(0),
+	}
+	rt, err := native.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rt.Run(time.Minute); r.Reason != native.ReasonAllDecided {
+		t.Fatalf("run ended %v", r.Reason)
+	}
+	if tables != 3*windows {
+		t.Fatalf("%d windows bound %d tables, want %d", windows, tables, 3*windows)
+	}
+	t.Logf("%d windows: %d objects for %d tables", windows, objects, tables)
+	if objects > tables {
+		t.Errorf("%d windows: %d objects for %d tables, want at most one per table", windows, objects, tables)
 	}
 }
 
@@ -323,19 +421,31 @@ func TestLogBlocksStayPut(t *testing.T) {
 }
 
 // releaseRecorder is a backend that records the key tables bound on it and
-// released through it.
+// the handles given back through it: a release of the slice a table was last
+// bound from gives back that table's handle, recorded by bind order, and a
+// release of any other keys is recorded as -1.
 type releaseRecorder struct {
 	bindRecorder
-	released [][]string
+	released []int
 }
 
-func (r *releaseRecorder) Release(keys []string) { r.released = append(r.released, keys) }
+func (r *releaseRecorder) Release(keys []string) {
+	for i := len(r.bound) - 1; i >= 0; i-- {
+		if b := r.bound[i]; len(b) == len(keys) && len(b) > 0 && &b[0] == &keys[0] {
+			r.released = append(r.released, i)
+			return
+		}
+	}
+	r.released = append(r.released, -1)
+}
 
 // TestTruncateReleasesWindowsWhollyBelow: a view that has walked its window
 // over slots 0–11 four at a time, proposing in the first and the third,
 // releases on Truncate(min) exactly the windows that end at or below min —
 // their decision table, and their block table where it bound one — once, and
-// never the window it is in.
+// never the window it is in. Each table goes back as the slice it was bound
+// from, so the backend gets its handle back, and the next slide refills a
+// released window's slice with the keys of the window it moves to.
 func TestTruncateReleasesWindowsWhollyBelow(t *testing.T) {
 	const window, nProps = 4, 2
 	e := &releaseRecorder{}
@@ -351,25 +461,42 @@ func TestTruncateReleasesWindowsWhollyBelow(t *testing.T) {
 	if got := len(e.tables); got != 5 {
 		t.Fatalf("bound %d tables, want 5", got)
 	}
-	keysOf := func(tables [][]string) string { return fmt.Sprint(tables) }
 	for _, step := range []struct {
 		min  int
-		want [][]string
+		want []int // bound tables, by bind order
 	}{
 		{3, nil},
-		{4, [][]string{e.tables[0], e.tables[1]}}, // window 0's two tables
-		{7, nil},                       // window 4 ends at 8
-		{4, nil},                       // going back releases nothing twice
-		{100, [][]string{e.tables[2]}}, // window 4; window 8 is in use
+		{4, []int{0, 1}}, // window 0's two tables
+		{7, nil},         // window 4 ends at 8
+		{4, nil},         // going back releases nothing twice
+		{100, []int{2}},  // window 4; window 8 is in use
 		{100, nil},
 	} {
 		e.released = nil
 		l.Truncate(step.min)
-		if keysOf(e.released) != keysOf(step.want) {
-			t.Fatalf("Truncate(%d) released %v, want %v", step.min, e.released, step.want)
+		if fmt.Sprint(e.released) != fmt.Sprint(step.want) {
+			t.Fatalf("Truncate(%d) released tables %v, want %v", step.min, e.released, step.want)
 		}
 	}
 	if len(e.tables[0]) != window || len(e.tables[1]) != window*nProps || e.tables[2][0] != DecKey(SlotKey("log", 4)) {
 		t.Fatalf("window tables %v are not %d slots long from their base", e.tables[:3], window)
+	}
+
+	l.Proposer(12) // window 12 refills window 4's struct and slice, then binds blocks
+	if got := len(e.tables); got != 7 {
+		t.Fatalf("bound %d tables, want 7", got)
+	}
+	if &e.bound[5][0] != &e.bound[2][0] {
+		t.Error("window 12's decision table was not cut into the slice window 4 released")
+	}
+	for i, key := range e.tables[5] {
+		if want := DecKey(SlotKey("log", 12+i)); key != want {
+			t.Fatalf("refilled decision key %d = %q, want %q", i, key, want)
+		}
+	}
+	e.released = nil
+	l.Truncate(100)
+	if fmt.Sprint(e.released) != fmt.Sprint([]int{3, 4}) {
+		t.Fatalf("Truncate(100) after the slide released tables %v, want window 8's [3 4]", e.released)
 	}
 }

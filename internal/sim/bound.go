@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // This file defines Regs, the bound-register handle returned by Ops.Bind: a
 // fixed key table resolved once into slot-indexed operations. Binding exists
 // for the native backend, where it turns every hot-loop operation into a
@@ -13,7 +15,9 @@ package sim
 
 // Regs is a bound view of a fixed register key table: slot i addresses the
 // key passed at position i of Bind. All operations follow the semantics of
-// the corresponding Ops methods (each read and write is one atomic step).
+// the corresponding Ops methods (each read and write is one atomic step). A
+// handle is given back with its registers, by passing Ops.Release the slice
+// it was bound from; it is not used after that.
 type Regs interface {
 	// Len returns the number of bound slots.
 	Len() int
@@ -57,9 +61,12 @@ type boundEnv struct {
 var _ Regs = (*boundEnv)(nil)
 
 // Bind implements Ops: it resolves keys into a bound handle. On this backend
-// resolution keeps the key table only — every bound operation still consumes
-// one scheduled step through the same code path as its keyed equivalent.
-func (e *Env) Bind(keys []string) Regs { return &boundEnv{e: e, keys: keys} }
+// resolution keeps a copy of the key table only — every bound operation still
+// consumes one scheduled step through the same code path as its keyed
+// equivalent. The copy is what keeps the use-after-release oracle honest: a
+// caller may refill a slice it has released (Ops.Release) with live keys, and
+// a handle that shared it would then name them.
+func (e *Env) Bind(keys []string) Regs { return &boundEnv{e: e, keys: slices.Clone(keys)} }
 
 // Len returns the number of bound slots.
 func (b *boundEnv) Len() int { return len(b.keys) }

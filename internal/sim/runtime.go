@@ -126,9 +126,9 @@ type Ops interface {
 	// operation a direct atomic access with no per-op hashing or map
 	// lookups — the allocation-free hot path.
 	//
-	// The keys slice must not be mutated after it has been passed to Bind;
-	// backends keep it. Bind may allocate (it is the setup step, not the hot
-	// path).
+	// The keys slice must not be mutated after it has been passed to Bind
+	// until it has been passed to Release; backends keep it. Bind may
+	// allocate (it is the setup step, not the hot path).
 	Bind(keys []string) Regs
 	// Write performs one atomic register write.
 	Write(key string, v Value)
@@ -164,7 +164,11 @@ type Ops interface {
 	// use-after-release oracle every sim test and the explorer run under);
 	// on the native backend they leave the register table and their cells
 	// are recycled (see native.Env.Release), so an access after release is
-	// undefined there. The keys slice is not kept.
+	// undefined there. The keys slice is not kept. Passing the very slice a
+	// table was bound from gives back the handle too: on the native backend
+	// the process's next Bind reuses it; on the sim backend it holds its own
+	// copy of the released keys, so any later use of it fails the run. Either
+	// way the caller may then refill the slice for another table.
 	Release(keys []string)
 }
 

@@ -426,6 +426,53 @@ func TestReleaseTakesKeysOutOfTheStore(t *testing.T) {
 	}
 }
 
+// TestUseThroughARefilledTableFailsTheRun: a caller may refill a key slice
+// it has released and bind it again — a paxos.Log does, window after window
+// — and the handle it bound from the slice before still fails the run on
+// its next use, naming the released key, not the live one the slice now
+// holds; the new handle works.
+func TestUseThroughARefilledTableFailsTheRun(t *testing.T) {
+	for name, use := range map[string]func(r Regs){
+		"read":  func(r Regs) { r.Read(0) },
+		"write": func(r Regs) { r.WriteInt(0, 2) },
+	} {
+		cfg := echoConfig(1, 100)
+		cfg.CBody = func(int) Body {
+			return func(e Ops) {
+				keys := []string{"x"}
+				old := e.Bind(keys)
+				old.Write(0, 1)
+				e.Release(keys)
+				keys[0] = "y"
+				fresh := e.Bind(keys)
+				fresh.Write(0, 3)
+				if fresh.Key(0) != "y" || old.Key(0) != "x" {
+					e.Decide(fmt.Sprintf("handles name %q and %q", old.Key(0), fresh.Key(0)))
+					return
+				}
+				use(old)
+				e.Decide(0)
+			}
+		}
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *Result
+		x := recovered(func() { res = rt.Run(&RoundRobin{}) })
+		if x == nil {
+			t.Errorf("%s through a released handle whose slice was refilled: run ended deciding %v, want a use-after-release panic", name, res.Outputs[0])
+			continue
+		}
+		msg := fmt.Sprint(x)
+		for _, want := range []string{"use after release", "p1", `"x"`, name} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s through a released handle whose slice was refilled: Run panicked with %v, want a message containing %q", name, x, want)
+			}
+		}
+	}
+}
+
 // TestUseAfterReleaseFailsTheRun: a process that performs an operation on a
 // register another process has released — the operation was already pending
 // when the release happened, the worst case — panics out of Run with a
