@@ -166,22 +166,13 @@ func kvCrashSchedule(det fdet.Detector, ns, crashes int, first fdet.Time, storm 
 	return crashAt
 }
 
-// kvLiveSlots is the number of log slots the register table of a stress run
-// is sized for. It does not grow with the run: replicas give a window's
-// registers back once every frontier has passed it, so the table holds the
-// window being filled and the one or two behind it that the slowest
-// replica's next publication will free. A crashed replica pins the log from
-// its frontier on and the table then outgrows the estimate, which costs map
-// growth, never correctness.
-const kvLiveSlots = 4 * 64
-
 // scenario assembles the system one run executes: the shared kv scenario
 // sized for the offered load, under the (possibly chaos-wrapped) advice and
 // the crash pattern that chases it. cc carries the clerk fields that are the
 // harness's own — workload shape, open-loop clock, op observer.
 func (o KVStressOptions) scenario(cc kv.ClerkConfig) *Scenario {
 	nc, ns := o.clients(), o.N
-	s := kvScenario(nc, ns, kvLiveSlots, kv.ReplicaConfig{}, cc)
+	s := kvScenario(nc, ns, cc)
 	s.Name = o.KVScenarioName()
 	s.Detector = fdet.WithChaos(s.Detector, o.Chaos)
 	// The crash schedule chases whatever the detector advises, so every
@@ -254,7 +245,7 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 		Scenario:  s.Name,
 		Workers:   1,
 		Runs:      1,
-		Decisions: len(res.Decisions),
+		Decisions: res.Outputs.Count(),
 		Elapsed:   res.Elapsed,
 		Crashes:   len(res.Crashed),
 		Registers: rt.Registers(),

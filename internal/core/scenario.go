@@ -46,10 +46,6 @@ type Scenario struct {
 	Pattern   fdet.Pattern
 	Detector  fdet.Detector
 	Stabilize fdet.Time
-	// Registers estimates the distinct register keys one run touches,
-	// derived from the task's key shapes; it pre-sizes the native backend's
-	// sharded register table.
-	Registers int
 	// Advice is how a waiting process waits on the native backend (yield
 	// under tick, park on the change epoch under event). The sim backend
 	// ignores it: its lockstep scheduler paces every step, so simulation
@@ -77,11 +73,10 @@ func (s *Scenario) NativeConfig(seed int64, tick time.Duration) native.Config {
 	return native.Config{
 		NC: s.NC, NS: s.NS, Inputs: s.Inputs,
 		CBody: s.CBody, SBody: s.SBody,
-		Pattern:   s.Pattern,
-		History:   s.Detector.History(s.Pattern, s.Stabilize, seed),
-		Tick:      tick,
-		Registers: s.Registers,
-		Advice:    s.Advice,
+		Pattern: s.Pattern,
+		History: s.Detector.History(s.Pattern, s.Stabilize, seed),
+		Tick:    tick,
+		Advice:  s.Advice,
 	}
 }
 
@@ -200,7 +195,6 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 	case "consensus":
 		s.Task = task.NewConsensus(p.N)
 		s.Inputs = intInputs(p.N)
-		s.Registers = directRegisters(p.N, p.N, 1)
 		s.Detector = fdet.Omega{}
 		dc := DirectConfig{NC: p.N, NS: p.N, K: 1, LeaderVec: OmegaLeader}
 		s.CBody, s.SBody = dc.DirectCBody, dc.DirectSBody
@@ -211,7 +205,6 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		}
 		s.Task = task.NewSetAgreement(p.N, p.K)
 		s.Inputs = intInputs(p.N)
-		s.Registers = directRegisters(p.N, p.N, p.K)
 		s.Detector = fdet.VectorOmegaK{K: p.K, GoodPos: 0}
 		dc := DirectConfig{NC: p.N, NS: p.N, K: p.K, LeaderVec: VectorLeader}
 		s.CBody, s.SBody = dc.DirectCBody, dc.DirectSBody
@@ -233,7 +226,6 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 			s.Inputs[i] = i + 1
 		}
 		s.Detector = fdet.VectorOmegaK{K: p.K, GoodPos: 0}
-		s.Registers = machineRegisters(p.N, p.N)
 		mc := MachineConfig{NC: p.N, NS: p.N, K: p.K,
 			Factory: func(i int, _ sim.Value) auto.Automaton { return wfree.NewRenaming(i) }}
 		s.CBody, s.SBody = mc.SolverCBody, mc.SolverSBody
@@ -246,7 +238,6 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		s.Task = tk
 		s.Inputs = intInputs(p.N)
 		s.Detector = fdet.VectorOmegaK{K: 1, GoodPos: 0}
-		s.Registers = machineRegisters(p.N, p.N)
 		mc := MachineConfig{NC: p.N, NS: p.N, K: 1,
 			Factory: func(i int, input sim.Value) auto.Automaton { return wfree.NewProp1(tk, i, input) }}
 		s.CBody, s.SBody = mc.SolverCBody, mc.SolverSBody
@@ -255,12 +246,11 @@ func NewScenario(p ScenarioParams) (*Scenario, error) {
 		// Clerks run a fixed deterministic script (seeded from their input);
 		// with Crash > 0 the advised leader actually dies and leadership
 		// migrates.
-		s = kvScenario(p.N, p.N, p.N*kvScriptOps, kv.ReplicaConfig{}, kv.ClerkConfig{Ops: kvScriptOps, PutFrac: 0.5})
+		s = kvScenario(p.N, p.N, kv.ClerkConfig{Ops: kvScriptOps, PutFrac: 0.5})
 		s.Name = fmt.Sprintf("kv/n=%d/omega", p.N)
 	case "nset":
 		s.Task = task.NewSetAgreement(p.N, p.N)
 		s.Inputs = intInputs(p.N)
-		s.Registers = 2 * p.N // in/i plus the V/q helper slots
 		s.Detector = fdet.Trivial{}
 		sh := SHelperConfig{NC: p.N, NS: p.N}
 		s.CBody, s.SBody = sh.SHelperCBody, sh.SHelperSBody
@@ -312,22 +302,20 @@ func builtOnce(n int, factory func(i int) sim.Body) func(i int) sim.Body {
 const kvScriptOps = 4
 
 // kvScenario is the one place the replicated-KV system is assembled: nc
-// clerks (cc) over ns replicas (rc, lease reads on) chaining paxos instances
+// clerks (cc) over ns replicas (lease reads on) chaining paxos instances
 // into a log under LiveOmega advice — an Ω history that tracks the lowest
-// LIVE replica — with the register table pre-sized for slots log slots (each
-// ns proposer blocks plus a decision register, beside the request/reply
-// pairs). The task's ∆ is linearizability of the decided sessions. Name,
-// failure pattern, stabilization, advice mode and chaos are the caller's.
-func kvScenario(nc, ns, slots int, rc kv.ReplicaConfig, cc kv.ClerkConfig) *Scenario {
-	rc.NC, rc.NS, rc.LeaseReads = nc, ns, true
+// LIVE replica. The task's ∆ is linearizability of the decided sessions.
+// Name, failure pattern, stabilization, advice mode and chaos are the
+// caller's.
+func kvScenario(nc, ns int, cc kv.ClerkConfig) *Scenario {
+	rc := kv.ReplicaConfig{NC: nc, NS: ns, LeaseReads: true}
 	cc.NC, cc.NS = nc, ns
 	return &Scenario{
 		NC: nc, NS: ns,
-		Task:      kv.NewTask(nc),
-		Inputs:    intInputs(nc),
-		Detector:  fdet.LiveOmega{},
-		Registers: kv.Registers(nc, ns, slots),
-		CBody:     cc.Body, SBody: rc.Body,
+		Task:     kv.NewTask(nc),
+		Inputs:   intInputs(nc),
+		Detector: fdet.LiveOmega{},
+		CBody:    cc.Body, SBody: rc.Body,
 	}
 }
 
@@ -338,27 +326,4 @@ func intInputs(n int) vec.Vector {
 		v[i] = 100 + i
 	}
 	return v
-}
-
-// directRegisters estimates the key population of a direct-solver run from
-// its key shapes: nc input registers in/i, plus k consensus instances
-// cons/j/* of ns proposer blocks and one decision register each.
-func directRegisters(nc, ns, k int) int {
-	return nc + k*(ns+1)
-}
-
-// machineRegisters estimates the key population of a Theorem 9 machine run:
-// inputs and the ovec register, plus the minted consensus instances —
-// admission slots adm/t and one cell/a/s per simulated step, each an
-// (nc+ns)-block instance plus its decision register. Cell keys grow with
-// the simulated run, so this is a working-set estimate (a few steps per
-// code), capped so a mis-estimate can only waste a little map capacity.
-func machineRegisters(nc, ns int) int {
-	perInstance := nc + ns + 1
-	instances := nc /* admission slots */ + 4*nc /* ~4 steps per code */
-	est := nc + 1 + instances*perInstance
-	if est > 1<<15 {
-		est = 1 << 15
-	}
-	return est
 }

@@ -140,15 +140,6 @@ func FrontierKeys(ns int) []string {
 	return keys
 }
 
-// Registers estimates the register count of a kv system for native
-// preallocation: request+reply pairs and the replicas' frontier registers,
-// plus slots consensus instances of nProps blocks + 1 decision register
-// each — slots being the log slots live at once, not the run's total (see
-// replica.reclaim).
-func Registers(nc, ns, slots int) int {
-	return 2*nc + ns + slots*(ns+1)
-}
-
 // Pause is the hook poll loops call after a sweep that made no progress,
 // with the change epoch sampled before the sweep. Nil means the backend's
 // own wait, sim.Ops.AwaitEpoch; a caller sets one only to observe or time

@@ -75,10 +75,9 @@ type Config struct {
 	// advice service owes the parked a heartbeat. See AdviceMode.
 	Advice AdviceMode
 
-	// Registers is an estimate of how many distinct register keys the run
-	// will touch, used to pre-size the sharded register table. Scenarios
-	// derive it from their known key shapes (in/i, cons/j/*, cell/a/s/*);
-	// zero means a small default and costs only map growth.
+	// Registers pre-sizes a runtime's first register table for about that
+	// many keys, and does nothing else: a re-arm bounds a kept table by what
+	// its first run measured (see Reset). Zero costs only map growth.
 	Registers int
 
 	// Tracer, if non-nil, records decision-lifecycle events (instance
@@ -201,11 +200,12 @@ func New(cfg Config) (*Runtime, error) {
 // is visible to the next:
 //
 //   - Registers. Every register reads nil until the new run writes it. The
-//     table and its cells are kept and emptied in place when they fit —
-//     the table holds at most twice cfg.Registers registers (at least 64)
-//     — and replaced otherwise, so a caller
-//     that names fresh keys every run cannot grow a runtime with the number
-//     of runs.
+//     table and its cells are kept and emptied in place when they fit — the
+//     table holds at most twice the registers it held after its first run
+//     (at least 64) — and replaced otherwise, by one pre-sized to that
+//     first run, so a caller that names fresh keys every run cannot grow a
+//     runtime with the number of runs. cfg.Registers sizes only a runtime's
+//     first table.
 //   - Advice. The service serves cfg.History from tick 0 on the clock Run
 //     starts; a nil history answers nil whatever the last one published.
 //   - Processes. Each spawned process gets its body from cfg.CBody or
@@ -253,8 +253,10 @@ func (r *Runtime) Reset(cfg Config) error {
 		r.fd.reset(cfg.History, cfg.NS)
 	}
 	r.fd.tracer, r.fd.runID = cfg.Tracer, cfg.RunID
-	if r.store == nil || !r.store.rearm(cfg.Registers) {
+	if r.store == nil {
 		r.store = newStore(cfg.Registers)
+	} else if !r.store.rearm() {
+		r.store = newStore(r.store.base)
 		for _, e := range r.cenvs {
 			e.forgetBinds()
 		}

@@ -266,13 +266,15 @@ type store struct {
 	free   map[int][]*cellArray
 	// released is set by the table's first release and makes rearm decline.
 	released atomic.Bool
+	// base is the number of registers the table held when it was first
+	// re-armed, zero until then: what one run of the caller's keys
+	// measured, and what rearm bounds the table by.
+	base int
 }
 
 // newStore builds a table for about hint registers, its maps pre-sized to
-// share them. The hint comes from the scenario's known key shapes (`in/i`,
-// `cons/j/*`, `cell/a/s/*` — see core.Scenario); zero or less means no
-// estimate was given. A hint that is too low costs map growth, never
-// correctness.
+// share them; zero or less means no estimate. A hint only pre-sizes: one that
+// is too low costs map growth, never correctness.
 func newStore(hint int) *store {
 	s := &store{}
 	per := max(hint/shardCap, 4)
@@ -283,26 +285,28 @@ func newStore(hint int) *store {
 }
 
 // retainedFloor is the least number of registers a retained table may hold
-// whatever the hint says, so that a small or absent estimate does not have a
-// runtime rebuild its table at every re-arm.
+// whatever its first run measured, so that a run of a handful of keys does
+// not have a runtime rebuild its table at every re-arm.
 const retainedFloor = 64
 
-// rearm makes the table ready for a run of about hint registers without
-// rebuilding it, and reports whether it could: every register it holds is
-// emptied in place and keeps its key, so a bound handle resolved against the
-// table stays valid. It declines, and the caller builds a new table, when the
-// table holds more than twice the hint's registers (at least retainedFloor):
-// keys are the caller's to name, per instance if it likes, and a table kept
-// across instances must not grow with their number. It also declines once a
-// key has been released: a handle bound before the release still points at
-// the cell the key had then, which the table no longer maps and may have
-// handed to another key, and a handle the caller memoised must not come back
-// to life over it. Nothing else may be using the table.
-func (s *store) rearm(hint int) bool {
-	if s.released.Load() {
-		return false
+// rearm makes the table ready for another run without rebuilding it, and
+// reports whether it could: every register it holds is emptied in place and
+// keeps its key, so a bound handle resolved against the table stays valid.
+// The first call that finds registers in the table measures it: base is
+// what that run left in it.
+// It declines, and the caller builds a new table, when the table holds more
+// than twice base (at least retainedFloor): keys are the caller's to name,
+// per instance if it likes, and a table kept across instances must not grow
+// with their number. It also declines once a key has been released: a handle
+// bound before the release still points at the cell the key had then, which
+// the table no longer maps and may have handed to another key, and a handle
+// the caller memoised must not come back to life over it. Nothing else may
+// be using the table.
+func (s *store) rearm() bool {
+	if s.base == 0 {
+		s.base = s.held()
 	}
-	if s.held() > max(2*hint, retainedFloor) {
+	if s.released.Load() || s.held() > max(2*s.base, retainedFloor) {
 		return false
 	}
 	for i := range s.shards {

@@ -218,11 +218,12 @@ func bindOverlappingTables(t *testing.T, registers int) {
 
 // TestRearmBoundsRetainedTable: keys are the caller's to name, and a config
 // factory may name them per instance; a runtime re-armed across such instances
-// as a Stress worker re-arms it must not grow with their number. The table is
-// kept while it holds at most twice the register estimate (at least
-// retainedFloor) and replaced otherwise — and the handles the Envs remembered
-// go with it: a handle that outlived its table would write where no keyed
-// read looks.
+// as a Stress worker re-arms it must not grow with their number. The bound is
+// measured: the table is kept while it holds at most twice what its first run
+// left in it (at least retainedFloor), whatever Config.Registers says — that
+// only pre-sizes the first table — and replaced otherwise, and the handles
+// the Envs remembered go with it: a handle that outlived its table would
+// write where no keyed read looks.
 func TestRearmBoundsRetainedTable(t *testing.T) {
 	const hint, perRun = 4, 3
 	shared := []string{"a", "b"}
@@ -252,13 +253,107 @@ func TestRearmBoundsRetainedTable(t *testing.T) {
 		if res := rt.Run(time.Minute); res.Reason != ReasonAllDecided {
 			t.Fatalf("instance %d ended %v", seed, res.Reason)
 		}
-		if held, limit := rt.store.held(), max(2*hint, retainedFloor)+perRun; held > limit {
+		if held, limit := rt.store.held(), max(2*perRun, retainedFloor)+perRun; held > limit {
 			t.Fatalf("instance %d: the table holds %d registers, want ≤ %d", seed, held, limit)
 		}
 		tables[rt.store] = true
 	}
 	if len(tables) < 2 || len(tables) > 1000/(retainedFloor/perRun) {
 		t.Errorf("1000 instances of one fresh key each ran on %d tables, want one per %d or so", len(tables), retainedFloor)
+	}
+}
+
+// TestRearmKeepsAMeasuredTable: a body that binds the same keys every run,
+// more of them than retainedFloor and with no Registers estimate, runs every
+// instance on the table its first run filled, each register empty again.
+func TestRearmKeepsAMeasuredTable(t *testing.T) {
+	keys := make([]string, 200)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k/%d", i)
+	}
+	cfg := Config{
+		NC: 1, Inputs: vec.Of(1), Pattern: fdet.FailureFree(0),
+		CBody: func(int) sim.Body {
+			return func(e sim.Ops) {
+				r := e.Bind(keys)
+				for i := range keys {
+					if v := r.Read(i); v != nil {
+						t.Errorf("%q reads %v before this run wrote it", keys[i], v)
+					}
+					r.Write(i, i+1)
+				}
+				e.Decide(1)
+			}
+		},
+	}
+	rt := new(Runtime)
+	var first *store
+	for run := 0; run <= 50; run++ {
+		if err := rt.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = rt.store
+		} else if rt.store != first {
+			t.Fatalf("re-arm %d rebuilt a table of %d registers, the population of every run", run, first.held())
+		}
+		if res := rt.Run(time.Minute); res.Reason != ReasonAllDecided {
+			t.Fatalf("run %d ended %v", run, res.Reason)
+		}
+	}
+}
+
+// TestRearmRebuildsPastTwiceTheFirstRun: a body that binds the same 200 keys
+// and writes one fresh key per instance grows its table by one register a
+// run. The table never holds more than twice what its first run left in it,
+// plus the run since the last check, and a table is rebuilt only once it
+// holds more than twice that.
+func TestRearmRebuildsPastTwiceTheFirstRun(t *testing.T) {
+	const runs = 1000
+	keys := make([]string, 200)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k/%d", i)
+	}
+	mk := func(run int) Config {
+		own := fmt.Sprintf("inst/%d", run)
+		return Config{
+			NC: 1, Inputs: vec.Of(1), Pattern: fdet.FailureFree(0),
+			CBody: func(int) sim.Body {
+				return func(e sim.Ops) {
+					e.Bind(keys).Write(0, run)
+					e.Write(own, 1)
+					e.Decide(1)
+				}
+			},
+		}
+	}
+	rt := new(Runtime)
+	var prev *store
+	first, rebuilt := 0, 0
+	for run := 0; run < runs; run++ {
+		if err := rt.Reset(mk(run)); err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil && rt.store != prev {
+			if held := prev.held(); held <= 2*first {
+				t.Fatalf("run %d: a table of %d registers was rebuilt, want it kept up to %d", run, held, 2*first)
+			}
+			rebuilt++
+		}
+		prev = rt.store
+		if res := rt.Run(time.Minute); res.Reason != ReasonAllDecided {
+			t.Fatalf("run %d ended %v", run, res.Reason)
+		}
+		held := rt.store.held()
+		if run == 0 {
+			first = held
+		}
+		if held > 2*first+1 {
+			t.Fatalf("run %d: the table holds %d registers, want ≤ %d", run, held, 2*first+1)
+		}
+	}
+	if rebuilt == 0 {
+		t.Errorf("%d runs of one fresh key each never rebuilt a table of %d registers", runs, first)
 	}
 }
 

@@ -241,7 +241,7 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 				derr := CheckDecided(res)
 				mu.Lock()
 				rep.Runs++
-				rep.Decisions += len(res.Decisions)
+				rep.Decisions += res.Outputs.Count()
 				rep.Crashes += len(res.Crashed)
 				rep.Judge(verr, derr)
 				mu.Unlock()

@@ -177,17 +177,24 @@ func (b *bindRecorder) Bind(keys []string) sim.Regs {
 }
 
 // TestLogSlotAllocs is the allocation guard on the log's per-slot path, on
-// the native backend: once a window is bound, minting a slot's proposer
-// allocates nothing, and a whole slot cycle — propose, decide, sweep,
-// release — allocates nothing either, for a proposal of a small int or a
-// pointer: the phase-1 block points into a package table, the phase-2 block
-// into the Log's slab, and the decision register stores the proposal itself.
-// The log here never truncates, so every window it slides into binds fresh
-// tables and grows the register table: just under one object per slot,
-// which AllocsPerRun's integer division rounds away. TestLogWindowAllocs
-// holds what a window costs.
+// the native backend. One view drives its log a slot at a time — propose,
+// decide, sweep, release the proposer — and truncates behind its frontier as
+// a kv replica does, for a proposal of a small int and of a pointer: the
+// phase-1 block points into a package table, the phase-2 block into the
+// Log's slab, and the decision register stores the proposal itself. A slot
+// then costs its share of two things: its window, which costs two objects
+// once an earlier one was released — the strings its decision and block keys
+// are cut from (TestLogWindowAllocs) — and the slab chunk that holds its
+// phase-2 block, one per sim.SlabMax slots (two objects under -race, whose
+// instrumented slices.Grow allocates its scratch too). The count is of whole
+// windows, the least of a few rounds: the runtime's own goroutine may still
+// be allocating as it parks when the first round starts, and a shard map of
+// the register table rehashes now and then as keys churn through it. Once a
+// window is bound, minting a slot's proposer allocates nothing.
 func TestLogSlotAllocs(t *testing.T) {
-	var cycle, ptrCycle, mint float64
+	const warm, windows, rounds = 16, 4, 8
+	var cycle, ptrCycle int
+	var mint float64
 	cfg := native.Config{
 		NC: 1, Inputs: vec.Of(1),
 		CBody: func(int) sim.Body {
@@ -205,12 +212,30 @@ func TestLogSlotAllocs(t *testing.T) {
 						l.Release(s)
 						return true
 					})
+					l.Truncate(next)
+				}
+				least := func() int {
+					objects := -1
+					for range rounds {
+						var before, after runtime.MemStats
+						runtime.ReadMemStats(&before)
+						for range windows * logWindow {
+							drive()
+						}
+						runtime.ReadMemStats(&after)
+						if n := int(after.Mallocs - before.Mallocs); objects < 0 || n < objects {
+							objects = n
+						}
+					}
+					return objects
 				}
 				proposal = 7 // the runtime boxes small ints statically
-				drive()      // the first slot pays for the Log's own first growth
-				cycle = testing.AllocsPerRun(4*logWindow, drive)
+				for range warm * logWindow {
+					drive() // the first windows allocate what later ones reuse
+				}
+				cycle = least()
 				proposal = &struct{ n int }{7}
-				ptrCycle = testing.AllocsPerRun(4*logWindow, drive)
+				ptrCycle = least()
 				l.Proposer(next) // binds the window's blocks if the last slide was a sweep's
 				l.Release(next)
 				mint = testing.AllocsPerRun(100, func() {
@@ -229,11 +254,13 @@ func TestLogSlotAllocs(t *testing.T) {
 	if r := rt.Run(time.Minute); r.Reason != native.ReasonAllDecided {
 		t.Fatalf("run ended %v", r.Reason)
 	}
-	if cycle != 0 {
-		t.Errorf("slot cycle: %v allocs, want 0", cycle)
+	t.Logf("%d windows of slot cycles: %d objects, %d with a pointer proposal", windows, cycle, ptrCycle)
+	want := 2*windows + 2*windows*logWindow/sim.SlabMax
+	if cycle > want {
+		t.Errorf("%d windows of slot cycles: %d objects, want at most %d: two key strings a window and the slab's chunks", windows, cycle, want)
 	}
-	if ptrCycle != 0 {
-		t.Errorf("slot cycle with a pointer proposal: %v allocs, want 0", ptrCycle)
+	if ptrCycle > want {
+		t.Errorf("%d windows of slot cycles with a pointer proposal: %d objects, want at most %d: two key strings a window and the slab's chunks", windows, ptrCycle, want)
 	}
 	if mint != 0 {
 		t.Errorf("Log.Proposer inside a bound window: %v allocs, want 0", mint)

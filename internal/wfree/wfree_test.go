@@ -118,34 +118,6 @@ func TestKSetKConcurrentSeeds(t *testing.T) {
 	}
 }
 
-// kConcurrentRandom runs automata with at most k undecided active ones using
-// a seeded random interleaving (random among the admitted), a stronger
-// adversary than round-robin.
-func kConcurrentRandom(t *testing.T, sys *auto.System, n, k int, seed int64, budget int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	admitted := []int{}
-	next := 0
-	for steps := 0; steps < budget; steps++ {
-		undecided := []int{}
-		for _, i := range admitted {
-			if _, ok := sys.Decided(i); !ok {
-				undecided = append(undecided, i)
-			}
-		}
-		for len(undecided) < k && next < n {
-			admitted = append(admitted, next)
-			undecided = append(undecided, next)
-			next++
-		}
-		if len(undecided) == 0 {
-			return
-		}
-		sys.Step(undecided[rng.Intn(len(undecided))])
-	}
-	t.Fatalf("budget exhausted (k=%d seed=%d)", k, seed)
-}
-
 func TestKSetRandomInterleavings(t *testing.T) {
 	for _, k := range []int{2, 3} {
 		for seed := int64(0); seed < 60; seed++ {
@@ -157,7 +129,9 @@ func TestKSetRandomInterleavings(t *testing.T) {
 				autos[i] = NewKSet(i, inputs[i])
 			}
 			sys := auto.NewSystem(autos)
-			kConcurrentRandom(t, sys, n, k, seed, 100_000)
+			if err := sys.RunKConcurrentRandom(k, rand.New(rand.NewSource(seed)), 100_000); err != nil {
+				t.Fatalf("k=%d seed=%d: %v", k, seed, err)
+			}
 			out := outputsOf(sys, n)
 			if err := task.NewSetAgreement(n, k).Validate(inputs, out); err != nil {
 				t.Fatalf("k=%d seed=%d: %v (out=%v)", k, seed, err, out)
@@ -180,7 +154,9 @@ func TestRenamingFig4Bound(t *testing.T) {
 					autos[i] = NewRenaming(i)
 				}
 				sys := auto.NewSystem(autos)
-				kConcurrentRandom(t, sys, j, k, seed, 200_000)
+				if err := sys.RunKConcurrentRandom(k, rand.New(rand.NewSource(seed)), 200_000); err != nil {
+					t.Fatalf("j=%d k=%d seed=%d: %v", j, k, seed, err)
+				}
 				out := outputsOf(sys, n)
 				if err := task.NewRenaming(n, j, j+k-1).Validate(inputs, out); err != nil {
 					t.Fatalf("j=%d k=%d seed=%d: %v (out=%v)", j, k, seed, err, out)
