@@ -20,6 +20,7 @@ import "wfadvice/internal/sim"
 type boundRegs struct {
 	e     *Env
 	keys  []string
+	tab   sim.Table // the table bound by identity (BindTable); keys is nil then
 	cells []*cell
 	buf   []sim.Value
 	// next links the handle into its Env's list of releasable handles, or
@@ -27,7 +28,10 @@ type boundRegs struct {
 	next *boundRegs
 }
 
-var _ sim.Regs = (*boundRegs)(nil)
+var (
+	_ sim.Regs   = (*boundRegs)(nil)
+	_ sim.Tables = (*Env)(nil)
+)
 
 // memoBinds is how many of a run's Binds, counted per process from its first,
 // an Env remembers for the next run. A one-shot body binds its whole key set
@@ -67,14 +71,39 @@ func (e *Env) Bind(keys []string) sim.Regs {
 	case pos < memoBinds:
 		e.binds[pos] = b // the memo's for good: never recycled, see Release
 	case len(keys) > 0:
-		if e.newest == nil {
-			e.bound = b
-		} else {
-			e.newest.next = b
-		}
-		e.newest = b
+		e.link(b)
 	}
 	return b
+}
+
+// BindTable implements sim.Tables: the handle Bind would return for the
+// table's keys, with no key formatted or looked up. The table's cells are
+// one backing array the registry files under its identity (store.bindTable):
+// one registry operation, and no shard lookup. The handle comes off the
+// process's released ones as Bind's does, and ReleaseTable gives it back;
+// the bind memo never holds one.
+func (e *Env) BindTable(t sim.Table) sim.Regs {
+	b := e.spare(t.Len)
+	b.tab = t
+	a, recycled := e.r.store.bindTable(t)
+	if recycled {
+		e.m.Inc(cCellArrayReused)
+	}
+	for i := range b.cells {
+		b.cells[i] = &a.cells[i]
+	}
+	e.link(b)
+	return b
+}
+
+// link appends b to the handles Release or ReleaseTable can take back.
+func (e *Env) link(b *boundRegs) {
+	if e.newest == nil {
+		e.bound = b
+	} else {
+		e.newest.next = b
+	}
+	e.newest = b
 }
 
 // spare returns a handle for a table of n keys: the released one with the
@@ -116,22 +145,42 @@ func (e *Env) Release(keys []string) {
 		return
 	}
 	for prev, b := (*boundRegs)(nil), e.bound; b != nil; prev, b = b, b.next {
-		if len(b.keys) != len(keys) || &b.keys[0] != &keys[0] {
-			continue
+		if len(b.keys) == len(keys) && &b.keys[0] == &keys[0] {
+			e.park(prev, b)
+			return
 		}
-		if prev == nil {
-			e.bound = b.next
-		} else {
-			prev.next = b.next
-		}
-		if b.next == nil {
-			e.newest = prev
-		}
-		clear(b.cells)
-		b.keys, b.cells = nil, b.cells[:0]
-		b.next, e.free = e.free, b
-		return
 	}
+}
+
+// ReleaseTable implements sim.Tables: the table's registers leave the
+// registry, emptied, and its array is parked for the next bind of that
+// length (store.releaseTable), as Release does for keys; a table already
+// released, by this process or another, is skipped. The handle this process
+// bound the table into, if it still holds one, is parked for its next bind.
+func (e *Env) ReleaseTable(t sim.Table) {
+	e.m.Add(cRegReleased, int64(e.r.store.releaseTable(t)))
+	for prev, b := (*boundRegs)(nil), e.bound; b != nil; prev, b = b, b.next {
+		if b.keys == nil && b.tab.Space == t.Space && b.tab.Family == t.Family && b.tab.Window == t.Window && len(b.cells) == t.Len {
+			e.park(prev, b)
+			return
+		}
+	}
+}
+
+// park unlinks b, which follows prev in the bound list, empties it and puts
+// it on the free list.
+func (e *Env) park(prev, b *boundRegs) {
+	if prev == nil {
+		e.bound = b.next
+	} else {
+		prev.next = b.next
+	}
+	if b.next == nil {
+		e.newest = prev
+	}
+	clear(b.cells)
+	b.keys, b.tab, b.cells = nil, sim.Table{}, b.cells[:0]
+	b.next, e.free = e.free, b
 }
 
 // forgetBinds drops the remembered handles: the table they were resolved
@@ -143,10 +192,16 @@ func (e *Env) forgetBinds() {
 }
 
 // Len returns the number of bound slots.
-func (b *boundRegs) Len() int { return len(b.keys) }
+func (b *boundRegs) Len() int { return len(b.cells) }
 
-// Key returns the register key bound to slot i.
-func (b *boundRegs) Key(i int) string { return b.keys[i] }
+// Key returns the register key bound to slot i; a table bound by identity
+// formats it now.
+func (b *boundRegs) Key(i int) string {
+	if b.keys == nil {
+		return b.tab.Keys.TableKey(b.tab, i)
+	}
+	return b.keys[i]
+}
 
 // Read performs one atomic read of slot i: prologue plus one cell load.
 func (b *boundRegs) Read(i int) sim.Value {

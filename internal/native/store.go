@@ -1,6 +1,9 @@
 package native
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -60,15 +63,27 @@ import (
 // TestCellLinearizable races every pairing of writer kinds against that
 // last property; TestCellFirstWriteRace races the first write.
 //
+// Tables. A table bound by identity (sim.Tables: a paxos.Log window's space,
+// family, window number and length) has no keys in the shard maps. The
+// registry keeps one ring per (space, family), indexed by window number, of
+// the backing arrays of its bound windows: binding a window is one registry
+// lookup under one mutex, and the first process to bind it takes an array
+// that becomes the window's cells. A space is reached one way only: once a
+// table is bound in it, minting a key in it panics, and binding the first
+// table of a space that already holds keys panics too (see sim.Ops).
+//
 // Reclamation. A register lives until a process releases its key
-// (sim.Ops.Release: nobody will name the key again). Release takes the key
-// out of its shard map, empties the cell and counts it back into the backing
-// array it was minted from; an array whose minted cells have all been
-// released — and whose bind has finished minting — is parked on a free list
-// by length, and the next bind of that many keys mints from it instead of
-// allocating. A long-lived system that names fresh keys for ever (a log of
-// consensus instances) and releases the old ones therefore runs on a fixed
-// set of arrays, and its maps churn at constant population.
+// (sim.Ops.Release: nobody will name the key again) or its table. Release
+// takes the key out of its shard map, empties the cell and counts it back
+// into the backing array it was minted from; an array whose minted cells have
+// all been released — and whose bind has finished minting — is parked on a
+// free list by length, and the next bind of that many keys mints from it
+// instead of allocating. Releasing a table takes its array out of the ring,
+// empties it and parks it at once; a table already gone is skipped. A
+// long-lived system that names fresh windows for ever (a log of consensus
+// instances) and releases the old ones therefore runs on a fixed set of
+// arrays: a table-bound log on one ring that never grows, a key-bound one on
+// maps that churn at constant population.
 //
 // The interface decomposition is the one sync/atomic.Value relies on. It is
 // confined to split and join below, the only uses of unsafe in the package:
@@ -105,6 +120,13 @@ type cellArray struct {
 	// array is parked for reuse when it drops to zero: everything handed out
 	// has been released and nothing more will be handed out.
 	live atomic.Int32
+}
+
+// reset empties every cell of the array.
+func (a *cellArray) reset() {
+	for i := range a.cells {
+		a.cells[i].reset()
+	}
 }
 
 const (
@@ -270,6 +292,15 @@ type store struct {
 	// re-armed, zero until then: what one run of the caller's keys
 	// measured, and what rearm bounds the table by.
 	base int
+
+	// tabMu guards the table registry: families, and the writes of spaces.
+	// It is taken by table binds and releases only, and nests around a
+	// shard lock and freeMu, never inside one.
+	tabMu    sync.Mutex
+	families map[familyID]*tableFamily
+	// spaces lists the Table.Space of every table bound so far, for the
+	// keyed path to refuse their keys; it is replaced, never changed.
+	spaces atomic.Pointer[[]string]
 }
 
 // newStore builds a table for about hint registers, its maps pre-sized to
@@ -314,6 +345,9 @@ func (s *store) rearm() bool {
 			c.reset()
 		}
 	}
+	for a := range s.tableArrays {
+		a.reset()
+	}
 	return true
 }
 
@@ -324,7 +358,21 @@ func (s *store) held() int {
 	for i := range s.shards {
 		n += len(s.shards[i].m)
 	}
+	for a := range s.tableArrays {
+		n += len(a.cells)
+	}
 	return n
+}
+
+// tableArrays yields the backing array of every table in the registry.
+func (s *store) tableArrays(yield func(*cellArray) bool) {
+	for _, f := range s.families {
+		for _, a := range f.ring {
+			if a != nil && !yield(a) {
+				return
+			}
+		}
+	}
 }
 
 // keyHash hashes a register key (FNV-1a, high bits folded in so that a shard
@@ -381,6 +429,14 @@ func (s *store) resolve(key string, mt *mint, want int) *cell {
 	sh.mu.Lock()
 	c := sh.m[key]
 	if c == nil {
+		if sp := s.spaces.Load(); sp != nil {
+			for _, space := range *sp {
+				if inSpace(key, space) {
+					sh.mu.Unlock()
+					panic(fmt.Sprintf("native: register %q named by key in space %q, whose tables are bound by identity", key, space))
+				}
+			}
+		}
 		if mt.arr == nil {
 			mt.arr, mt.recycled = s.array(want)
 		}
@@ -464,4 +520,151 @@ func (s *store) release(keys []string) int {
 		s.released.Store(true)
 	}
 	return n
+}
+
+// familyID names one family of tables in the registry.
+type familyID struct{ space, family string }
+
+// tableFamily is the registry's entry for one family: the backing arrays of
+// its bound tables by window number, in a ring that covers windows lo ..
+// lo+n-1 and holds nil everywhere else. The ring grows only when the span of
+// bound windows outgrows it, so a log that releases behind itself at a
+// bounded lag binds and releases on one ring for good.
+type tableFamily struct {
+	lo, n int
+	ring  []*cellArray // a power of two long; window w sits at w&(len-1)
+}
+
+func (f *tableFamily) get(w int) *cellArray {
+	if w < f.lo || w >= f.lo+f.n {
+		return nil
+	}
+	return f.ring[w&(len(f.ring)-1)]
+}
+
+// put files a as window w's array, widening the span to cover w.
+func (f *tableFamily) put(w int, a *cellArray) {
+	lo, hi := w, w+1
+	if f.n > 0 {
+		lo, hi = min(lo, f.lo), max(hi, f.lo+f.n)
+	}
+	if hi-lo > len(f.ring) {
+		ring := make([]*cellArray, max(8, 1<<bits.Len(uint(hi-lo-1))))
+		for v := f.lo; v < f.lo+f.n; v++ {
+			ring[v&(len(ring)-1)] = f.ring[v&(len(f.ring)-1)]
+		}
+		f.ring = ring
+	}
+	f.lo, f.n = lo, hi-lo
+	f.ring[w&(len(f.ring)-1)] = a
+}
+
+// take removes window w's array and returns it, or nil if it has none, and
+// narrows the span past the empty windows at its ends.
+func (f *tableFamily) take(w int) *cellArray {
+	a := f.get(w)
+	if a == nil {
+		return nil
+	}
+	mask := len(f.ring) - 1
+	f.ring[w&mask] = nil
+	for f.n > 0 && f.ring[f.lo&mask] == nil {
+		f.lo, f.n = f.lo+1, f.n-1
+	}
+	for f.n > 0 && f.ring[(f.lo+f.n-1)&mask] == nil {
+		f.n--
+	}
+	return a
+}
+
+// inSpace reports whether key lies in a table space: it starts with space, a
+// slash and a digit, as a log's slot keys do.
+func inSpace(key, space string) bool {
+	n := len(space)
+	return len(key) > n+1 && key[n] == '/' && key[n+1] >= '0' && key[n+1] <= '9' && key[:n] == space
+}
+
+// bindTable returns the backing array of table t, taking one — off the free
+// list if a released array of t.Len cells is parked there — if nobody has
+// bound t yet, and reports whether it was recycled. The first table of a
+// family registers the family, and the first of a space the space.
+func (s *store) bindTable(t sim.Table) (a *cellArray, recycled bool) {
+	id := familyID{t.Space, t.Family}
+	s.tabMu.Lock()
+	f := s.families[id]
+	if f == nil {
+		var clash string
+		if f, clash = s.family(id); f == nil {
+			s.tabMu.Unlock()
+			panic(fmt.Sprintf("native: table %s/%s bound by identity in a space that holds key %q", t.Space, t.Family, clash))
+		}
+	}
+	if a = f.get(t.Window); a == nil {
+		a, recycled = s.array(t.Len)
+		f.put(t.Window, a)
+	}
+	s.tabMu.Unlock()
+	if len(a.cells) != t.Len {
+		panic(fmt.Sprintf("native: table %s/%s window %d bound with %d registers, and before with %d", t.Space, t.Family, t.Window, t.Len, len(a.cells)))
+	}
+	return a, recycled
+}
+
+// family registers a family, and its space if it is the space's first, under
+// tabMu. The space is published before the shard maps are searched for a key
+// in it: a keyed mint either sees it, or lands in its map before the search
+// locks that map. It returns the key it found instead if there is one.
+func (s *store) family(id familyID) (*tableFamily, string) {
+	known := s.spaces.Load()
+	if known == nil || !slices.Contains(*known, id.space) {
+		var spaces []string
+		if known != nil {
+			spaces = slices.Clone(*known)
+		}
+		spaces = append(spaces, id.space)
+		s.spaces.Store(&spaces)
+		for i := range s.shards {
+			sh := &s.shards[i]
+			clash := ""
+			sh.mu.Lock()
+			for k := range sh.m {
+				if inSpace(k, id.space) {
+					clash = k
+					break
+				}
+			}
+			sh.mu.Unlock()
+			if clash != "" {
+				return nil, clash
+			}
+		}
+	}
+	if s.families == nil {
+		s.families = make(map[familyID]*tableFamily)
+	}
+	f := new(tableFamily)
+	s.families[id] = f
+	return f, ""
+}
+
+// releaseTable takes table t out of the registry and reports how many
+// registers it held: its cells are emptied and its array parked for the next
+// bind of that length. A table nobody bound, or somebody already released,
+// is skipped.
+func (s *store) releaseTable(t sim.Table) int {
+	var a *cellArray
+	s.tabMu.Lock()
+	if f := s.families[familyID{t.Space, t.Family}]; f != nil {
+		a = f.take(t.Window)
+	}
+	s.tabMu.Unlock()
+	if a == nil {
+		return 0
+	}
+	a.reset()
+	s.unref(a)
+	if !s.released.Load() {
+		s.released.Store(true)
+	}
+	return len(a.cells)
 }

@@ -1,0 +1,278 @@
+package native
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"wfadvice/internal/fdet"
+	"wfadvice/internal/obs"
+	"wfadvice/internal/paxos"
+	"wfadvice/internal/sim"
+	"wfadvice/internal/vec"
+)
+
+// This file tests tables bound by identity (sim.Tables): the registry, what
+// the counters say about it, and the rule that one space is reached one way.
+
+// testKeys formats a table's keys as space/window*len+i/family.
+type testKeys struct{}
+
+func (testKeys) TableKey(t sim.Table, i int) string {
+	return fmt.Sprintf("%s/%d/%s", t.Space, t.Window*t.Len+i, t.Family)
+}
+
+func table(space, family string, window, n int) sim.Table {
+	return sim.Table{Space: space, Family: family, Window: window, Len: n, Keys: testKeys{}}
+}
+
+// runBody runs body as the one C-process of a fresh runtime and returns the
+// runtime, so a test can look at its table after the run.
+func runBody(t *testing.T, body func(e *Env)) *Runtime {
+	t.Helper()
+	rt, err := New(Config{
+		NC: 1, Inputs: vec.Of(1), Pattern: fdet.FailureFree(0),
+		CBody: func(int) sim.Body {
+			return func(e sim.Ops) {
+				body(e.(*Env))
+				e.Decide(0)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := rt.Run(time.Minute); res.Reason != ReasonAllDecided {
+		t.Fatalf("run ended %v", res.Reason)
+	}
+	return rt
+}
+
+// TestTableFamilyRing: a family files each window's array in a ring over the
+// span of windows bound, whichever end a window is added at, and narrows the
+// span past empty windows as they are taken; windows that stay a bounded
+// distance apart keep one ring for good.
+func TestTableFamilyRing(t *testing.T) {
+	var f tableFamily
+	arrays := map[int]*cellArray{}
+	put := func(w int) {
+		arrays[w] = &cellArray{}
+		f.put(w, arrays[w])
+	}
+	check := func(what string) {
+		t.Helper()
+		for w := f.lo - 20; w < f.lo+f.n+20; w++ {
+			if got := f.get(w); got != arrays[w] {
+				t.Fatalf("%s: window %d holds %p, want %p", what, w, got, arrays[w])
+			}
+		}
+	}
+	take := func(w int) {
+		if got := f.take(w); got != arrays[w] {
+			t.Fatalf("take(%d) = %p, want %p", w, got, arrays[w])
+		}
+		delete(arrays, w)
+	}
+	put(5)
+	put(7)
+	put(3) // below the span
+	check("three windows")
+	if f.lo != 3 || f.n != 5 {
+		t.Fatalf("span %d+%d, want 3+5", f.lo, f.n)
+	}
+	for w := 8; w < 40; w++ { // past the first ring
+		put(w)
+	}
+	check("grown")
+	take(3)
+	take(6) // never bound
+	if f.lo != 5 {
+		t.Fatalf("span starts at %d after taking window 3, want 5", f.lo)
+	}
+	take(39)
+	if f.lo+f.n != 39 {
+		t.Fatalf("span ends at %d after taking window 39, want 39", f.lo+f.n)
+	}
+	check("narrowed")
+	take(5)
+	take(7)
+	ring := &f.ring[0]
+	for w := 40; w < 10_000; w++ { // a log walking on at a lag of 34 windows
+		put(w)
+		take(w - 34)
+	}
+	check("walked")
+	if &f.ring[0] != ring {
+		t.Error("a family walking at a constant lag grew its ring")
+	}
+	for w := range arrays {
+		take(w)
+	}
+	if f.n != 0 {
+		t.Fatalf("span %d+%d with nothing bound", f.lo, f.n)
+	}
+	put(1 << 20) // anywhere, once empty
+	check("restarted")
+}
+
+// TestTableBindReleaseCounts: binding a table looks up no key and binding it
+// again from another handle gets the same registers; releasing it counts its
+// registers released once, however often it is released, and hands its array
+// to the next table of that length; Registers counts the cells of the tables
+// held; Key formats the key slot i would have had.
+func TestTableBindReleaseCounts(t *testing.T) {
+	before := Telemetry.Snapshot()
+	var problems []string
+	fail := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
+	var after obs.Snapshot
+	rt := runBody(t, func(e *Env) {
+		a := e.BindTable(table("log", "dec", 3, 8))
+		a.WriteInt(2, 42)
+		if v, ok := e.BindTable(table("log", "dec", 3, 8)).ReadInt(2); !ok || v != 42 {
+			fail("a second bind of the table reads %v %v, want 42", v, ok)
+		}
+		if got, want := a.Key(2), "log/26/dec"; got != want {
+			fail("Key(2) = %q, want %q", got, want)
+		}
+		if a.Len() != 8 {
+			fail("Len %d, want 8", a.Len())
+		}
+		e.BindTable(table("log", "blk", 3, 24))
+		e.BindTable(table("other", "dec", 0, 8))
+		e.ReleaseTable(table("log", "dec", 3, 8))
+		e.ReleaseTable(table("log", "dec", 3, 8)) // stale: skipped
+		b := e.BindTable(table("log", "dec", 4, 8))
+		if v := b.Read(2); v != nil {
+			fail("the next table of 8 reads %v in the recycled array, want nil", v)
+		}
+		after = Telemetry.Snapshot()
+	})
+	d := after.Delta(before).Map()
+	if d["store_shard_lookup"] != 0 || d["reg_released"] != 8 || d["cell_array_reused"] != 1 {
+		t.Errorf("counters %v: want no shard lookup, 8 registers released and 1 recycled array", d)
+	}
+	if got := rt.Registers(); got != 24+8+8 {
+		t.Errorf("Registers() = %d, want the 40 cells of the three tables held", got)
+	}
+	if len(problems) > 0 {
+		t.Fatal(strings.Join(problems, "\n"))
+	}
+}
+
+// TestTableStaleReleaseIsSkipped: two views release the same window, the
+// second after the first's array went to a newer table. The second release
+// finds nothing under the window's identity and leaves the newer table, which
+// holds the recycled array, alone.
+func TestTableStaleReleaseIsSkipped(t *testing.T) {
+	runBody(t, func(e *Env) {
+		old := table("log", "dec", 0, 4)
+		e.BindTable(old)
+		e.ReleaseTable(old) // the first view
+		fresh := e.BindTable(table("log", "dec", 1, 4))
+		fresh.WriteInt(0, 7)
+		before := Telemetry.Snapshot()
+		e.ReleaseTable(old) // the second view, late
+		if n := Telemetry.Snapshot().Delta(before).Map()["reg_released"]; n != 0 {
+			t.Errorf("a stale release released %d registers", n)
+		}
+		if v, ok := fresh.ReadInt(0); !ok || v != 7 {
+			t.Errorf("the table holding the recycled array reads %v %v after a stale release, want 7", v, ok)
+		}
+		if v, ok := e.BindTable(table("log", "dec", 1, 4)).ReadInt(0); !ok || v != 7 {
+			t.Errorf("a fresh bind of the newer table reads %v %v, want 7", v, ok)
+		}
+	})
+}
+
+// TestTableSpaceIsReachedOneWay: a run that reaches one space by table and by
+// key panics at the second kind of access, whichever comes first, and says
+// so. Keys outside the space's slot keys — a log's frontier registers, say —
+// are not in it.
+func TestTableSpaceIsReachedOneWay(t *testing.T) {
+	caught := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return ""
+	}
+	var tableFirst, keyFirst, keyRead string
+	runBody(t, func(e *Env) {
+		e.BindTable(table("log", "dec", 0, 4))
+		e.Bind([]string{"log/frontier/0", "logs/1/dec", "log"}) // not in the space
+		tableFirst = caught(func() { e.Bind([]string{"log/5/blk/0"}) })
+		keyRead = caught(func() { e.Read("log/1/dec") })
+	})
+	runBody(t, func(e *Env) {
+		e.Write("log/0/dec", 1)
+		keyFirst = caught(func() { e.BindTable(table("log", "blk", 2, 8)) })
+	})
+	for what, msg := range map[string]string{"a key after a table": tableFirst, "a keyed read after a table": keyRead, "a table after a key": keyFirst} {
+		if !strings.Contains(msg, `space "log"`) && !strings.Contains(msg, `holds key "log/0/dec"`) {
+			t.Errorf("%s: panicked with %q, want a message naming the space", what, msg)
+		}
+	}
+}
+
+// TestRearmKeepsTableBoundLogs: a runtime re-armed for the Theorem 9
+// machine's shape — several logs of one slot a window, proposed in and never
+// truncated — keeps its table, registry included, across runs, and every
+// table bound again reads empty.
+func TestRearmKeepsTableBoundLogs(t *testing.T) {
+	const n, slots = 3, 5
+	prefixes := []string{"adm", "cell/0", "cell/1"}
+	stale := 0
+	cfg := Config{
+		NC: n, Inputs: vec.Of(1, 2, 3), Pattern: fdet.FailureFree(0),
+		CBody: func(i int) sim.Body {
+			return func(e sim.Ops) {
+				for _, prefix := range prefixes {
+					l := paxos.NewLog(e, prefix, i, n, 1)
+					for s := 0; s < slots; s++ {
+						p := l.Proposer(s)
+						p.SetProposal(i)
+						for decided := false; !decided; {
+							_, decided = p.StepOp(true)
+						}
+						l.Release(s)
+					}
+				}
+				e.Decide(0)
+			}
+		},
+	}
+	rt := new(Runtime)
+	var first *store
+	var held int
+	for run := 0; run < 20; run++ {
+		if err := rt.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = rt.store
+		} else if rt.store != first {
+			t.Fatalf("run %d: the table was rebuilt", run)
+		} else {
+			for a := range rt.store.tableArrays {
+				for i := range a.cells {
+					if a.cells[i].load() != nil {
+						stale++
+					}
+				}
+			}
+		}
+		if res := rt.Run(time.Minute); res.Reason != ReasonAllDecided {
+			t.Fatalf("run %d ended %v", run, res.Reason)
+		}
+		if run == 0 {
+			held = rt.Registers()
+		} else if rt.Registers() != held {
+			t.Fatalf("run %d: %d registers held, %d after the first", run, rt.Registers(), held)
+		}
+	}
+	if want := len(prefixes) * slots * (1 + n); held != want {
+		t.Errorf("%d registers held, want %d: a decision and %d blocks a slot", held, want, n)
+	}
+	if stale > 0 {
+		t.Errorf("%d registers read non-nil after a re-arm", stale)
+	}
+}

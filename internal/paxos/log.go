@@ -13,11 +13,19 @@ import (
 // sweeps, the block registers when this process first proposes in the
 // window — and hands out proposers that are views into those tables, so a
 // slot costs its protocol writes: no key is formatted, no register resolved
-// and no proposer allocated per slot. It keeps the key tables of the windows
-// it has moved on from, and releases them to the backend when its caller
-// says every process is past them (Truncate). A released window keeps its
-// struct and key slices for the next slide, so a truncated log pays one
-// object per window table: the string its keys are cut from.
+// and no proposer allocated per slot. It keeps the tables of the windows it
+// has moved on from, and releases them to the backend when its caller says
+// every process is past them (Truncate). A released window keeps its struct
+// for the next slide.
+//
+// How a window is bound depends on the backend handle. One that offers
+// sim.Tables (the native Env) binds it by identity: the log prefix, "dec" or
+// "blk", the window's number and its length, with windows aligned to
+// multiples of their length so that every view names the same ones. No key
+// is formatted, and a truncated log pays nothing per window. Any other handle
+// — the sim backend, a decorator that embeds sim.Ops — binds the window's
+// formatted keys, cut from one string per table into slices the window keeps,
+// and its window starts wherever the slot that moved it lies.
 
 // SlotKey returns the consensus-instance key of slot i of the log prefix.
 func SlotKey(prefix string, slot int) string {
@@ -34,9 +42,15 @@ func appendSlotKey(b []byte, prefix string, slot int) []byte {
 // key tables per window of decided slots.
 const logWindow = 64
 
+// The table families of a window bound by identity.
+const (
+	decFamily = "dec"
+	blkFamily = "blk"
+)
+
 // window is the bound registers of one window of consecutive slots, with the
-// key tables they were bound from (what Truncate hands to Release, and what
-// the next slide refills once it has).
+// key tables they were bound from if they were bound by key (what Truncate
+// hands to Release, and what the next slide refills once it has).
 type window struct {
 	base    int      // first slot covered
 	dec     sim.Regs // DecKey(SlotKey(prefix, base+i)) at slot i
@@ -56,6 +70,7 @@ type window struct {
 // simulated code).
 type Log struct {
 	e      sim.Ops
+	tabs   sim.Tables // e's table binding, nil if it binds keys only
 	prefix string
 	me     int
 	nProps int
@@ -81,8 +96,10 @@ func NewLog(e sim.Ops, prefix string, me, nProposers, window int) *Log {
 	if window < 1 {
 		window = logWindow
 	}
+	tabs, _ := e.(sim.Tables)
 	return &Log{
 		e:      e,
+		tabs:   tabs,
 		prefix: prefix,
 		me:     me,
 		nProps: nProposers,
@@ -136,25 +153,54 @@ func (l *Log) slide(slot int) *window {
 	} else {
 		w = new(window)
 	}
-	w.base = slot
-	w.decKeys = l.keyTable(w.decKeys, l.length, func(b []byte, i int) []byte {
-		return append(appendSlotKey(b, l.prefix, slot+i), decSuffix...)
-	})
-	w.dec = l.e.Bind(w.decKeys)
+	if l.tabs != nil {
+		w.base = slot - slot%l.length
+		w.dec = l.tabs.BindTable(l.table(decFamily, w.base))
+	} else {
+		w.base = slot
+		w.decKeys = l.keyTable(w.decKeys, l.length, func(b []byte, i int) []byte {
+			return append(appendSlotKey(b, l.prefix, slot+i), decSuffix...)
+		})
+		w.dec = l.e.Bind(w.decKeys)
+	}
 	l.win = w
 	return w
+}
+
+// table returns the identity of the window at base in family fam: its
+// decision table, or its block table of nProps registers a slot.
+func (l *Log) table(fam string, base int) sim.Table {
+	n := l.length
+	if fam == blkFamily {
+		n *= l.nProps
+	}
+	return sim.Table{Space: l.prefix, Family: fam, Window: base / l.length, Len: n, Keys: logKeys{l}}
+}
+
+// logKeys formats the keys of a Log's tables, for sim.Regs.Key.
+type logKeys struct{ l *Log }
+
+// TableKey returns key i of table t: the key the same window bound by key
+// would hold at i.
+func (k logKeys) TableKey(t sim.Table, i int) string {
+	base := t.Window * k.l.length
+	if t.Family == decFamily {
+		return DecKey(SlotKey(t.Space, base+i))
+	}
+	return BlockKey(SlotKey(t.Space, base+i/k.l.nProps), i%k.l.nProps)
 }
 
 // Truncate releases the registers of every window this view has left that
 // lies wholly below slot min: the decision registers, and the block registers
 // if this view bound them. The caller vouches for what sim.Ops.Release
 // demands — no process will touch a slot below min again, through any window
-// — and the views agree on which keys that is when their windows have the
-// same bases, as they do when each walks its frontier up from slot 0. Views
-// release the same decision keys independently; a key already gone is
-// skipped by the backend. Each table goes back as the slice it was bound
-// from, which gives the backend its handle too, and the window is kept for
-// slide to refill. The current window is never released.
+// — and the views agree on which registers that is: tables bound by identity
+// are aligned, and key-bound windows have the same bases when each view walks
+// its frontier up from slot 0. Views release the same decision tables
+// independently; one already gone is skipped by the backend. A key-bound
+// table goes back as the slice it was bound from, which gives the backend
+// its handle too, and the window is kept for slide to refill. The current
+// window is never released.
 func (l *Log) Truncate(min int) {
 	kept := l.old[:0]
 	for _, w := range l.old {
@@ -162,9 +208,16 @@ func (l *Log) Truncate(min int) {
 			kept = append(kept, w)
 			continue
 		}
-		l.e.Release(w.decKeys)
-		if w.blk != nil {
-			l.e.Release(w.blkKeys)
+		if l.tabs != nil {
+			l.tabs.ReleaseTable(l.table(decFamily, w.base))
+			if w.blk != nil {
+				l.tabs.ReleaseTable(l.table(blkFamily, w.base))
+			}
+		} else {
+			l.e.Release(w.decKeys)
+			if w.blk != nil {
+				l.e.Release(w.blkKeys)
+			}
 		}
 		w.dec, w.blk = nil, nil
 		l.spare = append(l.spare, w)
@@ -185,7 +238,11 @@ func (l *Log) Proposer(slot int) *Proposer {
 		return p
 	}
 	w := l.slide(slot)
-	if w.blk == nil {
+	switch {
+	case w.blk != nil:
+	case l.tabs != nil:
+		w.blk = l.tabs.BindTable(l.table(blkFamily, w.base))
+	default:
 		w.blkKeys = l.keyTable(w.blkKeys, l.length*l.nProps, func(b []byte, i int) []byte {
 			b = append(appendSlotKey(b, l.prefix, w.base+i/l.nProps), blkInfix...)
 			return strconv.AppendInt(b, int64(i%l.nProps), 10)

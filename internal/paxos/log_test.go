@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,15 +182,14 @@ func (b *bindRecorder) Bind(keys []string) sim.Regs {
 // decide, sweep, release the proposer — and truncates behind its frontier as
 // a kv replica does, for a proposal of a small int and of a pointer: the
 // phase-1 block points into a package table, the phase-2 block into the
-// Log's slab, and the decision register stores the proposal itself. A slot
-// then costs its share of two things: its window, which costs two objects
-// once an earlier one was released — the strings its decision and block keys
-// are cut from (TestLogWindowAllocs) — and the slab chunk that holds its
-// phase-2 block, one per sim.SlabMax slots (two objects under -race, whose
-// instrumented slices.Grow allocates its scratch too). The count is of whole
-// windows, the least of a few rounds: the runtime's own goroutine may still
-// be allocating as it parks when the first round starts, and a shard map of
-// the register table rehashes now and then as keys churn through it. Once a
+// Log's slab, and the decision register stores the proposal itself. The raw
+// native Env binds the log's windows as tables, so a window costs nothing
+// once an earlier one was released, and a slot costs only its share of the
+// slab chunk that holds its phase-2 block, one per sim.SlabMax slots (two
+// objects under -race, whose instrumented slices.Grow allocates its scratch
+// too). The count is of whole windows, the least of a few rounds: the
+// runtime's own goroutine may still be allocating as it parks when the first
+// round starts (TestLogTableWindowsAllocNothing counts a whole run). Once a
 // window is bound, minting a slot's proposer allocates nothing.
 func TestLogSlotAllocs(t *testing.T) {
 	const warm, windows, rounds = 16, 4, 8
@@ -255,12 +255,12 @@ func TestLogSlotAllocs(t *testing.T) {
 		t.Fatalf("run ended %v", r.Reason)
 	}
 	t.Logf("%d windows of slot cycles: %d objects, %d with a pointer proposal", windows, cycle, ptrCycle)
-	want := 2*windows + 2*windows*logWindow/sim.SlabMax
+	want := 2 * windows * logWindow / sim.SlabMax
 	if cycle > want {
-		t.Errorf("%d windows of slot cycles: %d objects, want at most %d: two key strings a window and the slab's chunks", windows, cycle, want)
+		t.Errorf("%d windows of slot cycles: %d objects, want at most %d: the slab's chunks", windows, cycle, want)
 	}
 	if ptrCycle > want {
-		t.Errorf("%d windows of slot cycles with a pointer proposal: %d objects, want at most %d: two key strings a window and the slab's chunks", windows, ptrCycle, want)
+		t.Errorf("%d windows of slot cycles with a pointer proposal: %d objects, want at most %d: the slab's chunks", windows, ptrCycle, want)
 	}
 	if mint != 0 {
 		t.Errorf("Log.Proposer inside a bound window: %v allocs, want 0", mint)
@@ -525,5 +525,252 @@ func TestTruncateReleasesWindowsWhollyBelow(t *testing.T) {
 	l.Truncate(100)
 	if fmt.Sprint(e.released) != fmt.Sprint([]int{3, 4}) {
 		t.Fatalf("Truncate(100) after the slide released tables %v, want window 8's [3 4]", e.released)
+	}
+}
+
+// passThrough is a decorator that embeds sim.Ops and adds nothing, as a
+// tracing decorator does: a Log on it binds its windows by key.
+type passThrough struct{ sim.Ops }
+
+// TestLogTableWindowsAllocNothing: a table-bound log that truncates behind
+// its frontier walks over a thousand windows, and the whole walk — every
+// object the process allocates, counted once with runtime.MemStats — costs
+// the slab chunks of its phase-2 blocks and a few objects more. One object
+// per window, from a registry that grew or a map that rehashed as windows
+// churn through it, is a thousand more.
+func TestLogTableWindowsAllocNothing(t *testing.T) {
+	const window, warm, windows = 8, 16, 1024
+	var objects uint64
+	var tabled bool
+	cfg := native.Config{
+		NC: 1, Inputs: vec.Of(1),
+		CBody: func(int) sim.Body {
+			return func(e sim.Ops) {
+				l := NewLog(e, "log", 0, 3, window)
+				tabled = l.tabs != nil
+				next := 0
+				walk := func(n int) {
+					for end := next + n*window; next < end; {
+						p := l.Proposer(next)
+						p.SetProposal(7)
+						for decided := false; !decided; {
+							_, decided = p.StepOp(true)
+						}
+						next = l.Sweep(next, func(s int, _ Value) bool {
+							l.Release(s)
+							return true
+						})
+						l.Truncate(next)
+					}
+				}
+				walk(warm)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				walk(windows)
+				runtime.ReadMemStats(&after)
+				objects = after.Mallocs - before.Mallocs
+				e.Decide(0)
+			}
+		},
+		Pattern: fdet.FailureFree(0),
+	}
+	rt, err := native.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rt.Run(time.Minute); r.Reason != native.ReasonAllDecided {
+		t.Fatalf("run ended %v", r.Reason)
+	}
+	if !tabled {
+		t.Fatal("the log on a raw native Env binds by key")
+	}
+	chunks := windows*window/sim.SlabMax + 1
+	t.Logf("%d windows: %d objects, against %d slab chunks", windows, objects, chunks)
+	if want := uint64(2*chunks + 16); objects > want {
+		t.Errorf("%d truncated windows allocated %d objects, want at most %d: the slab's chunks and a few", windows, objects, want)
+	}
+}
+
+// threeViews runs one leader and two followers of the log "log" on three
+// native processes, each on the handle wrap makes of its Env. The leader
+// proposes 10*s+1 at slot s; each view sweeps, publishes its frontier and
+// truncates below the least frontier published, until slots slots are
+// applied. It returns what each view applied and whether it bound by table.
+func threeViews(t *testing.T, wrap func(sim.Ops) sim.Ops, window, slots int) (applied [3][]Value, tabled [3]bool) {
+	t.Helper()
+	fronts := []string{"front/0", "front/1", "front/2"}
+	cfg := native.Config{
+		NC: 3, Inputs: vec.Of(1, 2, 3),
+		CBody: func(i int) sim.Body {
+			return func(raw sim.Ops) {
+				e := wrap(raw)
+				l := NewLog(e, "log", i, 3, window)
+				tabled[i] = l.tabs != nil
+				fr := e.Bind(fronts)
+				next, cursor := 0, 0
+				for len(applied[i]) < slots {
+					seen := e.Epoch()
+					was := next
+					next = l.Sweep(next, func(s int, v Value) bool {
+						applied[i] = append(applied[i], v)
+						l.Release(s)
+						return true
+					})
+					fr.WriteInt(i, next)
+					low := next
+					for j := range fronts {
+						if f, _ := fr.ReadInt(j); f < low {
+							low = f
+						}
+					}
+					l.Truncate(low)
+					if i == 0 && cursor < slots {
+						cursor = max(cursor, next)
+						p := l.Proposer(cursor)
+						p.SetProposal(10*cursor + 1)
+						if _, ok := p.StepOp(true); ok {
+							l.Release(cursor)
+							cursor++
+						}
+						continue
+					}
+					if next == was {
+						e.AwaitEpoch(seen)
+					}
+				}
+				e.Decide(0)
+			}
+		},
+		Pattern: fdet.FailureFree(0),
+	}
+	rt, err := native.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rt.Run(time.Minute); r.Reason != native.ReasonAllDecided {
+		t.Fatalf("run ended %v", r.Reason)
+	}
+	return applied, tabled
+}
+
+// TestLogPathsAgree: a leader and two followers walk one log through ten
+// truncated windows on a raw native Env, which binds the windows as tables,
+// and again behind a pass-through decorator, which binds their keys. Every
+// view applies every slot's decision in order, the same on both paths, and
+// both paths release registers as the frontiers pass.
+func TestLogPathsAgree(t *testing.T) {
+	const window, slots = 8, 10 * 8
+	var runs [2][3][]Value
+	for k, path := range []struct {
+		name   string
+		wrap   func(sim.Ops) sim.Ops
+		tabled bool
+	}{
+		{"raw", func(e sim.Ops) sim.Ops { return e }, true},
+		{"decorated", func(e sim.Ops) sim.Ops { return passThrough{e} }, false},
+	} {
+		before := native.Telemetry.Snapshot()
+		applied, tabled := threeViews(t, path.wrap, window, slots)
+		released := native.Telemetry.Snapshot().Delta(before).Map()["reg_released"]
+		for i := range applied {
+			if tabled[i] != path.tabled {
+				t.Errorf("%s: view %d binds by table = %v, want %v", path.name, i, tabled[i], path.tabled)
+			}
+			for s, v := range applied[i] {
+				if v != 10*s+1 {
+					t.Fatalf("%s: view %d applied %v at slot %d, want %d", path.name, i, v, s, 10*s+1)
+				}
+			}
+		}
+		if released < 8*window {
+			t.Errorf("%s: %d registers released, want the decision tables of at least 8 windows", path.name, released)
+		}
+		runs[k] = applied
+	}
+	if fmt.Sprint(runs[0]) != fmt.Sprint(runs[1]) {
+		t.Errorf("the paths decided differently:\nraw       %v\ndecorated %v", runs[0], runs[1])
+	}
+}
+
+// TestLogTableKeys: a window bound as a table names, slot by slot, the keys
+// the same window bound by key holds, and starts at a multiple of its length
+// whatever slot moved it.
+func TestLogTableKeys(t *testing.T) {
+	const nProps, slot = 3, 9_990
+	var problems []string
+	cfg := native.Config{
+		NC: 1, Inputs: vec.Of(1),
+		CBody: func(int) sim.Body {
+			return func(e sim.Ops) {
+				l := NewLog(e, "kv/log", 1, nProps, 0)
+				l.Proposer(slot)
+				w := l.win
+				if base := slot - slot%logWindow; w.base != base {
+					problems = append(problems, fmt.Sprintf("window starts at %d, want %d", w.base, base))
+				}
+				for i := 0; i < logWindow; i++ {
+					key := SlotKey("kv/log", w.base+i)
+					if got := w.dec.Key(i); got != DecKey(key) {
+						problems = append(problems, fmt.Sprintf("decision key %d = %q, want %q", i, got, DecKey(key)))
+					}
+					for j := 0; j < nProps; j++ {
+						if got := w.blk.Key(i*nProps + j); got != BlockKey(key, j) {
+							problems = append(problems, fmt.Sprintf("block key %d/%d = %q, want %q", i, j, got, BlockKey(key, j)))
+						}
+					}
+				}
+				e.Decide(0)
+			}
+		},
+		Pattern: fdet.FailureFree(0),
+	}
+	rt, err := native.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rt.Run(time.Minute); r.Reason != native.ReasonAllDecided {
+		t.Fatalf("run ended %v", r.Reason)
+	}
+	if len(problems) > 0 {
+		t.Fatal(problems[0])
+	}
+}
+
+// TestLogMixedPathsFail: one log reached through a raw native Env and through
+// a decorator in the same run would put the two kinds of view on different
+// registers. The second kind of bind panics instead, in either order.
+func TestLogMixedPathsFail(t *testing.T) {
+	for _, order := range []struct {
+		name          string
+		first, second func(sim.Ops) sim.Ops
+	}{
+		{"table then key", func(e sim.Ops) sim.Ops { return e }, func(e sim.Ops) sim.Ops { return passThrough{e} }},
+		{"key then table", func(e sim.Ops) sim.Ops { return passThrough{e} }, func(e sim.Ops) sim.Ops { return e }},
+	} {
+		var msg any
+		cfg := native.Config{
+			NC: 1, Inputs: vec.Of(1),
+			CBody: func(int) sim.Body {
+				return func(e sim.Ops) {
+					NewLog(order.first(e), "log", 0, 1, 4).Proposer(0)
+					func() {
+						defer func() { msg = recover() }()
+						NewLog(order.second(e), "log", 0, 1, 4).Sweep(0, func(int, Value) bool { return true })
+					}()
+					e.Decide(0)
+				}
+			},
+			Pattern: fdet.FailureFree(0),
+		}
+		rt, err := native.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := rt.Run(time.Minute); r.Reason != native.ReasonAllDecided {
+			t.Fatalf("%s: run ended %v", order.name, r.Reason)
+		}
+		if s, _ := msg.(string); !strings.Contains(s, `"log`) {
+			t.Errorf("%s: the second kind of bind panicked with %v, want a message naming the log", order.name, msg)
+		}
 	}
 }

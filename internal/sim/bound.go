@@ -49,6 +49,38 @@ type Regs interface {
 	ReadMany(dst []Value) []Value
 }
 
+// Table names a table of registers by its identity instead of by keys: the
+// tables of a paxos.Log window are Space (the log's prefix), Family ("dec" or
+// "blk"), the window's aligned number and its length. Every key of the
+// table is Space, a slash and a decimal number, then anything (the keys of
+// the space), and Keys formats key i when somebody asks (Regs.Key); binding
+// the table formats none.
+type Table struct {
+	Space  string
+	Family string
+	Window int
+	Len    int
+	Keys   TableKeys
+}
+
+// TableKeys formats the register keys of the tables it names.
+type TableKeys interface {
+	TableKey(t Table, i int) string
+}
+
+// Tables is the optional capability of an Ops backend to bind a table by its
+// identity: BindTable returns the handle Bind would return for the table's
+// keys, and ReleaseTable gives the registers and that handle back as
+// Release would, skipping a table that is already gone. A caller asks for it
+// with a type assertion and falls back to Bind and Release without it. Only
+// the native Env offers it; the sim backend and any decorator that embeds
+// Ops do not, so their runs keep binding keys. See Ops for the one rule it
+// adds.
+type Tables interface {
+	BindTable(t Table) Regs
+	ReleaseTable(t Table)
+}
+
 // boundEnv is the sim implementation of Regs: a thin wrapper delegating
 // every slot operation to the keyed Env operation, so each one parks on the
 // scheduler exactly as the unbound equivalent.

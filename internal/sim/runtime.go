@@ -84,6 +84,17 @@ type PendingOp struct {
 // On the sim backend every operation consumes one scheduled step; on the
 // native backend operations execute immediately against atomics and the
 // interleaving is whatever the hardware and the Go scheduler produce.
+//
+// A backend may also bind tables by identity (Tables, which the native Env
+// implements). A table so bound has no keys in the backend's key space, so
+// the registers of one Table.Space are reached through exactly one path in a
+// run: by Table, or by key through Bind, Read, Write and ReadMany. A run that
+// reaches one space both ways fails loudly at the second kind of access —
+// the native backend panics on a key in a space some table was bound in, and
+// on a table bound in a space it already holds keys of — rather than let two
+// processes decide on different registers. Every process of one log must
+// therefore run on the same kind of handle: all raw, or all behind decorators
+// that embed Ops.
 type Ops interface {
 	// Proc returns this process's identity.
 	Proc() ids.Proc
