@@ -138,6 +138,7 @@ type replica struct {
 	admitted   map[int]bool
 	pendingAct []AdmitCmd
 	activated  []int
+	lanes      []int // the codes driveLanes drives: 0 .. min(|pars|, K)-1
 
 	codes     map[int]*codeState
 	decisions map[int]auto.Value
@@ -176,15 +177,21 @@ func (r *replica) ensureCode(i int) *codeState {
 	return cs
 }
 
-// pars returns the sorted indices of C-processes known to participate.
-func (r *replica) pars() []int {
-	out := make([]int, 0, r.cfg.NC)
+// pars returns how many C-processes are known to participate, and the index
+// of the pos-th smallest of them, or -1 if there are not that many. It counts
+// in place: the replica asks on every step.
+func (r *replica) pars(pos int) (n, at int) {
+	at = -1
 	for i, v := range r.inputs {
-		if v != nil {
-			out = append(out, i)
+		if v == nil {
+			continue
 		}
+		if n == pos {
+			at = i
+		}
+		n++
 	}
-	return out
+	return n, at
 }
 
 // leaderIs evaluates the Figure 2 leader rule for an instance keyed at base,
@@ -192,9 +199,8 @@ func (r *replica) pars() []int {
 func (r *replica) leaderIs(base int, p *paxos.Proposer) bool {
 	attempt := p.Round() / r.cfg.pn()
 	pos := r.cfg.pos(base, attempt)
-	pars := r.pars()
-	if len(pars) <= r.cfg.K && pos < len(pars) {
-		return pars[pos] == r.me // the pos-th smallest participant leads
+	if n, at := r.pars(pos); n <= r.cfg.K && at >= 0 {
+		return at == r.me // the pos-th smallest participant leads
 	}
 	if pos < len(r.ovec) {
 		return r.cfg.NC+r.ovec[pos] == r.me // the vector position leads
@@ -272,8 +278,8 @@ func (r *replica) admissionProposal() (AdmitCmd, bool) {
 	if undecided >= r.cfg.K {
 		return AdmitCmd{}, false
 	}
-	for _, i := range r.pars() {
-		if r.admitted[i] {
+	for i, v := range r.inputs { // the participants, in order
+		if v == nil || r.admitted[i] {
 			continue
 		}
 		just := make([]int, 0, len(r.decisions))
@@ -351,13 +357,12 @@ func (r *replica) driveAll() bool {
 // driveLanes drives the fixed K codes, restricted to the first
 // min(|pars|, K) as in Figure 2 line 21.
 func (r *replica) driveLanes() bool {
-	limit := min(len(r.pars()), r.cfg.K)
-	codes := make([]int, 0, limit)
-	for a := range limit {
+	n, _ := r.pars(0)
+	for a := len(r.lanes); a < min(n, r.cfg.K); a++ { // the count only grows
 		r.ensureCode(a)
-		codes = append(codes, a)
+		r.lanes = append(r.lanes, a)
 	}
-	return r.driveCells(codes)
+	return r.driveCells(r.lanes)
 }
 
 func (r *replica) driveCells(codes []int) bool {

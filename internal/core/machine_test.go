@@ -9,6 +9,7 @@ import (
 	"wfadvice/internal/explore"
 	"wfadvice/internal/fdet"
 	"wfadvice/internal/ids"
+	"wfadvice/internal/paxos"
 	"wfadvice/internal/sim"
 	"wfadvice/internal/task"
 	"wfadvice/internal/vec"
@@ -240,6 +241,34 @@ func TestMachineStepShape(t *testing.T) {
 			tc.events, tc.digest, tc.outputs, tc.admitted, tc.cells)
 		if got != want {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, want)
+		}
+	}
+}
+
+// TestLeaderIsAllocs: the leader rule, which every replica evaluates on every
+// step, counts the participants in place and allocates nothing, on both of
+// its branches: the pos-th participant while at most K participate, the
+// advice vector's position otherwise.
+func TestLeaderIsAllocs(t *testing.T) {
+	p := new(paxos.Proposer) // round 0: attempt 0
+	for _, tc := range []struct {
+		inputs vec.Vector
+		me     int
+		base   int
+		want   bool
+	}{
+		{vec.Of(nil, 2, 3, nil), 2, 1, true},  // pos 1 of participants 1, 2
+		{vec.Of(nil, 2, 3, nil), 1, 1, false}, // participant 1 is pos 0
+		{vec.Of(1, 2, 3, nil), 5, 1, true},    // three participants: ovec[1] = S1 leads
+		{vec.Of(1, 2, 3, nil), 1, 1, false},
+	} {
+		r := &replica{cfg: MachineConfig{NC: 4, NS: 4, K: 2}, me: tc.me, inputs: tc.inputs, ovec: []int{0, 1}}
+		var lead bool
+		if n := testing.AllocsPerRun(100, func() { lead = r.leaderIs(tc.base, p) }); n != 0 {
+			t.Errorf("inputs %v: leaderIs allocated %v objects a call, want 0", tc.inputs, n)
+		}
+		if lead != tc.want {
+			t.Errorf("inputs %v, me %d: leaderIs = %v, want %v", tc.inputs, tc.me, lead, tc.want)
 		}
 	}
 }

@@ -3,24 +3,27 @@ package native
 import "wfadvice/internal/sim"
 
 // This file is the native implementation of sim.Regs, the bound-register
-// handle behind the backend's allocation-free hot path. Ops.Bind resolves a
-// body's key table to cell pointers exactly once; after that every bound
-// operation is the operation prologue (step counting, stop/crash check)
-// plus a direct atomic access on the resolved cell — no string hashing, no
-// shard lock, no map lookup, and, for integer values and reused collect
-// buffers, no allocation (asserted by TestReadWriteAllocs with
-// testing.AllocsPerRun). Poll loops — the direct solver's decision sweeps,
-// the S-process input harvest, auto.RunOnEnv collects, every paxos
-// instance — run on bound handles.
+// handle behind the backend's allocation-free hot path, in its two kinds.
+// Ops.Bind resolves a body's key table to cell pointers exactly once, into a
+// boundRegs the process owns and recycles through Release. Tables.BindTable
+// resolves nothing: the table's backing array keeps a view of itself per
+// process that binds it (tableRegs), which indexes the array's cells
+// directly, so a bind allocates and fills nothing and a release has nothing
+// of the process's to take back. Either way every bound operation is the
+// operation prologue (step counting, stop/crash check) plus a direct atomic
+// access on the cell — no string hashing, no shard lock, no map lookup, and,
+// for integer values and reused collect buffers, no allocation (asserted by
+// TestReadWriteAllocs with testing.AllocsPerRun). Poll loops — the direct
+// solver's decision sweeps, the S-process input harvest, auto.RunOnEnv
+// collects, every paxos instance — run on bound handles.
 
-// boundRegs is the native sim.Regs: a resolved cell pointer per slot, and
-// the collect buffer ReadMany fills when the caller brings none. A handle the
-// bind memo returns next run brings its buffer along, and so does one that
-// Release hands to the process's next Bind.
+// boundRegs is the native sim.Regs of a key table: a resolved cell pointer per
+// slot, and the collect buffer ReadMany fills when the caller brings none. A
+// handle the bind memo returns next run brings its buffer along, and so does
+// one that Release hands to the process's next Bind.
 type boundRegs struct {
 	e     *Env
 	keys  []string
-	tab   sim.Table // the table bound by identity (BindTable); keys is nil then
 	cells []*cell
 	buf   []sim.Value
 	// next links the handle into its Env's list of releasable handles, or
@@ -28,8 +31,21 @@ type boundRegs struct {
 	next *boundRegs
 }
 
+// tableRegs is the native sim.Regs of a table bound by identity: one
+// process's view of the table's backing array, kept in that array
+// (tableArray.view) and indexing its cells directly. Only its process uses
+// it, buffer included; the array keeps it for that process across every
+// table the array serves.
+type tableRegs struct {
+	e     *Env
+	tab   sim.Table
+	cells []cell
+	buf   []sim.Value
+}
+
 var (
 	_ sim.Regs   = (*boundRegs)(nil)
+	_ sim.Regs   = (*tableRegs)(nil)
 	_ sim.Tables = (*Env)(nil)
 )
 
@@ -46,7 +62,8 @@ const memoBinds = 4
 // stand-alone consensus instance or per window of log slots, and the
 // operations on the result do not allocate. Nor does Bind itself once the
 // process has released, through its key slice, a table at least as long
-// (see Release): it resolves keys into that table's handle and cells slice.
+// (see Release), or bound one last run outside the memo: it resolves keys
+// into that table's handle and cells slice.
 //
 // On a re-armed runtime that kept its register table, a Bind of the table
 // this process bound at the same call position last run — the same backing
@@ -76,27 +93,22 @@ func (e *Env) Bind(keys []string) sim.Regs {
 	return b
 }
 
-// BindTable implements sim.Tables: the handle Bind would return for the
-// table's keys, with no key formatted or looked up. The table's cells are
-// one backing array the registry files under its identity (store.bindTable):
-// one registry operation, and no shard lookup. The handle comes off the
-// process's released ones as Bind's does, and ReleaseTable gives it back;
-// the bind memo never holds one.
+// BindTable implements sim.Tables: this process's view of the table's
+// registers, with no key formatted or looked up. The table's cells are one
+// backing array the registry files under its identity, and the array keeps
+// one view per process that binds it (store.bindTable): one registry
+// operation, no shard lookup, and nothing allocated or filled. Binding the
+// table again, or a table the array serves after it was recycled, hands the
+// process the same view, showing that table; the bind memo never holds one.
 func (e *Env) BindTable(t sim.Table) sim.Regs {
-	b := e.spare(t.Len)
-	b.tab = t
-	a, recycled := e.r.store.bindTable(t)
+	v, recycled := e.r.store.bindTable(t, e)
 	if recycled {
 		e.m.Inc(cCellArrayReused)
 	}
-	for i := range b.cells {
-		b.cells[i] = &a.cells[i]
-	}
-	e.link(b)
-	return b
+	return v
 }
 
-// link appends b to the handles Release or ReleaseTable can take back.
+// link appends b to the handles Release can take back.
 func (e *Env) link(b *boundRegs) {
 	if e.newest == nil {
 		e.bound = b
@@ -153,18 +165,12 @@ func (e *Env) Release(keys []string) {
 }
 
 // ReleaseTable implements sim.Tables: the table's registers leave the
-// registry, emptied, and its array is parked for the next bind of that
-// length (store.releaseTable), as Release does for keys; a table already
-// released, by this process or another, is skipped. The handle this process
-// bound the table into, if it still holds one, is parked for its next bind.
+// registry, emptied, and its array is parked, with the views of it, for the
+// next bind of that length (store.releaseTable), as Release does for keys; a
+// table already released, by this process or another, is skipped. The
+// process has nothing of its own to give back: its view stays with the array.
 func (e *Env) ReleaseTable(t sim.Table) {
 	e.m.Add(cRegReleased, int64(e.r.store.releaseTable(t)))
-	for prev, b := (*boundRegs)(nil), e.bound; b != nil; prev, b = b, b.next {
-		if b.keys == nil && b.tab.Space == t.Space && b.tab.Family == t.Family && b.tab.Window == t.Window && len(b.cells) == t.Len {
-			e.park(prev, b)
-			return
-		}
-	}
 }
 
 // park unlinks b, which follows prev in the bound list, empties it and puts
@@ -179,7 +185,7 @@ func (e *Env) park(prev, b *boundRegs) {
 		e.newest = prev
 	}
 	clear(b.cells)
-	b.keys, b.tab, b.cells = nil, sim.Table{}, b.cells[:0]
+	b.keys, b.cells = nil, b.cells[:0]
 	b.next, e.free = e.free, b
 }
 
@@ -194,74 +200,113 @@ func (e *Env) forgetBinds() {
 // Len returns the number of bound slots.
 func (b *boundRegs) Len() int { return len(b.cells) }
 
-// Key returns the register key bound to slot i; a table bound by identity
-// formats it now.
-func (b *boundRegs) Key(i int) string {
-	if b.keys == nil {
-		return b.tab.Keys.TableKey(b.tab, i)
-	}
-	return b.keys[i]
-}
+// Key returns the register key bound to slot i.
+func (b *boundRegs) Key(i int) string { return b.keys[i] }
 
 // Read performs one atomic read of slot i: prologue plus one cell load.
-func (b *boundRegs) Read(i int) sim.Value {
-	b.e.step()
-	b.e.m.Inc(cRegReadBound)
-	return b.cells[i].load()
-}
+func (b *boundRegs) Read(i int) sim.Value { return b.e.read(b.cells[i]) }
 
 // ReadInt performs one atomic read of slot i, unboxed: packed int values
 // come back without touching the heap regardless of magnitude.
-func (b *boundRegs) ReadInt(i int) (int, bool) {
-	b.e.step()
-	b.e.m.Inc(cRegReadTyped)
-	return b.cells[i].loadInt()
-}
+func (b *boundRegs) ReadInt(i int) (int, bool) { return b.e.readInt(b.cells[i]) }
 
 // Write performs one atomic write of slot i: prologue plus one cell store
-// (packed and allocation-free for fitting ints, boxed otherwise). In event
-// mode the write also bumps the runtime notifier so epoch-parked pollers
-// re-sweep; the bump is two uncontended atomics unless someone is parked.
-func (b *boundRegs) Write(i int, v sim.Value) {
-	b.e.step()
-	b.e.m.Inc(cRegWriteBound)
-	b.cells[i].store(v, &b.e.m)
-	if b.e.r.wake {
-		b.e.r.notify.bump()
-	}
-}
+// (packed and allocation-free for fitting ints, boxed otherwise).
+func (b *boundRegs) Write(i int, v sim.Value) { b.e.write(b.cells[i], v) }
 
 // WriteInt performs one atomic write of slot i, unboxed and allocation-free
-// for every int that fits 63 bits. Bumps the notifier in event mode, like
-// Write.
-func (b *boundRegs) WriteInt(i int, x int) {
-	b.e.step()
-	b.e.m.Inc(cRegWriteTyped)
-	b.cells[i].storeInt(x, &b.e.m)
-	if b.e.r.wake {
-		b.e.r.notify.bump()
-	}
-}
+// for every int that fits 63 bits.
+func (b *boundRegs) WriteInt(i int, x int) { b.e.writeInt(b.cells[i], x) }
 
-// ReadMany performs a batched collect over every bound slot: one operation
-// prologue (counting Len reads, exactly as the sim backend consumes Len
-// steps), then one atomic load per cell into dst, or into the handle's own
-// buffer when dst is too short (nil included); only the handle's first such
-// collect allocates. It is a regular collect, never a snapshot: concurrent
-// writes may land between the individual loads.
+// ReadMany performs a batched collect over every bound slot (see
+// Env.collect).
 func (b *boundRegs) ReadMany(dst []sim.Value) []sim.Value {
-	b.e.ops += int64(len(b.cells)) - 1
-	b.e.step()
-	b.e.m.Inc(cRegCollectBound)
-	if len(dst) < len(b.cells) {
-		if cap(b.buf) < len(b.cells) {
-			b.buf = make([]sim.Value, len(b.cells))
-		}
-		dst = b.buf
-	}
-	dst = dst[:len(b.cells)]
+	dst = b.e.collect(dst, len(b.cells), &b.buf)
 	for i, c := range b.cells {
 		dst[i] = c.load()
 	}
 	return dst
+}
+
+// Len returns the number of the table's registers.
+func (v *tableRegs) Len() int { return len(v.cells) }
+
+// Key returns the register key of slot i, formatted now.
+func (v *tableRegs) Key(i int) string { return v.tab.Keys.TableKey(v.tab, i) }
+
+// Read performs one atomic read of slot i, as boundRegs.Read.
+func (v *tableRegs) Read(i int) sim.Value { return v.e.read(&v.cells[i]) }
+
+// ReadInt performs one atomic read of slot i, unboxed, as boundRegs.ReadInt.
+func (v *tableRegs) ReadInt(i int) (int, bool) { return v.e.readInt(&v.cells[i]) }
+
+// Write performs one atomic write of slot i, as boundRegs.Write.
+func (v *tableRegs) Write(i int, x sim.Value) { v.e.write(&v.cells[i], x) }
+
+// WriteInt performs one atomic write of slot i, unboxed, as
+// boundRegs.WriteInt.
+func (v *tableRegs) WriteInt(i int, x int) { v.e.writeInt(&v.cells[i], x) }
+
+// ReadMany performs a batched collect over the table (see Env.collect).
+func (v *tableRegs) ReadMany(dst []sim.Value) []sim.Value {
+	dst = v.e.collect(dst, len(v.cells), &v.buf)
+	for i := range v.cells {
+		dst[i] = v.cells[i].load()
+	}
+	return dst
+}
+
+// read is a bound read of c: the operation prologue plus one cell load.
+func (e *Env) read(c *cell) sim.Value {
+	e.step()
+	e.m.Inc(cRegReadBound)
+	return c.load()
+}
+
+// readInt is a bound typed read of c.
+func (e *Env) readInt(c *cell) (int, bool) {
+	e.step()
+	e.m.Inc(cRegReadTyped)
+	return c.loadInt()
+}
+
+// write is a bound write of v to c. In event mode it also bumps the runtime
+// notifier so epoch-parked pollers re-sweep; the bump is two uncontended
+// atomics unless someone is parked.
+func (e *Env) write(c *cell, v sim.Value) {
+	e.step()
+	e.m.Inc(cRegWriteBound)
+	c.store(v, &e.m)
+	if e.r.wake {
+		e.r.notify.bump()
+	}
+}
+
+// writeInt is a bound typed write of x to c; it bumps the notifier like write.
+func (e *Env) writeInt(c *cell, x int) {
+	e.step()
+	e.m.Inc(cRegWriteTyped)
+	c.storeInt(x, &e.m)
+	if e.r.wake {
+		e.r.notify.bump()
+	}
+}
+
+// collect is the prologue of a batched collect over n bound slots: one
+// operation prologue counting n reads, exactly as the sim backend consumes n
+// steps. It returns dst cut to n, or the handle's own buffer *buf when dst is
+// too short (nil included), built by the handle's first such collect; the
+// caller then loads one cell per slot into it. It is a regular collect, never
+// a snapshot: concurrent writes may land between the individual loads.
+func (e *Env) collect(dst []sim.Value, n int, buf *[]sim.Value) []sim.Value {
+	e.ops += int64(n) - 1
+	e.step()
+	e.m.Inc(cRegCollectBound)
+	if len(dst) < n {
+		if cap(*buf) < n {
+			*buf = make([]sim.Value, n)
+		}
+		dst = *buf
+	}
+	return dst[:n]
 }

@@ -316,7 +316,9 @@ func (r *Runtime) arm(slot **Env, id ids.Proc, input sim.Value, body sim.Body) {
 	e.crashable = id.IsS() && r.cfg.Pattern.Faulty(id.Index)
 	e.ops, e.decided, e.decision, e.decideAt, e.crashed = 0, false, nil, 0, false
 	e.nbind = 0
-	e.bound, e.newest = nil, nil
+	for e.bound != nil { // last run's releasable handles: the next Binds refill them
+		e.park(nil, e.bound)
+	}
 	r.envs = append(r.envs, e)
 }
 
@@ -439,9 +441,11 @@ type Env struct {
 	// this run's calls.
 	binds [memoBinds]*boundRegs
 	nbind int
-	// bound is the oldest of this run's handles that Release can take back
-	// by their key slice, linked in bind order up to newest; free links the
-	// released ones, for the next Bind to refill (see Bind and Release).
+	// bound is the oldest of this run's key-bound handles that Release can
+	// take back by their key slice, linked in bind order up to newest; free
+	// links the released ones, and those the last run left bound, for the
+	// next Bind to refill (see Bind and Release). A table's handle is not
+	// the process's: it stays with the table's array (BindTable).
 	bound, newest *boundRegs
 	free          *boundRegs
 	// The fields below are goroutine-local; the runtime reads them only

@@ -68,7 +68,10 @@ import (
 // registry keeps one ring per (space, family), indexed by window number, of
 // the backing arrays of its bound windows: binding a window is one registry
 // lookup under one mutex, and the first process to bind it takes an array
-// that becomes the window's cells. A space is reached one way only: once a
+// that becomes the window's cells. The handle a process gets is its view of
+// that array, kept in the array (tableArray): a window costs its cells and
+// nothing per process that binds it, which is what a window pinned by a
+// crashed replica costs for good. A space is reached one way only: once a
 // table is bound in it, minting a key in it panics, and binding the first
 // table of a space that already holds keys panics too (see sim.Ops).
 //
@@ -79,10 +82,11 @@ import (
 // all been released — and whose bind has finished minting — is parked on a
 // free list by length, and the next bind of that many keys mints from it
 // instead of allocating. Releasing a table takes its array out of the ring,
-// empties it and parks it at once; a table already gone is skipped. A
-// long-lived system that names fresh windows for ever (a log of consensus
-// instances) and releases the old ones therefore runs on a fixed set of
-// arrays: a table-bound log on one ring that never grows, a key-bound one on
+// empties it and parks it at once, views included, on the tables' own free
+// list; a table already gone is skipped. A long-lived system that names fresh
+// windows for ever (a log of consensus instances) and releases the old ones
+// therefore runs on a fixed set of arrays: a table-bound log on one ring that
+// never grows, with the same views in the same arrays, a key-bound one on
 // maps that churn at constant population.
 //
 // The interface decomposition is the one sync/atomic.Value relies on. It is
@@ -106,13 +110,14 @@ type cell struct {
 	data   atomic.Pointer[byte]
 	box    atomic.Pointer[sim.Value]
 	// arr is the backing array the cell belongs to, set when the array is
-	// made and never changed; release counts the cell back into it.
+	// made and never changed; release counts the cell back into it. A
+	// table's cells have none: they go back with their table.
 	arr *cellArray
 	_   [cellSize - 48]byte
 }
 
-// cellArray is the backing array of the cells one bind mints, the unit of
-// recycling.
+// cellArray is the backing array of the cells one keyed bind or lookup
+// mints, the unit of recycling on the key path.
 type cellArray struct {
 	cells []cell
 	// live counts the cells minted from the array whose keys are still in
@@ -122,8 +127,49 @@ type cellArray struct {
 	live atomic.Int32
 }
 
+// tableArray is the backing array of a table bound by identity, with the
+// views of it the processes that bound it hold (sim.Regs handles on its
+// cells). A view is claimed the first time a process binds the array and
+// stays that process's for the array's life, across every table the array
+// serves, so binding a table allocates and fills nothing once its array
+// exists; the first inlineViews views live in the array's own struct.
+type tableArray struct {
+	cells []cell
+	views [inlineViews]tableRegs
+	more  []*tableRegs // the views past inlineViews, claimed in order
+}
+
+// inlineViews is how many processes' views a table array holds in its own
+// struct: a kv log's three replicas, and a fourth. A fifth and later binder
+// costs its view one object, once per array.
+const inlineViews = 4
+
+// view returns e's view of the array, claiming one the first time e binds
+// it; the caller holds tabMu, which guards the claims. Inline views are
+// claimed in order and never given up, so the first free one means no
+// process has a view past it.
+func (a *tableArray) view(e *Env) *tableRegs {
+	for i := range a.views {
+		v := &a.views[i]
+		if v.e == nil {
+			v.e, v.cells = e, a.cells
+		}
+		if v.e == e {
+			return v
+		}
+	}
+	for _, v := range a.more {
+		if v.e == e {
+			return v
+		}
+	}
+	v := &tableRegs{e: e, cells: a.cells}
+	a.more = append(a.more, v)
+	return v
+}
+
 // reset empties every cell of the array.
-func (a *cellArray) reset() {
+func (a *tableArray) reset() {
 	for i := range a.cells {
 		a.cells[i].reset()
 	}
@@ -281,9 +327,9 @@ type shard struct {
 type store struct {
 	shards [shardCap]shard
 
-	// free holds the recycled backing arrays by length. freeMu is taken by
-	// binds and releases, never by a register operation, and nests inside a
-	// shard lock, never around one.
+	// free holds the recycled backing arrays of keys by length. freeMu is
+	// taken by keyed binds and releases, never by a register operation, and
+	// nests inside a shard lock, never around one.
 	freeMu sync.Mutex
 	free   map[int][]*cellArray
 	// released is set by the table's first release and makes rearm decline.
@@ -293,11 +339,13 @@ type store struct {
 	// measured, and what rearm bounds the table by.
 	base int
 
-	// tabMu guards the table registry: families, and the writes of spaces.
-	// It is taken by table binds and releases only, and nests around a
-	// shard lock and freeMu, never inside one.
+	// tabMu guards the table registry: families, the released table arrays
+	// parked by length in tabFree, the views' claims, and the writes of
+	// spaces. It is taken by table binds and releases only, and nests around
+	// a shard lock, never inside one.
 	tabMu    sync.Mutex
 	families map[familyID]*tableFamily
+	tabFree  map[int][]*tableArray
 	// spaces lists the Table.Space of every table bound so far, for the
 	// keyed path to refuse their keys; it is replaced, never changed.
 	spaces atomic.Pointer[[]string]
@@ -365,7 +413,7 @@ func (s *store) held() int {
 }
 
 // tableArrays yields the backing array of every table in the registry.
-func (s *store) tableArrays(yield func(*cellArray) bool) {
+func (s *store) tableArrays(yield func(*tableArray) bool) {
 	for _, f := range s.families {
 		for _, a := range f.ring {
 			if a != nil && !yield(a) {
@@ -532,10 +580,10 @@ type familyID struct{ space, family string }
 // bounded lag binds and releases on one ring for good.
 type tableFamily struct {
 	lo, n int
-	ring  []*cellArray // a power of two long; window w sits at w&(len-1)
+	ring  []*tableArray // a power of two long; window w sits at w&(len-1)
 }
 
-func (f *tableFamily) get(w int) *cellArray {
+func (f *tableFamily) get(w int) *tableArray {
 	if w < f.lo || w >= f.lo+f.n {
 		return nil
 	}
@@ -543,13 +591,13 @@ func (f *tableFamily) get(w int) *cellArray {
 }
 
 // put files a as window w's array, widening the span to cover w.
-func (f *tableFamily) put(w int, a *cellArray) {
+func (f *tableFamily) put(w int, a *tableArray) {
 	lo, hi := w, w+1
 	if f.n > 0 {
 		lo, hi = min(lo, f.lo), max(hi, f.lo+f.n)
 	}
 	if hi-lo > len(f.ring) {
-		ring := make([]*cellArray, max(8, 1<<bits.Len(uint(hi-lo-1))))
+		ring := make([]*tableArray, max(8, 1<<bits.Len(uint(hi-lo-1))))
 		for v := f.lo; v < f.lo+f.n; v++ {
 			ring[v&(len(ring)-1)] = f.ring[v&(len(f.ring)-1)]
 		}
@@ -561,7 +609,7 @@ func (f *tableFamily) put(w int, a *cellArray) {
 
 // take removes window w's array and returns it, or nil if it has none, and
 // narrows the span past the empty windows at its ends.
-func (f *tableFamily) take(w int) *cellArray {
+func (f *tableFamily) take(w int) *tableArray {
 	a := f.get(w)
 	if a == nil {
 		return nil
@@ -584,11 +632,12 @@ func inSpace(key, space string) bool {
 	return len(key) > n+1 && key[n] == '/' && key[n+1] >= '0' && key[n+1] <= '9' && key[:n] == space
 }
 
-// bindTable returns the backing array of table t, taking one — off the free
-// list if a released array of t.Len cells is parked there — if nobody has
-// bound t yet, and reports whether it was recycled. The first table of a
-// family registers the family, and the first of a space the space.
-func (s *store) bindTable(t sim.Table) (a *cellArray, recycled bool) {
+// bindTable returns e's view of table t, and reports whether the table's
+// array was recycled: the array filed under t, or one taken for t if nobody
+// has bound it yet — a released array of t.Len cells if one is parked,
+// a new one otherwise. The first table of a family registers the family, and
+// the first of a space the space.
+func (s *store) bindTable(t sim.Table, e *Env) (v *tableRegs, recycled bool) {
 	id := familyID{t.Space, t.Family}
 	s.tabMu.Lock()
 	f := s.families[id]
@@ -599,15 +648,22 @@ func (s *store) bindTable(t sim.Table) (a *cellArray, recycled bool) {
 			panic(fmt.Sprintf("native: table %s/%s bound by identity in a space that holds key %q", t.Space, t.Family, clash))
 		}
 	}
-	if a = f.get(t.Window); a == nil {
-		a, recycled = s.array(t.Len)
+	a := f.get(t.Window)
+	if a == nil {
+		if l := s.tabFree[t.Len]; len(l) > 0 {
+			a, s.tabFree[t.Len], recycled = l[len(l)-1], l[:len(l)-1], true
+		} else {
+			a = &tableArray{cells: make([]cell, t.Len)}
+		}
 		f.put(t.Window, a)
 	}
+	v = a.view(e)
 	s.tabMu.Unlock()
 	if len(a.cells) != t.Len {
 		panic(fmt.Sprintf("native: table %s/%s window %d bound with %d registers, and before with %d", t.Space, t.Family, t.Window, t.Len, len(a.cells)))
 	}
-	return a, recycled
+	v.tab = t
+	return v, recycled
 }
 
 // family registers a family, and its space if it is the space's first, under
@@ -652,7 +708,7 @@ func (s *store) family(id familyID) (*tableFamily, string) {
 // bind of that length. A table nobody bound, or somebody already released,
 // is skipped.
 func (s *store) releaseTable(t sim.Table) int {
-	var a *cellArray
+	var a *tableArray
 	s.tabMu.Lock()
 	if f := s.families[familyID{t.Space, t.Family}]; f != nil {
 		a = f.take(t.Window)
@@ -662,7 +718,12 @@ func (s *store) releaseTable(t sim.Table) int {
 		return 0
 	}
 	a.reset()
-	s.unref(a)
+	s.tabMu.Lock()
+	if s.tabFree == nil {
+		s.tabFree = make(map[int][]*tableArray)
+	}
+	s.tabFree[len(a.cells)] = append(s.tabFree[len(a.cells)], a)
+	s.tabMu.Unlock()
 	if !s.released.Load() {
 		s.released.Store(true)
 	}

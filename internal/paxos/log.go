@@ -14,18 +14,22 @@ import (
 // window — and hands out proposers that are views into those tables, so a
 // slot costs its protocol writes: no key is formatted, no register resolved
 // and no proposer allocated per slot. It keeps the tables of the windows it
-// has moved on from, and releases them to the backend when its caller says
-// every process is past them (Truncate). A released window keeps its struct
-// for the next slide.
+// has moved on from, by value, and releases them to the backend when its
+// caller says every process is past them (Truncate). A window costs the log
+// nothing of its own but its share of that list, which Truncate compacts in
+// place; a released key-bound window leaves its key slices for the next
+// slide to refill.
 //
 // How a window is bound depends on the backend handle. One that offers
 // sim.Tables (the native Env) binds it by identity: the log prefix, "dec" or
 // "blk", the window's number and its length, with windows aligned to
 // multiples of their length so that every view names the same ones. No key
-// is formatted, and a truncated log pays nothing per window. Any other handle
-// — the sim backend, a decorator that embeds sim.Ops — binds the window's
-// formatted keys, cut from one string per table into slices the window keeps,
-// and its window starts wherever the slot that moved it lies.
+// is formatted; a truncated log pays nothing per window, and one pinned by a
+// process that never gets past it (a crashed replica) pays the window's
+// registers and nothing per view. Any other handle — the sim backend, a
+// decorator that embeds sim.Ops — binds the window's formatted keys, cut from
+// one string per table into slices the window keeps, and its window starts
+// wherever the slot that moved it lies.
 
 // SlotKey returns the consensus-instance key of slot i of the log prefix.
 func SlotKey(prefix string, slot int) string {
@@ -80,9 +84,9 @@ type Log struct {
 	free   []*Proposer       // structs handed back by Release, for Proposer to reuse
 	blocks sim.Slab[Block]   // the blocks this view's proposers have written
 
-	win   *window     // nil before the first bind
-	old   []*window   // the windows slide has left, until Truncate releases them
-	spare []*window   // windows Truncate released, for slide to refill
+	win   window      // win.dec is nil before the first bind
+	old   []window    // the windows slide has left, until Truncate releases them
+	spare []window    // windows Truncate released, for slide to refill their keys
 	buf   []sim.Value // scratch for win.dec.ReadMany
 
 	keyBuf  []byte // scratch of keyTable
@@ -138,20 +142,19 @@ func (l *Log) keyTable(keys []string, n int, format func(b []byte, i int) []byte
 }
 
 // slide positions the bound window so that it covers slot and returns it,
-// in a window Truncate released if there is one. The window it leaves is kept
-// for Truncate.
+// refilling the key tables of a window Truncate released if there is one. The
+// window it leaves is kept, by value, for Truncate.
 func (l *Log) slide(slot int) *window {
-	if w := l.win; w != nil {
+	w := &l.win
+	if w.dec != nil {
 		if slot >= w.base && slot < w.base+l.length {
 			return w
 		}
-		l.old = append(l.old, w)
+		l.old = append(l.old, *w)
 	}
-	var w *window
+	*w = window{}
 	if n := len(l.spare); n > 0 {
-		w, l.spare = l.spare[n-1], l.spare[:n-1]
-	} else {
-		w = new(window)
+		*w, l.spare = l.spare[n-1], l.spare[:n-1]
 	}
 	if l.tabs != nil {
 		w.base = slot - slot%l.length
@@ -163,7 +166,6 @@ func (l *Log) slide(slot int) *window {
 		})
 		w.dec = l.e.Bind(w.decKeys)
 	}
-	l.win = w
 	return w
 }
 
@@ -199,8 +201,8 @@ func (k logKeys) TableKey(t sim.Table, i int) string {
 // its frontier up from slot 0. Views release the same decision tables
 // independently; one already gone is skipped by the backend. A key-bound
 // table goes back as the slice it was bound from, which gives the backend
-// its handle too, and the window is kept for slide to refill. The current
-// window is never released.
+// its handle too, and its key slices are kept for slide to refill. The
+// current window is never released.
 func (l *Log) Truncate(min int) {
 	kept := l.old[:0]
 	for _, w := range l.old {
@@ -218,9 +220,8 @@ func (l *Log) Truncate(min int) {
 			if w.blk != nil {
 				l.e.Release(w.blkKeys)
 			}
+			l.spare = append(l.spare, window{decKeys: w.decKeys, blkKeys: w.blkKeys})
 		}
-		w.dec, w.blk = nil, nil
-		l.spare = append(l.spare, w)
 	}
 	clear(l.old[len(kept):])
 	l.old = kept

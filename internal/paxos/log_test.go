@@ -591,6 +591,99 @@ func TestLogTableWindowsAllocNothing(t *testing.T) {
 	}
 }
 
+// TestLogPinnedWindowsCostTheirArrays: a leader and two followers walk one
+// table-bound log that nobody truncates — a kv log behind a crashed replica
+// — over 256 windows, so every window stays bound. Counted once with
+// runtime.MemStats, everything the three processes allocate on the walk is
+// each window's two arrays (its decision and block tables, two objects each),
+// the slab chunks of the leader's phase-2 blocks, and a few objects more for
+// the whole walk: a process that binds a window pays no handle for it, and
+// one that moves past it no window struct.
+func TestLogPinnedWindowsCostTheirArrays(t *testing.T) {
+	const window, warm, windows = 8, 16, 256
+	fronts := []string{"front/0", "front/1", "front/2"}
+	var objects uint64
+	var tabled [3]bool
+	cfg := native.Config{
+		NC: 3, Inputs: vec.Of(1, 2, 3),
+		CBody: func(i int) sim.Body {
+			return func(e sim.Ops) {
+				l := NewLog(e, "log", i, 3, window)
+				tabled[i] = l.tabs != nil
+				fr := e.Bind(fronts)
+				// await returns once every view has published a frontier
+				// of at least end.
+				await := func(end int) {
+					for j := 0; j < len(fronts); {
+						if f, _ := fr.ReadInt(j); f >= end {
+							j++
+						} else {
+							e.AwaitEpoch(e.Epoch())
+						}
+					}
+				}
+				// walk applies every slot below end: the leader proposes 7
+				// at each, and every view sweeps and publishes its frontier.
+				next := 0
+				walk := func(end int) {
+					for next < end {
+						seen := e.Epoch()
+						if i == 0 {
+							p := l.Proposer(next)
+							p.SetProposal(7)
+							for decided := false; !decided; {
+								_, decided = p.StepOp(true)
+							}
+						}
+						was := next
+						next = l.Sweep(next, func(s int, _ Value) bool {
+							l.Release(s)
+							return true
+						})
+						fr.WriteInt(i, next)
+						if next == was {
+							e.AwaitEpoch(seen)
+						}
+					}
+				}
+				walk(warm * window)
+				if i != 0 {
+					walk((warm + windows) * window)
+					e.Decide(0)
+					return
+				}
+				await(warm * window)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				walk((warm + windows) * window)
+				await((warm + windows) * window)
+				runtime.ReadMemStats(&after)
+				objects = after.Mallocs - before.Mallocs
+				e.Decide(0)
+			}
+		},
+		Pattern: fdet.FailureFree(0),
+	}
+	rt, err := native.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rt.Run(time.Minute); r.Reason != native.ReasonAllDecided {
+		t.Fatalf("run ended %v", r.Reason)
+	}
+	if tabled != [3]bool{true, true, true} {
+		t.Fatalf("views bound by table: %v, want all three", tabled)
+	}
+	if held, want := rt.Registers(), (warm+windows)*window*4; held < want {
+		t.Errorf("%d registers held, want at least %d: every window pinned", held, want)
+	}
+	chunks := windows*window/sim.SlabMax + 1
+	t.Logf("%d pinned windows: %d objects, %.2f a window, against %d slab chunks", windows, objects, float64(objects)/windows, chunks)
+	if want := uint64(4*windows + 2*chunks + 64); objects > want {
+		t.Errorf("%d pinned windows allocated %d objects, want at most %d: two arrays a window, the slab's chunks and a few", windows, objects, want)
+	}
+}
+
 // threeViews runs one leader and two followers of the log "log" on three
 // native processes, each on the handle wrap makes of its Env. The leader
 // proposes 10*s+1 at slot s; each view sweeps, publishes its frontier and
