@@ -21,9 +21,6 @@ func (c *Clock) OnView(View) { c.ticks++ }
 // Decided implements Automaton: clocks never decide.
 func (c *Clock) Decided() (Value, bool) { return nil, false }
 
-// Ticks returns the number of steps taken.
-func (c *Clock) Ticks() int { return c.ticks }
-
 // Counter is an automaton that decides its input after a fixed number of
 // steps; a minimal terminating workload.
 type Counter struct {

@@ -154,7 +154,7 @@ func TestSeparationClassicalVsEFD(t *testing.T) {
 	} {
 		cfg := sim.Config{
 			NC: 2, NS: 2, Inputs: vec.Of("a", "b"),
-			CBody:    SeparationCBody,
+			CBody:    SeparationCBody(2),
 			SBody:    SeparationSBody,
 			Pattern:  pat,
 			History:  fdet.FirstAlive{}.History(pat, 0, 1),
@@ -179,7 +179,7 @@ func TestSeparationClassicalVsEFD(t *testing.T) {
 	pat := fdet.FailureFree(2)
 	cfg := sim.Config{
 		NC: 2, NS: 2, Inputs: vec.Of("a", "b"),
-		CBody:    SeparationCBody,
+		CBody:    SeparationCBody(2),
 		SBody:    SeparationSBody,
 		Pattern:  pat,
 		History:  fdet.FirstAlive{}.History(pat, 0, 1),

@@ -200,11 +200,12 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 	if !(opt.PutFrac >= 0 && opt.PutFrac <= 1) {
 		return nil, fmt.Errorf("kv stress: need a put fraction in [0, 1], got %v", opt.PutFrac)
 	}
-	// Zero means the default; a negative setting would silently run it too,
-	// and a crash count past n-1 would kill fewer than it reports.
-	if opt.Clients < 0 || opt.CrashAt < 0 || opt.Stabilize < 0 || opt.Tick < 0 || opt.ClerkTimeout < 0 || opt.RunBudget < 0 {
-		return nil, fmt.Errorf("kv stress: need non-negative clients, crash-at, stabilize, tick, clerk-timeout and run-budget, got %d, %d, %d, %v, %v, %v",
-			opt.Clients, opt.CrashAt, opt.Stabilize, opt.Tick, opt.ClerkTimeout, opt.RunBudget)
+	// Zero means the default; a negative setting would silently run it too
+	// (native.Reset refuses a negative tick), and a crash count past n-1
+	// would kill fewer than it reports.
+	if opt.Clients < 0 || opt.CrashAt < 0 || opt.Stabilize < 0 || opt.ClerkTimeout < 0 || opt.RunBudget < 0 {
+		return nil, fmt.Errorf("kv stress: need non-negative clients, crash-at, stabilize, clerk-timeout and run-budget, got %d, %d, %d, %v, %v",
+			opt.Clients, opt.CrashAt, opt.Stabilize, opt.ClerkTimeout, opt.RunBudget)
 	}
 	if opt.CrashLeader < 0 || opt.CrashLeader >= opt.N {
 		return nil, fmt.Errorf("kv stress: crash-leader must leave a live replica: want 0..%d, got %d", opt.N-1, opt.CrashLeader)

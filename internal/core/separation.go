@@ -16,22 +16,25 @@ import (
 
 const faKey = "fa" // register holding the latest FirstAlive output
 
-// SeparationCBody is the C-process body of the classical algorithm: publish
-// the input, read the detector relay, and adopt the input of the process the
-// detector points at — all on one handle binding the relay register (slot 0)
-// and the input registers (slot 1+j).
-func SeparationCBody(i int) sim.Body {
-	return func(e sim.Ops) {
-		regs := e.Bind(append([]string{faKey}, directInKeys(e.NC())...))
-		regs.Write(1+i, e.Input())
-		for {
-			target, ok := regs.ReadInt(0)
-			if !ok {
-				continue
-			}
-			if v := regs.Read(1 + target); v != nil {
-				e.Decide(v)
-				return
+// SeparationCBody returns the C-process bodies of the classical algorithm
+// over nc C-processes: publish the input, read the detector relay, and adopt
+// the input of the process the detector points at — all on one handle
+// binding the relay register (slot 0) and the input registers (slot 1+j).
+func SeparationCBody(nc int) func(i int) sim.Body {
+	return func(i int) sim.Body {
+		keys := append([]string{faKey}, directInKeys(nc)...)
+		return func(e sim.Ops) {
+			regs := e.Bind(keys)
+			regs.Write(1+i, e.Input())
+			for {
+				target, ok := regs.ReadInt(0)
+				if !ok {
+					continue
+				}
+				if v := regs.Read(1 + target); v != nil {
+					e.Decide(v)
+					return
+				}
 			}
 		}
 	}

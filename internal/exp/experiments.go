@@ -160,7 +160,7 @@ func expE3() Experiment {
 	runE3 := func(pat fdet.Pattern, sched sim.Scheduler) *sim.Result {
 		cfg := sim.Config{
 			NC: 2, NS: 2, Inputs: vec.Of("a", "b"),
-			CBody:    core.SeparationCBody,
+			CBody:    core.SeparationCBody(2),
 			SBody:    core.SeparationSBody,
 			Pattern:  pat,
 			History:  fdet.FirstAlive{}.History(pat, 0, 1),

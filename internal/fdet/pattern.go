@@ -117,38 +117,25 @@ func (p Pattern) String() string {
 	return s + ")"
 }
 
-// Environment is a set of failure patterns (§2.1): the assumptions on where
-// and when S-processes may fail.
-type Environment interface {
-	// Name returns a short identifier such as "E_2".
-	Name() string
-	// Allows reports whether the pattern belongs to the environment.
-	Allows(p Pattern) bool
-	// Sample enumerates representative patterns over n S-processes for
-	// experiment sweeps; crash times use the given horizon.
-	Sample(n int, horizon Time) []Pattern
-}
-
-// EnvT is the environment E_t: all failure patterns with at most T faulty
-// S-processes (and at least one correct one).
+// EnvT is the environment E_t (§2.1), a set of failure patterns: all those
+// with at most T faulty S-processes (and at least one correct one).
 type EnvT struct {
 	T int
 }
 
-var _ Environment = EnvT{}
-
-// Name implements Environment.
+// Name returns the environment's short identifier, such as "E_2".
 func (e EnvT) Name() string { return fmt.Sprintf("E_%d", e.T) }
 
-// Allows implements Environment.
+// Allows reports whether the pattern belongs to the environment.
 func (e EnvT) Allows(p Pattern) bool {
 	f := len(p.FaultySet())
 	return f <= e.T && f < p.N
 }
 
-// Sample implements Environment: the failure-free pattern plus, for each
-// feasible number of crashes 1..T, an early-crash and a late-crash pattern
-// over a spread of victim sets.
+// Sample enumerates representative patterns over n S-processes for
+// experiment sweeps, crash times within horizon: the failure-free pattern
+// plus, for each feasible number of crashes 1..T, an early-crash and a
+// late-crash pattern over a spread of victim sets.
 func (e EnvT) Sample(n int, horizon Time) []Pattern {
 	out := []Pattern{FailureFree(n)}
 	maxF := e.T

@@ -38,7 +38,6 @@ type boundRegs struct {
 // table the array serves.
 type tableRegs struct {
 	e     *Env
-	tab   sim.Table
 	cells []cell
 	buf   []sim.Value
 }
@@ -99,7 +98,7 @@ func (e *Env) Bind(keys []string) sim.Regs {
 // one view per process that binds it (store.bindTable): one registry
 // operation, no shard lookup, and nothing allocated or filled. Binding the
 // table again, or a table the array serves after it was recycled, hands the
-// process the same view, showing that table; the bind memo never holds one.
+// process the same view; the bind memo never holds one.
 func (e *Env) BindTable(t sim.Table) sim.Regs {
 	v, recycled := e.r.store.bindTable(t, e)
 	if recycled {
@@ -200,9 +199,6 @@ func (e *Env) forgetBinds() {
 // Len returns the number of bound slots.
 func (b *boundRegs) Len() int { return len(b.cells) }
 
-// Key returns the register key bound to slot i.
-func (b *boundRegs) Key(i int) string { return b.keys[i] }
-
 // Read performs one atomic read of slot i: prologue plus one cell load.
 func (b *boundRegs) Read(i int) sim.Value { return b.e.read(b.cells[i]) }
 
@@ -230,9 +226,6 @@ func (b *boundRegs) ReadMany(dst []sim.Value) []sim.Value {
 
 // Len returns the number of the table's registers.
 func (v *tableRegs) Len() int { return len(v.cells) }
-
-// Key returns the register key of slot i, formatted now.
-func (v *tableRegs) Key(i int) string { return v.tab.Keys.TableKey(v.tab, i) }
 
 // Read performs one atomic read of slot i, as boundRegs.Read.
 func (v *tableRegs) Read(i int) sim.Value { return v.e.read(&v.cells[i]) }

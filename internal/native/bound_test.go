@@ -31,15 +31,16 @@ func keyTable(gen string, n int) []string {
 func TestBindRecyclesReleasedHandles(t *testing.T) {
 	var problems []string
 	fail := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
-	// shows checks that r is bound to keys and reads and writes them.
+	// shows checks that r is bound to keys: its slots start unwritten, and
+	// what it writes its keys read back.
 	shows := func(e sim.Ops, r sim.Regs, keys []string, what string) {
 		if r.Len() != len(keys) {
 			fail("%s: Len %d, want %d", what, r.Len(), len(keys))
 			return
 		}
 		for i, v := range r.ReadMany(nil) {
-			if r.Key(i) != keys[i] || v != nil {
-				fail("%s: slot %d is %q reading %v, want %q unwritten", what, i, r.Key(i), v, keys[i])
+			if v != nil {
+				fail("%s: slot %d reads %v, want %q unwritten", what, i, v, keys[i])
 			}
 			r.WriteInt(i, 1000+i)
 		}

@@ -60,6 +60,13 @@ func TestRearmRunNeedsReset(t *testing.T) {
 		t.Fatal("Reset accepted one C-process with no inputs")
 	}
 	mustPanic(t, func() { rt.Run(time.Minute) })
+	// A negative tick is refused too, not run at the default.
+	negTick := cfg
+	negTick.Tick = -time.Millisecond
+	if err := rt.Reset(negTick); err == nil {
+		t.Fatal("Reset accepted a negative tick")
+	}
+	mustPanic(t, func() { rt.Run(time.Minute) })
 	if err := rt.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}

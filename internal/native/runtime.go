@@ -66,7 +66,8 @@ type Config struct {
 	// answers nil forever (the trivial detector).
 	History fdet.History
 
-	// Tick is the wall-clock length of one fdet.Time unit (0 = DefaultTick).
+	// Tick is the wall-clock length of one fdet.Time unit (0 = DefaultTick;
+	// a negative tick is an error).
 	Tick time.Duration
 
 	// Advice selects how a waiting process waits (AwaitEpoch): AdviceTick
@@ -223,6 +224,9 @@ func (r *Runtime) Reset(cfg Config) error {
 	if cfg.NC < 0 || cfg.NS < 0 {
 		return fmt.Errorf("native: negative process counts")
 	}
+	if cfg.Tick < 0 {
+		return fmt.Errorf("native: negative tick %v", cfg.Tick)
+	}
 	if len(cfg.Inputs) != cfg.NC {
 		return fmt.Errorf("native: %d inputs for %d C-processes", len(cfg.Inputs), cfg.NC)
 	}
@@ -236,7 +240,7 @@ func (r *Runtime) Reset(cfg Config) error {
 			}
 		}
 	}
-	if cfg.Tick <= 0 {
+	if cfg.Tick == 0 {
 		cfg.Tick = DefaultTick
 	}
 	r.cfg = cfg
@@ -517,20 +521,8 @@ func (e *Env) cell(key string) *cell {
 // Proc returns this process's identity.
 func (e *Env) Proc() ids.Proc { return e.id }
 
-// Index returns this process's zero-based index within its kind.
-func (e *Env) Index() int { return e.id.Index }
-
-// NC returns the number of C-processes in the system.
-func (e *Env) NC() int { return e.r.cfg.NC }
-
-// NS returns the number of S-processes in the system.
-func (e *Env) NS() int { return e.r.cfg.NS }
-
 // Input returns the task input of a C-process (nil for S-processes).
 func (e *Env) Input() sim.Value { return e.input }
-
-// HasDecided reports whether this C-process already decided.
-func (e *Env) HasDecided() bool { return e.decided }
 
 // Read performs one atomic register read.
 func (e *Env) Read(key string) sim.Value {

@@ -662,7 +662,6 @@ func (s *store) bindTable(t sim.Table, e *Env) (v *tableRegs, recycled bool) {
 	if len(a.cells) != t.Len {
 		panic(fmt.Sprintf("native: table %s/%s window %d bound with %d registers, and before with %d", t.Space, t.Family, t.Window, t.Len, len(a.cells)))
 	}
-	v.tab = t
 	return v, recycled
 }
 

@@ -17,15 +17,8 @@ import (
 // This file tests tables bound by identity (sim.Tables): the registry, what
 // the counters say about it, and the rule that one space is reached one way.
 
-// testKeys formats a table's keys as space/window*len+i/family.
-type testKeys struct{}
-
-func (testKeys) TableKey(t sim.Table, i int) string {
-	return fmt.Sprintf("%s/%d/%s", t.Space, t.Window*t.Len+i, t.Family)
-}
-
 func table(space, family string, window, n int) sim.Table {
-	return sim.Table{Space: space, Family: family, Window: window, Len: n, Keys: testKeys{}}
+	return sim.Table{Space: space, Family: family, Window: window, Len: n}
 }
 
 // runBody runs body as the one C-process of a fresh runtime and returns the
@@ -118,10 +111,10 @@ func TestTableFamilyRing(t *testing.T) {
 }
 
 // TestTableBindReleaseCounts: binding a table looks up no key and binding it
-// again from another handle gets the same registers; releasing it counts its
-// registers released once, however often it is released, and hands its array
-// to the next table of that length; Registers counts the cells of the tables
-// held; Key formats the key slot i would have had.
+// again from another handle gets the same registers, which no table of
+// another family or space shares; releasing it counts its registers released
+// once, however often it is released, and hands its array to the next table
+// of that length; Registers counts the cells of the tables held.
 func TestTableBindReleaseCounts(t *testing.T) {
 	before := Telemetry.Snapshot()
 	var problems []string
@@ -133,14 +126,15 @@ func TestTableBindReleaseCounts(t *testing.T) {
 		if v, ok := e.BindTable(table("log", "dec", 3, 8)).ReadInt(2); !ok || v != 42 {
 			fail("a second bind of the table reads %v %v, want 42", v, ok)
 		}
-		if got, want := a.Key(2), "log/26/dec"; got != want {
-			fail("Key(2) = %q, want %q", got, want)
-		}
 		if a.Len() != 8 {
 			fail("Len %d, want 8", a.Len())
 		}
-		e.BindTable(table("log", "blk", 3, 24))
-		e.BindTable(table("other", "dec", 0, 8))
+		if v := e.BindTable(table("log", "blk", 3, 24)).Read(2); v != nil {
+			fail("the blk table of window 3 reads %v at slot 2, want nil", v)
+		}
+		if v := e.BindTable(table("other", "dec", 0, 8)).Read(2); v != nil {
+			fail("the dec table of another space reads %v at slot 2, want nil", v)
+		}
 		e.ReleaseTable(table("log", "dec", 3, 8))
 		e.ReleaseTable(table("log", "dec", 3, 8)) // stale: skipped
 		b := e.BindTable(table("log", "dec", 4, 8))
@@ -192,8 +186,9 @@ func TestTableStaleReleaseIsSkipped(t *testing.T) {
 // its own, holding its Env and collecting into a buffer of its own; no view
 // ever serves two processes, not when an array released by the others comes
 // back for a later table; and a view shows the table it was bound for, empty
-// before its process writes it. Run with four processes, whose views all fit
-// in the array, and with six, two of whose views do not.
+// before its process writes it and collecting every process's write to it.
+// Run with four processes, whose views all fit in the array, and with six,
+// two of whose views do not.
 func TestTableViewsArePerProcess(t *testing.T) {
 	for _, n := range []int{4, 6} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) { racePerProcessViews(t, n) })
@@ -234,9 +229,6 @@ func racePerProcessViews(t *testing.T, n int) {
 					views[i][r] = v
 					if got := v.Read(i); got != nil {
 						fail("round %d: slot %d reads %v before its only writer wrote it", r, i, got)
-					}
-					if got, want := v.Key(i), fmt.Sprintf("log/%d/dec", 8*r+i); got != want {
-						fail("round %d: Key(%d) = %q, want %q", r, i, got, want)
 					}
 					v.WriteInt(i, r+1)
 					barrier(2*r + 1)

@@ -176,20 +176,7 @@ func (l *Log) table(fam string, base int) sim.Table {
 	if fam == blkFamily {
 		n *= l.nProps
 	}
-	return sim.Table{Space: l.prefix, Family: fam, Window: base / l.length, Len: n, Keys: logKeys{l}}
-}
-
-// logKeys formats the keys of a Log's tables, for sim.Regs.Key.
-type logKeys struct{ l *Log }
-
-// TableKey returns key i of table t: the key the same window bound by key
-// would hold at i.
-func (k logKeys) TableKey(t sim.Table, i int) string {
-	base := t.Window * k.l.length
-	if t.Family == decFamily {
-		return DecKey(SlotKey(t.Space, base+i))
-	}
-	return BlockKey(SlotKey(t.Space, base+i/k.l.nProps), i%k.l.nProps)
+	return sim.Table{Space: l.prefix, Family: fam, Window: base / l.length, Len: n}
 }
 
 // Truncate releases the registers of every window this view has left that

@@ -21,8 +21,6 @@ import "slices"
 type Regs interface {
 	// Len returns the number of bound slots.
 	Len() int
-	// Key returns the register key bound to slot i.
-	Key(i int) string
 	// Read performs one atomic read of slot i.
 	Read(i int) Value
 	// ReadInt performs one atomic read of slot i and reports its value if
@@ -51,21 +49,14 @@ type Regs interface {
 
 // Table names a table of registers by its identity instead of by keys: the
 // tables of a paxos.Log window are Space (the log's prefix), Family ("dec" or
-// "blk"), the window's aligned number and its length. Every key of the
-// table is Space, a slash and a decimal number, then anything (the keys of
-// the space), and Keys formats key i when somebody asks (Regs.Key); binding
-// the table formats none.
+// "blk"), the window's aligned number and its length. The keys of the space
+// are Space, a slash and a decimal number, then anything; binding a table
+// formats none of them.
 type Table struct {
 	Space  string
 	Family string
 	Window int
 	Len    int
-	Keys   TableKeys
-}
-
-// TableKeys formats the register keys of the tables it names.
-type TableKeys interface {
-	TableKey(t Table, i int) string
 }
 
 // Tables is the optional capability of an Ops backend to bind a table by its
@@ -102,9 +93,6 @@ func (e *Env) Bind(keys []string) Regs { return &boundEnv{e: e, keys: slices.Clo
 
 // Len returns the number of bound slots.
 func (b *boundEnv) Len() int { return len(b.keys) }
-
-// Key returns the register key bound to slot i.
-func (b *boundEnv) Key(i int) string { return b.keys[i] }
 
 // Read performs one atomic read of slot i (one scheduled step).
 func (b *boundEnv) Read(i int) Value { return b.e.Read(b.keys[i]) }

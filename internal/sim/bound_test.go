@@ -30,8 +30,8 @@ func TestBindStepShape(t *testing.T) {
 		CBody: func(i int) Body {
 			return func(e Ops) {
 				r := e.Bind(keys)
-				if r.Len() != len(keys) || r.Key(1) != "b" {
-					t.Errorf("bound surface: Len=%d Key(1)=%q", r.Len(), r.Key(1))
+				if r.Len() != len(keys) {
+					t.Errorf("bound surface: Len=%d", r.Len())
 				}
 				r.Write(1, 7)                // keyed: Write("b", 7)
 				r.WriteInt(0, 300)           // keyed: Write("a", 300)

@@ -98,16 +98,8 @@ type PendingOp struct {
 type Ops interface {
 	// Proc returns this process's identity.
 	Proc() ids.Proc
-	// Index returns this process's zero-based index within its kind.
-	Index() int
-	// NC returns the number of C-processes in the system.
-	NC() int
-	// NS returns the number of S-processes in the system.
-	NS() int
 	// Input returns the task input of a C-process (nil for S-processes).
 	Input() Value
-	// HasDecided reports whether this C-process already decided.
-	HasDecided() bool
 	// Read performs one atomic register read.
 	Read(key string) Value
 	// ReadMany performs one atomic register read per key, in order, and
@@ -499,20 +491,8 @@ func (e *Env) await(kind OpKind, key string) {
 // Proc returns this process's identity.
 func (e *Env) Proc() ids.Proc { return e.p.id }
 
-// Index returns this process's zero-based index within its kind.
-func (e *Env) Index() int { return e.p.id.Index }
-
-// NC returns the number of C-processes in the system.
-func (e *Env) NC() int { return e.r.cfg.NC }
-
-// NS returns the number of S-processes in the system.
-func (e *Env) NS() int { return e.r.cfg.NS }
-
 // Input returns the task input of a C-process (nil for S-processes).
 func (e *Env) Input() Value { return e.p.input }
-
-// HasDecided reports whether this C-process already decided.
-func (e *Env) HasDecided() bool { return e.p.decided }
 
 // Read performs one atomic register read.
 func (e *Env) Read(key string) Value {
