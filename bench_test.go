@@ -111,10 +111,10 @@ func BenchmarkNativeRegisterOps(b *testing.B) {
 // BenchmarkNativeRegisterOpsKeyed measures the unbound keyed path — the
 // Ops.Read/Write shape with a string key per operation — which no body in
 // internal/ and no Example runs, only benchmark/'s call decorator. Every
-// call resolves its key in the sharded table (hash, shard lock, map hit):
+// call resolves its key in the register table (its one mutex, a map hit):
 // there is no per-process cell cache in front of it, so this is the price
-// of not binding, about a third above a private map hit on the dev box
-// (README hot-path table).
+// of not binding. The processes contend on that mutex, so the cost grows
+// with procs; bound handles, which every hot loop uses, take no lock.
 func BenchmarkNativeRegisterOpsKeyed(b *testing.B) {
 	for _, n := range []int{2, 8} {
 		b.Run(fmt.Sprintf("procs=%d", n), func(b *testing.B) {

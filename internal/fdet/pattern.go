@@ -123,9 +123,6 @@ type EnvT struct {
 	T int
 }
 
-// Name returns the environment's short identifier, such as "E_2".
-func (e EnvT) Name() string { return fmt.Sprintf("E_%d", e.T) }
-
 // Allows reports whether the pattern belongs to the environment.
 func (e EnvT) Allows(p Pattern) bool {
 	f := len(p.FaultySet())

@@ -11,11 +11,11 @@ import "wfadvice/internal/sim"
 // directly, so a bind allocates and fills nothing and a release has nothing
 // of the process's to take back. Either way every bound operation is the
 // operation prologue (step counting, stop/crash check) plus a direct atomic
-// access on the cell — no string hashing, no shard lock, no map lookup, and,
-// for integer values and reused collect buffers, no allocation (asserted by
-// TestReadWriteAllocs with testing.AllocsPerRun). Poll loops — the direct
-// solver's decision sweeps, the S-process input harvest, auto.RunOnEnv
-// collects, every paxos instance — run on bound handles.
+// access on the cell — no lock, no map lookup, and, for integer values and
+// reused collect buffers, no allocation (asserted by TestReadWriteAllocs
+// with testing.AllocsPerRun). Poll loops — the direct solver's decision
+// sweeps, the S-process input harvest, auto.RunOnEnv collects, every paxos
+// instance — run on bound handles.
 
 // boundRegs is the native sim.Regs of a key table: a resolved cell pointer per
 // slot, and the collect buffer ReadMany fills when the caller brings none. A
@@ -55,11 +55,11 @@ var (
 const memoBinds = 4
 
 // Bind implements sim.Ops: it resolves every key to its register cell,
-// straight through the sharded table (one shard lookup per key; the cells
-// this call mints share one backing array, see store.bind), and returns the
-// bound handle. Bind is the setup step: it runs once per body, per
-// stand-alone consensus instance or per window of log slots, and the
-// operations on the result do not allocate. Nor does Bind itself once the
+// straight through the table (one map lookup per key under one hold of its
+// mutex; the cells this call mints share one backing array, see store.bind),
+// and returns the bound handle. Bind is the setup step: it runs once per
+// body, per stand-alone consensus instance or per window of log slots, and
+// the operations on the result do not allocate. Nor does Bind itself once the
 // process has released, through its key slice, a table at least as long
 // (see Release), or bound one last run outside the memo: it resolves keys
 // into that table's handle and cells slice.
@@ -96,7 +96,7 @@ func (e *Env) Bind(keys []string) sim.Regs {
 // registers, with no key formatted or looked up. The table's cells are one
 // backing array the registry files under its identity, and the array keeps
 // one view per process that binds it (store.bindTable): one registry
-// operation, no shard lookup, and nothing allocated or filled. Binding the
+// operation, no key resolved, and nothing allocated or filled. Binding the
 // table again, or a table the array serves after it was recycled, hands the
 // process the same view; the bind memo never holds one.
 func (e *Env) BindTable(t sim.Table) sim.Regs {

@@ -16,8 +16,8 @@ import "wfadvice/internal/obs"
 
 // Counter taxonomy.
 const (
-	// Register operations through the keyed Ops surface (one shard lookup
-	// per key — setup code and one-off collects).
+	// Register operations through the keyed Ops surface (one key resolved
+	// in the table per key — setup code and one-off collects).
 	cRegReadKeyed obs.CounterID = iota
 	cRegWriteKeyed
 	cRegCollectKeyed
@@ -43,8 +43,8 @@ const (
 	cNotifyPark
 	cNotifyWake
 	cNotifyTimeout
-	// Store: sharded-table lookups (one per key bound, one per keyed op —
-	// the only lock on the register path) and the cell's paths off the
+	// Store: keys resolved in the table (one per key bound, one per keyed
+	// op — the only lock on the register path) and the cell's paths off the
 	// packed word: boxed stores are all writes of a non-packed value (a
 	// typed cell's data word or the general box), generalised counts cells
 	// leaving int or typed mode for the general box (once per cell — a hot

@@ -509,10 +509,10 @@ func (e *Env) step() {
 	}
 }
 
-// cell resolves key for a keyed operation: one lookup in the sharded table
-// (one shard lock, one map hit) on every call. Lookups are counted on the
-// process's own stripe; a counter inside the table would be one cache line
-// every process writes. Bodies bind the keys they touch more than once.
+// cell resolves key for a keyed operation: one lookup in the table (its
+// mutex, one map hit) on every call. Lookups are counted on the process's
+// own stripe; a counter inside the table would be one cache line every
+// process writes. Bodies bind the keys they touch more than once.
 func (e *Env) cell(key string) *cell {
 	e.m.Inc(cStoreShardLookup)
 	return e.r.store.lookup(key)
@@ -532,7 +532,7 @@ func (e *Env) Read(key string) sim.Value {
 }
 
 // ReadMany performs a batched collect: one operation prologue (stop/crash
-// check, counting len(keys) reads), then one shard lookup plus one atomic
+// check, counting len(keys) reads), then one table lookup plus one atomic
 // load per key. It is still a regular collect — the loads are individual
 // and unsynchronized, so concurrent writes may land between them. Hot
 // collect loops run on bound handles instead (Regs.ReadMany: resolved

@@ -13,13 +13,15 @@ import (
 )
 
 // This file is the native register representation: the cell (one register's
-// storage) and the sharded key→cell table that holds them.
+// storage) and the key→cell table that holds them.
 //
-// The table. A key hash selects one of its shards, each with its own mutex
-// and map, so concurrent instances and processes contend only when their
-// keys collide in a shard. Bound handles (sim.Regs) resolve their cells once,
-// so the steady-state cost of a register is a few atomic accesses on one
-// cache line with no lock at all.
+// The table. One mutex guards one key map, the key path's free list and the
+// table registry. It is taken at setup only: a keyed bind resolves its whole
+// key table under one hold, a table bind is one registry operation, and a
+// release takes its keys or table back under one. Bound handles (sim.Regs)
+// resolve their cells once, so the steady-state cost of a register is a few
+// atomic accesses on one cache line with no lock at all; only the keyed
+// Read and Write, which no body calls, take the mutex per operation.
 //
 // The cell. A register holds one of three representations, named by its
 // mode word, and each representation has exactly one atomic word of truth:
@@ -64,30 +66,32 @@ import (
 // last property; TestCellFirstWriteRace races the first write.
 //
 // Tables. A table bound by identity (sim.Tables: a paxos.Log window's space,
-// family, window number and length) has no keys in the shard maps. The
-// registry keeps one ring per (space, family), indexed by window number, of
-// the backing arrays of its bound windows: binding a window is one registry
-// lookup under one mutex, and the first process to bind it takes an array
+// family, window number and length) has no keys in the map. The registry
+// keeps one ring per (space, family), indexed by window number, of the
+// backing arrays of its bound windows: binding a window is one registry
+// lookup under the mutex, and the first process to bind it takes an array
 // that becomes the window's cells. The handle a process gets is its view of
 // that array, kept in the array (tableArray): a window costs its cells and
 // nothing per process that binds it, which is what a window pinned by a
 // crashed replica costs for good. A space is reached one way only: once a
 // table is bound in it, minting a key in it panics, and binding the first
-// table of a space that already holds keys panics too (see sim.Ops).
+// table of a space that already holds keys panics too (see sim.Ops). Both
+// checks run under the mutex, so of a key minted and a first table bound in
+// one space, whichever comes second panics.
 //
 // Reclamation. A register lives until a process releases its key
 // (sim.Ops.Release: nobody will name the key again) or its table. Release
-// takes the key out of its shard map, empties the cell and counts it back
-// into the backing array it was minted from; an array whose minted cells have
-// all been released — and whose bind has finished minting — is parked on a
-// free list by length, and the next bind of that many keys mints from it
-// instead of allocating. Releasing a table takes its array out of the ring,
-// empties it and parks it at once, views included, on the tables' own free
-// list; a table already gone is skipped. A long-lived system that names fresh
-// windows for ever (a log of consensus instances) and releases the old ones
-// therefore runs on a fixed set of arrays: a table-bound log on one ring that
-// never grows, with the same views in the same arrays, a key-bound one on
-// maps that churn at constant population.
+// takes the key out of the map, empties the cell and counts it back into the
+// backing array it was minted from; an array whose minted cells have all
+// been released is parked on a free list by length, and the next bind of
+// that many keys mints from it instead of allocating. Releasing a table takes
+// its array out of the ring, empties it and parks it at once, views
+// included, on the tables' own free list; a table already gone is skipped. A
+// long-lived system that names fresh windows for ever (a log of consensus
+// instances) and releases the old ones therefore runs on a fixed set of
+// arrays: a table-bound log on one ring that never grows, with the same
+// views in the same arrays, a key-bound one on a map that churns at constant
+// population.
 //
 // The interface decomposition is the one sync/atomic.Value relies on. It is
 // confined to split and join below, the only uses of unsafe in the package:
@@ -121,10 +125,10 @@ type cell struct {
 type cellArray struct {
 	cells []cell
 	// live counts the cells minted from the array whose keys are still in
-	// the table, plus one while the bind minting from it is under way. The
-	// array is parked for reuse when it drops to zero: everything handed out
-	// has been released and nothing more will be handed out.
-	live atomic.Int32
+	// the table, under the store's mutex. The array is parked for reuse when
+	// it drops to zero: everything handed out has been released. Nothing is
+	// released while a bind mints, so live is also that bind's next cell.
+	live int
 }
 
 // tableArray is the backing array of a table bound by identity, with the
@@ -145,9 +149,9 @@ type tableArray struct {
 const inlineViews = 4
 
 // view returns e's view of the array, claiming one the first time e binds
-// it; the caller holds tabMu, which guards the claims. Inline views are
-// claimed in order and never given up, so the first free one means no
-// process has a view past it.
+// it; the caller holds the store's mutex, which guards the claims. Inline
+// views are claimed in order and never given up, so the first free one means
+// no process has a view past it.
 func (a *tableArray) view(e *Env) *tableRegs {
 	for i := range a.views {
 		v := &a.views[i]
@@ -307,60 +311,33 @@ func (c *cell) generalise(v sim.Value, m *obs.Handle) {
 	}
 }
 
-// shardCap is the table's shard count: a power of two, so the hash folds
-// with a mask. 32 shards keep per-shard collision odds low for the large key
-// populations (a few thousand keys and up) at negligible fixed cost: a
-// runtime builds its table once and re-arms it for every later run. Every
-// keyed Read and Write takes its shard's mutex (only bound handles skip the
-// table), so a small table does not put all its keys behind one lock either.
-const shardCap = 32
-
-// shard is one slice of the table. The padding keeps each shard's mutex on
-// its own cache line so uncorrelated shards never false-share.
-type shard struct {
-	_  pad
-	mu sync.Mutex
-	m  map[string]*cell
-}
-
-// store is the sharded register table.
+// store is the register table; see the file comment.
 type store struct {
-	shards [shardCap]shard
-
-	// free holds the recycled backing arrays of keys by length. freeMu is
-	// taken by keyed binds and releases, never by a register operation, and
-	// nests inside a shard lock, never around one.
-	freeMu sync.Mutex
-	free   map[int][]*cellArray
+	// mu guards the fields below it but base: the key map, the key arrays
+	// parked by length in free, the table registry and released.
+	mu   sync.Mutex
+	m    map[string]*cell
+	free map[int][]*cellArray
+	// families files the bound tables; the released table arrays are parked
+	// by length in tabFree.
+	families map[familyID]*tableFamily
+	tabFree  map[int][]*tableArray
+	// spaces lists the Table.Space of every table bound so far, for the
+	// keyed path to refuse their keys.
+	spaces []string
 	// released is set by the table's first release and makes rearm decline.
-	released atomic.Bool
+	released bool
 	// base is the number of registers the table held when it was first
 	// re-armed, zero until then: what one run of the caller's keys
 	// measured, and what rearm bounds the table by.
 	base int
-
-	// tabMu guards the table registry: families, the released table arrays
-	// parked by length in tabFree, the views' claims, and the writes of
-	// spaces. It is taken by table binds and releases only, and nests around
-	// a shard lock, never inside one.
-	tabMu    sync.Mutex
-	families map[familyID]*tableFamily
-	tabFree  map[int][]*tableArray
-	// spaces lists the Table.Space of every table bound so far, for the
-	// keyed path to refuse their keys; it is replaced, never changed.
-	spaces atomic.Pointer[[]string]
 }
 
-// newStore builds a table for about hint registers, its maps pre-sized to
-// share them; zero or less means no estimate. A hint only pre-sizes: one that
+// newStore builds a table for about hint registers, its map pre-sized to
+// hold them; zero or less means no estimate. A hint only pre-sizes: one that
 // is too low costs map growth, never correctness.
 func newStore(hint int) *store {
-	s := &store{}
-	per := max(hint/shardCap, 4)
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]*cell, per)
-	}
-	return s
+	return &store{m: make(map[string]*cell, max(hint, 0))}
 }
 
 // retainedFloor is the least number of registers a retained table may hold
@@ -385,13 +362,11 @@ func (s *store) rearm() bool {
 	if s.base == 0 {
 		s.base = s.held()
 	}
-	if s.released.Load() || s.held() > max(2*s.base, retainedFloor) {
+	if s.released || s.held() > max(2*s.base, retainedFloor) {
 		return false
 	}
-	for i := range s.shards {
-		for _, c := range s.shards[i].m {
-			c.reset()
-		}
+	for _, c := range s.m {
+		c.reset()
 	}
 	for a := range s.tableArrays {
 		a.reset()
@@ -402,10 +377,7 @@ func (s *store) rearm() bool {
 // held is the number of registers in the table. Like rearm it is for the
 // time between two runs.
 func (s *store) held() int {
-	n := 0
-	for i := range s.shards {
-		n += len(s.shards[i].m)
-	}
+	n := len(s.m)
 	for a := range s.tableArrays {
 		n += len(a.cells)
 	}
@@ -423,150 +395,86 @@ func (s *store) tableArrays(yield func(*tableArray) bool) {
 	}
 }
 
-// keyHash hashes a register key (FNV-1a, high bits folded in so that a shard
-// mask does not discard them); a store masks it down to a shard index.
-func keyHash(key string) uint32 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return uint32(h ^ (h >> 32))
-}
-
-// mint is the backing array one lookup or bind call mints from: taken at the
-// call's first miss, handed back by minted when the call is over.
-type mint struct {
-	arr      *cellArray
-	used     int
-	recycled bool // arr came off the free list
-}
-
-// lookup returns key's cell, minting it on first touch. Only the key's shard
-// is locked. This is the keyed Read/Write path: one shard lookup per call.
+// lookup returns key's cell, minting it on first touch. This is the keyed
+// Read/Write path: one hold of the mutex per call.
 func (s *store) lookup(key string) *cell {
-	var mt mint
-	c := s.resolve(key, &mt, 1)
-	s.minted(&mt)
-	return c
+	var c [1]*cell
+	s.bind([]string{key}, c[:])
+	return c[0]
 }
 
-// bind resolves keys[i] into cells[i] for a whole key table and reports
-// whether it minted from a recycled array. The cells this call has to mint
-// share one backing array of len(keys) cells, taken at the first miss — off
-// the free list if a released table of that length is parked there — so the
-// registers of a freshly bound table are one heap object at most; a table
-// somebody else already minted costs lookups only.
+// bind resolves keys[i] into cells[i] for a whole key table under one hold
+// of the mutex, and reports whether it minted from a recycled array. The
+// cells it has to mint share one backing array of len(keys) cells, taken at
+// the first miss — off the free list if a released table of that length is
+// parked there — so the registers of a freshly bound table are one heap
+// object at most; a table somebody else already minted costs lookups only.
+// A key in a space whose tables are bound by identity panics.
 func (s *store) bind(keys []string, cells []*cell) (recycled bool) {
-	var mt mint
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var a *cellArray
 	for i, k := range keys {
-		cells[i] = s.resolve(k, &mt, len(keys))
-	}
-	s.minted(&mt)
-	return mt.recycled
-}
-
-// resolve returns key's cell, minting it from mt on first touch; a call's
-// first miss takes mt's array, of want cells.
-func (s *store) resolve(key string, mt *mint, want int) *cell {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	c := sh.m[key]
-	if c == nil {
-		if sp := s.spaces.Load(); sp != nil {
-			for _, space := range *sp {
-				if inSpace(key, space) {
-					sh.mu.Unlock()
-					panic(fmt.Sprintf("native: register %q named by key in space %q, whose tables are bound by identity", key, space))
+		c := s.m[k]
+		if c == nil {
+			for _, space := range s.spaces {
+				if inSpace(k, space) {
+					panic(fmt.Sprintf("native: register %q named by key in space %q, whose tables are bound by identity", k, space))
 				}
 			}
+			if a == nil {
+				a, recycled = s.array(len(keys))
+			}
+			c = &a.cells[a.live]
+			a.live++
+			s.m[k] = c
 		}
-		if mt.arr == nil {
-			mt.arr, mt.recycled = s.array(want)
-		}
-		c = &mt.arr.cells[mt.used]
-		mt.used++
-		mt.arr.live.Add(1)
-		sh.m[key] = c
+		cells[i] = c
 	}
-	sh.mu.Unlock()
-	return c
+	return recycled
 }
 
-func (s *store) shard(key string) *shard {
-	return &s.shards[keyHash(key)&(shardCap-1)]
-}
-
-// array returns a backing array of n empty cells holding its minter's count:
-// a parked one if there is one, a new one otherwise.
+// array returns a backing array of n empty cells, none of them minted: a
+// parked one if there is one, a new one otherwise. The caller holds mu.
 func (s *store) array(n int) (a *cellArray, recycled bool) {
-	s.freeMu.Lock()
 	if l := s.free[n]; len(l) > 0 {
 		a, s.free[n] = l[len(l)-1], l[:len(l)-1]
+		return a, true
 	}
-	s.freeMu.Unlock()
-	recycled = a != nil
-	if !recycled {
-		a = &cellArray{cells: make([]cell, n)}
-		for i := range a.cells {
-			a.cells[i].arr = a
-		}
+	a = &cellArray{cells: make([]cell, n)}
+	for i := range a.cells {
+		a.cells[i].arr = a
 	}
-	a.live.Store(1)
-	return a, recycled
-}
-
-// minted ends a call's minting: the array it took, if any, gives up the
-// minter's count.
-func (s *store) minted(mt *mint) {
-	if mt.arr != nil {
-		s.unref(mt.arr)
-	}
-}
-
-// unref drops one count of a and parks it when that was the last: its minted
-// cells are all released, hence empty, and nobody is minting from it.
-func (s *store) unref(a *cellArray) {
-	if a.live.Add(-1) != 0 {
-		return
-	}
-	s.freeMu.Lock()
-	if s.free == nil {
-		s.free = make(map[int][]*cellArray)
-	}
-	s.free[len(a.cells)] = append(s.free[len(a.cells)], a)
-	s.freeMu.Unlock()
+	return a, false
 }
 
 // release takes keys out of the table and reports how many it held. The
 // caller vouches that no process will name them again (sim.Ops.Release), so
-// each cell is emptied on the spot and counted back into its array; a key
-// that is not there — never minted, or released by somebody else — is
-// skipped.
+// each cell is emptied on the spot and counted back into its array, which
+// is parked once all its minted cells are back; a key that is not there —
+// never minted, or released by somebody else — is skipped.
 func (s *store) release(keys []string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
 	for _, k := range keys {
-		sh := s.shard(k)
-		sh.mu.Lock()
-		c := sh.m[k]
-		if c != nil {
-			delete(sh.m, k)
-		}
-		sh.mu.Unlock()
+		c := s.m[k]
 		if c == nil {
 			continue
 		}
+		delete(s.m, k)
 		n++
 		c.reset()
-		s.unref(c.arr)
+		a := c.arr
+		a.live--
+		if a.live == 0 {
+			if s.free == nil {
+				s.free = make(map[int][]*cellArray)
+			}
+			s.free[len(a.cells)] = append(s.free[len(a.cells)], a)
+		}
 	}
-	if n > 0 && !s.released.Load() {
-		s.released.Store(true)
-	}
+	s.released = s.released || n > 0
 	return n
 }
 
@@ -639,14 +547,11 @@ func inSpace(key, space string) bool {
 // the first of a space the space.
 func (s *store) bindTable(t sim.Table, e *Env) (v *tableRegs, recycled bool) {
 	id := familyID{t.Space, t.Family}
-	s.tabMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	f := s.families[id]
 	if f == nil {
-		var clash string
-		if f, clash = s.family(id); f == nil {
-			s.tabMu.Unlock()
-			panic(fmt.Sprintf("native: table %s/%s bound by identity in a space that holds key %q", t.Space, t.Family, clash))
-		}
+		f = s.family(id)
 	}
 	a := f.get(t.Window)
 	if a == nil {
@@ -657,49 +562,29 @@ func (s *store) bindTable(t sim.Table, e *Env) (v *tableRegs, recycled bool) {
 		}
 		f.put(t.Window, a)
 	}
-	v = a.view(e)
-	s.tabMu.Unlock()
 	if len(a.cells) != t.Len {
 		panic(fmt.Sprintf("native: table %s/%s window %d bound with %d registers, and before with %d", t.Space, t.Family, t.Window, t.Len, len(a.cells)))
 	}
-	return v, recycled
+	return a.view(e), recycled
 }
 
-// family registers a family, and its space if it is the space's first, under
-// tabMu. The space is published before the shard maps are searched for a key
-// in it: a keyed mint either sees it, or lands in its map before the search
-// locks that map. It returns the key it found instead if there is one.
-func (s *store) family(id familyID) (*tableFamily, string) {
-	known := s.spaces.Load()
-	if known == nil || !slices.Contains(*known, id.space) {
-		var spaces []string
-		if known != nil {
-			spaces = slices.Clone(*known)
-		}
-		spaces = append(spaces, id.space)
-		s.spaces.Store(&spaces)
-		for i := range s.shards {
-			sh := &s.shards[i]
-			clash := ""
-			sh.mu.Lock()
-			for k := range sh.m {
-				if inSpace(k, id.space) {
-					clash = k
-					break
-				}
-			}
-			sh.mu.Unlock()
-			if clash != "" {
-				return nil, clash
+// family registers a family, and its space if it is the space's first; the
+// caller holds mu. A space that already holds a key panics.
+func (s *store) family(id familyID) *tableFamily {
+	if !slices.Contains(s.spaces, id.space) {
+		for k := range s.m {
+			if inSpace(k, id.space) {
+				panic(fmt.Sprintf("native: table %s/%s bound by identity in a space that holds key %q", id.space, id.family, k))
 			}
 		}
+		s.spaces = append(s.spaces, id.space)
 	}
 	if s.families == nil {
 		s.families = make(map[familyID]*tableFamily)
 	}
 	f := new(tableFamily)
 	s.families[id] = f
-	return f, ""
+	return f
 }
 
 // releaseTable takes table t out of the registry and reports how many
@@ -707,24 +592,20 @@ func (s *store) family(id familyID) (*tableFamily, string) {
 // bind of that length. A table nobody bound, or somebody already released,
 // is skipped.
 func (s *store) releaseTable(t sim.Table) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var a *tableArray
-	s.tabMu.Lock()
 	if f := s.families[familyID{t.Space, t.Family}]; f != nil {
 		a = f.take(t.Window)
 	}
-	s.tabMu.Unlock()
 	if a == nil {
 		return 0
 	}
 	a.reset()
-	s.tabMu.Lock()
 	if s.tabFree == nil {
 		s.tabFree = make(map[int][]*tableArray)
 	}
 	s.tabFree[len(a.cells)] = append(s.tabFree[len(a.cells)], a)
-	s.tabMu.Unlock()
-	if !s.released.Load() {
-		s.released.Store(true)
-	}
+	s.released = true
 	return len(a.cells)
 }

@@ -68,10 +68,10 @@ func TestStoreLookupStable(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentReadersWriters hammers the sharded table from parallel
-// writers and readers over an overlapping key set under -race: the shard
-// mutexes must serialize map access, and the cells must deliver only values
-// some writer actually stored.
+// TestStoreConcurrentReadersWriters hammers the table from parallel writers
+// and readers over an overlapping key set under -race: the table's mutex
+// must serialize map access, and the cells must deliver only values some
+// writer actually stored.
 func TestStoreConcurrentReadersWriters(t *testing.T) {
 	st := newStore(256)
 	keys := realisticKeys(8, 2, 2)
@@ -106,40 +106,8 @@ func TestStoreConcurrentReadersWriters(t *testing.T) {
 	}
 }
 
-// TestStoreShardDistribution checks the key hash spreads the real scenario
-// key shapes across shards at the maximum shard count: with a population
-// much larger than the shard count, every shard must be populated and none
-// may hold a gross excess over the mean (a degenerate hash would defeat the
-// sharding entirely).
-func TestStoreShardDistribution(t *testing.T) {
-	shardOf := func(key string) uint32 { return keyHash(key) & (shardCap - 1) }
-	keys := realisticKeys(16, 8, 4)
-	if len(keys) < 32*shardCap {
-		t.Fatalf("key population %d too small for a meaningful distribution check", len(keys))
-	}
-	var counts [shardCap]int
-	for _, k := range keys {
-		counts[shardOf(k)]++
-	}
-	mean := len(keys) / shardCap
-	for s, c := range counts {
-		if c == 0 {
-			t.Errorf("shard %d empty over %d realistic keys", s, len(keys))
-		}
-		if c > 3*mean {
-			t.Errorf("shard %d holds %d keys, more than 3x the mean %d", s, c, mean)
-		}
-	}
-	// The hash must be a pure function of the key.
-	for _, k := range keys[:64] {
-		if shardOf(k) != shardOf(k) {
-			t.Fatalf("shardOf(%q) unstable", k)
-		}
-	}
-}
-
 // TestStorePresizeZeroAndLarge: the Registers hint only pre-sizes the
-// table's maps: no estimate, a handful of keys and an overshooting hint must
+// table's map: no estimate, a handful of keys and an overshooting hint must
 // behave identically.
 func TestStorePresizeZeroAndLarge(t *testing.T) {
 	for _, hint := range []int{0, 1, 9, 1 << 15} {
@@ -160,7 +128,7 @@ func TestStorePresizeZeroAndLarge(t *testing.T) {
 // every key they share — each call mints the cells it finds missing from
 // its own backing array, and a key the other process got to first has to
 // resolve to that process's cell, not to a second one. Run under -race, with
-// the maps pre-sized for one register and for thousands.
+// the map pre-sized for one register and for thousands.
 func TestBindOverlappingTablesShareCells(t *testing.T) {
 	for _, registers := range []int{1, 1 << 15} {
 		bindOverlappingTables(t, registers)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -312,6 +313,52 @@ func TestTableSpaceIsReachedOneWay(t *testing.T) {
 			t.Errorf("%s: panicked with %q, want a message naming the space", what, msg)
 		}
 	}
+}
+
+// TestTableSpaceRacePanicsOnce races the two ways into a fresh space: one
+// goroutine mints the slot key sp/0/dec while another binds the space's
+// first table, both released at once. Whichever reaches the table second
+// must panic, so exactly one of them does in every round; neither would mean
+// one log split over both paths, both a space refused that was reached one
+// way. Run it under -race.
+func TestTableSpaceRacePanicsOnce(t *testing.T) {
+	const rounds = 500
+	st := newStore(0)
+	e := new(Env)
+	panicked := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	var won [2]int
+	for r := 0; r < rounds; r++ {
+		sp := fmt.Sprintf("sp%d", r)
+		var keyPanicked, tablePanicked bool
+		var start, done sync.WaitGroup
+		start.Add(1)
+		done.Add(2)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			keyPanicked = panicked(func() { st.lookup(sp + "/0/dec") })
+		}()
+		go func() {
+			defer done.Done()
+			start.Wait()
+			tablePanicked = panicked(func() { st.bindTable(table(sp, "dec", 0, 4), e) })
+		}()
+		start.Done()
+		done.Wait()
+		if keyPanicked == tablePanicked {
+			t.Fatalf("round %d: key mint panicked %v, table bind panicked %v; want exactly one", r, keyPanicked, tablePanicked)
+		}
+		if keyPanicked {
+			won[1]++
+		} else {
+			won[0]++
+		}
+	}
+	t.Logf("%d rounds: the key came first %d times, the table %d", rounds, won[0], won[1])
 }
 
 // machineLogs is the Theorem 9 machine's log shape: each of n C-processes

@@ -20,16 +20,15 @@ import (
 // place; a released key-bound window leaves its key slices for the next
 // slide to refill.
 //
-// How a window is bound depends on the backend handle. One that offers
-// sim.Tables (the native Env) binds it by identity: the log prefix, "dec" or
-// "blk", the window's number and its length, with windows aligned to
-// multiples of their length so that every view names the same ones. No key
-// is formatted; a truncated log pays nothing per window, and one pinned by a
+// Windows are aligned to multiples of their length, so that every view names
+// the same ones. How a window is bound depends on the backend handle. One
+// that offers sim.Tables (the native Env) binds it by identity: the log
+// prefix, "dec" or "blk", the window's number and its length. No key is
+// formatted; a truncated log pays nothing per window, and one pinned by a
 // process that never gets past it (a crashed replica) pays the window's
 // registers and nothing per view. Any other handle — the sim backend, a
 // decorator that embeds sim.Ops — binds the window's formatted keys, cut from
-// one string per table into slices the window keeps, and its window starts
-// wherever the slot that moved it lies.
+// one string per table into slices the window keeps.
 
 // SlotKey returns the consensus-instance key of slot i of the log prefix.
 func SlotKey(prefix string, slot int) string {
@@ -41,9 +40,9 @@ func appendSlotKey(b []byte, prefix string, slot int) []byte {
 }
 
 // logWindow is the default number of slots whose registers a Log binds at
-// once. The window starts at the sweep frontier and is re-bound only when
-// the frontier walks past its end, so binding cost amortizes to one pair of
-// key tables per window of decided slots.
+// once. The window is the aligned one that covers the sweep frontier and is
+// re-bound only when the frontier walks past its end, so binding cost
+// amortizes to one pair of key tables per window of decided slots.
 const logWindow = 64
 
 // The table families of a window bound by identity.
@@ -156,13 +155,12 @@ func (l *Log) slide(slot int) *window {
 	if n := len(l.spare); n > 0 {
 		*w, l.spare = l.spare[n-1], l.spare[:n-1]
 	}
+	w.base = slot - slot%l.length
 	if l.tabs != nil {
-		w.base = slot - slot%l.length
 		w.dec = l.tabs.BindTable(l.table(decFamily, w.base))
 	} else {
-		w.base = slot
 		w.decKeys = l.keyTable(w.decKeys, l.length, func(b []byte, i int) []byte {
-			return append(appendSlotKey(b, l.prefix, slot+i), decSuffix...)
+			return append(appendSlotKey(b, l.prefix, w.base+i), decSuffix...)
 		})
 		w.dec = l.e.Bind(w.decKeys)
 	}
@@ -183,9 +181,8 @@ func (l *Log) table(fam string, base int) sim.Table {
 // lies wholly below slot min: the decision registers, and the block registers
 // if this view bound them. The caller vouches for what sim.Ops.Release
 // demands — no process will touch a slot below min again, through any window
-// — and the views agree on which registers that is: tables bound by identity
-// are aligned, and key-bound windows have the same bases when each view walks
-// its frontier up from slot 0. Views release the same decision tables
+// — and the views agree on which registers that is: every window is aligned
+// to a multiple of the window length. Views release the same decision tables
 // independently; one already gone is skipped by the backend. A key-bound
 // table goes back as the slice it was bound from, which gives the backend
 // its handle too, and its key slices are kept for slide to refill. The

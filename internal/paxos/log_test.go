@@ -137,10 +137,10 @@ func TestLogSweepCrossesWindows(t *testing.T) {
 // exactly the keys the string forms name, in window order — slot i's
 // decision register at i, proposer j's block of slot i at i*nProps+j.
 func TestWindowKeyTables(t *testing.T) {
-	const nProps, base = 3, 9_990 // the slot numbers gain a digit inside the window
+	const nProps, base = 3, 9_984 // the slot numbers gain a digit inside the window
 	e := &bindRecorder{}
 	l := NewLog(e, "kv/log", 1, nProps, 0)
-	l.Proposer(base) // moves the window to the slot it is asked for
+	l.Proposer(9_990) // moves the window to the aligned base that covers the slot
 	if len(e.tables) != 2 || len(e.tables[0]) != logWindow || len(e.tables[1]) != logWindow*nProps {
 		t.Fatalf("bound %d tables, want the decision window and its block table", len(e.tables))
 	}
