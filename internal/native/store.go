@@ -70,14 +70,17 @@ import (
 // keeps one ring per (space, family), indexed by window number, of the
 // backing arrays of its bound windows: binding a window is one registry
 // lookup under the mutex, and the first process to bind it takes an array
-// that becomes the window's cells. The handle a process gets is its view of
-// that array, kept in the array (tableArray): a window costs its cells and
-// nothing per process that binds it, which is what a window pinned by a
-// crashed replica costs for good. A space is reached one way only: once a
-// table is bound in it, minting a key in it panics, and binding the first
-// table of a space that already holds keys panics too (see sim.Ops). Both
-// checks run under the mutex, so of a key minted and a first table bound in
-// one space, whichever comes second panics.
+// that becomes the window's cells. A new array is cut from a block of arrays
+// of its length, made as two objects (the arrays and their cells) and
+// doubling up to blockMax arrays a block. The handle a process gets is its
+// view of that array, kept in the array (tableArray): a window costs its
+// cells, a share of two objects per block and nothing per process that binds
+// it, which is what a window pinned by a crashed replica costs for good. A
+// space is reached one way only: once a table is bound in it, minting a key
+// in it panics, and binding the first table of a space that already holds
+// keys panics too (see sim.Ops). Both checks run under the mutex, so of a
+// key minted and a first table bound in one space, whichever comes second
+// panics.
 //
 // Reclamation. A register lives until a process releases its key
 // (sim.Ops.Release: nobody will name the key again) or its table. Release
@@ -86,12 +89,14 @@ import (
 // been released is parked on a free list by length, and the next bind of
 // that many keys mints from it instead of allocating. Releasing a table takes
 // its array out of the ring, empties it and parks it at once, views
-// included, on the tables' own free list; a table already gone is skipped. A
-// long-lived system that names fresh windows for ever (a log of consensus
-// instances) and releases the old ones therefore runs on a fixed set of
-// arrays: a table-bound log on one ring that never grows, with the same
-// views in the same arrays, a key-bound one on a map that churns at constant
-// population.
+// included, on the tables' own free list, which a bind takes from before it
+// cuts a block's unbound arrays; a table already gone is skipped. Neither a
+// parked array nor a block is ever given back to the heap: a block lives as
+// long as the store, however many of its arrays are bound. A long-lived
+// system that names fresh windows for ever (a log of consensus instances)
+// and releases the old ones therefore runs on a fixed set of arrays: a
+// table-bound log on one ring that never grows, with the same views in the
+// same arrays, a key-bound one on a map that churns at constant population.
 //
 // The interface decomposition is the one sync/atomic.Value relies on. It is
 // confined to split and join below, the only uses of unsafe in the package:
@@ -102,8 +107,10 @@ import (
 // cellSize is the stride of the cells in one store.bind backing array: the
 // hot words are 40 bytes and the pad puts the next cell's a full cache line
 // past them, so neighbouring registers never false-share (TestCellStride).
-// The allocator starts such an array on a 64-byte boundary, or 8 bytes past
-// one behind its malloc header, so a cell's hot words also share one line.
+// The allocator starts such an array, or a block that table arrays are cut
+// from, on a 64-byte boundary, or 8 bytes past one behind its malloc header
+// (a block past 32 KB has none and starts on a page), so a cell's hot words
+// also share one line.
 const cellSize = 128
 
 // cell is one shared register; see the file comment for the representation.
@@ -322,6 +329,9 @@ type store struct {
 	// by length in tabFree.
 	families map[familyID]*tableFamily
 	tabFree  map[int][]*tableArray
+	// blocks holds, by length, the arrays of the last block carved that
+	// nobody has bound yet; bindTable takes them only when tabFree has none.
+	blocks map[int]*tableBlock
 	// spaces lists the Table.Space of every table bound so far, for the
 	// keyed path to refuse their keys.
 	spaces []string
@@ -542,9 +552,9 @@ func inSpace(key, space string) bool {
 
 // bindTable returns e's view of table t, and reports whether the table's
 // array was recycled: the array filed under t, or one taken for t if nobody
-// has bound it yet — a released array of t.Len cells if one is parked,
-// a new one otherwise. The first table of a family registers the family, and
-// the first of a space the space.
+// has bound it yet — a released array of t.Len cells if one is parked, one
+// cut from the block of that length otherwise (carve). The first table of a
+// family registers the family, and the first of a space the space.
 func (s *store) bindTable(t sim.Table, e *Env) (v *tableRegs, recycled bool) {
 	id := familyID{t.Space, t.Family}
 	s.mu.Lock()
@@ -558,7 +568,7 @@ func (s *store) bindTable(t sim.Table, e *Env) (v *tableRegs, recycled bool) {
 		if l := s.tabFree[t.Len]; len(l) > 0 {
 			a, s.tabFree[t.Len], recycled = l[len(l)-1], l[:len(l)-1], true
 		} else {
-			a = &tableArray{cells: make([]cell, t.Len)}
+			a = s.carve(t.Len)
 		}
 		f.put(t.Window, a)
 	}
@@ -566,6 +576,44 @@ func (s *store) bindTable(t sim.Table, e *Env) (v *tableRegs, recycled bool) {
 		panic(fmt.Sprintf("native: table %s/%s window %d bound with %d registers, and before with %d", t.Space, t.Family, t.Window, t.Len, len(a.cells)))
 	}
 	return a.view(e), recycled
+}
+
+// blockMax is the most arrays one block holds. A length's blocks double
+// from one array up to it, so a store that binds a handful of tables of a
+// length pays for no more than it binds, and one that pins windows for good
+// pays two objects per blockMax of them.
+const blockMax = 16
+
+// tableBlock is what is left of the last block carved for one length: the
+// arrays nobody has bound yet and the cells they will get, and how many
+// arrays the next block holds.
+type tableBlock struct {
+	arrays []tableArray
+	cells  []cell
+	next   int
+}
+
+// carve returns a new array of n cells, cut from the block of that length,
+// and makes the next block when that one is used up: one tableArray slice
+// and one cell slice, whose cells keep cellSize's stride and line. An array
+// is capped at its own cells. The caller holds mu.
+func (s *store) carve(n int) *tableArray {
+	b := s.blocks[n]
+	if b == nil {
+		if s.blocks == nil {
+			s.blocks = make(map[int]*tableBlock)
+		}
+		b = &tableBlock{next: 1}
+		s.blocks[n] = b
+	}
+	if len(b.arrays) == 0 {
+		b.arrays, b.cells = make([]tableArray, b.next), make([]cell, b.next*n)
+		b.next = min(2*b.next, blockMax)
+	}
+	a := &b.arrays[0]
+	a.cells = b.cells[:n:n]
+	b.arrays, b.cells = b.arrays[1:], b.cells[n:]
+	return a
 }
 
 // family registers a family, and its space if it is the space's first; the

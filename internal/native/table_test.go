@@ -1,12 +1,18 @@
 package native
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"wfadvice/internal/fdet"
 	"wfadvice/internal/obs"
@@ -153,6 +159,143 @@ func TestTableBindReleaseCounts(t *testing.T) {
 	}
 	if len(problems) > 0 {
 		t.Fatal(strings.Join(problems, "\n"))
+	}
+}
+
+// TestTableArraysCarvedFromBlocks: three processes bind windows of two
+// lengths and release none, the way a crashed replica's log pins them. Their
+// arrays are cut from blocks of each length: the windows cost two objects a
+// block, their rings' growth and a few more; no two arrays share a cell; and
+// every array keeps TestCellStride's stride, each cell's hot words in one
+// cache line. Once some windows are released, the next binds take those
+// arrays before a block's unbound ones and make nothing, and Registers
+// counts the bound windows' cells, never the arrays nobody has bound.
+func TestTableArraysCarvedFromBlocks(t *testing.T) {
+	const windows, again = 200, 20
+	lens := map[string]int{"dec": 8, "blk": 24}
+	rt := &Runtime{store: newStore(0)}
+	envs := make([]*Env, 3)
+	for i := range envs {
+		envs[i] = &Env{r: rt, m: Telemetry.Handle()}
+	}
+	bind := func(e *Env, from, to int) {
+		for w := from; w < to; w++ {
+			for fam, n := range lens {
+				e.BindTable(table("log", fam, w, n))
+			}
+		}
+	}
+	// count returns the objects f allocates.
+	count := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+
+	// The processes bind the windows at once; the count takes in what their
+	// start and finish allocate, which the last term allows for.
+	var start, done sync.WaitGroup
+	start.Add(1)
+	done.Add(len(envs))
+	for _, e := range envs {
+		go func() {
+			defer done.Done()
+			start.Wait()
+			bind(e, 0, windows)
+		}()
+	}
+	objects := count(func() {
+		start.Done()
+		done.Wait()
+	})
+	blocks := 0 // per length: blocks of 1, 2, 4, 8, then blockMax arrays
+	for carved, k := 0, 1; carved < windows; carved, k = carved+k, min(2*k, blockMax) {
+		blocks++
+	}
+	blocks *= len(lens)
+	t.Logf("%d windows of %d tables: %d objects, %d blocks", windows, len(lens), objects, blocks)
+	if want := uint64(2*blocks + len(lens)*bits.Len(windows) + 32); objects > want {
+		t.Errorf("%d windows made %d objects, want at most %d: two a block, the rings' growth and a few", windows, objects, want)
+	}
+
+	addr := func(p any) uintptr { return reflect.ValueOf(p).Pointer() }
+	hot := unsafe.Offsetof(cell{}.box) + unsafe.Sizeof(cell{}.box)
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	for a := range rt.store.tableArrays {
+		spans = append(spans, span{addr(&a.cells[0]), addr(&a.cells[0]) + uintptr(cap(a.cells))*cellSize})
+		for i := range a.cells {
+			c := addr(&a.cells[i])
+			if i > 0 && c-addr(&a.cells[i-1]) != cellSize {
+				t.Fatalf("cells %d and %d of one array are %d bytes apart, want %d", i-1, i, c-addr(&a.cells[i-1]), cellSize)
+			}
+			if addr(&a.cells[i].mode) != c || c%64+hot > 64 {
+				t.Fatalf("cell %d's hot words span [%d, %d) of a cache line, want one line", i, c%64, c%64+hot)
+			}
+		}
+	}
+	if len(spans) != windows*len(lens) {
+		t.Fatalf("%d arrays filed, want %d", len(spans), windows*len(lens))
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("arrays [%#x, %#x) and [%#x, %#x) share cells", spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
+		}
+	}
+
+	// Each round releases the oldest windows and binds as many new ones, in
+	// turn on one goroutine, so that only the binds are counted; the least
+	// count of the rounds leaves out what the runtime allocates meanwhile.
+	const rounds = 4
+	least := uint64(math.MaxUint64)
+	for r := range rounds {
+		lo, hi := windows+r*again, windows+(r+1)*again
+		for w := lo - windows; w < hi-windows; w++ {
+			for fam, n := range lens {
+				envs[0].ReleaseTable(table("log", fam, w, n))
+			}
+		}
+		var parked []*tableArray
+		for _, l := range rt.store.tabFree {
+			parked = append(parked, l...)
+		}
+		before := Telemetry.Snapshot()
+		least = min(least, count(func() {
+			for w := lo; w < hi; w++ {
+				for _, e := range envs {
+					bind(e, w, w+1)
+				}
+			}
+		}))
+		if got := Telemetry.Snapshot().Delta(before).Map()["cell_array_reused"]; got != int64(again*len(lens)) {
+			t.Fatalf("round %d: rebinding %d windows after releasing as many recycled %d arrays, want %d", r, again, got, again*len(lens))
+		}
+		filed := map[*tableArray]bool{}
+		for a := range rt.store.tableArrays {
+			filed[a] = true
+		}
+		for _, a := range parked {
+			if !filed[a] {
+				t.Fatalf("round %d: a released array %p is not serving a table after the rebinds", r, a)
+			}
+		}
+	}
+	if least != 0 {
+		t.Errorf("rebinding windows onto released arrays made at least %d objects in each of %d rounds, want none", least, rounds)
+	}
+
+	unbound := 0
+	for _, b := range rt.store.blocks {
+		unbound += len(b.arrays)
+	}
+	if unbound == 0 {
+		t.Fatal("no block holds an unbound array: Registers has nothing to leave out")
+	}
+	if got, want := rt.Registers(), windows*(lens["dec"]+lens["blk"]); got != want {
+		t.Errorf("Registers() = %d with %d arrays unbound in blocks, want the %d cells of the windows bound", got, unbound, want)
 	}
 }
 
