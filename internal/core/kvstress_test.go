@@ -117,67 +117,68 @@ func TestKVStressClosedLoopEventAdvice(t *testing.T) {
 	}
 }
 
-// TestKVStressHoldsAFewWindowsOfRegisters: a fault-free closed-loop second of
-// the benchmark's kv-put shape decides tens of thousands of log slots (a few
+// TestKVStressHoldsAFewWindowsOfRegisters: a closed-loop second of the
+// benchmark's kv-put shape decides tens of thousands of log slots (a few
 // thousand under the race detector) of four registers each, and ends with a
-// few windows' worth in the table — 300 to 500 on an idle box: the replicas
-// released the rest as their frontiers passed, and the binds that followed
-// minted from the arrays that came back. The count is taken the moment the
-// clerks finish, so a follower the scheduler held back just then still holds
-// the windows it has to catch up through (256 registers each); that is lag,
-// not growth, and a second run does not repeat it — the bound is on the best
-// of three, where a table that is not reclaimed holds a quarter of a million
-// every time.
+// few windows' worth in the table.
+//
+// Fault-free, that is 300 to 500 on an idle box: the replicas released the
+// rest as their frontiers passed, and the binds that followed minted from the
+// arrays that came back. The count is taken the moment the clerks finish, so
+// a follower the scheduler held back just then still holds the windows it has
+// to catch up through (256 registers each); that is lag, not growth, and a
+// second run does not repeat it — the bound is on the best of three, where a
+// table that is not reclaimed holds a quarter of a million every time.
+//
+// With the leader crashed half way, the run must pass its checker like any
+// other, and the crashed replica's frontier register keeps the value it last
+// published. The survivors give back every window more than kv.LagWindows
+// below their own but that one, writing a snapshot first, so the table holds
+// LagWindows windows and a few: the pinned one, the current one, and block
+// registers only the crashed leader had bound. Before snapshots, every window
+// from the pinned one on stayed, some 300 000 registers a second.
 func TestKVStressHoldsAFewWindowsOfRegisters(t *testing.T) {
-	const tries = 3
-	for try := 1; ; try++ {
-		rep := runKVStress(t, KVStressOptions{N: 3, Clients: 4, PutFrac: 1, Duration: time.Second, Seed: int64(try)})
-		slots := rep.Counters["kv_batch_commit"] + rep.Counters["kv_batch_preempt"]
-		t.Logf("%d ops in %d slots: %d registers held, %d released, %d binds on a recycled array",
-			rep.Ops, slots, rep.Registers, rep.Counters["reg_released"], rep.Counters["cell_array_reused"])
-		if slots < 1024 {
-			t.Fatalf("the run decided %d slots, too few to tell a bounded table from an unbounded one", slots)
+	const perWindow = 64 * (1 + 3) // a window's decisions, and its blocks for three proposers
+	t.Run("fault-free", func(t *testing.T) {
+		const tries = 3
+		for try := 1; ; try++ {
+			rep := runKVStress(t, KVStressOptions{N: 3, Clients: 4, PutFrac: 1, Duration: time.Second, Seed: int64(try)})
+			slots := rep.Counters["kv_batch_commit"] + rep.Counters["kv_batch_preempt"]
+			t.Logf("%d ops in %d slots: %d registers held, %d released, %d binds on a recycled array",
+				rep.Ops, slots, rep.Registers, rep.Counters["reg_released"], rep.Counters["cell_array_reused"])
+			if slots < 1024 {
+				t.Fatalf("the run decided %d slots, too few to tell a bounded table from an unbounded one", slots)
+			}
+			if rep.Counters["reg_released"] < 2*slots || rep.Counters["cell_array_reused"] == 0 {
+				t.Fatalf("%d registers released and %d binds on a recycled array over %d slots: the log is not being reclaimed",
+					rep.Counters["reg_released"], rep.Counters["cell_array_reused"], slots)
+			}
+			if rep.Registers <= 2048 {
+				return
+			}
+			if try == tries {
+				t.Fatalf("the table holds %d registers after %d slots, want ≤ 2048 in one run of %d", rep.Registers, slots, tries)
+			}
 		}
-		if rep.Counters["reg_released"] < 2*slots || rep.Counters["cell_array_reused"] == 0 {
-			t.Fatalf("%d registers released and %d binds on a recycled array over %d slots: the log is not being reclaimed",
-				rep.Counters["reg_released"], rep.Counters["cell_array_reused"], slots)
-		}
-		if rep.Registers <= 2048 {
-			return
-		}
-		if try == tries {
-			t.Fatalf("the table holds %d registers after %d slots, want ≤ 2048 in one run of %d", rep.Registers, slots, tries)
-		}
-	}
-}
-
-// TestKVStressCrashedReplicaPinsTheLog is the same second with the leader
-// crashed half way. The run must pass its checker like any other. What it
-// does not do is stay small: a crashed replica's frontier register keeps the
-// value it last published, the minimum over the frontiers stops there, and
-// every window from that one on stays in the table — the log after the crash
-// is held exactly as the whole log was before replicas released anything.
-// That is the known limit of reclamation by frontier alone (a survivor cannot
-// tell a crashed replica from a slow one); it goes when a lagging replica can
-// install a snapshot instead of sweeping. Until then this test documents the
-// pin: the registers held are the survivors' slots since the crash, not a few
-// windows.
-func TestKVStressCrashedReplicaPinsTheLog(t *testing.T) {
-	rep := runKVStress(t, KVStressOptions{
-		N: 3, Clients: 4, PutFrac: 1, Duration: time.Second, Seed: 1,
-		CrashLeader: 1, CrashAt: 5000, // tick 100 µs: half a second in
 	})
-	if rep.Crashes != 1 {
-		t.Fatalf("injected crashes = %d, want 1", rep.Crashes)
-	}
-	slots := rep.Counters["kv_batch_commit"] + rep.Counters["kv_batch_preempt"]
-	t.Logf("%d ops in %d slots: %d registers held, %d released", rep.Ops, slots, rep.Registers, rep.Counters["reg_released"])
-	if rep.Counters["reg_released"] == 0 {
-		t.Error("nothing was released in the half second before the crash")
-	}
-	if rep.Registers <= 2048 && slots > 4096 {
-		t.Logf("the table is small after a crash: has snapshot install landed? Then fold this test into the fault-free one")
-	}
+	t.Run("crashed-leader", func(t *testing.T) {
+		rep := runKVStress(t, KVStressOptions{
+			N: 3, Clients: 4, PutFrac: 1, Duration: time.Second, Seed: 1,
+			CrashLeader: 1, CrashAt: 5000, // tick 100 µs: half a second in
+		})
+		if rep.Crashes != 1 {
+			t.Fatalf("injected crashes = %d, want 1", rep.Crashes)
+		}
+		slots := rep.Counters["kv_batch_commit"] + rep.Counters["kv_batch_preempt"]
+		t.Logf("%d ops in %d slots: %d registers held, %d released, %d snapshots written",
+			rep.Ops, slots, rep.Registers, rep.Counters["reg_released"], rep.Counters["kv_snapshot_write"])
+		if rep.Counters["reg_released"] == 0 {
+			t.Error("nothing was released in the half second before the crash")
+		}
+		if want := (kv.LagWindows + 4) * perWindow; rep.Registers > want {
+			t.Errorf("the table holds %d registers after %d slots, want ≤ %d (%d windows)", rep.Registers, slots, want, kv.LagWindows+4)
+		}
+	})
 }
 
 // TestKVStressSharesScenarioAssembly is the drift guard: the system KVStress

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -627,11 +630,11 @@ var reclaimRows = []struct {
 // slot, under each of reclaimRows: 24 seeds a row here (12 under -short),
 // BenchmarkSweepReclaim the rest. Every run must pass the kv task (the
 // sessions are linearizable) and must not touch a released register — the
-// sim backend panics on that, and the sweep fails the seed. On the
-// crash-free rows the log registers left once the replicas have settled are
-// a few windows' worth however long the log grew; with a crashed replica
-// they are not (its frontier register stays where it was and pins every
-// later window), which is the pin the native crash test documents too.
+// sim backend panics on that, and the sweep fails the seed. The log
+// registers left once the replicas have settled are a few windows' worth
+// however long the log grew; with a crashed replica, LagWindows more: its
+// frontier register stays where it was and pins its window, and the
+// survivors keep the LagWindows below their own.
 func TestReclaimUnderHostileSchedules(t *testing.T) {
 	seeds := 24
 	if testing.Short() {
@@ -673,8 +676,9 @@ func reclaimSweep(tb testing.TB, row, seeds int) {
 		bursty := &sim.Bursty{Seed: seed, Burst: 40, FreezeProb: 0.25, FreezeLen: 1600}
 		return cfg, &thenSettle{Inner: bursty, Steps: 4000}
 	}, func(res *sim.Result) error {
+		windows := heldWindows
 		if r.crash != nil {
-			return nil
+			windows += LagWindows
 		}
 		held, slots := 0, 0
 		for k := range res.FinalStore {
@@ -687,9 +691,9 @@ func reclaimSweep(tb testing.TB, row, seeds int) {
 				slots++ // an upper bound: several replicas may write one decision
 			}
 		}
-		if held > heldWindows*perWindow {
+		if held > windows*perWindow {
 			return fmt.Errorf("window %d: %d log registers left after at most %d decided slots, want at most %d windows' worth (%d)",
-				window, held, slots, heldWindows, heldWindows*perWindow)
+				window, held, slots, windows, windows*perWindow)
 		}
 		return nil
 	})
@@ -935,5 +939,207 @@ func TestLeaderRestoresOverwrittenReply(t *testing.T) {
 				t.Errorf("%v: reply register holds %+v after %d more iterations, want %+v back", op, got, redeliverAfter, *want)
 			}
 		})
+	}
+}
+
+// freezeOne follows Inner, except that it holds Victim still from the first
+// call at or after Start at which Victim's next operation satisfies At, until
+// some process's next operation is on a log slot Span past the highest one
+// any process had reached when it froze.
+type freezeOne struct {
+	Inner       sim.Scheduler
+	Victim      ids.Proc
+	At          func(op sim.PendingOp) bool
+	Start, Span int
+
+	calls, top, thaw int
+	thawStep         int // the step at which Victim ran again
+	frozen, thawed   bool
+	ready            []ids.Proc
+}
+
+func (s *freezeOne) Next(v *sim.View) (ids.Proc, bool) {
+	s.calls++
+	for _, p := range v.Ready {
+		if slot, ok := logSlot(v.Pending(p).Key); ok {
+			s.top = max(s.top, slot)
+		}
+	}
+	switch op := v.Pending(s.Victim); {
+	case !s.frozen && !s.thawed && s.calls >= s.Start && s.At(op):
+		s.frozen, s.thaw = true, s.top+s.Span
+	case s.frozen && s.top >= s.thaw:
+		s.frozen, s.thawed, s.thawStep = false, true, v.Step
+	}
+	if !s.frozen {
+		return s.Inner.Next(v)
+	}
+	s.ready = s.ready[:0]
+	for _, p := range v.Ready {
+		if p != s.Victim {
+			s.ready = append(s.ready, p)
+		}
+	}
+	if len(s.ready) == 0 {
+		return s.Inner.Next(v)
+	}
+	others := *v
+	others.Ready = s.ready
+	return s.Inner.Next(&others)
+}
+
+// logSlot returns the slot of a key of the kv log's instances.
+func logSlot(key string) (int, bool) {
+	rest, ok := strings.CutPrefix(key, LogPrefix+"/")
+	if !ok {
+		return 0, false
+	}
+	slot, err := strconv.Atoi(rest[:max(strings.IndexByte(rest, '/'), 0)])
+	return slot, err == nil
+}
+
+// TestLaggardInstallsASnapshot runs the kv system with a log window of two
+// slots while a scheduler freezes one replica, without crashing it, and keeps
+// it frozen until the others are more than LagWindows windows ahead. It
+// freezes the replica as it is about to announce a window on even seeds, and
+// as it is about to read a decision on odd ones. The others write snapshots
+// and give back the windows in between, so the laggard, once it runs again,
+// must install one: had it skipped the install, or touched its next window
+// before announcing it, the sim backend would fail the run on a released
+// register. Advice flaps
+// among all three replicas throughout, so the laggard also leads from the
+// state it installed. Every seed's sessions must be linearizable — by the
+// version replay and by the trustless search — every replica that swept as far as another must hold the same
+// state, and the laggard must have skipped windows it never read.
+func TestLaggardInstallsASnapshot(t *testing.T) {
+	const (
+		n, ops, window = 3, 48, 2
+		seeds          = 8
+	)
+	victim := ids.S(n - 1)
+	before := Telemetry.Snapshot()
+	for seed := int64(0); seed < seeds; seed++ {
+		reps := make([]*replica, n)
+		rc := ReplicaConfig{NC: n, NS: n, LeaseReads: true, Window: window, MaxBatch: 1, Pause: awaitEpoch}
+		cfg := kvSimConfig(n, ops, nil, 0, seed)
+		cfg.CBody = ClerkConfig{NC: n, NS: n, Ops: ops, PutFrac: 0.9}.Body
+		cfg.SBody = func(me int) sim.Body {
+			return func(e sim.Ops) {
+				reps[me] = newReplica(rc, me, e)
+				reps[me].run()
+			}
+		}
+		flap := fdet.WithChaos(fdet.LiveOmega{}, fdet.AdviceChaos{Mode: fdet.ChaosFlap, Window: 300})
+		cfg.History = flap.History(cfg.Pattern, 1<<30, seed)
+		cfg.MaxSteps = 6_000_000
+		rng := rand.New(rand.NewSource(seed))
+		at := func(op sim.PendingOp) bool { return op.Kind == sim.OpWrite && op.Key == FrontierKey(victim.Index) }
+		if seed%2 == 1 {
+			at = func(op sim.PendingOp) bool { return op.Kind == sim.OpRead && strings.HasSuffix(op.Key, "/dec") }
+		}
+		freeze := &freezeOne{Inner: sim.NewRandom(seed), Victim: victim, At: at, Start: rng.Intn(4000), Span: (LagWindows + 4) * window}
+		rt, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := runRecovered(t, seed, rt, &thenSettle{Inner: freeze, Steps: 20_000})
+		if err := sim.Check(NewTask(n), res); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var sessions []*Session
+		for _, out := range res.Outputs {
+			sessions = append(sessions, out.(*Session))
+		}
+		if err := CheckLinearizable(sessions, n*ops); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !freeze.thawed {
+			t.Fatalf("seed %d: the replicas decided %d slots, too few to leave the frozen one %d windows behind", seed, freeze.top, LagWindows)
+		}
+		read := map[int]bool{}
+		last, served := 0, 0
+		for _, ev := range res.Trace {
+			if ev.Proc == victim && ev.Kind == sim.OpWrite && ev.Step > freeze.thawStep && strings.HasPrefix(ev.Key, "kv/rep/") {
+				served++
+			}
+			if slot, ok := logSlot(ev.Key); ok && ev.Proc == victim && ev.Kind == sim.OpRead && strings.HasSuffix(ev.Key, "/dec") {
+				read[slot], last = true, max(last, slot)
+			}
+		}
+		skipped := 0
+		for slot := 0; slot < last; slot++ {
+			if !read[slot] {
+				skipped++
+			}
+		}
+		t.Logf("seed %d: frozen until slot %d, skipped %d slots below %d, then wrote %d replies", seed, freeze.thaw, skipped, last, served)
+		if skipped < LagWindows*window {
+			t.Errorf("seed %d: the frozen replica read the decision of every slot below %d but %d: it swept, it did not install", seed, last, skipped)
+		}
+		if served == 0 {
+			t.Errorf("seed %d: the frozen replica wrote no reply once it ran again: nothing served from the state it installed", seed)
+		}
+		for i, a := range reps {
+			for _, b := range reps[i+1:] {
+				if a.next == b.next && !reflect.DeepEqual(a.st, b.st) {
+					t.Errorf("seed %d: replicas %d and %d swept to slot %d and hold different states:\n%+v\n%+v", seed, a.me, b.me, a.next, *a.st, *b.st)
+				}
+			}
+		}
+		if reps[victim.Index].next != reps[0].next {
+			t.Errorf("seed %d: the frozen replica settled at slot %d, replica 0 at %d", seed, reps[victim.Index].next, reps[0].next)
+		}
+	}
+	if got := Telemetry.Snapshot().Delta(before).Map()["kv_snapshot_install"]; got < seeds {
+		t.Errorf("%d snapshots installed over %d seeds, want one a seed at least", got, seeds)
+	}
+}
+
+// runRecovered runs rt under sched and fails t with the panic a body raised,
+// such as the sim backend's use-after-release.
+func runRecovered(t *testing.T, seed int64, rt *sim.Runtime, sched sim.Scheduler) (res *sim.Result) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("seed %d: %v", seed, p)
+		}
+	}()
+	return rt.Run(sched)
+}
+
+// TestSnapshotAllocs: a replica of the benchmark's shape (eight keys, four
+// clerks) takes a thousand snapshots, each installed into a second state as a
+// laggard would, and the whole walk — every object allocated, counted once
+// with runtime.MemStats — costs the chunks of the slabs the snapshots are
+// cut from and a few objects more (two a chunk under -race, whose
+// instrumented slices.Grow allocates its scratch too). A snapshot that boxed
+// its parts, or an install that rebuilt the map, would cost thousands.
+func TestSnapshotAllocs(t *testing.T) {
+	const nc, warm, snaps = 4, 16, 1024
+	r := &replica{st: NewState(nc)}
+	dst := NewState(nc)
+	walk := func(n int) {
+		for range n {
+			r.next++
+			r.st.ApplyReq(Request{Client: r.next % nc, Seq: r.next, Op: OpPut, Key: clerkKeys[r.next%len(clerkKeys)], Val: int64(r.next)})
+			dst.install(r.snapshot())
+		}
+	}
+	walk(warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	walk(snaps)
+	runtime.ReadMemStats(&after)
+	objects := after.Mallocs - before.Mallocs
+	if !reflect.DeepEqual(r.st, dst) {
+		t.Fatalf("installed state %+v, want %+v", *dst, *r.st)
+	}
+	chunks := 0
+	for _, per := range []int{1, len(clerkKeys), nc} { // the snapshot, its puts, its replies
+		chunks += snaps*per/sim.SlabMax + 1
+	}
+	t.Logf("%d snapshots and installs: %d objects, against %d slab chunks", snaps, objects, chunks)
+	if want := uint64(2*chunks + 16); objects > want {
+		t.Errorf("%d snapshots and installs allocated %d objects, want at most %d: the slabs' chunks and a few", snaps, objects, want)
 	}
 }

@@ -40,6 +40,11 @@ const (
 	cAdviceFlap
 	cRetry
 	cDeadlineExpired
+	// Log reclamation past a laggard: snapshots a replica wrote before giving
+	// back windows a replica more than LagWindows behind had yet to sweep,
+	// and snapshots a replica that far behind installed instead of sweeping.
+	cSnapshotWrite
+	cSnapshotInstall
 
 	numCounters
 )
@@ -63,6 +68,8 @@ var Telemetry = obs.NewTaxonomy(numCounters, []string{
 	cAdviceFlap:      "kv_advice_flap",
 	cRetry:           "kv_retry",
 	cDeadlineExpired: "kv_deadline_expired",
+	cSnapshotWrite:   "kv_snapshot_write",
+	cSnapshotInstall: "kv_snapshot_install",
 })
 
 // Per-op-kind latency histograms (ns), observed by the clerk at completion:

@@ -1,6 +1,8 @@
 package kv
 
 import (
+	"slices"
+
 	"wfadvice/internal/obs"
 	"wfadvice/internal/paxos"
 	"wfadvice/internal/sim"
@@ -13,8 +15,11 @@ import (
 // the apply frontier (Body). Every value it writes — a reply, a batch and
 // the batch's requests — is a pointer into a slab the replica owns, so no
 // register write allocates. serve restores a reply a stale replica wrote
-// over, and reclaim gives the log windows every replica has passed back to
-// the backend; their comments carry the arguments.
+// over. reclaim announces each log window before the replica touches it and
+// gives back the windows every replica has passed, and those a replica more
+// than LagWindows behind has yet to reach once a snapshot of the state covers
+// them; such a laggard installs the snapshot instead of sweeping (install).
+// Their comments carry the arguments.
 
 // ReplicaConfig parameterizes one replica (an S-process body).
 type ReplicaConfig struct {
@@ -44,10 +49,17 @@ type replica struct {
 	reps sim.Regs
 	log  *paxos.Log
 	st   *State
-	// fronts holds every replica's published frontier (FrontierKeys);
-	// published is the last value this replica wrote to its own.
-	fronts    sim.Regs
-	published int
+	// reclaimRegs holds every replica's frontier register (FrontierKey) at
+	// its index and its snapshot register (SnapshotKey) NS further on (see
+	// bindReclaim). published is the last frontier this replica wrote, seen
+	// what its last collect of the frontiers read and low their least; snaps
+	// holds the snapshots it has written, and puts is scratch for their maps.
+	reclaimRegs sim.Regs
+	published   int
+	seen        []int
+	low         int
+	snaps       sim.Slab[Snapshot]
+	puts        []Request
 
 	reqBuf     []sim.Value
 	next       int     // apply frontier: first undecided slot
@@ -90,18 +102,19 @@ func (cfg ReplicaConfig) Body(me int) sim.Body {
 // in (see Body).
 func newReplica(cfg ReplicaConfig, me int, e sim.Ops) *replica {
 	return &replica{
-		cfg:        cfg,
-		me:         me,
-		e:          e,
-		h:          Telemetry.Handle(),
-		reqs:       e.Bind(ReqKeys(cfg.NC)),
-		reps:       e.Bind(RepKeys(cfg.NC)),
-		log:        paxos.NewLog(e, LogPrefix, me, cfg.NS, cfg.Window),
-		st:         NewState(cfg.NC),
-		fronts:     e.Bind(FrontierKeys(cfg.NS)),
-		reqBuf:     make([]sim.Value, cfg.NC),
-		repWritten: make([]Reply, cfg.NC),
-		unread:     make([]int, cfg.NC),
+		cfg:         cfg,
+		me:          me,
+		e:           e,
+		h:           Telemetry.Handle(),
+		reqs:        e.Bind(ReqKeys(cfg.NC)),
+		reps:        e.Bind(RepKeys(cfg.NC)),
+		log:         paxos.NewLog(e, LogPrefix, me, cfg.NS, cfg.Window),
+		st:          NewState(cfg.NC),
+		reclaimRegs: bindReclaim(e, cfg.NS),
+		seen:        make([]int, cfg.NS),
+		reqBuf:      make([]sim.Value, cfg.NC),
+		repWritten:  make([]Reply, cfg.NC),
+		unread:      make([]int, cfg.NC),
 	}
 }
 
@@ -167,66 +180,172 @@ func (r *replica) noteLead(lead bool) {
 // it is the in-flight one — a competitor decided it before this replica's
 // proposer noticed — the proposal is settled here, from the swept value:
 // past this point the slot's proposer is gone and must not be asked again.
+// A sweep stops at its window's end, and the next window is announced
+// (reclaim) before it is swept.
 func (r *replica) apply(lead bool) bool {
 	moved := false
-	r.next = r.log.Sweep(r.next, func(slot int, v paxos.Value) bool {
-		moved = true
-		if r.inflight && slot == r.slot {
-			r.settle(v)
-		}
-		if b, ok := v.(*Batch); ok {
-			r.h.Inc(cApply)
-			for _, req := range b.Reqs {
-				rep, fresh := r.st.ApplyReq(req)
-				if !fresh {
-					r.h.Inc(cDedupHit)
-					continue
-				}
-				if lead {
-					r.deliver(req.Client, rep)
+	for {
+		from := r.next
+		r.next = r.log.Sweep(from, func(slot int, v paxos.Value) bool {
+			if r.inflight && slot == r.slot {
+				r.settle(v)
+			}
+			if b, ok := v.(*Batch); ok {
+				r.h.Inc(cApply)
+				for _, req := range b.Reqs {
+					rep, fresh := r.st.ApplyReq(req)
+					if !fresh {
+						r.h.Inc(cDedupHit)
+						continue
+					}
+					if lead {
+						r.deliver(req.Client, rep)
+					}
 				}
 			}
+			r.log.Release(slot)
+			return true
+		})
+		if r.next == from {
+			return moved
 		}
-		r.log.Release(slot)
-		return true
-	})
-	if moved {
+		moved = true
+		if r.next%r.log.Window() != 0 {
+			return true
+		}
 		r.reclaim()
 	}
-	return moved
 }
 
-// reclaim gives the log's decided windows back to the backend. When the
-// apply frontier has entered a new window, the replica publishes that
-// window's base in its frontier register, collects all NS of them, and has
-// the log release every window wholly below the minimum.
+// LagWindows is how many log windows a replica may fall behind another
+// before the other gives back the windows in between and the laggard has to
+// install a snapshot instead of sweeping them. The largest gap between the
+// slowest and the fastest frontier a collect read in a fault-free run of
+// efd-kv -n 3 -clients 4 -rate 0 -duration 2s, in windows of 64 slots, was
+// 1–6 with -put-frac 0.05 (six runs) and 13–46 with -put-frac 1 (fourteen
+// runs, half of them at most 19), on 2 vCPUs; 5-s runs of -put-frac 1 reached
+// 22–104. There a follower the Go scheduler starves falls behind the leader,
+// and past LagWindows it installs a snapshot: about one 2-s -put-frac 1 run
+// in three writes a few dozen snapshots and installs one. A larger value
+// holds more windows behind a crashed replica: at 64, the kv-open-crash
+// benchmark allocates 241 bytes an op, against 227 at 32.
+const LagWindows = 32
+
+// reclaim announces the window the apply frontier has entered and gives the
+// log's passed windows back to the backend. The replica publishes that
+// window's base in its frontier register and collects all NS of them. It
+// then has the log release every window wholly below the least, and — if it
+// wrote a snapshot first — every window more than LagWindows below its own
+// but the ones the collect read: those are announced. A replica that finds
+// a frontier more than LagWindows ahead of its own installs the freshest
+// snapshot of those replicas, if that is ahead of it, and announces again.
 //
-// Safety: a replica touches only slots at or past the base of the window its
-// frontier is in (the sweep collects that whole window, a proposal and the
-// lease check sit at the frontier), the frontier only grows, and the base is
-// published after the frontier got there — so a replica never touches a slot
-// below its published value, let alone below the minimum of all of them.
-// Every frontier walks up from 0 through every multiple of the window
-// length, so all replicas cut the log into the same windows and "wholly
-// below the minimum" names the same keys for each; slot keys never recur. A
-// replica that has not started reads 0 and a crashed one stays at what it
-// last wrote, so nothing at or above either is ever released: a crashed
-// replica pins the log from its frontier on, exactly as if nothing were
-// reclaimed.
+// Safety: a replica touches only slots in the window its frontier is in
+// (the sweep stops at the window's end, a proposal and the lease check sit
+// at the frontier), and it touches a window only after it has announced it
+// and its collect has shown no frontier more than LagWindows ahead, or the
+// far ones' snapshots none ahead of it. Every frontier walks up from 0
+// through every multiple of the window length, so all replicas cut the log
+// into the same windows and name the same keys for each; slot keys never
+// recur. Frontiers only grow, so a window wholly below the least is one
+// nobody will touch again. Past the least it is a Dekker handshake. A
+// releaser writes its snapshot, then its frontier f, then collects; a
+// laggard writes its frontier b, then collects. Say the releaser gives back
+// window b: b is more than LagWindows below f and its collect did not read
+// b. If it read a later frontier, the laggard had left b for good. Otherwise
+// its read came before the laggard's write, so the laggard's collect, which
+// comes after that write, reads f or later — more than LagWindows ahead —
+// and then reads a snapshot taken at f or later, and installs instead of
+// touching b. A replica that has not started reads 0 and a crashed one
+// stays at what it last wrote: it pins that one window, and the ones not
+// yet LagWindows below the others.
+//
+// A snapshot is written only when the collect before this one read a
+// frontier more than LagWindows below this window, so a run whose replicas
+// stay closer than that writes none and takes the steps it took before
+// replicas could install (TestReplicaStepShapeAcrossWindows).
 func (r *replica) reclaim() {
 	w := r.log.Window()
-	base := r.next - r.next%w
-	if base == r.published {
+	for {
+		base := r.next - r.next%w
+		if base == r.published {
+			return
+		}
+		snapped := base-r.low > LagWindows*w
+		if snapped {
+			r.reclaimRegs.Write(r.cfg.NS+r.me, r.snapshot())
+			r.h.Inc(cSnapshotWrite)
+		}
+		r.published = base
+		r.reclaimRegs.WriteInt(r.me, base)
+		low, high := base, base
+		for i := range r.seen {
+			f, _ := r.reclaimRegs.ReadInt(i) // a register nobody has written reads 0
+			r.seen[i] = f
+			low, high = min(low, f), max(high, f)
+		}
+		r.low = low
+		if high-base > LagWindows*w && r.install(base+LagWindows*w) {
+			continue
+		}
+		below := low
+		if snapped {
+			below = max(low, base-LagWindows*w)
+		}
+		r.log.Truncate(below, r.seen...)
 		return
 	}
-	r.published = base
-	r.fronts.WriteInt(r.me, base)
-	low := base
-	for i := 0; i < r.cfg.NS; i++ {
-		f, _ := r.fronts.ReadInt(i) // a register nobody has written reads 0
-		low = min(low, f)
+}
+
+// install reads the snapshot registers of the replicas whose frontier the
+// last collect read above far and installs the freshest, if it is ahead of
+// this replica's apply frontier. A proposal still riding the log is
+// abandoned: its slot is behind the new frontier, and its requests are
+// still pending for whoever leads.
+func (r *replica) install(far int) bool {
+	var best *Snapshot
+	for i, f := range r.seen {
+		if f <= far {
+			continue
+		}
+		if sn, _ := r.reclaimRegs.Read(r.cfg.NS + i).(*Snapshot); sn != nil && sn.Next > r.next && (best == nil || sn.Next > best.Next) {
+			best = sn
+		}
 	}
-	r.log.Truncate(low)
+	if best == nil {
+		return false
+	}
+	r.st.install(best)
+	r.next = best.Next
+	if r.inflight {
+		r.log.Release(r.slot)
+		r.inflight = false
+		r.flight = nil
+	}
+	r.h.Inc(cSnapshotInstall)
+	return true
+}
+
+// snapshot returns the state at the apply frontier, cut from the slabs the
+// replica's batches and replies come from.
+func (r *replica) snapshot() *Snapshot {
+	r.puts = r.st.puts(r.puts[:0])
+	return r.snaps.One(Snapshot{
+		Next: r.next,
+		Ver:  r.st.Ver(),
+		Puts: r.batchReqs.Many(r.puts),
+		Last: r.replies.Many(r.st.last),
+	})
+}
+
+// bindReclaim binds the frontier registers and then the snapshot registers
+// of ns replicas: as one table where the backend offers tables, so that no
+// key is formatted, and by key otherwise.
+func bindReclaim(e sim.Ops, ns int) sim.Regs {
+	if tabs, ok := e.(sim.Tables); ok {
+		return tabs.BindTable(sim.Table{Space: LogPrefix, Family: "reclaim", Len: 2 * ns})
+	}
+	return e.Bind(slices.Concat(FrontierKeys(ns), SnapshotKeys(ns)))
 }
 
 // deliver writes a reply register unless this replica already wrote that

@@ -140,6 +140,20 @@ func FrontierKeys(ns int) []string {
 	return keys
 }
 
+// SnapshotKey is replica i's snapshot register: the *Snapshot it last took,
+// which a replica that has fallen too far behind installs (server.go,
+// reclaim).
+func SnapshotKey(i int) string { return fmt.Sprintf("kv/snap/%d", i) }
+
+// SnapshotKeys returns all snapshot registers, slot i = SnapshotKey(i).
+func SnapshotKeys(ns int) []string {
+	keys := make([]string, ns)
+	for i := range keys {
+		keys[i] = SnapshotKey(i)
+	}
+	return keys
+}
+
 // Pause is the hook poll loops call after a sweep that made no progress,
 // with the change epoch sampled before the sweep. Nil means the backend's
 // own wait, sim.Ops.AwaitEpoch; a caller sets one only to observe or time

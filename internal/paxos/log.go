@@ -1,6 +1,7 @@
 package paxos
 
 import (
+	"slices"
 	"strconv"
 
 	"wfadvice/internal/sim"
@@ -15,20 +16,20 @@ import (
 // slot costs its protocol writes: no key is formatted, no register resolved
 // and no proposer allocated per slot. It keeps the tables of the windows it
 // has moved on from, by value, and releases them to the backend when its
-// caller says every process is past them (Truncate). A window costs the log
-// nothing of its own but its share of that list, which Truncate compacts in
-// place; a released key-bound window leaves its key slices for the next
-// slide to refill.
+// caller says no process will touch them again (Truncate). A window costs
+// the log nothing of its own but its share of that list, which Truncate
+// compacts in place; a released key-bound window leaves its key slices for
+// the next slide to refill.
 //
 // Windows are aligned to multiples of their length, so that every view names
 // the same ones. How a window is bound depends on the backend handle. One
 // that offers sim.Tables (the native Env) binds it by identity: the log
 // prefix, "dec" or "blk", the window's number and its length. No key is
-// formatted; a truncated log pays nothing per window, and one pinned by a
-// process that never gets past it (a crashed replica) pays the window's
-// registers and nothing per view. Any other handle — the sim backend, a
-// decorator that embeds sim.Ops — binds the window's formatted keys, cut from
-// one string per table into slices the window keeps.
+// formatted; a truncated log pays nothing per window, and a window its
+// caller keeps (one a crashed replica announced) pays its registers and
+// nothing per view. Any other handle — the sim backend, a decorator that
+// embeds sim.Ops — binds the window's formatted keys, cut from one string
+// per table into slices the window keeps.
 
 // SlotKey returns the consensus-instance key of slot i of the log prefix.
 func SlotKey(prefix string, slot int) string {
@@ -178,27 +179,30 @@ func (l *Log) table(fam string, base int) sim.Table {
 }
 
 // Truncate releases the registers of every window this view has left that
-// lies wholly below slot min: the decision registers, and the block registers
-// if this view bound them. The caller vouches for what sim.Ops.Release
-// demands — no process will touch a slot below min again, through any window
-// — and the views agree on which registers that is: every window is aligned
-// to a multiple of the window length. Views release the same decision tables
-// independently; one already gone is skipped by the backend. A key-bound
-// table goes back as the slice it was bound from, which gives the backend
-// its handle too, and its key slices are kept for slide to refill. The
-// current window is never released.
-func (l *Log) Truncate(min int) {
+// lies wholly below slot below, except the windows whose bases keep names:
+// the decision registers, and the block registers — by key if this view
+// bound them, as a table whoever did. The caller vouches for what
+// sim.Ops.Release demands — no process will touch a slot of a released
+// window again, through any window — and the views agree on which registers
+// that is: every window is aligned to a multiple of the window length. A
+// kept window stays with the view for a later Truncate. Views release the
+// same tables independently; one already gone is skipped by the backend. A
+// key-bound table goes back as the slice it was bound from, which gives the
+// backend its handle too, and its key slices are kept for slide to refill.
+// The current window is never released.
+func (l *Log) Truncate(below int, keep ...int) {
 	kept := l.old[:0]
 	for _, w := range l.old {
-		if w.base+l.length > min {
+		if w.base+l.length > below || slices.Contains(keep, w.base) {
 			kept = append(kept, w)
 			continue
 		}
 		if l.tabs != nil {
+			// The block table goes whether this view bound it or not: a
+			// proposer that crashed in the window may be the only one that
+			// did, and an identity costs nothing to name.
 			l.tabs.ReleaseTable(l.table(decFamily, w.base))
-			if w.blk != nil {
-				l.tabs.ReleaseTable(l.table(blkFamily, w.base))
-			}
+			l.tabs.ReleaseTable(l.table(blkFamily, w.base))
 		} else {
 			l.e.Release(w.decKeys)
 			if w.blk != nil {
@@ -281,24 +285,23 @@ func (l *Log) Decided(slot int) (Value, bool) {
 // Sweep collects the window of decision registers covering slot from in one
 // batched ReadMany and invokes apply once for each consecutively decided
 // slot starting there, in order. apply must consume the slot; returning
-// false stops the sweep after it. If the sweep drains a fully decided
-// window it slides forward and keeps going, so a replica that fell behind
-// (crashed leader, late start) catches up in O(decided/window) collects.
-// Sweep returns the new frontier: the first slot not passed to apply.
+// false stops the sweep after it. Sweep stops at the window's end, so a
+// caller that must announce a window before it touches one (internal/kv's
+// replica) gets the turn to: a replica that fell behind catches up in one
+// call per window. Sweep returns the new frontier: the first slot not passed
+// to apply.
 func (l *Log) Sweep(from int, apply func(slot int, v Value) bool) int {
-	for {
-		w := l.slide(from)
-		w.dec.ReadMany(l.buf)
-		end := w.base + l.length
-		for from < end {
-			v, ok := DecodeDecision(l.buf[from-w.base])
-			if !ok {
-				return from
-			}
-			if !apply(from, v) {
-				return from + 1
-			}
-			from++
+	w := l.slide(from)
+	w.dec.ReadMany(l.buf)
+	end := w.base + l.length
+	for ; from < end; from++ {
+		v, ok := DecodeDecision(l.buf[from-w.base])
+		if !ok {
+			return from
+		}
+		if !apply(from, v) {
+			return from + 1
 		}
 	}
+	return end
 }

@@ -77,8 +77,9 @@ func TestLogChainsDecisionsInOrder(t *testing.T) {
 }
 
 // TestLogSweepCrossesWindows pre-decides slots straddling several bind
-// windows and checks Sweep collects them all, in order, with the frontier
-// landing on the first undecided slot.
+// windows and checks that successive Sweeps collect them all, in order, each
+// stopping at its window's end, with the frontier landing on the first
+// undecided slot.
 func TestLogSweepCrossesWindows(t *testing.T) {
 	const slots = 150 // > 2*logWindow
 	cfg := sim.Config{
@@ -91,13 +92,16 @@ func TestLogSweepCrossesWindows(t *testing.T) {
 				}
 				l := NewLog(e, "log", 0, 1, 0)
 				var got []Value
-				next := l.Sweep(0, func(s int, v Value) bool {
-					got = append(got, v)
-					return true
-				})
-				if next != slots {
-					e.Decide(fmt.Sprintf("frontier %d, want %d", next, slots))
-					return
+				next := 0
+				for _, want := range []int{logWindow, 2 * logWindow, slots, slots} {
+					next = l.Sweep(next, func(s int, v Value) bool {
+						got = append(got, v)
+						return true
+					})
+					if next != want {
+						e.Decide(fmt.Sprintf("frontier %d, want %d", next, want))
+						return
+					}
 				}
 				for s, v := range got {
 					if v != s {

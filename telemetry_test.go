@@ -31,7 +31,8 @@ var (
 	kvCounters = strings.Fields(`
 		kv_op_get kv_op_put kv_proposal kv_batch_commit kv_batch_preempt
 		kv_batch_reqs kv_apply kv_dedup_hit kv_retransmit kv_lease_read
-		kv_redirect kv_session kv_advice_flap kv_retry kv_deadline_expired`)
+		kv_redirect kv_session kv_advice_flap kv_retry kv_deadline_expired
+		kv_snapshot_write kv_snapshot_install`)
 	simCounters     = strings.Fields(`sim_run sim_step sim_read sim_write sim_query sim_decide`)
 	exploreCounters = strings.Fields(`
 		explore_node explore_terminal explore_dedup_hit explore_sleep_prune
