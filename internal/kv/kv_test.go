@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -43,7 +44,7 @@ func TestStateApplyDedup(t *testing.T) {
 	}
 }
 
-func sess(c int, ops ...OpRecord) *Session { return &Session{Client: c, Ops: ops} }
+func sess(c int, ops ...OpRecord) *Session { return NewSession(c, ops...) }
 
 func TestCheckSessionsAcceptsLegalHistory(t *testing.T) {
 	// c0: Put a=5 (ver1), lease Get a=5 (ver2 observed after c1's put? no —
@@ -121,18 +122,19 @@ func TestCheckSessionsSameVersionLeaseReadsCommute(t *testing.T) {
 }
 
 // stableSorted is the claimed order built the obvious way: concatenate the
-// completed records, session by session, and sort them stably.
-func stableSorted(sessions []*Session) []opRef {
-	var all []opRef
+// completed records, session by session, and sort them stably. A record is
+// named by its session and its index there.
+func stableSorted(sessions []*Session) [][2]int {
+	var all [][2]int
 	for s, sn := range sessions {
 		for i, op := range sn.Ops {
 			if !op.TimedOut {
-				all = append(all, opRef{int32(s), int32(i)})
+				all = append(all, [2]int{s, i})
 			}
 		}
 	}
-	slices.SortStableFunc(all, func(a, b opRef) int {
-		return claimedBefore(&sessions[a.s].Ops[a.i], &sessions[b.s].Ops[b.i])
+	slices.SortStableFunc(all, func(a, b [2]int) int {
+		return claimedBefore(sessions[a[0]].At(a[1]), sessions[b[0]].At(b[1]))
 	})
 	return all
 }
@@ -140,14 +142,19 @@ func stableSorted(sessions []*Session) []opRef {
 // TestClaimedOrderIsTheStableSort: the merge of the sessions is the stable
 // sort of their concatenation, on random histories (many sessions, lease
 // reads piling up on one version with ties in Start, timed-out ops in
-// between, empty sessions) and on the histories the sim backend produces,
+// between, empty sessions, sessions running over chunks of several sizes)
+// and on the histories the sim backend produces,
 // where every Start is zero and every lease-read tie is broken by session
 // alone.
 func TestClaimedOrderIsTheStableSort(t *testing.T) {
 	check := func(sessions []*Session) error {
-		got, timeouts, err := claimedOrder(sessions)
+		sp, order, timeouts, err := claimedOrder(sessions)
 		if err != nil {
 			return err
+		}
+		got := make([][2]int, len(order))
+		for k, r := range order {
+			got[k] = [2]int{int(sp[r.c].s), int(sp[r.c].base + r.j)}
 		}
 		want := stableSorted(sessions)
 		if !slices.Equal(got, want) {
@@ -155,7 +162,7 @@ func TestClaimedOrderIsTheStableSort(t *testing.T) {
 		}
 		total := 0
 		for _, s := range sessions {
-			total += len(s.Ops)
+			total += s.Len()
 		}
 		if len(got)+timeouts != total {
 			return fmt.Errorf("%d ordered + %d timed out, want %d ops", len(got), timeouts, total)
@@ -167,7 +174,7 @@ func TestClaimedOrderIsTheStableSort(t *testing.T) {
 		sessions := make([]*Session, 1+rng.Intn(9))
 		clock := make([]int64, len(sessions))
 		for c := range sessions {
-			sessions[c] = &Session{Client: c}
+			sessions[c] = newSession(c, c%3*7) // first chunks of 64, 7 and 14 records
 		}
 		ver := int64(0)
 		for n := rng.Intn(400); n > 0; n-- {
@@ -194,7 +201,7 @@ func TestClaimedOrderIsTheStableSort(t *testing.T) {
 				ver++
 				op.Ver, op.Op = ver, OpPut
 			}
-			s.Ops = append(s.Ops, op)
+			s.add(op)
 		}
 		if err := check(sessions); err != nil {
 			t.Fatalf("random seed %d: %v", seed, err)
@@ -393,47 +400,120 @@ func TestKVSimEndToEnd(t *testing.T) {
 	}, func(res *sim.Result) error {
 		for i, out := range res.Outputs {
 			s := out.(*Session)
-			if len(s.Ops) != ops {
-				return fmt.Errorf("clerk %d completed %d/%d ops", i, len(s.Ops), ops)
+			if s.Len() != ops {
+				return fmt.Errorf("clerk %d completed %d/%d ops", i, s.Len(), ops)
 			}
-			if cap(s.Ops) != ops {
-				return fmt.Errorf("clerk %d's %d records sit in a slice of %d: a script knows its length", i, ops, cap(s.Ops))
+			if len(s.chunks) != 1 || cap(s.chunks[0]) != ops {
+				return fmt.Errorf("clerk %d's %d records sit in %d chunks, the first of %d: a script knows its length",
+					i, ops, len(s.chunks), cap(s.chunks[0]))
 			}
 		}
 		return nil
 	})
 }
 
-// TestClerkRecordCapacity: a session's record slice is sized from what the
-// clerk knows when it fills — the script length, the open-loop schedule, or a
-// closed-loop clerk's own rate since it last asked, once a sixteenth of the
-// window has passed — and a record packs into 64 bytes.
-func TestClerkRecordCapacity(t *testing.T) {
+// TestSessionChunks: a record packs into 64 bytes; a session gives its
+// records back in order through Ops, At and Len across the first chunk's
+// end, the growing chunks and the full-grown ones; a session of known length
+// is one chunk of exactly that length; and an unknown one costs its records
+// and at most one chunk more.
+func TestSessionChunks(t *testing.T) {
 	if got := unsafe.Sizeof(OpRecord{}); got != 64 {
 		t.Errorf("OpRecord is %d bytes, want 64", got)
 	}
-	clock := func() int64 { return 0 }
-	const second = int64(1e9)
-	for _, tc := range []struct {
-		name      string
-		cfg       ClerkConfig
-		prev, cur pace
-		want      int
-	}{
-		{"script", ClerkConfig{Ops: 40}, pace{}, pace{}, 40},
-		{"script under a clock", ClerkConfig{Ops: 40, Clock: clock, Deadline: second}, pace{}, pace{7, second / 2}, 40},
-		{"no clock, no script", ClerkConfig{}, pace{}, pace{done: 5}, 0},
-		{"open loop", ClerkConfig{Clock: clock, Deadline: second, Interval: 300e6}, pace{}, pace{}, 4}, // due at 0, 0.3, 0.6, 0.9 s
-		{"open loop, whole intervals", ClerkConfig{Clock: clock, Deadline: second, Interval: 250e6}, pace{}, pace{}, 4},
-		{"closed loop, too early", ClerkConfig{Clock: clock, Deadline: second}, pace{}, pace{64, second / 100}, 0},
-		// 800 in the first tenth: 7200 to come, and a quarter of that.
-		{"closed loop, first estimate", ClerkConfig{Clock: clock, Deadline: second}, pace{}, pace{800, second / 10}, 800 + 9000},
-		// 8000 since the first estimate, in 0.4 s: 10000 in the remaining half.
-		{"closed loop, rate since the last estimate", ClerkConfig{Clock: clock, Deadline: second}, pace{800, second / 10}, pace{8800, second / 2}, 8800 + 12500},
-		{"closed loop, past the deadline", ClerkConfig{Clock: clock, Deadline: second}, pace{}, pace{800, 2 * second}, 300},
-	} {
-		if got := tc.cfg.records(tc.prev, tc.cur); got != tc.want {
-			t.Errorf("%s: records(%v, %v) = %d, want %d", tc.name, tc.prev, tc.cur, got, tc.want)
+	rec := func(i int) OpRecord { return OpRecord{Key: clerkKeys[i%len(clerkKeys)], Arg: int64(i)} }
+	for _, first := range []int{0, 1, 5, chunkMin, chunkMax + 3} {
+		s := newSession(7, first)
+		n := first + 4*chunkMax + 17 // at least two full-grown chunks and a bit
+		for i := range n {
+			s.add(rec(i))
+		}
+		if s.Len() != n || s.Client != 7 {
+			t.Fatalf("first=%d: Len %d, Client %d, want %d records of clerk 7", first, s.Len(), s.Client, n)
+		}
+		full := 0
+		for k, c := range s.chunks {
+			if k < len(s.chunks)-1 && len(c) != cap(c) {
+				t.Fatalf("first=%d: chunk %d of %d holds %d of %d records", first, k, len(s.chunks), len(c), cap(c))
+			}
+			if k == 0 && first > 0 && cap(c) != first {
+				t.Fatalf("first=%d: the first chunk holds %d", first, cap(c))
+			}
+			if k > 0 && cap(c) != min(max(2*cap(s.chunks[k-1]), chunkMin), chunkMax) {
+				t.Fatalf("first=%d: chunk %d holds %d after one of %d", first, k, cap(c), cap(s.chunks[k-1]))
+			}
+			if cap(c) == chunkMax {
+				full++
+			}
+		}
+		if full < 2 {
+			t.Errorf("first=%d: %d chunks of %d, want the cap reached", first, full, chunkMax)
+		}
+		for i := range n {
+			if got := s.At(i); *got != rec(i) {
+				t.Fatalf("first=%d: At(%d) = %+v", first, i, *got)
+			}
+		}
+		next := 0
+		for i, op := range s.Ops {
+			if i != next || op != rec(i) {
+				t.Fatalf("first=%d: Ops yielded %d %+v after %d records", first, i, op, next)
+			}
+			next++
+		}
+		if next != n {
+			t.Fatalf("first=%d: Ops yielded %d of %d records", first, next, n)
+		}
+		for i := range s.Ops {
+			if i == 3 {
+				break // a loop may stop early
+			}
+		}
+	}
+
+	// Known length: one chunk of exactly that many records, whatever the
+	// number — the session, its chunk list and the chunk.
+	const known = 1000
+	var s *Session
+	if got := testing.AllocsPerRun(10, func() {
+		s = newSession(0, known)
+		for i := range known {
+			s.add(rec(i))
+		}
+	}); got != 3 || len(s.chunks) != 1 || cap(s.chunks[0]) != known {
+		t.Errorf("a session of %d known records made %v objects, %d chunks, the first of %d; want 3 objects, one chunk of %d",
+			known, got, len(s.chunks), cap(s.chunks[0]), known)
+	}
+	if got := NewSession(0, rec(0), rec(1), rec(2)); len(got.chunks) != 1 || cap(got.chunks[0]) != 3 {
+		t.Errorf("NewSession of 3 records: %d chunks, the first of %d", len(got.chunks), cap(got.chunks[0]))
+	}
+
+	// Unknown length: the records' bytes, the spare room of one chunk, and
+	// a few KB for the session and its chunk list, which doubles. The
+	// chunks' capacity says so exactly; the heap, read in the least of five
+	// rounds since other goroutines allocate too, says nothing else is
+	// copied or kept.
+	for _, n := range []int{1, chunkMin + 1, 3 * chunkMax, 10*chunkMax + 1} {
+		got := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s = newSession(0, 0)
+			for i := range n {
+				s.add(rec(i))
+			}
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		room := 0
+		for _, c := range s.chunks {
+			room += cap(c)
+		}
+		if room > n+chunkMax {
+			t.Errorf("%d closed-loop records sit in chunks of %d", n, room)
+		}
+		if limit := uint64(n+chunkMax)*64 + 8192; got > limit {
+			t.Errorf("%d closed-loop records allocated %d B, want at most %d", n, got, limit)
 		}
 	}
 }
@@ -827,10 +907,10 @@ func runClerkAgainstClock(t *testing.T, onGrace func(e sim.Ops)) (OpRecord, int)
 		}
 	}
 	s := res.Outputs[0].(*Session)
-	if len(s.Ops) != 1 {
-		t.Fatalf("session holds %d ops, want 1", len(s.Ops))
+	if s.Len() != 1 {
+		t.Fatalf("session holds %d ops, want 1", s.Len())
 	}
-	return s.Ops[0], reads
+	return *s.At(0), reads
 }
 
 // A deadline read as passed is only armed; it takes a second reading, one

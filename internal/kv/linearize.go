@@ -33,17 +33,51 @@ type record struct {
 }
 
 // record is op i of the session, for an error message.
-func (s *Session) record(i int) record { return record{c: s.Client, idx: i, OpRecord: s.Ops[i]} }
+func (s *Session) record(i int) record { return record{c: s.Client, idx: i, OpRecord: *s.At(i)} }
 
 func (r record) String() string {
 	return fmt.Sprintf("c%d[%d] %s %s(arg=%d)=%d ver=%d lease=%v",
 		r.c, r.idx, r.Op, r.Key, r.Arg, r.Out, r.Ver, r.Lease)
 }
 
-// opRef names one operation of a history: Ops[i] of sessions[s]. The claimed
+// span is one nonempty chunk of a session's records: ops[j] is record
+// base+j of sessions[s]. A history is its sessions' spans, session by
+// session, so the checks index a record by its span without asking the
+// session where its chunks begin.
+type span struct {
+	ops     []OpRecord
+	s, base int32
+}
+
+// opRef names one operation of a history: ops[j] of span c. The claimed
 // order is a slice of these, eight bytes an operation; the records stay
 // where the clerks put them.
-type opRef struct{ s, i int32 }
+type opRef struct{ c, j int32 }
+
+// spans lists the sessions' spans; session s's are spans[end[s-1]:end[s]].
+func spans(sessions []*Session) (sp []span, end []int32) {
+	n := 0
+	for _, ss := range sessions {
+		n += len(ss.chunks)
+	}
+	sp, end = make([]span, 0, n), make([]int32, len(sessions))
+	for s, ss := range sessions {
+		base := 0
+		for _, c := range ss.chunks {
+			if len(c) > 0 {
+				sp = append(sp, span{ops: c, s: int32(s), base: int32(base)})
+			}
+			base += len(c)
+		}
+		end[s] = int32(len(sp))
+	}
+	return sp, end
+}
+
+// record is ops[j] of the span, for an error message.
+func (sp span) record(sessions []*Session, j int32) record {
+	return sessions[sp.s].record(int(sp.base + j))
+}
 
 // claimedBefore is the claimed linearization as a comparison: version order,
 // an applied op before the lease reads that observed its state. Lease reads
@@ -81,12 +115,12 @@ func claimedBefore(a, b *OpRecord) int {
 // enforces. With any timeout present the value replay is skipped: a
 // timed-out Put may have mutated the state invisibly.
 func CheckSessions(sessions []*Session, complete bool) error {
-	order, timeouts, err := claimedOrder(sessions)
+	sp, order, timeouts, err := claimedOrder(sessions)
 	if err != nil {
 		return err
 	}
-	at := func(r opRef) *OpRecord { return &sessions[r.s].Ops[r.i] }
-	rec := func(r opRef) record { return sessions[r.s].record(int(r.i)) }
+	at := func(r opRef) *OpRecord { return &sp[r.c].ops[r.j] }
+	rec := func(r opRef) record { return sp[r.c].record(sessions, r.j) }
 	if complete {
 		// Version audit: applied versions are globally unique, and any
 		// version the service handed out but no completed op carries must
@@ -144,9 +178,9 @@ func CheckSessions(sessions []*Session, complete bool) error {
 	return nil
 }
 
-// claimedOrder runs the per-session checks and returns the claimed
-// linearization of the completed operations, with the number of timed-out
-// ones it left out.
+// claimedOrder runs the per-session checks and returns the history's spans
+// and the claimed linearization of its completed operations, with the number
+// of timed-out ones it left out.
 //
 // Each session is already in claimed order: its versions grow, two of its
 // ops share one only when the later is a lease read, and a clerk invokes its
@@ -154,37 +188,39 @@ func CheckSessions(sessions []*Session, complete bool) error {
 // as the one comparison that says so directly. The global order is therefore
 // a merge of the sessions, the earliest session winning ties: what a stable
 // sort of their concatenation yields, without copying a record.
-func claimedOrder(sessions []*Session) (order []opRef, timeouts int, err error) {
+func claimedOrder(sessions []*Session) (sp []span, order []opRef, timeouts int, err error) {
+	sp, end := spans(sessions)
 	total := 0
-	for _, s := range sessions {
-		total += len(s.Ops)
-	}
-	for _, s := range sessions {
-		var prev *OpRecord
-		for i := range s.Ops {
-			op := &s.Ops[i]
+	var prev *OpRecord
+	for c, x := range sp {
+		if c == 0 || sp[c-1].s != x.s {
+			prev = nil // a session's first span
+		}
+		total += len(x.ops)
+		for j := range x.ops {
+			op := &x.ops[j]
 			if op.TimedOut {
 				timeouts++
 				continue
 			}
 			if op.Lease && op.Op != OpGet {
-				return nil, 0, fmt.Errorf("kv: lease-served write: %v", s.record(i))
+				return nil, nil, 0, fmt.Errorf("kv: lease-served write: %v", x.record(sessions, int32(j)))
 			}
 			if prev != nil {
 				// Within a session ops are sequential, so versions grow.
 				// Equality is legal only for a lease read directly after
 				// the op whose version it observed.
 				if op.Ver < prev.Ver || (op.Ver == prev.Ver && !op.Lease) {
-					return nil, 0, fmt.Errorf("kv: session version not monotone: %v after ver=%d (lease=%v)",
-						s.record(i), prev.Ver, prev.Lease)
+					return nil, nil, 0, fmt.Errorf("kv: session version not monotone: %v after ver=%d (lease=%v)",
+						x.record(sessions, int32(j)), prev.Ver, prev.Lease)
 				}
 				if claimedBefore(prev, op) > 0 {
-					return nil, 0, fmt.Errorf("kv: session out of invocation order: %v starts at %d, before its predecessor's start at %d",
-						s.record(i), op.Start, prev.Start)
+					return nil, nil, 0, fmt.Errorf("kv: session out of invocation order: %v starts at %d, before its predecessor's start at %d",
+						x.record(sessions, int32(j)), op.Start, prev.Start)
 				}
 			}
 			if !op.Lease && op.Ver < 1 {
-				return nil, 0, fmt.Errorf("kv: applied op without a version: %v", s.record(i))
+				return nil, nil, 0, fmt.Errorf("kv: applied op without a version: %v", x.record(sessions, int32(j)))
 			}
 			prev = op
 		}
@@ -192,16 +228,24 @@ func claimedOrder(sessions []*Session) (order []opRef, timeouts int, err error) 
 
 	// heads is a binary min-heap of the sessions with operations left, each
 	// standing for its next completed op; ties go to the lower session.
-	next := make([]int32, len(sessions)) // index of session s's head op
+	next := make([]opRef, len(sessions)) // session s's head op
 	advance := func(s int32) bool {      // skips timed-out ops; false when s is drained
-		ops := sessions[s].Ops
-		for int(next[s]) < len(ops) && ops[next[s]].TimedOut {
-			next[s]++
+		r := &next[s]
+		for r.c < end[s] {
+			switch ops := sp[r.c].ops; {
+			case int(r.j) == len(ops):
+				r.c, r.j = r.c+1, 0
+			case ops[r.j].TimedOut:
+				r.j++
+			default:
+				return true
+			}
 		}
-		return int(next[s]) < len(ops)
+		return false
 	}
 	less := func(a, b int32) bool {
-		if c := claimedBefore(&sessions[a].Ops[next[a]], &sessions[b].Ops[next[b]]); c != 0 {
+		x, y := next[a], next[b]
+		if c := claimedBefore(&sp[x.c].ops[x.j], &sp[y.c].ops[y.j]); c != 0 {
 			return c < 0
 		}
 		return a < b
@@ -223,6 +267,9 @@ func claimedOrder(sessions []*Session) (order []opRef, timeouts int, err error) 
 		}
 	}
 	for s := range sessions {
+		if s > 0 {
+			next[s].c = end[s-1]
+		}
 		if advance(int32(s)) {
 			heads = append(heads, int32(s))
 		}
@@ -233,15 +280,15 @@ func claimedOrder(sessions []*Session) (order []opRef, timeouts int, err error) 
 	order = make([]opRef, 0, total-timeouts)
 	for len(heads) > 0 {
 		s := heads[0]
-		order = append(order, opRef{s, next[s]})
-		next[s]++
+		order = append(order, next[s])
+		next[s].j++
 		if !advance(s) {
 			heads[0] = heads[len(heads)-1]
 			heads = heads[:len(heads)-1]
 		}
 		down(0)
 	}
-	return order, timeouts, nil
+	return sp, order, timeouts, nil
 }
 
 // CheckLinearizable searches for a legal sequential interleaving of the
@@ -251,7 +298,7 @@ func claimedOrder(sessions []*Session) (order []opRef, timeouts int, err error) 
 func CheckLinearizable(sessions []*Session, maxOps int) error {
 	total := 0
 	for _, s := range sessions {
-		total += len(s.Ops)
+		total += s.Len()
 	}
 	if total == 0 || total > maxOps {
 		return nil
@@ -277,10 +324,10 @@ func searchLin(sessions []*Session, idx []int, state map[string]int64, seen map[
 	}
 	for i, s := range sessions {
 		j := idx[i]
-		if j >= len(s.Ops) {
+		if j >= s.Len() {
 			continue
 		}
-		op := s.Ops[j]
+		op := *s.At(j)
 		if op.TimedOut {
 			// Unresolved op: per-client seq dedup means it took effect
 			// before the session's next completed op or never, which is

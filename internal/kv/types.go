@@ -93,10 +93,87 @@ type OpRecord struct {
 }
 
 // Session is one clerk's complete history; it is the clerk's decision
-// value.
+// value. Its records are kept in chunks that are never copied or joined, so
+// a history costs its records and at most one chunk's spare room. The first
+// chunk holds what the clerk knows it will record (a script's length, an
+// open-loop schedule's due times), or chunkMin records when it cannot know;
+// each later one twice the last, from chunkMin up to chunkMax.
 type Session struct {
 	Client int
-	Ops    []OpRecord
+	chunks [][]OpRecord // all full but the last
+	n      int
+}
+
+// chunkMin and chunkMax bound a later chunk: 4 KB to 1 MB of records, so a
+// closed-loop clerk's history of a million records is about 70 chunks.
+const (
+	chunkMin = 1 << 6
+	chunkMax = 1 << 14
+)
+
+// NewSession returns clerk c's session holding ops, in one chunk of exactly
+// their number.
+func NewSession(c int, ops ...OpRecord) *Session {
+	s := newSession(c, len(ops))
+	for _, op := range ops {
+		s.add(op)
+	}
+	return s
+}
+
+// newSession returns clerk c's empty session, its first chunk sized for n
+// records; n = 0 leaves the first chunk to add, at chunkMin.
+func newSession(c, n int) *Session {
+	s := &Session{Client: c}
+	if n > 0 {
+		s.chunks = [][]OpRecord{make([]OpRecord, 0, n)}
+	}
+	return s
+}
+
+// add appends op to the session.
+func (s *Session) add(op OpRecord) {
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
+		size := chunkMin
+		if last >= 0 {
+			size = min(max(2*cap(s.chunks[last]), chunkMin), chunkMax)
+		}
+		s.chunks = append(s.chunks, make([]OpRecord, 0, size))
+		last++
+	}
+	s.chunks[last] = append(s.chunks[last], op)
+	s.n++
+}
+
+// Len is the number of records in the session.
+func (s *Session) Len() int { return s.n }
+
+// At returns record i of the session, 0 <= i < Len(). It walks the chunks;
+// the checkers, which visit every record, index the chunks themselves.
+func (s *Session) At(i int) *OpRecord {
+	j := i
+	for _, c := range s.chunks {
+		if j < len(c) {
+			return &c[j]
+		}
+		j -= len(c)
+	}
+	panic(fmt.Sprintf("kv: record %d of a session of %d", i, s.n))
+}
+
+// Ops yields the session's records in order with their indices:
+// for i, op := range s.Ops.
+func (s *Session) Ops(yield func(int, OpRecord) bool) {
+	i := 0
+	for _, c := range s.chunks {
+		for _, op := range c {
+			if !yield(i, op) {
+				return
+			}
+			i++
+		}
+	}
 }
 
 // LogPrefix is the register-key prefix of the replicated log.

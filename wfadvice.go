@@ -179,7 +179,8 @@ type (
 	// of the replicated KV protocol, written as backend-independent bodies.
 	KVReplicaConfig = kv.ReplicaConfig
 	KVClerkConfig   = kv.ClerkConfig
-	// KVSession is one clerk's observed operation history.
+	// KVSession is one clerk's observed operation history, read through
+	// its Ops, Len and At methods.
 	KVSession = kv.Session
 	// PaxosLog chains single-decree consensus instances into a replicated
 	// log with a sliding bound decision-register window.
