@@ -59,7 +59,7 @@ func Example_quickstart() {
 	// Output:
 	// inputs:  [ann bob cat dan]
 	// outputs: [ann ann ann ann]
-	// steps:   100009
+	// steps:   100007
 	// consensus reached wait-free: every pauser catches up, nobody waits on anybody
 }
 
@@ -83,7 +83,7 @@ func Example_renaming() {
 	//   k=4: max name over 30 runs = 6 (paper bound j+k-1 = 7)
 	//
 	// Theorem 16: (4,5)-renaming with vector-Ω2 advice on 5 processes
-	//   names: [1 3 2 5 ⊥]  (distinct, all ≤ 5)
+	//   names: [1 2 4 3 ⊥]  (distinct, all ≤ 5)
 }
 
 func renamingDiagonal(j int) {
@@ -196,9 +196,9 @@ func Example_setAgreement() {
 			crashes, res.Outputs, res.Outputs.DistinctValues(), k, res.Steps)
 	}
 	// Output:
-	// crashes=0  outputs=[v1 v1 v1 v1 v1 v1]  distinct=1 (≤ 2)  steps=717
-	// crashes=2  outputs=[v1 v1 v1 v1 v1 v1]  distinct=1 (≤ 2)  steps=740
-	// crashes=4  outputs=[v1 v1 v1 v1 v1 v1]  distinct=1 (≤ 2)  steps=845
+	// crashes=0  outputs=[v1 v1 v1 v1 v1 v1]  distinct=1 (≤ 2)  steps=877
+	// crashes=2  outputs=[v1 v1 v1 v1 v1 v1]  distinct=1 (≤ 2)  steps=653
+	// crashes=4  outputs=[v1 v1 v1 v1 v1 v1]  distinct=1 (≤ 2)  steps=870
 }
 
 // Separation (§2.3): classically solvable is weaker than EFD-solvable.
@@ -331,5 +331,5 @@ func Example_puzzle() {
 	// n=7 k=3 |U|=4
 	//   subset (U,3)-agreement solved:    true
 	//   ¬Ω3 extracted from the black box: true
-	//   global 3-set agreement outputs:   [2000 2000 2000 2000 2000 2000 2000] (distinct=1)
+	//   global 3-set agreement outputs:   [2002 2002 2002 2002 2002 2002 2002] (distinct=1)
 }

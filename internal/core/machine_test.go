@@ -215,9 +215,9 @@ func TestMachineStepShape(t *testing.T) {
 		cells    string
 	}{
 		{"solver", false, renamingFactory, &sim.StopWhenDecided{Inner: &sim.RoundRobin{}}, 2_000_000,
-			6170, 0xba0b589f010e8f31, "[1 2 3 ⊥]", 3, "map[0:2 1:3 2:3]"},
+			5808, 0x47c90d7dfe0a3227, "[1 3 2 ⊥]", 3, "map[0:2 1:3 2:3]"},
 		{"lanes", true, func(int, sim.Value) auto.Automaton { return auto.NewClock() }, &sim.RoundRobin{}, 40_000,
-			40_000, 0x16bb84395ebe7068, "[⊥ ⊥ ⊥ ⊥]", 0, "map[0:63 1:6]"},
+			40_000, 0xbae3e8816fdb3b55, "[⊥ ⊥ ⊥ ⊥]", 0, "map[0:61 1:0]"},
 	} {
 		mc := MachineConfig{NC: 4, NS: 4, K: 2, Factory: tc.factory, Lanes: tc.lanes}
 		rt, err := sim.New(sim.Config{

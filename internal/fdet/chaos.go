@@ -2,7 +2,6 @@ package fdet
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
@@ -217,7 +216,8 @@ func chaosValue(mode ChaosMode, p Pattern, shape any, w Time, lieSeed int64, i i
 		size := min(len(v), n)
 		var out []int
 		if mode == ChaosLie {
-			noise(lieSeed, 0, win, func(rng *rand.Rand) { out = rng.Perm(n)[:size] })
+			s := noise(lieSeed, 0, win)
+			out = s.perm(n)[:size]
 		} else {
 			out = make([]int, size)
 			for o := range out {
@@ -242,20 +242,17 @@ func lieLeader(p Pattern, lieSeed int64, win Time) (leader int) {
 			faulty++
 		}
 	}
-	noise(lieSeed, 0, win, func(rng *rand.Rand) {
-		if faulty == 0 || rng.Intn(2) != 0 {
-			leader = rng.Intn(p.N)
-			return
-		}
-		// The r-th faulty process, counting from 0 in index order.
-		for r := rng.Intn(faulty); ; leader++ {
-			if p.Faulty(leader) {
-				if r == 0 {
-					return
-				}
-				r--
+	s := noise(lieSeed, 0, win)
+	if faulty == 0 || s.intn(2) != 0 {
+		return s.intn(p.N)
+	}
+	// The r-th faulty process, counting from 0 in index order.
+	for r := s.intn(faulty); ; leader++ {
+		if p.Faulty(leader) {
+			if r == 0 {
+				return leader
 			}
+			r--
 		}
-	})
-	return leader
+	}
 }

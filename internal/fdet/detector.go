@@ -2,9 +2,7 @@ package fdet
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
-	"sync"
 )
 
 // History is a failure detector history H: Query(i, t) is the value output
@@ -60,33 +58,6 @@ func nextTick(t, stabilize Time) (Time, bool) {
 		return t + 1, true
 	}
 	return 0, false
-}
-
-// noisePool holds the generators noise draws from. Each wraps a lazySource,
-// so re-seeding one costs O(1) and builds nothing, and (*rand.Rand).Seed(s)
-// leaves it drawing exactly what rand.New(rand.NewSource(s)) would.
-var noisePool = sync.Pool{New: func() any { return rand.New(new(lazySource)) }}
-
-// noise hands draw a deterministic rng for (seed, i, t), so that histories
-// are pure functions of their arguments. The generator is only the caller's
-// for the duration of draw — it goes back to the pool afterwards — which is
-// why it arrives as an argument and not as a result.
-func noise(seed int64, i int, t Time, draw func(rng *rand.Rand)) {
-	seeded(seed*1_000_003+int64(i)*7_919+int64(t), draw)
-}
-
-// seeded hands draw a pooled generator seeded with s, as noise does.
-func seeded(s int64, draw func(rng *rand.Rand)) {
-	rng := noisePool.Get().(*rand.Rand)
-	rng.Seed(s)
-	draw(rng)
-	noisePool.Put(rng)
-}
-
-// noiseIntn is the seeded pre-stabilization leader of module i at time t.
-func noiseIntn(seed int64, i int, t Time, n int) (x int) {
-	noise(seed, i, t, func(rng *rand.Rand) { x = rng.Intn(n) })
-	return x
 }
 
 // DetectorNames lists the families resolvable by ByName.
@@ -160,7 +131,8 @@ func (h omegaHistory) Query(i int, t Time) any {
 	if t >= h.stabilize {
 		return h.leader
 	}
-	return noiseIntn(h.seed, i, t, h.n)
+	s := noise(h.seed, i, t)
+	return s.intn(h.n)
 }
 
 func (h omegaHistory) NextTransition(t Time) (Time, bool) { return nextTick(t, h.stabilize) }
@@ -195,7 +167,8 @@ type liveOmegaHistory struct {
 
 func (h liveOmegaHistory) Query(i int, t Time) any {
 	if t < h.stabilize {
-		return noiseIntn(h.seed, i, t, h.p.N)
+		s := noise(h.seed, i, t)
+		return s.intn(h.p.N)
 	}
 	return h.p.MinAlive(t)
 }
@@ -295,7 +268,8 @@ func (h antiOmegaHistory) Query(i int, t Time) any {
 			out[o] = x
 		}
 	} else {
-		noise(h.seed, i, t, func(rng *rand.Rand) { out = rng.Perm(h.n)[:h.size] })
+		s := noise(h.seed, i, t)
+		out = s.perm(h.n)[:h.size]
 	}
 	slices.Sort(out)
 	return out
@@ -369,7 +343,10 @@ func (d VectorOmegaK) Name() string { return fmt.Sprintf("VectorOmega-%d", d.K) 
 func (d VectorOmegaK) History(p Pattern, stabilize Time, seed int64) History {
 	good := d.GoodPos
 	if good < 0 || good >= d.K {
-		seeded(seed, func(rng *rand.Rand) { good = rng.Intn(d.K) })
+		// Module −1 is no module: the pick draws apart from every module's
+		// noise.
+		s := noise(seed, -1, 0)
+		good = s.intn(d.K)
 	}
 	return vectorOmegaHistory{p: p, k: d.K, good: good, leader: p.MinCorrect(),
 		pinned: d.Pinned, stabilize: stabilize, seed: seed}
@@ -387,11 +364,10 @@ type vectorOmegaHistory struct {
 
 func (h vectorOmegaHistory) Query(i int, t Time) any {
 	v := make([]int, h.k)
-	noise(h.seed, i, t, func(rng *rand.Rand) {
-		for j := range v {
-			v[j] = rng.Intn(h.p.N)
-		}
-	})
+	s := noise(h.seed, i, t)
+	for j := range v {
+		v[j] = s.intn(h.p.N)
+	}
 	if t >= h.stabilize {
 		if h.pinned {
 			cycleCorrect(v, h.p)

@@ -1,51 +1,93 @@
 package fdet
 
 import (
-	"math/rand"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 )
 
-// TestNoiseMatchesFreshSource: the pooled, re-seeded generator hands every
-// draw shape the histories use — Intn(n), Perm(n), k × Intn, N × Intn(2) —
-// exactly the stream a generator built from scratch for (seed, i, t) would,
-// whatever the generator drew for its previous holder.
-func TestNoiseMatchesFreshSource(t *testing.T) {
-	type draws struct {
-		intn  int
-		perm  []int
-		kIntn [3]int
-		coins [6]int
+// chi2 is Pearson's statistic of counts against a uniform expectation, and
+// bound its 1 − 10⁻⁴ quantile for len(counts)−1 degrees of freedom
+// (Wilson–Hilferty).
+func chi2(counts []int, total int) (stat, bound float64) {
+	want := float64(total) / float64(len(counts))
+	for _, c := range counts {
+		d := float64(c) - want
+		stat += d * d / want
 	}
-	draw := func(rng *rand.Rand, n int) (d draws) {
-		d.intn = rng.Intn(n)
-		d.perm = rng.Perm(n)
-		for j := range d.kIntn {
-			d.kIntn[j] = rng.Intn(n)
-		}
-		for x := range d.coins {
-			d.coins[x] = rng.Intn(2)
-		}
-		return d
-	}
-	triples := 0
-	for seed := int64(-3); seed < 18; seed++ {
-		for i := 0; i < 6; i++ {
-			for tm := Time(0); tm < 90; tm++ {
-				n := 2 + (i+tm)%7
-				want := draw(rand.New(rand.NewSource(seed*1_000_003+int64(i)*7_919+int64(tm))), n)
-				var got draws
-				noise(seed, i, tm, func(rng *rand.Rand) { got = draw(rng, n) })
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("noise(%d, %d, %d) drew %+v, a fresh source %+v", seed, i, tm, got, want)
-				}
-				triples++
+	df := float64(len(counts) - 1)
+	w := 2 / (9 * df)
+	return stat, df * math.Pow(1-w+3.72*math.Sqrt(w), 3)
+}
+
+// TestNoiseDistribution: intn is uniform on [0, n) across consecutive draws
+// of one stream, perm's first element and first ordered pair are uniform,
+// and modules' draws are independent of one another and of related seeds:
+// over the instance seeds of one stress run (Seed·1 000 003 + r), the modules
+// of n = 4 name themselves leader as four independent quarter-chance coins
+// would — no module in (¾)⁴ ≈ 0.316 of the seeds, exactly one in
+// 4·¼·(¾)³ ≈ 0.422.
+func TestNoiseDistribution(t *testing.T) {
+	const streams = 20_000
+	for _, n := range []int{2, 3, 4, 7, 10} {
+		counts := make([]int, n)
+		for x := 0; x < streams; x++ {
+			s := noise(int64(x/50), x%5, x/5%10)
+			for d := 0; d < 3; d++ {
+				counts[s.intn(n)]++
 			}
 		}
+		if stat, bound := chi2(counts, 3*streams); stat > bound {
+			t.Errorf("intn(%d): χ² = %.1f over %v, want ≤ %.1f", n, stat, counts, bound)
+		}
 	}
-	if triples < 10_000 {
-		t.Fatalf("only %d triples compared", triples)
+	const n = 5
+	first, pairs := make([]int, n), make([]int, n*n-n)
+	for x := 0; x < streams; x++ {
+		s := noise(7, x%3, x)
+		p := s.perm(n)
+		first[p[0]]++
+		k := p[1]
+		if k > p[0] {
+			k--
+		}
+		pairs[p[0]*(n-1)+k]++
+	}
+	if stat, bound := chi2(first, streams); stat > bound {
+		t.Errorf("perm(%d)[0]: χ² = %.1f over %v, want ≤ %.1f", n, stat, first, bound)
+	}
+	if stat, bound := chi2(pairs, streams); stat > bound {
+		t.Errorf("perm(%d)[:2]: χ² = %.1f over %v, want ≤ %.1f", n, stat, pairs, bound)
+	}
+
+	const seeds = 100_000
+	none, one := 0, 0
+	for r := int64(0); r < seeds; r++ {
+		self := 0
+		for i := 0; i < 4; i++ {
+			if s := noise(1_000_003+r, i, 0); s.intn(4) == i {
+				self++
+			}
+		}
+		switch self {
+		case 0:
+			none++
+		case 1:
+			one++
+		}
+	}
+	t.Logf("over %d seeds: no self-leader in %.4f, one in %.4f", seeds, float64(none)/seeds, float64(one)/seeds)
+	for _, c := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"no self-leader", float64(none) / seeds, 0.316},
+		{"one self-leader", float64(one) / seeds, 0.422},
+	} {
+		if math.Abs(c.got-c.want) > 0.01 {
+			t.Errorf("%s in %.3f of seeds, want %.3f ± 0.01", c.what, c.got, c.want)
+		}
 	}
 }
 
@@ -95,5 +137,47 @@ func TestQueryConcurrentMatchesSequential(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// historySink keeps TestHistoryAllocs' histories live, so building one is
+// not optimised away.
+var historySink History
+
+// TestHistoryAllocs: every family's History is one value, built with at
+// most one allocation (the chaos wrapper: one on top of its inner
+// history's), and an int-valued history answers a query without
+// allocating, before and after stabilization.
+func TestHistoryAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const stabilize = 20
+	p := NewPattern(4, map[int]Time{0: 5, 3: 30})
+	build := func(d Detector) float64 {
+		return testing.AllocsPerRun(100, func() { historySink = d.History(p, stabilize, 9) })
+	}
+	intValued := []Detector{Trivial{}, Omega{}, LiveOmega{}, FirstAlive{}}
+	for _, d := range append(intValued, AntiOmegaK{K: 2}, VectorOmegaK{K: 2, GoodPos: 1}, VectorOmegaK{K: 2, GoodPos: -1}) {
+		if got := build(d); got > 1 {
+			t.Errorf("%s: History allocates %.0f objects, want ≤ 1", d.Name(), got)
+		}
+	}
+	for _, inner := range intValued {
+		for _, mode := range []ChaosMode{ChaosFlap, ChaosLie, ChaosDiverge} {
+			d := WithChaos(inner, AdviceChaos{Mode: mode, Window: 4})
+			if got, in := build(d), build(inner); got > in+1 {
+				t.Errorf("%s: History allocates %.0f objects, %.0f more than its inner history's, want ≤ 1 more", d.Name(), got, got-in)
+			}
+			intValued = append(intValued, d)
+		}
+	}
+	for _, d := range intValued {
+		h := d.History(p, stabilize, 9)
+		for _, tm := range []Time{3, stabilize + 15} {
+			if got := testing.AllocsPerRun(100, func() { h.Query(1, tm) }); got != 0 {
+				t.Errorf("%s: Query at %d allocates %.0f objects, want 0", d.Name(), tm, got)
+			}
+		}
 	}
 }
