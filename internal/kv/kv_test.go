@@ -24,18 +24,18 @@ import (
 
 func TestStateApplyDedup(t *testing.T) {
 	st := NewState(2)
-	rep, fresh := st.ApplyReq(Request{Client: 0, Seq: 1, Op: OpPut, Key: "a", Val: 7})
+	rep, fresh := st.ApplyReq(&Request{Client: 0, Seq: 1, Op: OpPut, Key: "a", Val: 7})
 	if !fresh || rep.Val != 0 || rep.Ver != 1 {
 		t.Fatalf("first put: rep=%+v fresh=%v", rep, fresh)
 	}
-	again, fresh := st.ApplyReq(Request{Client: 0, Seq: 1, Op: OpPut, Key: "a", Val: 99})
+	again, fresh := st.ApplyReq(&Request{Client: 0, Seq: 1, Op: OpPut, Key: "a", Val: 99})
 	if fresh || again != rep {
 		t.Fatalf("duplicate applied: rep=%+v fresh=%v", again, fresh)
 	}
 	if st.Get("a") != 7 {
 		t.Fatalf("duplicate mutated state: a=%d", st.Get("a"))
 	}
-	rep, fresh = st.ApplyReq(Request{Client: 1, Seq: 1, Op: OpGet, Key: "a"})
+	rep, fresh = st.ApplyReq(&Request{Client: 1, Seq: 1, Op: OpGet, Key: "a"})
 	if !fresh || rep.Val != 7 || rep.Ver != 2 {
 		t.Fatalf("get: rep=%+v fresh=%v", rep, fresh)
 	}
@@ -537,12 +537,12 @@ func TestReplicaAbandonsInflightOnFlap(t *testing.T) {
 	// keeping the lead, or losing it with nothing in flight, changes
 	// nothing.
 	r := &replica{h: Telemetry.Handle(), wasLead: true, inflight: true,
-		flight: []Request{{Client: 0, Seq: 1}}, batchSeq: 3}
+		flight: []*Request{{Client: 0, Seq: 1}}, batchSeq: 3}
 	r.noteLead(false)
 	if r.inflight || r.flight != nil || r.wasLead {
 		t.Fatalf("lead loss did not abandon the in-flight batch: %+v", r)
 	}
-	r.inflight, r.flight = true, []Request{{Client: 1, Seq: 2}}
+	r.inflight, r.flight = true, []*Request{{Client: 1, Seq: 2}}
 	r.noteLead(true) // regaining the lead keeps the (new) proposal
 	r.noteLead(true)
 	if !r.inflight || !r.wasLead {
@@ -558,11 +558,125 @@ func TestReplicaAbandonsInflightOnFlap(t *testing.T) {
 	}
 }
 
+// TestBatchRenders: a batch prints by its requests' content, as fmt printed
+// it when Reqs held values (the strings below are that rendering, recorded
+// before Reqs held pointers), alone and as a paxos block's value, under %v
+// for sim traces and %#v for the explorer's state hash; no address shows.
+func TestBatchRenders(t *testing.T) {
+	for _, c := range []struct {
+		b          *Batch
+		v, gv      string
+		block, gbl string
+	}{{
+		&Batch{Proposer: 1, Seq: 2, Reqs: []*Request{{Client: 0, Seq: 1, Op: OpPut, Key: "k3", Val: 5}, {Client: 2, Seq: 4, Op: OpGet, Key: "k1"}}},
+		`&{1 2 [{0 1 put k3 5} {2 4 get k1 0}]}`,
+		`&kv.Batch{Proposer:1, Seq:2, Reqs:[]kv.Request{kv.Request{Client:0, Seq:1, Op:0x1, Key:"k3", Val:5}, kv.Request{Client:2, Seq:4, Op:0x0, Key:"k1", Val:0}}}`,
+		`{1 1 &{1 2 [{0 1 put k3 5} {2 4 get k1 0}]}}`,
+		`paxos.Block{MBal:1, Bal:1, Val:&kv.Batch{Proposer:1, Seq:2, Reqs:[]kv.Request{kv.Request{Client:0, Seq:1, Op:0x1, Key:"k3", Val:5}, kv.Request{Client:2, Seq:4, Op:0x0, Key:"k1", Val:0}}}}`,
+	}, {
+		&Batch{Proposer: 3, Seq: -1, Reqs: []*Request{{Client: 1, Seq: 9, Op: OpKind(7), Key: "a b\"c", Val: -3}}},
+		`&{3 -1 [{1 9 get a b"c -3}]}`,
+		`&kv.Batch{Proposer:3, Seq:-1, Reqs:[]kv.Request{kv.Request{Client:1, Seq:9, Op:0x7, Key:"a b\"c", Val:-3}}}`,
+		`{1 1 &{3 -1 [{1 9 get a b"c -3}]}}`,
+		`paxos.Block{MBal:1, Bal:1, Val:&kv.Batch{Proposer:3, Seq:-1, Reqs:[]kv.Request{kv.Request{Client:1, Seq:9, Op:0x7, Key:"a b\"c", Val:-3}}}}`,
+	}, {
+		&Batch{Proposer: 0, Seq: 7, Reqs: []*Request{}},
+		`&{0 7 []}`,
+		`&kv.Batch{Proposer:0, Seq:7, Reqs:[]kv.Request{}}`,
+		`{1 1 &{0 7 []}}`,
+		`paxos.Block{MBal:1, Bal:1, Val:&kv.Batch{Proposer:0, Seq:7, Reqs:[]kv.Request{}}}`,
+	}, {
+		&Batch{Proposer: 0, Seq: 7},
+		`&{0 7 []}`,
+		`&kv.Batch{Proposer:0, Seq:7, Reqs:[]kv.Request(nil)}`,
+		`{1 1 &{0 7 []}}`,
+		`paxos.Block{MBal:1, Bal:1, Val:&kv.Batch{Proposer:0, Seq:7, Reqs:[]kv.Request(nil)}}`,
+	}} {
+		blk := &paxos.Block{MBal: 1, Bal: 1, Val: c.b}
+		for _, got := range []struct{ got, want string }{
+			{fmt.Sprintf("%v", c.b), c.v},
+			{fmt.Sprint(c.b), c.v},
+			{fmt.Sprintf("%#v", c.b), c.gv},
+			{fmt.Sprintf("%v", blk), c.block},
+			{fmt.Sprintf("%v", *blk), c.block},
+			{fmt.Sprintf("%#v", blk), c.gbl},
+			{fmt.Sprintf("%#v", *blk), c.gbl},
+		} {
+			if got.got != got.want {
+				t.Errorf("rendered %s, want %s", got.got, got.want)
+			}
+		}
+	}
+}
+
+// TestBatchNamesClerkRequests: a batch copies no request. Every request of
+// every batch written to a log register — a proposer's block or a decision —
+// is the very pointer a clerk wrote to its request register. Advice flaps, so
+// leaders abandon batches mid-flight and re-form them from the request
+// registers: some request rides more than one batch, and is the clerk's in
+// each.
+func TestBatchNamesClerkRequests(t *testing.T) {
+	const n, ops = 3, 16
+	reformed, total := 0, 0
+	for seed := int64(0); seed < 16; seed++ {
+		cfg := kvSimConfig(n, ops, nil, 0, seed)
+		cfg.CBody = ClerkConfig{NC: n, NS: n, Ops: ops, PutFrac: 0.9}.Body
+		cfg.History = fdet.WithChaos(fdet.LiveOmega{}, fdet.AdviceChaos{Mode: fdet.ChaosFlap, Window: 48}).History(cfg.Pattern, 1<<30, seed)
+		cfg.MaxSteps = 6_000_000
+		rt, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rt.Run(uniform(seed))
+		if err := sim.Check(NewTask(n), res); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		written := map[*Request]bool{}
+		batches := map[*Batch]bool{}
+		for _, ev := range res.Trace {
+			if ev.Kind != sim.OpWrite {
+				continue
+			}
+			switch v := ev.Val.(type) {
+			case *Request:
+				written[v] = true
+			case *Batch:
+				batches[v] = true
+			case *paxos.Block:
+				if b, ok := v.Val.(*Batch); ok {
+					batches[b] = true
+				}
+			}
+		}
+		riding := map[*Request]int{}
+		for b := range batches {
+			for _, req := range b.Reqs {
+				if !written[req] {
+					t.Fatalf("seed %d: batch %v carries request %+v at %p, which no clerk wrote", seed, b, *req, req)
+				}
+				riding[req]++
+			}
+		}
+		again := 0
+		for _, k := range riding {
+			if k > 1 {
+				again++
+			}
+		}
+		reformed += again
+		total += len(batches)
+	}
+	t.Logf("%d batches written to the log, %d requests in more than one", total, reformed)
+	if reformed == 0 {
+		t.Error("no request rode two batches: advice flapped, but no leader re-formed a batch")
+	}
+}
+
 // TestMailboxValuesStayPut: a request, a reply or a decided batch register
-// holds a pointer into its writer's slab, and a reader copies what the
-// pointer holds only after the read that returned it (the clerk its reply,
-// the replica its request and the batches it applies), so nothing a slab
-// handed out may ever change. One clerk and one replica carry puts on the sim
+// holds a pointer into its writer's slab, and a reader reads what the
+// pointer holds after the read that returned it (the clerk its reply, the
+// replica its request and the batches it applies, whose requests are the
+// clerk's), so nothing a slab handed out may ever change. One clerk and one replica carry puts on the sim
 // backend until every slab has rolled over past a full-grown chunk of
 // sim.SlabMax values (the chunks before it hold under 2*SlabMax); every value
 // read from a register must still hold what it was read with when the run is
@@ -583,7 +697,7 @@ func TestMailboxValuesStayPut(t *testing.T) {
 		case *Reply:
 			reads = append(reads, read{rep: v, was: *v})
 		case *Batch:
-			reads = append(reads, read{batch: v, was: fmt.Sprint(*v)})
+			reads = append(reads, read{batch: v, was: v.String()})
 		}
 	}
 	watched := func(body func(int) sim.Body) func(int) sim.Body {
@@ -617,7 +731,7 @@ func TestMailboxValuesStayPut(t *testing.T) {
 		case r.rep != nil:
 			reps[r.rep], now = true, *r.rep
 		default:
-			batches[r.batch], now = true, fmt.Sprint(*r.batch)
+			batches[r.batch], now = true, r.batch.String()
 		}
 		if now != r.was {
 			t.Fatalf("a value read as %+v now holds %+v", r.was, now)
@@ -1201,7 +1315,7 @@ func TestSnapshotAllocs(t *testing.T) {
 	walk := func(n int) {
 		for range n {
 			r.next++
-			r.st.ApplyReq(Request{Client: r.next % nc, Seq: r.next, Op: OpPut, Key: clerkKeys[r.next%len(clerkKeys)], Val: int64(r.next)})
+			r.st.ApplyReq(&Request{Client: r.next % nc, Seq: r.next, Op: OpPut, Key: clerkKeys[r.next%len(clerkKeys)], Val: int64(r.next)})
 			dst.install(r.snapshot())
 		}
 	}

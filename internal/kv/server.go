@@ -13,13 +13,14 @@ import (
 // harvests the request registers in one collect, answers what it can
 // (recorded replies, lease reads) and batches the rest into one proposal at
 // the apply frontier (Body). Every value it writes — a reply, a batch and
-// the batch's requests — is a pointer into a slab the replica owns, so no
-// register write allocates. serve restores a reply a stale replica wrote
-// over. reclaim announces each log window before the replica touches it and
-// gives back the windows every replica has passed, and those a replica more
-// than LagWindows behind has yet to reach once a snapshot of the state covers
-// them; such a laggard installs the snapshot instead of sweeping (install).
-// Their comments carry the arguments.
+// the batch's list of requests — is a pointer into a slab the replica owns,
+// so no register write allocates; the requests themselves are the clerks',
+// named by the pointers the harvest read. serve restores a reply a stale
+// replica wrote over. reclaim announces each log window before the replica
+// touches it and gives back the windows every replica has passed, and those
+// a replica more than LagWindows behind has yet to reach once a snapshot of
+// the state covers them; such a laggard installs the snapshot instead of
+// sweeping (install). Their comments carry the arguments.
 
 // ReplicaConfig parameterizes one replica (an S-process body).
 type ReplicaConfig struct {
@@ -53,12 +54,14 @@ type replica struct {
 	// its index and its snapshot register (SnapshotKey) NS further on (see
 	// bindReclaim). published is the last frontier this replica wrote, seen
 	// what its last collect of the frontiers read and low their least; snaps
-	// holds the snapshots it has written, and puts is scratch for their maps.
+	// holds the snapshots it has written and snapPuts their maps, and puts is
+	// scratch for those.
 	reclaimRegs sim.Regs
 	published   int
 	seen        []int
 	low         int
 	snaps       sim.Slab[Snapshot]
+	snapPuts    sim.Slab[Request]
 	puts        []Request
 
 	reqBuf     []sim.Value
@@ -69,18 +72,19 @@ type replica struct {
 	// holds a pointer into it.
 	replies sim.Slab[Reply]
 
-	inflight bool      // a proposed batch is riding the log
-	slot     int       // its slot
-	flight   []Request // its requests (for pending-suppression)
+	inflight bool       // a proposed batch is riding the log
+	slot     int        // its slot
+	flight   []*Request // its requests (for pending-suppression)
 	batchSeq int64
 	wasLead  bool // advised leader on the previous iteration
 
 	// batch is per-iteration scratch, reused across iterations.
-	batch []Request
+	batch []*Request
 	// batches holds the batches this replica has proposed, and batchReqs
-	// their requests: a decided slot holds a pointer into the first.
+	// their lists of requests, the pointers the harvest read from the
+	// request registers: a decided slot holds a pointer into the first.
 	batches   sim.Slab[Batch]
-	batchReqs sim.Slab[Request]
+	batchReqs sim.Slab[*Request]
 }
 
 // Body returns replica me's program. The loop is: query advice, apply
@@ -326,14 +330,14 @@ func (r *replica) install(far int) bool {
 	return true
 }
 
-// snapshot returns the state at the apply frontier, cut from the slabs the
-// replica's batches and replies come from.
+// snapshot returns the state at the apply frontier, cut from the replica's
+// snapshot slabs and the slab its replies come from.
 func (r *replica) snapshot() *Snapshot {
 	r.puts = r.st.puts(r.puts[:0])
 	return r.snaps.One(Snapshot{
 		Next: r.next,
 		Ver:  r.st.Ver(),
-		Puts: r.batchReqs.Many(r.puts),
+		Puts: r.snapPuts.Many(r.puts),
 		Last: r.replies.Many(r.st.last),
 	})
 }
@@ -393,11 +397,10 @@ func (r *replica) serve(lead bool) bool {
 	progress := false
 	r.batch = r.batch[:0]
 	for c := 0; c < r.cfg.NC; c++ {
-		p, ok := r.reqBuf[c].(*Request)
+		req, ok := r.reqBuf[c].(*Request)
 		if !ok {
 			continue
 		}
-		req := *p
 		switch {
 		case r.repWritten[c].Seq == req.Seq:
 			// Answered by this replica, from the log or under a lease, and

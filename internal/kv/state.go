@@ -42,7 +42,7 @@ func (s *State) LastReply(c int) Reply { return s.last[c] }
 // applied seq is a duplicate (re-proposed across a leadership change or
 // batched twice): it is skipped and the recorded reply returned with
 // fresh=false — the exactly-once guarantee.
-func (s *State) ApplyReq(r Request) (rep Reply, fresh bool) {
+func (s *State) ApplyReq(r *Request) (rep Reply, fresh bool) {
 	if r.Seq <= s.applied[r.Client] {
 		return s.last[r.Client], false
 	}

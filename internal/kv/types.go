@@ -43,7 +43,8 @@ func (k OpKind) String() string {
 }
 
 // Request is one client operation. Clerk c writes a pointer to it into
-// ReqKey(c), taken from the clerk's slab, which never writes it again.
+// ReqKey(c), taken from the clerk's slab, which never writes it again; a
+// leader proposes and every replica applies that same pointer.
 type Request struct {
 	Client int // clerk index
 	Seq    int // per-client sequence number, starting at 1
@@ -62,13 +63,39 @@ type Reply struct {
 }
 
 // Batch is a log entry: one leader's bundle of pending requests, proposed as
-// a pointer taken from the leader's slab. (Proposer, Seq) identifies the
-// batch so the proposing leader can tell whether a decided slot carries its
-// own batch or a competitor's.
+// a pointer taken from the leader's slab. Reqs names the requests by the
+// pointers the leader read from the request registers; it copies none.
+// (Proposer, Seq) identifies the batch so the proposing leader can tell
+// whether a decided slot carries its own batch or a competitor's.
 type Batch struct {
 	Proposer int
 	Seq      int64
-	Reqs     []Request
+	Reqs     []*Request
+}
+
+// String renders the batch by content, as fmt renders a batch whose Reqs
+// are values: a pointer nested in a register's value would print as its
+// address, which no replay reproduces (see paxos.Block.String).
+func (b *Batch) String() string {
+	return fmt.Sprintf("&{%d %d %v}", b.Proposer, b.Seq, b.reqValues())
+}
+
+// GoString renders the batch by content for the explorer's state hash
+// (%#v), for the reason String does.
+func (b *Batch) GoString() string {
+	return fmt.Sprintf("&kv.Batch{Proposer:%d, Seq:%d, Reqs:%#v}", b.Proposer, b.Seq, b.reqValues())
+}
+
+// reqValues copies the batch's requests for rendering; nil if Reqs is.
+func (b *Batch) reqValues() []Request {
+	if b.Reqs == nil {
+		return nil
+	}
+	vs := make([]Request, len(b.Reqs))
+	for i, r := range b.Reqs {
+		vs[i] = *r
+	}
+	return vs
 }
 
 // OpRecord is one completed client operation as the clerk observed it, the

@@ -13,7 +13,9 @@ const SlabMax = 256
 // one that hands out millions one object per SlabMax of them. Nothing handed
 // out is ever written again — a full chunk is left to the values that point
 // into it and a new one started — so a reader may keep what it was handed
-// for as long as it likes. A slab belongs to one process and one run.
+// for as long as it likes, and publish it again as it is: a kv batch names
+// the requests its leader read rather than copies of them. A slab belongs to
+// one process and one run.
 type Slab[T any] struct{ buf []T }
 
 // One copies v into the slab and returns its address.
