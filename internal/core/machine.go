@@ -95,8 +95,10 @@ type ViewCmd struct {
 }
 
 // machineWindow is the slots per bound window of every machine log. A
-// replica walks its logs a slot at a time and never sweeps, and on the native
-// backend a window of 8 cost 2.8–3.2× the register lookups of a window of 1.
+// replica walks its logs a slot at a time and never sweeps. On the native
+// backend a window of any size binds as a table with no key looked up, and a
+// window of 8 ran byte-identical on sim and not decisively faster natively;
+// ROADMAP item 26 sets it from a measurement of the machine's own steps.
 const machineWindow = 1
 
 const admPrefix = "adm"

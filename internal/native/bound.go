@@ -1,6 +1,10 @@
 package native
 
-import "wfadvice/internal/sim"
+import (
+	"slices"
+
+	"wfadvice/internal/sim"
+)
 
 // This file is the native implementation of sim.Regs, the bound-register
 // handle behind the backend's allocation-free hot path, in its two kinds.
@@ -20,15 +24,12 @@ import "wfadvice/internal/sim"
 // boundRegs is the native sim.Regs of a key table: a resolved cell pointer per
 // slot, and the collect buffer ReadMany fills when the caller brings none. A
 // handle the bind memo returns next run brings its buffer along, and so does
-// one that Release hands to the process's next Bind.
+// one that Release, or the next arming, parks for the process's next Bind.
 type boundRegs struct {
 	e     *Env
 	keys  []string
 	cells []*cell
 	buf   []sim.Value
-	// next links the handle into its Env's list of releasable handles, or
-	// into its free list: linking allocates nothing.
-	next *boundRegs
 }
 
 // tableRegs is the native sim.Regs of a table bound by identity: one
@@ -50,8 +51,10 @@ var (
 
 // memoBinds is how many of a run's Binds, counted per process from its first,
 // an Env remembers for the next run. A one-shot body binds its whole key set
-// in its first two or three calls; a long-lived one that binds a fresh table
-// per window of log slots is remembered for its first few and no further.
+// in its first two or three calls. A paxos.Log on a raw Env binds its windows
+// as tables (BindTable), which the memo never holds; only one behind a
+// decorator binds a keyed table per window of log slots, and is remembered
+// for its first few and no further.
 const memoBinds = 4
 
 // Bind implements sim.Ops: it resolves every key to its register cell,
@@ -87,7 +90,7 @@ func (e *Env) Bind(keys []string) sim.Regs {
 	case pos < memoBinds:
 		e.binds[pos] = b // the memo's for good: never recycled, see Release
 	case len(keys) > 0:
-		e.link(b)
+		e.bound = append(e.bound, b)
 	}
 	return b
 }
@@ -107,35 +110,22 @@ func (e *Env) BindTable(t sim.Table) sim.Regs {
 	return v
 }
 
-// link appends b to the handles Release can take back.
-func (e *Env) link(b *boundRegs) {
-	if e.newest == nil {
-		e.bound = b
-	} else {
-		e.newest.next = b
-	}
-	e.newest = b
-}
-
 // spare returns a handle for a table of n keys: the released one with the
-// least room that fits, or a new one.
+// least room that fits, the latest parked of those, or a new one.
 func (e *Env) spare(n int) *boundRegs {
-	var best, before *boundRegs
-	for prev, b := (*boundRegs)(nil), e.free; b != nil; prev, b = b, b.next {
-		if c := cap(b.cells); c >= n && (best == nil || c < cap(best.cells)) {
-			best, before = b, prev
+	best := -1
+	for i, b := range e.free {
+		if c := cap(b.cells); c >= n && (best < 0 || c <= cap(e.free[best].cells)) {
+			best = i
 		}
 	}
-	if best == nil {
+	if best < 0 {
 		return &boundRegs{e: e, cells: make([]*cell, n)}
 	}
-	if before == nil {
-		e.free = best.next
-	} else {
-		before.next = best.next
-	}
-	best.next, best.cells = nil, best.cells[:n]
-	return best
+	b := e.free[best]
+	e.free = slices.Delete(e.free, best, best+1)
+	b.cells = b.cells[:n]
+	return b
 }
 
 // Release implements sim.Ops: the keys leave the register table and their
@@ -155,9 +145,10 @@ func (e *Env) Release(keys []string) {
 	if len(keys) == 0 {
 		return
 	}
-	for prev, b := (*boundRegs)(nil), e.bound; b != nil; prev, b = b, b.next {
+	for i, b := range e.bound {
 		if len(b.keys) == len(keys) && &b.keys[0] == &keys[0] {
-			e.park(prev, b)
+			e.bound = slices.Delete(e.bound, i, i+1)
+			e.park(b)
 			return
 		}
 	}
@@ -172,20 +163,11 @@ func (e *Env) ReleaseTable(t sim.Table) {
 	e.m.Add(cRegReleased, int64(e.r.store.releaseTable(t)))
 }
 
-// park unlinks b, which follows prev in the bound list, empties it and puts
-// it on the free list.
-func (e *Env) park(prev, b *boundRegs) {
-	if prev == nil {
-		e.bound = b.next
-	} else {
-		prev.next = b.next
-	}
-	if b.next == nil {
-		e.newest = prev
-	}
+// park empties b, which is no longer bound, and adds it to the free handles.
+func (e *Env) park(b *boundRegs) {
 	clear(b.cells)
 	b.keys, b.cells = nil, b.cells[:0]
-	b.next, e.free = e.free, b
+	e.free = append(e.free, b)
 }
 
 // forgetBinds drops the remembered handles: the table they were resolved

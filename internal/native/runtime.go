@@ -320,9 +320,10 @@ func (r *Runtime) arm(slot **Env, id ids.Proc, input sim.Value, body sim.Body) {
 	e.crashable = id.IsS() && r.cfg.Pattern.Faulty(id.Index)
 	e.ops, e.decided, e.decision, e.decideAt, e.crashed = 0, false, nil, 0, false
 	e.nbind = 0
-	for e.bound != nil { // last run's releasable handles: the next Binds refill them
-		e.park(nil, e.bound)
+	for _, b := range e.bound { // last run's releasable handles: the next Binds refill them
+		e.park(b)
 	}
+	e.bound = e.bound[:0]
 	r.envs = append(r.envs, e)
 }
 
@@ -445,13 +446,12 @@ type Env struct {
 	// this run's calls.
 	binds [memoBinds]*boundRegs
 	nbind int
-	// bound is the oldest of this run's key-bound handles that Release can
-	// take back by their key slice, linked in bind order up to newest; free
-	// links the released ones, and those the last run left bound, for the
+	// bound holds this run's key-bound handles that Release can take back
+	// by their key slice, in bind order; free holds the released ones, and
+	// those the last run left bound, in the order they were parked, for the
 	// next Bind to refill (see Bind and Release). A table's handle is not
 	// the process's: it stays with the table's array (BindTable).
-	bound, newest *boundRegs
-	free          *boundRegs
+	bound, free []*boundRegs
 	// The fields below are goroutine-local; the runtime reads them only
 	// after wg.Wait(), which orders the accesses.
 	ops      int64

@@ -2,7 +2,6 @@ package native
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -66,21 +65,21 @@ import (
 // last property; TestCellFirstWriteRace races the first write.
 //
 // Tables. A table bound by identity (sim.Tables: a paxos.Log window's space,
-// family, window number and length) has no keys in the map. The registry
-// keeps one ring per (space, family), indexed by window number, of the
-// backing arrays of its bound windows: binding a window is one registry
-// lookup under the mutex, and the first process to bind it takes an array
-// that becomes the window's cells. A new array is cut from a block of arrays
-// of its length, made as two objects (the arrays and their cells) and
-// doubling up to blockMax arrays a block. The handle a process gets is its
-// view of that array, kept in the array (tableArray): a window costs its
-// cells, a share of two objects per block and nothing per process that binds
-// it, which is what a window pinned by a crashed replica costs for good. A
-// space is reached one way only: once a table is bound in it, minting a key
-// in it panics, and binding the first table of a space that already holds
-// keys panics too (see sim.Ops). Both checks run under the mutex, so of a
-// key minted and a first table bound in one space, whichever comes second
-// panics.
+// family, window number and length) has no keys in the map. The registry is
+// a second map, from a table's space, family and window to its backing
+// array: binding a window is one registry lookup under the mutex, and the
+// first process to bind it takes an array that becomes the window's cells. A
+// new array is cut from a block of arrays of its length, made as two objects
+// (the arrays and their cells) and doubling up to blockMax arrays a block.
+// The handle a process gets is its view of that array, kept in the array
+// (tableArray): a window costs its cells, a share of two objects per block,
+// its registry entry and nothing per process that binds it, which is what a
+// window pinned by a crashed replica costs for good, however far the other
+// windows move on from it. A space is reached one way only: once a table is
+// bound in it, minting a key in it panics, and binding the first table of a
+// space that already holds keys panics too (see sim.Ops). Both checks run
+// under the mutex, so of a key minted and a first table bound in one space,
+// whichever comes second panics.
 //
 // Reclamation. A register lives until a process releases its key
 // (sim.Ops.Release: nobody will name the key again) or its table. Release
@@ -88,15 +87,15 @@ import (
 // backing array it was minted from; an array whose minted cells have all
 // been released is parked on a free list by length, and the next bind of
 // that many keys mints from it instead of allocating. Releasing a table takes
-// its array out of the ring, empties it and parks it at once, views
+// its array out of the registry, empties it and parks it at once, views
 // included, on the tables' own free list, which a bind takes from before it
 // cuts a block's unbound arrays; a table already gone is skipped. Neither a
 // parked array nor a block is ever given back to the heap: a block lives as
 // long as the store, however many of its arrays are bound. A long-lived
 // system that names fresh windows for ever (a log of consensus instances)
-// and releases the old ones therefore runs on a fixed set of arrays: a
-// table-bound log on one ring that never grows, with the same views in the
-// same arrays, a key-bound one on a map that churns at constant population.
+// and releases the old ones therefore runs on a fixed set of arrays, with
+// the same views in the same arrays if it binds tables, and on a map that
+// churns at constant population either way: the registry, or the key map.
 //
 // The interface decomposition is the one sync/atomic.Value relies on. It is
 // confined to split and join below, the only uses of unsafe in the package:
@@ -325,10 +324,11 @@ type store struct {
 	mu   sync.Mutex
 	m    map[string]*cell
 	free map[int][]*cellArray
-	// families files the bound tables; the released table arrays are parked
-	// by length in tabFree.
-	families map[familyID]*tableFamily
-	tabFree  map[int][]*tableArray
+	// tables is the registry: the backing array of every bound table, by
+	// its identity. The released table arrays are parked by length in
+	// tabFree.
+	tables  map[tableID]*tableArray
+	tabFree map[int][]*tableArray
 	// blocks holds, by length, the arrays of the last block carved that
 	// nobody has bound yet; bindTable takes them only when tabFree has none.
 	blocks map[int]*tableBlock
@@ -378,7 +378,7 @@ func (s *store) rearm() bool {
 	for _, c := range s.m {
 		c.reset()
 	}
-	for a := range s.tableArrays {
+	for _, a := range s.tables {
 		a.reset()
 	}
 	return true
@@ -388,21 +388,10 @@ func (s *store) rearm() bool {
 // time between two runs.
 func (s *store) held() int {
 	n := len(s.m)
-	for a := range s.tableArrays {
+	for _, a := range s.tables {
 		n += len(a.cells)
 	}
 	return n
-}
-
-// tableArrays yields the backing array of every table in the registry.
-func (s *store) tableArrays(yield func(*tableArray) bool) {
-	for _, f := range s.families {
-		for _, a := range f.ring {
-			if a != nil && !yield(a) {
-				return
-			}
-		}
-	}
 }
 
 // lookup returns key's cell, minting it on first touch. This is the keyed
@@ -488,59 +477,10 @@ func (s *store) release(keys []string) int {
 	return n
 }
 
-// familyID names one family of tables in the registry.
-type familyID struct{ space, family string }
-
-// tableFamily is the registry's entry for one family: the backing arrays of
-// its bound tables by window number, in a ring that covers windows lo ..
-// lo+n-1 and holds nil everywhere else. The ring grows only when the span of
-// bound windows outgrows it, so a log that releases behind itself at a
-// bounded lag binds and releases on one ring for good.
-type tableFamily struct {
-	lo, n int
-	ring  []*tableArray // a power of two long; window w sits at w&(len-1)
-}
-
-func (f *tableFamily) get(w int) *tableArray {
-	if w < f.lo || w >= f.lo+f.n {
-		return nil
-	}
-	return f.ring[w&(len(f.ring)-1)]
-}
-
-// put files a as window w's array, widening the span to cover w.
-func (f *tableFamily) put(w int, a *tableArray) {
-	lo, hi := w, w+1
-	if f.n > 0 {
-		lo, hi = min(lo, f.lo), max(hi, f.lo+f.n)
-	}
-	if hi-lo > len(f.ring) {
-		ring := make([]*tableArray, max(8, 1<<bits.Len(uint(hi-lo-1))))
-		for v := f.lo; v < f.lo+f.n; v++ {
-			ring[v&(len(ring)-1)] = f.ring[v&(len(f.ring)-1)]
-		}
-		f.ring = ring
-	}
-	f.lo, f.n = lo, hi-lo
-	f.ring[w&(len(f.ring)-1)] = a
-}
-
-// take removes window w's array and returns it, or nil if it has none, and
-// narrows the span past the empty windows at its ends.
-func (f *tableFamily) take(w int) *tableArray {
-	a := f.get(w)
-	if a == nil {
-		return nil
-	}
-	mask := len(f.ring) - 1
-	f.ring[w&mask] = nil
-	for f.n > 0 && f.ring[f.lo&mask] == nil {
-		f.lo, f.n = f.lo+1, f.n-1
-	}
-	for f.n > 0 && f.ring[(f.lo+f.n-1)&mask] == nil {
-		f.n--
-	}
-	return a
+// tableID names one table in the registry.
+type tableID struct {
+	space, family string
+	window        int
 }
 
 // inSpace reports whether key lies in a table space: it starts with space, a
@@ -554,23 +494,23 @@ func inSpace(key, space string) bool {
 // array was recycled: the array filed under t, or one taken for t if nobody
 // has bound it yet — a released array of t.Len cells if one is parked, one
 // cut from the block of that length otherwise (carve). The first table of a
-// family registers the family, and the first of a space the space.
+// space claims the space (claim).
 func (s *store) bindTable(t sim.Table, e *Env) (v *tableRegs, recycled bool) {
-	id := familyID{t.Space, t.Family}
+	id := tableID{t.Space, t.Family, t.Window}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := s.families[id]
-	if f == nil {
-		f = s.family(id)
-	}
-	a := f.get(t.Window)
+	a := s.tables[id]
 	if a == nil {
+		s.claim(t)
 		if l := s.tabFree[t.Len]; len(l) > 0 {
 			a, s.tabFree[t.Len], recycled = l[len(l)-1], l[:len(l)-1], true
 		} else {
 			a = s.carve(t.Len)
 		}
-		f.put(t.Window, a)
+		if s.tables == nil {
+			s.tables = make(map[tableID]*tableArray)
+		}
+		s.tables[id] = a
 	}
 	if len(a.cells) != t.Len {
 		panic(fmt.Sprintf("native: table %s/%s window %d bound with %d registers, and before with %d", t.Space, t.Family, t.Window, t.Len, len(a.cells)))
@@ -616,23 +556,18 @@ func (s *store) carve(n int) *tableArray {
 	return a
 }
 
-// family registers a family, and its space if it is the space's first; the
-// caller holds mu. A space that already holds a key panics.
-func (s *store) family(id familyID) *tableFamily {
-	if !slices.Contains(s.spaces, id.space) {
-		for k := range s.m {
-			if inSpace(k, id.space) {
-				panic(fmt.Sprintf("native: table %s/%s bound by identity in a space that holds key %q", id.space, id.family, k))
-			}
+// claim registers t's space if t is its first table; the caller holds mu. A
+// space that already holds a key panics.
+func (s *store) claim(t sim.Table) {
+	if slices.Contains(s.spaces, t.Space) {
+		return
+	}
+	for k := range s.m {
+		if inSpace(k, t.Space) {
+			panic(fmt.Sprintf("native: table %s/%s bound by identity in a space that holds key %q", t.Space, t.Family, k))
 		}
-		s.spaces = append(s.spaces, id.space)
 	}
-	if s.families == nil {
-		s.families = make(map[familyID]*tableFamily)
-	}
-	f := new(tableFamily)
-	s.families[id] = f
-	return f
+	s.spaces = append(s.spaces, t.Space)
 }
 
 // releaseTable takes table t out of the registry and reports how many
@@ -642,13 +577,12 @@ func (s *store) family(id familyID) *tableFamily {
 func (s *store) releaseTable(t sim.Table) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var a *tableArray
-	if f := s.families[familyID{t.Space, t.Family}]; f != nil {
-		a = f.take(t.Window)
-	}
+	id := tableID{t.Space, t.Family, t.Window}
+	a := s.tables[id]
 	if a == nil {
 		return 0
 	}
+	delete(s.tables, id)
 	a.reset()
 	if s.tabFree == nil {
 		s.tabFree = make(map[int][]*tableArray)

@@ -50,71 +50,45 @@ func runBody(t *testing.T, body func(e *Env)) *Runtime {
 	return rt
 }
 
-// TestTableFamilyRing: a family files each window's array in a ring over the
-// span of windows bound, whichever end a window is added at, and narrows the
-// span past empty windows as they are taken; windows that stay a bounded
-// distance apart keep one ring for good.
-func TestTableFamilyRing(t *testing.T) {
-	var f tableFamily
-	arrays := map[int]*tableArray{}
-	put := func(w int) {
-		arrays[w] = &tableArray{}
-		f.put(w, arrays[w])
-	}
-	check := func(what string) {
-		t.Helper()
-		for w := f.lo - 20; w < f.lo+f.n+20; w++ {
-			if got := f.get(w); got != arrays[w] {
-				t.Fatalf("%s: window %d holds %p, want %p", what, w, got, arrays[w])
+// TestTableRegistryPinnedWindow: a window bound and never released — the one
+// a crashed replica announced — costs the registry one entry, however far the
+// other windows move on from it. With one window pinned, 10 000 more are
+// bound and released behind at a lag of 34, the way a log walks on, and make
+// no more than a few objects and bytes: a registry that spans every window
+// from the pinned one to the newest grows with the distance walked.
+func TestTableRegistryPinnedWindow(t *testing.T) {
+	const warm, walk, lag, rounds = 200, 10_000, 34, 3
+	least := struct{ objects, bytes uint64 }{math.MaxUint64, math.MaxUint64}
+	for range rounds {
+		rt := &Runtime{store: newStore(0)}
+		e := &Env{r: rt, m: Telemetry.Handle()}
+		dec := func(w int) sim.Table { return table("log", "dec", w, 8) }
+		step := func(w int) {
+			e.BindTable(dec(w))
+			if w-lag > 0 {
+				e.ReleaseTable(dec(w - lag))
 			}
 		}
-	}
-	take := func(w int) {
-		if got := f.take(w); got != arrays[w] {
-			t.Fatalf("take(%d) = %p, want %p", w, got, arrays[w])
+		e.BindTable(dec(0)) // pinned
+		for w := 1; w <= warm; w++ {
+			step(w)
 		}
-		delete(arrays, w)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for w := warm + 1; w <= warm+walk; w++ {
+			step(w)
+		}
+		runtime.ReadMemStats(&after)
+		least.objects = min(least.objects, after.Mallocs-before.Mallocs)
+		least.bytes = min(least.bytes, after.TotalAlloc-before.TotalAlloc)
+		if got, want := rt.Registers(), 8*(1+lag); got != want {
+			t.Fatalf("Registers() = %d after the walk, want %d: the pinned window and the newest %d", got, want, lag)
+		}
 	}
-	put(5)
-	put(7)
-	put(3) // below the span
-	check("three windows")
-	if f.lo != 3 || f.n != 5 {
-		t.Fatalf("span %d+%d, want 3+5", f.lo, f.n)
+	t.Logf("%d windows walked past a pinned one: %d objects, %d B", walk, least.objects, least.bytes)
+	if least.objects > 4 || least.bytes > 32<<10 {
+		t.Errorf("%d windows walked past a pinned one made %d objects and %d B, want at most 4 and 32 KB", walk, least.objects, least.bytes)
 	}
-	for w := 8; w < 40; w++ { // past the first ring
-		put(w)
-	}
-	check("grown")
-	take(3)
-	take(6) // never bound
-	if f.lo != 5 {
-		t.Fatalf("span starts at %d after taking window 3, want 5", f.lo)
-	}
-	take(39)
-	if f.lo+f.n != 39 {
-		t.Fatalf("span ends at %d after taking window 39, want 39", f.lo+f.n)
-	}
-	check("narrowed")
-	take(5)
-	take(7)
-	ring := &f.ring[0]
-	for w := 40; w < 10_000; w++ { // a log walking on at a lag of 34 windows
-		put(w)
-		take(w - 34)
-	}
-	check("walked")
-	if &f.ring[0] != ring {
-		t.Error("a family walking at a constant lag grew its ring")
-	}
-	for w := range arrays {
-		take(w)
-	}
-	if f.n != 0 {
-		t.Fatalf("span %d+%d with nothing bound", f.lo, f.n)
-	}
-	put(1 << 20) // anywhere, once empty
-	check("restarted")
 }
 
 // TestTableBindReleaseCounts: binding a table looks up no key and binding it
@@ -165,7 +139,7 @@ func TestTableBindReleaseCounts(t *testing.T) {
 // TestTableArraysCarvedFromBlocks: three processes bind windows of two
 // lengths and release none, the way a crashed replica's log pins them. Their
 // arrays are cut from blocks of each length: the windows cost two objects a
-// block, their rings' growth and a few more; no two arrays share a cell; and
+// block, the registry map's growth and a few more; no two arrays share a cell; and
 // every array keeps TestCellStride's stride, each cell's hot words in one
 // cache line. Once some windows are released, the next binds take those
 // arrays before a block's unbound ones and make nothing, and Registers
@@ -217,14 +191,14 @@ func TestTableArraysCarvedFromBlocks(t *testing.T) {
 	blocks *= len(lens)
 	t.Logf("%d windows of %d tables: %d objects, %d blocks", windows, len(lens), objects, blocks)
 	if want := uint64(2*blocks + len(lens)*bits.Len(windows) + 32); objects > want {
-		t.Errorf("%d windows made %d objects, want at most %d: two a block, the rings' growth and a few", windows, objects, want)
+		t.Errorf("%d windows made %d objects, want at most %d: two a block, the map's growth and a few", windows, objects, want)
 	}
 
 	addr := func(p any) uintptr { return reflect.ValueOf(p).Pointer() }
 	hot := unsafe.Offsetof(cell{}.box) + unsafe.Sizeof(cell{}.box)
 	type span struct{ lo, hi uintptr }
 	var spans []span
-	for a := range rt.store.tableArrays {
+	for _, a := range rt.store.tables {
 		spans = append(spans, span{addr(&a.cells[0]), addr(&a.cells[0]) + uintptr(cap(a.cells))*cellSize})
 		for i := range a.cells {
 			c := addr(&a.cells[i])
@@ -274,7 +248,7 @@ func TestTableArraysCarvedFromBlocks(t *testing.T) {
 			t.Fatalf("round %d: rebinding %d windows after releasing as many recycled %d arrays, want %d", r, again, got, again*len(lens))
 		}
 		filed := map[*tableArray]bool{}
-		for a := range rt.store.tableArrays {
+		for _, a := range rt.store.tables {
 			filed[a] = true
 		}
 		for _, a := range parked {
@@ -551,7 +525,7 @@ func TestRearmKeepsTableBoundLogs(t *testing.T) {
 		} else if rt.store != first {
 			t.Fatalf("run %d: the table was rebuilt", run)
 		} else {
-			for a := range rt.store.tableArrays {
+			for _, a := range rt.store.tables {
 				for i := range a.cells {
 					if a.cells[i].load() != nil {
 						stale++
