@@ -141,14 +141,7 @@ func specFromMeta(meta map[string]string) (explore.Spec, error) {
 	if bad != nil {
 		return explore.Spec{}, bad
 	}
-	switch task := meta["task"]; task {
-	case taskStrongRename:
-		return specFor(task, n, j, 0, idleS)
-	case taskKSet:
-		return specFor(task, n, 0, k, idleS)
-	default:
-		return explore.Spec{}, fmt.Errorf("trace names unknown task %q", task)
-	}
+	return specFor(meta["task"], n, j, k, idleS)
 }
 
 // report is the -json document.
@@ -203,6 +196,15 @@ func main() {
 		badFlag("-progress must be non-negative, got %v (0 = off)", *progress)
 	case *expect < -1:
 		badFlag("-expect must be a count or -1 (no check), got %d", *expect)
+	}
+	// -mode random sweeps randomRuns seeds, with neither pruning nor a run
+	// budget to set: a flag that would be ignored is refused instead.
+	if *mode == modeRandom {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "no-prune" || f.Name == "max-runs" {
+				badFlag("-%s does not apply to -mode random, which sweeps %d seeds", f.Name, randomRuns)
+			}
+		})
 	}
 
 	start := time.Now()

@@ -21,8 +21,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestOutOfRangeSettingsAreFlagErrors: a negative setting would silently run
-// the default instead (or, for -expect, no check at all), so each is refused
-// before anything runs — a message, the usage, exit 2.
+// the default instead (or, for -expect, no check at all), and -mode random
+// ignores -no-prune and -max-runs, so each is refused before anything runs —
+// a message on the flag, the usage, exit 2.
 func TestOutOfRangeSettingsAreFlagErrors(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-depth", "0"},
@@ -30,6 +31,8 @@ func TestOutOfRangeSettingsAreFlagErrors(t *testing.T) {
 		{"-max-runs", "-5"},
 		{"-progress", "-1s"},
 		{"-expect", "-3"},
+		{"-no-prune", "-mode", "random"},
+		{"-max-runs", "100", "-mode", "random"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-task", "strongrename", "-n", "2", "-j", "2"}, bad...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

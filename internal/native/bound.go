@@ -34,7 +34,7 @@ type boundRegs struct {
 
 // tableRegs is the native sim.Regs of a table bound by identity: one
 // process's view of the table's backing array, kept in that array
-// (tableArray.view) and indexing its cells directly. Only its process uses
+// (regArray.view) and indexing its cells directly. Only its process uses
 // it, buffer included; the array keeps it for that process across every
 // table the array serves.
 type tableRegs struct {

@@ -14,13 +14,14 @@ import (
 // This file is the native register representation: the cell (one register's
 // storage) and the key→cell table that holds them.
 //
-// The table. One mutex guards one key map, the key path's free list and the
-// table registry. It is taken at setup only: a keyed bind resolves its whole
-// key table under one hold, a table bind is one registry operation, and a
-// release takes its keys or table back under one. Bound handles (sim.Regs)
-// resolve their cells once, so the steady-state cost of a register is a few
-// atomic accesses on one cache line with no lock at all; only the keyed
-// Read and Write, which no body calls, take the mutex per operation.
+// The table. One mutex guards one key map, the table registry and the one
+// free list of backing arrays both draw their cells from. It is taken at
+// setup only: a keyed bind resolves its whole key table under one hold, a
+// table bind is one registry operation, and a release takes its keys or
+// table back under one. Bound handles (sim.Regs) resolve their cells once,
+// so the steady-state cost of a register is a few atomic accesses on one
+// cache line with no lock at all; only the keyed Read and Write, which no
+// body calls, take the mutex per operation.
 //
 // The cell. A register holds one of three representations, named by its
 // mode word, and each representation has exactly one atomic word of truth:
@@ -64,38 +65,42 @@ import (
 // TestCellLinearizable races every pairing of writer kinds against that
 // last property; TestCellFirstWriteRace races the first write.
 //
+// Arrays. Registers are allocated in backing arrays (regArray), one kind for
+// both paths: the cells one keyed bind mints share one array of its key
+// table's length, and a table bound by identity is one array. A new array is
+// cut from a block of arrays of its length (carve), made as two objects (the
+// arrays and their cells) and doubling up to blockMax arrays a block.
+//
 // Tables. A table bound by identity (sim.Tables: a paxos.Log window's space,
 // family, window number and length) has no keys in the map. The registry is
 // a second map, from a table's space, family and window to its backing
 // array: binding a window is one registry lookup under the mutex, and the
-// first process to bind it takes an array that becomes the window's cells. A
-// new array is cut from a block of arrays of its length, made as two objects
-// (the arrays and their cells) and doubling up to blockMax arrays a block.
-// The handle a process gets is its view of that array, kept in the array
-// (tableArray): a window costs its cells, a share of two objects per block,
-// its registry entry and nothing per process that binds it, which is what a
-// window pinned by a crashed replica costs for good, however far the other
-// windows move on from it. A space is reached one way only: once a table is
-// bound in it, minting a key in it panics, and binding the first table of a
-// space that already holds keys panics too (see sim.Ops). Both checks run
-// under the mutex, so of a key minted and a first table bound in one space,
-// whichever comes second panics.
+// first process to bind it takes the array that becomes the window's cells.
+// The handle a process gets is its view of that array, kept in the array: a
+// window costs its cells, a share of two objects per block, its registry
+// entry and nothing per process that binds it, which is what a window pinned
+// by a crashed replica costs for good, however far the other windows move on
+// from it. A space is reached one way only: once a table is bound in it,
+// minting a key in it panics, and binding the first table of a space that
+// already holds keys panics too (see sim.Ops). Both checks run under the
+// mutex, so of a key minted and a first table bound in one space, whichever
+// comes second panics.
 //
 // Reclamation. A register lives until a process releases its key
 // (sim.Ops.Release: nobody will name the key again) or its table. Release
 // takes the key out of the map, empties the cell and counts it back into the
-// backing array it was minted from; an array whose minted cells have all
-// been released is parked on a free list by length, and the next bind of
-// that many keys mints from it instead of allocating. Releasing a table takes
-// its array out of the registry, empties it and parks it at once, views
-// included, on the tables' own free list, which a bind takes from before it
-// cuts a block's unbound arrays; a table already gone is skipped. Neither a
-// parked array nor a block is ever given back to the heap: a block lives as
-// long as the store, however many of its arrays are bound. A long-lived
-// system that names fresh windows for ever (a log of consensus instances)
-// and releases the old ones therefore runs on a fixed set of arrays, with
-// the same views in the same arrays if it binds tables, and on a map that
-// churns at constant population either way: the registry, or the key map.
+// array it was minted from, which is parked once all its minted cells are
+// back; releasing a table takes its array out of the registry, empties it
+// and parks it at once, views included; a key or table already gone is
+// skipped. Both park on one free list by length, and a bind of either kind
+// takes the latest array of its length parked there before it carves one
+// (take), whichever kind of bind the array served before. Neither a parked
+// array nor a block is ever given back to the heap: a block lives as long as
+// the store, however many of its arrays are bound. A long-lived system that
+// names fresh windows for ever (a log of consensus instances) and releases
+// the old ones therefore runs on a fixed set of arrays, with the same views
+// in the same arrays if it binds tables, and on a map that churns at
+// constant population either way: the registry, or the key map.
 //
 // The interface decomposition is the one sync/atomic.Value relies on. It is
 // confined to split and join below, the only uses of unsafe in the package:
@@ -103,13 +108,13 @@ import (
 // traces like any pointer (the data word keeps the caller's box alive; the
 // type word points at a static descriptor).
 
-// cellSize is the stride of the cells in one store.bind backing array: the
-// hot words are 40 bytes and the pad puts the next cell's a full cache line
-// past them, so neighbouring registers never false-share (TestCellStride).
-// The allocator starts such an array, or a block that table arrays are cut
-// from, on a 64-byte boundary, or 8 bytes past one behind its malloc header
-// (a block past 32 KB has none and starts on a page), so a cell's hot words
-// also share one line.
+// cellSize is the stride of the cells in one backing array: the hot words
+// are 40 bytes and the pad puts the next cell's a full cache line past them,
+// so neighbouring registers never false-share (TestCellStride). The
+// allocator starts the cells of a block that arrays are cut from on a
+// 64-byte boundary, or 8 bytes past one behind its malloc header (a block
+// past 32 KB has none and starts on a page), so a cell's hot words also
+// share one line.
 const cellSize = 128
 
 // cell is one shared register; see the file comment for the representation.
@@ -120,36 +125,32 @@ type cell struct {
 	data   atomic.Pointer[byte]
 	box    atomic.Pointer[sim.Value]
 	// arr is the backing array the cell belongs to, set when the array is
-	// made and never changed; release counts the cell back into it. A
-	// table's cells have none: they go back with their table.
-	arr *cellArray
+	// carved and never changed; a keyed release counts the cell back into it.
+	arr *regArray
 	_   [cellSize - 48]byte
 }
 
-// cellArray is the backing array of the cells one keyed bind or lookup
-// mints, the unit of recycling on the key path.
-type cellArray struct {
+// regArray is a backing array of registers, the unit of allocation and
+// recycling on both paths: the cells one keyed bind mints, or one table
+// bound by identity, with the views of it the processes that bound it as a
+// table hold (sim.Regs handles on its cells). A view is claimed the first
+// time a process binds the array as a table and stays that process's for
+// the array's life, across every table the array serves, so binding a table
+// allocates and fills nothing once its array exists; the first inlineViews
+// views live in the array's own struct.
+type regArray struct {
 	cells []cell
-	// live counts the cells minted from the array whose keys are still in
-	// the table, under the store's mutex. The array is parked for reuse when
-	// it drops to zero: everything handed out has been released. Nothing is
-	// released while a bind mints, so live is also that bind's next cell.
-	live int
-}
-
-// tableArray is the backing array of a table bound by identity, with the
-// views of it the processes that bound it hold (sim.Regs handles on its
-// cells). A view is claimed the first time a process binds the array and
-// stays that process's for the array's life, across every table the array
-// serves, so binding a table allocates and fills nothing once its array
-// exists; the first inlineViews views live in the array's own struct.
-type tableArray struct {
-	cells []cell
+	// live counts the cells a keyed bind minted from the array whose keys
+	// are still in the map, under the store's mutex. The array is parked
+	// when it drops to zero: everything handed out has been released.
+	// Nothing is released while a bind mints, so live is also that bind's
+	// next cell. A table's array keeps zero: it goes back with its table.
+	live  int
 	views [inlineViews]tableRegs
 	more  []*tableRegs // the views past inlineViews, claimed in order
 }
 
-// inlineViews is how many processes' views a table array holds in its own
+// inlineViews is how many processes' views an array holds in its own
 // struct: a kv log's three replicas, and a fourth. A fifth and later binder
 // costs its view one object, once per array.
 const inlineViews = 4
@@ -158,7 +159,7 @@ const inlineViews = 4
 // it; the caller holds the store's mutex, which guards the claims. Inline
 // views are claimed in order and never given up, so the first free one means
 // no process has a view past it.
-func (a *tableArray) view(e *Env) *tableRegs {
+func (a *regArray) view(e *Env) *tableRegs {
 	for i := range a.views {
 		v := &a.views[i]
 		if v.e == nil {
@@ -179,7 +180,7 @@ func (a *tableArray) view(e *Env) *tableRegs {
 }
 
 // reset empties every cell of the array.
-func (a *tableArray) reset() {
+func (a *regArray) reset() {
 	for i := range a.cells {
 		a.cells[i].reset()
 	}
@@ -319,19 +320,19 @@ func (c *cell) generalise(v sim.Value, m *obs.Handle) {
 
 // store is the register table; see the file comment.
 type store struct {
-	// mu guards the fields below it but base: the key map, the key arrays
-	// parked by length in free, the table registry and released.
-	mu   sync.Mutex
-	m    map[string]*cell
-	free map[int][]*cellArray
+	// mu guards the fields below it but base: the key map, the table
+	// registry, the arrays parked and the blocks carved, spaces and released.
+	mu sync.Mutex
+	m  map[string]*cell
 	// tables is the registry: the backing array of every bound table, by
-	// its identity. The released table arrays are parked by length in
-	// tabFree.
-	tables  map[tableID]*tableArray
-	tabFree map[int][]*tableArray
+	// its identity.
+	tables map[tableID]*regArray
+	// free parks by length the arrays all of whose registers have been
+	// released, keyed or table, for the next bind of that length (take).
+	free map[int][]*regArray
 	// blocks holds, by length, the arrays of the last block carved that
-	// nobody has bound yet; bindTable takes them only when tabFree has none.
-	blocks map[int]*tableBlock
+	// nobody has taken yet; take cuts them only when free has none.
+	blocks map[int]*arrayBlock
 	// spaces lists the Table.Space of every table bound so far, for the
 	// keyed path to refuse their keys.
 	spaces []string
@@ -405,14 +406,13 @@ func (s *store) lookup(key string) *cell {
 // bind resolves keys[i] into cells[i] for a whole key table under one hold
 // of the mutex, and reports whether it minted from a recycled array. The
 // cells it has to mint share one backing array of len(keys) cells, taken at
-// the first miss — off the free list if a released table of that length is
-// parked there — so the registers of a freshly bound table are one heap
-// object at most; a table somebody else already minted costs lookups only.
-// A key in a space whose tables are bound by identity panics.
+// the first miss (take), so a freshly bound key table costs at most a share
+// of its length's block; a table somebody else already minted costs lookups
+// only. A key in a space whose tables are bound by identity panics.
 func (s *store) bind(keys []string, cells []*cell) (recycled bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var a *cellArray
+	var a *regArray
 	for i, k := range keys {
 		c := s.m[k]
 		if c == nil {
@@ -422,7 +422,7 @@ func (s *store) bind(keys []string, cells []*cell) (recycled bool) {
 				}
 			}
 			if a == nil {
-				a, recycled = s.array(len(keys))
+				a, recycled = s.take(len(keys))
 			}
 			c = &a.cells[a.live]
 			a.live++
@@ -431,20 +431,6 @@ func (s *store) bind(keys []string, cells []*cell) (recycled bool) {
 		cells[i] = c
 	}
 	return recycled
-}
-
-// array returns a backing array of n empty cells, none of them minted: a
-// parked one if there is one, a new one otherwise. The caller holds mu.
-func (s *store) array(n int) (a *cellArray, recycled bool) {
-	if l := s.free[n]; len(l) > 0 {
-		a, s.free[n] = l[len(l)-1], l[:len(l)-1]
-		return a, true
-	}
-	a = &cellArray{cells: make([]cell, n)}
-	for i := range a.cells {
-		a.cells[i].arr = a
-	}
-	return a, false
 }
 
 // release takes keys out of the table and reports how many it held. The
@@ -464,13 +450,9 @@ func (s *store) release(keys []string) int {
 		delete(s.m, k)
 		n++
 		c.reset()
-		a := c.arr
-		a.live--
-		if a.live == 0 {
-			if s.free == nil {
-				s.free = make(map[int][]*cellArray)
-			}
-			s.free[len(a.cells)] = append(s.free[len(a.cells)], a)
+		c.arr.live--
+		if c.arr.live == 0 {
+			s.park(c.arr)
 		}
 	}
 	s.released = s.released || n > 0
@@ -491,10 +473,9 @@ func inSpace(key, space string) bool {
 }
 
 // bindTable returns e's view of table t, and reports whether the table's
-// array was recycled: the array filed under t, or one taken for t if nobody
-// has bound it yet — a released array of t.Len cells if one is parked, one
-// cut from the block of that length otherwise (carve). The first table of a
-// space claims the space (claim).
+// array was recycled: the array filed under t, or one of t.Len cells taken
+// for t if nobody has bound it yet (take). The first table of a space claims
+// the space (claim).
 func (s *store) bindTable(t sim.Table, e *Env) (v *tableRegs, recycled bool) {
 	id := tableID{t.Space, t.Family, t.Window}
 	s.mu.Lock()
@@ -502,13 +483,9 @@ func (s *store) bindTable(t sim.Table, e *Env) (v *tableRegs, recycled bool) {
 	a := s.tables[id]
 	if a == nil {
 		s.claim(t)
-		if l := s.tabFree[t.Len]; len(l) > 0 {
-			a, s.tabFree[t.Len], recycled = l[len(l)-1], l[:len(l)-1], true
-		} else {
-			a = s.carve(t.Len)
-		}
+		a, recycled = s.take(t.Len)
 		if s.tables == nil {
-			s.tables = make(map[tableID]*tableArray)
+			s.tables = make(map[tableID]*regArray)
 		}
 		s.tables[id] = a
 	}
@@ -518,40 +495,64 @@ func (s *store) bindTable(t sim.Table, e *Env) (v *tableRegs, recycled bool) {
 	return a.view(e), recycled
 }
 
+// take returns an array of n empty cells, none of them minted, and reports
+// whether it was recycled: the latest array of that length parked, or a new
+// one carved. The caller holds mu.
+func (s *store) take(n int) (a *regArray, recycled bool) {
+	if l := s.free[n]; len(l) > 0 {
+		a, s.free[n] = l[len(l)-1], l[:len(l)-1]
+		return a, true
+	}
+	return s.carve(n), false
+}
+
+// park files a, whose registers have all been released and emptied, for the
+// next take of its length. The caller holds mu.
+func (s *store) park(a *regArray) {
+	if s.free == nil {
+		s.free = make(map[int][]*regArray)
+	}
+	s.free[len(a.cells)] = append(s.free[len(a.cells)], a)
+}
+
 // blockMax is the most arrays one block holds. A length's blocks double
 // from one array up to it, so a store that binds a handful of tables of a
 // length pays for no more than it binds, and one that pins windows for good
 // pays two objects per blockMax of them.
 const blockMax = 16
 
-// tableBlock is what is left of the last block carved for one length: the
-// arrays nobody has bound yet and the cells they will get, and how many
+// arrayBlock is what is left of the last block carved for one length: the
+// arrays nobody has taken yet and the cells they will get, and how many
 // arrays the next block holds.
-type tableBlock struct {
-	arrays []tableArray
+type arrayBlock struct {
+	arrays []regArray
 	cells  []cell
 	next   int
 }
 
 // carve returns a new array of n cells, cut from the block of that length,
-// and makes the next block when that one is used up: one tableArray slice
-// and one cell slice, whose cells keep cellSize's stride and line. An array
-// is capped at its own cells. The caller holds mu.
-func (s *store) carve(n int) *tableArray {
+// and makes the next block when that one is used up: one regArray slice and
+// one cell slice, whose cells keep cellSize's stride and line. An array is
+// capped at its own cells, and each of its cells points back at it. The
+// caller holds mu.
+func (s *store) carve(n int) *regArray {
 	b := s.blocks[n]
 	if b == nil {
 		if s.blocks == nil {
-			s.blocks = make(map[int]*tableBlock)
+			s.blocks = make(map[int]*arrayBlock)
 		}
-		b = &tableBlock{next: 1}
+		b = &arrayBlock{next: 1}
 		s.blocks[n] = b
 	}
 	if len(b.arrays) == 0 {
-		b.arrays, b.cells = make([]tableArray, b.next), make([]cell, b.next*n)
+		b.arrays, b.cells = make([]regArray, b.next), make([]cell, b.next*n)
 		b.next = min(2*b.next, blockMax)
 	}
 	a := &b.arrays[0]
 	a.cells = b.cells[:n:n]
+	for i := range a.cells {
+		a.cells[i].arr = a
+	}
 	b.arrays, b.cells = b.arrays[1:], b.cells[n:]
 	return a
 }
@@ -584,10 +585,7 @@ func (s *store) releaseTable(t sim.Table) int {
 	}
 	delete(s.tables, id)
 	a.reset()
-	if s.tabFree == nil {
-		s.tabFree = make(map[int][]*tableArray)
-	}
-	s.tabFree[len(a.cells)] = append(s.tabFree[len(a.cells)], a)
+	s.park(a)
 	s.released = true
 	return len(a.cells)
 }

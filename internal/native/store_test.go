@@ -2,6 +2,7 @@ package native
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -434,6 +435,65 @@ func TestArrayRecycledOnlyWhenAllMintedCellsReleased(t *testing.T) {
 			break
 		}
 	}
+}
+
+// TestArrayRecycledAcrossKeysAndTables: keyed binds and tables bound by
+// identity draw on one free list. The array a keyed bind minted, once its
+// keys are all released, is the array of the next table of its length; a
+// released table's array is the one the next keyed bind of its length mints
+// from, and goes back to the list when those keys are released. Every cell
+// comes back empty each time.
+func TestArrayRecycledAcrossKeysAndTables(t *testing.T) {
+	st := newStore(16)
+	e := &Env{}
+	empty := func(what string, cells []*cell) {
+		t.Helper()
+		for i, c := range cells {
+			if v := c.load(); v != nil {
+				t.Fatalf("cell %d of %s reads %v, want the unwritten register", i, what, v)
+			}
+		}
+	}
+	viewCells := func(v *tableRegs) []*cell {
+		cells := make([]*cell, len(v.cells))
+		for i := range v.cells {
+			cells[i] = &v.cells[i]
+		}
+		return cells
+	}
+
+	keys, cells, _ := bindTable(st, "k", 4)
+	for i, c := range cells {
+		c.store(100+i, &testMetrics)
+	}
+	st.release(keys)
+	v, recycled := st.bindTable(table("log", "dec", 0, 4), e)
+	if !recycled || !slices.Equal(viewCells(v), cells) {
+		t.Fatal("a table of 4 did not take the array of the 4 keys released before it")
+	}
+	empty("the table on the keys' array", cells)
+
+	blk := table("log", "blk", 0, 6)
+	v, _ = st.bindTable(blk, e)
+	tabCells := viewCells(v)
+	for i, c := range tabCells {
+		c.store(200+i, &testMetrics)
+	}
+	st.releaseTable(blk)
+	keys, cells, recycled = bindTable(st, "m", 6)
+	if !recycled || !slices.Equal(cells, tabCells) {
+		t.Fatal("a keyed bind of 6 did not mint from the array of the table of 6 released before it")
+	}
+	empty("the keys on the table's array", cells)
+	for i, c := range cells {
+		c.store(300+i, &testMetrics)
+	}
+	st.release(keys)
+	v, recycled = st.bindTable(table("log", "blk", 1, 6), e)
+	if !recycled || !slices.Equal(viewCells(v), tabCells) {
+		t.Fatal("the table's array, once the keys minted from it were released, was not the next table's")
+	}
+	empty("the table's array back from the keys", tabCells)
 }
 
 // TestBindRacesReleaseOfThePreviousTable is the log's access pattern under

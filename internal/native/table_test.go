@@ -232,8 +232,8 @@ func TestTableArraysCarvedFromBlocks(t *testing.T) {
 				envs[0].ReleaseTable(table("log", fam, w, n))
 			}
 		}
-		var parked []*tableArray
-		for _, l := range rt.store.tabFree {
+		var parked []*regArray
+		for _, l := range rt.store.free {
 			parked = append(parked, l...)
 		}
 		before := Telemetry.Snapshot()
@@ -247,7 +247,7 @@ func TestTableArraysCarvedFromBlocks(t *testing.T) {
 		if got := Telemetry.Snapshot().Delta(before).Map()["cell_array_reused"]; got != int64(again*len(lens)) {
 			t.Fatalf("round %d: rebinding %d windows after releasing as many recycled %d arrays, want %d", r, again, got, again*len(lens))
 		}
-		filed := map[*tableArray]bool{}
+		filed := map[*regArray]bool{}
 		for _, a := range rt.store.tables {
 			filed[a] = true
 		}
