@@ -8,8 +8,11 @@
 // closed loop instead (every clerk issues its next operation when the
 // previous one completes; the report's scenario key then ends in
 // /closed-loop, so the two kinds of latency never share a scenario key).
-// After the run every decided clerk session is checked for linearizability
-// (version replay plus real-time order) by the kv task's ∆.
+// Every clerk session is checked for linearizability (version replay plus
+// real-time order) while the run goes on: each clerk hands its records to
+// the run's checker a chunk at a time and records on into a checked chunk,
+// so a run of any length holds a few chunks a clerk, and the kv task's ∆
+// over the decided sessions is that checker's verdict.
 //
 // Usage examples:
 //
@@ -19,6 +22,7 @@
 //	efd-kv -n 3 -crash-leader 1 -duration 2s
 //	efd-kv -n 3 -advice event -duration 2s
 //	efd-kv -n 3 -duration 30s -http 127.0.0.1:9191
+//	efd-kv -n 3 -clients 4 -rate 0 -put-frac 1 -duration 10m -snapshot 30s
 //	efd-kv -n 5 -chaos flap:8 -crash-storm -clerk-timeout 500ms -duration 2s
 //
 // -chaos wraps the advice in a hostile pre-stabilization schedule (flap,
@@ -29,6 +33,13 @@
 // the op is recorded as timed out and the session moves on, so a degraded
 // service produces visible timeouts, never a hung clerk.
 //
+// The -snapshot form is the soak profile, as in efd-stress: every interval
+// a progress line goes to stderr (clerk ops and timeouts so far, the
+// goroutine count, the live heap, and the per-second rate of every native
+// counter that moved), and after the run the goroutine and heap series is
+// audited for growth; a detected leak fails the command like a checker
+// violation. The interval may be at most half of -duration.
+//
 // -http serves the live debug endpoint while the run is going: /metrics
 // (native and kv counters, per-op-kind latency histograms, the overall
 // open-loop latency histogram), /progress (clerk ops completed, timeouts,
@@ -38,7 +49,8 @@
 // events.
 //
 // Exit status: 0 on success, 1 if the checker rejected the run (a
-// linearizability violation or an undecided clerk), 2 on bad flags.
+// linearizability violation or an undecided clerk) or the soak leak audit
+// failed, 2 on bad flags.
 package main
 
 import (
@@ -74,6 +86,7 @@ func main() {
 		tick        = flag.Duration("tick", 0, "clock tick = one model time unit (0 = default 100µs)")
 		seed        = flag.Int64("seed", 1, "root seed for advice history and clerk scripts")
 		putFrac     = flag.Float64("put-frac", 0.5, "fraction of Puts in the workload (0 = Gets only, 1 = Puts only)")
+		snapshot    = flag.Duration("snapshot", 0, "soak profile: print a progress line every interval (0 = off, at most half of -duration); goroutine or heap growth across the lines fails the run")
 		jsonOut     = flag.Bool("json", false, "emit the report as JSON on stdout")
 		httpAddr    = flag.String("http", "", "serve the live debug endpoint (/metrics, /trace, /debug/pprof) on this address for the duration of the run")
 		traceOut    = flag.String("trace-out", "", "write the decision-lifecycle trace (Chrome trace format) to this file at exit")
@@ -132,6 +145,12 @@ func main() {
 	if *tick < 0 {
 		badFlag("-tick must be non-negative, got %v (0 = default 100µs)", *tick)
 	}
+	if *snapshot < 0 {
+		badFlag("-snapshot must be non-negative, got %v (0 = off)", *snapshot)
+	}
+	if *snapshot > *duration/2 {
+		badFlag("-snapshot must be at most half of -duration (%v), got %v: the leak audit compares two halves of the series", *duration, *snapshot)
+	}
 	adviceChaos, err := fdet.ParseChaos(*chaos)
 	if err != nil {
 		badFlag("-chaos: %v", err)
@@ -145,8 +164,10 @@ func main() {
 		tracer = native.NewTracer(1 << 16)
 	}
 	latency := obs.NewHistogram()
-	start := kv.Telemetry.Snapshot()
-	stopHTTP, err := obs.ServeDebug("efd-kv", *httpAddr, 0, obs.DebugOptions{
+	// The soak profile is the debug endpoint's heartbeat at -snapshot, its
+	// line the /progress document; the soak records every beat's gauges.
+	soak, start := new(obs.Soak), kv.Telemetry.Snapshot()
+	stopHTTP, err := obs.ServeDebug("efd-kv", *httpAddr, *snapshot, obs.DebugOptions{
 		Layers:     []*obs.Taxonomy{native.Telemetry, kv.Telemetry},
 		Histograms: map[string]*obs.Histogram{"kv_open_loop_latency_ns": latency},
 		Tracer:     tracer,
@@ -154,11 +175,11 @@ func main() {
 			d := kv.Telemetry.Snapshot().Delta(start).Map()
 			return obs.WithProcess(map[string]any{"ops": latency.Snapshot().Count, "timeouts": d["kv_deadline_expired"]})
 		},
+		Soak: soak,
 	})
 	if err != nil {
 		fail("-http: %v", err)
 	}
-	defer stopHTTP()
 	rep, err := core.KVStress(core.KVStressOptions{
 		N: *n, Clients: *clients,
 		Rate: *rate, Duration: *duration, RunBudget: *runBudget,
@@ -168,6 +189,7 @@ func main() {
 		Seed: *seed, PutFrac: *putFrac,
 		Tracer: tracer, Latency: latency,
 	})
+	stopHTTP()
 	if err != nil {
 		fail("%v", err)
 	}
@@ -185,7 +207,11 @@ func main() {
 			fail("-trace-out: %v", err)
 		}
 	}
-	if rep.Failed() {
+	leakErr := soak.Check()
+	if leakErr != nil {
+		fmt.Fprintf(os.Stderr, "efd-kv: soak leak audit: %v\n", leakErr)
+	}
+	if rep.Failed() || leakErr != nil {
 		os.Exit(1)
 	}
 }

@@ -33,6 +33,8 @@ func TestOutOfRangeSettingsAreFlagErrors(t *testing.T) {
 		{"-rate", "NaN"},
 		{"-rate", "+Inf"},
 		{"-put-frac", "NaN"},
+		{"-snapshot", "-1s"},
+		{"-snapshot", "200ms"}, // over half of -duration
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-n", "3", "-duration", "300ms"}, bad...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

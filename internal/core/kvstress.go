@@ -20,8 +20,11 @@ import (
 // completion minus the operation's due time on the global open-loop
 // schedule (queueing counts against the service, in the style of "Are
 // Lock-Free Concurrent Algorithms Practically Wait-Free?"), and the checker
-// verdict is linearizability of every clerk session, established post hoc
-// by the kv task from the decided *Session values.
+// verdict is linearizability of every clerk session. The check streams:
+// the run's kv.Checker judges each clerk's records a chunk at a time while
+// the run goes on and hands the chunks back, so a run of any length holds a
+// few chunks a clerk, and the kv task's ∆ over the decided *Session values
+// is that checker's verdict.
 
 // KVStressOptions configures one open-loop KV stress run.
 type KVStressOptions struct {
@@ -232,6 +235,7 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 		Deadline: opt.Duration.Nanoseconds(), Interval: opt.interval(),
 		OpTimeout: opt.ClerkTimeout.Nanoseconds(),
 		OnOp:      func(rec kv.OpRecord, due int64) { hist.Observe(rec.End - due) },
+		Checker:   kv.NewChecker(opt.clients()),
 	})
 	cfg := s.NativeConfig(opt.Seed, opt.Tick)
 	cfg.Tracer = opt.Tracer
@@ -251,7 +255,7 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 		Crashes:   len(res.Crashed),
 		Registers: rt.Registers(),
 	}
-	rep.Judge(task.Check(s.Task, res.Inputs, res.Outputs), native.CheckDecided(res))
+	rep.Judge(0, opt.Seed, task.Check(s.Task, res.Inputs, res.Outputs), native.CheckDecided(res))
 	// Ops counts completed client operations (the decided sessions plus
 	// whatever an undecided run still recorded); res.Ops would count raw
 	// register operations, which is the wrong currency for a KV benchmark.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -179,6 +180,34 @@ func TestKVStressHoldsAFewWindowsOfRegisters(t *testing.T) {
 			t.Errorf("the table holds %d registers after %d slots, want ≤ %d (%d windows)", rep.Registers, slots, want, kv.LagWindows+4)
 		}
 	})
+}
+
+// TestKVStressHoldsAFewChunksOfHistory: the session check streams, so a
+// closed-loop run holds a few chunks of history a clerk however long it
+// runs. The live heap after a collection, read half a second in and again
+// more than a second later, grows by less than 8 MB. With the whole history
+// kept until the run ends, as when the clerks get no checker, a record
+// costs 64 B and an op of the check's order 8 more, and the second reading
+// is 30 to 50 MB higher (a tenth of that under the race detector, where the
+// run does a tenth of the ops).
+func TestKVStressHoldsAFewChunksOfHistory(t *testing.T) {
+	heaps := make(chan uint64, 2)
+	go func() {
+		start := time.Now()
+		for _, at := range []time.Duration{500 * time.Millisecond, 1700 * time.Millisecond} {
+			time.Sleep(time.Until(start.Add(at)))
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			heaps <- ms.HeapAlloc
+		}
+	}()
+	rep := runKVStress(t, KVStressOptions{N: 3, Clients: 4, PutFrac: 1, Duration: 2 * time.Second, Seed: 1})
+	first, second := <-heaps, <-heaps
+	t.Logf("%d ops; live heap %.1f MB at 0.5 s, %.1f MB at 1.7 s", rep.Ops, float64(first)/(1<<20), float64(second)/(1<<20))
+	if second > first+8<<20 {
+		t.Errorf("the live heap grew from %d to %d bytes in 1.2 s: the run keeps its history", first, second)
+	}
 }
 
 // TestKVStressSharesScenarioAssembly is the drift guard: the system KVStress

@@ -47,6 +47,13 @@ type ClerkConfig struct {
 	// OnOp reports each completed operation and its due time (due==start
 	// outside open-loop mode) to the driver for per-run histograms.
 	OnOp func(rec OpRecord, due int64)
+
+	// Checker, when set, checks the sessions as they are recorded: a clerk
+	// seals each full chunk into it and records on into a chunk it has
+	// judged, so a session holds O(1) chunks however long it runs (see
+	// Session). One checker serves one run's clerks, so a config whose
+	// bodies run more than once leaves it nil.
+	Checker *Checker
 }
 
 // clerkKeys is the keyspace every clerk draws its operations' keys from.
@@ -80,11 +87,17 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 		rng := rand.New(rand.NewSource(seed))
 		// The session's first chunk holds what the clerk knows it will
 		// record: the script, or every due time of the open-loop schedule.
-		known := cfg.Ops
-		if known == 0 && cfg.Clock != nil && cfg.Interval > 0 {
-			known = int((cfg.Deadline + cfg.Interval - 1) / cfg.Interval)
+		// A streamed session's chunks have the checker's length.
+		var sess *Session
+		if cfg.Checker != nil {
+			sess = cfg.Checker.session(i)
+		} else {
+			known := cfg.Ops
+			if known == 0 && cfg.Clock != nil && cfg.Interval > 0 {
+				known = int((cfg.Deadline + cfg.Interval - 1) / cfg.Interval)
+			}
+			sess = newSession(i, known)
 		}
-		sess := newSession(i, known)
 		var reqs sim.Slab[Request] // the request register holds a pointer into it
 		for k := 0; ; k++ {
 			if cfg.Ops > 0 && k >= cfg.Ops {
@@ -220,6 +233,7 @@ func (cfg ClerkConfig) Body(i int) sim.Body {
 			}
 		}
 		h.Inc(cSession)
+		sess.close()
 		e.Decide(sess)
 	}
 }

@@ -139,33 +139,89 @@ func stableSorted(sessions []*Session) [][2]int {
 	return all
 }
 
-// TestClaimedOrderIsTheStableSort: the merge of the sessions is the stable
-// sort of their concatenation, on random histories (many sessions, lease
-// reads piling up on one version with ties in Start, timed-out ops in
-// between, empty sessions, sessions running over chunks of several sizes)
-// and on the histories the sim backend produces,
-// where every Start is zero and every lease-read tie is broken by session
-// alone.
+// restream records sessions' records again into sessions streamed to a new
+// checker with chunks of chunk records, taking the sessions' records in a
+// random interleaving. Session open, unless it is -1, records only its
+// first stop records and is never closed; the others close when they run
+// out. visit, if not nil, is the checker's hook. The sessions must be
+// clerks 0, 1, ... in order.
+func restream(sessions []*Session, chunk int, rng *rand.Rand, open, stop int, visit func(f, i int)) *Checker {
+	k := newChecker(len(sessions), chunk)
+	k.visit = visit
+	streamed := make([]*Session, len(sessions))
+	left := make([][]OpRecord, len(sessions))
+	for f, s := range sessions {
+		k.feeds[f].stream = true
+		streamed[f] = k.session(f)
+		for _, op := range s.Ops {
+			left[f] = append(left[f], op)
+		}
+		if f == open {
+			left[f] = left[f][:stop]
+		} else if len(left[f]) == 0 {
+			streamed[f].close()
+		}
+	}
+	for {
+		var live []int
+		for f := range left {
+			if len(left[f]) > 0 {
+				live = append(live, f)
+			}
+		}
+		if len(live) == 0 {
+			return k
+		}
+		f := live[rng.Intn(len(live))]
+		streamed[f].add(left[f][0])
+		if left[f] = left[f][1:]; len(left[f]) == 0 && f != open {
+			streamed[f].close()
+		}
+	}
+}
+
+// TestClaimedOrderIsTheStableSort: the checker's merge of the sessions is
+// the stable sort of their concatenation, on random histories (many
+// sessions, lease reads piling up on one version with ties in Start,
+// timed-out ops in between, empty sessions, sessions running over chunks
+// of several sizes) and on the histories the sim backend produces, where
+// every Start is zero and every lease-read tie is broken by session alone —
+// fed all at once, and streamed in small chunks in a random interleaving,
+// which judges each record once it passes the watermark.
 func TestClaimedOrderIsTheStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
 	check := func(sessions []*Session) error {
-		sp, order, timeouts, err := claimedOrder(sessions)
-		if err != nil {
-			return err
-		}
-		got := make([][2]int, len(order))
-		for k, r := range order {
-			got[k] = [2]int{int(sp[r.c].s), int(sp[r.c].base + r.j)}
-		}
-		want := stableSorted(sessions)
-		if !slices.Equal(got, want) {
-			return fmt.Errorf("merged order of %d ops differs from the stable sort", len(want))
-		}
 		total := 0
 		for _, s := range sessions {
 			total += s.Len()
 		}
-		if len(got)+timeouts != total {
-			return fmt.Errorf("%d ordered + %d timed out, want %d ops", len(got), timeouts, total)
+		want := stableSorted(sessions)
+		for _, chunk := range []int{0, 1 + rng.Intn(5), 1 + rng.Intn(40)} {
+			var got [][2]int
+			visit := func(f, i int) { got = append(got, [2]int{f, i}) }
+			var k *Checker
+			if chunk == 0 { // all at once, as CheckSessions feeds it
+				k = newChecker(len(sessions), 0)
+				k.visit = visit
+				for f, s := range sessions {
+					base := 0
+					for _, c := range s.chunks {
+						k.add(f, c, base)
+						base += len(c)
+					}
+				}
+			} else {
+				k = restream(sessions, chunk, rng, -1, 0, visit)
+			}
+			if err := k.Finish(true); err != nil {
+				return fmt.Errorf("chunks of %d: %v", chunk, err)
+			}
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("chunks of %d: merged order of %d ops differs from the stable sort", chunk, len(want))
+			}
+			if len(got)+k.timeouts != total {
+				return fmt.Errorf("chunks of %d: %d ordered + %d timed out, want %d ops", chunk, len(got), k.timeouts, total)
+			}
 		}
 		return nil
 	}
@@ -181,7 +237,9 @@ func TestClaimedOrderIsTheStableSort(t *testing.T) {
 			c := rng.Intn(len(sessions))
 			s := sessions[c]
 			clock[c] += int64(rng.Intn(2)) // ties in Start are common
-			op := OpRecord{Op: OpGet, Key: "k", Start: clock[c], End: clock[c] + 1}
+			// No End: the sessions interleave at random, so their
+			// timestamps need not respect real time.
+			op := OpRecord{Op: OpGet, Key: "k", Start: clock[c]}
 			last := int64(-1)
 			for _, o := range s.Ops {
 				if !o.TimedOut {

@@ -119,16 +119,23 @@ type OpRecord struct {
 	TimedOut bool
 }
 
-// Session is one clerk's complete history; it is the clerk's decision
-// value. Its records are kept in chunks that are never copied or joined, so
-// a history costs its records and at most one chunk's spare room. The first
-// chunk holds what the clerk knows it will record (a script's length, an
+// Session is one clerk's history; it is the clerk's decision value. Its
+// records are kept in chunks that are never copied or joined, so a history
+// costs its records and at most one chunk's spare room. The first chunk
+// holds what the clerk knows it will record (a script's length, an
 // open-loop schedule's due times), or chunkMin records when it cannot know;
 // each later one twice the last, from chunkMin up to chunkMax.
+//
+// A session streamed to a Checker (ClerkConfig.Checker) instead records
+// into one chunk of streamChunk records, seals it into the checker when it
+// is full and records on into a chunk the checker hands back, so it holds
+// only the records since its last seal, and when decided its last chunk.
+// Len counts every record; At and Ops reach only those it holds.
 type Session struct {
 	Client int
 	chunks [][]OpRecord // all full but the last
 	n      int
+	ck     *Checker // the checker the session streams to, or nil
 }
 
 // chunkMin and chunkMax bound a later chunk: 4 KB to 1 MB of records, so a
@@ -162,37 +169,64 @@ func newSession(c, n int) *Session {
 func (s *Session) add(op OpRecord) {
 	last := len(s.chunks) - 1
 	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
-		size := chunkMin
-		if last >= 0 {
-			size = min(max(2*cap(s.chunks[last]), chunkMin), chunkMax)
+		if s.ck != nil {
+			s.chunks[0] = s.ck.seal(s.Client, s.chunks[0], s.base(), false)
+		} else {
+			size := chunkMin
+			if last >= 0 {
+				size = min(max(2*cap(s.chunks[last]), chunkMin), chunkMax)
+			}
+			s.chunks = append(s.chunks, make([]OpRecord, 0, size))
+			last++
 		}
-		s.chunks = append(s.chunks, make([]OpRecord, 0, size))
-		last++
 	}
 	s.chunks[last] = append(s.chunks[last], op)
 	s.n++
 }
 
+// close seals a streamed session's last chunk, which it keeps. The clerk
+// decides the session after it.
+func (s *Session) close() {
+	if s.ck != nil {
+		s.ck.seal(s.Client, s.chunks[0], s.base(), true)
+	}
+}
+
 // Len is the number of records in the session.
 func (s *Session) Len() int { return s.n }
 
-// At returns record i of the session, 0 <= i < Len(). It walks the chunks;
-// the checkers, which visit every record, index the chunks themselves.
-func (s *Session) At(i int) *OpRecord {
-	j := i
+// held is the number of records the session holds: all of them, unless it
+// streamed some to a Checker.
+func (s *Session) held() int {
+	n := 0
 	for _, c := range s.chunks {
-		if j < len(c) {
-			return &c[j]
-		}
-		j -= len(c)
+		n += len(c)
 	}
-	panic(fmt.Sprintf("kv: record %d of a session of %d", i, s.n))
+	return n
 }
 
-// Ops yields the session's records in order with their indices:
+// base is the index of the first record the session holds.
+func (s *Session) base() int { return s.n - s.held() }
+
+// At returns record i of the session, which must be one it holds: any i
+// below Len(), or for a streamed session one in its last chunk. It walks
+// the chunks; the checker, which visits every record, indexes them itself.
+func (s *Session) At(i int) *OpRecord {
+	if j := i - s.base(); j >= 0 {
+		for _, c := range s.chunks {
+			if j < len(c) {
+				return &c[j]
+			}
+			j -= len(c)
+		}
+	}
+	panic(fmt.Sprintf("kv: record %d of a session of %d that holds its last %d", i, s.n, s.held()))
+}
+
+// Ops yields the records the session holds in order, with their indices:
 // for i, op := range s.Ops.
 func (s *Session) Ops(yield func(int, OpRecord) bool) {
-	i := 0
+	i := s.base()
 	for _, c := range s.chunks {
 		for _, op := range c {
 			if !yield(i, op) {

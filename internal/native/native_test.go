@@ -1,6 +1,7 @@
 package native_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -417,6 +418,59 @@ func TestStress(t *testing.T) {
 	}
 	if park, timeout := rep.Counters["notify_park"], rep.Counters["notify_timeout"]; park != 0 || timeout != 0 {
 		t.Errorf("tick-wait burst entered the notifier: notify_park=%d notify_timeout=%d, want 0 and 0", park, timeout)
+	}
+}
+
+// rejectInput is ∆ of an inner task, except that it rejects every run in
+// which process 0's input is bad.
+type rejectInput struct {
+	task.Task
+	bad vec.Value
+}
+
+func (t rejectInput) Validate(in, out vec.Vector) error {
+	if in[0] == t.bad {
+		return fmt.Errorf("input %v rejected", t.bad)
+	}
+	return t.Task.Validate(in, out)
+}
+
+// TestStressNamesAFailingInstance: a failing instance's error leads with
+// the instance and the seed it was built from, in the text report and the
+// JSON one, so that the one configuration can be built and run again.
+func TestStressNamesAFailingInstance(t *testing.T) {
+	s := scenario(t, core.ScenarioParams{Task: "consensus", N: 4, Stabilize: 10})
+	const root, instance = 3, 2
+	target := int64(root*1_000_003 + instance)
+	bad := -1
+	var mu sync.Mutex
+	built := 0
+	rep, err := native.Stress(s.Name, rejectInput{s.Task, bad}, func(seed int64) (native.Config, error) {
+		cfg := s.NativeConfig(seed, tick)
+		if seed == target {
+			cfg.Inputs = append(vec.Vector{}, cfg.Inputs...)
+			cfg.Inputs[0] = bad
+		}
+		mu.Lock()
+		built++
+		mu.Unlock()
+		return cfg, nil
+	}, native.StressOptions{Duration: 100 * time.Millisecond, Workers: 1, Seed: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built <= instance {
+		t.Fatalf("%d instances ran, too few to reach instance %d", built, instance)
+	}
+	want := fmt.Sprintf("instance %d (seed %d): ", instance, target)
+	if rep.Violations != 1 || len(rep.Errors) != 1 || !strings.HasPrefix(rep.Errors[0], want) {
+		t.Fatalf("%d violations, errors %q; want one, led by %q", rep.Violations, rep.Errors, want)
+	}
+	if text := rep.Render(); !strings.Contains(text, "error:      "+want) {
+		t.Errorf("the text report does not name the instance:\n%s", text)
+	}
+	if js, err := json.Marshal(rep); err != nil || !strings.Contains(string(js), want) {
+		t.Errorf("the JSON report does not name the instance (%v):\n%s", err, js)
 	}
 }
 

@@ -95,7 +95,7 @@ type StressReport struct {
 	// its replicas release — see the reg_released counter).
 	Registers int          `json:"registers,omitempty"`
 	Latency   LatencyStats `json:"latency"`
-	Errors    []string     `json:"errors,omitempty"` // first few checker messages
+	Errors    []string     `json:"errors,omitempty"` // first few checker messages, each led by its instance and seed
 	// Counters holds the native counter deltas attributable to this run
 	// (process-wide snapshot at end minus start; zeros omitted).
 	Counters map[string]int64 `json:"counters,omitempty"`
@@ -212,10 +212,11 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 				}
 				var cfg Config
 				var err error
+				seed := opt.Seed*1_000_003 + r
 				if r == 0 && first != nil {
 					cfg = *first
 				} else {
-					cfg, err = mk(opt.Seed*1_000_003 + r)
+					cfg, err = mk(seed)
 				}
 				if err == nil && len(cfg.Inputs) != cfg.NC {
 					err = fmt.Errorf("native: scenario produced %d inputs for %d C-processes", len(cfg.Inputs), cfg.NC)
@@ -243,7 +244,7 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 				rep.Runs++
 				rep.Decisions += res.Outputs.Count()
 				rep.Crashes += len(res.Crashed)
-				rep.Judge(verr, derr)
+				rep.Judge(r, seed, verr, derr)
 				mu.Unlock()
 			}
 		}()
@@ -258,12 +259,14 @@ func Stress(name string, t task.Task, mk func(seed int64) (Config, error), opt S
 	return rep, nil
 }
 
-// Judge accounts one checked run: delta is its task.Check verdict, decided
-// its CheckDecided verdict. ∆ comes first and wait-freedom second — the task
+// Judge accounts one checked run, the report's instance number instance,
+// built from seed: delta is its task.Check verdict, decided its
+// CheckDecided verdict. ∆ comes first and wait-freedom second — the task
 // validates whatever did decide even when some process was cut off — so a
 // safety violation is never masked by a liveness miss. Only the first few
-// messages are kept.
-func (r *StressReport) Judge(delta, decided error) {
+// messages are kept, each led by the instance and the seed that rebuild
+// the run.
+func (r *StressReport) Judge(instance, seed int64, delta, decided error) {
 	err := delta
 	switch {
 	case delta != nil:
@@ -275,7 +278,7 @@ func (r *StressReport) Judge(delta, decided error) {
 		return
 	}
 	if len(r.Errors) < 5 {
-		r.Errors = append(r.Errors, err.Error())
+		r.Errors = append(r.Errors, fmt.Sprintf("instance %d (seed %d): %v", instance, seed, err))
 	}
 }
 

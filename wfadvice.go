@@ -180,7 +180,9 @@ type (
 	KVReplicaConfig = kv.ReplicaConfig
 	KVClerkConfig   = kv.ClerkConfig
 	// KVSession is one clerk's observed operation history, read through
-	// its Ops, Len and At methods.
+	// its Ops, Len and At methods. A session a NativeKVStress clerk streamed
+	// to its run's checker holds only its last chunk: Len counts every
+	// record, Ops and At cover only the records it still holds.
 	KVSession = kv.Session
 	// PaxosLog chains single-decree consensus instances into a replicated
 	// log with a sliding bound decision-register window.
@@ -211,7 +213,8 @@ var (
 	NewPaxosLog = func(e Ops, prefix string, me, nProposers int) *PaxosLog {
 		return paxos.NewLog(e, prefix, me, nProposers, 0)
 	}
-	// KVCheckSessions replays the version order the service reported.
+	// KVCheckSessions replays the version order the service reported,
+	// sealing whole sessions into the one streaming check.
 	KVCheckSessions = kv.CheckSessions
 	// NewScenario builds a backend-independent scenario.
 	NewScenario = core.NewScenario
