@@ -46,14 +46,15 @@ func directDecKeys(k int) []string {
 	return keys
 }
 
-// directConsKeys returns the instance key tables of the solver's k consensus
-// instances over ns proposers.
-func directConsKeys(k, ns int) [][]string {
-	tables := make([][]string, k)
-	for j := range tables {
-		tables[j] = paxos.InstanceKeys(consKey(j), ns)
+// directConsKeys returns the key table of the solver's k consensus instances
+// over ns proposers: their InstanceKeys tables end to end, instance j from
+// slot j*(ns+1) on.
+func directConsKeys(k, ns int) []string {
+	keys := make([]string, 0, k*(ns+1))
+	for j := 0; j < k; j++ {
+		keys = append(keys, paxos.InstanceKeys(consKey(j), ns)...)
 	}
-	return tables
+	return keys
 }
 
 // VectorLeader interprets detector values as []int vectors (vector-Ωk).
@@ -136,8 +137,9 @@ func (c DirectConfig) DirectSBody(me int) sim.Body {
 		if c.K > len(local) {
 			props = make([]paxos.Proposer, c.K)
 		}
-		for j, keys := range consKeys {
-			props[j] = paxos.BoundProposer(e.Bind(keys), me, c.NS, nil)
+		cons := e.Bind(consKeys)
+		for j := range props {
+			props[j] = paxos.BoundProposer(cons, j*(c.NS+1), me, c.NS, nil)
 		}
 		ins := e.Bind(inKeys)
 		var proposal sim.Value

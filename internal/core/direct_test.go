@@ -260,6 +260,35 @@ func TestOneShotAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRearmedKSetResolvesNoKey: a native runtime re-armed for kset/n=6/k=5
+// resolves no register key after its first run. The S-process binds its five
+// consensus instances as one table, so every process's binds are hits of the
+// bind memo (native.Env.Bind); an S-process that bound an instance a table
+// made its fifth and sixth binds miss it and resolve their keys every run.
+func TestRearmedKSetResolvesNoKey(t *testing.T) {
+	sc, err := NewScenario(ScenarioParams{Task: "kset", N: 6, K: 5, Stabilize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := new(native.Runtime)
+	run := func(seed int64) {
+		if err := rt.Reset(sc.NativeConfig(seed, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if res := rt.Run(time.Minute); res.Reason != native.ReasonAllDecided {
+			t.Fatalf("seed %d: run ended %v", seed, res.Reason)
+		}
+	}
+	run(1)
+	before := native.Telemetry.Snapshot()
+	for seed := int64(2); seed <= 6; seed++ {
+		run(seed)
+	}
+	if n := native.Telemetry.Snapshot().Delta(before).Map()["store_shard_lookup"]; n != 0 {
+		t.Errorf("five re-armed runs resolved %d keys, want 0", n)
+	}
+}
+
 // TestDirectSharedKeyTablesSameSteps: a body built once, as a scenario builds
 // it, keeps its key tables across runs and its per-run state inside the call,
 // so its second run performs the identical (process, operation, key)

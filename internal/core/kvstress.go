@@ -10,6 +10,7 @@ import (
 	"wfadvice/internal/native"
 	"wfadvice/internal/obs"
 	"wfadvice/internal/task"
+	"wfadvice/internal/vec"
 )
 
 // This file is the stress harness behind cmd/efd-kv. Unlike native.Stress —
@@ -23,8 +24,7 @@ import (
 // verdict is linearizability of every clerk session. The check streams:
 // the run's kv.Checker judges each clerk's records a chunk at a time while
 // the run goes on and hands the chunks back, so a run of any length holds a
-// few chunks a clerk, and the kv task's ∆ over the decided *Session values
-// is that checker's verdict.
+// few chunks a clerk, and the run's verdict is that checker's (kvVerdict).
 
 // KVStressOptions configures one open-loop KV stress run.
 type KVStressOptions struct {
@@ -185,11 +185,22 @@ func (o KVStressOptions) scenario(cc kv.ClerkConfig) *Scenario {
 	return s
 }
 
+// kvVerdict is the kv task's ∆ over a run's decided sessions, which reaches
+// the run's checker through them. With no clerk decided ∆ passes vacuously,
+// so the checker's own verdict (a second Finish returns the first's) still
+// reports a violation it found while the run went on.
+func kvVerdict(t task.Task, in, out vec.Vector, ck *kv.Checker) error {
+	if err := task.Check(t, in, out); err != nil {
+		return err
+	}
+	return ck.Finish(false)
+}
+
 // KVStress runs one open-loop replicated-KV system and reports it in the
 // same shape as native.Stress so the CI checks and the BENCH tooling
 // consume either. Runs is 1 (one long-lived system), Ops counts completed client
 // operations, and a checker failure is a linearizability violation across
-// the decided clerk sessions.
+// the clerk sessions, decided or cut off (kvVerdict).
 func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 	if opt.N < 1 {
 		return nil, fmt.Errorf("kv stress: need at least one replica, got %d", opt.N)
@@ -228,6 +239,7 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 	// and re-anchored just before Run so config construction time does not
 	// count against the first op's latency.
 	var base time.Time
+	ck := kv.NewChecker(opt.clients())
 	s := opt.scenario(kv.ClerkConfig{
 		PutFrac: opt.PutFrac, Seed: opt.Seed,
 		Clock:    func() int64 { return time.Since(base).Nanoseconds() },
@@ -235,7 +247,7 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 		Deadline: opt.Duration.Nanoseconds(), Interval: opt.interval(),
 		OpTimeout: opt.ClerkTimeout.Nanoseconds(),
 		OnOp:      func(rec kv.OpRecord, due int64) { hist.Observe(rec.End - due) },
-		Checker:   kv.NewChecker(opt.clients()),
+		Checker:   ck,
 	})
 	cfg := s.NativeConfig(opt.Seed, opt.Tick)
 	cfg.Tracer = opt.Tracer
@@ -255,7 +267,7 @@ func KVStress(opt KVStressOptions) (*native.StressReport, error) {
 		Crashes:   len(res.Crashed),
 		Registers: rt.Registers(),
 	}
-	rep.Judge(0, opt.Seed, task.Check(s.Task, res.Inputs, res.Outputs), native.CheckDecided(res))
+	rep.Judge(0, opt.Seed, kvVerdict(s.Task, res.Inputs, res.Outputs, ck), native.CheckDecided(res))
 	// Ops counts completed client operations (the decided sessions plus
 	// whatever an undecided run still recorded); res.Ops would count raw
 	// register operations, which is the wrong currency for a KV benchmark.

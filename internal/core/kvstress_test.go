@@ -4,12 +4,14 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"wfadvice/internal/fdet"
 	"wfadvice/internal/kv"
 	"wfadvice/internal/native"
+	"wfadvice/internal/sim"
 )
 
 func runKVStress(t *testing.T, opt KVStressOptions) *native.StressReport {
@@ -246,10 +248,43 @@ func TestKVStressSharesScenarioAssembly(t *testing.T) {
 	}
 }
 
+// TestKVVerdictWithNoClerkDecided: a clerk whose replica answers every op
+// with no version fails the run's streaming check at its first sealed chunk,
+// and the run is cut off before the clerk decides. The verdict is that
+// violation: ∆ over no decided session passes vacuously, and the checker
+// holds what it found.
+func TestKVVerdictWithNoClerkDecided(t *testing.T) {
+	ck := kv.NewChecker(1)
+	s := kvScenario(1, 1, kv.ClerkConfig{Ops: 1 << 20, PutFrac: 0.5, Checker: ck})
+	s.Pattern = fdet.FailureFree(1)
+	s.SBody = func(int) sim.Body {
+		return func(e sim.Ops) {
+			for answered := 0; ; {
+				if req, ok := e.Read(kv.ReqKey(0)).(*kv.Request); ok && req.Seq > answered {
+					answered = req.Seq
+					e.Write(kv.RepKey(0), &kv.Reply{Seq: req.Seq})
+				}
+			}
+		}
+	}
+	rt, err := sim.New(s.SimConfig(1, 20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rt.Run(&sim.RoundRobin{})
+	if n := res.Outputs.Count(); n != 0 {
+		t.Fatalf("%d clerks decided, want the run cut off first", n)
+	}
+	err = kvVerdict(s.Task, res.Inputs, res.Outputs, ck)
+	if err == nil || !strings.Contains(err.Error(), "without a version") {
+		t.Errorf("verdict %v, want the checker's violation: an applied op without a version", err)
+	}
+}
+
 // TestKVPutAllocBudget holds a replicated put to what its protocol allocates:
 // closed-loop runs of the benchmark's kv-put shape (3 replicas, 4 clerks, all
 // puts) average at most 0.5 heap objects per completed operation, set-up,
-// drain and post-hoc check included. About 0.19 is what is left once a
+// drain and the session check, which runs while the clerks record, included. About 0.19 is what is left once a
 // register write costs no object of the cell's own and every register holds
 // a pointer into its writer's slab — a request, a reply, a decided `Batch`
 // and a paxos block alike — so that a committed log slot allocates nothing:

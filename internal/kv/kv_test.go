@@ -1129,7 +1129,7 @@ func TestPreemptedSlotsLeaveNoProposer(t *testing.T) {
 	const rounds = 5
 	rc := ReplicaConfig{NC: 1, NS: 2, MaxBatch: 1, Pause: func(sim.Ops, uint64) {}}
 	runAsLeader(t, func(e sim.Ops) {
-		r := newReplica(rc, 0, e)
+		r := newReplica(rc, 0, e, newReplicaKeys(rc.NC, rc.NS))
 		rival := paxos.NewLog(e, LogPrefix, 1, rc.NS, 0)
 		req := e.Bind(ReqKeys(1))
 		for k := 1; k <= rounds; k++ {
@@ -1173,7 +1173,7 @@ func TestLeaderRestoresOverwrittenReply(t *testing.T) {
 	rc := ReplicaConfig{NC: 1, NS: 1, MaxBatch: 1, LeaseReads: true, Pause: func(sim.Ops, uint64) {}}
 	for _, op := range []OpKind{OpPut, OpGet} {
 		runAsLeader(t, func(e sim.Ops) {
-			r := newReplica(rc, 0, e)
+			r := newReplica(rc, 0, e, newReplicaKeys(rc.NC, rc.NS))
 			req, rep := e.Bind(ReqKeys(1)), e.Bind(RepKeys(1))
 			req.Write(0, &Request{Client: 0, Seq: 2, Op: op, Key: "a", Val: 5})
 			r.iterate() // a put commits here and is delivered by the next sweep; a get is lease-served
@@ -1277,7 +1277,7 @@ func TestLaggardInstallsASnapshot(t *testing.T) {
 		cfg.CBody = ClerkConfig{NC: n, NS: n, Ops: ops, PutFrac: 0.9}.Body
 		cfg.SBody = func(me int) sim.Body {
 			return func(e sim.Ops) {
-				reps[me] = newReplica(rc, me, e)
+				reps[me] = newReplica(rc, me, e, newReplicaKeys(rc.NC, rc.NS))
 				reps[me].run()
 			}
 		}

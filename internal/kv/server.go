@@ -51,11 +51,11 @@ type replica struct {
 	log  *paxos.Log
 	st   *State
 	// reclaimRegs holds every replica's frontier register (FrontierKey) at
-	// its index and its snapshot register (SnapshotKey) NS further on (see
-	// bindReclaim). published is the last frontier this replica wrote, seen
-	// what its last collect of the frontiers read and low their least; snaps
-	// holds the snapshots it has written and snapPuts their maps, and puts is
-	// scratch for those.
+	// its index and its snapshot register (SnapshotKey) NS further on.
+	// published is the last frontier this replica wrote, seen what its last
+	// collect of the frontiers read and low their least; snaps holds the
+	// snapshots it has written and snapPuts their maps, and puts is scratch
+	// for those.
 	reclaimRegs sim.Regs
 	published   int
 	seen        []int
@@ -99,22 +99,33 @@ func (cfg ReplicaConfig) Body(me int) sim.Body {
 	if cfg.Pause == nil {
 		cfg.Pause = awaitEpoch
 	}
-	return func(e sim.Ops) { newReplica(cfg, me, e).run() }
+	keys := newReplicaKeys(cfg.NC, cfg.NS)
+	return func(e sim.Ops) { newReplica(cfg, me, e, keys).run() }
+}
+
+// replicaKeys is the key tables a replica binds: the request and the reply
+// registers, and every replica's frontier register followed by every
+// replica's snapshot register (see reclaim). Body builds them once, so a
+// re-armed native runtime hands a replica last run's handles back.
+type replicaKeys struct{ reqs, reps, reclaim []string }
+
+func newReplicaKeys(nc, ns int) replicaKeys {
+	return replicaKeys{ReqKeys(nc), RepKeys(nc), slices.Concat(FrontierKeys(ns), SnapshotKeys(ns))}
 }
 
 // newReplica binds replica me's registers on e; cfg has its defaults filled
 // in (see Body).
-func newReplica(cfg ReplicaConfig, me int, e sim.Ops) *replica {
+func newReplica(cfg ReplicaConfig, me int, e sim.Ops, keys replicaKeys) *replica {
 	return &replica{
 		cfg:         cfg,
 		me:          me,
 		e:           e,
 		h:           Telemetry.Handle(),
-		reqs:        e.Bind(ReqKeys(cfg.NC)),
-		reps:        e.Bind(RepKeys(cfg.NC)),
+		reqs:        e.Bind(keys.reqs),
+		reps:        e.Bind(keys.reps),
 		log:         paxos.NewLog(e, LogPrefix, me, cfg.NS, cfg.Window),
 		st:          NewState(cfg.NC),
-		reclaimRegs: bindReclaim(e, cfg.NS),
+		reclaimRegs: e.Bind(keys.reclaim),
 		seen:        make([]int, cfg.NS),
 		reqBuf:      make([]sim.Value, cfg.NC),
 		repWritten:  make([]Reply, cfg.NC),
@@ -340,16 +351,6 @@ func (r *replica) snapshot() *Snapshot {
 		Puts: r.snapPuts.Many(r.puts),
 		Last: r.replies.Many(r.st.last),
 	})
-}
-
-// bindReclaim binds the frontier registers and then the snapshot registers
-// of ns replicas: as one table where the backend offers tables, so that no
-// key is formatted, and by key otherwise.
-func bindReclaim(e sim.Ops, ns int) sim.Regs {
-	if tabs, ok := e.(sim.Tables); ok {
-		return tabs.BindTable(sim.Table{Space: LogPrefix, Family: "reclaim", Len: 2 * ns})
-	}
-	return e.Bind(slices.Concat(FrontierKeys(ns), SnapshotKeys(ns)))
 }
 
 // deliver writes a reply register unless this replica already wrote that

@@ -1,30 +1,25 @@
 package native
 
-import (
-	"slices"
-
-	"wfadvice/internal/sim"
-)
+import "wfadvice/internal/sim"
 
 // This file is the native implementation of sim.Regs, the bound-register
 // handle behind the backend's allocation-free hot path, in its two kinds.
 // Ops.Bind resolves a body's key table to cell pointers exactly once, into a
-// boundRegs the process owns and recycles through Release. Tables.BindTable
-// resolves nothing: the table's backing array keeps a view of itself per
-// process that binds it (tableRegs), which indexes the array's cells
-// directly, so a bind allocates and fills nothing and a release has nothing
-// of the process's to take back. Either way every bound operation is the
-// operation prologue (step counting, stop/crash check) plus a direct atomic
-// access on the cell — no lock, no map lookup, and, for integer values and
-// reused collect buffers, no allocation (asserted by TestReadWriteAllocs
-// with testing.AllocsPerRun). Poll loops — the direct solver's decision
-// sweeps, the S-process input harvest, auto.RunOnEnv collects, every paxos
-// instance — run on bound handles.
+// boundRegs the process owns; the bind memo hands its first few back the
+// next run. Tables.BindTable resolves nothing: the table's backing array
+// keeps a view of itself per process that binds it (tableRegs), which
+// indexes the array's cells directly, so a bind allocates and fills nothing
+// and a release has nothing of the process's to take back. Either way every
+// bound operation is the operation prologue (step counting, stop/crash
+// check) plus a direct atomic access on the cell — no lock, no map lookup,
+// and, for integer values and reused collect buffers, no allocation
+// (asserted by TestReadWriteAllocs with testing.AllocsPerRun). Poll loops —
+// the direct solver's decision sweeps, the S-process input harvest,
+// auto.RunOnEnv collects, every paxos instance — run on bound handles.
 
 // boundRegs is the native sim.Regs of a key table: a resolved cell pointer per
 // slot, and the collect buffer ReadMany fills when the caller brings none. A
-// handle the bind memo returns next run brings its buffer along, and so does
-// one that Release, or the next arming, parks for the process's next Bind.
+// handle the bind memo returns next run brings its buffer along.
 type boundRegs struct {
 	e     *Env
 	keys  []string
@@ -51,21 +46,19 @@ var (
 
 // memoBinds is how many of a run's Binds, counted per process from its first,
 // an Env remembers for the next run. A one-shot body binds its whole key set
-// in its first two or three calls. A paxos.Log on a raw Env binds its windows
-// as tables (BindTable), which the memo never holds; only one behind a
-// decorator binds a keyed table per window of log slots, and is remembered
-// for its first few and no further.
+// in at most three calls, whatever its k: the direct S-process binds its k
+// consensus instances as one table. A paxos.Log on a raw Env binds its
+// windows as tables (BindTable), which the memo never holds; one behind a
+// decorator binds a keyed table per window, and each bind past the memo's
+// takes a new handle.
 const memoBinds = 4
 
 // Bind implements sim.Ops: it resolves every key to its register cell,
 // straight through the table (one map lookup per key under one hold of its
 // mutex; the cells this call mints share one backing array, see store.bind),
-// and returns the bound handle. Bind is the setup step: it runs once per
+// and returns a new bound handle. Bind is the setup step: it runs once per
 // body, per stand-alone consensus instance or per window of log slots, and
-// the operations on the result do not allocate. Nor does Bind itself once the
-// process has released, through its key slice, a table at least as long
-// (see Release), or bound one last run outside the memo: it resolves keys
-// into that table's handle and cells slice.
+// the operations on the result do not allocate.
 //
 // On a re-armed runtime that kept its register table, a Bind of the table
 // this process bound at the same call position last run — the same backing
@@ -80,17 +73,13 @@ func (e *Env) Bind(keys []string) sim.Regs {
 			return b
 		}
 	}
-	b := e.spare(len(keys))
-	b.keys = keys
+	b := &boundRegs{e: e, keys: keys, cells: make([]*cell, len(keys))}
 	e.m.Add(cStoreShardLookup, int64(len(keys)))
 	if e.r.store.bind(keys, b.cells) {
 		e.m.Inc(cCellArrayReused)
 	}
-	switch {
-	case pos < memoBinds:
-		e.binds[pos] = b // the memo's for good: never recycled, see Release
-	case len(keys) > 0:
-		e.bound = append(e.bound, b)
+	if pos < memoBinds {
+		e.binds[pos] = b
 	}
 	return b
 }
@@ -110,48 +99,15 @@ func (e *Env) BindTable(t sim.Table) sim.Regs {
 	return v
 }
 
-// spare returns a handle for a table of n keys: the released one with the
-// least room that fits, the latest parked of those, or a new one.
-func (e *Env) spare(n int) *boundRegs {
-	best := -1
-	for i, b := range e.free {
-		if c := cap(b.cells); c >= n && (best < 0 || c <= cap(e.free[best].cells)) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return &boundRegs{e: e, cells: make([]*cell, n)}
-	}
-	b := e.free[best]
-	e.free = slices.Delete(e.free, best, best+1)
-	b.cells = b.cells[:n]
-	return b
-}
-
 // Release implements sim.Ops: the keys leave the register table and their
 // cells are emptied and recycled (see store.release), so a handle bound to
 // them before must not be used again — the caller has promised that of every
 // process. It is not an operation: no step is counted and no crash strikes
 // on it. A runtime whose table has released anything rebuilds the table at
-// its next Reset and forgets the handles it memoised.
-//
-// When keys is the very slice (same first element, same length) from which
-// this process bound a handle this run, and the bind memo does not hold that
-// handle, the handle is emptied and parked for the process's next Bind; the
-// caller may then refill the slice for another table. The parked handles
-// belong to this process, so nothing here takes a lock.
+// its next Reset and forgets the handles it memoised. Only registers go
+// back: no handle is recycled.
 func (e *Env) Release(keys []string) {
 	e.m.Add(cRegReleased, int64(e.r.store.release(keys)))
-	if len(keys) == 0 {
-		return
-	}
-	for i, b := range e.bound {
-		if len(b.keys) == len(keys) && &b.keys[0] == &keys[0] {
-			e.bound = slices.Delete(e.bound, i, i+1)
-			e.park(b)
-			return
-		}
-	}
 }
 
 // ReleaseTable implements sim.Tables: the table's registers leave the
@@ -161,13 +117,6 @@ func (e *Env) Release(keys []string) {
 // process has nothing of its own to give back: its view stays with the array.
 func (e *Env) ReleaseTable(t sim.Table) {
 	e.m.Add(cRegReleased, int64(e.r.store.releaseTable(t)))
-}
-
-// park empties b, which is no longer bound, and adds it to the free handles.
-func (e *Env) park(b *boundRegs) {
-	clear(b.cells)
-	b.keys, b.cells = nil, b.cells[:0]
-	e.free = append(e.free, b)
 }
 
 // forgetBinds drops the remembered handles: the table they were resolved

@@ -156,7 +156,7 @@ type pad [64]byte
 // service's loop are spawned by Run and joined before it returns — so there
 // is nothing to close. What it keeps across a Reset is what a run builds
 // around its protocol rather than for it: the register table and its cells,
-// the advice cells, the notifier, the Envs and the handles they bound, the
+// the advice cells, the notifier, the Envs and the handles they memoised, the
 // done channel, both timers and the Result.
 //
 // A Runtime is not for concurrent use: Reset and Run are called from one
@@ -320,10 +320,6 @@ func (r *Runtime) arm(slot **Env, id ids.Proc, input sim.Value, body sim.Body) {
 	e.crashable = id.IsS() && r.cfg.Pattern.Faulty(id.Index)
 	e.ops, e.decided, e.decision, e.decideAt, e.crashed = 0, false, nil, 0, false
 	e.nbind = 0
-	for _, b := range e.bound { // last run's releasable handles: the next Binds refill them
-		e.park(b)
-	}
-	e.bound = e.bound[:0]
 	r.envs = append(r.envs, e)
 }
 
@@ -446,12 +442,6 @@ type Env struct {
 	// this run's calls.
 	binds [memoBinds]*boundRegs
 	nbind int
-	// bound holds this run's key-bound handles that Release can take back
-	// by their key slice, in bind order; free holds the released ones, and
-	// those the last run left bound, in the order they were parked, for the
-	// next Bind to refill (see Bind and Release). A table's handle is not
-	// the process's: it stays with the table's array (BindTable).
-	bound, free []*boundRegs
 	// The fields below are goroutine-local; the runtime reads them only
 	// after wg.Wait(), which orders the accesses.
 	ops      int64

@@ -141,6 +141,15 @@ func (l *Log) keyTable(keys []string, n int, format func(b []byte, i int) []byte
 	return keys
 }
 
+// blockKeys cuts the block keys of the window at base into keys (see
+// keyTable): BlockKey(SlotKey(prefix, base+i), j) at slot i*nProps+j.
+func (l *Log) blockKeys(keys []string, base int) []string {
+	return l.keyTable(keys, l.length*l.nProps, func(b []byte, i int) []byte {
+		b = append(appendSlotKey(b, l.prefix, base+i/l.nProps), blkInfix...)
+		return strconv.AppendInt(b, int64(i%l.nProps), 10)
+	})
+}
+
 // slide positions the bound window so that it covers slot and returns it,
 // refilling the key tables of a window Truncate released if there is one. The
 // window it leaves is kept, by value, for Truncate.
@@ -180,16 +189,17 @@ func (l *Log) table(fam string, base int) sim.Table {
 
 // Truncate releases the registers of every window this view has left that
 // lies wholly below slot below, except the windows whose bases keep names:
-// the decision registers, and the block registers — by key if this view
-// bound them, as a table whoever did. The caller vouches for what
-// sim.Ops.Release demands — no process will touch a slot of a released
-// window again, through any window — and the views agree on which registers
-// that is: every window is aligned to a multiple of the window length. A
-// kept window stays with the view for a later Truncate. Views release the
-// same tables independently; one already gone is skipped by the backend. A
-// key-bound table goes back as the slice it was bound from, which gives the
-// backend its handle too, and its key slices are kept for slide to refill.
-// The current window is never released.
+// the decision registers and the block registers, whether this view bound
+// the blocks or not — a proposer that crashed in the window may be the only
+// one that did. The caller vouches for what sim.Ops.Release demands — no
+// process will touch a slot of a released window again, through any window
+// — and the views agree on which registers that is: every window is aligned
+// to a multiple of the window length. A kept window stays with the view for
+// a later Truncate. Views release the same tables independently; one already
+// gone is skipped by the backend. A table bound by identity costs nothing to
+// name; a key-bound window formats the block keys it never bound, as
+// Proposer does, and its key slices are kept for slide to refill. The
+// current window is never released.
 func (l *Log) Truncate(below int, keep ...int) {
 	kept := l.old[:0]
 	for _, w := range l.old {
@@ -198,18 +208,16 @@ func (l *Log) Truncate(below int, keep ...int) {
 			continue
 		}
 		if l.tabs != nil {
-			// The block table goes whether this view bound it or not: a
-			// proposer that crashed in the window may be the only one that
-			// did, and an identity costs nothing to name.
 			l.tabs.ReleaseTable(l.table(decFamily, w.base))
 			l.tabs.ReleaseTable(l.table(blkFamily, w.base))
-		} else {
-			l.e.Release(w.decKeys)
-			if w.blk != nil {
-				l.e.Release(w.blkKeys)
-			}
-			l.spare = append(l.spare, window{decKeys: w.decKeys, blkKeys: w.blkKeys})
+			continue
 		}
+		if w.blk == nil {
+			w.blkKeys = l.blockKeys(w.blkKeys, w.base)
+		}
+		l.e.Release(w.decKeys)
+		l.e.Release(w.blkKeys)
+		l.spare = append(l.spare, window{decKeys: w.decKeys, blkKeys: w.blkKeys})
 	}
 	clear(l.old[len(kept):])
 	l.old = kept
@@ -232,10 +240,7 @@ func (l *Log) Proposer(slot int) *Proposer {
 	case l.tabs != nil:
 		w.blk = l.tabs.BindTable(l.table(blkFamily, w.base))
 	default:
-		w.blkKeys = l.keyTable(w.blkKeys, l.length*l.nProps, func(b []byte, i int) []byte {
-			b = append(appendSlotKey(b, l.prefix, w.base+i/l.nProps), blkInfix...)
-			return strconv.AppendInt(b, int64(i%l.nProps), 10)
-		})
+		w.blkKeys = l.blockKeys(w.blkKeys, w.base)
 		w.blk = l.e.Bind(w.blkKeys)
 	}
 	var p *Proposer

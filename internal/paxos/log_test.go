@@ -286,13 +286,15 @@ func (b bindCounter) Bind(keys []string) sim.Regs {
 // on the native backend: two views of one log — a proposer, which binds a
 // decision and a block table per window, and a follower, which binds the
 // decision table — walk it a window at a time and truncate what both have
-// passed, and a window costs at most one object per table bound: the string
-// its keys are cut from. The window structs, their key slices and the bound
-// handles all come back from the windows Truncate released. The slots are
-// decided by keyed writes of keys formatted up front, so the slot path's own
-// costs (TestLogSlotAllocs) stay out of the count. The count is the least of
-// a few rounds: the runtime's own goroutine may still be allocating as it
-// parks when the first round starts.
+// passed, and a window costs at most three objects per table bound — the
+// string its keys are cut from, the handle and its cells slice — and one
+// more: the string of the block keys the follower releases without having
+// bound them. The window structs and their key slices come back from the
+// windows Truncate released: a slice per table would cost 128 more. The
+// slots are decided by keyed writes of keys formatted up front, so the slot
+// path's own costs (TestLogSlotAllocs) stay out of the count. The count is
+// the least of a few rounds: the runtime's own goroutine may still be
+// allocating as it parks when the first round starts.
 func TestLogWindowAllocs(t *testing.T) {
 	const window, warm, windows, rounds = 8, 16, 32, 5
 	decKeys := make([]string, (warm+rounds*windows)*window)
@@ -354,8 +356,8 @@ func TestLogWindowAllocs(t *testing.T) {
 		t.Fatalf("%d windows bound %d tables, want %d", windows, tables, 3*windows)
 	}
 	t.Logf("%d windows: %d objects for %d tables", windows, objects, tables)
-	if objects > tables {
-		t.Errorf("%d windows: %d objects for %d tables, want at most one per table", windows, objects, tables)
+	if objects > 3*tables+windows {
+		t.Errorf("%d windows: %d objects for %d tables, want at most three per table and one per window", windows, objects, tables)
 	}
 }
 
@@ -473,10 +475,10 @@ func (r *releaseRecorder) Release(keys []string) {
 // TestTruncateReleasesWindowsWhollyBelow: a view that has walked its window
 // over slots 0–11 four at a time, proposing in the first and the third,
 // releases on Truncate(min) exactly the windows that end at or below min —
-// their decision table, and their block table where it bound one — once, and
-// never the window it is in. Each table goes back as the slice it was bound
-// from, so the backend gets its handle back, and the next slide refills a
-// released window's slice with the keys of the window it moves to.
+// their decision table, and their block table, as the slice it was bound
+// from or, where it bound none, as keys it formats (recorded as -1) — once,
+// and never the window it is in. The next slide refills a released window's
+// slice with the keys of the window it moves to.
 func TestTruncateReleasesWindowsWhollyBelow(t *testing.T) {
 	const window, nProps = 4, 2
 	e := &releaseRecorder{}
@@ -497,10 +499,10 @@ func TestTruncateReleasesWindowsWhollyBelow(t *testing.T) {
 		want []int // bound tables, by bind order
 	}{
 		{3, nil},
-		{4, []int{0, 1}}, // window 0's two tables
-		{7, nil},         // window 4 ends at 8
-		{4, nil},         // going back releases nothing twice
-		{100, []int{2}},  // window 4; window 8 is in use
+		{4, []int{0, 1}},    // window 0's two tables
+		{7, nil},            // window 4 ends at 8
+		{4, nil},            // going back releases nothing twice
+		{100, []int{2, -1}}, // window 4; window 8 is in use
 		{100, nil},
 	} {
 		e.released = nil
@@ -529,6 +531,58 @@ func TestTruncateReleasesWindowsWhollyBelow(t *testing.T) {
 	l.Truncate(100)
 	if fmt.Sprint(e.released) != fmt.Sprint([]int{3, 4}) {
 		t.Fatalf("Truncate(100) after the slide released tables %v, want window 8's [3 4]", e.released)
+	}
+}
+
+// TestTruncateReleasesBlocksItNeverBound: on the sim backend, which binds
+// keys, p0 proposes at slot 0 and stops there, as a crashed leader would;
+// p1, which never proposed, sweeps the decision, moves on to the next window
+// and truncates below it. Window 0 leaves the store whole, p0's block
+// included: p1 releases the blocks it never bound as a table-bound view does.
+func TestTruncateReleasesBlocksItNeverBound(t *testing.T) {
+	const window = 4
+	cfg := sim.Config{
+		NC:     2,
+		Inputs: vec.Of(0, 1),
+		CBody: func(i int) sim.Body {
+			return func(e sim.Ops) {
+				l := NewLog(e, "log", i, 2, window)
+				if i == 0 {
+					p := l.Proposer(0)
+					p.SetProposal("v")
+					for decided := false; !decided; {
+						_, decided = p.StepOp(true)
+					}
+					e.Decide("proposed")
+					return
+				}
+				for l.Sweep(0, func(int, Value) bool { return true }) == 0 {
+					e.AwaitEpoch(e.Epoch())
+				}
+				l.Decided(window) // moves the view on to window 1
+				l.Truncate(window)
+				e.Decide("truncated")
+			}
+		},
+		Pattern:  fdet.FailureFree(0),
+		MaxSteps: 10_000,
+	}
+	rt, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rt.Run(&sim.RoundRobin{})
+	if res.Outputs[0] != "proposed" || res.Outputs[1] != "truncated" {
+		t.Fatalf("outputs %v (reason %v)", res.Outputs, res.Reason)
+	}
+	var left []string
+	for k := range res.FinalStore {
+		if strings.HasPrefix(k, SlotKey("log", 0)+"/") {
+			left = append(left, k)
+		}
+	}
+	if len(left) > 0 {
+		t.Errorf("window 0 left %v in the store, want none", left)
 	}
 }
 

@@ -116,7 +116,7 @@ const (
 // before the first step, so stepping an instance never formats or
 // re-resolves a register key. A Proposer is a view: it addresses its
 // instance inside two bound tables by offset. A stand-alone instance
-// (BoundProposer) points both halves at its own InstanceKeys table; a log
+// (BoundProposer) points both halves at its InstanceKeys slots; a log
 // slot (Log.Proposer) points into the tables its window of slots shares, so
 // minting one binds nothing.
 type Proposer struct {
@@ -140,16 +140,19 @@ type Proposer struct {
 }
 
 // BoundProposer returns a proposer, as a value, for the instance whose
-// InstanceKeys table the caller has bound as regs; me must be unique among
-// its nProposers. Callers that drive the same instance run after run bind
-// that table once and may keep the proposer in a local array: no method lets
-// the receiver escape. The proposal may be nil until SetProposal supplies
-// it; the proposer will not enter phase 1 without one.
-func BoundProposer(regs sim.Regs, me, nProposers int, proposal Value) Proposer {
+// InstanceKeys table the caller has bound as regs from slot off on (0 for a
+// table of one instance; several instances may share one table, end to end);
+// me must be unique among its nProposers. Callers that drive the same
+// instance run after run bind that table once and may keep the proposer in a
+// local array: no method lets the receiver escape. The proposal may be nil
+// until SetProposal supplies it; the proposer will not enter phase 1 without
+// one.
+func BoundProposer(regs sim.Regs, off, me, nProposers int, proposal Value) Proposer {
 	return Proposer{
 		blk:      regs,
+		blkOff:   off,
 		dec:      regs,
-		decOff:   nProposers,
+		decOff:   off + nProposers,
 		me:       me,
 		nProps:   nProposers,
 		proposal: proposal,

@@ -23,7 +23,7 @@ func sweepProposers(t *testing.T, n, seeds, maxSteps int, lead func(i, step int)
 	}
 	body := func(i int) sim.Body {
 		return func(e sim.Ops) {
-			p := BoundProposer(e.Bind(InstanceKeys("inst", n)), i, n, fmt.Sprintf("v%d", i))
+			p := BoundProposer(e.Bind(InstanceKeys("inst", n)), 0, i, n, fmt.Sprintf("v%d", i))
 			for step := 1; ; step++ {
 				if v, ok := p.StepOp(lead(i, step)); ok {
 					e.Decide(v)

@@ -16,8 +16,7 @@ import "slices"
 // Regs is a bound view of a fixed register key table: slot i addresses the
 // key passed at position i of Bind. All operations follow the semantics of
 // the corresponding Ops methods (each read and write is one atomic step). A
-// handle is given back with its registers, by passing Ops.Release the slice
-// it was bound from; it is not used after that.
+// handle is not used after its registers are released (Ops.Release).
 type Regs interface {
 	// Len returns the number of bound slots.
 	Len() int
@@ -61,12 +60,11 @@ type Table struct {
 
 // Tables is the optional capability of an Ops backend to bind a table by its
 // identity: BindTable returns the handle Bind would return for the table's
-// keys, and ReleaseTable gives the registers and that handle back as
-// Release would, skipping a table that is already gone. A caller asks for it
-// with a type assertion and falls back to Bind and Release without it. Only
-// the native Env offers it; the sim backend and any decorator that embeds
-// Ops do not, so their runs keep binding keys. See Ops for the one rule it
-// adds.
+// keys, and ReleaseTable gives the registers back as Release would, skipping
+// a table that is already gone. A caller asks for it with a type assertion
+// and falls back to Bind and Release without it. Only the native Env offers
+// it; the sim backend and any decorator that embeds Ops do not, so their
+// runs keep binding keys. See Ops for the one rule it adds.
 type Tables interface {
 	BindTable(t Table) Regs
 	ReleaseTable(t Table)

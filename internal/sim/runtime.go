@@ -167,11 +167,10 @@ type Ops interface {
 	// use-after-release oracle every sim test and the explorer run under);
 	// on the native backend they leave the register table and their cells
 	// are recycled (see native.Env.Release), so an access after release is
-	// undefined there. The keys slice is not kept. Passing the very slice a
-	// table was bound from gives back the handle too: on the native backend
-	// the process's next Bind reuses it; on the sim backend it holds its own
-	// copy of the released keys, so any later use of it fails the run. Either
-	// way the caller may then refill the slice for another table.
+	// undefined there. The keys slice is not kept: the caller may refill it,
+	// even one a table was bound from, for another table. A handle bound to
+	// released keys is not used again; on the sim backend it holds its own
+	// copy of them, so any later use of it fails the run.
 	Release(keys []string)
 }
 
